@@ -9,7 +9,7 @@ BENCH_GATE ?= EventSpine|IncidentFanIn|IncidentStorm|DeployParallel|DeploySequen
 BENCH_THRESHOLD ?= 25
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: build test race bench bench-json bench-diff fmt fmt-check vet staticcheck ci sim examples cover fuzz-smoke e2e
+.PHONY: build test race bench bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -82,9 +82,20 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCondition -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/
 
-# ci mirrors the checks job of .github/workflows/ci.yml for local runs
-# (the workflow's separate examples, coverage, and bench-regression jobs
-# have their own targets: `make examples`, `make cover`, `make
-# bench-diff`).
-ci: build vet staticcheck fmt-check race sim fuzz-smoke
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+# cores mirrors the cores job of .github/workflows/ci.yml: the tests,
+# the replay gate and the bench smoke at GOMAXPROCS 1, 2 and 4, so a gate
+# that only holds on one core cannot pass.
+cores:
+	for n in 1 2 4; do \
+		echo "=== GOMAXPROCS=$$n"; \
+		GOMAXPROCS=$$n $(GO) test -count=1 ./... && \
+		GOMAXPROCS=$$n $(MAKE) sim && \
+		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
+	done
+	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim
+
+# ci mirrors the checks and cores jobs of .github/workflows/ci.yml for
+# local runs (the workflow's separate examples, coverage, and
+# bench-regression jobs have their own targets: `make examples`, `make
+# cover`, `make bench-diff`).
+ci: build vet staticcheck fmt-check race fuzz-smoke cores

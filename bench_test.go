@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -48,7 +49,6 @@ import (
 	"genio/internal/trace"
 	"genio/internal/updates"
 	"genio/internal/vuln"
-	"genio/internal/workpool"
 )
 
 // --- Figure 3 ---------------------------------------------------------------
@@ -438,12 +438,11 @@ func benchSpec(name string) genio.WorkloadSpec {
 	}
 }
 
-// BenchmarkDeploySequentialAdmission is the seed-equivalent admission
-// path: one scanner after another, no verdict cache. The concurrency
+// BenchmarkDeploySequentialAdmission is the cold admission path: the
+// whole scanner chain on every deploy, no verdict cache. The concurrency
 // benchmarks below are measured against this baseline.
 func BenchmarkDeploySequentialAdmission(b *testing.B) {
 	p := benchDeployPlatform(b)
-	p.Cluster.AdmissionParallelism = 1
 	p.Cluster.AdmissionCacheDisabled = true
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -454,25 +453,9 @@ func BenchmarkDeploySequentialAdmission(b *testing.B) {
 	}
 }
 
-// BenchmarkDeployFanoutAdmission runs the same cold-scanner path with the
-// admission chain fanned out over four workers; the speedup over the
-// sequential baseline scales with available cores.
-func BenchmarkDeployFanoutAdmission(b *testing.B) {
-	p := benchDeployPlatform(b)
-	p.Cluster.AdmissionParallelism = 4
-	p.Cluster.AdmissionCacheDisabled = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Deploy("ci", benchSpec(fmt.Sprintf("fan-%d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDeployParallel is the multi-tenant hot path as shipped: deploys
-// from concurrent goroutines with admission fan-out and the per-digest
-// verdict cache, against the sharded cluster state.
+// from concurrent goroutines with the per-digest verdict cache, against
+// the sharded cluster state.
 func BenchmarkDeployParallel(b *testing.B) {
 	p := benchDeployPlatform(b)
 	var seq atomic.Int64
@@ -549,9 +532,20 @@ func BenchmarkDeployBatchSyncBarrier(b *testing.B) {
 			specs[j] = benchSpec(fmt.Sprintf("sync-%d-%d", i, j))
 		}
 		errs := make([]error, batch)
-		workpool.Run(batch, 0, func(j int) {
-			_, errs[j] = p.Deploy("ci", specs[j])
-		})
+		var (
+			wg   sync.WaitGroup
+			next atomic.Int64
+		)
+		for w := runtime.GOMAXPROCS(0); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := next.Add(1) - 1; j < batch; j = next.Add(1) - 1 {
+					_, errs[j] = p.Deploy("ci", specs[j])
+				}
+			}()
+		}
+		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
@@ -616,16 +610,19 @@ func BenchmarkHTTPDeployThroughput(b *testing.B) {
 	if _, err := cli.Deploy(ctx, api.FromWorkloadSpec(benchSpec("http-warm"))); err != nil {
 		b.Fatal(err)
 	}
-	// A fixed pool of 16 sender goroutines, fed one op index each per
-	// iteration, so the measurement covers the wire — not per-op
-	// goroutine and closure churn that no real storm client pays.
+	// A fixed pool of 16 sender goroutines, each fed the iteration index
+	// on its own channel, so the measurement covers the wire — not per-op
+	// goroutine and closure churn that no real storm client pays — and no
+	// sender can take two jobs (one workload name, one errs slot) of the
+	// same iteration.
 	var wg sync.WaitGroup
 	errs := make([]error, batch)
-	jobs := make(chan int, batch)
-	for j := 0; j < batch; j++ {
+	jobs := make([]chan int, batch)
+	for j := range jobs {
+		jobs[j] = make(chan int, 1) // one send per iteration
 		go func(j int) {
 			buf := make([]byte, 0, 32)
-			for i := range jobs {
+			for i := range jobs[j] {
 				buf = append(buf[:0], "http-"...)
 				buf = strconv.AppendInt(buf, int64(i), 10)
 				buf = append(buf, '-')
@@ -639,8 +636,8 @@ func BenchmarkHTTPDeployThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wg.Add(batch)
-		for j := 0; j < batch; j++ {
-			jobs <- i
+		for _, ch := range jobs {
+			ch <- i
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -650,7 +647,9 @@ func BenchmarkHTTPDeployThroughput(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	close(jobs)
+	for _, ch := range jobs {
+		close(ch)
+	}
 	b.ReportMetric(batch, "workloads/op")
 }
 
@@ -810,7 +809,7 @@ func warmDeployCycle(p *core.Platform, i int) (*orchestrator.Workload, error) {
 
 // BenchmarkWarmDeploy is the tentpole fast path: each op stops a
 // workload (parking its VM warm) and redeploys the same (tenant, image,
-// shape), which claims the parked slot in O(1) — no scan fan-out, no
+// shape), which claims the parked slot in O(1) — no scan chain, no
 // scheduler filter/score, no VM spin-up. Gated in CI against the cold
 // path staying >=5x slower (TestWarmDeploySpeedup) and against its own
 // regression via genio-benchdiff.
@@ -835,7 +834,7 @@ func BenchmarkWarmDeploy(b *testing.B) {
 
 // BenchmarkColdRepeatDeploy is the identical stop→redeploy cycle with
 // the warm pool off and the verdict cache disabled: every round pays
-// admission scan fan-out, scheduler filter/score, and a fresh dedicated
+// the admission scan chain, scheduler filter/score, and a fresh dedicated
 // VM — the cost BenchmarkWarmDeploy's claim path avoids.
 func BenchmarkColdRepeatDeploy(b *testing.B) {
 	p := benchDeployPlatform(b)

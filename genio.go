@@ -8,8 +8,8 @@
 // detectors, ...) live in internal packages and are reachable through the
 // Platform's fields and the returned node/workload handles.
 //
-// The platform is safe for concurrent multi-tenant use: deployments fan
-// the admission scanners out over a worker pool (with clean verdicts
+// The platform is safe for concurrent multi-tenant use: each deployment
+// runs the admission scanners on its own goroutine (with clean verdicts
 // cached per image digest), Deploy and DeployBatch may be called from
 // many goroutines, and every telemetry stream — incidents, falco
 // alerts, control-plane audit records, metrics, deployment lifecycle —

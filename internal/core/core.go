@@ -227,10 +227,8 @@ type Platform struct {
 	fedClusters []*orchestrator.Cluster
 
 	// Far-edge state (see faredge.go).
-	feMu              sync.Mutex
-	farEdge           map[string]*farEdgeState
-	farEdgeShadow     *orchestrator.Cluster
-	farEdgeShadowOnce sync.Once
+	feMu    sync.Mutex
+	farEdge map[string]*farEdgeState
 }
 
 // New builds a platform with the given mitigation configuration.
@@ -284,7 +282,9 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		}
 	}
 	if cfg.AdmissionScanning {
-		p.registerScanners()
+		for _, c := range p.allClusters() {
+			registerScanners(c)
+		}
 	}
 	if p.store != nil {
 		// Recover BEFORE installing the mutation sink, so the import is
@@ -297,51 +297,41 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 	return p, nil
 }
 
-// registerScanners wires the M13/M14/M16 gates into cluster admission.
-// Every gate's verdict depends only on the image content, so all register
-// cacheable: a clean image scanned once deploys across the whole fleet
-// without re-scanning, while rejections always re-run (and re-report).
-// Every gate is context-aware: a cancelled deployment's scanners abandon
-// their scan between files and record nothing — no incident, no cache
-// entry.
-func (p *Platform) registerScanners() {
-	for _, c := range p.allClusters() {
-		p.registerScannersOn(c)
-	}
-}
-
-// registerScannersOn wires the gate set into one cluster's admission
-// chain. Federated platforms register a scanner instance per member —
-// the verdict cache is per-cluster, so each site warms its own.
-func (p *Platform) registerScannersOn(c *orchestrator.Cluster) {
+// registerScanners wires the M13/M14/M16 gates into one cluster's
+// admission chain — federated platforms get a scanner instance per member,
+// and since the verdict cache is per-cluster each site warms its own.
+// Every gate's verdict depends only on the image content, so all
+// register cacheable: a clean image scanned once deploys across the whole
+// fleet without re-scanning, while rejections always re-run (and
+// re-report). Every gate is context-aware — a cancelled deployment's
+// scanners abandon their scan between files — and pure: it returns its
+// verdict and records nothing; recordAdmissionIncidents turns the final
+// verdict into incidents.
+func registerScanners(c *orchestrator.Cluster) {
 	malScanner, err := malware.NewScanner(malware.DefaultRules())
 	if err != nil {
 		// Stock rules are compile-tested; failure here is programmer error.
 		panic(fmt.Sprintf("core: compile stock malware rules: %v", err))
 	}
-	c.RegisterAdmissionCachedCtx("malware-scan", func(ctx context.Context, spec orchestrator.WorkloadSpec, img *container.Image) error {
+	c.RegisterAdmissionCachedCtx("malware-scan", func(ctx context.Context, _ orchestrator.WorkloadSpec, img *container.Image) error {
 		rep, err := malScanner.ScanContext(ctx, img)
 		if err != nil {
 			return err
 		}
 		if rep.Malicious() {
-			p.recordIncident(Incident{Source: "admission", Workload: spec.Name,
-				Detail: fmt.Sprintf("malware rule %s matched in %s", rep.Matches[0].Rule, rep.Matches[0].Path), Blocked: true})
-			return fmt.Errorf("malware detected: %s", rep.Matches[0].Rule)
+			return fmt.Errorf("malware detected: %s in %s", rep.Matches[0].Rule, rep.Matches[0].Path)
 		}
 		return nil
 	})
 
 	bench := scap.DockerBenchProfile()
-	c.RegisterAdmissionCachedCtx("docker-bench", func(ctx context.Context, spec orchestrator.WorkloadSpec, img *container.Image) error {
+	c.RegisterAdmissionCachedCtx("docker-bench", func(ctx context.Context, _ orchestrator.WorkloadSpec, img *container.Image) error {
 		rep, err := scap.EvaluateImageContext(ctx, bench, img)
 		if err != nil {
 			return err
 		}
 		for _, f := range rep.Failures() {
 			if f.Severity >= scap.Critical {
-				p.recordIncident(Incident{Source: "admission", Workload: spec.Name,
-					Detail: fmt.Sprintf("docker-bench: %s", f.Title), Blocked: true})
 				return fmt.Errorf("image hardening: %s", f.Title)
 			}
 		}
@@ -349,7 +339,7 @@ func (p *Platform) registerScannersOn(c *orchestrator.Cluster) {
 	})
 
 	scaScanner := sca.NewScanner(sca.DependencyDatabase())
-	c.RegisterAdmissionCachedCtx("sca-gate", func(ctx context.Context, spec orchestrator.WorkloadSpec, img *container.Image) error {
+	c.RegisterAdmissionCachedCtx("sca-gate", func(ctx context.Context, _ orchestrator.WorkloadSpec, img *container.Image) error {
 		full, err := scaScanner.ScanContext(ctx, img)
 		if err != nil {
 			return err
@@ -357,29 +347,40 @@ func (p *Platform) registerScannersOn(c *orchestrator.Cluster) {
 		rep := full.ReachableOnly()
 		for _, f := range rep.Findings {
 			if f.CVE.Severity() == vuln.SeverityCritical && f.CVE.Exploitable {
-				p.recordIncident(Incident{Source: "admission", Workload: spec.Name,
-					Detail: fmt.Sprintf("sca: %s in %s %s", f.CVE.ID, f.Dependency.Name, f.Dependency.Version), Blocked: true})
-				return fmt.Errorf("exploitable critical dependency: %s", f.CVE.ID)
+				return fmt.Errorf("exploitable critical dependency: %s in %s %s", f.CVE.ID, f.Dependency.Name, f.Dependency.Version)
 			}
 		}
 		return nil
 	})
 
 	sastScanner := sast.NewScanner(sast.DefaultRules())
-	c.RegisterAdmissionCachedCtx("sast-gate", func(ctx context.Context, spec orchestrator.WorkloadSpec, img *container.Image) error {
+	c.RegisterAdmissionCachedCtx("sast-gate", func(ctx context.Context, _ orchestrator.WorkloadSpec, img *container.Image) error {
 		rep, err := sastScanner.ScanContext(ctx, img)
 		if err != nil {
 			return err
 		}
 		for _, f := range rep.Actionable() {
 			if f.Severity == sast.Error {
-				p.recordIncident(Incident{Source: "admission", Workload: spec.Name,
-					Detail: fmt.Sprintf("sast: %s at %s:%d", f.RuleID, f.Path, f.Line), Blocked: true})
 				return fmt.Errorf("static analysis: %s at %s:%d", f.Title, f.Path, f.Line)
 			}
 		}
 		return nil
 	})
+}
+
+// recordAdmissionIncidents is the one place an admission rejection
+// becomes incidents: one per failing verdict of err's verdict vector,
+// naming the rejected workload — so the deploy that ran the scan and a
+// concurrent deploy that shared its verdict are logged alike. Any other
+// error, a cancellation included, records nothing.
+func (p *Platform) recordAdmissionIncidents(spec orchestrator.WorkloadSpec, err error) {
+	var adm *orchestrator.AdmissionError
+	if errors.As(err, &adm) {
+		for _, v := range adm.Rejections() {
+			p.recordIncident(Incident{Source: "admission", Workload: spec.Name,
+				Detail: v.Scanner + ": " + v.Detail, Blocked: true})
+		}
+	}
 }
 
 // AddEdgeNode provisions an OLT through the infrastructure pipeline:
@@ -590,8 +591,8 @@ func (p *Platform) Deploy(subject string, spec orchestrator.WorkloadSpec) (*orch
 }
 
 // DeployContext admits a workload through the pipeline, honouring ctx:
-// cancellation or deadline expiry aborts the in-flight admission fan-out
-// without placing the workload, leaking pool goroutines, or warming the
+// cancellation or deadline expiry aborts the in-flight admission chain
+// without placing the workload, recording an incident, or warming the
 // verdict cache, and returns a *orchestrator.CancelledError. Rejections
 // are typed (see the orchestrator error taxonomy) and counted on the
 // deploy.rejected metric; cancellations count on deploy.cancelled.
@@ -636,6 +637,7 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 		w, placed, err = p.Cluster.DeployObserved(ctx, subject, spec, observe)
 	}
 	if err != nil {
+		p.recordAdmissionIncidents(spec, err)
 		if errors.Is(err, orchestrator.ErrCancelled) {
 			p.publishMetric("deploy.cancelled", 1, spec.Tenant)
 		} else {

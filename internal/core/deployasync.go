@@ -36,7 +36,7 @@ type DeployState string
 const (
 	// StatePending: the future exists, the pipeline has not started.
 	StatePending DeployState = "pending"
-	// StateScanning: image pull and the admission fan-out are running.
+	// StateScanning: image pull and the admission chain are running.
 	StateScanning DeployState = "scanning"
 	// StatePlacing: admission passed; reservation and scheduling run.
 	StatePlacing DeployState = "placing"
@@ -138,10 +138,10 @@ func (d *Deployment) Result() (*orchestrator.Workload, error) {
 func (d *Deployment) Cancel() { d.cancel() }
 
 // DeployAsync starts a deployment and returns its future. The pipeline —
-// RBAC, verified pull, admission fan-out, reservation, scheduling — runs
+// RBAC, verified pull, admission chain, reservation, scheduling — runs
 // on its own goroutine under a context derived from ctx: cancelling ctx
 // (or Deployment.Cancel, or a deadline) aborts it between stages and
-// inside scans without placing the workload or leaking pool goroutines.
+// inside scans without placing the workload.
 // The only synchronous failure is a closed platform (*ClosedError).
 func (p *Platform) DeployAsync(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, opts ...DeployOption) (*Deployment, error) {
 	if p.closed.Load() {

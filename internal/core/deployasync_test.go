@@ -2,8 +2,7 @@ package core
 
 // Tests for the v2 asynchronous deploy future: lifecycle ordering, the
 // exactly-one-terminal-event guarantee, cancellation mid-scan (no placed
-// workload, no leaked admission-pool goroutines, no warmed verdict-cache
-// slot), deadline expiry, Watch streaming, and the closed-platform gate.
+// workload, no leaked goroutines, no warmed verdict-cache slot), deadline expiry, Watch streaming, and the closed-platform gate.
 
 import (
 	"context"
@@ -86,9 +85,8 @@ func TestDeployAsyncLifecycleToRunning(t *testing.T) {
 }
 
 // TestDeployAsyncCancelMidScan is the leak-checked regression test: a
-// cancelled DeployAsync whose admission fan-out is held open must (a)
-// never place the workload, (b) leave zero admission-pool goroutines
-// behind, (c) release its clean-verdict cache slot — the cache holds
+// cancelled DeployAsync whose admission chain is held open must (a)
+// never place the workload, (b) leave zero goroutines behind, (c) release its clean-verdict cache slot — the cache holds
 // exactly what it held before the deploy — and (d) emit exactly one
 // terminal lifecycle event.
 func TestDeployAsyncCancelMidScan(t *testing.T) {
@@ -123,7 +121,7 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeployAsync: %v", err)
 	}
-	<-reached // the gate holds the admission fan-out open
+	<-reached // the gate holds the admission chain open
 	d.Cancel()
 	_, derr := d.Result()
 
@@ -152,8 +150,8 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 		t.Fatalf("terminal lifecycle events = %d, want exactly 1", got)
 	}
 
-	// The admission pool must drain completely: poll until the goroutine
-	// count returns to (at most) the pre-deploy level.
+	// The deploy's goroutine must exit: poll until the goroutine count
+	// returns to (at most) the pre-deploy level.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {
@@ -162,7 +160,7 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("goroutines: %d before cancel, %d after; admission pool leaked", before, runtime.NumGoroutine())
+	t.Fatalf("goroutines: %d before cancel, %d after; deploy goroutine leaked", before, runtime.NumGoroutine())
 }
 
 func TestDeployAsyncDeadlineExceeded(t *testing.T) {

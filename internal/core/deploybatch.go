@@ -6,7 +6,7 @@ package core
 // its own pipeline goroutine immediately, so spec i can be placing while
 // spec j is still scanning — admission pipelines instead of barriering
 // on a fixed worker pool. Each spec still runs the full Deploy pipeline
-// independently — RBAC, verified pull, the scanner fan-out, quota
+// independently — RBAC, verified pull, the scanner chain, quota
 // reservation, scheduling — so one rejection never blocks its siblings,
 // and every deployment's lifecycle streams on the deploy.lifecycle
 // topic.

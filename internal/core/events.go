@@ -28,8 +28,7 @@ import (
 // old bus had. Appends arrive from shard goroutines (and, after Close,
 // synchronously from late recorders), so state sits behind a lock.
 type incidentView struct {
-	// seq hands out Incident.Seq numbers at record time (shared with the
-	// far-edge shadow platform, which reuses this view). Padded onto its
+	// seq hands out Incident.Seq numbers at record time. Padded onto its
 	// own cache line: every producer bumps it, every shard drainer takes
 	// mu — sharing a line would serialize the two hot sides.
 	seq atomic.Uint64

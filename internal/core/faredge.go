@@ -8,6 +8,7 @@ package core
 // (a single shared runtime per device).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -80,11 +81,11 @@ func (p *Platform) DeployFarEdge(subject, nodeName, serial string, spec orchestr
 		return nil, &orchestrator.ImagePullError{Ref: spec.ImageRef, Err: err}
 	}
 
-	// Far-edge reuses the cluster's admission chain verbatim.
-	if p.Config.AdmissionScanning {
-		if err := p.runFarEdgeAdmission(spec, img); err != nil {
-			return nil, err
-		}
+	// The default cluster's own admission chain and verdict cache, with
+	// nothing reserved or scheduled on the cluster.
+	if err := p.Cluster.Admit(context.TODO(), spec, img); err != nil {
+		p.recordAdmissionIncidents(spec, err)
+		return nil, err
 	}
 
 	spec.Isolation = orchestrator.IsolationSoft
@@ -116,35 +117,6 @@ func (p *Platform) DeployFarEdge(subject, nodeName, serial string, spec orchestr
 		p.Enforcer.SetPolicy(spec.Name, sandbox.DefaultWorkloadPolicy())
 	}
 	return w, nil
-}
-
-// runFarEdgeAdmission replays the cluster admission chain for a far-edge
-// spec without scheduling cluster resources.
-func (p *Platform) runFarEdgeAdmission(spec orchestrator.WorkloadSpec, img *container.Image) error {
-	// The cluster chain is not directly invocable, so the scanners are
-	// registered once on an internal shadow cluster reserved for far-edge
-	// admission. Rebuilding the chain here would duplicate policy; instead
-	// we reuse the same gates by dry-running a deploy against a capacity-
-	// free shadow and mapping the denial.
-	p.farEdgeShadowOnce.Do(func() {
-		shadow := orchestrator.NewCluster("faredge-admission", p.Registry, orchestrator.Settings{})
-		shadow.AddNode("shadow", orchestrator.Resources{CPUMilli: 1 << 30, MemoryMB: 1 << 30})
-		// The shadow platform shares the real event spine (and its
-		// incident view), so scanner rejections on the far-edge path
-		// land in the platform log.
-		sp := &Platform{Config: Config{AdmissionScanning: true}, Cluster: shadow, spine: p.spine, incview: p.incview}
-		sp.registerScanners()
-		p.farEdgeShadow = shadow
-	})
-	dry := spec
-	dry.Name = "dryrun-" + spec.Name
-	dry.Resources = orchestrator.Resources{CPUMilli: 1, MemoryMB: 1}
-	if _, err := p.farEdgeShadow.Deploy("faredge-admission", dry); err != nil {
-		return err
-	}
-	// Clean the dry-run workload so names can be reused.
-	_ = p.farEdgeShadow.Stop(dry.Name)
-	return nil
 }
 
 // FarEdgeWorkloads lists deployments on one ONU.

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"genio/internal/container"
@@ -90,6 +94,68 @@ func TestFarEdgeAdmissionStillScans(t *testing.T) {
 	}
 	if !errors.Is(err, orchestrator.ErrDenied) {
 		t.Fatalf("err = %v, want ErrDenied", err)
+	}
+	// The rejection and its incidents name the workload as submitted, one
+	// incident per failing scanner.
+	var adm *orchestrator.AdmissionError
+	if !errors.As(err, &adm) || adm.Workload != "optimizer" {
+		t.Fatalf("err = %#v, want *AdmissionError for workload optimizer", err)
+	}
+	got := admissionIncidentsByWorkload(p)
+	if k := len(adm.Rejections()); len(got) != 1 || got["optimizer"] != k {
+		t.Fatalf("admission incidents by workload = %v, want optimizer x %d only", got, k)
+	}
+}
+
+// TestFarEdgeRunsDefaultClusterChain checks far-edge admission is the
+// default cluster's own chain: a controller registered after New gates
+// far-edge deployments too.
+func TestFarEdgeRunsDefaultClusterChain(t *testing.T) {
+	p := farEdgePlatform(t)
+	p.Cluster.RegisterAdmissionCtx("no-cameras", func(_ context.Context, spec orchestrator.WorkloadSpec, _ *container.Image) error {
+		if strings.HasPrefix(spec.Name, "cam-") {
+			return errors.New("cameras are not allowed")
+		}
+		return nil
+	})
+	_, err := p.DeployFarEdge("acme-ci", "olt-01", "onu-0001", farEdgeSpec("cam-analytics"))
+	if !errors.Is(err, orchestrator.ErrDenied) || !strings.Contains(err.Error(), "by no-cameras") {
+		t.Fatalf("err = %v, want a denial by no-cameras", err)
+	}
+	if _, err := p.DeployFarEdge("acme-ci", "olt-01", "onu-0001", farEdgeSpec("analytics")); err != nil {
+		t.Fatalf("unrelated workload rejected: %v", err)
+	}
+}
+
+// TestFarEdgeSameNameOnTwoONUsConcurrently checks names are scoped to the
+// ONU: admission reserves nothing cluster-wide, so two ONUs can take the
+// same workload name at the same moment.
+func TestFarEdgeSameNameOnTwoONUsConcurrently(t *testing.T) {
+	p := farEdgePlatform(t)
+	if _, err := p.AttachONU("olt-01", "onu-0002"); err != nil {
+		t.Fatal(err)
+	}
+	serials := []string{"onu-0001", "onu-0002"}
+	for round := 0; round < 20; round++ {
+		name := fmt.Sprintf("cam-%d", round)
+		errs := make([]error, len(serials))
+		var wg sync.WaitGroup
+		for i, serial := range serials {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = p.DeployFarEdge("acme-ci", "olt-01", serial, farEdgeSpec(name))
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: deploy on %s: %v", round, serials[i], err)
+			}
+			if err := p.StopFarEdge("olt-01", serials[i], name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // region-filter → consistent-hash-ring → per-cluster-scheduler
 // hierarchy. The default cluster becomes the first federation member
 // and keeps every platform-level attachment (durable store, far-edge
-// shadow, warm events); the other members are peer clusters sharing the
+// admission, warm events); the other members are peer clusters sharing the
 // platform's registry, RBAC engine, audit spine, and admission
 // scanners. Federation membership and tenant pins are boot
 // configuration, not durable state — only the first member persists.
@@ -49,7 +49,7 @@ func (p *Platform) initFederation() error {
 		var c *orchestrator.Cluster
 		if i == 0 {
 			// The default cluster is the first member: it keeps the
-			// store's mutation sink and the far-edge shadow, it just
+			// store's mutation sink and far-edge admission, it just
 			// answers to its federation name from here on.
 			p.Cluster.Name = m.Name
 			c = p.Cluster
@@ -141,8 +141,8 @@ func (p *Platform) AddEdgeNodeInContext(ctx context.Context, cluster, name strin
 // EvacuateCluster handles a failed federation member: its workloads are
 // re-placed through the ring across the survivors (region pins still
 // hard) and the member leaves the federation. The default cluster — the
-// platform's control-plane home, carrying the durable store and the
-// far-edge shadow — cannot be evacuated; fail its nodes individually
+// platform's control-plane home, carrying the durable store and
+// far-edge admission — cannot be evacuated; fail its nodes individually
 // instead.
 func (p *Platform) EvacuateCluster(subject, name string) (*federation.EvacuationResult, error) {
 	if p.closed.Load() {

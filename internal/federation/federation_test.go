@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -195,7 +196,7 @@ func TestHardRejectionDoesNotOverflow(t *testing.T) {
 
 	// Only the home cluster denies; an overflow bug would land the
 	// deploy on a permissive neighbour instead of failing.
-	home.RegisterAdmission("test-deny", func(spec orchestrator.WorkloadSpec, _ *container.Image) error {
+	home.RegisterAdmissionCtx("test-deny", func(_ context.Context, spec orchestrator.WorkloadSpec, _ *container.Image) error {
 		return fmt.Errorf("%w: test-deny rejects %s", orchestrator.ErrDenied, spec.Name)
 	})
 	_, _, err = f.Deploy("ops", testSpec("probe", "acme", ""))

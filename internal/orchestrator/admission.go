@@ -1,13 +1,13 @@
 package orchestrator
 
-// Admission fan-out: the M13/M14/M16 scanners registered on the cluster are
-// independent of one another, so each deployment runs them over a bounded
-// worker pool instead of back-to-back. Verdict aggregation is
-// deterministic: every controller runs to completion and the error of the
-// first-registered failing controller wins, exactly as if the chain had
-// run sequentially — the parallelism setting never changes the verdict.
-// The aggregate is a typed *AdmissionError carrying every controller's
-// verdict, so callers can render the full table instead of one string.
+// Admission chain: the M13/M14/M16 scanners registered on the cluster run
+// back-to-back, in registration order, for every deployment. A check
+// returns its verdict and does nothing else — the caller derives incidents
+// from the final verdict — so a run that is cancelled, or whose verdict a
+// concurrent deploy shares, has no side effect to lose or duplicate. Every
+// controller runs even after one has failed: the aggregate is a typed
+// *AdmissionError carrying every controller's verdict, the first-registered
+// failure named by its message, so callers can render the full table.
 //
 // Controllers whose verdict depends only on the image content (the
 // scanners; not spec-dependent policy checks) can be registered cacheable:
@@ -16,58 +16,42 @@ package orchestrator
 // Rejections are never cached — a failing image is re-scanned (and
 // re-reported) on every attempt.
 //
-// Cancellation: the deployment context threads through the pool and into
-// every controller. Once it is done, no further controller is dispatched,
-// in-flight controllers are expected to return promptly (the platform
-// scanners poll the context between files), the whole run reports a
-// *CancelledError, and — crucially — no clean verdict observed during a
-// cancelled run is committed to the cache: a cancelled deployment leaves
-// the cache exactly as it found it.
+// Cancellation: the deployment context is checked before each controller
+// and handed to it. Once it is done no further controller starts, the
+// running one is expected to return promptly (the platform scanners poll
+// the context between files), the whole run reports a *CancelledError,
+// and — crucially — no clean verdict observed during a cancelled run is
+// committed to the cache: a cancelled deployment leaves the cache exactly
+// as it found it.
 
 import (
 	"context"
 
 	"genio/internal/container"
-	"genio/internal/workpool"
 )
 
-// AdmissionCheck is the context-aware admission controller contract
-// (API v2): it inspects a deployment before scheduling and returns an
-// error to reject it. Controllers must honour ctx — return promptly once
-// it is done — because cancelled deployments wait for their in-flight
-// controllers.
+// AdmissionCheck is the admission controller contract: it inspects a
+// deployment before scheduling and returns an error to reject it, with no
+// side effect — the chain may share one run's verdict between concurrent
+// deploys of an image, and discards a cancelled run's. Controllers must
+// honour ctx — return promptly once it is done — because a cancelled
+// deployment waits for its running controller.
 type AdmissionCheck func(ctx context.Context, spec WorkloadSpec, img *container.Image) error
 
-// RegisterAdmission appends a named admission controller; controllers run
-// for every deployment and the first error in registration order rejects
-// it. Kept as a thin wrapper over RegisterAdmissionCtx for controllers
-// that do not need cancellation.
-func (c *Cluster) RegisterAdmission(name string, fn AdmissionFunc) {
-	c.RegisterAdmissionCtx(name, func(_ context.Context, spec WorkloadSpec, img *container.Image) error {
-		return fn(spec, img)
-	})
-}
-
-// RegisterAdmissionCtx appends a named context-aware admission controller.
+// RegisterAdmissionCtx appends a named admission controller; controllers
+// run for every deployment and the first error in registration order is
+// the one the rejection names.
 func (c *Cluster) RegisterAdmissionCtx(name string, fn AdmissionCheck) {
 	c.admMu.Lock()
 	defer c.admMu.Unlock()
 	c.admission = append(c.admission, namedAdmission{name: name, fn: fn})
 }
 
-// RegisterAdmissionCached is RegisterAdmission for controllers whose
+// RegisterAdmissionCachedCtx is RegisterAdmissionCtx for controllers whose
 // verdict depends only on the image content: clean verdicts are cached by
 // image digest and the controller is skipped on re-deployments of the same
 // image. Controllers that inspect the spec (tenant, isolation, resources)
-// must use RegisterAdmission instead.
-func (c *Cluster) RegisterAdmissionCached(name string, fn AdmissionFunc) {
-	c.RegisterAdmissionCachedCtx(name, func(_ context.Context, spec WorkloadSpec, img *container.Image) error {
-		return fn(spec, img)
-	})
-}
-
-// RegisterAdmissionCachedCtx is RegisterAdmissionCtx with the per-digest
-// clean-verdict cache.
+// must use RegisterAdmissionCtx instead.
 func (c *Cluster) RegisterAdmissionCachedCtx(name string, fn AdmissionCheck) {
 	c.admMu.Lock()
 	defer c.admMu.Unlock()
@@ -83,10 +67,16 @@ func (c *Cluster) AdmissionCacheSize() int {
 	return n
 }
 
-// runAdmission fans the registered admission chain out over the worker
-// pool and aggregates the verdict deterministically. A done context
-// aborts the run with a *CancelledError and commits nothing to the
-// verdict cache.
+// Admit runs the admission chain for spec and img without reserving or
+// scheduling anything: far-edge workloads, placed on ONUs rather than
+// cluster nodes, pass the same controllers and verdict cache as a deploy.
+func (c *Cluster) Admit(ctx context.Context, spec WorkloadSpec, img *container.Image) error {
+	return c.runAdmission(ctx, spec, img, c.deployDigest(img))
+}
+
+// runAdmission runs the registered admission chain in registration order
+// and aggregates the verdict. A done context aborts the run with a
+// *CancelledError and commits nothing to the verdict cache.
 //
 // digest is the deploy call's single Image.Digest computation (see
 // Cluster.deployDigest) — shared with the warm-slot claim so one deploy
@@ -97,9 +87,6 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 	c.admMu.RLock()
 	chain := append([]namedAdmission(nil), c.admission...)
 	c.admMu.RUnlock()
-	if len(chain) == 0 {
-		return ctxErr(ctx, spec.Name, "admission")
-	}
 
 	// The warm pool may have computed a digest the verdict cache is not
 	// allowed to use (benchmarks measuring the cold scanner path).
@@ -107,36 +94,38 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 		digest = ""
 	}
 
-	// Resolve cache hits up front so the warm path — every controller
-	// already satisfied for this digest — never pays for the pool.
 	verdicts := make([]ScannerVerdict, len(chain))
-	keys := make([]string, len(chain))
-	toRun := make([]int, 0, len(chain))
+	var clean []string // cache keys of this run's fresh clean verdicts
+	rejected := false
 	for i, a := range chain {
 		verdicts[i] = ScannerVerdict{Scanner: a.name, Passed: true}
+		key := ""
 		if a.cacheable && digest != "" {
-			keys[i] = a.name + "\x00" + digest
-			if _, ok := c.admCache.Load(keys[i]); ok {
+			key = a.name + "\x00" + digest
+			if _, ok := c.admCache.Load(key); ok {
 				verdicts[i].Cached = true
 				continue
 			}
 		}
-		toRun = append(toRun, i)
-	}
-	if len(toRun) == 0 {
-		return ctxErr(ctx, spec.Name, "admission")
-	}
-
-	errs := make([]error, len(chain))
-	_ = workpool.RunCtx(ctx, len(toRun), c.AdmissionParallelism, func(j int) {
-		i := toRun[j]
-		if keys[i] != "" {
-			// Cacheable scan: collapse concurrent identical runs.
-			errs[i] = c.runSharedScan(ctx, keys[i], chain[i], spec, img)
-		} else {
-			errs[i] = chain[i].fn(ctx, spec, img)
+		if ctx.Err() != nil {
+			break // no further controller starts; reported below
 		}
-	})
+		var err error
+		if key != "" {
+			// Cacheable scan: collapse concurrent identical runs.
+			err = c.runSharedScan(ctx, key, a, spec, img)
+		} else {
+			err = a.fn(ctx, spec, img)
+		}
+		switch {
+		case err != nil:
+			verdicts[i].Passed = false
+			verdicts[i].Detail = err.Error()
+			rejected = true
+		case key != "":
+			clean = append(clean, key)
+		}
+	}
 
 	// Cancellation trumps any partial verdict, and nothing from a
 	// cancelled run may warm the cache — the deployment's cache slot is
@@ -144,20 +133,12 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 	if err := ctxErr(ctx, spec.Name, "admission"); err != nil {
 		return err
 	}
-
-	rejected := false
-	for _, i := range toRun {
-		if err := errs[i]; err != nil {
-			verdicts[i].Passed = false
-			verdicts[i].Detail = err.Error()
-			rejected = true
-		} else if keys[i] != "" {
-			// LoadOrStore: a sibling deploy sharing this scan's verdict may
-			// have committed first; only the first commit records the
-			// mutation, keeping the durable log free of duplicates.
-			if _, loaded := c.admCache.LoadOrStore(keys[i], struct{}{}); !loaded {
-				c.mutate(Mutation{Kind: MutVerdict, Key: keys[i]})
-			}
+	for _, key := range clean {
+		// LoadOrStore: a sibling deploy sharing this scan's verdict may
+		// have committed first; only the first commit records the
+		// mutation, keeping the durable log free of duplicates.
+		if _, loaded := c.admCache.LoadOrStore(key, struct{}{}); !loaded {
+			c.mutate(Mutation{Kind: MutVerdict, Key: key})
 		}
 	}
 	if rejected {
@@ -186,7 +167,7 @@ type admFlightCall struct {
 // collapse: the first deploy of a digest leads the scan, simultaneous
 // deploys of the same digest wait on the leader's verdict. A follower
 // whose own context dies stops waiting (its deployment reports the
-// usual *CancelledError via the post-pool context check); a leader
+// usual *CancelledError via the post-chain context check); a leader
 // whose context dies publishes an abandoned call, and one waiting
 // follower retakes leadership so the scan still completes.
 func (c *Cluster) runSharedScan(ctx context.Context, key string, a namedAdmission, spec WorkloadSpec, img *container.Image) error {

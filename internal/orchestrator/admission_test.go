@@ -13,29 +13,36 @@ import (
 	"genio/internal/container"
 )
 
-// TestAdmissionVerdictIndependentOfParallelism pins the determinism
-// contract: whatever the pool size, the verdict is the error of the
-// first-registered failing controller.
-func TestAdmissionVerdictIndependentOfParallelism(t *testing.T) {
-	for _, parallelism := range []int{0, 1, 2, 8} {
-		c, _ := testCluster(t, Settings{})
-		c.AdmissionParallelism = parallelism
-		for i := 0; i < 6; i++ {
-			name := fmt.Sprintf("c%d", i)
-			fail := i == 2 || i == 4
-			c.RegisterAdmission(name, func(WorkloadSpec, *container.Image) error {
-				if fail {
-					return fmt.Errorf("%s says no", name)
-				}
-				return nil
-			})
-		}
-		_, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
-		if !errors.Is(err, ErrDenied) {
-			t.Fatalf("parallelism %d: err = %v, want ErrDenied", parallelism, err)
-		}
-		if !strings.Contains(err.Error(), "by c2") {
-			t.Fatalf("parallelism %d: verdict should come from c2, got %v", parallelism, err)
+// TestAdmissionVerdictVectorInRegistrationOrder pins the aggregate's
+// shape: one verdict per controller in registration order, every failure
+// reported, and the first-registered failing controller named by the
+// error message.
+func TestAdmissionVerdictVectorInRegistrationOrder(t *testing.T) {
+	c, _ := testCluster(t, Settings{})
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("c%d", i)
+		fail := i == 2 || i == 4
+		c.RegisterAdmissionCtx(name, func(context.Context, WorkloadSpec, *container.Image) error {
+			if fail {
+				return fmt.Errorf("%s says no", name)
+			}
+			return nil
+		})
+	}
+	_, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
+	if !errors.Is(err, ErrDenied) {
+		t.Fatalf("err = %v, want ErrDenied", err)
+	}
+	if !strings.Contains(err.Error(), "by c2") {
+		t.Fatalf("verdict should come from c2, got %v", err)
+	}
+	var adm *AdmissionError
+	if !errors.As(err, &adm) || len(adm.Verdicts) != 6 {
+		t.Fatalf("want a 6-entry verdict vector, got %#v", err)
+	}
+	for i, v := range adm.Verdicts {
+		if want := fmt.Sprintf("c%d", i); v.Scanner != want || v.Passed != (i != 2 && i != 4) {
+			t.Fatalf("verdict[%d] = %+v, want scanner %s", i, v, want)
 		}
 	}
 }
@@ -45,7 +52,7 @@ func TestAdmissionVerdictIndependentOfParallelism(t *testing.T) {
 func TestAdmissionCacheSkipsCleanRescan(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
 	var runs atomic.Int64
-	c.RegisterAdmissionCached("counter", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		return nil
 	})
@@ -72,7 +79,7 @@ func TestAdmissionCacheSkipsCleanRescan(t *testing.T) {
 func TestAdmissionCacheNeverCachesRejections(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
 	var runs atomic.Int64
-	c.RegisterAdmissionCached("reject-all", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("reject-all", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		return errors.New("nope")
 	})
@@ -91,7 +98,7 @@ func TestAdmissionCacheDisabled(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
 	c.AdmissionCacheDisabled = true
 	var runs atomic.Int64
-	c.RegisterAdmissionCached("counter", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		return nil
 	})
@@ -222,7 +229,7 @@ func TestAdmissionSingleflightCollapsesConcurrentScans(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	c.RegisterAdmissionCached("slow-scanner", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("slow-scanner", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		once.Do(func() { close(entered) })
 		<-release
@@ -265,7 +272,7 @@ func TestAdmissionSingleflightSharesRejection(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	c.RegisterAdmissionCached("slow-reject", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("slow-reject", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		once.Do(func() { close(entered) })
 		<-release

@@ -14,9 +14,9 @@
 // and quota tables) sits behind a sync.RWMutex so read-side queries never
 // contend with each other; per-node placement state (capacity accounting
 // and VM maps) is sharded behind one mutex per node so placements on
-// different nodes proceed in parallel. The admission chain fans out over a
-// bounded worker pool (see admission.go). Lock order is always cluster
-// lock before node lock, never the reverse.
+// different nodes proceed in parallel. The admission chain runs on the
+// deploying goroutine, outside both (see admission.go). Lock order is
+// always cluster lock before node lock, never the reverse.
 //
 // Placement decisions are delegated to the scheduler subpackage: a
 // filter -> score pipeline over the cluster's cached, name-sorted
@@ -267,11 +267,6 @@ func HardenedSettings() Settings {
 	}
 }
 
-// AdmissionFunc inspects a deployment before scheduling; returning an error
-// rejects it. The security pipeline (signature check, SCA, malware scan,
-// capability policy) registers here.
-type AdmissionFunc func(spec WorkloadSpec, img *container.Image) error
-
 // AuditEvent records one control-plane decision — the per-tenant audit
 // trail the M11 hardening guides require. The platform forwards these
 // onto its event spine (audit topic); standalone clusters may install
@@ -316,10 +311,6 @@ type Cluster struct {
 	// VerifyImageSignatures requires signed images from trusted
 	// publishers at pull time.
 	VerifyImageSignatures bool
-	// AdmissionParallelism bounds the worker pool that fans the admission
-	// chain out per deployment: 0 sizes the pool to GOMAXPROCS, 1 forces
-	// the sequential path. The verdict is identical at any setting.
-	AdmissionParallelism int
 	// AdmissionCacheDisabled turns off the per-image-digest verdict cache
 	// for controllers registered via RegisterAdmissionCached (used by
 	// benchmarks to measure the cold scanner path).
@@ -507,7 +498,7 @@ type DeployStage string
 
 // Pipeline stages, in order.
 const (
-	// StageScanning covers image pull plus the admission fan-out.
+	// StageScanning covers image pull plus the admission chain.
 	StageScanning DeployStage = "scanning"
 	// StagePlacing covers name/quota reservation, scheduling, and commit.
 	StagePlacing DeployStage = "placing"
@@ -521,7 +512,7 @@ func (c *Cluster) Deploy(subject string, spec WorkloadSpec) (*Workload, error) {
 
 // DeployContext schedules a workload on behalf of subject. The pipeline
 // is: RBAC check (when enabled) -> image pull (verified per policy) ->
-// admission fan-out -> name/quota reservation -> scheduling -> commit.
+// admission chain -> name/quota reservation -> scheduling -> commit.
 //
 // Only the reservation and commit steps take the cluster write lock; the
 // expensive stages (pull, scanners) run without it, and scheduling holds
@@ -533,8 +524,8 @@ func (c *Cluster) Deploy(subject string, spec WorkloadSpec) (*Workload, error) {
 // the ErrRejected umbrella and their historical sentinels.
 //
 // Cancelling ctx (or passing one past its deadline) aborts the pipeline
-// between stages and inside the admission fan-out without placing the
-// workload or leaking pool goroutines; the result is a *CancelledError
+// between stages and inside the admission chain without placing the
+// workload; the result is a *CancelledError
 // and an admission-cancelled audit record. Cancellation that loses the
 // race with commit is a no-op: the workload is simply placed.
 func (c *Cluster) DeployContext(ctx context.Context, subject string, spec WorkloadSpec) (*Workload, error) {
@@ -579,7 +570,7 @@ type Placement struct {
 }
 
 // deploy is DeployObserved's body, audit emission excluded. Cancellation
-// is honoured between stages and inside the admission fan-out; once the
+// is honoured between stages and inside the admission chain; once the
 // commit lock is taken with a live context the placement completes.
 func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, Placement, error) {
 	if c.Settings.RBACEnabled && c.RBAC != nil {
@@ -591,7 +582,7 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	}
 	// Validate the placement policy before any expensive stage runs: a
 	// statically invalid spec (or a typo'd cluster default) must not
-	// burn an image pull and the whole scanner fan-out only to be
+	// burn an image pull and the whole scanner chain only to be
 	// refused at scheduling time.
 	if _, err := c.resolveStrategy(spec); err != nil {
 		c.rejected.Add(1)

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -159,7 +160,7 @@ func TestTenantQuotaBlocksResourceAbuse(t *testing.T) {
 
 func TestAdmissionChainRejects(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	c.RegisterAdmission("no-sys-admin", func(s WorkloadSpec, img *container.Image) error {
+	c.RegisterAdmissionCtx("no-sys-admin", func(_ context.Context, s WorkloadSpec, img *container.Image) error {
 		if img.Config.HasCapability("CAP_SYS_ADMIN") {
 			return fmt.Errorf("image requests CAP_SYS_ADMIN")
 		}
@@ -178,8 +179,8 @@ func TestAdmissionChainRejects(t *testing.T) {
 }
 
 func TestAdmissionOrder(t *testing.T) {
-	// Controllers fan out, so all of them run for every deployment; the
-	// verdict is deterministic: the first-registered failure wins.
+	// The chain is run-all: every controller runs for every deployment,
+	// and the first-registered failure is the one the verdict names.
 	c, _ := testCluster(t, Settings{})
 	var mu sync.Mutex
 	ran := map[string]int{}
@@ -188,15 +189,15 @@ func TestAdmissionOrder(t *testing.T) {
 		ran[name]++
 		mu.Unlock()
 	}
-	c.RegisterAdmission("first", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCtx("first", func(context.Context, WorkloadSpec, *container.Image) error {
 		mark("first")
 		return nil
 	})
-	c.RegisterAdmission("second", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCtx("second", func(context.Context, WorkloadSpec, *container.Image) error {
 		mark("second")
 		return errors.New("stop here")
 	})
-	c.RegisterAdmission("third", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCtx("third", func(context.Context, WorkloadSpec, *container.Image) error {
 		mark("third")
 		return errors.New("also failing, but registered later")
 	})

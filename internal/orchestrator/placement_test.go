@@ -115,12 +115,12 @@ func TestUnknownPlacementPolicyRejected(t *testing.T) {
 
 // TestInvalidPolicyRejectedBeforeScanning: a statically invalid policy
 // must be refused before the expensive stages — no image pull, no
-// admission fan-out — not discovered at scheduling time after the whole
+// admission chain — not discovered at scheduling time after the whole
 // pipeline ran.
 func TestInvalidPolicyRejectedBeforeScanning(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	scans := 0
-	c.RegisterAdmission("scan-counter", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCtx("scan-counter", func(context.Context, WorkloadSpec, *container.Image) error {
 		scans++
 		return nil
 	})

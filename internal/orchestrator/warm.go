@@ -6,12 +6,12 @@ package orchestrator
 // node — capacity stays reserved, tenant quota and scheduler inputs are
 // released — and a later deploy of the same (tenant, image digest)
 // claims the slot in O(1) inside its reservation critical section,
-// skipping scheduler filter/score and VM spin-up (the admission scan
-// fan-out was already skipped by the verdict cache).
+// skipping scheduler filter/score and VM spin-up (the admission scans
+// were already skipped by the verdict cache).
 //
 // The fast path never weakens admission. A claim happens only after the
 // deploy's own RBAC check, image pull (signature re-verified per
-// policy), admission fan-out, duplicate-name check, and quota charge —
+// policy), admission chain, duplicate-name check, and quota charge —
 // and is then revalidated at claim time: every cacheable controller
 // must still hold a clean cached verdict for the digest, and the slot's
 // node must still be alive and uncordoned (checked under the node lock

@@ -118,7 +118,7 @@ func TestWarmClaimRequiresMatchingShape(t *testing.T) {
 func TestWarmClaimRevalidatesVerdictCache(t *testing.T) {
 	c, _ := testCluster(t, warmSettings())
 	var scans int
-	c.RegisterAdmissionCached("scanner", func(WorkloadSpec, *container.Image) error {
+	c.RegisterAdmissionCachedCtx("scanner", func(context.Context, WorkloadSpec, *container.Image) error {
 		scans++
 		return nil
 	})

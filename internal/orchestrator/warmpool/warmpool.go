@@ -1,7 +1,7 @@
 // Package warmpool holds the warm-slot runtime pool: per-(tenant,
 // image-digest) pools of sandbox/VM slots kept warm after a workload
 // stops, so a repeat deploy of an already-vetted image claims a slot in
-// O(1) instead of paying scan fan-out, scheduler filter/score, and VM
+// O(1) instead of paying the scan chain, scheduler filter/score, and VM
 // spin-up again.
 //
 // A slot moves through three states:

@@ -6,7 +6,7 @@ import "sync"
 // shares. Time only moves when a step (or an injected fault, like a slow
 // scanner) advances it, so a run's timeline is a pure function of the
 // scenario — wall-clock speed of the host never leaks into a report.
-// Safe for concurrent use: admission fan-out advances it from pool
+// Safe for concurrent use: admission controllers advance it from deploy
 // goroutines.
 type Clock struct {
 	mu sync.Mutex

@@ -310,10 +310,7 @@ func EvacuateClusterStep(name string) Step {
 func deployOne(w *World, spec orchestrator.WorkloadSpec) Outcome {
 	w.policies[spec.Name] = spec.PlacementPolicy
 	wl, err := w.Platform.Deploy(Subject, spec)
-	status, class, contentDetermined := classifyDeploy(err)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
+	status := w.observeDeploy(spec, err)
 	if err != nil {
 		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s): %v", spec.Name, spec.ImageRef, err)}
 	}
@@ -454,15 +451,7 @@ func (w *World) cancelOne(spec orchestrator.WorkloadSpec) string {
 	d.Cancel()
 	<-d.Done()
 	_, derr := d.Result()
-	status, class, contentDetermined := classifyDeploy(derr)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
-	if status == "cancelled" {
-		w.cancelled[spec.Name] = true
-	}
-	w.asyncDone[spec.Name] = true
-	return status
+	return w.observeAsync(spec, derr)
 }
 
 // asyncOne runs one un-armed deployment through the future surface to
@@ -473,12 +462,7 @@ func (w *World) asyncOne(spec orchestrator.WorkloadSpec) string {
 		return "error"
 	}
 	_, derr := d.Result()
-	status, class, contentDetermined := classifyDeploy(derr)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
-	w.asyncDone[spec.Name] = true
-	return status
+	return w.observeAsync(spec, derr)
 }
 
 // TamperSignature re-pushes an image with a forged signature, modelling a
@@ -523,7 +507,7 @@ func RestoreSignature(ref string) Step {
 func ScannerSlowdown(delayMs int64) Step {
 	return Step{Name: "scanner-slowdown", Run: func(w *World) Outcome {
 		clk := w.Clock
-		w.Platform.Cluster.RegisterAdmission("sim-slow-scanner", func(orchestrator.WorkloadSpec, *container.Image) error {
+		w.Platform.Cluster.RegisterAdmissionCtx("sim-slow-scanner", func(context.Context, orchestrator.WorkloadSpec, *container.Image) error {
 			clk.Advance(delayMs)
 			return nil
 		})

@@ -28,6 +28,7 @@ func DefaultInvariants() []Invariant {
 		NoCapacityOversubscription(),
 		IncidentCountsMonotone(),
 		AdmissionDeterminism(),
+		IncidentPerRejectedDeploy(),
 		NoSilentEventDrops(),
 		CancelledNeverPlaced(),
 		LifecycleLedgerBalanced(),
@@ -535,6 +536,30 @@ func AdmissionDeterminism() Invariant {
 	return Invariant{Name: "admission-determinism", Check: func(w *World) []string {
 		out := w.violations
 		w.violations = nil
+		return out
+	}}
+}
+
+// IncidentPerRejectedDeploy: the incident log names every
+// admission-rejected deploy exactly once per failing verdict — whether it
+// ran the scan itself or shared a concurrent deploy's verdict — and never
+// a deploy that ended any other way: a cancelled run has no verdict.
+func IncidentPerRejectedDeploy() Invariant {
+	return Invariant{Name: "incident-per-rejected-deploy", Check: func(w *World) []string {
+		got := make(map[string]int)
+		for _, inc := range w.Platform.Incidents() {
+			if inc.Source == "admission" {
+				got[inc.Workload]++
+			}
+		}
+		var out []string
+		for n, want := range w.incidentsOwed {
+			if got[n] != want {
+				out = append(out, fmt.Sprintf(
+					"deployment %s has %d admission incidents, want %d", n, got[n], want))
+			}
+		}
+		sort.Strings(out)
 		return out
 	}}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -111,6 +112,11 @@ type World struct {
 	// violations accumulates determinism violations detected inside
 	// steps; the admission-determinism invariant drains it.
 	violations []string
+	// incidentsOwed maps every attempted deploy's name -> admission
+	// incidents owed to it: one per failing verdict of each admission
+	// rejection, none for any other outcome. The
+	// incident-per-rejected-deploy invariant audits the log against it.
+	incidentsOwed map[string]int
 	// incidentTotal is the last observed incident count (monotonicity).
 	incidentTotal int
 	// seenIncidents counts incident events delivered to the simulator's
@@ -340,6 +346,34 @@ func (w *World) DeployedWorkloads() []string {
 		out = append(out, wl.Spec.Name)
 	}
 	return out
+}
+
+// observeDeploy records one deploy outcome for the invariants — the
+// content-determined verdict class and the admission incidents owed to
+// the workload — and returns its report status.
+func (w *World) observeDeploy(spec orchestrator.WorkloadSpec, err error) string {
+	status, class, contentDetermined := classifyDeploy(err)
+	if contentDetermined {
+		w.recordVerdict(spec.ImageRef, class)
+	}
+	owed := 0
+	var adm *orchestrator.AdmissionError
+	if errors.As(err, &adm) {
+		owed = len(adm.Rejections())
+	}
+	w.incidentsOwed[spec.Name] += owed
+	return status
+}
+
+// observeAsync is observeDeploy for a deployment future that has reached
+// its terminal state.
+func (w *World) observeAsync(spec orchestrator.WorkloadSpec, err error) string {
+	status := w.observeDeploy(spec, err)
+	if status == "cancelled" {
+		w.cancelled[spec.Name] = true
+	}
+	w.asyncDone[spec.Name] = true
+	return status
 }
 
 // recordVerdict checks an admission verdict class against the first one

@@ -92,6 +92,7 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 		policies:      make(map[string]string),
 		Quotas:        make(map[string]orchestrator.Resources),
 		verdicts:      make(map[string]string),
+		incidentsOwed: make(map[string]int),
 		offeredEvents: make(map[string]uint64),
 		cancelTargets: make(map[string]bool),
 		cancelled:     make(map[string]bool),
@@ -283,7 +284,7 @@ func (e *Engine) buildPlatform(sc Scenario, clock *Clock, w *World) error {
 		return fmt.Errorf("sim: lifecycle witness: %w", err)
 	}
 	// The cancel gate: deployments armed via markCancelTarget are held
-	// open inside the admission fan-out until their context dies, so a
+	// open inside the admission chain until their context dies, so a
 	// scripted cancellation deterministically lands mid-scan. Unarmed
 	// deployments pass straight through.
 	p.Cluster.RegisterAdmissionCtx("sim-cancel-gate",

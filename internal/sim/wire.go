@@ -42,10 +42,7 @@ func wireDeployOne(w *World, spec orchestrator.WorkloadSpec) Outcome {
 	}
 	w.policies[spec.Name] = spec.PlacementPolicy
 	_, err := w.wire.Deploy(context.Background(), wireSpec(spec))
-	status, class, contentDetermined := classifyDeploy(err)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
+	status := w.observeDeploy(spec, err)
 	if err != nil {
 		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s): %v", spec.Name, spec.ImageRef, err)}
 	}
@@ -152,15 +149,7 @@ func (w *World) wireCancelOne(spec orchestrator.WorkloadSpec) string {
 		return "error"
 	}
 	_, derr := d.Await(context.Background())
-	status, class, contentDetermined := classifyDeploy(derr)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
-	if status == "cancelled" {
-		w.cancelled[spec.Name] = true
-	}
-	w.asyncDone[spec.Name] = true
-	return status
+	return w.observeAsync(spec, derr)
 }
 
 // wireAsyncOne runs one un-armed deployment over the wire to its
@@ -171,12 +160,7 @@ func (w *World) wireAsyncOne(spec orchestrator.WorkloadSpec) string {
 		return "error"
 	}
 	_, derr := d.Await(context.Background())
-	status, class, contentDetermined := classifyDeploy(derr)
-	if contentDetermined {
-		w.recordVerdict(spec.ImageRef, class)
-	}
-	w.asyncDone[spec.Name] = true
-	return status
+	return w.observeAsync(spec, derr)
 }
 
 // WireLedgerProbe reads the event ledger through GET /v2/ledger and
@@ -234,10 +218,7 @@ func WireDeployBatch(n int, tenant string, res orchestrator.Resources, refs ...s
 		}
 		counts := map[string]int{}
 		for i, r := range results {
-			status, class, contentDetermined := classifyDeploy(r.Err)
-			if contentDetermined {
-				w.recordVerdict(specs[i].ImageRef, class)
-			}
+			status := w.observeDeploy(specs[i], r.Err)
 			counts[status]++
 		}
 		keys := make([]string, 0, len(counts))
