@@ -9,7 +9,7 @@ BENCH_GATE ?= EventSpine|IncidentFanIn|IncidentStorm|DeployParallel|DeploySequen
 BENCH_THRESHOLD ?= 25
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: build test race bench bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e
+.PHONY: build test race bench bench-harness bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
+
+# bench-harness vets and tests the wire benchmark in benchmark/, a
+# separate module that `./...` does not reach but that compiles against
+# api/client, api/server and internal/core — so a signature it uses
+# cannot change unnoticed.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test -cpu 1,2 .
 
 # bench-json records the perf trajectory: one JSON file per day, kept in
 # the repo history so regressions are diffable.
@@ -98,4 +105,4 @@ cores:
 # local runs (the workflow's separate examples, coverage, and
 # bench-regression jobs have their own targets: `make examples`, `make
 # cover`, `make bench-diff`).
-ci: build vet staticcheck fmt-check race fuzz-smoke cores
+ci: build vet staticcheck fmt-check race bench-harness fuzz-smoke cores

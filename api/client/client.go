@@ -1,10 +1,10 @@
 // Package client is the control-plane client behind genioctl: one
-// interface with two implementations — an HTTP client speaking the
-// genio/api wire contract to a remote geniod, and a local client
-// wrapping an in-process core.Platform. Every subcommand is written
-// against the interface, so it behaves identically in both modes; the
-// HTTP client's errors decode back to the library's typed taxonomy, so
-// even errors.Is/errors.As-driven output matches.
+// interface and its one implementation, an HTTP client speaking the
+// genio/api wire contract to an api/server — a remote geniod, or one the
+// caller hosts on loopback over its own platform (daemon-less genioctl,
+// the simulator). Either way a call crosses the same server-side path,
+// and errors decode back to the library's typed taxonomy, so
+// errors.Is/errors.As-driven output matches what the platform returns.
 package client
 
 import (
@@ -25,13 +25,13 @@ type Interface interface {
 	// DeployBatch admits every spec through the full pipeline and waits
 	// for all of them. Results are positional (Results[i] answers
 	// specs[i]), each carrying either the placed workload or the typed
-	// error — one rejection never fails its siblings. The remote
-	// implementation ships the whole batch as ONE signed request; the
-	// returned error reports transport/auth failure only.
+	// error — one rejection never fails its siblings. The whole batch
+	// ships as ONE signed request; the returned error reports
+	// transport/auth failure only.
 	DeployBatch(ctx context.Context, specs []api.WorkloadSpec) ([]BatchResult, error)
 	// Watch streams lifecycle transitions matching the selector until
-	// ctx ends. The remote implementation reconnects dropped streams
-	// with backoff, reapplying the same selector.
+	// ctx ends, reconnecting dropped streams with backoff and reapplying
+	// the same selector.
 	Watch(ctx context.Context, sel api.WatchSelector) (<-chan api.LifecycleEvent, error)
 
 	// AddNode provisions an edge node into the named federation cluster
@@ -66,8 +66,8 @@ type Interface interface {
 	// the survivors and removes it from the federation.
 	Evacuate(ctx context.Context, cluster string) (*api.EvacuationResult, error)
 
-	// Close releases the client (and, for the local implementation, the
-	// platform it owns).
+	// Close releases the client (and, for a caller hosting its own
+	// server, whatever it brought up with it).
 	Close() error
 }
 

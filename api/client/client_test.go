@@ -1,10 +1,12 @@
 package client
 
-// Conformance tests: every Interface method is exercised against BOTH
-// implementations — Local (in-process) and HTTP (signed requests
-// against a real api/server on an httptest listener) — and must behave
-// identically, including the typed errors errors.Is/As-matched after a
-// wire decode.
+// Conformance tests: every Interface method is exercised in BOTH shapes
+// the one implementation (HTTP) is deployed in — "local", the
+// daemon-less genioctl shape (anonymous subject header against an
+// AllowAnonymous api/server this process hosts on loopback), and "http",
+// the remote shape (Ed25519/session-signed requests against a strict
+// server) — and must behave identically, including the typed errors
+// errors.Is/As-matched after a wire decode.
 
 import (
 	"context"
@@ -42,8 +44,14 @@ func modes(t *testing.T) []mode {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(p.Close)
-			return NewLocal(p, "ops"), p
+			url, stop, err := server.New(p, server.Options{AllowAnonymous: true}).ServeLoopback()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewHTTP(url, WithSubject("ops"),
+				WithBackoff(5*time.Millisecond, 20*time.Millisecond))
+			t.Cleanup(func() { cli.Close(); stop(); p.Close() })
+			return cli, p
 		}},
 		{"http", func(t *testing.T) (Interface, *core.Platform) {
 			p, err := demo.Platform(core.SecureConfig(), "ops")
@@ -313,27 +321,6 @@ func TestConformanceNodeLifecycle(t *testing.T) {
 	}
 }
 
-// TestLocalOwnedPlatformClose: WithOwnedPlatform closes the platform
-// with the client, after which the control plane refuses typed.
-func TestLocalOwnedPlatformClose(t *testing.T) {
-	p, err := demo.Platform(core.SecureConfig(), "ops")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewLocal(p, "ops", WithOwnedPlatform())
-	if _, err := cli.Deploy(context.Background(), spec("pre-close", "acme/analytics:2.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = cli.Deploy(context.Background(), spec("post-close", "acme/analytics:2.0.1"))
-	var closed *core.ClosedError
-	if !errors.As(err, &closed) {
-		t.Fatalf("want ClosedError after Close, got %T: %v", err, err)
-	}
-}
-
 // TestHTTPSubjectModes: an unauthenticated client is refused when the
 // server requires signatures; the subject header works only when the
 // server explicitly allows anonymous callers.
@@ -376,7 +363,7 @@ func TestHTTPTransportError(t *testing.T) {
 }
 
 // TestConformanceDeployBatch: the batched entry point behaves
-// identically local and remote — positional results, one typed
+// identically daemon-less and remote — positional results, one typed
 // rejection never failing its siblings, empty batch a no-op.
 func TestConformanceDeployBatch(t *testing.T) {
 	for _, m := range modes(t) {

@@ -54,6 +54,8 @@ type HTTP struct {
 	streamErr func(error)
 }
 
+var _ Interface = (*HTTP)(nil)
+
 // HTTPOption configures the HTTP client.
 type HTTPOption func(*HTTP)
 
@@ -569,7 +571,7 @@ func (c *HTTP) Drain(ctx context.Context, node string) (*api.DrainResult, error)
 		return nil, err
 	}
 	// A drain that stopped early ships its partial progress with the
-	// typed error embedded; surface both halves like the local client.
+	// typed error embedded; surface both halves.
 	return &res, api.Decode(res.Error)
 }
 

@@ -3,7 +3,9 @@ package api
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 
 	"genio/internal/container"
 	"genio/internal/core"
@@ -328,6 +330,11 @@ func Decode(we *WireError) error {
 			cause = container.ErrUnsigned
 		default:
 			cause = errors.New(we.Message)
+		}
+		// The registry wraps its sentinels with detail (which ref, which
+		// publisher); Message still has it, so the decoded cause keeps it.
+		if detail, ok := strings.CutPrefix(we.Message, "pull "+we.Ref+": "+cause.Error()); ok && detail != "" {
+			cause = fmt.Errorf("%w%s", cause, detail)
 		}
 		return &orchestrator.ImagePullError{Ref: we.Ref, Err: cause}
 	case CodeQuotaExceeded:

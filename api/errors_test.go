@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"genio/internal/container"
@@ -77,12 +78,19 @@ func TestWireErrorTaxonomyRoundTrip(t *testing.T) {
 			notIs:  []error{container.ErrUnsigned},
 		},
 		{
-			name:   "image-pull-bad-signature",
-			err:    &orchestrator.ImagePullError{Ref: "acme/tampered:1", Err: container.ErrBadSignature},
+			name: "image-pull-bad-signature",
+			// Wrapped the way the registry wraps it: the detail must survive.
+			err: &orchestrator.ImagePullError{Ref: "acme/tampered:1",
+				Err: fmt.Errorf("%w: unknown publisher %q", container.ErrBadSignature, "mallory")},
 			code:   CodeImagePull,
 			status: 424,
 			is:     []error{container.ErrBadSignature, orchestrator.ErrRejected},
 			notIs:  []error{container.ErrNotFound},
+			checkTyped: func(t *testing.T, decoded error) {
+				if want := `pull acme/tampered:1: container: image signature invalid: unknown publisher "mallory"`; decoded.Error() != want {
+					t.Fatalf("decoded %q, want %q", decoded.Error(), want)
+				}
+			},
 		},
 		{
 			name: "quota",

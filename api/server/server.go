@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -645,8 +647,12 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request, subject str
 		return
 	}
 	probing := q.Get("probeCpu") != "" || q.Get("probeMem") != ""
-	cpu, _ := strconv.Atoi(q.Get("probeCpu"))
-	mem, _ := strconv.Atoi(q.Get("probeMem"))
+	cpu, cpuErr := probeDemand(q, "probeCpu")
+	mem, memErr := probeDemand(q, "probeMem")
+	if err := errors.Join(cpuErr, memErr); err != nil {
+		writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: err.Error()})
+		return
+	}
 	var out []api.NodeStatus
 	for _, cl := range clusters {
 		util := cl.c.Utilization()
@@ -688,6 +694,20 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request, subject str
 		out = []api.NodeStatus{}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// probeDemand parses one optional probe parameter: absent is 0, anything
+// but a non-negative integer is the caller's error.
+func probeDemand(q url.Values, key string) (int, error) {
+	raw := q.Get(key)
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("%s must be a non-negative integer, got %q", key, raw)
+	}
+	return v, nil
 }
 
 func (s *Server) handleAddNode(w http.ResponseWriter, r *http.Request, subject string) {
@@ -905,6 +925,30 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("server drain: %w", ctx.Err())
 	}
+}
+
+// ServeLoopback serves the v2 surface on an ephemeral 127.0.0.1 port:
+// how an in-process host (daemon-less genioctl, the simulator's wire
+// world) puts its platform behind the real wire path. It returns the
+// base URL and a stop func that releases the server (Close), closes the
+// listener with every open connection, and waits for the accept loop to
+// exit. stop is idempotent and, like Close, leaves the platform alone.
+func (s *Server) ServeLoopback() (baseURL string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, fmt.Errorf("server: loopback listener: %w", err)
+	}
+	hs := &http.Server{Handler: s.mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = hs.Serve(ln) // returns only once stop closes hs
+	}()
+	return "http://" + ln.Addr().String(), func() {
+		s.Close()
+		_ = hs.Close()
+		<-done
+	}, nil
 }
 
 // Close releases server-held resources — today the watch feeder

@@ -989,6 +989,105 @@ func TestAddNodeAndAttachONUOverWire(t *testing.T) {
 	}
 }
 
+// TestNodeVerbsReachNonDefaultFederationMember drives cordon, drain and
+// fail over the wire at a node of a member that is not the default
+// cluster: the verbs must find it instead of answering unknown-node.
+func TestNodeVerbsReachNonDefaultFederationMember(t *testing.T) {
+	p, err := core.New(core.SecureConfig(), core.WithFederation(
+		core.FederationMember{Name: "a", Region: "west"},
+		core.FederationMember{Name: "b", Region: "east"}))
+	if err != nil {
+		t.Fatalf("platform: %v", err)
+	}
+	t.Cleanup(p.Close)
+	p.RBAC.SetRole(rbac.Role{Name: "operator", Permissions: []rbac.Permission{
+		{Verb: "*", Resource: "*", Namespace: "*"},
+	}})
+	if err := p.RBAC.Bind("operator", "operator"); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	_, _, c := testServer(t, p)
+	ctx := context.Background()
+	for _, node := range []string{"b-0", "b-1"} {
+		if err := c.AddNode(ctx, "b", node, api.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
+			t.Fatalf("add node %s: %v", node, err)
+		}
+	}
+
+	if err := c.Cordon(ctx, "b-0"); err != nil {
+		t.Fatalf("cordon: %v", err)
+	}
+	nodes, err := c.Nodes(ctx, nil, "b")
+	if err != nil {
+		t.Fatalf("nodes: %v", err)
+	}
+	for _, n := range nodes {
+		if n.Cordoned != (n.Node == "b-0") {
+			t.Fatalf("after cordon b-0: %+v", nodes)
+		}
+	}
+	if res, err := c.Drain(ctx, "b-1"); err != nil || res.Node != "b-1" {
+		t.Fatalf("drain: %+v, %v", res, err)
+	}
+	if res, err := c.FailNode(ctx, "b-0"); err != nil || res.Node != "b-0" {
+		t.Fatalf("fail: %+v, %v", res, err)
+	}
+	if nodes, err = c.Nodes(ctx, nil, "b"); err != nil || len(nodes) != 1 || nodes[0].Node != "b-1" {
+		t.Fatalf("after failing b-0: %+v, %v", nodes, err)
+	}
+}
+
+// TestNodesRejectsMalformedProbe: probe parameters are outside input —
+// a non-numeric or negative demand is a 400, not a silent zero.
+func TestNodesRejectsMalformedProbe(t *testing.T) {
+	p := testPlatform(t)
+	ts := httptest.NewServer(New(p, Options{AllowAnonymous: true}).Handler())
+	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		name, query string
+		status      int
+		scored      bool
+	}{
+		{"no probe", "", http.StatusOK, false},
+		{"valid", "?probeCpu=500&probeMem=512", http.StatusOK, true},
+		{"one-sided", "?probeCpu=500", http.StatusOK, true},
+		{"non-numeric", "?probeCpu=abc&probeMem=512", http.StatusBadRequest, false},
+		{"negative", "?probeCpu=500&probeMem=-1", http.StatusBadRequest, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/nodes"+tc.query, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(api.HeaderSubject, "operator")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.status != http.StatusOK {
+				var we api.WireError
+				if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Code != api.CodeBadRequest {
+					t.Fatalf("error body = %+v (%v), want %s", we, err, api.CodeBadRequest)
+				}
+				return
+			}
+			var nodes []api.NodeStatus
+			if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil || len(nodes) != 2 {
+				t.Fatalf("nodes = %+v (%v)", nodes, err)
+			}
+			for _, n := range nodes {
+				if (n.Binpack != nil && n.Spread != nil) != tc.scored {
+					t.Fatalf("scores present = %v, want %v: %+v", !tc.scored, tc.scored, n)
+				}
+			}
+		})
+	}
+}
+
 // deadStore is a persist.Store whose Append can be flipped to fail,
 // driving the platform into its non-durable degraded posture.
 type deadStore struct {

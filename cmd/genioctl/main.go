@@ -21,17 +21,21 @@
 //	genioctl cordon -node olt-01 -undo
 //	genioctl drain -node olt-01 -timeout 5s
 //
-// Every subcommand runs in one of two modes behind the same client
-// interface (genio/api/client):
+// Every subcommand speaks the v2 wire surface through the one client
+// (genio/api/client); the modes differ only in who hosts the server:
 //
-//   - Remote: -server http://host:port (or GENIOD_ADDR) speaks the v2
-//     wire surface to a geniod daemon, authenticating with the identity
-//     file from -identity (or GENIOD_IDENTITY; see geniod
-//     -identity-out). Typed control-plane errors decode back through
-//     genio/api, so rejection output is identical to local mode.
-//   - Local: with no server configured, the subcommand brings up an
-//     in-process demo platform in the chosen -posture and operates on
-//     it directly.
+//   - Remote: -server http://host:port (or GENIOD_ADDR) names a geniod
+//     daemon; requests authenticate with the identity file from
+//     -identity (or GENIOD_IDENTITY; see geniod -identity-out).
+//   - Daemon-less: with no server configured, the subcommand brings up
+//     the demo platform in the chosen -posture, serves it on a
+//     127.0.0.1 listener for the length of the command, and acts as
+//     -subject with no identity file; the platform's RBAC still
+//     applies.
+//
+// Typed control-plane errors decode back through genio/api, and both
+// modes cross the same decode → RBAC → platform → encode path, so output
+// is identical.
 //
 // `deploy` drives one asynchronous deployment: -timeout sets a context
 // deadline, -wait streams the lifecycle transitions, and Ctrl-C
@@ -60,6 +64,7 @@ import (
 	"genio"
 	"genio/api"
 	"genio/api/client"
+	"genio/api/server"
 	"genio/internal/container"
 	"genio/internal/demo"
 	"genio/internal/rbac"
@@ -131,36 +136,53 @@ func addConnFlags(fs *flag.FlagSet) *connFlags {
 	return c
 }
 
-// newClient builds the control-plane client: remote when -server (or
-// GENIOD_ADDR) names a daemon, local otherwise. fixtureWorkloads seeds
-// that many demo workloads in local mode only — a remote daemon owns
-// its own state.
+// newClient builds the control-plane client. With -server (or
+// GENIOD_ADDR) it talks to that daemon; without, it hosts the demo
+// platform behind api/server on a loopback listener and talks to that —
+// the same client.HTTP and the same wire path either way.
+// fixtureWorkloads seeds that many demo workloads in daemon-less mode
+// only — a remote daemon owns its own state.
 func (c *connFlags) newClient(fixtureWorkloads int) (client.Interface, error) {
-	if *c.server != "" {
-		base := *c.server
-		// Accept a bare host:port — geniod serves plain HTTP (auth is
-		// per-request Ed25519 signing, not TLS).
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		var opts []client.HTTPOption
-		// A watch stream the server permanently refuses (revoked cert,
-		// RBAC change) closes its channel; say why instead of exiting
-		// silently.
-		opts = append(opts, client.WithStreamErrorHandler(func(err error) {
-			fmt.Fprintf(os.Stderr, "genioctl: watch stream ended: %v\n", err)
-		}))
-		if *c.identity != "" {
-			id, err := api.LoadIdentity(*c.identity)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, client.WithIdentity(id))
-		} else {
-			opts = append(opts, client.WithSubject(*c.subject))
-		}
-		return client.NewHTTP(base, opts...), nil
+	// A watch stream the server permanently refuses (revoked cert, RBAC
+	// change) closes its channel; say why instead of exiting silently.
+	opts := []client.HTTPOption{client.WithStreamErrorHandler(func(err error) {
+		fmt.Fprintf(os.Stderr, "genioctl: watch stream ended: %v\n", err)
+	})}
+	if *c.server == "" {
+		return c.newLoopback(fixtureWorkloads, opts)
 	}
+	base := *c.server
+	// Accept a bare host:port — geniod serves plain HTTP (auth is
+	// per-request Ed25519 signing, not TLS).
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	if *c.identity != "" {
+		id, err := api.LoadIdentity(*c.identity)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, client.WithIdentity(id))
+	} else {
+		opts = append(opts, client.WithSubject(*c.subject))
+	}
+	return client.NewHTTP(base, opts...), nil
+}
+
+// loopback is the daemon-less client: client.HTTP against an api/server
+// this process hosts on 127.0.0.1 over a demo platform it owns.
+type loopback struct {
+	*client.HTTP
+	stop func()
+	p    *genio.Platform
+}
+
+// newLoopback brings up the demo platform in the chosen -posture and
+// serves it to -subject without an identity file: the listener is
+// loopback-only and lives for one command, so the server trusts the
+// subject header (AllowAnonymous) and the platform's RBAC still decides
+// what that subject may do.
+func (c *connFlags) newLoopback(fixtureWorkloads int, opts []client.HTTPOption) (client.Interface, error) {
 	cfg, err := parsePosture(*c.posture)
 	if err != nil {
 		return nil, err
@@ -175,7 +197,22 @@ func (c *connFlags) newClient(fixtureWorkloads int) (client.Interface, error) {
 			return nil, err
 		}
 	}
-	return client.NewLocal(p, *c.subject, client.WithOwnedPlatform()), nil
+	url, stop, err := server.New(p, server.Options{AllowAnonymous: true}).ServeLoopback()
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
+	opts = append(opts, client.WithSubject(*c.subject))
+	return &loopback{HTTP: client.NewHTTP(url, opts...), stop: stop, p: p}, nil
+}
+
+// Close stops the client, then the server and its listener, then the
+// platform. Idempotent.
+func (l *loopback) Close() error {
+	err := l.HTTP.Close()
+	l.stop()
+	l.p.Close()
+	return err
 }
 
 // runDeploy drives one asynchronous deployment end to end through the
@@ -249,7 +286,14 @@ func runDeploy(args []string, out io.Writer) error {
 		Resources: api.Resources{CPUMilli: *cpu, MemoryMB: *mem},
 	})
 	if err != nil {
-		return err
+		if ctx.Err() == nil {
+			return err
+		}
+		// -timeout or Ctrl-C beat the submit: the control plane handed out
+		// no deployment, so report the typed cancellation, not the
+		// transport's view of the dead context.
+		printDeployError(out, &genio.CancelledError{Workload: *name, Stage: "submit", Err: ctx.Err()})
+		return nil
 	}
 	wl, err := d.Await(ctx)
 	if err != nil && ctx.Err() != nil {
@@ -316,9 +360,8 @@ func runDeployBatch(ctx context.Context, cli client.Interface, path string, out 
 	return nil
 }
 
-// printDeployError renders the typed taxonomy instead of one string.
-// Remote errors decode back to the same types (genio/api), so the
-// output is identical in both modes.
+// printDeployError renders the typed taxonomy instead of one string:
+// wire errors decode back to the library's types (genio/api).
 func printDeployError(out io.Writer, err error) {
 	var adm *genio.AdmissionError
 	var pull *genio.ImagePullError
@@ -595,8 +638,7 @@ func printFleet(out io.Writer, cli client.Interface, scores bool, cluster string
 }
 
 // runSlots prints the warm-slot pool table: one row per (tenant, image
-// digest) pool plus the lifecycle counters. Identical against a remote
-// daemon (-server) and the in-process demo platform. On a federated
+// digest) pool plus the lifecycle counters. On a federated
 // control plane -cluster narrows to one member; the default shows every
 // member's pools grouped, then the fleet-wide counters.
 func runSlots(args []string, out io.Writer) error {

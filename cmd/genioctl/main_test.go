@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -32,6 +35,7 @@ func startRemote(t *testing.T) (baseURL, idPath string, p *core.Platform) {
 	srv := server.New(p, server.Options{CA: p.CA})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
+		srv.Close()
 		ts.Close()
 		p.Close()
 	})
@@ -133,6 +137,26 @@ func TestDeployRemoteSIGINTCancels(t *testing.T) {
 	}
 	if _, ok := p.Cluster.Workload("doomed"); ok {
 		t.Error("cancelled deployment left a placed workload behind")
+	}
+}
+
+// TestDeployRemoteDeadlineExpired is TestDeploySubcommandDeadlineExpired
+// over the wire: a deadline that expires before the submit reaches the
+// daemon reports the typed cancellation, not the transport's error, and
+// places nothing.
+func TestDeployRemoteDeadlineExpired(t *testing.T) {
+	url, id, p := startRemote(t)
+	var buf bytes.Buffer
+	if err := run([]string{"deploy", "-server", url, "-identity", id,
+		"-image", "acme/analytics:2.0.1", "-name", "late", "-timeout", "1ns"}, &buf); err != nil {
+		t.Fatalf("remote deploy: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "CANCELLED (deadline exceeded) during submit") || !strings.Contains(out, "never placed") {
+		t.Errorf("missing typed cancellation:\n%s", out)
+	}
+	if _, ok := p.Cluster.Workload("late"); ok {
+		t.Error("deployment whose submit was cancelled got placed")
 	}
 }
 
@@ -377,5 +401,97 @@ func TestDrainSubcommand(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Errorf("drain output missing %q:\n%s", needle, out)
 		}
+	}
+}
+
+// TestFleetReadsIdenticalDaemonlessAndRemote: the fleet reads render the
+// same bytes whether genioctl hosts the demo platform itself or talks to
+// a daemon serving the same fixture — one client, one server-side
+// mapping, so there is nothing to drift.
+func TestFleetReadsIdenticalDaemonlessAndRemote(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		workloads int // what the daemon-less subcommand seeds
+	}{
+		{[]string{"nodes", "-top"}, 3},
+		{[]string{"slots"}, 3},
+		{[]string{"clusters"}, 0},
+	} {
+		t.Run(tc.args[0], func(t *testing.T) {
+			var local bytes.Buffer
+			if err := run(tc.args, &local); err != nil {
+				t.Fatalf("daemon-less: %v", err)
+			}
+			url, id, p := startRemote(t)
+			if err := demo.Workloads(p, "genioctl", tc.workloads); err != nil {
+				t.Fatalf("fixture workloads: %v", err)
+			}
+			var remote bytes.Buffer
+			args := append(append([]string{}, tc.args...), "-server", url, "-identity", id)
+			if err := run(args, &remote); err != nil {
+				t.Fatalf("remote: %v", err)
+			}
+			if local.Len() == 0 || !bytes.Equal(local.Bytes(), remote.Bytes()) {
+				t.Errorf("output differs\n--- daemon-less\n%s--- remote\n%s", local.String(), remote.String())
+			}
+		})
+	}
+}
+
+// TestLoopbackClientClose: Close on the daemon-less client tears down
+// everything the command brought up — the platform refuses typed, the
+// loopback listener is gone, the server's watch feeder has exited — and
+// a second Close is harmless.
+func TestLoopbackClientClose(t *testing.T) {
+	cli, err := addConnFlags(flag.NewFlagSet("test", flag.ContinueOnError)).newClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := cli.(*loopback)
+	ctx := context.Background()
+
+	// A watch starts the server's event log (and its feeder goroutine).
+	wctx, wcancel := context.WithCancel(ctx)
+	if _, err := cli.Watch(wctx, api.WatchSelector{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Deploy(ctx, api.WorkloadSpec{
+		Name: "pre-close", Tenant: "acme", ImageRef: "acme/analytics:2.0.1", Isolation: api.IsolationSoft,
+		Resources: api.Resources{CPUMilli: 200, MemoryMB: 256},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wcancel()
+
+	for i := 0; i < 2; i++ {
+		if err := cli.Close(); err != nil {
+			t.Fatalf("close %d: %v", i, err)
+		}
+	}
+
+	_, err = l.p.DeployContext(ctx, "genioctl", orchestrator.WorkloadSpec{
+		Name: "post-close", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256},
+	})
+	var closed *core.ClosedError
+	if !errors.As(err, &closed) {
+		t.Fatalf("platform after Close: want ClosedError, got %T: %v", err, err)
+	}
+	if _, err := cli.Nodes(ctx, nil, ""); !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("listener after Close: want connection refused, got %v", err)
+	}
+	// The feeder exits once it observes its cancelled watch; poll for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		if !bytes.Contains(stacks, []byte("server.newEventLog")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("event-log feeder still running after Close:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -158,6 +158,12 @@ func (p *Platform) EvacuateCluster(subject, name string) (*federation.Evacuation
 	if err != nil {
 		return nil, err
 	}
+	// Re-placements bypass deployObserved; a lost one is a rejected deploy
+	// all the same, so it gets the same incidents and the same count.
+	for _, l := range res.Lost {
+		p.recordAdmissionIncidents(l.Spec, l.Err)
+		p.publishMetric("deploy.rejected", 1, l.Spec.Tenant)
+	}
 	p.publishMetric("cluster.evacuated", float64(len(res.Moved)), name)
 	return res, nil
 }

@@ -14,13 +14,25 @@ import (
 	"genio/internal/orchestrator"
 )
 
+// clusterOf resolves the cluster that schedules the named node: the
+// first member holding it, else the default cluster, whose verbs then
+// answer with the usual typed NodeNotFoundError.
+func (p *Platform) clusterOf(node string) *orchestrator.Cluster {
+	for _, c := range p.allClusters() {
+		if c.HasNode(node) {
+			return c
+		}
+	}
+	return p.Cluster
+}
+
 // Cordon marks an edge node unschedulable: running workloads stay, new
 // placements skip it. Idempotent.
 func (p *Platform) Cordon(name string) error {
 	if p.closed.Load() {
 		return &ClosedError{Op: "cordon"}
 	}
-	return p.Cluster.Cordon(name)
+	return p.clusterOf(name).Cordon(name)
 }
 
 // Uncordon returns an edge node to the schedulable pool. Idempotent.
@@ -28,7 +40,7 @@ func (p *Platform) Uncordon(name string) error {
 	if p.closed.Load() {
 		return &ClosedError{Op: "uncordon"}
 	}
-	return p.Cluster.Uncordon(name)
+	return p.clusterOf(name).Uncordon(name)
 }
 
 // Drain cordons the node and live-migrates its workloads onto the rest
@@ -50,7 +62,7 @@ func (p *Platform) DrainObserved(ctx context.Context, name string, observe func(
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "drain"}
 	}
-	res, err := p.Cluster.DrainObserved(ctx, name, func(ev orchestrator.DrainEvent) {
+	res, err := p.clusterOf(name).DrainObserved(ctx, name, func(ev orchestrator.DrainEvent) {
 		if p.now != nil && ev.AtMs == 0 {
 			ev.AtMs = p.now()
 		}
@@ -80,7 +92,7 @@ func (p *Platform) FailNode(name string) (*orchestrator.FailoverResult, error) {
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "fail-node"}
 	}
-	res, err := p.Cluster.FailNode(name)
+	res, err := p.clusterOf(name).FailNode(name)
 	if err != nil {
 		return nil, err
 	}

@@ -389,10 +389,14 @@ type Move struct {
 }
 
 // LostWorkload records one workload the evacuation could not re-place
-// without violating residency or capacity.
+// without violating residency or capacity. Spec and Err carry the failed
+// attempt itself (off the wire), so the platform can account for it like
+// any other rejected deploy.
 type LostWorkload struct {
-	Workload string `json:"workload"`
-	Reason   string `json:"reason"`
+	Workload string                    `json:"workload"`
+	Reason   string                    `json:"reason"`
+	Spec     orchestrator.WorkloadSpec `json:"-"`
+	Err      error                     `json:"-"`
 }
 
 // EvacuationResult reports a cluster evacuation.
@@ -437,12 +441,12 @@ func (f *Federation) EvacuateCluster(subject, name string) (*EvacuationResult, e
 		// evacuated cluster's own accounting releases its capacity.
 		if err := m.cluster.Stop(spec.Name); err != nil && !errors.Is(err, orchestrator.ErrNotFound) {
 			res.Lost = append(res.Lost, LostWorkload{Workload: spec.Name,
-				Reason: fmt.Sprintf("stop on dead cluster: %v", err)})
+				Reason: fmt.Sprintf("stop on dead cluster: %v", err), Spec: spec, Err: err})
 			continue
 		}
 		w, pl, err := f.Deploy(subject, spec)
 		if err != nil {
-			res.Lost = append(res.Lost, LostWorkload{Workload: spec.Name, Reason: err.Error()})
+			res.Lost = append(res.Lost, LostWorkload{Workload: spec.Name, Reason: err.Error(), Spec: spec, Err: err})
 			f.emit(audit, now, orchestrator.AuditEvent{
 				Kind: "evacuation", Workload: spec.Name, Tenant: spec.Tenant, Node: name,
 				Allowed: false, Detail: fmt.Sprintf("lost: %v", err),

@@ -412,7 +412,7 @@ func DeployStormCampaign(seed int64) Scenario {
 }
 
 // WireDeployStormCampaign is the networked-control-plane storm: the
-// platform is hosted behind the geniod HTTP handler on an httptest
+// platform is hosted behind the geniod HTTP handler on a loopback
 // listener and every deployment — floods, async cancel waves, the lot —
 // crosses the full wire stack (Ed25519-signed request, encode, HTTP,
 // typed-error decode) while node churn and metric bursts run in-process

@@ -26,7 +26,7 @@ type Scenario struct {
 	Config core.Config
 	Steps  []Step
 	// Wire hosts the platform behind an HTTP control plane (genio/api/server
-	// on an httptest listener) and hands the world an authenticated HTTP
+	// on a loopback listener) and hands the world an authenticated HTTP
 	// client: Wire* steps then drive deployments through the full wire
 	// stack — encode, HTTP, decode — instead of in-process calls. The
 	// report contract is unchanged: the wire must not perturb outcomes.

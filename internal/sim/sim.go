@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"sync"
 
@@ -130,15 +129,16 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 		// full encode→HTTP→decode stack on every deployment. The listener
 		// and identity are harness plumbing — nothing about them reaches
 		// the report, so the replay contract is untouched.
-		srv := server.New(w.Platform, server.Options{CA: w.Platform.CA})
-		defer srv.Close()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
+		url, stop, err := server.New(w.Platform, server.Options{CA: w.Platform.CA}).ServeLoopback()
+		if err != nil {
+			return nil, fmt.Errorf("sim: wire listener: %w", err)
+		}
+		defer stop()
 		id, err := w.Platform.CA.Issue(Subject, pki.RoleService)
 		if err != nil {
 			return nil, fmt.Errorf("sim: wire identity: %w", err)
 		}
-		w.wire = client.NewHTTP(ts.URL, client.WithIdentity(id))
+		w.wire = client.NewHTTP(url, client.WithIdentity(id))
 		defer w.wire.Close()
 	}
 

@@ -2,7 +2,7 @@ package sim
 
 // Wire injectors: the same deployment traffic as the in-process
 // injectors, but driven through the networked control plane — the
-// world's authenticated HTTP client against the httptest-hosted
+// world's authenticated HTTP client against the loopback-hosted
 // genio/api/server that Engine.Run wires up for Scenario.Wire runs.
 // Every outcome crosses encode→HTTP→decode, so the campaign proves the
 // wire neither perturbs admission verdicts nor unbalances the
