@@ -9,7 +9,7 @@ BENCH_GATE ?= EventSpine|IncidentFanIn|IncidentStorm|DeployParallel|DeploySequen
 BENCH_THRESHOLD ?= 25
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: build test race bench bench-harness bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e
+.PHONY: build test race bench bench-harness bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e loc
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,12 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzONUDeliver -fuzztime=15s ./internal/pon/
 	$(GO) test -fuzz=FuzzParseCondition -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/
+	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
+
+# loc prints the number each simplicity round is judged on: non-test Go
+# outside the benchmark module, comments and blank lines included.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
 # the replay gate and the bench smoke at GOMAXPROCS 1, 2 and 4, so a gate

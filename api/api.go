@@ -72,6 +72,9 @@ func (s WorkloadSpec) ToOrchestrator() (orchestrator.WorkloadSpec, error) {
 	default:
 		return orchestrator.WorkloadSpec{}, fmt.Errorf("api: unknown isolation %q (want %s|%s)", s.Isolation, IsolationSoft, IsolationHard)
 	}
+	if err := spec.CheckDemand(); err != nil {
+		return orchestrator.WorkloadSpec{}, err
+	}
 	return spec, nil
 }
 
@@ -399,7 +402,6 @@ type TopicStats struct {
 	Published uint64 `json:"published"`
 	Delivered uint64 `json:"delivered"`
 	Dropped   uint64 `json:"dropped"`
-	Filtered  uint64 `json:"filtered"`
 }
 
 // Ledger is the GET /v2/ledger response: spine counters per topic.
@@ -413,7 +415,6 @@ func FromStats(s events.Stats) Ledger {
 			Published: st.Published,
 			Delivered: st.Delivered,
 			Dropped:   st.Dropped,
-			Filtered:  st.Filtered,
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ package api
 // round trip (library → wire → library) must be the identity.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -36,6 +37,14 @@ func TestWorkloadSpecRoundTrip(t *testing.T) {
 	}
 	if _, err := (WorkloadSpec{Isolation: "quantum"}).ToOrchestrator(); err == nil {
 		t.Fatal("unknown isolation accepted")
+	}
+	// A negative demand refuses with the typed rejection; zero is legal.
+	for _, r := range []Resources{{CPUMilli: -1}, {MemoryMB: -1}} {
+		_, err := WorkloadSpec{Name: "w", Resources: r}.ToOrchestrator()
+		var derr *orchestrator.InvalidDemandError
+		if !errors.As(err, &derr) || !errors.Is(err, orchestrator.ErrRejected) {
+			t.Fatalf("demand %+v: err = %v, want *InvalidDemandError", r, err)
+		}
 	}
 }
 
@@ -116,10 +125,10 @@ func TestResultConversions(t *testing.T) {
 
 func TestFromStats(t *testing.T) {
 	ledger := FromStats(events.Stats{
-		events.TopicMetric: {Published: 5, Delivered: 4, Dropped: 1, Filtered: 2},
+		events.TopicMetric: {Published: 5, Delivered: 4, Dropped: 1},
 	})
 	got := ledger["metric"]
-	if got.Published != 5 || got.Delivered != 4 || got.Dropped != 1 || got.Filtered != 2 {
+	if got.Published != 5 || got.Delivered != 4 || got.Dropped != 1 {
 		t.Fatalf("counters lost: %+v", got)
 	}
 }

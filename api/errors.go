@@ -179,6 +179,7 @@ func Encode(err error) *WireError {
 		dup       *orchestrator.DuplicateNameError
 		notFound  *orchestrator.NodeNotFoundError
 		policy    *orchestrator.PlacementPolicyError
+		demand    *orchestrator.InvalidDemandError
 		pinned    *federation.RegionPinnedError
 		fedCap    *federation.FederationCapacityError
 		noCluster *federation.ClusterNotFoundError
@@ -293,6 +294,13 @@ func Encode(err error) *WireError {
 			Workload: policy.Workload,
 			Policy:   policy.Policy,
 		}
+	case errors.As(err, &demand):
+		return &WireError{
+			Code:      CodeBadRequest,
+			Message:   err.Error(),
+			Workload:  demand.Workload,
+			Requested: wireResources(demand.Requested),
+		}
 	case errors.Is(err, context.Canceled):
 		return &WireError{Code: CodeCancelled, Message: err.Error(), Cause: CauseCanceled}
 	case errors.Is(err, context.DeadlineExceeded):
@@ -396,6 +404,13 @@ func Decode(we *WireError) error {
 		return &orchestrator.DrainError{Node: we.Node, Workload: we.Workload, Err: cause}
 	case CodeClosed:
 		return &core.ClosedError{Op: we.Op}
+	case CodeBadRequest:
+		// The one typed bad request carries its demand; the server's own
+		// malformed-input refusals have no library form.
+		if we.Requested == nil {
+			return we
+		}
+		return &orchestrator.InvalidDemandError{Workload: we.Workload, Requested: libResources(we.Requested)}
 	default:
 		return we
 	}

@@ -308,6 +308,40 @@ func TestWireErrorTaxonomyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInvalidDemandErrorRoundTrip sits outside the main table because
+// bad-request shares HTTP 400 with placement-policy. The typed demand
+// rejection survives the wire; the server's own untyped bad requests
+// (no demand attached) decode to the *WireError itself.
+func TestInvalidDemandErrorRoundTrip(t *testing.T) {
+	orig := &orchestrator.InvalidDemandError{
+		Workload: "wl", Requested: orchestrator.Resources{CPUMilli: -100000, MemoryMB: 128},
+	}
+	we := Encode(orig)
+	if we.Code != CodeBadRequest || we.Status() != 400 || we.Message != orig.Error() {
+		t.Fatalf("encoded = %+v, want 400 %s carrying the library message", we, CodeBadRequest)
+	}
+	data, err := json.Marshal(we)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back WireError
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	decoded := Decode(&back)
+	var derr *orchestrator.InvalidDemandError
+	if !errors.As(decoded, &derr) || *derr != *orig {
+		t.Fatalf("decoded %v, want %+v", decoded, orig)
+	}
+	if !errors.Is(decoded, orchestrator.ErrRejected) || errors.Is(decoded, orchestrator.ErrNoCapacity) {
+		t.Fatalf("decoded %v must match ErrRejected only", decoded)
+	}
+	plain := &WireError{Code: CodeBadRequest, Message: "bad request body: EOF"}
+	if got := Decode(plain); got != error(plain) {
+		t.Fatalf("untyped bad request decoded to %T, want the *WireError itself", got)
+	}
+}
+
 // TestFederationErrorTaxonomyRoundTrip covers the federation error
 // classes separately from the main table: cluster-not-found
 // deliberately shares HTTP 404 with node-not-found (Decode switches on

@@ -556,8 +556,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request, subject str
 	// like a first connection.
 	afterID := log.latest()
 	if raw := r.Header.Get("Last-Event-ID"); raw != "" {
-		if v, err := strconv.ParseUint(raw, 10, 64); err == nil {
-			afterID = v
+		// A resume the server cannot honour must not degrade to a fresh
+		// watch: the client would silently lose every event it missed.
+		if afterID, err = strconv.ParseUint(raw, 10, 64); err != nil {
+			writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: "bad Last-Event-ID: " + err.Error()})
+			return
 		}
 	}
 	replay, sub := log.subscribe(afterID)

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -818,6 +820,107 @@ func TestWatchResumeReplaysMissedEvents(t *testing.T) {
 	}
 }
 
+// TestWatchRejectsMalformedLastEventID: a resume the server cannot parse
+// is a 400, never a silent fresh watch that drops what the client missed.
+func TestWatchRejectsMalformedLastEventID(t *testing.T) {
+	p := testPlatform(t)
+	ts := httptest.NewServer(New(p, Options{AllowAnonymous: true}).Handler())
+	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		name, header string
+		status       int
+	}{
+		{"absent", "", http.StatusOK},
+		{"valid", "0", http.StatusOK},
+		{"non-numeric", "abc", http.StatusBadRequest},
+		{"negative", "-3", http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel() // ends the accepted streams
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v2/watch", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(api.HeaderSubject, "operator")
+			if tc.header != "" {
+				req.Header.Set("Last-Event-ID", tc.header)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.status != http.StatusOK {
+				var we api.WireError
+				if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Code != api.CodeBadRequest {
+					t.Fatalf("error body = %+v (%v), want %s", we, err, api.CodeBadRequest)
+				}
+			}
+		})
+	}
+}
+
+// TestWatchStreamEndsWhenPlatformCloses: closing the platform — without
+// closing the server — ends every open SSE stream after the events
+// already published, and leaves no event-log feeder behind.
+func TestWatchStreamEndsWhenPlatformCloses(t *testing.T) {
+	p := testPlatform(t)
+	srv := New(p, Options{AllowAnonymous: true})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/watch?terminal=true", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(api.HeaderSubject, "operator")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("watch status = %d", resp.StatusCode)
+	}
+	c := client.NewHTTP(ts.URL, client.WithSubject("operator"))
+	t.Cleanup(func() { _ = c.Close() })
+	d, err := c.DeployAsync(context.Background(), spec("last-words", "acme/analytics:2.0.1", 100, 128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Await(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+
+	body := make(chan string, 1)
+	go func() {
+		data, _ := io.ReadAll(resp.Body) // returns only when the server ends the stream
+		body <- string(data)
+	}()
+	select {
+	case got := <-body:
+		if !strings.Contains(got, "last-words") {
+			t.Fatalf("stream ended without the terminal event published before Close:\n%s", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SSE stream still open 5s after the platform closed")
+	}
+	log, err := srv.eventLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	closed := log.closed
+	log.mu.Unlock()
+	if !closed {
+		t.Fatal("event log feeder still running after the platform closed")
+	}
+}
+
 // TestWatchStopsOnPermanentError: a reconnect the control plane refuses
 // (401/403) must end the stream and surface the typed error — not spin
 // silently forever.
@@ -1197,6 +1300,49 @@ func TestDeployBatchOverHTTP(t *testing.T) {
 		if _, ok := p.Cluster.Workload(name); !ok {
 			t.Fatalf("workload %s not on cluster", name)
 		}
+	}
+}
+
+// TestNegativeDemandIs400OnEveryDeployRoute (T8): a negative resource
+// demand never reaches the pipeline from the wire — sync and async
+// deploys answer 400 bad-request, a batch reports it positionally while
+// its neighbours place, and node accounting is untouched.
+func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
+	p := testPlatform(t)
+	_, _, c := testServer(t, p)
+	ctx := context.Background()
+	neg := spec("neg", "acme/analytics:2.0.1", -100000, -100000)
+
+	badRequest := func(route string, err error) {
+		t.Helper()
+		var we *api.WireError
+		if !errors.As(err, &we) || we.Code != api.CodeBadRequest || we.Status() != http.StatusBadRequest {
+			t.Fatalf("%s: err = %v, want 400 %s", route, err, api.CodeBadRequest)
+		}
+	}
+	_, err := c.Deploy(ctx, neg)
+	badRequest("POST /v2/deployments", err)
+	_, err = c.DeployAsync(ctx, neg)
+	badRequest("POST /v2/deployments/async", err)
+	results, err := c.DeployBatch(ctx, []api.WorkloadSpec{
+		spec("batch-ok", "acme/analytics:2.0.1", 100, 128),
+		neg,
+	})
+	if err != nil {
+		t.Fatalf("batch transport: %v", err)
+	}
+	if results[0].Err != nil {
+		t.Fatalf("results[0].Err = %v, want placed", results[0].Err)
+	}
+	badRequest("POST /v2/deploy/batch [1]", results[1].Err)
+
+	var used orchestrator.Resources
+	for _, u := range p.Cluster.Utilization() {
+		used.CPUMilli += u.Used.CPUMilli
+		used.MemoryMB += u.Used.MemoryMB
+	}
+	if want := (orchestrator.Resources{CPUMilli: 100, MemoryMB: 128}); used != want {
+		t.Fatalf("fleet Used = %+v, want %+v (only batch-ok placed)", used, want)
 	}
 }
 

@@ -1134,9 +1134,8 @@ func BenchmarkEventSpineThroughput(b *testing.B) {
 }
 
 // BenchmarkIncidentStormParallel is the platform-level incident storm:
-// concurrent producers with distinct workload keys exercise the spine's
-// sharding end to end (publish -> shard -> incident view), where the old
-// single-writer bus serialized everything onto one queue.
+// concurrent producers with distinct workload keys exercise the spine
+// end to end (publish -> queue -> incident view).
 func BenchmarkIncidentStormParallel(b *testing.B) {
 	p, err := core.New(core.SecureConfig())
 	if err != nil {

@@ -21,8 +21,8 @@
 // -events streams every event-spine record (incidents, falco alerts,
 // audit, metrics) as JSON lines to stderr while the run executes. The
 // stdout report stays byte-identical; the firehose itself is an
-// observation stream whose interleaving across spine shards is not part
-// of the replay contract.
+// observation stream whose interleaving across concurrent publishers is
+// not part of the replay contract.
 //
 // Exit status is non-zero when any invariant was violated.
 package main

@@ -845,7 +845,7 @@ func runDemo(args []string, out io.Writer) error {
 	stats := p.Metrics()
 	for _, topic := range stats.Topics() {
 		ts := stats[topic]
-		if ts.Published+ts.Dropped+ts.Filtered == 0 {
+		if ts.Published == 0 {
 			continue
 		}
 		fmt.Fprintf(out, "  %-12s %d/%d/%d\n", topic, ts.Published, ts.Delivered, ts.Dropped)

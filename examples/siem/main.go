@@ -65,8 +65,8 @@ func run() error {
 	}
 
 	// Incident export rides a plain spine subscription; the exporter
-	// buffers under its own lock because handlers run on shard
-	// goroutines.
+	// buffers under its own lock because handlers run on the spine's
+	// delivery goroutine.
 	var mu sync.Mutex
 	var exported []record
 	sub, err := p.Subscribe("siem-incidents", []genio.Topic{genio.TopicIncident},

@@ -13,7 +13,7 @@
 // cached per image digest), Deploy and DeployBatch may be called from
 // many goroutines, and every telemetry stream — incidents, falco
 // alerts, control-plane audit records, metrics, deployment lifecycle —
-// flows through one sharded event spine. Call Flush before reading
+// flows through one ordered event spine. Call Flush before reading
 // incidents recorded by other goroutines, Subscribe to consume any
 // stream live, and Close when discarding a platform.
 //
@@ -57,7 +57,7 @@
 //	sub, err := p.Subscribe("siem", []genio.Topic{genio.TopicIncident, genio.TopicAudit},
 //		func(batch []genio.Event) { ... })
 //	defer sub.Cancel()
-//	stats := p.Metrics() // per-topic published/delivered/dropped/filtered
+//	stats := p.Metrics() // per-topic published/delivered/dropped
 package genio
 
 import (
@@ -171,17 +171,6 @@ type BatchHandler = events.BatchHandler
 // Platform.Metrics.
 type EventStats = events.Stats
 
-// EventPolicy selects spine backpressure behaviour (Config.EventBackpressure).
-type EventPolicy = events.Policy
-
-// Backpressure policies: EventBlock never loses an event (producers wait
-// when a shard queue fills — the default); EventDrop bounds producer
-// latency instead, counting every loss in Metrics.
-const (
-	EventBlock = events.Block
-	EventDrop  = events.Drop
-)
-
 // PlatformOption configures a Platform beyond its mitigation Config.
 type PlatformOption = core.Option
 
@@ -262,6 +251,8 @@ type (
 	// PlacementPolicyError reports a deploy naming an unknown placement
 	// policy.
 	PlacementPolicyError = orchestrator.PlacementPolicyError
+	// InvalidDemandError reports a deploy requesting negative resources.
+	InvalidDemandError = orchestrator.InvalidDemandError
 	// DrainError reports a drain blocked by a workload that fits nowhere.
 	DrainError = orchestrator.DrainError
 	// CancelledError reports a deployment aborted by its context.

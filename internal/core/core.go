@@ -64,17 +64,6 @@ type Config struct {
 	SandboxEnabled    bool // M17
 	RuntimeMonitoring bool // M18
 	TenantQuotas      bool // T8 resource-abuse counter
-
-	// Event-spine tuning (see internal/events). Zero values take the
-	// spine defaults: 8 shards, 1024-deep queues, Block backpressure.
-	// EventBackpressure is the default policy for lossy streams (falco
-	// alerts, audit, metrics): Block never loses an event; Drop trades
-	// completeness for bounded producer latency, with exact per-topic
-	// drop counters (Metrics). The incident topic is always Block —
-	// the security log is never lossy, whatever the default.
-	EventShards        int
-	EventQueueCapacity int
-	EventBackpressure  events.Policy
 }
 
 // SecureConfig returns the full security-by-design posture.
@@ -114,10 +103,9 @@ type Incident struct {
 	// clock is installed with WithClock).
 	AtMs int64 `json:"atMs,omitempty"`
 	// Seq is the platform-assigned record sequence number (1-based).
-	// Incidents shard across spine queues by workload, so delivery
-	// interleaving is scheduler-dependent; Seq preserves the global
-	// record order the pre-spine single-writer bus gave for free, and
-	// Incidents() returns the log sorted by it.
+	// Concurrent recorders take their Seq before they enqueue, so two
+	// can reach the spine out of Seq order; Seq preserves the global
+	// record order, and Incidents() returns the log sorted by it.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -167,7 +155,7 @@ var (
 
 // Platform is a running GENIO deployment. Safe for concurrent use: node
 // state sits behind a read/write lock, every telemetry stream flows
-// through a sharded event spine (see events.go and internal/events), and
+// through one event spine (see events.go and internal/events), and
 // deployments fan admission scanning out inside the cluster. Call Flush
 // before reading incidents recorded by other goroutines, and Close when
 // discarding the platform.
@@ -198,8 +186,10 @@ type Platform struct {
 
 	// closed flips on the first Close. New deployments are refused with a
 	// *ClosedError afterwards; telemetry keeps the spine's post-close
-	// contract (late incidents apply synchronously).
+	// contract (late incidents apply synchronously). done closes once the
+	// spine has drained, ending every Watch stream.
 	closed atomic.Bool
+	done   chan struct{}
 
 	// Durable state (see persist.go). store is nil unless WithStore was
 	// given; snapMu serializes snapshots (and lets close wait out an
@@ -257,8 +247,9 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		Detector: falcoengine.NewEngine(falcoengine.DefaultRules()),
 		RBAC:     rbac.NewEngine(),
 		nodes:    make(map[string]*EdgeNode),
-		spine:    newSpine(cfg),
+		spine:    events.NewSpine(),
 		incview:  newIncidentView(),
+		done:     make(chan struct{}),
 	}
 	// The incident log is itself a spine subscriber; the spine is fresh,
 	// so registration cannot fail.
@@ -729,7 +720,7 @@ func (p *Platform) FlushContext(ctx context.Context) error {
 	return p.spine.FlushContext(ctx)
 }
 
-// Close drains the event spine and stops its shard goroutines. It is
+// Close drains the event spine and stops its delivery goroutine. It is
 // idempotent and safe to call concurrently (every call blocks until the
 // drain completes), and may interleave freely with Flush and
 // RecordIncident. After Close the control plane refuses new work with a
@@ -741,11 +732,21 @@ func (p *Platform) Close() {
 	// events: parked VMs do not outlive the platform, and the released
 	// reservations keep the final snapshot's accounting honest.
 	p.Cluster.FlushWarmSlots("close")
-	p.closed.Store(true)
-	p.spine.Close()
+	p.closeSpine()
 	// Graceful shutdown: final compacted snapshot, then release the store.
 	// (Crash is the flush-only variant.)
 	p.closeStore(true)
+}
+
+// closeSpine refuses new control-plane work, drains the spine, then
+// releases the Watch streams: every caller blocks until the drain
+// completes, the first one closes done.
+func (p *Platform) closeSpine() {
+	first := p.closed.CompareAndSwap(false, true)
+	p.spine.Close()
+	if first {
+		close(p.done)
+	}
 }
 
 // ClosedError reports a control-plane operation on a closed platform.

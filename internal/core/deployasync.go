@@ -257,13 +257,13 @@ func (s WatchSelector) match(ev LifecycleEvent) bool {
 	return true
 }
 
-// Watch streams deploy.lifecycle events matching sel until ctx ends,
-// then closes the returned channel. Delivery is decoupled from the spine
-// through an unbounded buffer, so a slow watch consumer never stalls
-// shard drainers (or, under Block, publishers). Events published while
-// nobody receives are retained in order; events across different
-// workloads may interleave differently run to run (per-workload order is
-// preserved by the spine's key sharding).
+// Watch streams deploy.lifecycle events matching sel until ctx ends or
+// the platform closes (Close or Crash), then closes the returned
+// channel; events published before the platform closed are delivered
+// first. Delivery is decoupled from the spine through an unbounded
+// buffer, so a slow watch consumer never stalls the spine's drainer (or
+// its publishers). Events published while nobody receives are retained
+// in publish order.
 func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan LifecycleEvent, error) {
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "watch"}
@@ -302,9 +302,14 @@ func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan Lifecyc
 		defer close(out)
 		defer sub.Cancel()
 		for {
+			// The spine has drained by the time done closes, so the queue
+			// then holds every event this watch will ever see.
+			closing := false
 			select {
 			case <-ctx.Done():
 				return
+			case <-p.done:
+				closing = true
 			case <-notify:
 			}
 			for {
@@ -321,6 +326,9 @@ func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan Lifecyc
 				case <-ctx.Done():
 					return
 				}
+			}
+			if closing {
+				return
 			}
 		}
 	}()

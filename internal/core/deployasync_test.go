@@ -257,6 +257,50 @@ func TestWatchStreamsLifecycle(t *testing.T) {
 	}
 }
 
+// TestWatchClosesWhenPlatformCloses: a watch on a never-cancelled context
+// ends when the platform does — Close or Crash — after delivering the
+// terminal events published before it, so `for ev := range ch` returns.
+func TestWatchClosesWhenPlatformCloses(t *testing.T) {
+	for name, shut := range map[string]func(*Platform){
+		"close": (*Platform).Close,
+		"crash": (*Platform).Crash,
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := asyncPlatform(t)
+			ch, err := p.Watch(context.Background(), WatchSelector{TerminalOnly: true})
+			if err != nil {
+				t.Fatalf("Watch: %v", err)
+			}
+			const n = 3
+			specs := make([]orchestrator.WorkloadSpec, 0, n)
+			for i := 0; i < n; i++ {
+				specs = append(specs, asyncSpec(fmt.Sprintf("final-%d", i)))
+			}
+			if _, errs := p.DeployBatch("ci", specs); errors.Join(errs...) != nil {
+				t.Fatal(errors.Join(errs...))
+			}
+			// Nothing has been received yet: the terminal events sit in the
+			// watch's queue (or the spine's) when the platform goes away.
+			shut(p)
+			got := 0
+			deadline := time.After(5 * time.Second)
+			for open := true; open; {
+				select {
+				case _, open = <-ch:
+					if open {
+						got++
+					}
+				case <-deadline:
+					t.Fatalf("watch channel still open 5s after %s (%d events received)", name, got)
+				}
+			}
+			if got != n {
+				t.Fatalf("watch delivered %d terminal events before closing, want %d", got, n)
+			}
+		})
+	}
+}
+
 func TestDeployAsyncOnClosedPlatform(t *testing.T) {
 	p := asyncPlatform(t)
 	p.Close()

@@ -3,13 +3,11 @@ package core
 // Event-spine wiring: the platform owns one events.Spine carrying every
 // telemetry stream — incidents, falco alerts, control-plane audit
 // records, metrics — and the incident log the public API exposes is a
-// materialised view over the spine's incident topic. This replaces the
-// old single-writer incident bus: the spine's Flush/Close lifecycle
-// subsumes its drain semantics (Flush is read-your-writes, every Close
-// blocks until drained), while sharding by tenant/node/workload key
-// removes the single-queue bottleneck and gives external consumers
-// (SIEM exporters, dashboards, simulators) the same subscription surface
-// the platform itself uses.
+// materialised view over the spine's incident topic. The spine's
+// Flush/Close lifecycle gives the log its drain semantics (Flush is
+// read-your-writes, every Close blocks until drained), and external
+// consumers (SIEM exporters, dashboards, simulators) get the same
+// subscription surface the platform itself uses.
 
 import (
 	"context"
@@ -25,11 +23,12 @@ import (
 // incidentView materialises TopicIncident into the ordered, counted log
 // behind Incidents() and IncidentCounts(). It is a regular spine
 // subscriber; Flush before read gives the same visibility contract the
-// old bus had. Appends arrive from shard goroutines (and, after Close,
-// synchronously from late recorders), so state sits behind a lock.
+// old bus had. Appends arrive from the spine's delivery goroutine (and,
+// after Close, synchronously from late recorders), so state sits behind
+// a lock.
 type incidentView struct {
 	// seq hands out Incident.Seq numbers at record time. Padded onto its
-	// own cache line: every producer bumps it, every shard drainer takes
+	// own cache line: every producer bumps it, the spine drainer takes
 	// mu — sharing a line would serialize the two hot sides.
 	seq atomic.Uint64
 	_   [56]byte
@@ -46,9 +45,9 @@ func newIncidentView() *incidentView {
 	return &incidentView{counts: make(map[string]int)}
 }
 
-// batch is the view's spine subscription handler. Shard drainers append
-// concurrently, so arrival order is not record order; snapshot restores
-// it from Seq.
+// batch is the view's spine subscription handler. Concurrent recorders
+// can enqueue out of Seq order, so arrival order is not record order;
+// snapshot restores it from Seq.
 func (v *incidentView) batch(evs []events.Event) {
 	v.mu.Lock()
 	for _, e := range evs {
@@ -96,22 +95,8 @@ func (v *incidentView) countsBySource() map[string]int {
 	return out
 }
 
-// newSpine builds the platform spine from the Config's event knobs. The
-// incident topic is pinned to Block whatever the configured default:
-// bounding producer latency on lossy streams (metrics, alerts) must
-// never make the security incident log lossy.
-func newSpine(cfg Config) *events.Spine {
-	return events.NewSpine(
-		events.WithShards(cfg.EventShards),
-		events.WithQueueCapacity(cfg.EventQueueCapacity),
-		events.WithPolicy(cfg.EventBackpressure),
-		events.WithTopicPolicy(events.TopicIncident, events.Block),
-	)
-}
-
-// incidentKey shards incidents by workload when one is named, falling
-// back to the source stream so unattributed incidents (boot, pon) still
-// spread across shards deterministically per source.
+// incidentKey labels incidents by workload when one is named, falling
+// back to the source stream for unattributed incidents (boot, pon).
 func incidentKey(i Incident) string {
 	if i.Workload != "" {
 		return i.Workload
@@ -120,28 +105,17 @@ func incidentKey(i Incident) string {
 }
 
 // Subscribe registers a handler on the platform's event spine for the
-// given topics (nil = every topic). Handlers run on spine shard
-// goroutines — see events.BatchHandler for the contract. Returns
+// given topics (nil = every topic). Handlers run on the spine's delivery
+// goroutine — see events.BatchHandler for the contract. Returns
 // events.ErrClosed after Close.
 func (p *Platform) Subscribe(name string, topics []events.Topic, h events.BatchHandler) (*events.Subscription, error) {
 	return p.spine.Subscribe(name, topics, h)
 }
 
 // Metrics snapshots the spine's per-topic accounting: published,
-// delivered, dropped (backpressure), and filtered (middleware) counts.
+// delivered, and the always-zero dropped counts.
 func (p *Platform) Metrics() events.Stats {
 	return p.spine.Stats()
-}
-
-// EventPolicy reports the spine's default backpressure policy.
-func (p *Platform) EventPolicy() events.Policy {
-	return p.spine.Policy()
-}
-
-// EventPolicyFor reports the backpressure policy governing one topic.
-// The incident topic always reports Block (see newSpine).
-func (p *Platform) EventPolicyFor(t events.Topic) events.Policy {
-	return p.spine.PolicyFor(t)
 }
 
 // PublishEvent publishes onto the platform spine, stamping AtMs from the
@@ -157,11 +131,10 @@ func (p *Platform) PublishEvent(e events.Event) error {
 	return p.PublishEventContext(context.Background(), e)
 }
 
-// PublishEventContext is PublishEvent with bounded waiting: under the
-// Block backpressure policy a full shard queue stalls the publisher, and
-// a done ctx abandons the wait with the context error instead (the event
-// is not published). Incident-topic events keep the never-lost record
-// path and ignore ctx once accepted.
+// PublishEventContext is PublishEvent with bounded waiting: a full spine
+// queue stalls the publisher, and a done ctx abandons the wait with the
+// context error instead (the event is not published). Incident-topic
+// events keep the never-lost record path and ignore ctx once accepted.
 func (p *Platform) PublishEventContext(ctx context.Context, e events.Event) error {
 	if e.Topic == events.TopicIncident {
 		inc, ok := e.Payload.(Incident)

@@ -63,6 +63,9 @@ func (p *Platform) DeployFarEdge(subject, nodeName, serial string, spec orchestr
 	if !active {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNoONU, serial, nodeName)
 	}
+	if err := spec.CheckDemand(); err != nil {
+		return nil, err
+	}
 
 	if p.Config.RBACEnabled && p.RBAC != nil {
 		d := p.RBAC.Check(subject, rbac.Permission{Verb: "create", Resource: "workloads", Namespace: spec.Tenant})

@@ -80,6 +80,27 @@ func TestFarEdgeCapacityEnforced(t *testing.T) {
 	}
 }
 
+// TestFarEdgeNegativeDemandRejected: a negative demand must not mint ONU
+// capacity — after the refusal the ONU still holds exactly 1000m.
+func TestFarEdgeNegativeDemandRejected(t *testing.T) {
+	p := farEdgePlatform(t)
+	neg := farEdgeSpec("neg")
+	neg.Resources = orchestrator.Resources{CPUMilli: -100000, MemoryMB: -100000}
+	_, err := p.DeployFarEdge("acme-ci", "olt-01", "onu-0001", neg)
+	var derr *orchestrator.InvalidDemandError
+	if !errors.As(err, &derr) || !errors.Is(err, orchestrator.ErrRejected) {
+		t.Fatalf("err = %v, want *InvalidDemandError under ErrRejected", err)
+	}
+	if got := len(p.FarEdgeWorkloads("olt-01", "onu-0001")); got != 0 {
+		t.Fatalf("ONU runs %d workloads after the rejection", got)
+	}
+	big := farEdgeSpec("big")
+	big.Resources = orchestrator.Resources{CPUMilli: 1001, MemoryMB: 1}
+	if _, err := p.DeployFarEdge("acme-ci", "olt-01", "onu-0001", big); !errors.Is(err, ErrFarEdgeCapacity) {
+		t.Fatalf("err = %v, want ErrFarEdgeCapacity (the negative demand minted capacity)", err)
+	}
+}
+
 func TestFarEdgeAdmissionStillScans(t *testing.T) {
 	p := farEdgePlatform(t)
 	// The malicious image is signed by a trusted publisher (insider

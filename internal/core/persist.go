@@ -265,7 +265,6 @@ func (p *Platform) closeStore(snapshot bool) {
 // campaign and the crash-recovery tests reopen the same directory and
 // must rebuild the platform from that log alone.
 func (p *Platform) Crash() {
-	p.closed.Store(true)
-	p.spine.Close()
+	p.closeSpine()
 	p.closeStore(false)
 }

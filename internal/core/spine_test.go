@@ -154,34 +154,8 @@ func TestPublishEventIncidentRoutesThroughLog(t *testing.T) {
 	}
 }
 
-// TestIncidentTopicPinnedToBlock: a Drop-default platform still never
-// loses an incident.
-func TestIncidentTopicPinnedToBlock(t *testing.T) {
-	cfg := LegacyConfig()
-	cfg.EventBackpressure = events.Drop
-	cfg.EventShards = 1
-	cfg.EventQueueCapacity = 2
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := p.EventPolicyFor(events.TopicIncident); got != events.Block {
-		t.Fatalf("incident policy = %v, want block", got)
-	}
-	if got := p.EventPolicyFor(events.TopicMetric); got != events.Drop {
-		t.Fatalf("metric policy = %v, want drop", got)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		p.RecordIncident(Incident{Source: "pinned", Workload: "w", Detail: "x"})
-	}
-	if got := p.IncidentCounts()["pinned"]; got != n {
-		t.Fatalf("incidents = %d, want %d (drop-default platform lost incidents)", got, n)
-	}
-}
-
-// TestMetricsAccounting: the per-topic ledger balances after Flush.
+// TestMetricsAccounting: the per-topic ledger balances after Flush, and
+// a burst the size of the spine's queue loses no incident.
 func TestMetricsAccounting(t *testing.T) {
 	p, err := New(LegacyConfig())
 	if err != nil {
@@ -196,7 +170,14 @@ func TestMetricsAccounting(t *testing.T) {
 	if st.Published != 30 || st.Delivered != 30 || st.Dropped != 0 {
 		t.Fatalf("incident topic stats = %+v, want 30/30/0", st)
 	}
-	if p.EventPolicy() != events.Block {
-		t.Fatalf("default policy = %v, want block", p.EventPolicy())
+	const n = 1000
+	for i := 0; i < n; i++ {
+		p.RecordIncident(Incident{Source: "burst", Workload: "w", Detail: "x"})
+	}
+	if got := p.IncidentCounts()["burst"]; got != n {
+		t.Fatalf("incidents = %d, want %d (the log lost incidents)", got, n)
+	}
+	if st := p.Metrics()[events.TopicIncident]; st.Published != 30+n || st.Delivered != 30+n || st.Dropped != 0 {
+		t.Fatalf("incident topic stats after the burst = %+v, want %d/%d/0", st, 30+n, 30+n)
 	}
 }

@@ -1,8 +1,8 @@
 package events
 
-// Context-aware spine surface: PublishContext bounds Block-policy
-// backpressure waits, FlushContext bounds flush waits; neither may wedge
-// a shard or lose accounting.
+// Context-aware spine surface: PublishContext bounds backpressure
+// waits, FlushContext bounds flush waits; neither may wedge the queue or
+// lose accounting.
 
 import (
 	"context"
@@ -11,14 +11,14 @@ import (
 	"time"
 )
 
-// blockedSpine builds a one-shard, capacity-one spine whose single
+// blockedSpine builds a capacity-one spine whose single
 // subscriber blocks until release is closed, then fills the pipeline:
 // one event held inside the handler, one sitting in the queue.
 func blockedSpine(t *testing.T) (s *Spine, release chan struct{}) {
 	t.Helper()
 	release = make(chan struct{})
 	entered := make(chan struct{}, 16)
-	s = NewSpine(WithShards(1), WithQueueCapacity(1))
+	s = newSpine(1)
 	if _, err := s.Subscribe("slow", nil, func(batch []Event) {
 		entered <- struct{}{}
 		<-release

@@ -1,24 +1,18 @@
-// Package events is GENIO's unified telemetry backbone: one generic,
-// sharded pub/sub spine carrying every security-relevant stream the
-// platform produces — incidents, falco alerts, control-plane audit
-// records, and metrics — instead of one bespoke channel per subsystem.
+// Package events is GENIO's unified telemetry backbone: one generic
+// pub/sub spine carrying every security-relevant stream the platform
+// produces — incidents, falco alerts, control-plane audit records, and
+// metrics — instead of one bespoke channel per subsystem.
 //
-// Events are published onto typed topics and hash-sharded by key
-// (tenant, node, or workload) across N bounded queues, so producers on
-// different keys never contend and events sharing a key keep their
-// publish order. Each shard is drained by one goroutine that delivers in
-// batches to every matching subscriber. Backpressure is an explicit
-// policy: Block (a full shard queue stalls the producer; nothing is ever
-// lost — the incident-log contract) or Drop (a full queue rejects the
-// event and counts it, for lossy streams like metrics). Flush gives
-// read-your-writes across goroutines; Close drains and stops every
-// shard, blocking all callers until done.
+// Events are published onto typed topics into one bounded queue, drained
+// by one goroutine that delivers in batches to every matching
+// subscriber: delivery is in publish order across all topics and keys,
+// and handlers never run concurrently with each other. A full queue
+// stalls the producer; nothing is ever lost — the incident-log contract.
+// Flush gives read-your-writes across goroutines; Close drains and
+// stops the spine, blocking all callers until done.
 package events
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Topic names one event stream. The built-in taxonomy below covers the
 // platform's streams; subsystems may publish additional topics freely —
@@ -44,14 +38,14 @@ const (
 	TopicMetric Topic = "metric"
 	// TopicDeployLifecycle carries core.LifecycleEvent payloads: the
 	// state transitions of asynchronous deployments (pending -> scanning
-	// -> placing -> running | rejected | cancelled), keyed by workload so
-	// per-deployment transition order is preserved. Platform.Watch is a
-	// filtered consumer of this topic.
+	// -> placing -> running | rejected | cancelled), keyed by workload and
+	// delivered in transition order. Platform.Watch is a filtered
+	// consumer of this topic.
 	TopicDeployLifecycle Topic = "deploy.lifecycle"
 	// TopicNodeDrain carries orchestrator.DrainEvent payloads: the
 	// observable steps of a node drain (cordoned -> migrated* ->
-	// completed | cancelled | failed), keyed by node so per-drain order
-	// is preserved.
+	// completed | cancelled | failed), keyed by node and delivered in
+	// step order.
 	TopicNodeDrain Topic = "node.drain"
 )
 
@@ -63,9 +57,8 @@ func BuiltinTopics() []Topic {
 // Event is one published record.
 type Event struct {
 	Topic Topic `json:"topic"`
-	// Key is the shard key — tenant, node, or workload. Events sharing a
-	// non-empty key are delivered in publish order; the empty key shards
-	// to a fixed queue.
+	// Key is the subject label subscribers read — tenant, node, or
+	// workload. It does not route: every event shares one ordered queue.
 	Key string `json:"key,omitempty"`
 	// AtMs is the platform-clock time of the event (zero without a
 	// clock).
@@ -82,65 +75,32 @@ type Metric struct {
 	Label string `json:"label,omitempty"`
 }
 
-// Policy selects what a publisher experiences when a shard queue is full.
-type Policy int
-
-// Backpressure policies.
-const (
-	// Block stalls the publisher until the shard drains: nothing is ever
-	// lost. This is the default and the contract the incident log keeps.
-	Block Policy = iota
-	// Drop rejects the event when the shard queue is full and counts it
-	// in TopicStats.Dropped — for lossy streams where producer latency
-	// matters more than completeness.
-	Drop
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case Drop:
-		return "drop"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// BatchHandler receives delivered events. Handlers are invoked
-// concurrently from shard goroutines and must be safe for concurrent
-// use; the batch slice is only valid for the duration of the call (copy
-// events that must be retained). A handler must not block indefinitely:
-// under the Block policy a stalled handler eventually stalls publishers
-// on that shard.
+// BatchHandler receives delivered events, in publish order. Handlers
+// run on the spine's single delivery goroutine, never concurrently with
+// each other; the batch slice is only valid for the duration of the call
+// (copy events that must be retained). A handler must not block
+// indefinitely: a stalled handler stalls every other subscriber and,
+// once the queue fills, every publisher.
 //
 // Handlers MUST NOT call back into the spine's synchronization points —
 // Flush, Close, or (on the platform) Incidents()/IncidentCounts()/
 // Metrics-after-Flush, which flush internally. The handler runs on the
-// shard drainer, so a Flush from inside it waits on a token the drainer
-// itself must ack: a guaranteed self-deadlock that, under Block, wedges
-// every publisher hashing to the shard. Handlers may Publish (to other
-// topics/keys) at their own risk of backpressure; the safe pattern is
-// to accumulate state and let outside readers flush.
+// drainer, so a Flush from inside it waits on a token the drainer itself
+// must ack: a guaranteed self-deadlock that wedges every publisher. For
+// the same reason a handler that publishes deadlocks when the queue is
+// full; the safe pattern is to accumulate state and let outside readers
+// flush.
 type BatchHandler func(batch []Event)
 
-// Middleware inspects (and may mutate) an event at publish time, before
-// it is enqueued. Returning false filters the event out; filtered events
-// are counted per topic and never published. Middleware runs on the
-// publisher's goroutine.
-type Middleware func(e *Event) bool
-
 // TopicStats is the per-topic accounting ledger. After Flush with no
-// concurrent publishers, Delivered == Published exactly; Dropped counts
-// backpressure rejections (Drop policy only) and Filtered counts
-// middleware suppressions. Published + Dropped + Filtered equals the
-// number of Publish calls for the topic.
+// concurrent publishers, Delivered == Published exactly, and Published
+// equals the number of successful Publish calls for the topic. Dropped
+// is always zero — Publish blocks, it never drops — and stays only
+// because the wire ledger and the benchmark read the column.
 type TopicStats struct {
 	Published uint64 `json:"published"`
 	Delivered uint64 `json:"delivered"`
 	Dropped   uint64 `json:"dropped"`
-	Filtered  uint64 `json:"filtered"`
 }
 
 // Stats maps topics to their counters.

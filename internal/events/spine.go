@@ -1,93 +1,35 @@
 package events
 
-// The spine: N hash-sharded bounded queues, one drainer goroutine per
-// shard, per-subscriber fan-out with batch delivery. The lifecycle
-// mirrors (and subsumes) the old core incident bus: Flush is a token
-// pushed through every shard — when it pops out, everything enqueued
-// before it has been delivered to every subscriber; Close flips a flag
-// under a write lock (so no publisher can send on a closed channel),
-// closes the shard channels, and every concurrent caller blocks until
-// the drain completes.
+// The spine: one bounded queue, one drainer goroutine, per-subscriber
+// fan-out with batch delivery. Flush is a token pushed through the
+// queue — when it pops out, everything enqueued before it has been
+// delivered to every subscriber; Close flips a flag under a write lock
+// (so no publisher can send on a closed channel), closes the queue, and
+// every concurrent caller blocks until the drain completes.
 
 import (
 	"context"
 	"errors"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
-// Defaults. Eight shards keep key-space contention low without spawning
-// a goroutine herd on small hosts; capacity matches the old incident
-// bus's buffer; batches bound subscriber-call overhead, not latency —
-// a drainer never waits to fill one.
+// queueCapacity bounds the events waiting for delivery before Publish
+// blocks; batchSize bounds subscriber-call overhead, not latency — the
+// drainer never waits to fill a batch.
 const (
-	DefaultShards        = 8
-	DefaultQueueCapacity = 1024
-	DefaultBatchSize     = 64
+	queueCapacity = 1024
+	batchSize     = 64
 )
 
 // ErrClosed is returned by Publish and Subscribe after Close.
 var ErrClosed = errors.New("events: spine closed")
 
-// Option configures a Spine at construction.
-type Option func(*Spine)
-
-// WithShards sets the shard count (values < 1 keep the default).
-func WithShards(n int) Option {
-	return func(s *Spine) {
-		if n >= 1 {
-			s.nshards = n
-		}
-	}
-}
-
-// WithQueueCapacity sets the per-shard queue capacity (values < 1 keep
-// the default).
-func WithQueueCapacity(n int) Option {
-	return func(s *Spine) {
-		if n >= 1 {
-			s.capacity = n
-		}
-	}
-}
-
-// WithBatchSize caps the events handed to a subscriber per call (values
-// < 1 keep the default).
-func WithBatchSize(n int) Option {
-	return func(s *Spine) {
-		if n >= 1 {
-			s.batchSize = n
-		}
-	}
-}
-
-// WithPolicy sets the default backpressure policy (Block unless set).
-func WithPolicy(p Policy) Option {
-	return func(s *Spine) { s.policy = p }
-}
-
-// WithTopicPolicy overrides the backpressure policy for one topic —
-// e.g. a spine that drops lossy metrics under load while incidents stay
-// on the never-lose Block contract.
-func WithTopicPolicy(t Topic, p Policy) Option {
-	return func(s *Spine) {
-		if s.topicPolicy == nil {
-			s.topicPolicy = make(map[Topic]Policy)
-		}
-		s.topicPolicy[t] = p
-	}
-}
-
-type shardMsg struct {
+type queueMsg struct {
 	ev Event
 	// flush, when non-nil, is a synchronization token: the drainer
 	// delivers everything queued ahead of it, then closes it.
 	flush chan struct{}
-}
-
-type shard struct {
-	ch chan shardMsg
 }
 
 // Subscription is one registered subscriber; Cancel detaches it.
@@ -110,33 +52,24 @@ func (s *Subscription) Cancel() {
 }
 
 type topicCounters struct {
-	published, delivered, dropped, filtered atomic.Uint64
+	published, delivered atomic.Uint64
 }
 
-// Spine is the sharded pub/sub backbone. Safe for concurrent use.
+// Spine is the pub/sub backbone. Safe for concurrent use.
 type Spine struct {
-	nshards     int
-	capacity    int
-	batchSize   int
-	policy      Policy
-	topicPolicy map[Topic]Policy // per-topic overrides; read-only after NewSpine
-
-	// stateMu guards closed so no producer can send on a closed shard
-	// channel; publishers and flushers share it, Close takes it
-	// exclusively.
+	// stateMu guards closed so no producer can send on a closed queue;
+	// publishers and flushers share it, Close takes it exclusively.
 	stateMu sync.RWMutex
 	closed  bool
 
-	shards []shard
-	wg     sync.WaitGroup
-	seed   maphash.Seed
+	queue   chan queueMsg
+	drained chan struct{} // closed when the drainer has exited
 
-	// regMu serializes writers of the subscriber list and middleware
-	// registry; both are published as copy-on-write snapshots through
-	// atomic pointers so the publish/deliver hot paths read lock-free.
-	regMu sync.RWMutex
+	// regMu serializes writers of the subscriber list, which is
+	// published as a copy-on-write snapshot through an atomic pointer so
+	// the publish/deliver hot paths read lock-free.
+	regMu sync.Mutex
 	subs  atomic.Pointer[[]*Subscription]
-	mws   atomic.Pointer[map[Topic][]Middleware]
 
 	// cmu serializes growth of the per-topic counter map; reads go
 	// through the atomic snapshot. The four built-in topics are
@@ -147,43 +80,24 @@ type Spine struct {
 }
 
 // NewSpine builds and starts a spine.
-func NewSpine(opts ...Option) *Spine {
+func NewSpine() *Spine { return newSpine(queueCapacity) }
+
+// newSpine is NewSpine with a chosen queue capacity, so in-package tests
+// can reach backpressure with a handful of events.
+func newSpine(capacity int) *Spine {
 	s := &Spine{
-		nshards:   DefaultShards,
-		capacity:  DefaultQueueCapacity,
-		batchSize: DefaultBatchSize,
-		seed:      maphash.MakeSeed(),
-	}
-	for _, opt := range opts {
-		opt(s)
+		queue:   make(chan queueMsg, capacity),
+		drained: make(chan struct{}),
 	}
 	subs := []*Subscription{}
 	s.subs.Store(&subs)
-	mws := map[Topic][]Middleware{}
-	s.mws.Store(&mws)
 	counters := make(map[Topic]*topicCounters, 4)
 	for _, t := range BuiltinTopics() {
 		counters[t] = &topicCounters{}
 	}
 	s.counters.Store(&counters)
-	s.shards = make([]shard, s.nshards)
-	for i := range s.shards {
-		s.shards[i] = shard{ch: make(chan shardMsg, s.capacity)}
-		s.wg.Add(1)
-		go s.runShard(&s.shards[i])
-	}
+	go s.run()
 	return s
-}
-
-// Policy returns the spine's default backpressure policy.
-func (s *Spine) Policy() Policy { return s.policy }
-
-// PolicyFor returns the backpressure policy governing one topic.
-func (s *Spine) PolicyFor(t Topic) Policy {
-	if p, ok := s.topicPolicy[t]; ok {
-		return p
-	}
-	return s.policy
 }
 
 // counter resolves a topic's counters lock-free; the built-in topics are
@@ -209,30 +123,9 @@ func (s *Spine) counter(t Topic) *topicCounters {
 	return c
 }
 
-func (s *Spine) shardFor(key string) *shard {
-	if len(s.shards) == 1 {
-		return &s.shards[0]
-	}
-	return &s.shards[maphash.String(s.seed, key)%uint64(len(s.shards))]
-}
-
-// Use registers middleware on a topic, applied in registration order at
-// publish time. Register middleware during wiring, before traffic.
-func (s *Spine) Use(t Topic, mw Middleware) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	cur := *s.mws.Load()
-	next := make(map[Topic][]Middleware, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[t] = append(append([]Middleware(nil), cur[t]...), mw)
-	s.mws.Store(&next)
-}
-
 // Subscribe registers a handler for the given topics (nil or empty =
 // every topic) and returns the subscription handle. The handler is
-// called from shard goroutines — see BatchHandler for the contract.
+// called from the delivery goroutine — see BatchHandler for the contract.
 func (s *Spine) Subscribe(name string, topics []Topic, h BatchHandler) (*Subscription, error) {
 	// Hold the state lock across registration so a racing Close cannot
 	// complete between the closed check and the registry update — a
@@ -291,20 +184,17 @@ func (s *Spine) unsubscribe(sub *Subscription) {
 	s.subs.Store(&subs)
 }
 
-// Publish routes an event through the topic's middleware and enqueues it
-// on its key's shard. Under Block it waits for queue space; under Drop a
-// full queue rejects the event (counted, nil error). After Close it
-// returns ErrClosed.
+// Publish enqueues an event, waiting for queue space when the queue is
+// full: nothing is ever dropped. After Close it returns ErrClosed.
 func (s *Spine) Publish(e Event) error {
 	return s.publish(nil, e)
 }
 
-// PublishContext is Publish with bounded waiting: under the Block policy
-// a full shard queue normally stalls the producer indefinitely, but here
-// a done ctx abandons the attempt and returns the context error — the
-// event is neither published nor counted (the caller still owns it).
-// Under Drop the context is only consulted up front, since a full queue
-// rejects immediately. After Close it returns ErrClosed.
+// PublishContext is Publish with bounded waiting: a full queue normally
+// stalls the producer indefinitely, but here a done ctx abandons the
+// attempt and returns the context error — the event is neither published
+// nor counted (the caller still owns it). After Close it returns
+// ErrClosed.
 func (s *Spine) PublishContext(ctx context.Context, e Event) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -318,49 +208,23 @@ func (s *Spine) PublishContext(ctx context.Context, e Event) error {
 func (s *Spine) publish(ctx context.Context, e Event) error {
 	c := s.counter(e.Topic)
 	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
 	if s.closed {
-		s.stateMu.RUnlock()
 		return ErrClosed
-	}
-	// Middleware runs after the closed check (a closed spine must
-	// return ErrClosed before any filter charges its budget) and under
-	// the state read-lock, so a concurrent Close waits for in-flight
-	// filters. Middleware is wiring-time-registered and fast by
-	// contract.
-	if mws := (*s.mws.Load())[e.Topic]; mws != nil {
-		for _, mw := range mws {
-			if !mw(&e) {
-				s.stateMu.RUnlock()
-				c.filtered.Add(1)
-				return nil
-			}
-		}
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	sh := s.shardFor(e.Key)
-	switch {
-	case s.PolicyFor(e.Topic) == Drop:
+	if done == nil {
+		s.queue <- queueMsg{ev: e}
+	} else {
 		select {
-		case sh.ch <- shardMsg{ev: e}:
-		default:
-			s.stateMu.RUnlock()
-			c.dropped.Add(1)
-			return nil
-		}
-	case done == nil:
-		sh.ch <- shardMsg{ev: e}
-	default:
-		select {
-		case sh.ch <- shardMsg{ev: e}:
+		case s.queue <- queueMsg{ev: e}:
 		case <-done:
-			s.stateMu.RUnlock()
 			return ctx.Err()
 		}
 	}
-	s.stateMu.RUnlock()
 	c.published.Add(1)
 	return nil
 }
@@ -369,69 +233,47 @@ func (s *Spine) publish(ctx context.Context, e Event) error {
 // delivered to every subscriber. A no-op after Close (Close already
 // drained).
 func (s *Spine) Flush() {
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return
-	}
-	tokens := make([]chan struct{}, len(s.shards))
-	for i := range s.shards {
-		tokens[i] = make(chan struct{})
-		s.shards[i].ch <- shardMsg{flush: tokens[i]}
-	}
-	s.stateMu.RUnlock()
-	for _, t := range tokens {
-		<-t
-	}
+	_ = s.FlushContext(context.Background())
 }
 
 // FlushContext is Flush with bounded waiting: a done ctx abandons the
-// wait and returns the context error. Tokens already pushed keep flowing
-// (their acknowledgements are simply discarded), so an abandoned flush
-// never wedges a shard. A nil return means every event published before
-// the call was delivered.
+// wait and returns the context error. A token already pushed keeps
+// flowing (its acknowledgement is simply discarded), so an abandoned
+// flush never wedges the queue. A nil return means every event published
+// before the call was delivered.
 func (s *Spine) FlushContext(ctx context.Context) error {
 	s.stateMu.RLock()
 	if s.closed {
 		s.stateMu.RUnlock()
 		return nil
 	}
-	done := ctx.Done()
-	tokens := make([]chan struct{}, 0, len(s.shards))
-	for i := range s.shards {
-		t := make(chan struct{})
-		select {
-		case s.shards[i].ch <- shardMsg{flush: t}:
-			tokens = append(tokens, t)
-		case <-done:
-			s.stateMu.RUnlock()
-			return ctx.Err()
-		}
+	token := make(chan struct{})
+	select {
+	case s.queue <- queueMsg{flush: token}:
+	case <-ctx.Done():
+		s.stateMu.RUnlock()
+		return ctx.Err()
 	}
 	s.stateMu.RUnlock()
-	for _, t := range tokens {
-		select {
-		case <-t:
-		case <-done:
-			return ctx.Err()
-		}
+	select {
+	case <-token:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return nil
 }
 
-// Close drains every shard and stops the drainer goroutines. Idempotent
-// and safe to call concurrently: every caller — not just the one that
-// flips the flag — blocks until the drain completes.
+// Close drains the queue and stops the drainer goroutine. Idempotent and
+// safe to call concurrently: every caller — not just the one that flips
+// the flag — blocks until the drain completes.
 func (s *Spine) Close() {
 	s.stateMu.Lock()
 	if !s.closed {
 		s.closed = true
-		for i := range s.shards {
-			close(s.shards[i].ch)
-		}
+		close(s.queue)
 	}
 	s.stateMu.Unlock()
-	s.wg.Wait()
+	<-s.drained
 }
 
 // Stats snapshots the per-topic counters.
@@ -442,53 +284,32 @@ func (s *Spine) Stats() Stats {
 		out[t] = TopicStats{
 			Published: c.published.Load(),
 			Delivered: c.delivered.Load(),
-			Dropped:   c.dropped.Load(),
-			Filtered:  c.filtered.Load(),
 		}
 	}
 	return out
 }
 
-// runShard drains one queue: it accumulates a batch opportunistically
-// (never waiting to fill one), delivers it to every matching subscriber,
-// and acks flush tokens only after everything ahead of them is out.
-func (s *Spine) runShard(sh *shard) {
-	defer s.wg.Done()
-	batch := make([]Event, 0, s.batchSize)
-	for {
-		m, ok := <-sh.ch
-		if !ok {
-			s.deliver(batch)
-			return
-		}
-		if m.flush != nil {
-			s.deliver(batch)
-			batch = batch[:0]
-			close(m.flush)
-			continue
-		}
-		batch = append(batch, m.ev)
-	drain:
-		for len(batch) < s.batchSize {
-			select {
-			case m2, ok2 := <-sh.ch:
-				if !ok2 {
-					s.deliver(batch)
-					return
-				}
-				if m2.flush != nil {
-					s.deliver(batch)
-					batch = batch[:0]
-					close(m2.flush)
-					continue drain
-				}
-				batch = append(batch, m2.ev)
-			default:
-				break drain
+// run drains the queue: it accumulates a batch opportunistically (never
+// waiting to fill one — it is the only receiver, so an empty queue means
+// nothing more is ready), delivers it to every matching subscriber, and
+// acks a flush token only after everything ahead of it is out. Every
+// event is delivered before the loop ends: the last one always sees an
+// empty queue.
+func (s *Spine) run() {
+	defer close(s.drained)
+	batch := make([]Event, 0, batchSize)
+	for m := range s.queue {
+		if m.flush == nil {
+			batch = append(batch, m.ev)
+			if len(batch) < batchSize && len(s.queue) > 0 {
+				continue
 			}
 		}
 		s.deliver(batch)
 		batch = batch[:0]
+		if m.flush != nil {
+			close(m.flush)
+		}
 	}
 }
 

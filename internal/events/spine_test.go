@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,61 +80,101 @@ func TestTopicFiltering(t *testing.T) {
 	}
 }
 
-// TestPerKeyOrdering: events sharing a key are delivered in publish
-// order, whatever the shard count or batching does.
+// TestPerKeyOrdering: one queue means one total order. Concurrent
+// publishers each see their own sequence delivered in publish order, and
+// a sequential publisher mixing topics and keys sees exactly the order it
+// published — across topics and keys, whatever batching does.
 func TestPerKeyOrdering(t *testing.T) {
-	s := NewSpine(WithShards(4), WithBatchSize(3))
+	s := newSpine(8)
 	defer s.Close()
 	c := &collector{}
 	if _, err := s.Subscribe("c", nil, c.handle); err != nil {
 		t.Fatal(err)
 	}
-	const perKey = 200
-	keys := []string{"tenant-a", "tenant-b", "tenant-c"}
+	type stamp struct{ pub, seq int }
+	const publishers, perPublisher = 4, 200
+	topics := BuiltinTopics()
 	var wg sync.WaitGroup
-	for _, k := range keys {
-		k := k
+	for g := 0; g < publishers; g++ {
+		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perKey; i++ {
-				s.Publish(Event{Topic: TopicMetric, Key: k, Payload: i})
+			for i := 0; i < perPublisher; i++ {
+				s.Publish(Event{Topic: topics[(g+i)%len(topics)], Key: fmt.Sprintf("k%d", i%7), Payload: stamp{g, i}})
+			}
+		}()
+	}
+	wg.Wait()
+	// The sequential publisher: pub -1, after everyone else is enqueued.
+	for i := 0; i < perPublisher; i++ {
+		s.Publish(Event{Topic: topics[i%len(topics)], Key: fmt.Sprintf("k%d", i%5), Payload: stamp{-1, i}})
+	}
+	s.Flush()
+	evs := c.events()
+	if len(evs) != (publishers+1)*perPublisher {
+		t.Fatalf("delivered %d events, want %d", len(evs), (publishers+1)*perPublisher)
+	}
+	next := map[int]int{}
+	for i, e := range evs {
+		st := e.Payload.(stamp)
+		if st.seq != next[st.pub] {
+			t.Fatalf("publisher %d: event %d arrived when %d was expected (order broken)", st.pub, st.seq, next[st.pub])
+		}
+		next[st.pub]++
+		// Everything the sequential publisher sent was published after
+		// every concurrent event, so it must be the tail of the log.
+		if want := i >= publishers*perPublisher; (st.pub == -1) != want {
+			t.Fatalf("event %d of the log is from publisher %d: sequential tail interleaved with earlier publishes", i, st.pub)
+		}
+	}
+}
+
+// TestHandlersNeverOverlap: every handler runs on the one delivery
+// goroutine, so two subscribers are never inside their handlers at the
+// same time (run under -race: the unsynchronized counter is the proof).
+func TestHandlersNeverOverlap(t *testing.T) {
+	s := newSpine(8)
+	defer s.Close()
+	var inside atomic.Int32
+	calls := 0 // written by both handlers with no lock
+	handler := func([]Event) {
+		if n := inside.Add(1); n != 1 {
+			t.Errorf("%d handlers running at once", n)
+		}
+		calls++
+		runtime.Gosched()
+		inside.Add(-1)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := s.Subscribe(name, nil, handler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Publish(Event{Topic: TopicMetric, Key: fmt.Sprintf("g%d", g)})
 			}
 		}()
 	}
 	wg.Wait()
 	s.Flush()
-	seen := map[string]int{}
-	for _, e := range c.events() {
-		want := seen[e.Key]
-		if got := e.Payload.(int); got != want {
-			t.Fatalf("key %s: event %d arrived when %d was expected (order broken)", e.Key, got, want)
-		}
-		seen[e.Key]++
-	}
-	for _, k := range keys {
-		if seen[k] != perKey {
-			t.Fatalf("key %s: %d events, want %d", k, seen[k], perKey)
-		}
+	if calls == 0 || calls%2 != 0 {
+		t.Fatalf("handlers ran %d times, want a positive even count (two subscribers per batch)", calls)
 	}
 }
 
 func TestPublishAfterCloseErrors(t *testing.T) {
 	s := NewSpine()
-	// A filtering middleware must not run (or charge its budget) on a
-	// closed spine — ErrClosed wins over filtering.
-	mwCalls := 0
-	s.Use(TopicIncident, func(*Event) bool { mwCalls++; return false })
 	s.Publish(Event{Topic: TopicIncident, Key: "a"})
-	if mwCalls != 1 {
-		t.Fatalf("middleware calls before close = %d, want 1", mwCalls)
-	}
 	s.Close()
 	if err := s.Publish(Event{Topic: TopicIncident, Key: "a"}); err != ErrClosed {
 		t.Fatalf("publish after close: err = %v, want ErrClosed", err)
-	}
-	if mwCalls != 1 {
-		t.Fatalf("middleware ran on a closed spine (%d calls)", mwCalls)
 	}
 	if _, err := s.Subscribe("late", nil, func([]Event) {}); err != ErrClosed {
 		t.Fatalf("subscribe after close: err = %v, want ErrClosed", err)
@@ -145,7 +186,7 @@ func TestPublishAfterCloseErrors(t *testing.T) {
 // TestCloseDrainsForEveryCaller: all concurrent Close calls block until
 // the queued backlog has been delivered.
 func TestCloseDrainsForEveryCaller(t *testing.T) {
-	s := NewSpine(WithShards(2))
+	s := NewSpine()
 	var delivered atomic.Int64
 	if _, err := s.Subscribe("count", nil, func(b []Event) {
 		delivered.Add(int64(len(b)))
@@ -170,42 +211,8 @@ func TestCloseDrainsForEveryCaller(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDropPolicyCountsExactly(t *testing.T) {
-	s := NewSpine(WithShards(1), WithQueueCapacity(4), WithPolicy(Drop))
-	// A slow subscriber guarantees queue pressure.
-	gate := make(chan struct{})
-	var delivered atomic.Int64
-	if _, err := s.Subscribe("slow", nil, func(b []Event) {
-		<-gate
-		delivered.Add(int64(len(b)))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := s.Publish(Event{Topic: TopicMetric, Key: "hot"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(gate)
-	s.Flush()
-	st := s.Stats()[TopicMetric]
-	if st.Dropped == 0 {
-		t.Fatal("full queue with a stalled consumer dropped nothing")
-	}
-	if st.Published+st.Dropped != n {
-		t.Fatalf("published %d + dropped %d != %d offered", st.Published, st.Dropped, n)
-	}
-	if st.Delivered != st.Published {
-		t.Fatalf("delivered %d != published %d after flush", st.Delivered, st.Published)
-	}
-	if got := delivered.Load(); uint64(got) != st.Delivered {
-		t.Fatalf("subscriber saw %d, stats say %d", got, st.Delivered)
-	}
-}
-
 func TestBlockPolicyLosesNothing(t *testing.T) {
-	s := NewSpine(WithShards(2), WithQueueCapacity(2))
+	s := newSpine(2)
 	defer s.Close()
 	var delivered atomic.Int64
 	if _, err := s.Subscribe("count", nil, func(b []Event) {
@@ -237,72 +244,6 @@ func TestBlockPolicyLosesNothing(t *testing.T) {
 	}
 }
 
-// TestTopicPolicyOverride: a Drop-default spine with one topic pinned to
-// Block drops only on the lossy topics; the pinned topic never loses an
-// event even with a deliberately stalled consumer.
-func TestTopicPolicyOverride(t *testing.T) {
-	s := NewSpine(WithShards(1), WithQueueCapacity(2), WithPolicy(Drop),
-		WithTopicPolicy(TopicIncident, Block))
-	if got := s.PolicyFor(TopicIncident); got != Block {
-		t.Fatalf("incident policy = %v, want block", got)
-	}
-	if got := s.PolicyFor(TopicMetric); got != Drop {
-		t.Fatalf("metric policy = %v, want drop (default)", got)
-	}
-	var delivered atomic.Int64
-	if _, err := s.Subscribe("count", []Topic{TopicIncident}, func(b []Event) {
-		delivered.Add(int64(len(b)))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 500
-	done := make(chan struct{})
-	go func() { // a flood of droppable metrics competes for the same shard
-		for i := 0; i < n; i++ {
-			s.Publish(Event{Topic: TopicMetric, Key: "k"})
-		}
-		close(done)
-	}()
-	for i := 0; i < n; i++ {
-		if err := s.Publish(Event{Topic: TopicIncident, Key: "k"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
-	s.Flush()
-	if st := s.Stats()[TopicIncident]; st.Dropped != 0 || st.Published != n {
-		t.Fatalf("pinned topic stats = %+v, want %d published, 0 dropped", st, n)
-	}
-	if got := delivered.Load(); got != n {
-		t.Fatalf("delivered %d incidents, want %d", got, n)
-	}
-	s.Close()
-}
-
-func TestMiddlewareFilters(t *testing.T) {
-	s := NewSpine()
-	defer s.Close()
-	s.Use(TopicMetric, func(e *Event) bool {
-		m, ok := e.Payload.(Metric)
-		return !ok || m.Value >= 0 // negative gauges filtered
-	})
-	c := &collector{}
-	if _, err := s.Subscribe("c", []Topic{TopicMetric}, c.handle); err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(Event{Topic: TopicMetric, Payload: Metric{Name: "a", Value: 1}})
-	s.Publish(Event{Topic: TopicMetric, Payload: Metric{Name: "b", Value: -1}})
-	s.Publish(Event{Topic: TopicMetric, Payload: Metric{Name: "c", Value: 2}})
-	s.Flush()
-	if c.len() != 2 {
-		t.Fatalf("delivered %d, want 2 (one filtered)", c.len())
-	}
-	st := s.Stats()[TopicMetric]
-	if st.Filtered != 1 || st.Published != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestSubscriptionCancel(t *testing.T) {
 	s := NewSpine()
 	defer s.Close()
@@ -325,7 +266,7 @@ func TestSubscriptionCancel(t *testing.T) {
 // TestFlushIsReadYourWrites: a goroutine that published then flushed
 // must observe its own events in any subscriber's state.
 func TestFlushIsReadYourWrites(t *testing.T) {
-	s := NewSpine(WithShards(4))
+	s := NewSpine()
 	defer s.Close()
 	var count atomic.Int64
 	if _, err := s.Subscribe("count", nil, func(b []Event) {
@@ -352,13 +293,37 @@ func TestFlushIsReadYourWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNoGoroutineLeak: closing a spine stops every drainer. A
-// goleak-style check without the dependency: goroutine count returns to
-// baseline after many spine lifecycles.
+// drainers counts the live goroutines a spine constructor started.
+func drainers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by genio/internal/events.newSpine")
+}
+
+// waitDrainers polls until exactly want drain loops are alive (an exited
+// goroutine takes a moment to leave the runtime's table).
+func waitDrainers(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for drainers() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d drainer goroutines alive, want %d", drainers(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestNoGoroutineLeak: a spine runs exactly one drainer, and closing it
+// stops that drainer. A goleak-style check without the dependency:
+// goroutine count returns to baseline after many spine lifecycles.
 func TestNoGoroutineLeak(t *testing.T) {
+	waitDrainers(t, 0) // spines closed by earlier tests
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		s := NewSpine(WithShards(16))
+		s := NewSpine()
+		if got := drainers(); got != 1 {
+			t.Fatalf("a fresh spine runs %d drainer goroutines, want exactly 1", got)
+		}
 		if _, err := s.Subscribe("c", nil, func([]Event) {}); err != nil {
 			t.Fatal(err)
 		}
@@ -366,6 +331,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			s.Publish(Event{Topic: TopicIncident, Key: fmt.Sprintf("k%d", j)})
 		}
 		s.Close()
+		waitDrainers(t, 0)
 	}
 	// Allow the runtime a moment to retire exited goroutines.
 	deadline := time.Now().Add(2 * time.Second)
@@ -383,7 +349,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 // flushers, subscribers coming and going, stats readers, and a final
 // close, all at once.
 func TestConcurrentEverything(t *testing.T) {
-	s := NewSpine(WithShards(4), WithQueueCapacity(64))
+	s := newSpine(64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {

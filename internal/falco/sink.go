@@ -56,12 +56,9 @@ func (m *MemorySink) Alerts() []Alert {
 // every emitted alert is counted exactly once — forwarded or suppressed.
 //
 // The exactness has a price: next.Emit runs while the limiter's lock is
-// held. The wrapped sink must not call back into the limiter — in
-// particular, never wrap a SpineSink whose spine has this same
-// limiter's Middleware registered on the alert topic (self-deadlock) —
-// and a sink that blocks (e.g. a Block-policy spine under backpressure)
-// stalls Tick, Suppressed, and other rules' Emits for the duration.
-// Pick ONE integration per limiter: sink wrapper or spine middleware.
+// held. The wrapped sink must not call back into the limiter, and a
+// sink that blocks (e.g. a SpineSink under backpressure) stalls Tick,
+// Suppressed, and other rules' Emits for the duration.
 type RateLimiter struct {
 	next Sink
 	// perRule is the max alerts forwarded per rule per window.
@@ -73,24 +70,12 @@ type RateLimiter struct {
 }
 
 // NewRateLimiter creates a limiter forwarding at most perRule alerts per
-// rule per window to next. A nil next discards admitted alerts — useful
-// when the limiter is used purely as spine middleware (see Middleware).
+// rule per window to next. A nil next discards admitted alerts.
 func NewRateLimiter(next Sink, perRule int) *RateLimiter {
 	return &RateLimiter{
 		next: next, perRule: perRule,
 		counts: make(map[string]int), suppressed: make(map[string]int),
 	}
-}
-
-// admit spends one token from the rule's window budget, counting the
-// alert as suppressed when the budget is gone. Callers hold r.mu.
-func (r *RateLimiter) admitLocked(rule string) bool {
-	if r.counts[rule] >= r.perRule {
-		r.suppressed[rule]++
-		return false
-	}
-	r.counts[rule]++
-	return true
 }
 
 // Emit forwards the alert unless the rule's budget for this window is
@@ -99,9 +84,11 @@ func (r *RateLimiter) admitLocked(rule string) bool {
 func (r *RateLimiter) Emit(a Alert) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.admitLocked(a.Rule) {
+	if r.counts[a.Rule] >= r.perRule {
+		r.suppressed[a.Rule]++
 		return
 	}
+	r.counts[a.Rule]++
 	if r.next != nil {
 		r.next.Emit(a)
 	}

@@ -3,44 +3,19 @@ package falco
 // Event-spine integration: detection output leaves the engine through
 // Sinks, and the platform's unified telemetry backbone is just another
 // sink. SpineSink publishes alerts onto the falco.alert topic keyed by
-// workload; RateLimiter.Middleware moves the Lesson-8 alert-fatigue
-// control from the sink chain into the spine's publish path, so every
-// subscriber — not one wrapped sink — benefits from the budget.
+// workload; wrap it in a RateLimiter for the Lesson-8 alert-fatigue
+// control.
 
 import "genio/internal/events"
 
 // SpineSink returns a Sink publishing every emitted alert onto the spine
-// as TopicFalcoAlert, keyed by workload (alerts for one workload keep
-// their order; workloads spread across shards). Publish errors after
-// spine close are dropped: detection history already lives in the
-// engine's own alert log.
+// as TopicFalcoAlert, keyed by workload and delivered in emit order.
+// Publish errors after spine close are dropped: detection history
+// already lives in the engine's own alert log.
 func SpineSink(s *events.Spine) Sink {
 	return SinkFunc(func(a Alert) {
 		_ = s.Publish(events.Event{
 			Topic: events.TopicFalcoAlert, Key: a.Event.Workload, AtMs: a.AtMs, Payload: a,
 		})
 	})
-}
-
-// Middleware adapts the rate limiter into spine middleware for the
-// falco.alert topic: alerts over a rule's window budget are filtered at
-// publish time with the limiter's exact suppressed accounting
-// (Tick/Suppressed). Non-alert payloads pass through untouched. Register
-// with spine.Use(events.TopicFalcoAlert, rl.Middleware()).
-//
-// Use a limiter as EITHER spine middleware OR a sink wrapper, never
-// both: Emit holds the limiter's lock while forwarding, so a limiter
-// wrapping a SpineSink that publishes through this same middleware
-// deadlocks on its own lock (and would double-charge the budget even
-// if it did not).
-func (r *RateLimiter) Middleware() events.Middleware {
-	return func(e *events.Event) bool {
-		a, ok := e.Payload.(Alert)
-		if !ok {
-			return true
-		}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.admitLocked(a.Rule)
-	}
 }

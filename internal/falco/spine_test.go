@@ -171,45 +171,3 @@ func TestSpineSinkPublishesAlerts(t *testing.T) {
 		}
 	}
 }
-
-// TestRateLimiterAsSpineMiddleware: the limiter filters at publish time
-// with exact suppressed accounting, and non-alert payloads pass through.
-func TestRateLimiterAsSpineMiddleware(t *testing.T) {
-	s := events.NewSpine()
-	defer s.Close()
-	rl := NewRateLimiter(nil, 2)
-	s.Use(events.TopicFalcoAlert, rl.Middleware())
-	count := 0
-	var mu sync.Mutex
-	if _, err := s.Subscribe("c", []events.Topic{events.TopicFalcoAlert}, func(b []events.Event) {
-		mu.Lock()
-		count += len(b)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Publish(events.Event{Topic: events.TopicFalcoAlert, Key: "w",
-			Payload: Alert{Rule: "egress"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A non-alert payload on the same topic is not throttled.
-	if err := s.Publish(events.Event{Topic: events.TopicFalcoAlert, Key: "w", Payload: "control"}); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	mu.Lock()
-	got := count
-	mu.Unlock()
-	if got != 3 { // 2 admitted alerts + 1 control payload
-		t.Fatalf("delivered %d events, want 3", got)
-	}
-	if sup := rl.Suppressed()["egress"]; sup != 8 {
-		t.Fatalf("suppressed = %d, want 8", sup)
-	}
-	st := s.Stats()[events.TopicFalcoAlert]
-	if st.Filtered != 8 || st.Published != 3 {
-		t.Fatalf("topic stats = %+v, want filtered=8 published=3", st)
-	}
-}

@@ -229,6 +229,33 @@ func (e *PlacementPolicyError) Error() string {
 // Is matches the ErrRejected umbrella.
 func (e *PlacementPolicyError) Is(target error) bool { return target == ErrRejected }
 
+// InvalidDemandError reports a deploy whose WorkloadSpec requested a
+// negative amount of CPU or memory. A rejection (matches ErrRejected):
+// admitted, a negative demand would pass every quota and capacity check
+// and credit the node with capacity it does not have.
+type InvalidDemandError struct {
+	Workload  string
+	Requested Resources
+}
+
+// Error names the workload and the offending demand.
+func (e *InvalidDemandError) Error() string {
+	return fmt.Sprintf("orchestrator: workload %s requests negative resources (%dm CPU, %dMB)",
+		e.Workload, e.Requested.CPUMilli, e.Requested.MemoryMB)
+}
+
+// Is matches the ErrRejected umbrella.
+func (e *InvalidDemandError) Is(target error) bool { return target == ErrRejected }
+
+// CheckDemand rejects a spec whose resource demand is negative (zero is
+// legal) with a typed *InvalidDemandError.
+func (s WorkloadSpec) CheckDemand() error {
+	if s.Resources.CPUMilli < 0 || s.Resources.MemoryMB < 0 {
+		return &InvalidDemandError{Workload: s.Name, Requested: s.Resources}
+	}
+	return nil
+}
+
 // DrainError reports a drain aborted because a workload could not be
 // live-migrated off the node (typically capacity). The drain's partial
 // progress is in the DrainResult returned alongside it; the node's

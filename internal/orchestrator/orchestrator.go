@@ -580,10 +580,15 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 			return nil, Placement{}, &UnauthorizedError{Subject: subject, Verb: "create", Tenant: spec.Tenant}
 		}
 	}
-	// Validate the placement policy before any expensive stage runs: a
-	// statically invalid spec (or a typo'd cluster default) must not
-	// burn an image pull and the whole scanner chain only to be
-	// refused at scheduling time.
+	// Validate the demand and the placement policy before any expensive
+	// stage runs: a statically invalid spec (or a typo'd cluster default)
+	// must not burn an image pull and the whole scanner chain only to be
+	// refused at scheduling time — and a negative demand would not be
+	// refused there at all.
+	if err := spec.CheckDemand(); err != nil {
+		c.rejected.Add(1)
+		return nil, Placement{}, err
+	}
 	if _, err := c.resolveStrategy(spec); err != nil {
 		c.rejected.Add(1)
 		return nil, Placement{}, err

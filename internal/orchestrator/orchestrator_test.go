@@ -158,6 +158,58 @@ func TestTenantQuotaBlocksResourceAbuse(t *testing.T) {
 	}
 }
 
+// TestNegativeDemandRejected (T8): a negative demand would pass the quota
+// and capacity checks and credit both with resources that do not exist,
+// so it is refused before the pipeline — typed, counted, and leaving the
+// tenant's usage and every node's Used untouched. Zero stays legal.
+func TestNegativeDemandRejected(t *testing.T) {
+	c, _ := testCluster(t, Settings{})
+	c.SetQuota("greedy", Resources{CPUMilli: 1000, MemoryMB: 1000})
+	scans := 0
+	c.RegisterAdmissionCtx("scan-counter", func(context.Context, WorkloadSpec, *container.Image) error {
+		scans++
+		return nil
+	})
+	for _, demand := range []Resources{
+		{CPUMilli: -100000, MemoryMB: -100000},
+		{CPUMilli: -1, MemoryMB: 128},
+		{CPUMilli: 100, MemoryMB: -1},
+	} {
+		s := spec("neg", "greedy", "acme/analytics:2.0.1", IsolationSoft)
+		s.Resources = demand
+		_, err := c.Deploy("ops", s)
+		var derr *InvalidDemandError
+		if !errors.As(err, &derr) || !errors.Is(err, ErrRejected) || derr.Requested != demand {
+			t.Fatalf("demand %+v: err = %v, want *InvalidDemandError under ErrRejected", demand, err)
+		}
+	}
+	if scans != 0 {
+		t.Fatalf("admission chain ran %d times for a statically invalid spec", scans)
+	}
+	if _, rejected := c.Counters(); rejected != 3 {
+		t.Fatalf("rejected counter = %d, want 3", rejected)
+	}
+	if used := c.TenantUsage("greedy"); used != (Resources{}) {
+		t.Fatalf("tenant usage after the rejections = %+v, want zero", used)
+	}
+	for _, u := range c.Utilization() {
+		if u.Used != (Resources{}) {
+			t.Fatalf("node %s Used = %+v after the rejections, want zero", u.Node, u.Used)
+		}
+	}
+	// The quota the attack tried to inflate still binds.
+	big := spec("big", "greedy", "acme/analytics:2.0.1", IsolationSoft)
+	big.Resources = Resources{CPUMilli: 1500, MemoryMB: 512}
+	if _, err := c.Deploy("ops", big); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
+	}
+	zero := spec("zero", "greedy", "acme/analytics:2.0.1", IsolationSoft)
+	zero.Resources = Resources{}
+	if _, err := c.Deploy("ops", zero); err != nil {
+		t.Fatalf("zero demand rejected: %v", err)
+	}
+}
+
 func TestAdmissionChainRejects(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
 	c.RegisterAdmissionCtx("no-sys-admin", func(_ context.Context, s WorkloadSpec, img *container.Image) error {

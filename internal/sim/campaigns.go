@@ -164,11 +164,9 @@ func FailoverStormCampaign(seed int64) Scenario {
 
 // EventStormCampaign hammers the event spine itself: every topic at
 // once — incident storms (incident + falco.alert), deploy/stop churn
-// (audit + metric), and raw metric bursts — under the Block policy. The
-// no-silent-event-drops invariant must find the ledger balanced and the
-// drop counters at zero after every step; the drop-policy half of that
-// invariant is exercised by the engine tests, where nondeterministic
-// drop counts cannot leak into a replayable report.
+// (audit + metric), and raw metric bursts. The no-silent-event-drops
+// invariant must find the ledger balanced and the drop counters at zero
+// after every step.
 func EventStormCampaign(seed int64) Scenario {
 	r := rand.New(rand.NewSource(seed))
 	steps := []Step{

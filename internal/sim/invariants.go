@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"genio/internal/events"
 	"genio/internal/orchestrator"
 )
 
@@ -160,9 +159,8 @@ func IncidentCountsMonotone() Invariant {
 }
 
 // NoSilentEventDrops: the spine's per-topic ledger balances after every
-// step — everything published was delivered once flushed, nothing is
-// dropped under the Block policy, and under the Drop policy losses are
-// exactly the drop counters (never silent).
+// step — everything published was delivered once flushed and nothing
+// was dropped (the spine blocks a publisher, it never drops).
 func NoSilentEventDrops() Invariant {
 	return Invariant{Name: "no-silent-event-drops", Check: func(w *World) []string {
 		var out []string
@@ -174,21 +172,17 @@ func NoSilentEventDrops() Invariant {
 				out = append(out, fmt.Sprintf(
 					"topic %s: published=%d delivered=%d after flush", topic, ts.Published, ts.Delivered))
 			}
-			// Policy is per topic: incidents are pinned to Block even on
-			// Drop-default platforms, so the security log must never
-			// show a drop.
-			if w.Platform.EventPolicyFor(topic) == events.Block && ts.Dropped > 0 {
+			if ts.Dropped > 0 {
 				out = append(out, fmt.Sprintf(
-					"topic %s: %d events dropped under block policy", topic, ts.Dropped))
+					"topic %s: %d events dropped", topic, ts.Dropped))
 			}
 			// Accounted-loss floor: the ledger must cover at least what
 			// the script itself offered (other producers only add), or a
-			// publish vanished without being counted published, dropped,
-			// or filtered.
-			if offered := w.offeredEvents[string(topic)]; ts.Published+ts.Dropped+ts.Filtered < offered {
+			// publish vanished without being counted.
+			if offered := w.offeredEvents[string(topic)]; ts.Published < offered {
 				out = append(out, fmt.Sprintf(
-					"topic %s: script offered %d events but ledger accounts %d published + %d dropped + %d filtered",
-					topic, offered, ts.Published, ts.Dropped, ts.Filtered))
+					"topic %s: script offered %d events but ledger accounts %d published",
+					topic, offered, ts.Published))
 			}
 		}
 		return out

@@ -127,8 +127,8 @@ type World struct {
 	// offeredEvents tallies, per topic, the publishes the script itself
 	// offered through PublishEvent (steps run sequentially, so a plain
 	// map suffices). The drop-accounting invariant uses it as a floor:
-	// Published+Dropped+Filtered on a topic can never fall below what
-	// the script alone offered, or an event vanished uncounted.
+	// Published on a topic can never fall below what the script alone
+	// offered, or an event vanished uncounted.
 	offeredEvents map[string]uint64
 	// publisher signs images pushed by registry-recovery injectors.
 	publisher *container.Publisher
@@ -148,7 +148,7 @@ type World struct {
 	asyncDone map[string]bool
 	// lifeMu guards terminalSeen, the per-workload terminal-event counts
 	// observed by the engine's deploy.lifecycle subscription (writes
-	// arrive from spine shard goroutines).
+	// arrive from the spine's delivery goroutine).
 	lifeMu       sync.Mutex
 	terminalSeen map[string]int
 
@@ -238,7 +238,7 @@ func (w *World) isCancelTarget(name string) bool {
 }
 
 // countTerminal tallies one observed terminal lifecycle event (called
-// from spine shard goroutines via the engine's subscription).
+// from the spine's delivery goroutine via the engine's subscription).
 func (w *World) countTerminal(workload string) {
 	w.lifeMu.Lock()
 	w.terminalSeen[workload]++

@@ -69,8 +69,8 @@ func NewEngine(invariants []Invariant) *Engine {
 }
 
 // SetFirehose streams every spine event of subsequent runs to w as JSON
-// lines (one event per line). Delivery order across shards is
-// scheduler-dependent, so the firehose is an observation stream, not
+// lines (one event per line). The publish order of concurrent producers
+// is scheduler-dependent, so the firehose is an observation stream, not
 // part of the byte-identical replay contract — reports stay
 // deterministic with or without it.
 func (e *Engine) SetFirehose(w io.Writer) {
@@ -195,15 +195,15 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 		liveNodes = append(liveNodes, c.Nodes()...)
 		workloads += len(c.Workloads())
 	}
-	// Per-topic published tallies: deterministic under the Block policy
-	// (nothing is ever dropped), so they join the replay contract. In a
+	// Per-topic published tallies: deterministic because the spine never
+	// drops an event, so they join the replay contract. In a
 	// persistent scenario these (and the admitted/rejected counters) cover
 	// the final platform incarnation only — spine counters are process
 	// state, deliberately not persisted — which stays deterministic
 	// because the crash point is itself scripted.
 	eventCounts := make(map[string]uint64)
 	for topic, ts := range w.Platform.Metrics() {
-		if ts.Published+ts.Dropped+ts.Filtered > 0 {
+		if ts.Published > 0 {
 			eventCounts[string(topic)] = ts.Published
 		}
 	}

@@ -164,8 +164,8 @@ func (w *World) wireAsyncOne(spec orchestrator.WorkloadSpec) string {
 }
 
 // WireLedgerProbe reads the event ledger through GET /v2/ledger and
-// reports the deploy.lifecycle publish count — deterministic under the
-// Block policy, so it joins the replay contract and pins down that
+// reports the deploy.lifecycle publish count — deterministic because the
+// spine never drops, so it joins the replay contract and pins down that
 // wire-driven deployments fed the spine exactly like local ones.
 func WireLedgerProbe() Step {
 	return Step{Name: "wire-ledger-probe", Run: func(w *World) Outcome {

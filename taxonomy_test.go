@@ -238,6 +238,24 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 			is: []error{genio.ErrDuplicateName, genio.ErrRejected},
 		},
 		{
+			name: "negative resource demand",
+			deploy: func(t *testing.T, p *genio.Platform) error {
+				_, err := p.Deploy("ci", taxonomySpec("neg", "acme/analytics:2.0.1", -100000, -100000))
+				return err
+			},
+			as: func(t *testing.T, err error) {
+				var demand *genio.InvalidDemandError
+				if !errors.As(err, &demand) {
+					t.Fatalf("want *InvalidDemandError, got %T: %v", err, err)
+				}
+				if demand.Workload != "neg" || demand.Requested.CPUMilli != -100000 || demand.Requested.MemoryMB != -100000 {
+					t.Fatalf("demand detail = %+v", demand)
+				}
+			},
+			is:    []error{genio.ErrRejected},
+			notIs: []error{genio.ErrQuotaExceeded, genio.ErrNoCapacity},
+		},
+		{
 			name: "closed platform",
 			deploy: func(t *testing.T, p *genio.Platform) error {
 				p.Close()
