@@ -456,3 +456,105 @@ func TestHTTPConnectionReuse(t *testing.T) {
 		t.Fatalf("burst of sequential requests opened %d connections, want 1", got)
 	}
 }
+
+// TestWatchResumesAcrossDaemonRestart: stream ids restart at 1 with
+// every daemon lifetime, so the Last-Event-ID a client carries over a
+// restart may lie beyond anything the new daemon has assigned. The
+// reconnect must then replay everything the new daemon retained — the
+// client has seen none of it — instead of filtering it out as "already
+// delivered", and go live without a gap or a duplicate.
+func TestWatchResumesAcrossDaemonRestart(t *testing.T) {
+	boot := func() (*core.Platform, http.Handler) {
+		p, err := demo.Platform(core.SecureConfig(), "ops")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(p, server.Options{AllowAnonymous: true})
+		t.Cleanup(func() { srv.Close(); p.Close() })
+		return p, srv.Handler()
+	}
+	// One address, two daemon lifetimes behind it. While restarting,
+	// resume attempts are refused at the transport so the client keeps
+	// retrying with the id it holds.
+	var (
+		backend    atomic.Value // http.Handler
+		restarting atomic.Bool
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if restarting.Load() && r.Header.Get("Last-Event-ID") != "" {
+			if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+				_ = conn.Close()
+			}
+			return
+		}
+		backend.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	first, h := boot()
+	backend.Store(h)
+
+	newClient := func() *HTTP {
+		cli := NewHTTP(ts.URL, WithSubject("ops"), WithBackoff(5*time.Millisecond, 20*time.Millisecond))
+		t.Cleanup(func() { cli.Close() })
+		return cli
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cli := newClient()
+	events, err := cli.Watch(ctx, api.WatchSelector{TerminalOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(want ...string) {
+		t.Helper()
+		got := map[string]int{}
+		for range want {
+			select {
+			case ev, ok := <-events:
+				if !ok {
+					t.Fatalf("watch ended; still owed %v, got %v", want, got)
+				}
+				got[ev.Workload]++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("watch delivered %v, want one terminal event each for %v", got, want)
+			}
+		}
+		for _, w := range want {
+			if got[w] != 1 {
+				t.Fatalf("watch delivered %v, want one terminal event each for %v", got, want)
+			}
+		}
+	}
+	deploy := func(names ...string) {
+		t.Helper()
+		specs := make([]api.WorkloadSpec, len(names))
+		for i, n := range names {
+			specs[i] = spec(n, "acme/analytics:2.0.1")
+		}
+		if _, err := newClient().DeployBatch(ctx, specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Lifetime one: three deployments, twelve stream ids; the client
+	// ends up holding the last terminal one.
+	deploy("one-a", "one-b", "one-c")
+	expect("one-a", "one-b", "one-c")
+
+	// Restart. The new daemon's log starts with another watcher, then
+	// logs two deployments (ids 1..8) while our client is locked out.
+	restarting.Store(true)
+	first.Close()
+	_, h = boot()
+	backend.Store(h)
+	if _, err := newClient().Watch(ctx, api.WatchSelector{}); err != nil {
+		t.Fatal(err)
+	}
+	deploy("two-a", "two-b")
+	restarting.Store(false)
+	expect("two-a", "two-b")
+
+	// Live again, exactly once.
+	deploy("two-c")
+	expect("two-c")
+}

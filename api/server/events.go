@@ -75,8 +75,8 @@ type eventLog struct {
 }
 
 // logSub is one watch connection's subscription: an unbounded queue
-// (mirroring core.Platform.Watch's decoupling — a slow SSE write never
-// stalls the fan-out) drained via notify.
+// (mirroring core.Platform.WatchBatches' decoupling — a slow SSE write
+// never stalls the fan-out) drained a whole slice at a time via notify.
 type logSub struct {
 	log    *eventLog
 	queue  []loggedEvent
@@ -87,40 +87,47 @@ type logSub struct {
 // newEventLog starts the log over the platform's full lifecycle
 // stream, bounded by ctx — the server's lifetime, not the process's.
 // The feeding goroutine exits (closing every subscriber) when ctx is
-// cancelled or the platform closes; either way the platform-side Watch
+// cancelled or the platform closes; either way the platform-side watch
 // subscription is released with it.
 func newEventLog(ctx context.Context, p *core.Platform, capacity int) (*eventLog, error) {
-	all, err := p.Watch(ctx, core.WatchSelector{})
+	all, err := p.WatchBatches(ctx, core.WatchSelector{})
 	if err != nil {
 		return nil, err
 	}
 	l := &eventLog{buf: make([]loggedEvent, capacity), nextID: 1, subs: make(map[*logSub]struct{})}
 	go func() {
-		for ev := range all {
-			l.append(api.FromLifecycleEvent(ev))
+		for batch := range all {
+			l.append(batch)
 		}
 		l.close()
 	}()
 	return l, nil
 }
 
-func (l *eventLog) append(ev api.LifecycleEvent) {
+// append logs one platform batch under one lock acquisition: every
+// event gets its id and frame, every subscriber's queue grows by the
+// whole batch, and each subscriber is woken once.
+func (l *eventLog) append(batch []core.LifecycleEvent) {
+	logged := make([]loggedEvent, len(batch))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	le := loggedEvent{id: l.nextID, ev: ev}
-	le.frame = renderFrame(le.id, ev)
-	l.nextID++
-	if l.size < len(l.buf) {
-		l.buf[(l.head+l.size)%len(l.buf)] = le
-		l.size++
-	} else {
-		// Full: overwrite the oldest slot in place. Nothing evicted stays
-		// reachable — the slot's previous occupant is gone with this write.
-		l.buf[l.head] = le
-		l.head = (l.head + 1) % len(l.buf)
+	for i, ev := range batch {
+		le := loggedEvent{id: l.nextID, ev: api.FromLifecycleEvent(ev)}
+		le.frame = renderFrame(le.id, le.ev)
+		l.nextID++
+		logged[i] = le
+		if l.size < len(l.buf) {
+			l.buf[(l.head+l.size)%len(l.buf)] = le
+			l.size++
+		} else {
+			// Full: overwrite the oldest slot in place. Nothing evicted stays
+			// reachable — the slot's previous occupant is gone with this write.
+			l.buf[l.head] = le
+			l.head = (l.head + 1) % len(l.buf)
+		}
 	}
 	for sub := range l.subs {
-		sub.queue = append(sub.queue, le)
+		sub.queue = append(sub.queue, logged...)
 		select {
 		case sub.notify <- struct{}{}:
 		default:
@@ -152,10 +159,15 @@ func (l *eventLog) latest() uint64 {
 // subscribe registers a live subscriber and returns the retained
 // events after afterID. Snapshot and registration happen under one
 // lock, so an event is either in the replay slice or queued live —
-// never both, never neither.
+// never both, never neither. Ids restart at 1 with every daemon, so an
+// afterID not assigned yet was minted by a previous lifetime: that
+// client has seen nothing retained here, and everything is replayed.
 func (l *eventLog) subscribe(afterID uint64) (replay []loggedEvent, sub *logSub) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if afterID >= l.nextID {
+		afterID = 0
+	}
 	for i := 0; i < l.size; i++ {
 		le := l.buf[(l.head+i)%len(l.buf)]
 		if le.id > afterID {
@@ -178,26 +190,25 @@ func (s *logSub) cancel() {
 	delete(s.log.subs, s)
 }
 
-// next blocks for the next queued event; ok is false when the log
-// closed (platform shutdown) or ctx ended and nothing is queued.
-func (s *logSub) next(ctx context.Context) (loggedEvent, bool) {
+// next blocks until events are queued and returns all of them; ok is
+// false when the log closed (platform shutdown) or ctx ended and
+// nothing is queued.
+func (s *logSub) next(ctx context.Context) ([]loggedEvent, bool) {
 	for {
 		s.log.mu.Lock()
-		if len(s.queue) > 0 {
-			le := s.queue[0]
-			s.queue = s.queue[1:]
-			s.log.mu.Unlock()
-			return le, true
-		}
-		closed := s.closed
+		queued, closed := s.queue, s.closed
+		s.queue = nil
 		s.log.mu.Unlock()
+		if len(queued) > 0 {
+			return queued, true
+		}
 		if closed {
-			return loggedEvent{}, false
+			return nil, false
 		}
 		select {
 		case <-s.notify:
 		case <-ctx.Done():
-			return loggedEvent{}, false
+			return nil, false
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"genio/api"
+	"genio/internal/core"
 	"genio/internal/orchestrator"
 )
 
@@ -58,7 +59,7 @@ func TestEventLogBoundedRetention(t *testing.T) {
 	l := &eventLog{buf: make([]loggedEvent, capacity), nextID: 1, subs: make(map[*logSub]struct{})}
 	const total = 5 * capacity
 	for i := 0; i < total; i++ {
-		l.append(api.LifecycleEvent{Workload: fmt.Sprintf("wl-%03d", i)})
+		l.append([]core.LifecycleEvent{{Workload: fmt.Sprintf("wl-%03d", i)}})
 	}
 	l.mu.Lock()
 	bufLen, size := len(l.buf), l.size
@@ -116,7 +117,7 @@ func TestWatchFanoutEncodesOnce(t *testing.T) {
 		sub.queue = make([]loggedEvent, 0, 4096)
 		subs[i] = sub
 	}
-	ev := api.LifecycleEvent{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"}
+	ev := []core.LifecycleEvent{{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"}}
 	l.append(ev) // warm the frame pool's scratch buffer
 
 	allocs := testing.AllocsPerRun(100, func() { l.append(ev) })
@@ -162,26 +163,35 @@ func TestWatchFanoutPublishStorm(t *testing.T) {
 			defer wg.Done()
 			defer sub.cancel()
 			var lastID uint64
-			for n := 0; n < events; n++ {
-				le, ok := sub.next(ctx)
+			for n := 0; n < events; {
+				batch, ok := sub.next(ctx)
 				if !ok {
 					errs <- fmt.Errorf("subscriber %d: stream ended after %d/%d events", i, n, events)
 					return
 				}
-				if le.id != lastID+1 {
-					errs <- fmt.Errorf("subscriber %d: id %d after %d", i, le.id, lastID)
-					return
+				for _, le := range batch {
+					if le.id != lastID+1 {
+						errs <- fmt.Errorf("subscriber %d: id %d after %d", i, le.id, lastID)
+						return
+					}
+					lastID = le.id
+					if want := fmt.Sprintf("id: %d\ndata: ", le.id); !bytes.HasPrefix(le.frame, []byte(want)) {
+						errs <- fmt.Errorf("subscriber %d: malformed frame %q", i, le.frame)
+						return
+					}
 				}
-				lastID = le.id
-				if want := fmt.Sprintf("id: %d\ndata: ", le.id); !bytes.HasPrefix(le.frame, []byte(want)) {
-					errs <- fmt.Errorf("subscriber %d: malformed frame %q", i, le.frame)
-					return
-				}
+				n += len(batch)
 			}
 		}(i, sub)
 	}
-	for n := 0; n < events; n++ {
-		l.append(api.LifecycleEvent{Workload: fmt.Sprintf("wl-%03d", n), State: "placed"})
+	// Mixed batch sizes: singles and bursts share one id sequence.
+	for n := 0; n < events; {
+		batch := make([]core.LifecycleEvent, min(1+n%3, events-n))
+		for i := range batch {
+			batch[i] = core.LifecycleEvent{Workload: fmt.Sprintf("wl-%03d", n+i), State: "placed"}
+		}
+		l.append(batch)
+		n += len(batch)
 	}
 	wg.Wait()
 	close(errs)

@@ -321,11 +321,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, subject s
 }
 
 // maxBatchSpecs bounds one batch request; the signed-body limit bounds
-// bytes, this bounds fan-out.
+// bytes, this bounds the work one request can queue.
 const maxBatchSpecs = 1024
 
 // handleDeployBatch admits N specs from one signed request through the
-// platform's in-process batch fan-out. Results are positional, each
+// platform's in-process batch worker loop. Results are positional, each
 // carrying either the placed workload or the full typed wire error —
 // the HTTP status only reports transport/decode outcome. Runs on the
 // request context: a client disconnect cancels every in-flight element
@@ -571,29 +571,23 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request, subject str
 	flusher.Flush()
 	// Frames are rendered once at append time (see loggedEvent); every
 	// subscriber writes the same shared bytes, so this loop does zero
-	// marshalling no matter how many watchers are connected.
-	send := func(le loggedEvent) bool {
-		if le.frame == nil || !sel.Matches(le.ev) {
-			return true
+	// marshalling no matter how many watchers are connected. One loop
+	// serves replay and live: each pass writes every matching frame of
+	// what was already queued and flushes once, so a burst costs one
+	// flush, and no frame ever waits for a later one.
+	for pending, ok := replay, true; ok; pending, ok = sub.next(r.Context()) {
+		wrote := false
+		for _, le := range pending {
+			if le.frame == nil || !sel.Matches(le.ev) {
+				continue
+			}
+			if _, err := w.Write(le.frame); err != nil {
+				return
+			}
+			wrote = true
 		}
-		if _, err := w.Write(le.frame); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	for _, le := range replay {
-		if !send(le) {
-			return
-		}
-	}
-	for {
-		le, ok := sub.next(r.Context())
-		if !ok {
-			return
-		}
-		if !send(le) {
-			return
+		if wrote {
+			flusher.Flush()
 		}
 	}
 }

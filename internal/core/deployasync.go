@@ -16,8 +16,9 @@ package core
 // and pipeline completion: the transition guard drops anything after a
 // terminal state.
 //
-// Watch is the streaming consumer of the same topic: a selector-filtered
-// channel of lifecycle events, closed when the caller's context ends.
+// Watch and WatchBatches are the streaming consumers of the same topic:
+// a selector-filtered channel of lifecycle events (one at a time, or
+// everything queued per receive), closed when the caller's context ends.
 
 import (
 	"context"
@@ -144,21 +145,32 @@ func (d *Deployment) Cancel() { d.cancel() }
 // inside scans without placing the workload.
 // The only synchronous failure is a closed platform (*ClosedError).
 func (p *Platform) DeployAsync(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, opts ...DeployOption) (*Deployment, error) {
-	if p.closed.Load() {
-		return nil, &ClosedError{Op: "deploy"}
-	}
 	var o deployOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	dctx, cancel := context.WithCancel(ctx)
-	d := &Deployment{
-		p: p, spec: spec, cancel: cancel,
-		done: make(chan struct{}), state: StatePending,
-		onTransition: o.onTransition,
+	d, dctx, err := p.newDeployment(ctx, spec, o.onTransition)
+	if err != nil {
+		return nil, err
 	}
 	go d.run(dctx, subject)
 	return d, nil
+}
+
+// newDeployment is the one constructor behind DeployAsync and the batch
+// worker loop: a pending future plus the per-deployment context its
+// pipeline runs under (released by run). A closed platform is the only
+// failure.
+func (p *Platform) newDeployment(ctx context.Context, spec orchestrator.WorkloadSpec, onTransition func(LifecycleEvent)) (*Deployment, context.Context, error) {
+	if p.closed.Load() {
+		return nil, nil, &ClosedError{Op: "deploy"}
+	}
+	dctx, cancel := context.WithCancel(ctx)
+	return &Deployment{
+		p: p, spec: spec, cancel: cancel,
+		done: make(chan struct{}), state: StatePending,
+		onTransition: onTransition,
+	}, dctx, nil
 }
 
 // run drives the pipeline to a terminal state. Every lifecycle event —
@@ -260,11 +272,40 @@ func (s WatchSelector) match(ev LifecycleEvent) bool {
 // Watch streams deploy.lifecycle events matching sel until ctx ends or
 // the platform closes (Close or Crash), then closes the returned
 // channel; events published before the platform closed are delivered
-// first. Delivery is decoupled from the spine through an unbounded
-// buffer, so a slow watch consumer never stalls the spine's drainer (or
-// its publishers). Events published while nobody receives are retained
-// in publish order.
+// first. It is WatchBatches unrolled one event per receive: same
+// decoupling from the spine, same publish order, same close contract.
 func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan LifecycleEvent, error) {
+	batches, err := p.WatchBatches(ctx, sel)
+	if err != nil {
+		return nil, err
+	}
+	out := make(chan LifecycleEvent)
+	go func() {
+		defer close(out)
+		for batch := range batches {
+			for _, ev := range batch {
+				select {
+				case out <- ev:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+	}()
+	return out, nil
+}
+
+// WatchBatches is the watch feed: every receive yields all matching
+// events queued since the previous one, in publish order, never empty.
+// Nothing waits for company — a batch is whatever accumulated while the
+// consumer was busy, so an idle consumer sees batches of one — but a
+// busy consumer (the API server's SSE log) pays one hand-off per burst
+// instead of one per event. Delivery is decoupled from the spine
+// through an unbounded queue, so a slow consumer never stalls the
+// spine's drainer (or its publishers); events published while nobody
+// receives are retained. The channel closes when ctx ends or, once the
+// queued events are out, when the platform closes (Close or Crash).
+func (p *Platform) WatchBatches(ctx context.Context, sel WatchSelector) (<-chan []LifecycleEvent, error) {
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "watch"}
 	}
@@ -297,7 +338,7 @@ func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan Lifecyc
 		}
 		return nil, err
 	}
-	out := make(chan LifecycleEvent)
+	out := make(chan []LifecycleEvent)
 	go func() {
 		defer close(out)
 		defer sub.Cancel()
@@ -312,17 +353,13 @@ func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan Lifecyc
 				closing = true
 			case <-notify:
 			}
-			for {
-				mu.Lock()
-				if len(queue) == 0 {
-					mu.Unlock()
-					break
-				}
-				ev := queue[0]
-				queue = queue[1:]
-				mu.Unlock()
+			mu.Lock()
+			batch := queue
+			queue = nil
+			mu.Unlock()
+			if len(batch) > 0 {
 				select {
-				case out <- ev:
+				case out <- batch:
 				case <-ctx.Done():
 					return
 				}

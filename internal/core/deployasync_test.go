@@ -150,17 +150,8 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 		t.Fatalf("terminal lifecycle events = %d, want exactly 1", got)
 	}
 
-	// The deploy's goroutine must exit: poll until the goroutine count
-	// returns to (at most) the pre-deploy level.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: %d before cancel, %d after; deploy goroutine leaked", before, runtime.NumGoroutine())
+	// The deploy's goroutine must exit.
+	waitGoroutines(t, before)
 }
 
 func TestDeployAsyncDeadlineExceeded(t *testing.T) {
@@ -298,6 +289,74 @@ func TestWatchClosesWhenPlatformCloses(t *testing.T) {
 				t.Fatalf("watch delivered %d terminal events before closing, want %d", got, n)
 			}
 		})
+	}
+}
+
+// TestWatchStalledConsumerKeepsOrder: a watcher that is not receiving
+// must not stall Publish (the queue behind the channel is unbounded),
+// and when it does receive — one event at a time or a batch at a time —
+// it sees every matching event in publish order. WatchBatches never
+// yields an empty batch.
+func TestWatchStalledConsumerKeepsOrder(t *testing.T) {
+	p := asyncPlatform(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	single, err := p.Watch(ctx, WatchSelector{Tenant: "acme"})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	batched, err := p.WatchBatches(ctx, WatchSelector{Tenant: "acme"})
+	if err != nil {
+		t.Fatalf("WatchBatches: %v", err)
+	}
+	const n = 5000
+	published := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			// Every third event belongs to another tenant: filtered out.
+			ev := LifecycleEvent{Workload: "w", Tenant: "acme", State: StateScanning, AtMs: int64(i + 1)}
+			if i%3 == 2 {
+				ev.Tenant = "globex"
+			}
+			if err := p.PublishEvent(events.Event{Topic: events.TopicDeployLifecycle, Key: "w", Payload: ev}); err != nil {
+				published <- err
+				return
+			}
+		}
+		p.Flush()
+		published <- nil
+	}()
+	select {
+	case err := <-published:
+		if err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Publish stalled behind watchers that were not receiving")
+	}
+	want := func(k int) int64 { return int64(k + k/2 + 1) } // k-th acme event
+	const matching = n - n/3
+	for k := 0; k < matching; k++ {
+		if ev := <-single; ev.AtMs != want(k) {
+			t.Fatalf("Watch event %d carries seq %d, want %d", k, ev.AtMs, want(k))
+		}
+	}
+	for k := 0; k < matching; {
+		batch := <-batched
+		if len(batch) == 0 {
+			t.Fatalf("WatchBatches yielded an empty batch after %d events", k)
+		}
+		for _, ev := range batch {
+			if ev.AtMs != want(k) {
+				t.Fatalf("WatchBatches event %d carries seq %d, want %d", k, ev.AtMs, want(k))
+			}
+			k++
+		}
+	}
+	cancel()
+	for range single {
+	}
+	for range batched {
 	}
 }
 

@@ -42,10 +42,10 @@ func (e *RegionPinnedError) Is(target error) bool {
 }
 
 // FederationCapacityError reports a deployment no eligible cluster
-// could take: every cluster the region filter admitted was walked in
-// ring order and each either sat past its load bound with nowhere to
-// overflow or rejected the deploy for capacity. Err holds the last
-// per-cluster capacity error (nil when no cluster was eligible at all).
+// could take: every cluster the region filter admitted was tried (the
+// load bound defers a cluster, never excuses it) and each rejected the
+// deploy for capacity or detached mid-walk. Err holds the last capacity
+// error (nil when no cluster was eligible, or all of them detached).
 type FederationCapacityError struct {
 	Workload string
 	Tenant   string

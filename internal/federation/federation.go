@@ -62,6 +62,12 @@ func (m *member) tryDeploy(ctx context.Context, subject string, spec orchestrato
 	return w, pl, err, true
 }
 
+// deferred is a member a ring walk passed over for its load alone.
+type deferred struct {
+	m    *member
+	load int
+}
+
 // detach flips the latch, waiting out in-flight deploys first.
 func (m *member) detach() {
 	m.mu.Lock()
@@ -83,6 +89,9 @@ type Federation struct {
 	loadFactorPct int
 	audit         orchestrator.AuditSink
 	clock         func() int64
+	// afterBound, nil outside tests, runs between DeployObserved's bound
+	// computation and its ring walk: where concurrent commits stale it.
+	afterBound func()
 }
 
 // New creates an empty federation. The registry resolves image refs to
@@ -285,7 +294,10 @@ func (f *Federation) Deploy(subject string, spec orchestrator.WorkloadSpec) (*or
 // keyed by (tenant, image digest) with bounded-load overflow, then the
 // chosen cluster's own filter/score scheduler. A cluster past its load
 // bound — or out of node capacity — passes the deploy to the next ring
-// position; content- and spec-determined rejections (admission denial,
+// position; if the walk places nothing, the clusters passed over for
+// the bound alone are tried least loaded first, so only exhausted
+// capacity ends in a FederationCapacityError (its cause nested).
+// Content- and spec-determined rejections (admission denial,
 // quota, RBAC, duplicate name) are final at the first cluster, since
 // every cluster would return the same verdict.
 func (f *Federation) DeployObserved(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, observe func(orchestrator.DeployStage)) (*orchestrator.Workload, Placement, error) {
@@ -317,14 +329,18 @@ func (f *Federation) DeployObserved(ctx context.Context, subject string, spec or
 		}
 	}
 
-	// Bounded load: ceil((total+1) * factor / n). Pigeonhole guarantees
-	// at least one eligible cluster sits under the bound, so the bound
-	// itself never strands a deploy — only real capacity can.
+	// Bounded load: ceil((total+1) * factor / n), a balancing hint from
+	// one snapshot of counts the walk then re-reads live — concurrent
+	// commits can lift every member past it, so it only defers members
+	// to the fallback below and never refuses: only real capacity can.
 	total := 0
 	for _, m := range eligible {
 		total += m.cluster.WorkloadCount()
 	}
 	bound := ((total+1)*factor + 100*len(eligible) - 1) / (100 * len(eligible))
+	if f.afterBound != nil {
+		f.afterBound()
+	}
 
 	digest := f.resolveDigest(spec.ImageRef)
 	var (
@@ -333,16 +349,10 @@ func (f *Federation) DeployObserved(ctx context.Context, subject string, spec or
 		overflowed int
 		lastErr    error
 		hardErr    error
+		overBound  []deferred // skipped for the bound alone, never tried
 	)
-	ring.Walk(spec.Tenant, digest, func(name string) bool {
-		m := eligible[name]
-		if m == nil {
-			return true // other region, or joined after the snapshot
-		}
-		if m.cluster.WorkloadCount() >= bound {
-			overflowed++
-			return true // past its load bound: pass to the next position
-		}
+	// try routes the deploy into one member; false ends the search.
+	try := func(m *member) bool {
 		w, pl, err, live := m.tryDeploy(ctx, subject, spec, observe)
 		if !live {
 			return true // detached under us: walk on
@@ -350,7 +360,7 @@ func (f *Federation) DeployObserved(ctx context.Context, subject string, spec or
 		switch {
 		case err == nil:
 			placed = w
-			at = Placement{Cluster: name, Node: pl.Node, VMID: pl.VMID}
+			at = Placement{Cluster: m.name, Node: pl.Node, VMID: pl.VMID}
 			return false
 		case errors.Is(err, orchestrator.ErrNoCapacity):
 			lastErr = err
@@ -360,7 +370,28 @@ func (f *Federation) DeployObserved(ctx context.Context, subject string, spec or
 			hardErr = err
 			return false
 		}
+	}
+	ring.Walk(spec.Tenant, digest, func(name string) bool {
+		m := eligible[name]
+		if m == nil {
+			return true // other region, or joined after the snapshot
+		}
+		if load := m.cluster.WorkloadCount(); load >= bound {
+			overflowed++
+			overBound = append(overBound, deferred{m, load})
+			return true // past its load bound: pass to the next position
+		}
+		return try(m)
 	})
+	if placed == nil && hardErr == nil {
+		// Nothing under the bound took it: the deferred, least loaded first.
+		sort.SliceStable(overBound, func(i, j int) bool { return overBound[i].load < overBound[j].load })
+		for _, d := range overBound {
+			if !try(d.m) {
+				break
+			}
+		}
+	}
 
 	switch {
 	case placed != nil:

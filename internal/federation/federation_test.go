@@ -356,6 +356,74 @@ func TestDuplicateAndRemoveCluster(t *testing.T) {
 	}
 }
 
+// requireNoStormErrors is the storm tests' contract for the deploys
+// themselves: every member has capacity to spare, so every deploy must
+// return nil. A race may re-route a deploy, never refuse it — the
+// causeless FederationCapacityError ("no eligible cluster", wire 502) a
+// stale load bound used to produce showed up only here.
+func requireNoStormErrors(t *testing.T, errs []error) {
+	t.Helper()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("deploy %d refused with capacity to spare: %v (cause: %v)", i, err, errors.Unwrap(err))
+		}
+	}
+}
+
+// TestStaleBoundNeverRefuses is ROADMAP 0a made deterministic: other
+// deploys commit onto every member between this deploy's bound
+// computation and its ring walk, so every live count sits at or past
+// the (now stale) bound. The bound is a balancing hint — the deploy
+// must land on the least-loaded member, and only genuinely exhausted
+// capacity may refuse, with its cause nested.
+func TestStaleBoundNeverRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		nodeCPU  int            // per member, one node; a workload takes 100
+		parked   map[string]int // commits landing in the window, per member
+		wantAt   string
+		wantFull bool
+	}{
+		{"least-loaded-takes-it", 8000, map[string]int{"edge-a": 2, "edge-b": 1, "edge-c": 3}, "edge-b", false},
+		{"really-full-still-refuses", 200, map[string]int{"edge-a": 2, "edge-b": 2, "edge-c": 2}, "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := testRegistry()
+			f := New(reg)
+			for name := range tc.parked {
+				if err := f.AddCluster(name, "", testCluster(reg, name, 1, orchestrator.Resources{CPUMilli: tc.nodeCPU, MemoryMB: 16384})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Fresh federation: total 0, bound ceil(1·1.25/3) = 1.
+			f.afterBound = func() {
+				for name, n := range tc.parked {
+					c, _ := f.Cluster(name)
+					for i := 0; i < n; i++ {
+						if _, err := c.DeployContext(context.Background(), "ops", testSpec(fmt.Sprintf("parked-%s-%d", name, i), "acme", "")); err != nil {
+							t.Errorf("parked deploy on %s: %v", name, err)
+						}
+					}
+				}
+			}
+			_, pl, err := f.Deploy("ops", testSpec("late", "acme", ""))
+			if tc.wantFull {
+				var fce *FederationCapacityError
+				if !errors.As(err, &fce) || fce.Err == nil || !errors.Is(fce.Err, orchestrator.ErrNoCapacity) {
+					t.Fatalf("exhausted federation: err = %v, want *FederationCapacityError nesting ErrNoCapacity", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("deploy refused with capacity on every member: %v", err)
+			}
+			if pl.Cluster != tc.wantAt {
+				t.Fatalf("placed on %s, want the least-loaded member %s", pl.Cluster, tc.wantAt)
+			}
+		})
+	}
+}
+
 // TestConcurrentDeployVsRemove races deploys against a cluster removal
 // under -race: every successful deploy must exist on exactly one
 // cluster, and nothing lands on the removed member after its detach.
@@ -363,6 +431,7 @@ func TestConcurrentDeployVsRemove(t *testing.T) {
 	f, _ := newTestFed(t, map[string]string{"edge-a": "", "edge-b": "", "edge-c": ""})
 	const deploys = 60
 	results := make([]string, deploys) // cluster per success, "" otherwise
+	stormErrs := make([]error, deploys)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < deploys; i++ {
@@ -370,9 +439,12 @@ func TestConcurrentDeployVsRemove(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			if _, pl, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), "")); err == nil {
-				results[i] = pl.Cluster
+			_, pl, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""))
+			if err != nil {
+				stormErrs[i] = err
+				return
 			}
+			results[i] = pl.Cluster
 		}(i)
 	}
 	var removed *orchestrator.Cluster
@@ -389,6 +461,7 @@ func TestConcurrentDeployVsRemove(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
+	requireNoStormErrors(t, stormErrs)
 
 	hold := func(name string) map[string]bool {
 		var c *orchestrator.Cluster
@@ -433,6 +506,7 @@ func TestEvacuateVsDeploy(t *testing.T) {
 	f, _ := newTestFed(t, map[string]string{"edge-a": "", "edge-b": "", "edge-c": ""})
 	const deploys = 60
 	success := make([]bool, deploys)
+	stormErrs := make([]error, deploys)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < deploys; i++ {
@@ -440,9 +514,8 @@ func TestEvacuateVsDeploy(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			if _, _, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), "")); err == nil {
-				success[i] = true
-			}
+			_, _, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""))
+			stormErrs[i], success[i] = err, err == nil
 		}(i)
 	}
 	victimCluster, _ := f.Cluster("edge-b")
@@ -460,6 +533,7 @@ func TestEvacuateVsDeploy(t *testing.T) {
 	}()
 	close(start)
 	wg.Wait()
+	requireNoStormErrors(t, stormErrs)
 
 	if res == nil {
 		t.Fatal("no evacuation result")
