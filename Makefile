@@ -1,15 +1,9 @@
 GO ?= go
-DATE := $(shell date +%Y%m%d)
 SIM_SEED ?= 7
 # GO_TAGS vets/builds alternative tag sets when the repo grows any.
 GO_TAGS ?=
-# Benchmarks gated against the committed BENCH_*.json baseline and the
-# allowed regression (percent) — applied to ns/op, B/op, and allocs/op.
-BENCH_GATE ?= EventSpine|IncidentFanIn|IncidentStorm|DeployParallel|DeploySequentialAdmission|DeployBatch|DeployAsyncPipelined|HTTPDeployThroughput|HTTPDeployBatch|WatchFanout100Subs|Schedule1kNodes|FailoverReschedule|WALDeployThroughput|WarmDeploy|ColdRepeatDeploy|RingLookup|FederatedDeploy
-BENCH_THRESHOLD ?= 25
-BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: build test race bench bench-harness bench-json bench-diff fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e loc
+.PHONY: build test race bench bench-harness fmt fmt-check vet staticcheck ci cores sim examples cover fuzz-smoke e2e loc
 
 build:
 	$(GO) build ./...
@@ -29,21 +23,6 @@ bench:
 # cannot change unnoticed.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test -cpu 1,2 .
-
-# bench-json records the perf trajectory: one JSON file per day, kept in
-# the repo history so regressions are diffable.
-bench-json:
-	$(GO) test -bench=. -benchmem -run='^$$' -json . > BENCH_$(DATE).json
-
-# bench-diff is the regression gate: rerun the gated benchmarks and
-# compare ns/op against the newest committed baseline (>25% fails).
-bench-diff:
-	@test -n "$(BENCH_BASELINE)" || { echo "no BENCH_*.json baseline committed"; exit 2; }
-	@new="$$(mktemp -t genio-bench-new.XXXXXX)"; \
-	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' -count=2 -json . > "$$new" && \
-	$(GO) run ./cmd/genio-benchdiff -baseline $(BENCH_BASELINE) -new "$$new" \
-		-match '$(BENCH_GATE)' -threshold $(BENCH_THRESHOLD); \
-	rc=$$?; rm -f "$$new"; exit $$rc
 
 fmt:
 	gofmt -l -w .
@@ -89,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCondition -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
+	$(GO) test -fuzz=FuzzVerify -fuzztime=15s ./api/
 
 # loc prints the number each simplicity round is judged on: tracked
 # non-test Go outside the benchmark module, comments and blank lines
@@ -111,7 +91,6 @@ cores:
 	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim
 
 # ci mirrors the checks and cores jobs of .github/workflows/ci.yml for
-# local runs (the workflow's separate examples, coverage, and
-# bench-regression jobs have their own targets: `make examples`, `make
-# cover`, `make bench-diff`).
+# local runs (the workflow's separate e2e, examples and coverage jobs
+# have their own targets: `make e2e`, `make examples`, `make cover`).
 ci: build vet staticcheck fmt-check race bench-harness fuzz-smoke cores

@@ -1,21 +1,31 @@
 package api
 
-// Request authentication. The platform's PKI issues Ed25519 identity
-// certificates (internal/pki) rather than x509, so the wire cannot use
-// stock crypto/tls mutual TLS; instead every request carries a
-// detached signature in the mTLS role: the client attaches its
-// certificate and signs the request with its private key, the server
-// verifies both against the cluster CA and extracts the certificate's
-// subject for RBAC. Same trust chain, same per-subject authentication
-// — just carried in headers instead of the handshake.
+// Request authentication: handshake, then session. The platform's PKI
+// issues Ed25519 identity certificates (internal/pki) rather than x509,
+// so the wire cannot use stock crypto/tls mutual TLS; the handshake
+// plays that role in headers instead. A client proves its identity
+// once — POST /v2/session carrying its certificate and an Ed25519
+// signature over the request (SignRequest), checked against the cluster
+// CA — and receives a short-lived session: a token id plus an
+// HMAC-SHA256 secret bound to the certificate's subject. Every other
+// request is MACed with that secret (SignRequestSession) and names the
+// token; the server looks the subject up for RBAC. When the session
+// ends (TTL, eviction, daemon restart) the server answers the
+// recoverable session-expired 401 and the client handshakes again.
 //
-// The signature covers method, path, canonical query string, date,
-// nonce, and a SHA-256 hash of the body, so a captured request cannot
-// be replayed against another endpoint, with altered parameters, or
-// with a substituted body. Replay of the request verbatim is stopped
-// in depth: the date must fall inside a small clock-skew window, and a
-// stateful Verifier additionally remembers nonces seen inside that
-// window and rejects duplicates.
+// This package holds the two primitives and a Verifier that checks
+// either; which one a route accepts is decided in exactly one place,
+// api/server's Server.authenticate: a certificate signature on POST
+// /v2/session only, a session MAC everywhere else.
+//
+// Both primitives cover the same canonical string — method, path,
+// canonical query string, date, nonce, and a SHA-256 hash of the body —
+// so a captured request cannot be replayed against another endpoint,
+// with altered parameters, or with a substituted body. Replay of the
+// request verbatim is stopped in depth: the date must fall inside a
+// small clock-skew window, and the Verifier remembers nonces seen
+// inside that window and rejects duplicates, one cache for both
+// primitives.
 
 import (
 	"bytes"
@@ -57,8 +67,9 @@ const (
 	// seen inside the clock-skew window.
 	HeaderNonce = "X-Genio-Nonce"
 	// HeaderSubject names the caller in anonymous (legacy-posture)
-	// mode, where no certificate is presented. Ignored whenever a
-	// certificate is present: the certificate's subject wins.
+	// mode. Honoured only by a server that allows anonymous callers, and
+	// only on a request that presents no credential at all: a session
+	// token, certificate or signature is always verified, never demoted.
 	HeaderSubject = "X-Genio-Subject"
 	// HeaderSession carries a session token id issued by POST
 	// /v2/session. When present, HeaderSignature holds an HMAC-SHA256
@@ -115,9 +126,10 @@ var ErrSessionExpired = fmt.Errorf("%w: session expired or unknown", ErrUnauthen
 const DefaultSessionTTL = 10 * time.Minute
 
 // DefaultSessionCapacity bounds live sessions. Unlike the nonce cache,
-// hitting the cap is not a security decision — a refused handshake just
-// leaves the client on per-request Ed25519 signing, which is always
-// accepted — so the cap only bounds memory.
+// hitting the cap is not a security decision: a handshake is never
+// refused for it. The oldest-issued session is evicted instead, and its
+// holder — if still around — gets the recoverable session-expired 401
+// and re-keys, so the cap only bounds memory.
 const DefaultSessionCapacity = 4096
 
 // sessionSecretSize is the HMAC-SHA256 key length for session secrets.
@@ -348,8 +360,8 @@ type Session struct {
 	Subject   string
 	ExpiresAt time.Time
 
-	// macs holds reset-able keyed HMAC states for Secret; nil for
-	// hand-built Sessions, in which case signing keys a fresh state.
+	// macs holds reset-able keyed HMAC states for Secret. Only
+	// SessionGrant.Session sets it; a hand-built Session cannot sign.
 	macs *macPool
 }
 
@@ -375,8 +387,8 @@ func (g *SessionGrant) Session() *Session {
 // signed with the identity key — sub-µs symmetric crypto on the
 // steady-state path, and no certificate attached.
 func SignRequestSession(req *http.Request, s *Session) error {
-	if s == nil || len(s.Secret) == 0 {
-		return fmt.Errorf("%w: no session", ErrUnauthenticated)
+	if s == nil || s.macs == nil {
+		return fmt.Errorf("%w: no session (build one with SessionGrant.Session)", ErrUnauthenticated)
 	}
 	date := req.Header.Get(HeaderDate)
 	if date == "" {
@@ -395,29 +407,21 @@ func SignRequestSession(req *http.Request, s *Session) error {
 	if err != nil {
 		return err
 	}
-	query := canonicalQuery(req.URL)
-	var sum []byte
-	if s.macs != nil {
-		sum = s.macs.mac(req.Method, req.URL.Path, query, date, nonce, bodyHash)
-	} else {
-		mac := hmac.New(sha256.New, s.Secret)
-		mac.Write(signingPayload(req.Method, req.URL.Path, query, date, nonce, bodyHash))
-		sum = mac.Sum(nil)
-	}
+	sum := s.macs.mac(req.Method, req.URL.Path, canonicalQuery(req.URL), date, nonce, bodyHash)
 	req.Header.Set(HeaderSession, s.Token)
 	req.Header.Set(HeaderSignature, b64MAC(sum))
 	return nil
 }
 
-// Verifier checks incoming requests' certificates and signatures
-// against a CA. It is stateful: nonces seen inside the clock-skew
-// window are remembered (and bounded by that window), so a verbatim
-// replay of a captured request is rejected even while its date is
-// still fresh. It also holds the session table for HMAC-authenticated
-// requests (IssueSession / the X-Genio-Session path); both paths share
-// the same canonical string, date window, and nonce cache, so every
-// replay/skew guarantee holds identically for sessions. Safe for
-// concurrent use.
+// Verifier checks incoming requests: a session MAC against the session
+// table it holds (IssueSession), a certificate signature against the
+// CA. It is stateful: nonces seen inside the clock-skew window are
+// remembered (and bounded by that window), so a verbatim replay of a
+// captured request is rejected even while its date is still fresh. Both
+// primitives share the same canonical string, date window, and nonce
+// cache, so every replay/skew guarantee holds identically for either.
+// Which primitive a route accepts is the server's decision, not the
+// Verifier's. Safe for concurrent use.
 type Verifier struct {
 	ca   *pki.CA
 	skew time.Duration
@@ -429,17 +433,17 @@ type Verifier struct {
 	maxNonces int                 // hard cap on remembered nonces (full cache rejects)
 
 	sessMu      sync.RWMutex
-	sessions    map[string]*sessionRecord // token id → live session
+	sessions    map[string]*sessionRecord // token id → issued session
+	sessOrder   []string                  // token ids, issue order == expiry order (one TTL)
 	sessTTL     time.Duration
-	maxSessions int
+	maxSessions int // at the cap the oldest-issued session is evicted
 }
 
 // sessionRecord is the server half of an issued session.
 type sessionRecord struct {
-	secret  []byte
 	subject string
 	exp     time.Time
-	macs    *macPool // reset-able keyed HMAC states for secret
+	macs    *macPool // reset-able HMAC states keyed by the session secret
 }
 
 // nonceEntry pairs a remembered nonce with when it may be forgotten.
@@ -448,46 +452,20 @@ type nonceEntry struct {
 	exp   time.Time
 }
 
-// VerifierOption customizes a Verifier.
+// VerifierOption customizes a Verifier. The clock-skew window and the
+// nonce and session caps are fixed at their defaults; in-package tests
+// set the fields.
 type VerifierOption func(*Verifier)
-
-// WithClockSkew overrides the accepted date drift (default
-// MaxClockSkew).
-func WithClockSkew(d time.Duration) VerifierOption {
-	return func(v *Verifier) { v.skew = d }
-}
 
 // WithVerifierClock overrides the verifier's time source (tests).
 func WithVerifierClock(now func() time.Time) VerifierOption {
 	return func(v *Verifier) { v.now = now }
 }
 
-// WithNonceCapacity overrides the replay-cache entry cap (default
-// DefaultNonceCapacity). Values below 1 are clamped to 1.
-func WithNonceCapacity(n int) VerifierOption {
-	return func(v *Verifier) {
-		if n < 1 {
-			n = 1
-		}
-		v.maxNonces = n
-	}
-}
-
 // WithSessionTTL overrides how long issued sessions live (default
 // DefaultSessionTTL). Tests use tiny TTLs to exercise re-keying.
 func WithSessionTTL(d time.Duration) VerifierOption {
 	return func(v *Verifier) { v.sessTTL = d }
-}
-
-// WithSessionCapacity overrides the live-session cap (default
-// DefaultSessionCapacity). Values below 1 are clamped to 1.
-func WithSessionCapacity(n int) VerifierOption {
-	return func(v *Verifier) {
-		if n < 1 {
-			n = 1
-		}
-		v.maxSessions = n
-	}
 }
 
 // NewVerifier builds a request verifier over the CA.
@@ -504,8 +482,10 @@ func NewVerifier(ca *pki.CA, opts ...VerifierOption) *Verifier {
 
 // IssueSession mints a session for an already-authenticated subject
 // (the caller must have verified an Ed25519-signed handshake first).
-// Expired sessions are pruned on issue; at capacity the handshake is
-// refused — the client simply stays on per-request Ed25519 signing.
+// It never refuses for lack of room: sessions leave the table in issue
+// order, the expired ones on every issue and, at capacity, the
+// oldest-issued live one — whose holder gets ErrSessionExpired on its
+// next request and handshakes again.
 func (v *Verifier) IssueSession(subject string) (*SessionGrant, error) {
 	var raw [16 + sessionSecretSize]byte
 	if _, err := rand.Read(raw[:]); err != nil {
@@ -517,17 +497,13 @@ func (v *Verifier) IssueSession(subject string) (*SessionGrant, error) {
 	exp := now.Add(v.sessTTL)
 	v.sessMu.Lock()
 	defer v.sessMu.Unlock()
-	if len(v.sessions) >= v.maxSessions {
-		for id, rec := range v.sessions {
-			if now.After(rec.exp) {
-				delete(v.sessions, id)
-			}
-		}
-		if len(v.sessions) >= v.maxSessions {
-			return nil, fmt.Errorf("%w: session table full, retry later", ErrUnauthenticated)
-		}
+	for len(v.sessOrder) > 0 &&
+		(len(v.sessOrder) >= v.maxSessions || now.After(v.sessions[v.sessOrder[0]].exp)) {
+		delete(v.sessions, v.sessOrder[0])
+		v.sessOrder = v.sessOrder[1:]
 	}
-	v.sessions[token] = &sessionRecord{secret: secret, subject: subject, exp: exp, macs: newMACPool(secret)}
+	v.sessOrder = append(v.sessOrder, token)
+	v.sessions[token] = &sessionRecord{subject: subject, exp: exp, macs: newMACPool(secret)}
 	return &SessionGrant{Token: token, Secret: secret, Subject: subject, ExpiresAt: exp}, nil
 }
 
@@ -535,10 +511,10 @@ func (v *Verifier) IssueSession(subject string) (*SessionGrant, error) {
 // subject. Requests carrying a session token take the HMAC path; all
 // others must present a certificate chaining to the CA (within its
 // validity window, not revoked, service role) whose key signed the
-// request. Either way the signature covers the request (method, path,
-// query, date, nonce, body hash), the date must be within the
-// clock-skew window, and the nonce must not have been seen before —
-// the replay defenses are shared, not per-path.
+// request — the handshake's proof. Either way the signature covers the
+// request (method, path, query, date, nonce, body hash), the date must
+// be within the clock-skew window, and the nonce must not have been
+// seen before — the replay defenses are shared, not per-path.
 func (v *Verifier) Verify(r *http.Request) (string, error) {
 	var (
 		subject, nonce string
@@ -573,14 +549,7 @@ func (v *Verifier) verifySessionMAC(r *http.Request) (subject, nonce string, err
 	rec, ok := v.sessions[token]
 	v.sessMu.RUnlock()
 	if !ok || v.now().After(rec.exp) {
-		if ok {
-			v.sessMu.Lock()
-			if cur, still := v.sessions[token]; still && cur == rec {
-				delete(v.sessions, token)
-			}
-			v.sessMu.Unlock()
-		}
-		return "", "", ErrSessionExpired
+		return "", "", ErrSessionExpired // the record itself leaves on a later issue
 	}
 	date := r.Header.Get(HeaderDate)
 	if err := v.checkDate(date); err != nil {
@@ -684,14 +653,6 @@ func (v *Verifier) checkNonce(nonce string) error {
 	v.seen[nonce] = struct{}{}
 	v.order = append(v.order, nonceEntry{nonce: nonce, exp: now.Add(2 * v.skew)})
 	return nil
-}
-
-// VerifyRequest is the stateless form of Verifier.Verify: everything
-// is checked except nonce replay (which needs memory across requests).
-// Servers should hold a Verifier; this suits one-shot verification.
-func VerifyRequest(r *http.Request, ca *pki.CA) (string, error) {
-	subject, _, err := NewVerifier(ca).verifySignature(r)
-	return subject, err
 }
 
 // identityFile is the on-disk JSON form of an identity.

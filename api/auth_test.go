@@ -34,9 +34,9 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	if err := SignRequest(req, id); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	subject, err := VerifyRequest(req, ca)
+	subject, err := NewVerifier(ca).Verify(req)
 	if err != nil {
-		t.Fatalf("VerifyRequest: %v", err)
+		t.Fatalf("Verify: %v", err)
 	}
 	if subject != "operator" {
 		t.Fatalf("subject = %q, want operator", subject)
@@ -46,7 +46,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 func TestVerifyRejectsMissingHeaders(t *testing.T) {
 	ca := testCA(t)
 	req := httptest.NewRequest("GET", "http://geniod/v2/nodes", nil)
-	if _, err := VerifyRequest(req, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(req); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestVerifyRejectsForeignCA(t *testing.T) {
 	if err := SignRequest(req, id); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	if _, err := VerifyRequest(req, ours); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ours).Verify(req); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestVerifyRejectsWrongRole(t *testing.T) {
 	if err := SignRequest(req, id); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	if _, err := VerifyRequest(req, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(req); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestVerifyRejectsTamperedRequestLine(t *testing.T) {
 	// Replay the signed headers against a different endpoint.
 	replay := httptest.NewRequest("POST", "http://geniod/v2/nodes/olt-01/drain", nil)
 	replay.Header = req.Header.Clone()
-	if _, err := VerifyRequest(replay, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(replay); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated (replay must fail)", err)
 	}
 }
@@ -114,13 +114,13 @@ func TestVerifyRejectsTamperedBody(t *testing.T) {
 	replay := httptest.NewRequest("POST", "http://geniod/v2/deployments",
 		strings.NewReader(`{"spec":{"name":"cryptominer"}}`))
 	replay.Header = req.Header.Clone()
-	if _, err := VerifyRequest(replay, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(replay); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated (body substitution must fail)", err)
 	}
 	// The untampered request still verifies, and the body survives
 	// verification intact for the handler.
-	if _, err := VerifyRequest(req, ca); err != nil {
-		t.Fatalf("VerifyRequest: %v", err)
+	if _, err := NewVerifier(ca).Verify(req); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 	body, _ := io.ReadAll(req.Body)
 	if string(body) != `{"spec":{"name":"web"}}` {
@@ -140,7 +140,7 @@ func TestVerifyRejectsTamperedQuery(t *testing.T) {
 	}
 	replay := httptest.NewRequest("GET", "http://geniod/v2/watch?tenant=rival", nil)
 	replay.Header = req.Header.Clone()
-	if _, err := VerifyRequest(replay, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(replay); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated (query substitution must fail)", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestVerifyRejectsStaleDate(t *testing.T) {
 	if err := SignRequest(req, id); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	if _, err := VerifyRequest(req, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(req); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated (stale date must fail)", err)
 	}
 }
@@ -200,7 +200,8 @@ func TestNonceCacheBoundedUnderFlood(t *testing.T) {
 	const capacity = 64
 	now := time.Now()
 	clock := func() time.Time { return now }
-	v := NewVerifier(testCA(t), WithNonceCapacity(capacity), WithVerifierClock(clock))
+	v := NewVerifier(testCA(t), WithVerifierClock(clock))
+	v.maxNonces = capacity
 	for i := 0; i < capacity; i++ {
 		if err := v.checkNonce(fmt.Sprintf("nonce-%04d", i)); err != nil {
 			t.Fatalf("unique nonce %d rejected below cap: %v", i, err)
@@ -244,7 +245,8 @@ func TestVerifyConcurrentFlood(t *testing.T) {
 		t.Fatalf("Issue: %v", err)
 	}
 	const capacity = 32
-	v := NewVerifier(ca, WithNonceCapacity(capacity))
+	v := NewVerifier(ca)
+	v.maxNonces = capacity
 	const workers, perWorker = 8, 40
 	var wg sync.WaitGroup
 	var admitted, shed atomic.Int64
@@ -302,7 +304,7 @@ func TestVerifyRejectsRevoked(t *testing.T) {
 	if err := SignRequest(req, id); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	if _, err := VerifyRequest(req, ca); !errors.Is(err, ErrUnauthenticated) {
+	if _, err := NewVerifier(ca).Verify(req); !errors.Is(err, ErrUnauthenticated) {
 		t.Fatalf("err = %v, want ErrUnauthenticated", err)
 	}
 }
@@ -329,8 +331,8 @@ func TestIdentityFileRoundTrip(t *testing.T) {
 	if err := SignRequest(req, back); err != nil {
 		t.Fatalf("SignRequest: %v", err)
 	}
-	if _, err := VerifyRequest(req, ca); err != nil {
-		t.Fatalf("VerifyRequest after reload: %v", err)
+	if _, err := NewVerifier(ca).Verify(req); err != nil {
+		t.Fatalf("Verify after reload: %v", err)
 	}
 }
 
@@ -513,7 +515,7 @@ func TestSessionExpiryAndUnknownToken(t *testing.T) {
 	}
 	// A token the verifier never issued reports the same condition.
 	unknown := httptest.NewRequest("GET", "http://geniod/v2/nodes", nil)
-	if err := SignRequestSession(unknown, &Session{Token: "no-such-token", Secret: s.Secret}); err != nil {
+	if err := SignRequestSession(unknown, (&SessionGrant{Token: "no-such-token", Secret: s.Secret}).Session()); err != nil {
 		t.Fatalf("SignRequestSession: %v", err)
 	}
 	if _, err := v.Verify(unknown); !errors.Is(err, ErrSessionExpired) {
@@ -523,7 +525,7 @@ func TestSessionExpiryAndUnknownToken(t *testing.T) {
 
 func TestSessionRejectsWrongSecret(t *testing.T) {
 	v, s := sessionFixture(t)
-	forged := &Session{Token: s.Token, Secret: []byte("not-the-granted-secret--------!!"), Subject: s.Subject}
+	forged := (&SessionGrant{Token: s.Token, Secret: []byte("not-the-granted-secret--------!!"), Subject: s.Subject}).Session()
 	req := httptest.NewRequest("GET", "http://geniod/v2/nodes", nil)
 	if err := SignRequestSession(req, forged); err != nil {
 		t.Fatalf("SignRequestSession: %v", err)
@@ -533,23 +535,69 @@ func TestSessionRejectsWrongSecret(t *testing.T) {
 	}
 }
 
-// TestSessionCapacityBounded: the session table refuses new grants at
-// capacity (clients just stay on Ed25519), and expired entries free
-// capacity again.
+// TestSessionCapacityBounded: a full session table never refuses a
+// handshake. Expired sessions leave first; with none expired the
+// oldest-issued live one is evicted, and its holder sees the
+// recoverable ErrSessionExpired while every younger session still
+// verifies.
 func TestSessionCapacityBounded(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	v := NewVerifier(testCA(t), WithVerifierClock(clock), WithSessionCapacity(2), WithSessionTTL(time.Minute))
-	for i := 0; i < 2; i++ {
-		if _, err := v.IssueSession("operator"); err != nil {
-			t.Fatalf("IssueSession %d: %v", i, err)
+	v := NewVerifier(testCA(t), WithVerifierClock(clock), WithSessionTTL(time.Minute))
+	v.maxSessions = 2
+	verify := func(s *Session) error {
+		t.Helper()
+		req := httptest.NewRequest("GET", "http://geniod/v2/nodes", nil)
+		req.Header.Set(HeaderDate, now.UTC().Format(time.RFC3339))
+		if err := SignRequestSession(req, s); err != nil {
+			t.Fatalf("SignRequestSession: %v", err)
+		}
+		_, err := v.Verify(req)
+		return err
+	}
+	var held []*Session
+	for i := 0; i < 3; i++ {
+		grant, err := v.IssueSession("operator")
+		if err != nil {
+			t.Fatalf("IssueSession %d at capacity 2: %v", i, err)
+		}
+		held = append(held, grant.Session())
+	}
+	if err := verify(held[0]); !errors.Is(err, ErrSessionExpired) {
+		t.Fatalf("oldest session after eviction: err = %v, want ErrSessionExpired", err)
+	}
+	for i, s := range held[1:] {
+		if err := verify(s); err != nil {
+			t.Fatalf("younger session %d evicted: %v", i+1, err)
 		}
 	}
-	if _, err := v.IssueSession("operator"); !errors.Is(err, ErrUnauthenticated) {
-		t.Fatalf("err = %v, want refusal at capacity", err)
+	if len(v.sessions) != 2 || len(v.sessOrder) != 2 {
+		t.Fatalf("table = %d sessions / %d ordered, want 2 / 2", len(v.sessions), len(v.sessOrder))
 	}
+	// Expiry empties the table on the next issue, whatever the cap.
 	now = now.Add(2 * time.Minute)
-	if _, err := v.IssueSession("operator"); err != nil {
-		t.Fatalf("IssueSession after expiry pruning: %v", err)
+	fresh, err := v.IssueSession("operator")
+	if err != nil {
+		t.Fatalf("IssueSession after expiry: %v", err)
+	}
+	if err := verify(fresh.Session()); err != nil {
+		t.Fatalf("fresh session: %v", err)
+	}
+	if len(v.sessions) != 1 || len(v.sessOrder) != 1 {
+		t.Fatalf("table = %d sessions / %d ordered after expiry, want 1 / 1", len(v.sessions), len(v.sessOrder))
+	}
+}
+
+// TestHandBuiltSessionCannotSign: only SessionGrant.Session yields a
+// usable credential; a struct literal is refused, not MACed with a
+// fresh key state.
+func TestHandBuiltSessionCannotSign(t *testing.T) {
+	req := httptest.NewRequest("GET", "http://geniod/v2/nodes", nil)
+	err := SignRequestSession(req, &Session{Token: "t", Secret: []byte("0123456789abcdef0123456789abcdef")})
+	if !errors.Is(err, ErrUnauthenticated) {
+		t.Fatalf("err = %v, want ErrUnauthenticated", err)
+	}
+	if req.Header.Get(HeaderSession) != "" || req.Header.Get(HeaderSignature) != "" {
+		t.Fatalf("refused sign left credentials on the request: %v", req.Header)
 	}
 }

@@ -1,12 +1,21 @@
 package client
 
-// Conformance tests: every Interface method is exercised in BOTH shapes
-// the one implementation (HTTP) is deployed in — "local", the
-// daemon-less genioctl shape (anonymous subject header against an
-// AllowAnonymous api/server this process hosts on loopback), and "http",
-// the remote shape (Ed25519/session-signed requests against a strict
-// server) — and must behave identically, including the typed errors
-// errors.Is/As-matched after a wire decode.
+// Conformance tests: every Interface method is exercised in every shape
+// the one implementation (HTTP) is deployed in, and must behave
+// identically, including the typed errors errors.Is/As-matched after a
+// wire decode. All three are HTTP; they differ in who the caller is:
+//
+//   - "local": anonymous loopback, the daemon-less genioctl shape — a
+//     subject header against an AllowAnonymous api/server this process
+//     hosts on 127.0.0.1;
+//   - "http": session, the remote shape — an identity that handshakes
+//     once and MACs every request, against a strict server;
+//   - "session-on-anonymous-server": that same identity against a server
+//     that also allows anonymous callers (geniod -allow-anonymous), where
+//     it must still act as its certificate's subject.
+//
+// The first two keep the names they had when one of them was in-process:
+// the test floor pins them as the suite prints them.
 
 import (
 	"context"
@@ -70,6 +79,26 @@ func modes(t *testing.T) []mode {
 				WithHTTPClient(ts.Client()),
 				WithBackoff(5*time.Millisecond, 20*time.Millisecond))
 			t.Cleanup(func() { cli.Close() })
+			return cli, p
+		}},
+		{"session-on-anonymous-server", func(t *testing.T) (Interface, *core.Platform) {
+			// Only "ops" is bound: demoted to the anonymous subject, every
+			// call below would be an RBAC refusal.
+			p, err := demo.Platform(core.SecureConfig(), "ops")
+			if err != nil {
+				t.Fatal(err)
+			}
+			url, stop, err := server.New(p, server.Options{AllowAnonymous: true}).ServeLoopback()
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := p.CA.Issue("ops", pki.RoleService)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := NewHTTP(url, WithIdentity(id),
+				WithBackoff(5*time.Millisecond, 20*time.Millisecond))
+			t.Cleanup(func() { cli.Close(); stop(); p.Close() })
 			return cli, p
 		}},
 	}
@@ -359,6 +388,79 @@ func TestHTTPTransportError(t *testing.T) {
 	defer cli.Close()
 	if _, err := cli.Nodes(context.Background(), nil, ""); err == nil {
 		t.Fatal("request against a closed server succeeded")
+	}
+}
+
+// TestHandshakeTransportErrorIsRetryable: with no session held, the
+// handshake is the first thing on the wire. Against a dead listener its
+// failure must surface unchanged as a transport error, so Watch and
+// Await reconnect loops keep treating a restarting daemon as retryable.
+func TestHandshakeTransportErrorIsRetryable(t *testing.T) {
+	ca, err := pki.NewCA("test-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := ca.Issue("ops", pki.RoleService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	ts.Close() // dead on arrival
+	cli := NewHTTP(ts.URL, WithIdentity(id))
+	defer cli.Close()
+	_, err = cli.Nodes(context.Background(), nil, "")
+	if err == nil {
+		t.Fatal("request against a closed server succeeded")
+	}
+	var we *api.WireError
+	if !isTransportError(err) || errors.As(err, &we) {
+		t.Fatalf("handshake against a closed listener = %T: %v, want a transport error", err, err)
+	}
+}
+
+// TestHandshakeRefusalIsTypedAndFinal: a handshake the server refuses
+// (revoked certificate) surfaces the typed unauthenticated error, is not
+// mistaken for a transport failure, and the request it was for never
+// goes out — there is no second credential to try it with.
+func TestHandshakeRefusalIsTypedAndFinal(t *testing.T) {
+	p, err := demo.Platform(core.SecureConfig(), "ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	srv := server.New(p, server.Options{CA: p.CA})
+	t.Cleanup(srv.Close)
+	var handshakes, others atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/session" {
+			handshakes.Add(1)
+		} else {
+			others.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	id, err := p.CA.Issue("ops", pki.RoleService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CA.Revoke(id.Certificate.SerialNumber)
+	cli := NewHTTP(ts.URL, WithIdentity(id))
+	t.Cleanup(func() { cli.Close() })
+
+	_, err = cli.Deploy(context.Background(), spec("never-sent", "acme/analytics:2.0.1"))
+	var we *api.WireError
+	if !errors.As(err, &we) || we.Code != api.CodeUnauthenticated {
+		t.Fatalf("deploy with a revoked certificate = %T: %v, want the typed unauthenticated error", err, err)
+	}
+	if isTransportError(err) {
+		t.Fatalf("refusal classified as a transport error: %v", err)
+	}
+	if handshakes.Load() != 1 || others.Load() != 0 {
+		t.Fatalf("wire saw %d handshakes and %d other requests, want 1 and 0", handshakes.Load(), others.Load())
+	}
+	if _, ok := p.Cluster.Workload("never-sent"); ok {
+		t.Fatal("workload placed for a refused identity")
 	}
 }
 

@@ -21,15 +21,15 @@ import (
 )
 
 // HTTP is the remote client: it speaks the v2 wire surface to a geniod
-// server, authenticating every request with its PKI identity (or an
-// anonymous subject header against a legacy-posture server).
+// server as its PKI identity (or under an anonymous subject header
+// against a legacy-posture server).
 //
-// With an identity configured, the client establishes a session on
-// first use (POST /v2/session, Ed25519-signed) and authenticates the
-// steady state with the granted HMAC secret — re-keying through the
-// asymmetric handshake when the session expires, and falling back to
-// per-request Ed25519 signatures against servers that predate
-// sessions.
+// With an identity configured, the client proves it once — POST
+// /v2/session, Ed25519-signed, on first use — and MACs every request
+// with the granted session secret, re-running the handshake when the
+// session expires or the server no longer knows it. There is no other
+// mode: a handshake that fails fails the request it was for, with the
+// transport error or the server's typed refusal.
 type HTTP struct {
 	base     string
 	client   *http.Client
@@ -38,12 +38,9 @@ type HTTP struct {
 
 	// Session state. sessMu serializes re-keying: one goroutine runs
 	// the handshake while concurrent requests wait for the fresh
-	// session instead of stampeding the endpoint. sessOff latches when
-	// the server has no /v2/session (404/405): a legacy daemon, so the
-	// client stays on per-request signing without re-probing.
-	sessMu  sync.Mutex
-	sess    *api.Session
-	sessOff bool
+	// session instead of stampeding the endpoint.
+	sessMu sync.Mutex
+	sess   *api.Session
 
 	// backoff bounds for stream/await reconnection.
 	backoffMin time.Duration
@@ -59,8 +56,8 @@ var _ Interface = (*HTTP)(nil)
 // HTTPOption configures the HTTP client.
 type HTTPOption func(*HTTP)
 
-// WithIdentity authenticates requests with a PKI identity (see
-// api.SignRequest).
+// WithIdentity authenticates the client with a PKI identity: it signs
+// the session handshake, and the session MACs everything else.
 func WithIdentity(id *pki.Identity) HTTPOption {
 	return func(c *HTTP) { c.identity = id }
 }
@@ -170,10 +167,9 @@ func (c *HTTP) newRequest(ctx context.Context, method, path string, query url.Va
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.identity != nil {
-		if s := c.session(ctx); s != nil {
+		s, err := c.session(ctx)
+		if err == nil {
 			err = api.SignRequestSession(req, s)
-		} else {
-			err = api.SignRequest(req, c.identity)
 		}
 		if err != nil {
 			release()
@@ -186,49 +182,41 @@ func (c *HTTP) newRequest(ctx context.Context, method, path string, query url.Va
 }
 
 // session returns a live session, running the Ed25519 handshake if
-// none is held. Any handshake failure falls back to nil — the caller
-// signs per-request with the identity key, which is always accepted —
-// so sessions are purely an optimization, never an availability risk.
-func (c *HTTP) session(ctx context.Context) *api.Session {
+// none is held. A handshake that fails on the wire returns the
+// transport error unchanged, so reconnect loops still see a restarting
+// daemon as retryable; one the server refuses (revoked or foreign
+// certificate) returns the decoded typed error. Either way the request
+// the session was for is not sent.
+func (c *HTTP) session(ctx context.Context) (*api.Session, error) {
 	c.sessMu.Lock()
 	defer c.sessMu.Unlock()
-	if c.sessOff {
-		return nil
-	}
 	// Refresh slightly early so a request signed now does not land
 	// after server-side expiry mid-flight.
 	if c.sess != nil && time.Now().Add(2*time.Second).Before(c.sess.ExpiresAt) {
-		return c.sess
+		return c.sess, nil
 	}
 	c.sess = nil
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/session", nil)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	if err := api.SignRequest(req, c.identity); err != nil {
-		return nil
+		return nil, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusCreated {
+		return nil, decodeError(resp)
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed:
-		// Pre-session server: stop probing, stay on Ed25519.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		c.sessOff = true
-		return nil
-	case resp.StatusCode != http.StatusCreated:
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
 	var grant api.SessionGrant
-	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
-		return nil
+	if err := decodeBody(resp.Body, &grant); err != nil {
+		return nil, fmt.Errorf("client: session grant: %w", err)
 	}
 	c.sess = grant.Session()
-	return c.sess
+	return c.sess, nil
 }
 
 // invalidateSession drops the held session (the server no longer knows

@@ -36,8 +36,9 @@ type Options struct {
 	// the common case: geniod and its clients share the cluster trust
 	// root.
 	CA *pki.CA
-	// AllowAnonymous admits requests without a certificate, taking the
-	// subject from the X-Genio-Subject header ("anonymous" when absent).
+	// AllowAnonymous admits requests that present no credential at all,
+	// taking the subject from the X-Genio-Subject header ("anonymous" when
+	// absent). A request that does present one is verified regardless.
 	// This is the legacy posture's insecure default; the secure posture
 	// leaves it off and rejects unauthenticated requests with 401.
 	AllowAnonymous bool
@@ -122,38 +123,69 @@ func New(p *core.Platform, opts Options) *Server {
 	}
 	s.verifier = api.NewVerifier(s.opts.CA, vopts...)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /v2/healthz", s.handleHealthz)
-	s.handle("POST /v2/session", s.handleSession)
-	s.handle("POST /v2/deployments", s.handleDeploy)
-	s.handle("POST /v2/deploy/batch", s.handleDeployBatch)
-	s.handle("POST /v2/deployments/async", s.handleDeployAsync)
-	s.handle("GET /v2/deployments/{id}", s.handleDeploymentStatus)
-	s.handle("GET /v2/deployments/{id}/await", s.handleDeploymentAwait)
-	s.handle("DELETE /v2/deployments/{id}", s.handleDeploymentCancel)
-	s.handle("GET /v2/watch", s.handleWatch)
-	s.handle("GET /v2/nodes", s.handleNodes)
-	s.handle("POST /v2/nodes", s.handleAddNode)
-	s.handle("POST /v2/nodes/{name}/cordon", s.handleCordon)
-	s.handle("POST /v2/nodes/{name}/uncordon", s.handleUncordon)
-	s.handle("POST /v2/nodes/{name}/drain", s.handleDrain)
-	s.handle("POST /v2/nodes/{name}/fail", s.handleFail)
-	s.handle("POST /v2/nodes/{name}/onus", s.handleAttachONU)
-	s.handle("GET /v2/incidents", s.handleIncidents)
-	s.handle("GET /v2/ledger", s.handleLedger)
-	s.handle("GET /v2/slots", s.handleSlots)
-	s.handle("GET /v2/clusters", s.handleClusters)
-	s.handle("POST /v2/clusters/{name}/evacuate", s.handleEvacuate)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, s.serve(rt))
+	}
 	return s
 }
 
 // Handler returns the HTTP handler serving the v2 surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handle registers an authenticated route: the handler receives the
-// verified subject alongside the request.
-func (s *Server) handle(pattern string, fn func(w http.ResponseWriter, r *http.Request, subject string)) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		subject, err := s.authenticate(r)
+// credential is what a route accepts as proof of who is calling.
+type credential int
+
+const (
+	// credSession is the zero value, so a route that says nothing gets
+	// it: a MAC under a session POST /v2/session issued, or, on a server
+	// that allows anonymous callers, no credential at all.
+	credSession credential = iota
+	// credCertificate is the Ed25519 handshake: POST /v2/session only.
+	credCertificate
+	// credNone routes are open: liveness probes carry nothing.
+	credNone
+)
+
+// route is one row of the v2 surface. The handler receives the
+// authenticated subject ("" on a credNone route).
+type route struct {
+	pattern string
+	accepts credential
+	handler func(s *Server, w http.ResponseWriter, r *http.Request, subject string)
+}
+
+// routes is the whole v2 surface: New registers exactly these, and the
+// route-table test walks them, so a route cannot exist without going
+// through serve and authenticate.
+var routes = []route{
+	{pattern: "GET /v2/healthz", accepts: credNone, handler: (*Server).handleHealthz},
+	{pattern: "POST /v2/session", accepts: credCertificate, handler: (*Server).handleSession},
+	{pattern: "POST /v2/deployments", handler: (*Server).handleDeploy},
+	{pattern: "POST /v2/deploy/batch", handler: (*Server).handleDeployBatch},
+	{pattern: "POST /v2/deployments/async", handler: (*Server).handleDeployAsync},
+	{pattern: "GET /v2/deployments/{id}", handler: (*Server).handleDeploymentStatus},
+	{pattern: "GET /v2/deployments/{id}/await", handler: (*Server).handleDeploymentAwait},
+	{pattern: "DELETE /v2/deployments/{id}", handler: (*Server).handleDeploymentCancel},
+	{pattern: "GET /v2/watch", handler: (*Server).handleWatch},
+	{pattern: "GET /v2/nodes", handler: (*Server).handleNodes},
+	{pattern: "POST /v2/nodes", handler: (*Server).handleAddNode},
+	{pattern: "POST /v2/nodes/{name}/cordon", handler: (*Server).handleCordon},
+	{pattern: "POST /v2/nodes/{name}/uncordon", handler: (*Server).handleUncordon},
+	{pattern: "POST /v2/nodes/{name}/drain", handler: (*Server).handleDrain},
+	{pattern: "POST /v2/nodes/{name}/fail", handler: (*Server).handleFail},
+	{pattern: "POST /v2/nodes/{name}/onus", handler: (*Server).handleAttachONU},
+	{pattern: "GET /v2/incidents", handler: (*Server).handleIncidents},
+	{pattern: "GET /v2/ledger", handler: (*Server).handleLedger},
+	{pattern: "GET /v2/slots", handler: (*Server).handleSlots},
+	{pattern: "GET /v2/clusters", handler: (*Server).handleClusters},
+	{pattern: "POST /v2/clusters/{name}/evacuate", handler: (*Server).handleEvacuate},
+}
+
+// serve wraps a route's handler in authentication: the handler runs
+// only once authenticate has named a subject.
+func (s *Server) serve(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		subject, err := s.authenticate(r, rt.accepts)
 		if err != nil {
 			code := api.CodeUnauthenticated
 			if errors.Is(err, api.ErrSessionExpired) {
@@ -163,19 +195,34 @@ func (s *Server) handle(pattern string, fn func(w http.ResponseWriter, r *http.R
 			writeWireError(w, &api.WireError{Code: code, Message: err.Error()})
 			return
 		}
-		fn(w, r, subject)
-	})
+		rt.handler(s, w, r, subject)
+	}
 }
 
-// authenticate establishes the caller's subject. A presented
-// certificate is always verified (a bad one is never silently demoted
-// to anonymous); only a request with no certificate at all can take the
-// anonymous path, and only when the server allows it.
-func (s *Server) authenticate(r *http.Request) (string, error) {
-	if r.Header.Get(api.HeaderCertificate) != "" || !s.opts.AllowAnonymous {
-		return s.verifier.Verify(r)
+// authenticate establishes the caller's subject, and is the only code
+// that decides which credential a route accepts. The rule: a request
+// that presents any credential — session token, certificate, signature
+// — is verified, never demoted to anonymous; a certificate signature is
+// a credential on the handshake route only; everything else is a
+// session MAC — or, when the server allows anonymous callers and the
+// request presents nothing at all, the subject header.
+func (s *Server) authenticate(r *http.Request, accepts credential) (string, error) {
+	if accepts == credNone {
+		return "", nil
 	}
-	if subject := r.Header.Get(api.HeaderSubject); subject != "" {
+	h := r.Header
+	session := h.Get(api.HeaderSession) != ""
+	switch {
+	case accepts == credCertificate && session:
+		// Re-keying always goes back through the asymmetric proof, so a
+		// stolen session secret's usefulness ends at its TTL.
+		return "", fmt.Errorf("%w: the session handshake must be certificate-signed, not session-authenticated", api.ErrUnauthenticated)
+	case accepts == credCertificate || session:
+		return s.verifier.Verify(r)
+	case h.Get(api.HeaderCertificate) != "" || h.Get(api.HeaderSignature) != "" || !s.opts.AllowAnonymous:
+		return "", fmt.Errorf("%w: this route takes a session MAC; certificate signatures are accepted on POST /v2/session only", api.ErrUnauthenticated)
+	}
+	if subject := h.Get(api.HeaderSubject); subject != "" {
 		return subject, nil
 	}
 	return "anonymous", nil
@@ -265,7 +312,7 @@ func readBody[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 // restart-loop the daemon — but a failed persistence store degrades the
 // body: operators (and readiness checks keying on the status field)
 // must see that the control plane is running non-durable.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string) {
 	if err := s.p.StoreErr(); err != nil {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "degraded", "persist": err.Error()})
 		return
@@ -294,24 +341,11 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request, subject st
 	writeJSON(w, http.StatusCreated, api.FromWorkload(wl))
 }
 
-// handleSession is the Ed25519→HMAC handshake: the request itself must
-// be certificate-signed (the route's authenticate already verified it),
-// and the response trades that proof for a short-lived symmetric
-// session bound to the certificate's subject. A session-authenticated
-// request cannot mint another session — re-keying always goes back
-// through the asymmetric proof, so a stolen session secret's usefulness
-// ends at its TTL.
+// handleSession is the Ed25519→HMAC handshake: authenticate has already
+// verified the request's certificate signature (the one route where
+// that is the credential), and the response trades that proof for a
+// short-lived symmetric session bound to the certificate's subject.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, subject string) {
-	if r.Header.Get(api.HeaderSession) != "" {
-		writeWireError(w, &api.WireError{Code: api.CodeBadRequest,
-			Message: "session handshake must be certificate-signed, not session-authenticated"})
-		return
-	}
-	if r.Header.Get(api.HeaderCertificate) == "" {
-		writeWireError(w, &api.WireError{Code: api.CodeUnauthenticated,
-			Message: "session handshake requires a certificate"})
-		return
-	}
 	grant, err := s.verifier.IssueSession(subject)
 	if err != nil {
 		writeError(w, err)

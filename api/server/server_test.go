@@ -84,6 +84,45 @@ func testServer(t *testing.T, p *core.Platform) (*Server, *httptest.Server, *cli
 	return srv, ts, c
 }
 
+// handshake runs the Ed25519 session handshake by hand, for tests that
+// craft raw requests instead of going through client.HTTP.
+func handshake(t *testing.T, baseURL string, id *pki.Identity) *api.Session {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/v2/session", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := api.SignRequest(req, id); err != nil {
+		t.Fatalf("sign handshake: %v", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	defer resp.Body.Close()
+	var grant api.SessionGrant
+	if resp.StatusCode != http.StatusCreated || json.NewDecoder(resp.Body).Decode(&grant) != nil {
+		t.Fatalf("handshake status = %d, want 201 with a grant", resp.StatusCode)
+	}
+	return grant.Session()
+}
+
+// wireStatus sends a raw request and returns its status and, for an
+// error status, the wire error code.
+func wireStatus(t *testing.T, req *http.Request) (int, string) {
+	t.Helper()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", req.Method, req.URL.Path, err)
+	}
+	defer resp.Body.Close()
+	var we api.WireError
+	if resp.StatusCode >= 400 {
+		_ = json.NewDecoder(resp.Body).Decode(&we)
+	}
+	return resp.StatusCode, we.Code
+}
+
 func spec(name, ref string, cpu, mem int) api.WorkloadSpec {
 	return api.WorkloadSpec{
 		Name: name, Tenant: "acme", ImageRef: ref, Isolation: api.IsolationSoft,
@@ -365,17 +404,162 @@ func TestAnonymousModeUsesSubjectHeader(t *testing.T) {
 	if _, err := c.Deploy(context.Background(), spec("anon", "acme/analytics:2.0.1", 100, 128)); err != nil {
 		t.Fatalf("deploy as header subject: %v", err)
 	}
-	// A presented-but-bogus certificate must NOT demote to anonymous.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/nodes", nil)
-	req.Header.Set(api.HeaderCertificate, "bm90LWEtY2VydA==")
-	req.Header.Set(api.HeaderSignature, "AAAA")
-	resp, err := http.DefaultClient.Do(req)
+}
+
+// TestPresentedCredentialNeverDemotedToAnonymous: on a server that
+// allows anonymous callers, a request that presents a credential of
+// either kind is verified. A handshaken identity acts as its
+// certificate's subject (RBAC binds "operator", not "anonymous"), and a
+// bogus, expired or misplaced credential is a 401 — never the anonymous
+// subject, whose answer here would be 403 or, worse, 200.
+func TestPresentedCredentialNeverDemotedToAnonymous(t *testing.T) {
+	p := testPlatform(t)
+	srv := New(p, Options{AllowAnonymous: true, SessionTTL: 50 * time.Millisecond})
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, err := p.CA.Issue("operator", pki.RoleService)
 	if err != nil {
-		t.Fatalf("do: %v", err)
+		t.Fatalf("issue: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("bogus cert status = %d, want 401", resp.StatusCode)
+
+	c := client.NewHTTP(ts.URL, client.WithIdentity(id))
+	t.Cleanup(func() { _ = c.Close() })
+	wl, err := c.Deploy(context.Background(), spec("as-operator", "acme/analytics:2.0.1", 100, 128))
+	if err != nil {
+		t.Fatalf("deploy as a handshaken identity on an anonymous-allowing server: %v", err)
+	}
+	if wl.Node == "" {
+		t.Fatalf("thin workload: %+v", wl)
+	}
+
+	get := func(mutate func(*http.Request)) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v2/nodes", nil)
+		mutate(req)
+		return wireStatus(t, req)
+	}
+	sess := handshake(t, ts.URL, id)
+	for name, tc := range map[string]struct {
+		mutate func(*http.Request)
+		code   string
+	}{
+		"bogus certificate": {func(r *http.Request) {
+			r.Header.Set(api.HeaderCertificate, "bm90LWEtY2VydA==")
+			r.Header.Set(api.HeaderSignature, "AAAA")
+		}, api.CodeUnauthenticated},
+		"valid certificate signature off the handshake route": {func(r *http.Request) {
+			if err := api.SignRequest(r, id); err != nil {
+				t.Fatal(err)
+			}
+		}, api.CodeUnauthenticated},
+		"bare signature": {func(r *http.Request) {
+			r.Header.Set(api.HeaderSignature, "AAAA")
+		}, api.CodeUnauthenticated},
+		"unknown session token": {func(r *http.Request) {
+			if err := api.SignRequestSession(r, sess); err != nil {
+				t.Fatal(err)
+			}
+			r.Header.Set(api.HeaderSession, "no-such-session")
+		}, api.CodeSessionExpired},
+		"session token without a MAC": {func(r *http.Request) {
+			r.Header.Set(api.HeaderSession, sess.Token)
+			r.Header.Set(api.HeaderSubject, "operator")
+		}, api.CodeUnauthenticated},
+		"forged MAC on a live session": {func(r *http.Request) {
+			if err := api.SignRequestSession(r, sess); err != nil {
+				t.Fatal(err)
+			}
+			r.Header.Set(api.HeaderSignature, "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=")
+		}, api.CodeUnauthenticated},
+	} {
+		if status, code := get(tc.mutate); status != http.StatusUnauthorized || code != tc.code {
+			t.Errorf("%s: status=%d code=%q, want 401 %q", name, status, code, tc.code)
+		}
+	}
+	// The session itself still works, until its TTL runs out.
+	if status, code := get(func(r *http.Request) { _ = api.SignRequestSession(r, sess) }); status != http.StatusOK {
+		t.Fatalf("live session: status=%d code=%q, want 200", status, code)
+	}
+	time.Sleep(80 * time.Millisecond)
+	if status, code := get(func(r *http.Request) { _ = api.SignRequestSession(r, sess) }); status != http.StatusUnauthorized || code != api.CodeSessionExpired {
+		t.Fatalf("expired session: status=%d code=%q, want 401 %q", status, code, api.CodeSessionExpired)
+	}
+}
+
+// TestCertificateSignatureOnlyOnHandshakeRoute walks the route table New
+// registers and sends every route a VALID per-request Ed25519-signed
+// request — the credential the wire accepted everywhere before sessions
+// were the only steady state. It opens the handshake (201) and nothing
+// else: every other authenticated route answers 401 without entering its
+// handler, so a route added to the table later cannot forget the rule.
+func TestCertificateSignatureOnlyOnHandshakeRoute(t *testing.T) {
+	p := testPlatform(t)
+	var (
+		mu    sync.Mutex
+		count = make(map[string]int)
+	)
+	entered := func(pattern string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return count[pattern]
+	}
+	spied := make([]route, len(routes))
+	for i, rt := range routes {
+		spied[i] = rt
+		spied[i].handler = func(s *Server, w http.ResponseWriter, r *http.Request, subject string) {
+			mu.Lock()
+			count[rt.pattern]++
+			mu.Unlock()
+			rt.handler(s, w, r, subject)
+		}
+	}
+	orig := routes
+	routes = spied
+	srv := New(p, Options{})
+	routes = orig
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	id, err := p.CA.Issue("operator", pki.RoleService)
+	if err != nil {
+		t.Fatalf("issue: %v", err)
+	}
+
+	var acceptCertificate []string
+	for _, rt := range orig {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		path = strings.NewReplacer("{id}", "x", "{name}", "x").Replace(path)
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := api.SignRequest(req, id); err != nil {
+			t.Fatalf("sign: %v", err)
+		}
+		status, code := wireStatus(t, req)
+		switch rt.accepts {
+		case credNone:
+			if status != http.StatusOK || entered(rt.pattern) != 1 {
+				t.Errorf("%s: status=%d entered=%d, want an open 200", rt.pattern, status, entered(rt.pattern))
+			}
+		case credCertificate:
+			acceptCertificate = append(acceptCertificate, rt.pattern)
+			if status != http.StatusCreated || entered(rt.pattern) != 1 {
+				t.Errorf("%s: status=%d entered=%d, want 201 from the handshake", rt.pattern, status, entered(rt.pattern))
+			}
+		default:
+			if status != http.StatusUnauthorized || code != api.CodeUnauthenticated || entered(rt.pattern) != 0 {
+				t.Errorf("%s: status=%d code=%q entered=%d, want 401 %q and the handler never entered",
+					rt.pattern, status, code, entered(rt.pattern), api.CodeUnauthenticated)
+			}
+		}
+	}
+	if len(acceptCertificate) != 1 || acceptCertificate[0] != "POST /v2/session" {
+		t.Fatalf("routes accepting a certificate signature = %v, want exactly POST /v2/session", acceptCertificate)
+	}
+	if len(p.Cluster.Workloads()) != 0 {
+		t.Fatalf("refused requests placed workloads: %v", p.Cluster.Workloads())
 	}
 }
 
@@ -1356,6 +1540,7 @@ func TestDeployBatchRejectsDegenerateRequests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("issue: %v", err)
 	}
+	sess := handshake(t, ts.URL, id)
 
 	post := func(body any) *http.Response {
 		t.Helper()
@@ -1367,7 +1552,7 @@ func TestDeployBatchRejectsDegenerateRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := api.SignRequest(req, id); err != nil {
+		if err := api.SignRequestSession(req, sess); err != nil {
 			t.Fatalf("sign: %v", err)
 		}
 		resp, err := http.DefaultClient.Do(req)
@@ -1508,6 +1693,53 @@ func TestSessionExpiryReKeysTransparently(t *testing.T) {
 	}
 	if _, err := c.Deploy(ctx, spec("rekey-web", "acme/analytics:2.0.1", 200, 256)); err != nil {
 		t.Fatalf("deploy after restart: %v", err)
+	}
+}
+
+// TestFullSessionTableNeverRefusesHandshake: with the session table at
+// capacity a new client's handshake still succeeds — the oldest-issued
+// session is evicted to make room — and the evicted client's next call
+// gets the recoverable session-expired 401, re-keys and goes through,
+// invisibly to its caller.
+func TestFullSessionTableNeverRefusesHandshake(t *testing.T) {
+	p := testPlatform(t)
+	srv := New(p, Options{})
+	t.Cleanup(srv.Close)
+	counter := &sessionCounter{h: srv.Handler()}
+	ts := httptest.NewServer(counter)
+	t.Cleanup(ts.Close)
+	id, err := p.CA.Issue("operator", pki.RoleService)
+	if err != nil {
+		t.Fatalf("issue: %v", err)
+	}
+	newClient := func() *client.HTTP {
+		c := client.NewHTTP(ts.URL, client.WithIdentity(id))
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+	ctx := context.Background()
+
+	oldest := newClient()
+	if _, err := oldest.Ledger(ctx); err != nil {
+		t.Fatalf("first client: %v", err)
+	}
+	// Fill the rest of the table behind it.
+	for i := 1; i < api.DefaultSessionCapacity; i++ {
+		if _, err := srv.verifier.IssueSession("filler"); err != nil {
+			t.Fatalf("IssueSession %d: %v", i, err)
+		}
+	}
+	if _, err := newClient().Ledger(ctx); err != nil {
+		t.Fatalf("client arriving at a full session table: %v", err)
+	}
+	if _, err := oldest.Deploy(ctx, spec("evicted-web", "acme/analytics:2.0.1", 200, 256)); err != nil {
+		t.Fatalf("evicted client's deploy did not re-key transparently: %v", err)
+	}
+	if got := counter.handshakes.Load(); got != 3 {
+		t.Fatalf("handshakes = %d, want 3 (two clients, one re-key after eviction)", got)
+	}
+	if got := counter.certSigned.Load(); got != 0 {
+		t.Fatalf("cert-signed steady-state requests = %d, want 0", got)
 	}
 }
 

@@ -7,42 +7,30 @@ package genio_test
 //
 // The genio-bench command prints the corresponding experiment reports;
 // these benchmarks provide the machine-measured per-operation costs.
+// The deploy, wire, scanner, scheduler, federation and spine rows live
+// in the wire benchmark's per-layer ladder (benchmark/README.md) instead;
+// what stays here is what the ladder does not cover.
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
-	"runtime"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"genio"
-	"genio/api"
-	"genio/api/client"
-	"genio/api/server"
 	"genio/internal/attack"
 	"genio/internal/container"
 	"genio/internal/core"
-	"genio/internal/events"
 	"genio/internal/falco"
-	"genio/internal/federation"
 	"genio/internal/fim"
 	"genio/internal/host"
 	"genio/internal/macsec"
-	"genio/internal/malware"
 	"genio/internal/orchestrator"
-	"genio/internal/orchestrator/scheduler"
-	"genio/internal/persist"
 	"genio/internal/pki"
 	"genio/internal/pon"
 	"genio/internal/rbac"
 	"genio/internal/sandbox"
-	"genio/internal/sast"
-	"genio/internal/sca"
 	"genio/internal/scap"
 	"genio/internal/threatmodel"
 	"genio/internal/tpm"
@@ -261,26 +249,7 @@ func BenchmarkUpdateVerify(b *testing.B) {
 	}
 }
 
-// --- Lesson 5: RBAC ---------------------------------------------------------------
-
-func BenchmarkRBACCheck(b *testing.B) {
-	e := rbac.NewEngine()
-	e.SetRole(rbac.Role{Name: "deployer", Permissions: []rbac.Permission{
-		{Verb: "create", Resource: "workloads", Namespace: "acme"},
-		{Verb: "get", Resource: "pods", Namespace: "acme"},
-		{Verb: "watch", Resource: "pods", Namespace: "acme"},
-	}})
-	if err := e.Bind("ci", "deployer"); err != nil {
-		b.Fatal(err)
-	}
-	req := rbac.Permission{Verb: "create", Resource: "workloads", Namespace: "acme"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !e.Check("ci", req).Allowed {
-			b.Fatal("denied")
-		}
-	}
-}
+// --- Lesson 5: SDN allowlist -------------------------------------------------------
 
 func BenchmarkSDNAllowlist(b *testing.B) {
 	a := rbac.DefaultSDNAllowlist()
@@ -299,40 +268,6 @@ func BenchmarkFeedTracking(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.TrackAll(db)
-	}
-}
-
-// --- Lesson 7: app scanning -----------------------------------------------------------
-
-func BenchmarkSCAScan(b *testing.B) {
-	s := sca.NewScanner(sca.DependencyDatabase())
-	img := container.IoTGatewayImage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Scan(img)
-	}
-}
-
-func BenchmarkSASTScan(b *testing.B) {
-	s := sast.NewScanner(sast.DefaultRules())
-	img := container.IoTGatewayImage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Scan(img)
-	}
-}
-
-func BenchmarkMalwareScan(b *testing.B) {
-	s, err := malware.NewScanner(malware.DefaultRules())
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := container.CryptominerImage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !s.Scan(img).Malicious() {
-			b.Fatal("missed")
-		}
 	}
 }
 
@@ -438,21 +373,6 @@ func benchSpec(name string) genio.WorkloadSpec {
 	}
 }
 
-// BenchmarkDeploySequentialAdmission is the cold admission path: the
-// whole scanner chain on every deploy, no verdict cache. The concurrency
-// benchmarks below are measured against this baseline.
-func BenchmarkDeploySequentialAdmission(b *testing.B) {
-	p := benchDeployPlatform(b)
-	p.Cluster.AdmissionCacheDisabled = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Deploy("ci", benchSpec(fmt.Sprintf("seq-%d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDeployParallel is the multi-tenant hot path as shipped: deploys
 // from concurrent goroutines with the per-digest verdict cache, against
 // the sharded cluster state.
@@ -469,323 +389,6 @@ func BenchmarkDeployParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWALDeployThroughput is BenchmarkDeployParallel over a
-// WAL-backed platform: every placement appends to the durable log. The
-// group commit keeps the fsync off the deploy path, so this must stay
-// within a whisker of the in-memory parallel baseline — it gates the
-// persistence layer's central performance claim.
-func BenchmarkWALDeployThroughput(b *testing.B) {
-	store, err := persist.OpenWAL(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := benchDeployPlatform(b, core.WithStore(store))
-	var seq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			name := fmt.Sprintf("wal-%d", seq.Add(1))
-			if _, err := p.Deploy("ci", benchSpec(name)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDeployBatch measures the batch-admission surface end to end
-// (since API v2 the batch is a fan-out over DeployAsync futures).
-func BenchmarkDeployBatch(b *testing.B) {
-	p := benchDeployPlatform(b)
-	const batch = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		specs := make([]genio.WorkloadSpec, batch)
-		for j := range specs {
-			specs[j] = benchSpec(fmt.Sprintf("batch-%d-%d", i, j))
-		}
-		_, errs := p.DeployBatch("ci", specs)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkDeployBatchSyncBarrier is the pre-v2 batch shape kept as the
-// comparison baseline: synchronous Deploys fanned over a bounded worker
-// pool, each worker barriering on its deploy before taking the next.
-// BenchmarkDeployAsyncPipelined must meet or beat it.
-func BenchmarkDeployBatchSyncBarrier(b *testing.B) {
-	p := benchDeployPlatform(b)
-	const batch = 16
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		specs := make([]genio.WorkloadSpec, batch)
-		for j := range specs {
-			specs[j] = benchSpec(fmt.Sprintf("sync-%d-%d", i, j))
-		}
-		errs := make([]error, batch)
-		var (
-			wg   sync.WaitGroup
-			next atomic.Int64
-		)
-		for w := runtime.GOMAXPROCS(0); w > 0; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := next.Add(1) - 1; j < batch; j = next.Add(1) - 1 {
-					_, errs[j] = p.Deploy("ci", specs[j])
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkDeployAsyncPipelined is the v2 async surface: every spec gets
-// a DeployAsync future immediately (admission pipelines across the whole
-// batch — no pool barrier), then the batch awaits all results. Gated
-// against regression alongside the deploy benchmarks.
-func BenchmarkDeployAsyncPipelined(b *testing.B) {
-	p := benchDeployPlatform(b)
-	const batch = 16
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		futures := make([]*genio.Deployment, batch)
-		for j := 0; j < batch; j++ {
-			d, err := p.DeployAsync(ctx, "ci", benchSpec(fmt.Sprintf("async-%d-%d", i, j)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			futures[j] = d
-		}
-		for _, d := range futures {
-			if _, err := d.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkHTTPDeployThroughput is the networked control plane end to
-// end: a 16-wide deploy storm where every workload crosses geniod's
-// HTTP surface — 16 concurrent signed requests riding session-HMAC
-// auth, pooled codec buffers, and kept-alive connections, with a
-// typed-error wire decode on the way back. The gap to
-// DeployAsyncPipelined is the wire tax; gated against regression
-// alongside the deploy benchmarks. (The async-futures wire shape —
-// submit + long-poll await, two requests per workload — is kept under
-// BenchmarkHTTPDeployAsyncFutures.)
-func BenchmarkHTTPDeployThroughput(b *testing.B) {
-	p := benchDeployPlatform(b)
-	srv := server.New(p, server.Options{CA: p.CA})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	id, err := p.CA.Issue("ci", pki.RoleService)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cli := client.NewHTTP(ts.URL, client.WithIdentity(id))
-	b.Cleanup(func() { cli.Close() })
-	const batch = 16
-	ctx := context.Background()
-	// Establish the session and warm the connection pool outside the
-	// measured region, as a long-lived storm client would.
-	if _, err := cli.Deploy(ctx, api.FromWorkloadSpec(benchSpec("http-warm"))); err != nil {
-		b.Fatal(err)
-	}
-	// A fixed pool of 16 sender goroutines, each fed the iteration index
-	// on its own channel, so the measurement covers the wire — not per-op
-	// goroutine and closure churn that no real storm client pays — and no
-	// sender can take two jobs (one workload name, one errs slot) of the
-	// same iteration.
-	var wg sync.WaitGroup
-	errs := make([]error, batch)
-	jobs := make([]chan int, batch)
-	for j := range jobs {
-		jobs[j] = make(chan int, 1) // one send per iteration
-		go func(j int) {
-			buf := make([]byte, 0, 32)
-			for i := range jobs[j] {
-				buf = append(buf[:0], "http-"...)
-				buf = strconv.AppendInt(buf, int64(i), 10)
-				buf = append(buf, '-')
-				buf = strconv.AppendInt(buf, int64(j), 10)
-				_, errs[j] = cli.Deploy(ctx, api.FromWorkloadSpec(benchSpec(string(buf))))
-				wg.Done()
-			}
-		}(j)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(batch)
-		for _, ch := range jobs {
-			ch <- i
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	for _, ch := range jobs {
-		close(ch)
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkHTTPDeployAsyncFutures is the future-handle wire shape: 16
-// async submits then 16 long-poll awaits — two requests per workload,
-// the price of a resumable handle. Kept alongside HTTPDeployThroughput
-// so the per-request overhead of the futures surface stays visible.
-func BenchmarkHTTPDeployAsyncFutures(b *testing.B) {
-	p := benchDeployPlatform(b)
-	srv := server.New(p, server.Options{CA: p.CA})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	id, err := p.CA.Issue("ci", pki.RoleService)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cli := client.NewHTTP(ts.URL, client.WithIdentity(id))
-	b.Cleanup(func() { cli.Close() })
-	const batch = 16
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		futures := make([]client.Deployment, batch)
-		for j := 0; j < batch; j++ {
-			spec := api.FromWorkloadSpec(benchSpec(fmt.Sprintf("httpf-%d-%d", i, j)))
-			d, err := cli.DeployAsync(ctx, spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			futures[j] = d
-		}
-		for _, d := range futures {
-			if _, err := d.Await(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkHTTPDeployBatch is the batched wire path: the same 16
-// workloads as HTTPDeployThroughput, but shipped as ONE signed
-// /v2/deploy/batch request — one auth verify, one codec round-trip,
-// one connection write for the whole storm. The gap to
-// HTTPDeployThroughput is the per-request wire tax the batch
-// amortizes. Gated against regression alongside the deploy benchmarks.
-func BenchmarkHTTPDeployBatch(b *testing.B) {
-	p := benchDeployPlatform(b)
-	srv := server.New(p, server.Options{CA: p.CA})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	id, err := p.CA.Issue("ci", pki.RoleService)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cli := client.NewHTTP(ts.URL, client.WithIdentity(id))
-	b.Cleanup(func() { cli.Close() })
-	const batch = 16
-	ctx := context.Background()
-	specs := make([]api.WorkloadSpec, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range specs {
-			specs[j] = api.FromWorkloadSpec(benchSpec(fmt.Sprintf("hb-%d-%d", i, j)))
-		}
-		results, err := cli.DeployBatch(ctx, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j, r := range results {
-			if r.Err != nil {
-				b.Fatalf("batch element %d: %v", j, r.Err)
-			}
-		}
-	}
-	b.ReportMetric(batch, "workloads/op")
-}
-
-// BenchmarkWatchFanout100Subs measures the encode-once SSE fan-out:
-// 100 authenticated watch streams are held open against the server,
-// then each op publishes ONE lifecycle event and waits until every
-// subscriber has received it over its own connection. The server
-// renders the SSE frame once per event and shares the bytes across all
-// 100 streams; before encode-once each subscriber paid its own
-// marshal. Gated against regression alongside the deploy benchmarks.
-func BenchmarkWatchFanout100Subs(b *testing.B) {
-	p := benchDeployPlatform(b)
-	p.RBAC.SetRole(rbac.Role{Name: "watcher", Permissions: []rbac.Permission{
-		{Verb: "watch", Resource: "deployments", Namespace: "*"},
-	}})
-	if err := p.RBAC.Bind("ci", "watcher"); err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(p, server.Options{CA: p.CA})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(ts.Close)
-	id, err := p.CA.Issue("ci", pki.RoleService)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cli := client.NewHTTP(ts.URL, client.WithIdentity(id))
-	b.Cleanup(func() { cli.Close() })
-	const subs = 100
-	ctx, cancel := context.WithCancel(context.Background())
-	b.Cleanup(cancel)
-	streams := make([]<-chan api.LifecycleEvent, subs)
-	for i := range streams {
-		ch, err := cli.Watch(ctx, api.WatchSelector{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		streams[i] = ch
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		name := fmt.Sprintf("fan-%d", i)
-		ev := core.LifecycleEvent{Workload: name, Tenant: "acme", State: core.StatePending}
-		if err := p.PublishEventContext(ctx, events.Event{
-			Topic: events.TopicDeployLifecycle, Key: name, Payload: ev,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		for s, ch := range streams {
-			got, ok := <-ch
-			if !ok {
-				b.Fatalf("stream %d closed", s)
-			}
-			if got.Workload != name {
-				b.Fatalf("stream %d: got event for %q, want %q", s, got.Workload, name)
-			}
-		}
-	}
-	b.ReportMetric(subs, "deliveries/op")
 }
 
 // --- Warm-slot runtime pool ---------------------------------------------------
@@ -811,8 +414,7 @@ func warmDeployCycle(p *core.Platform, i int) (*orchestrator.Workload, error) {
 // workload (parking its VM warm) and redeploys the same (tenant, image,
 // shape), which claims the parked slot in O(1) — no scan chain, no
 // scheduler filter/score, no VM spin-up. Gated in CI against the cold
-// path staying >=5x slower (TestWarmDeploySpeedup) and against its own
-// regression via genio-benchdiff.
+// path staying >=5x slower (TestWarmDeploySpeedup).
 func BenchmarkWarmDeploy(b *testing.B) {
 	p := benchDeployPlatform(b)
 	p.Cluster.Settings.WarmPoolEnabled = true
@@ -828,25 +430,6 @@ func BenchmarkWarmDeploy(b *testing.B) {
 		}
 		if w.Strategy != "warm" {
 			b.Fatalf("cycle %d missed the warm pool (strategy %q)", i, w.Strategy)
-		}
-	}
-}
-
-// BenchmarkColdRepeatDeploy is the identical stop→redeploy cycle with
-// the warm pool off and the verdict cache disabled: every round pays
-// the admission scan chain, scheduler filter/score, and a fresh dedicated
-// VM — the cost BenchmarkWarmDeploy's claim path avoids.
-func BenchmarkColdRepeatDeploy(b *testing.B) {
-	p := benchDeployPlatform(b)
-	p.Cluster.AdmissionCacheDisabled = true
-	if _, err := p.Deploy("ci", benchWarmSpec("warm-0")); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := warmDeployCycle(p, i); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -929,151 +512,7 @@ func TestWarmDeployAllocs(t *testing.T) {
 	}
 }
 
-// --- Placement engine -------------------------------------------------------
-
-// BenchmarkSchedule1kNodes is the scheduler's hot-path contract: one
-// full filter -> score pass over a 1000-node fleet must stay O(nodes)
-// with zero allocations (the cluster feeds the engine its cached,
-// name-sorted candidate slice, so this is exactly the per-deploy
-// placement cost). The AllocsPerRun assertion pins allocs/op at 0
-// before timing starts.
-func BenchmarkSchedule1kNodes(b *testing.B) {
-	eng := scheduler.New()
-	cands := make([]scheduler.Candidate, 1000)
-	for i := range cands {
-		cands[i] = scheduler.Candidate{
-			Node:            fmt.Sprintf("olt-%04d", i),
-			Capacity:        scheduler.Resources{CPUMilli: 16000, MemoryMB: 32768},
-			Used:            scheduler.Resources{CPUMilli: (i * 397) % 12000, MemoryMB: (i * 991) % 24000},
-			TenantWorkloads: i % 4,
-			SharedVMs:       i % 3,
-			Cordoned:        i%17 == 0,
-		}
-	}
-	req := scheduler.Request{
-		Workload: "bench", Tenant: "acme",
-		Demand:   scheduler.Resources{CPUMilli: 500, MemoryMB: 512},
-		Strategy: scheduler.StrategyBinpack,
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := eng.Select(&req, cands); !ok {
-			b.Fatal("no feasible candidate")
-		}
-	}); allocs != 0 {
-		b.Fatalf("Select allocates %.1f/op on the no-contention path, want 0", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := eng.Select(&req, cands); !ok {
-			b.Fatal("no feasible candidate")
-		}
-	}
-}
-
-// BenchmarkFailoverReschedule measures the policy-aware failover path:
-// an 8-node cluster loses the node carrying a 32-workload binpacked
-// hotspot, every victim reschedules through the scheduler, and the
-// node rejoins for the next round.
-func BenchmarkFailoverReschedule(b *testing.B) {
-	reg := container.NewRegistry()
-	reg.Push(container.AnalyticsImage(), nil)
-	c := orchestrator.NewCluster("bench", reg, orchestrator.Settings{})
-	capacity := orchestrator.Resources{CPUMilli: 1 << 20, MemoryMB: 1 << 20}
-	for i := 0; i < 8; i++ {
-		c.AddNode(fmt.Sprintf("olt-%d", i), capacity)
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := c.Deploy("ops", orchestrator.WorkloadSpec{
-			Name: fmt.Sprintf("w-%d", i), Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
-			Isolation: orchestrator.IsolationSoft,
-			Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, ok := c.Workload("w-0")
-		if !ok {
-			b.Fatal("hotspot workload lost")
-		}
-		hot := w.Node
-		res, err := c.FailNode(hot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Evicted) != 0 {
-			b.Fatalf("evictions under generous capacity: %v", res.Evicted)
-		}
-		c.AddNode(hot, capacity)
-	}
-}
-
-// BenchmarkRingLookup measures the federation router's hot path: one
-// consistent-hash ownership lookup on a 16-member ring (128 vnodes per
-// member). The lookup runs ahead of the per-cluster scheduler on every
-// federated deploy, so it must not allocate.
-func BenchmarkRingLookup(b *testing.B) {
-	r := federation.NewRing(federation.DefaultReplicas)
-	for i := 0; i < 16; i++ {
-		r.Add(fmt.Sprintf("edge-%02d", i))
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := r.Owner("acme", "sha256:77aa00"); !ok {
-			b.Fatal("empty ring")
-		}
-	}); allocs != 0 {
-		b.Fatalf("Owner allocates %.1f/op, want 0", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Owner("acme", "sha256:77aa00"); !ok {
-			b.Fatal("empty ring")
-		}
-	}
-}
-
-// BenchmarkFederatedDeploy measures a full federated placement across a
-// 16-cluster × 1k-node fleet: region filter, ring ownership with the
-// bounded-load check, then the owning cluster's scheduler over its 1000
-// candidates. Tenants rotate so placements spread over the ring rather
-// than hammering one member's lock.
-func BenchmarkFederatedDeploy(b *testing.B) {
-	reg := container.NewRegistry()
-	reg.Push(container.AnalyticsImage(), nil)
-	fed := federation.New(reg)
-	capacity := orchestrator.Resources{CPUMilli: 1 << 20, MemoryMB: 1 << 20}
-	for ci := 0; ci < 16; ci++ {
-		name := fmt.Sprintf("edge-%02d", ci)
-		c := orchestrator.NewCluster(name, reg, orchestrator.Settings{})
-		for n := 0; n < 1000; n++ {
-			c.AddNode(fmt.Sprintf("%s-olt-%04d", name, n), capacity)
-		}
-		region := "west"
-		if ci%2 == 1 {
-			region = "east"
-		}
-		if err := fed.AddCluster(name, region, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	demand := orchestrator.Resources{CPUMilli: 100, MemoryMB: 128}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, err := fed.Deploy("ops", orchestrator.WorkloadSpec{
-			Name: fmt.Sprintf("bench-%d", i), Tenant: fmt.Sprintf("t-%d", i%64),
-			ImageRef:  "acme/analytics:2.0.1",
-			Isolation: orchestrator.IsolationSoft, Resources: demand,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Runtime and incident spine ---------------------------------------------
 
 // BenchmarkObserveRuntimeParallel streams attack traces from concurrent
 // goroutines through enforcement, detection, and the incident bus.
@@ -1092,45 +531,6 @@ func BenchmarkObserveRuntimeParallel(b *testing.B) {
 	})
 	b.StopTimer()
 	p.Flush()
-}
-
-// BenchmarkEventSpineThroughput measures the raw spine: concurrent
-// publishers across distinct keys fanning out to one counting
-// subscriber, the substrate every telemetry stream now rides.
-func BenchmarkEventSpineThroughput(b *testing.B) {
-	s := events.NewSpine()
-	defer s.Close()
-	var delivered atomic.Int64
-	if _, err := s.Subscribe("bench", []events.Topic{events.TopicMetric}, func(batch []events.Event) {
-		delivered.Add(int64(len(batch)))
-	}); err != nil {
-		b.Fatal(err)
-	}
-	var seq atomic.Int64
-	var pubErr atomic.Pointer[error]
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		key := fmt.Sprintf("tenant-%d", seq.Add(1))
-		ev := events.Event{Topic: events.TopicMetric, Key: key,
-			Payload: events.Metric{Name: "bench", Value: 1, Label: key}}
-		for pb.Next() {
-			if err := s.Publish(ev); err != nil {
-				// b.Fatal must run on the benchmark goroutine, not a
-				// RunParallel worker; record and fail after.
-				pubErr.CompareAndSwap(nil, &err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if errp := pubErr.Load(); errp != nil {
-		b.Fatal(*errp)
-	}
-	s.Flush()
-	if got := delivered.Load(); got != int64(b.N) {
-		b.Fatalf("delivered %d events, want %d", got, b.N)
-	}
 }
 
 // BenchmarkIncidentStormParallel is the platform-level incident storm:

@@ -25,8 +25,9 @@
 // (genio/api/client); the modes differ only in who hosts the server:
 //
 //   - Remote: -server http://host:port (or GENIOD_ADDR) names a geniod
-//     daemon; requests authenticate with the identity file from
-//     -identity (or GENIOD_IDENTITY; see geniod -identity-out).
+//     daemon; the identity file from -identity (or GENIOD_IDENTITY;
+//     see geniod -identity-out) signs one session handshake and the
+//     session authenticates every request after it.
 //   - Daemon-less: with no server configured, the subcommand brings up
 //     the demo platform in the chosen -posture, serves it on a
 //     127.0.0.1 listener for the length of the command, and acts as
@@ -152,8 +153,8 @@ func (c *connFlags) newClient(fixtureWorkloads int) (client.Interface, error) {
 		return c.newLoopback(fixtureWorkloads, opts)
 	}
 	base := *c.server
-	// Accept a bare host:port — geniod serves plain HTTP (auth is
-	// per-request Ed25519 signing, not TLS).
+	// Accept a bare host:port — geniod serves plain HTTP (auth is an
+	// Ed25519-signed session handshake and a per-request MAC, not TLS).
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}

@@ -16,9 +16,12 @@
 // Membership and pins are boot configuration — only the first member's
 // state is durable under -data-dir.
 //
-// Every request is authenticated against the platform CA (Ed25519
-// request signatures; see api.SignRequest) unless -allow-anonymous
-// accepts a bare subject header — the legacy posture of the wire.
+// Every request is authenticated: a client proves an identity issued
+// by the platform CA once (POST /v2/session, Ed25519-signed) and MACs
+// every other request with the session it gets back (see api/auth.go).
+// -allow-anonymous additionally accepts a request that presents no
+// credential at all, under its bare subject header — the legacy posture
+// of the wire; a request that does present one is still verified.
 // -identity-out issues a service identity signed by the platform CA and
 // writes it where genioctl's -identity flag (or GENIOD_IDENTITY) can
 // load it.
@@ -70,7 +73,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	demoFixture := fs.Bool("demo", false, "seed the demo fixture (two edge nodes, signed image set, admin role)")
 	identityOut := fs.String("identity-out", "", "issue a client identity signed by the platform CA and write it to this path")
 	identitySubject := fs.String("identity-subject", "genioctl", "subject of the -identity-out client identity")
-	anonymous := fs.Bool("allow-anonymous", false, "accept unauthenticated requests, trusting the subject header")
+	anonymous := fs.Bool("allow-anonymous", false, "also accept requests that present no credential, trusting the subject header")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight deployments")
 	dataDir := fs.String("data-dir", "", "durable state directory (write-ahead log + snapshots); recovered on boot")
 	fedSpec := fs.String("federation", "", "run federated over named clusters, e.g. \"edge-a=west,edge-b=east\"; the first member is the default cluster")

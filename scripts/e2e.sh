@@ -229,4 +229,57 @@ wait "$daemon_pid" || fail "federated geniod exited non-zero"
 daemon_pid=""
 grep -q "shutdown complete" "$workdir/geniod.log" || fail "no clean federated shutdown marker"
 
+# --- anonymous-allowing leg: a daemon that also accepts callers with no
+# credential must still verify the ones that present one. An identity
+# client acts as its certificate's subject, never as "anonymous".
+addr4="127.0.0.1:${GENIOD_E2E_PORT4:-9653}"
+
+boot_anonymous() {
+    # $1: identity path; remaining args: extra geniod flags.
+    id_path="$1"
+    shift
+    "$workdir/geniod" -addr "$addr4" -allow-anonymous -identity-subject e2e-ops \
+        -identity-out "$id_path" "$@" >"$workdir/geniod.log" 2>&1 &
+    daemon_pid=$!
+    for _ in $(seq 1 50); do
+        [ -s "$id_path" ] && break
+        kill -0 "$daemon_pid" 2>/dev/null || fail "anonymous-allowing geniod exited during startup"
+        sleep 0.1
+    done
+    [ -s "$id_path" ] || fail "anonymous-allowing geniod never wrote the client identity"
+}
+
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    wait "$daemon_pid" || fail "geniod exited non-zero"
+    daemon_pid=""
+}
+
+echo "=== identity client against geniod -demo -allow-anonymous"
+identity5="$workdir/ops5.id"
+boot_anonymous "$identity5" -demo
+export GENIOD_ADDR="$addr4" GENIOD_IDENTITY="$identity5"
+out="$(ctl deploy -name e2e-anon-id -image acme/analytics:2.0.1 -wait)"
+echo "$out"
+echo "$out" | grep -q "PLACED: e2e-anon-id" || fail "identity deploy against -allow-anonymous did not place"
+# The anonymous path sits next to it: the header names the caller and
+# RBAC still decides (the fixture binds e2e-ops and anonymous only).
+out="$(GENIOD_IDENTITY="" ctl nodes -subject anonymous)"
+echo "$out" | grep -q "olt-01" || fail "anonymous subject header refused by -allow-anonymous"
+out="$(GENIOD_IDENTITY="" ctl nodes -subject nobody 2>&1 || true)"
+echo "$out" | grep -q "nobody" || fail "unbound anonymous subject not refused by name: $out"
+stop_daemon
+
+# With no fixture nobody is bound, so the RBAC refusal names whoever the
+# daemon authenticated — the one place the wire shows the subject.
+echo "=== ...and it is the certificate's subject the daemon sees"
+identity6="$workdir/ops6.id"
+boot_anonymous "$identity6"
+export GENIOD_IDENTITY="$identity6"
+out="$(ctl deploy -name e2e-anon-who -image acme/analytics:2.0.1 2>&1 || true)"
+echo "$out"
+echo "$out" | grep -q "e2e-ops may not" || fail "identity client not seen as e2e-ops: $out"
+echo "$out" | grep -q "anonymous" && fail "identity client demoted to anonymous: $out"
+stop_daemon
+
 echo "e2e: PASS"
