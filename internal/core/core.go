@@ -12,6 +12,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -169,6 +170,13 @@ type Platform struct {
 	Detector *falcoengine.Engine
 	RBAC     *rbac.Engine
 
+	// bootChain is the golden boot chain, signed once in New, and goldenPCRs
+	// the reference values a pristine boot of it produces. Both are
+	// read-only afterwards: every node boots its own deep copy of the
+	// chain and is attested against goldenPCRs.
+	bootChain  []secureboot.Component
+	goldenPCRs map[int]tpm.Digest
+
 	nodeMu sync.RWMutex
 	nodes  map[string]*EdgeNode
 
@@ -251,6 +259,14 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		incview:  newIncidentView(),
 		done:     make(chan struct{}),
 	}
+	p.bootChain = []secureboot.Component{
+		signer.SignComponent(secureboot.StageShim, "shim", []byte("shim-15.8")),
+		signer.SignComponent(secureboot.StageBootloader, "grub", []byte("grub-2.06")),
+		signer.SignComponent(secureboot.StageKernel, "kernel", []byte("vmlinuz-onl-4.19")),
+		signer.SignComponent(secureboot.StageInitrd, "initrd", []byte("initrd-onl")),
+		signer.SignComponent(secureboot.StageConfig, "cmdline", []byte("mitigations=auto")),
+	}
+	p.goldenPCRs = secureboot.GoldenPCRs(p.bootChain)
 	// The incident log is itself a spine subscriber; the spine is fresh,
 	// so registration cannot fail.
 	if _, err := p.spine.Subscribe("core-incident-log", []events.Topic{events.TopicIncident}, p.incview.batch); err != nil {
@@ -385,11 +401,15 @@ func (p *Platform) AddEdgeNode(name string, capacity orchestrator.Resources) (*E
 // AddEdgeNodeContext is AddEdgeNode with cancellation: the context is
 // checked between the provisioning stages (boot, attestation, storage,
 // PON bring-up, FIM baseline), so a cancelled or deadline-exceeded
-// provisioning aborts without registering the node. Infrastructure
-// built before the abort (host, TPM, encrypted volume) is abandoned,
-// not released: those objects are local to the call and never
-// registered anywhere, so the garbage collector reclaims them and a
-// retried provisioning of the same name starts from scratch.
+// provisioning aborts without registering the node. Only two stages need
+// the node's PCR state — sealing the volume key to the TPM and unsealing
+// it again; stretching the volume's passphrase key (the KDF) needs
+// neither the boot nor the attestation, so it runs on its own goroutine
+// while they do and is joined before the call returns, on every path.
+// Infrastructure built before an abort (host, TPM, a finished encrypted
+// volume) is abandoned, not released: those objects are local to the
+// call and never registered anywhere, so the garbage collector reclaims
+// them and a retried provisioning of the same name starts from scratch.
 func (p *Platform) AddEdgeNodeContext(ctx context.Context, name string, capacity orchestrator.Resources) (*EdgeNode, error) {
 	return p.addEdgeNodeOn(ctx, p.Cluster, name, capacity)
 }
@@ -405,6 +425,17 @@ func (p *Platform) addEdgeNodeOn(ctx context.Context, target *orchestrator.Clust
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The volume's KDF depends on nothing below until BindTPMSlot; the
+	// deferred receive joins it on every return path.
+	var vol *storage.Volume
+	var volErr error
+	volDone := make(chan struct{})
+	go func() {
+		defer close(volDone)
+		vol, volErr = storage.CreateVolume(name+"-data", name+"-recovery-phrase")
+	}()
+	defer func() { <-volDone }()
+
 	h := host.NewONLOLT(name)
 	if p.Config.HardenOS {
 		host.HardenONLOLT(h)
@@ -416,33 +447,28 @@ func (p *Platform) addEdgeNodeOn(ctx context.Context, target *orchestrator.Clust
 	fw := secureboot.NewFirmware(p.Signer.VendorPub, nodeTPM)
 	fw.SecureBoot = p.Config.SecureBoot
 
-	chain := []secureboot.Component{
-		p.Signer.SignComponent(secureboot.StageShim, "shim", []byte("shim-15.8")),
-		p.Signer.SignComponent(secureboot.StageBootloader, "grub", []byte("grub-2.06")),
-		p.Signer.SignComponent(secureboot.StageKernel, "kernel", []byte("vmlinuz-onl-4.19")),
-		p.Signer.SignComponent(secureboot.StageInitrd, "initrd", []byte("initrd-onl")),
-		p.Signer.SignComponent(secureboot.StageConfig, "cmdline", []byte("mitigations=auto")),
+	chain := make([]secureboot.Component, len(p.bootChain))
+	for i, c := range p.bootChain {
+		c.Image, c.Signature = bytes.Clone(c.Image), bytes.Clone(c.Signature)
+		chain[i] = c
 	}
-	res, err := fw.Boot(p.Signer.PlatformPub, chain)
-	if err != nil {
+	if _, err := fw.Boot(p.Signer.PlatformPub, chain); err != nil {
 		p.recordIncident(Incident{Source: "boot", Detail: fmt.Sprintf("node %s: %v", name, err), Blocked: true})
 		return nil, fmt.Errorf("%w: %v", ErrBootFailed, err)
 	}
-	_ = res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Remote attestation against the golden chain values.
+	// Remote attestation against the platform's reference values.
 	attested := false
 	if p.Config.SecureBoot {
-		golden := secureboot.GoldenPCRs(chain)
 		q, err := nodeTPM.Quote([]int{tpm.PCRKernel}, []byte(name+"-join"))
 		if err != nil {
 			return nil, fmt.Errorf("quote: %w", err)
 		}
 		if err := tpm.VerifyQuote(nodeTPM.AttestationPublicKey(), q,
-			map[int]tpm.Digest{tpm.PCRKernel: golden[tpm.PCRKernel]}); err != nil {
+			map[int]tpm.Digest{tpm.PCRKernel: p.goldenPCRs[tpm.PCRKernel]}); err != nil {
 			p.recordIncident(Incident{Source: "boot", Detail: fmt.Sprintf("node %s attestation: %v", name, err), Blocked: true})
 			return nil, fmt.Errorf("%w: %v", ErrAttestFailed, err)
 		}
@@ -452,9 +478,9 @@ func (p *Platform) addEdgeNodeOn(ctx context.Context, target *orchestrator.Clust
 		return nil, err
 	}
 
-	vol, err := storage.CreateVolume(name+"-data", name+"-recovery-phrase")
-	if err != nil {
-		return nil, fmt.Errorf("volume: %w", err)
+	<-volDone
+	if volErr != nil {
+		return nil, fmt.Errorf("volume: %w", volErr)
 	}
 	manual := false
 	if p.Config.SealedStorage {

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -320,9 +321,10 @@ type Cluster struct {
 	nodes     map[string]*node
 	workloads map[string]*Workload
 	// candidates is the scheduler's cached view of the fleet: the node
-	// set sorted by name, rebuilt only on membership changes (AddNode,
-	// FailNode) instead of per deploy — the scheduling pass itself is
-	// O(nodes) with zero allocations. Guarded by mu like the node map.
+	// set sorted by name, maintained on membership changes (AddNode
+	// inserts, FailNode rebuilds) instead of per deploy — the scheduling
+	// pass itself is O(nodes) with zero allocations. Guarded by mu like
+	// the node map.
 	candidates []*node
 	pending    map[string]struct{} // names reserved by in-flight deploys
 	quotas     map[string]Resources
@@ -443,12 +445,21 @@ func (c *Cluster) auditEvent(a AuditEvent) {
 	}
 }
 
-// AddNode registers a node with the given capacity.
+// AddNode registers a node with the given capacity. A new name is
+// inserted into the name-sorted candidates at its place; re-adding a
+// name replaces that node, and the slice is rebuilt.
 func (c *Cluster) AddNode(name string, capacity Resources) {
 	c.mu.Lock()
-	c.nodes[name] = &node{name: name, capacity: capacity,
+	_, readd := c.nodes[name]
+	n := &node{name: name, capacity: capacity,
 		vms: make(map[string]*VM), tenants: make(map[string]int)}
-	c.rebuildCandidatesLocked()
+	c.nodes[name] = n
+	if readd {
+		c.rebuildCandidatesLocked()
+	} else {
+		i := sort.Search(len(c.candidates), func(i int) bool { return c.candidates[i].name >= name })
+		c.candidates = slices.Insert(c.candidates, i, n)
+	}
 	c.mutate(Mutation{Kind: MutNodeJoin, Node: name, Capacity: capacity})
 	c.mu.Unlock()
 	c.auditEvent(AuditEvent{Kind: "node-join", Node: name, Allowed: true,

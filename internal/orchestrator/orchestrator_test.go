@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -333,5 +335,37 @@ func TestIsolationModeString(t *testing.T) {
 	if IsolationSoft.String() != "soft" || IsolationHard.String() != "hard" ||
 		IsolationMode(9).String() != "isolation(9)" {
 		t.Fatal("IsolationMode.String mismatch")
+	}
+}
+
+// TestCandidatesStaySorted drives a seeded interleaving of every
+// membership change — AddNode (insert), same-name re-add, FailNode,
+// ImportState — and after each step holds candidates to exactly what a
+// full rebuild from c.nodes yields: strictly name-sorted, no duplicate,
+// the very node objects the map holds.
+func TestCandidatesStaySorted(t *testing.T) {
+	c := NewCluster("genio-edge", container.NewRegistry(), Settings{})
+	rng := rand.New(rand.NewSource(7))
+	capacity := Resources{CPUMilli: 4000, MemoryMB: 8192}
+	for step := 0; step < 2000; step++ {
+		name := fmt.Sprintf("olt-%03d", rng.Intn(96))
+		switch r := rng.Intn(20); {
+		case r == 0:
+			c.ImportState(c.ExportState(), nil)
+		case r < 6:
+			_, _ = c.FailNode(name) // unknown names are a no-op here
+		default:
+			c.AddNode(name, capacity) // a re-add about one time in three
+		}
+		got := slices.Clone(c.candidates)
+		c.rebuildCandidatesLocked()
+		if !slices.Equal(got, c.candidates) {
+			t.Fatalf("step %d (%s): candidates differ from a rebuild", step, name)
+		}
+		for i, n := range got {
+			if c.nodes[n.name] != n || (i > 0 && got[i-1].name >= n.name) {
+				t.Fatalf("step %d: candidates[%d] = %s stale, duplicated or out of order", step, i, n.name)
+			}
+		}
 	}
 }
