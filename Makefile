@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzVerify -fuzztime=15s ./api/
+	$(GO) test -fuzz=FuzzDecodeWireError -fuzztime=15s ./api/
 
 # loc prints the number each simplicity round is judged on: tracked
 # non-test Go outside the benchmark module, comments and blank lines
@@ -78,9 +79,9 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
-# the replay gate, the federation and onboarding storms and the bench
-# smoke at GOMAXPROCS 1, 2 and 4, so a gate that only holds on one core
-# cannot pass.
+# the replay gate, the federation, onboarding and watch storms and the
+# bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that only holds on one
+# core cannot pass.
 cores:
 	for n in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$n"; \
@@ -88,6 +89,7 @@ cores:
 		GOMAXPROCS=$$n $(MAKE) sim && \
 		GOMAXPROCS=$$n $(GO) test -race -count=20 -run 'Evacuate|Remove|Storm' ./internal/federation && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Onboard|NodeProvisioning' ./internal/core && \
+		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog' ./internal/core ./api/server && \
 		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
 	done
 	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim

@@ -157,150 +157,25 @@ func libResources(r *Resources) orchestrator.Resources {
 
 // Encode maps a control-plane error to its wire form. Every type in the
 // taxonomy gets a distinct code; anything unrecognized becomes
-// CodeInternal with the message preserved. Nil maps to nil.
+// CodeInternal with the message preserved, and a *WireError (what Decode
+// returns for codes with no library form) encodes as itself. Nil maps
+// to nil.
 //
-// Order matters where wrap chains cross classes: a DrainError typically
-// wraps a capacity failure, and a CancelledError wraps a context
-// sentinel, so the wrapping types are matched before the types they may
-// contain.
+// The outermost typed error in the wrap chain names the class: a
+// DrainError wrapping a capacity failure is drain-blocked, a
+// FederationCapacityError wrapping a member's CapacityError is
+// federation-capacity, whatever the wrapped error is — so Encode(Decode(we))
+// keeps we's code.
 func Encode(err error) *WireError {
 	if err == nil {
 		return nil
 	}
-	var (
-		closedErr *core.ClosedError
-		cancelled *orchestrator.CancelledError
-		drain     *orchestrator.DrainError
-		admission *orchestrator.AdmissionError
-		pull      *orchestrator.ImagePullError
-		quota     *orchestrator.QuotaError
-		capacity  *orchestrator.CapacityError
-		unauth    *orchestrator.UnauthorizedError
-		dup       *orchestrator.DuplicateNameError
-		notFound  *orchestrator.NodeNotFoundError
-		policy    *orchestrator.PlacementPolicyError
-		demand    *orchestrator.InvalidDemandError
-		pinned    *federation.RegionPinnedError
-		fedCap    *federation.FederationCapacityError
-		noCluster *federation.ClusterNotFoundError
-	)
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		if we := encodeTyped(err, e); we != nil {
+			return we
+		}
+	}
 	switch {
-	case errors.As(err, &pinned):
-		return &WireError{
-			Code:            CodeRegionPinned,
-			Message:         err.Error(),
-			Workload:        pinned.Workload,
-			Tenant:          pinned.Tenant,
-			Region:          pinned.Region,
-			RequestedRegion: pinned.Requested,
-		}
-	// A FederationCapacityError may wrap the last member cluster's
-	// *CapacityError, so the federation class must match first.
-	case errors.As(err, &fedCap):
-		return &WireError{
-			Code:     CodeFedCapacity,
-			Message:  err.Error(),
-			Workload: fedCap.Workload,
-			Tenant:   fedCap.Tenant,
-			Region:   fedCap.Region,
-			Clusters: fedCap.Clusters,
-			Wrapped:  Encode(fedCap.Err),
-		}
-	case errors.As(err, &noCluster):
-		return &WireError{Code: CodeClusterNotFound, Message: err.Error(), Cluster: noCluster.Cluster}
-	case errors.As(err, &closedErr):
-		return &WireError{Code: CodeClosed, Message: err.Error(), Op: closedErr.Op}
-	case errors.As(err, &cancelled):
-		we := &WireError{
-			Code:     CodeCancelled,
-			Message:  err.Error(),
-			Workload: cancelled.Workload,
-			Stage:    cancelled.Stage,
-		}
-		switch {
-		case errors.Is(cancelled.Err, context.DeadlineExceeded):
-			we.Cause = CauseDeadline
-		case errors.Is(cancelled.Err, context.Canceled):
-			we.Cause = CauseCanceled
-		}
-		return we
-	case errors.As(err, &drain):
-		return &WireError{
-			Code:     CodeDrainBlocked,
-			Message:  err.Error(),
-			Node:     drain.Node,
-			Workload: drain.Workload,
-			Wrapped:  Encode(drain.Err),
-		}
-	case errors.As(err, &admission):
-		return &WireError{
-			Code:     CodeAdmissionDenied,
-			Message:  err.Error(),
-			Workload: admission.Workload,
-			Tenant:   admission.Tenant,
-			Verdicts: admission.Verdicts,
-		}
-	case errors.As(err, &pull):
-		we := &WireError{Code: CodeImagePull, Message: err.Error(), Ref: pull.Ref}
-		switch {
-		case errors.Is(pull.Err, container.ErrNotFound):
-			we.Cause = CauseImageNotFound
-		case errors.Is(pull.Err, container.ErrBadSignature):
-			we.Cause = CauseBadSignature
-		case errors.Is(pull.Err, container.ErrUnsigned):
-			we.Cause = CauseImageUnsigned
-		}
-		return we
-	case errors.As(err, &quota):
-		return &WireError{
-			Code:      CodeQuotaExceeded,
-			Message:   err.Error(),
-			Tenant:    quota.Tenant,
-			Requested: wireResources(quota.Requested),
-			Used:      wireResources(quota.Used),
-			Quota:     wireResources(quota.Quota),
-		}
-	case errors.As(err, &capacity):
-		return &WireError{
-			Code:      CodeNoCapacity,
-			Message:   err.Error(),
-			Workload:  capacity.Workload,
-			Requested: wireResources(capacity.Requested),
-			Nodes:     capacity.Nodes,
-		}
-	case errors.As(err, &unauth):
-		return &WireError{
-			Code:    CodeUnauthorized,
-			Message: err.Error(),
-			Subject: unauth.Subject,
-			Verb:    unauth.Verb,
-			Tenant:  unauth.Tenant,
-		}
-	case errors.As(err, &dup):
-		return &WireError{Code: CodeDuplicateName, Message: err.Error(), Workload: dup.Workload}
-	case errors.As(err, &notFound):
-		we := &WireError{Code: CodeNodeNotFound, Message: err.Error(), Node: notFound.Node}
-		switch {
-		case errors.Is(err, core.ErrNoNode):
-			we.Cause = CauseNodeCore
-		case errors.Is(err, orchestrator.ErrNodeUnknown):
-			we.Cause = CauseNodeCluster
-		}
-		return we
-	case errors.As(err, &policy):
-		return &WireError{
-			Code:     CodePlacementPolicy,
-			Message:  err.Error(),
-			Workload: policy.Workload,
-			Policy:   policy.Policy,
-		}
-	case errors.As(err, &demand):
-		return &WireError{
-			Code:      CodeBadRequest,
-			Message:   err.Error(),
-			Workload:  demand.Workload,
-			Requested: wireResources(demand.Requested),
-		}
 	case errors.Is(err, context.Canceled):
 		return &WireError{Code: CodeCancelled, Message: err.Error(), Cause: CauseCanceled}
 	case errors.Is(err, context.DeadlineExceeded):
@@ -308,6 +183,130 @@ func Encode(err error) *WireError {
 	default:
 		return &WireError{Code: CodeInternal, Message: err.Error()}
 	}
+}
+
+// encodeTyped encodes err by e, one link of its wrap chain, when e is a
+// type of the taxonomy; nil otherwise.
+func encodeTyped(err, e error) *WireError {
+	switch e := e.(type) {
+	case *WireError:
+		return e
+	case *federation.RegionPinnedError:
+		return &WireError{
+			Code:            CodeRegionPinned,
+			Message:         err.Error(),
+			Workload:        e.Workload,
+			Tenant:          e.Tenant,
+			Region:          e.Region,
+			RequestedRegion: e.Requested,
+		}
+	case *federation.FederationCapacityError:
+		return &WireError{
+			Code:     CodeFedCapacity,
+			Message:  err.Error(),
+			Workload: e.Workload,
+			Tenant:   e.Tenant,
+			Region:   e.Region,
+			Clusters: e.Clusters,
+			Wrapped:  Encode(e.Err),
+		}
+	case *federation.ClusterNotFoundError:
+		return &WireError{Code: CodeClusterNotFound, Message: err.Error(), Cluster: e.Cluster}
+	case *core.ClosedError:
+		return &WireError{Code: CodeClosed, Message: err.Error(), Op: e.Op}
+	case *orchestrator.CancelledError:
+		we := &WireError{
+			Code:     CodeCancelled,
+			Message:  err.Error(),
+			Workload: e.Workload,
+			Stage:    e.Stage,
+		}
+		switch {
+		case errors.Is(e.Err, context.DeadlineExceeded):
+			we.Cause = CauseDeadline
+		case errors.Is(e.Err, context.Canceled):
+			we.Cause = CauseCanceled
+		}
+		return we
+	case *orchestrator.DrainError:
+		return &WireError{
+			Code:     CodeDrainBlocked,
+			Message:  err.Error(),
+			Node:     e.Node,
+			Workload: e.Workload,
+			Wrapped:  Encode(e.Err),
+		}
+	case *orchestrator.AdmissionError:
+		return &WireError{
+			Code:     CodeAdmissionDenied,
+			Message:  err.Error(),
+			Workload: e.Workload,
+			Tenant:   e.Tenant,
+			Verdicts: e.Verdicts,
+		}
+	case *orchestrator.ImagePullError:
+		we := &WireError{Code: CodeImagePull, Message: err.Error(), Ref: e.Ref}
+		switch {
+		case errors.Is(e.Err, container.ErrNotFound):
+			we.Cause = CauseImageNotFound
+		case errors.Is(e.Err, container.ErrBadSignature):
+			we.Cause = CauseBadSignature
+		case errors.Is(e.Err, container.ErrUnsigned):
+			we.Cause = CauseImageUnsigned
+		}
+		return we
+	case *orchestrator.QuotaError:
+		return &WireError{
+			Code:      CodeQuotaExceeded,
+			Message:   err.Error(),
+			Tenant:    e.Tenant,
+			Requested: wireResources(e.Requested),
+			Used:      wireResources(e.Used),
+			Quota:     wireResources(e.Quota),
+		}
+	case *orchestrator.CapacityError:
+		return &WireError{
+			Code:      CodeNoCapacity,
+			Message:   err.Error(),
+			Workload:  e.Workload,
+			Requested: wireResources(e.Requested),
+			Nodes:     e.Nodes,
+		}
+	case *orchestrator.UnauthorizedError:
+		return &WireError{
+			Code:    CodeUnauthorized,
+			Message: err.Error(),
+			Subject: e.Subject,
+			Verb:    e.Verb,
+			Tenant:  e.Tenant,
+		}
+	case *orchestrator.DuplicateNameError:
+		return &WireError{Code: CodeDuplicateName, Message: err.Error(), Workload: e.Workload}
+	case *orchestrator.NodeNotFoundError:
+		we := &WireError{Code: CodeNodeNotFound, Message: err.Error(), Node: e.Node}
+		switch {
+		case errors.Is(e, core.ErrNoNode):
+			we.Cause = CauseNodeCore
+		case errors.Is(e, orchestrator.ErrNodeUnknown):
+			we.Cause = CauseNodeCluster
+		}
+		return we
+	case *orchestrator.PlacementPolicyError:
+		return &WireError{
+			Code:     CodePlacementPolicy,
+			Message:  err.Error(),
+			Workload: e.Workload,
+			Policy:   e.Policy,
+		}
+	case *orchestrator.InvalidDemandError:
+		return &WireError{
+			Code:      CodeBadRequest,
+			Message:   err.Error(),
+			Workload:  e.Workload,
+			Requested: wireResources(e.Requested),
+		}
+	}
+	return nil
 }
 
 // Decode reconstructs the library's typed error from a wire error. The

@@ -149,3 +149,46 @@ func FuzzVerify(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeWireError: an error body is untrusted input to the client.
+// Whatever JSON decodes into a WireError, Decode must not panic, and
+// the typed error it rebuilds must encode back to the same code — the
+// wire code is the compatibility contract, so a round trip may not
+// change an error's class.
+func FuzzDecodeWireError(f *testing.F) {
+	for _, seed := range []string{
+		`{"code":"admission-denied","message":"m","workload":"w","tenant":"t","verdicts":[{"scanner":"sast","passed":false,"detail":"x"}]}`,
+		`{"code":"image-pull","message":"pull r: image not signed","ref":"r","cause":"unsigned"}`,
+		`{"code":"quota-exceeded","tenant":"t","requested":{"cpuMilli":1},"used":{},"quota":{"memoryMB":-1}}`,
+		`{"code":"no-capacity","workload":"w","nodes":3}`,
+		`{"code":"cancelled","workload":"w","stage":"scanning","cause":"deadline"}`,
+		`{"code":"node-not-found","node":"n","cause":"core"}`,
+		`{"code":"drain-blocked","node":"n","wrapped":{"code":"no-capacity","workload":"w"}}`,
+		`{"code":"drain-blocked","node":"n","wrapped":{"code":"region-pinned","tenant":"t"}}`,
+		`{"code":"federation-capacity","clusters":2,"wrapped":{"code":"federation-capacity","wrapped":{"code":"cancelled"}}}`,
+		`{"code":"bad-request","workload":"w","requested":{"cpuMilli":-5}}`,
+		`{"code":"platform-closed","op":"deploy"}`,
+		`{"code":"session-expired","message":"expired"}`,
+		`{"code":"no-such-code"}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var we WireError
+		if json.Unmarshal(data, &we) != nil {
+			return
+		}
+		err := Decode(&we)
+		if err == nil {
+			t.Fatalf("Decode(%+v) = nil", we)
+		}
+		_ = err.Error()
+		if _, known := httpStatus[we.Code]; !known {
+			return
+		}
+		if got := Encode(err); got.Code != we.Code {
+			t.Fatalf("code %q decoded to %T, which encodes as %q", we.Code, err, got.Code)
+		}
+	})
+}

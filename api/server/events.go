@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"sync"
 
 	"genio/api"
 	"genio/internal/core"
+	"genio/internal/events"
 )
+
+// watchReplay is how many lifecycle events the log retains for
+// Last-Event-ID resume; a reconnect asking for older events gets only
+// what is retained.
+const watchReplay = 1024
 
 // loggedEvent is one lifecycle event with its server-assigned stream
 // id — the SSE `id:` field, monotonically increasing for the server's
@@ -49,15 +56,15 @@ func renderFrame(id uint64, ev api.LifecycleEvent) []byte {
 }
 
 // eventLog is the server's single source of watch events: one
-// platform-wide lifecycle subscription assigns every event a stream id,
-// keeps a bounded replay ring, and fans out to per-connection
-// subscribers. A reconnecting watcher presents its Last-Event-ID and
-// receives the ring's events after that id before going live — replay
-// and live delivery draw from the same id sequence under one lock, so
-// there is no gap or duplication between them. Events older than the
-// ring (default 1024) are gone: a resume from that far back reports a
-// gap to the consumer's filter-free view but still streams everything
-// retained.
+// deploy.lifecycle subscription on the platform's spine assigns every
+// event a stream id, keeps a bounded replay ring, and fans out to
+// per-connection subscribers. A reconnecting watcher presents its
+// Last-Event-ID and receives the ring's events after that id before
+// going live — replay and live delivery draw from the same id sequence
+// under one lock, so there is no gap or duplication between them.
+// Events older than the ring (watchReplay) are gone: a resume from that
+// far back reports a gap to the consumer's filter-free view but still
+// streams everything retained.
 //
 // The ring is a true circular buffer: a fixed backing array overwritten
 // in place. The earlier re-slicing form (ring = ring[len-cap:]) kept
@@ -75,8 +82,8 @@ type eventLog struct {
 }
 
 // logSub is one watch connection's subscription: an unbounded queue
-// (mirroring core.Platform.WatchBatches' decoupling — a slow SSE write
-// never stalls the fan-out) drained a whole slice at a time via notify.
+// (a slow SSE write never stalls the fan-out, and so never the spine)
+// drained a whole slice at a time via notify.
 type logSub struct {
 	log    *eventLog
 	queue  []loggedEvent
@@ -84,38 +91,48 @@ type logSub struct {
 	closed bool
 }
 
-// newEventLog starts the log over the platform's full lifecycle
-// stream, bounded by ctx — the server's lifetime, not the process's.
-// The feeding goroutine exits (closing every subscriber) when ctx is
-// cancelled or the platform closes; either way the platform-side watch
-// subscription is released with it.
-func newEventLog(ctx context.Context, p *core.Platform, capacity int) (*eventLog, error) {
-	all, err := p.WatchBatches(ctx, core.WatchSelector{})
+// newEventLog starts the log over the platform's lifecycle topic. The
+// work is done in the spine's handler (see append), on its delivery
+// goroutine; one goroutine waits for the end — the server's ctx or the
+// platform's Done, after which the spine has delivered everything — and
+// then releases the subscription and closes every subscriber.
+func newEventLog(ctx context.Context, p *core.Platform) (*eventLog, error) {
+	l := &eventLog{buf: make([]loggedEvent, watchReplay), nextID: 1, subs: make(map[*logSub]struct{})}
+	sub, err := p.Subscribe("sse-log", []events.Topic{events.TopicDeployLifecycle}, l.append)
 	if err != nil {
+		if errors.Is(err, events.ErrClosed) {
+			return nil, &core.ClosedError{Op: "watch"}
+		}
 		return nil, err
 	}
-	l := &eventLog{buf: make([]loggedEvent, capacity), nextID: 1, subs: make(map[*logSub]struct{})}
 	go func() {
-		for batch := range all {
-			l.append(batch)
+		select {
+		case <-ctx.Done():
+		case <-p.Done():
 		}
+		sub.Cancel()
 		l.close()
 	}()
 	return l, nil
 }
 
-// append logs one platform batch under one lock acquisition: every
-// event gets its id and frame, every subscriber's queue grows by the
-// whole batch, and each subscriber is woken once.
-func (l *eventLog) append(batch []core.LifecycleEvent) {
-	logged := make([]loggedEvent, len(batch))
+// append is the spine handler: it logs one delivered batch under one
+// lock acquisition — every event gets its id and its frame, rendered
+// once, every subscriber's queue grows by the whole batch, and each
+// subscriber is woken once.
+func (l *eventLog) append(batch []events.Event) {
+	logged := make([]loggedEvent, 0, len(batch))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i, ev := range batch {
+	for _, e := range batch {
+		ev, ok := e.Payload.(core.LifecycleEvent)
+		if !ok {
+			continue
+		}
 		le := loggedEvent{id: l.nextID, ev: api.FromLifecycleEvent(ev)}
 		le.frame = renderFrame(le.id, le.ev)
 		l.nextID++
-		logged[i] = le
+		logged = append(logged, le)
 		if l.size < len(l.buf) {
 			l.buf[(l.head+l.size)%len(l.buf)] = le
 			l.size++

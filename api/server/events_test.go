@@ -5,20 +5,32 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"genio/api"
 	"genio/internal/core"
+	"genio/internal/events"
 	"genio/internal/orchestrator"
 )
 
-// TestServerCloseReleasesWatchFeeder: the event-log feeder goroutine and
-// its platform-side Watch subscription must be tied to the SERVER's
-// lifetime, not the process's. Before the fix the feeder was started on
-// context.Background(), so closing a server while its platform lived
-// leaked both until the platform itself shut down.
+// lifecycle wraps lifecycle events as the spine batch the log's handler
+// receives.
+func lifecycle(evs ...core.LifecycleEvent) []events.Event {
+	batch := make([]events.Event, len(evs))
+	for i, ev := range evs {
+		batch[i] = events.Event{Topic: events.TopicDeployLifecycle, Key: ev.Workload, Payload: ev}
+	}
+	return batch
+}
+
+// TestServerCloseReleasesWatchFeeder: the event log's goroutine and its
+// spine subscription must be tied to the SERVER's lifetime, not the
+// process's. Before the fix the log was started on context.Background(),
+// so closing a server while its platform lived leaked both until the
+// platform itself shut down.
 func TestServerCloseReleasesWatchFeeder(t *testing.T) {
 	p := testPlatform(t)
 	srv := New(p, Options{})
@@ -28,8 +40,8 @@ func TestServerCloseReleasesWatchFeeder(t *testing.T) {
 	}
 	srv.Close()
 	srv.Close() // idempotent
-	// The feeder observes the cancelled context via its closing watch
-	// channel and marks the log closed; poll for it.
+	// The log's goroutine observes the cancelled context and marks the
+	// log closed; poll for it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		log.mu.Lock()
@@ -49,6 +61,72 @@ func TestServerCloseReleasesWatchFeeder(t *testing.T) {
 	}
 }
 
+// settledGoroutines waits until the goroutine count holds still for a
+// few consecutive reads and returns it.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < 10 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestEventLogIsOneGoroutine: the log does its work in the spine's
+// handler, so starting it adds exactly one long-lived goroutine — the
+// one waiting for the server or the platform to end — and closing the
+// server takes it away again.
+func TestEventLogIsOneGoroutine(t *testing.T) {
+	p := testPlatform(t)
+	srv := New(p, Options{})
+	before := settledGoroutines()
+	if _, err := srv.eventLog(); err != nil {
+		t.Fatalf("eventLog: %v", err)
+	}
+	if _, err := srv.eventLog(); err != nil { // shared, not a second log
+		t.Fatalf("eventLog: %v", err)
+	}
+	if got := settledGoroutines() - before; got != 1 {
+		t.Fatalf("starting the event log added %d goroutines, want 1", got)
+	}
+	srv.Close()
+	if got := settledGoroutines(); got != before {
+		t.Fatalf("after server Close: %d goroutines, want %d", got, before)
+	}
+}
+
+// TestEventLogFilledByFlush: the log is a spine subscriber, so once
+// p.Flush returns every lifecycle event published before it is in the
+// log, id assigned and frame rendered — no later hand-off to wait for.
+func TestEventLogFilledByFlush(t *testing.T) {
+	p := testPlatform(t)
+	srv := New(p, Options{})
+	t.Cleanup(srv.Close)
+	log, err := srv.eventLog()
+	if err != nil {
+		t.Fatalf("eventLog: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		ev := core.LifecycleEvent{Workload: fmt.Sprintf("wl-%d", i), Tenant: "acme", State: core.StateRunning}
+		if err := p.PublishEvent(lifecycle(ev)[0]); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+		p.Flush()
+		if got := log.latest(); got != uint64(i+1) {
+			t.Fatalf("after Flush the log's latest id is %d, want %d", got, i+1)
+		}
+	}
+	replay, sub := log.subscribe(0)
+	sub.cancel()
+	if len(replay) != 3 || !bytes.Contains(replay[2].frame, []byte(`"workload":"wl-2"`)) {
+		t.Fatalf("log holds %d events, want 3 ending with wl-2: %+v", len(replay), replay)
+	}
+}
+
 // TestEventLogBoundedRetention: the replay ring must retain at most its
 // capacity and never pin evicted events. The earlier tail re-slicing
 // kept evicted entries reachable through the shared backing array
@@ -59,7 +137,7 @@ func TestEventLogBoundedRetention(t *testing.T) {
 	l := &eventLog{buf: make([]loggedEvent, capacity), nextID: 1, subs: make(map[*logSub]struct{})}
 	const total = 5 * capacity
 	for i := 0; i < total; i++ {
-		l.append([]core.LifecycleEvent{{Workload: fmt.Sprintf("wl-%03d", i)}})
+		l.append(lifecycle(core.LifecycleEvent{Workload: fmt.Sprintf("wl-%03d", i)}))
 	}
 	l.mu.Lock()
 	bufLen, size := len(l.buf), l.size
@@ -117,7 +195,7 @@ func TestWatchFanoutEncodesOnce(t *testing.T) {
 		sub.queue = make([]loggedEvent, 0, 4096)
 		subs[i] = sub
 	}
-	ev := []core.LifecycleEvent{{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"}}
+	ev := lifecycle(core.LifecycleEvent{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"})
 	l.append(ev) // warm the frame pool's scratch buffer
 
 	allocs := testing.AllocsPerRun(100, func() { l.append(ev) })
@@ -190,7 +268,7 @@ func TestWatchFanoutPublishStorm(t *testing.T) {
 		for i := range batch {
 			batch[i] = core.LifecycleEvent{Workload: fmt.Sprintf("wl-%03d", n+i), State: "placed"}
 		}
-		l.append(batch)
+		l.append(lifecycle(batch...))
 		n += len(batch)
 	}
 	wg.Wait()

@@ -42,26 +42,17 @@ type Options struct {
 	// This is the legacy posture's insecure default; the secure posture
 	// leaves it off and rejects unauthenticated requests with 401.
 	AllowAnonymous bool
-	// TerminalRetention caps how many completed async deployments stay
-	// pollable. Beyond the cap the oldest terminal entries are evicted,
-	// so a long-running daemon's registry is bounded by its in-flight
-	// load plus this constant. 0 means the default (512).
-	TerminalRetention int
-	// WatchReplayBuffer is how many lifecycle events the SSE watch
-	// endpoint retains for Last-Event-ID resume. A reconnect asking for
-	// events older than the buffer gets only what is retained. 0 means
-	// the default (1024).
-	WatchReplayBuffer int
 	// SessionTTL is how long POST /v2/session grants live before the
 	// client must re-key over Ed25519. 0 means api.DefaultSessionTTL;
 	// tests use tiny values to exercise re-keying.
 	SessionTTL time.Duration
 }
 
-const (
-	defaultTerminalRetention = 512
-	defaultWatchReplay       = 1024
-)
+// terminalRetention caps how many completed async deployments stay
+// pollable. Beyond the cap the oldest terminal entries are evicted, so a
+// long-running daemon's registry is bounded by its in-flight load plus
+// this constant.
+const terminalRetention = 512
 
 // asyncDeployment is one registry entry: the server-side future plus
 // the subject that created it, which gates status/await/cancel.
@@ -79,17 +70,18 @@ type Server struct {
 
 	// Async deployment registry: the server-side ends of the Deployment
 	// futures handed out by POST /v2/deployments/async. Terminal entries
-	// are retained (bounded by Options.TerminalRetention, oldest
-	// evicted first) so clients can poll after completion.
+	// are retained (at most retention of them, oldest evicted first) so
+	// clients can poll after completion.
 	mu          sync.Mutex
 	deployments map[string]*asyncDeployment
 	terminal    []string // eviction order: ids in completion order
+	retention   int      // terminalRetention; tests lower it
 
 	// events is the SSE replay log, started lazily on the first watch so
 	// watch-free servers (benches, most tests) pay nothing. Once started
-	// it lives until the SERVER closes (ctx), not the platform: a server
-	// discarded while its platform lives must not leak the feeder
-	// goroutine and its platform-side Watch subscription.
+	// it lives until the server closes (ctx) or the platform does: a
+	// server discarded while its platform lives must not leak the log's
+	// goroutine and its spine subscription.
 	ctx        context.Context
 	cancel     context.CancelFunc
 	eventsOnce sync.Once
@@ -106,16 +98,10 @@ type Server struct {
 
 // New builds a server over the platform.
 func New(p *core.Platform, opts Options) *Server {
-	s := &Server{p: p, opts: opts, deployments: make(map[string]*asyncDeployment)}
+	s := &Server{p: p, opts: opts, deployments: make(map[string]*asyncDeployment), retention: terminalRetention}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if s.opts.CA == nil {
 		s.opts.CA = p.CA
-	}
-	if s.opts.TerminalRetention <= 0 {
-		s.opts.TerminalRetention = defaultTerminalRetention
-	}
-	if s.opts.WatchReplayBuffer <= 0 {
-		s.opts.WatchReplayBuffer = defaultWatchReplay
 	}
 	var vopts []api.VerifierOption
 	if s.opts.SessionTTL > 0 {
@@ -469,7 +455,7 @@ func (s *Server) retire(id string) {
 		return
 	}
 	s.terminal = append(s.terminal, id)
-	for len(s.terminal) > s.opts.TerminalRetention {
+	for len(s.terminal) > s.retention {
 		delete(s.deployments, s.terminal[0])
 		s.terminal = s.terminal[1:]
 	}
@@ -552,7 +538,7 @@ func (s *Server) handleDeploymentCancel(w http.ResponseWriter, r *http.Request, 
 // (and its id sequence, which Last-Event-ID resume depends on).
 func (s *Server) eventLog() (*eventLog, error) {
 	s.eventsOnce.Do(func() {
-		s.events, s.eventsErr = newEventLog(s.ctx, s.p, s.opts.WatchReplayBuffer)
+		s.events, s.eventsErr = newEventLog(s.ctx, s.p)
 	})
 	return s.events, s.eventsErr
 }
@@ -561,8 +547,8 @@ func (s *Server) eventLog() (*eventLog, error) {
 // events, filtered by the selector in the query string (tenant,
 // workload, terminal=true). Every event carries an `id:` field; a
 // reconnecting client that presents Last-Event-ID receives the
-// retained events after that id (bounded by Options.WatchReplayBuffer
-// — older events are lost and the resume continues from what remains)
+// retained events after that id (at most watchReplay of them — older
+// events are lost and the resume continues from what remains)
 // before going live. The stream runs until the client disconnects or
 // the platform closes.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request, subject string) {

@@ -864,7 +864,8 @@ func remoteHandle(t *testing.T, c *client.HTTP, id string) client.Deployment {
 // configured number of completed deployments.
 func TestTerminalDeploymentEviction(t *testing.T) {
 	p := testPlatform(t)
-	srv := New(p, Options{TerminalRetention: 2})
+	srv := New(p, Options{})
+	srv.retention = 2
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	id, err := p.CA.Issue("operator", pki.RoleService)
@@ -1101,7 +1102,7 @@ func TestWatchStreamEndsWhenPlatformCloses(t *testing.T) {
 	closed := log.closed
 	log.mu.Unlock()
 	if !closed {
-		t.Fatal("event log feeder still running after the platform closed")
+		t.Fatal("event log still open after the platform closed")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"genio/api"
 	"genio/internal/core"
+	"genio/internal/events"
 )
 
 // burstRecorder is a streaming ResponseWriter: Write accumulates, Flush
@@ -89,13 +90,13 @@ func startWatch(t *testing.T, srv *Server, rec *burstRecorder, query, lastEventI
 	}
 }
 
-// running builds one platform batch: a running event per workload name.
-func running(tenant string, workloads ...string) []core.LifecycleEvent {
+// running builds one spine batch: a running event per workload name.
+func running(tenant string, workloads ...string) []events.Event {
 	evs := make([]core.LifecycleEvent, len(workloads))
 	for i, w := range workloads {
 		evs[i] = core.LifecycleEvent{Workload: w, Tenant: tenant, State: core.StateRunning}
 	}
-	return evs
+	return lifecycle(evs...)
 }
 
 // wantFrames asserts burst holds exactly the frames with the given ids,

@@ -12,6 +12,7 @@ package genio_test
 // what stays here is what the ladder does not cover.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -325,7 +326,7 @@ func BenchmarkAdmissionPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("w-%d", i)
-		if _, err := p.Deploy("ci", genio.WorkloadSpec{
+		if _, err := p.DeployContext(context.Background(), "ci", genio.WorkloadSpec{
 			Name: name, Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 			Isolation: genio.IsolationSoft,
 			Resources: genio.Resources{CPUMilli: 1, MemoryMB: 1},
@@ -384,7 +385,7 @@ func BenchmarkDeployParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			name := fmt.Sprintf("par-%d", seq.Add(1))
-			if _, err := p.Deploy("ci", benchSpec(name)); err != nil {
+			if _, err := p.DeployContext(context.Background(), "ci", benchSpec(name)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -407,7 +408,7 @@ func warmDeployCycle(p *core.Platform, i int) (*orchestrator.Workload, error) {
 	if err := p.Cluster.Stop(fmt.Sprintf("warm-%d", i)); err != nil {
 		return nil, err
 	}
-	return p.Deploy("ci", benchWarmSpec(fmt.Sprintf("warm-%d", i+1)))
+	return p.DeployContext(context.Background(), "ci", benchWarmSpec(fmt.Sprintf("warm-%d", i+1)))
 }
 
 // BenchmarkWarmDeploy is the tentpole fast path: each op stops a
@@ -418,7 +419,7 @@ func warmDeployCycle(p *core.Platform, i int) (*orchestrator.Workload, error) {
 func BenchmarkWarmDeploy(b *testing.B) {
 	p := benchDeployPlatform(b)
 	p.Cluster.Settings.WarmPoolEnabled = true
-	if _, err := p.Deploy("ci", benchWarmSpec("warm-0")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -437,7 +438,7 @@ func BenchmarkWarmDeploy(b *testing.B) {
 // repeatDeployP50 measures the median stop→redeploy latency over rounds.
 func repeatDeployP50(t *testing.T, p *core.Platform, rounds int) time.Duration {
 	t.Helper()
-	if _, err := p.Deploy("ci", benchWarmSpec("warm-0")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
 		t.Fatal(err)
 	}
 	samples := make([]time.Duration, rounds)
@@ -489,7 +490,7 @@ func TestWarmDeploySpeedup(t *testing.T) {
 func TestWarmDeployAllocs(t *testing.T) {
 	p := benchDeployPlatform(t)
 	p.Cluster.Settings.WarmPoolEnabled = true
-	if _, err := p.Deploy("ci", benchWarmSpec("warm-0")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
@@ -518,7 +519,7 @@ func TestWarmDeployAllocs(t *testing.T) {
 // goroutines through enforcement, detection, and the incident bus.
 func BenchmarkObserveRuntimeParallel(b *testing.B) {
 	p := benchDeployPlatform(b)
-	if _, err := p.Deploy("ci", benchSpec("victim")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", benchSpec("victim")); err != nil {
 		b.Fatal(err)
 	}
 	events := trace.ReverseShellTrace("victim", "acme")

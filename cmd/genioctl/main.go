@@ -802,7 +802,7 @@ func runDemo(args []string, out io.Writer) error {
 		return err
 	}
 
-	if _, err := p.Deploy("acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: genio.IsolationSoft,
 		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -811,7 +811,7 @@ func runDemo(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "\nworkload acme/analytics deployed")
 
-	if _, err := p.Deploy("acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
 		Name: "optimizer", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
 		Isolation: genio.IsolationSoft,
 		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},

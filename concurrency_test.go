@@ -7,6 +7,7 @@ package genio_test
 // bookings.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,7 +72,7 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 	// One victim workload per observer, deployed up front so each has a
 	// sandbox policy attached.
 	for g := 0; g < observers; g++ {
-		if _, err := p.Deploy("ci", genio.WorkloadSpec{
+		if _, err := p.DeployContext(context.Background(), "ci", genio.WorkloadSpec{
 			Name: fmt.Sprintf("victim-%d", g), Tenant: tenants[g%len(tenants)],
 			ImageRef: "acme/analytics:2.0.1", Isolation: genio.IsolationSoft,
 			Resources: genio.Resources{CPUMilli: 10, MemoryMB: 10},
@@ -89,7 +90,7 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perDeployer; i++ {
-				_, err := p.Deploy("ci", genio.WorkloadSpec{
+				_, err := p.DeployContext(context.Background(), "ci", genio.WorkloadSpec{
 					Name: fmt.Sprintf("w-%d-%d", g, i), Tenant: tenants[g%len(tenants)],
 					ImageRef: "acme/analytics:2.0.1", Isolation: genio.IsolationSoft,
 					Resources: genio.Resources{CPUMilli: 10, MemoryMB: 10},
@@ -186,7 +187,7 @@ func TestDeployBatch(t *testing.T) {
 	specs[3].ImageRef = "ghost/unknown:0.0" // unpullable
 	specs[6].Name = specs[0].Name           // duplicate: exactly one of 0/6 wins
 
-	workloads, errs := p.DeployBatch("ci", specs)
+	workloads, errs := p.DeployBatchContext(context.Background(), "ci", specs)
 	if len(workloads) != len(specs) || len(errs) != len(specs) {
 		t.Fatalf("result lengths %d/%d, want %d", len(workloads), len(errs), len(specs))
 	}

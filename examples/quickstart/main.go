@@ -106,7 +106,7 @@ func run() error {
 	// 8. Rejections are typed: a hostile image reports the scanner that
 	//    caught it, not an opaque string.
 	p.Registry.Push(container.CryptominerImage(), nil) // adversary upload, unsigned
-	_, err = p.Deploy("acme-ci", genio.WorkloadSpec{
+	_, err = p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
 		Name: "optimizer", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
 		Isolation: genio.IsolationSoft,
 		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},

@@ -65,7 +65,7 @@ func run() error {
 	// Phase 1 — binpack (the density default): six workloads, one node.
 	fmt.Println("phase 1: deploy 6 workloads under binpack (density default)")
 	for i := 0; i < 6; i++ {
-		w, err := p.Deploy("acme-ci", spec(fmt.Sprintf("dense-%d", i), ""))
+		w, err := p.DeployContext(context.Background(), "acme-ci", spec(fmt.Sprintf("dense-%d", i), ""))
 		if err != nil {
 			return fmt.Errorf("deploy dense-%d: %w", i, err)
 		}

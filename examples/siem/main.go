@@ -104,7 +104,7 @@ func run() error {
 		{Name: "miner", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
 			Isolation: genio.IsolationSoft, Resources: genio.Resources{CPUMilli: 200, MemoryMB: 256}},
 	}
-	go p.DeployBatch("ci", specs)
+	go p.DeployBatchContext(context.Background(), "ci", specs)
 
 	for terminals := 0; terminals < len(specs); terminals++ {
 		ev := <-lifecycle

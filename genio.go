@@ -10,16 +10,17 @@
 //
 // The platform is safe for concurrent multi-tenant use: each deployment
 // runs the admission scanners on its own goroutine (with clean verdicts
-// cached per image digest), Deploy and DeployBatch may be called from
-// many goroutines, and every telemetry stream — incidents, falco
+// cached per image digest), DeployContext and DeployBatchContext may be
+// called from many goroutines, and every telemetry stream — incidents, falco
 // alerts, control-plane audit records, metrics, deployment lifecycle —
 // flows through one ordered event spine. Call Flush before reading
 // incidents recorded by other goroutines, Subscribe to consume any
 // stream live, and Close when discarding a platform.
 //
-// Control-plane API v2. Every blocking entry point has a context-first
-// variant (DeployContext, DeployBatchContext, AddEdgeNodeContext,
-// AttachONUContext, FlushContext, PublishEventContext): cancellation or
+// Control-plane API v2. Deploys take a context (DeployContext,
+// DeployBatchContext), and every other blocking entry point has a
+// context-first variant (AddEdgeNodeContext, AttachONUContext,
+// FlushContext, PublishEventContext): cancellation or
 // deadline expiry aborts in-flight admission scans without placing the
 // workload or leaking pool goroutines. DeployAsync returns a
 // *Deployment future whose transitions (pending -> scanning -> placing
@@ -99,8 +100,8 @@ const (
 )
 
 // Placement strategies for WorkloadSpec.PlacementPolicy and the
-// cluster-wide default (WithPlacementStrategy /
-// Settings.PlacementStrategy): binpack packs for density, spread fans
+// cluster-wide default (Config.ClusterSettings.PlacementStrategy):
+// binpack packs for density, spread fans
 // out for HA. See internal/orchestrator/scheduler for the policy
 // pipeline.
 const (
@@ -177,13 +178,6 @@ type PlatformOption = core.Option
 // WithClock installs a millisecond time source on the platform (see
 // core.WithClock); simulations use it to make runs replayable.
 func WithClock(now func() int64) PlatformOption { return core.WithClock(now) }
-
-// WithPlacementStrategy sets the cluster-wide default placement
-// strategy (PlacementBinpack | PlacementSpread) for workloads that do
-// not set their own WorkloadSpec.PlacementPolicy.
-func WithPlacementStrategy(strategy string) PlatformOption {
-	return core.WithPlacementStrategy(strategy)
-}
 
 // NewPlatform builds a platform with the given mitigation configuration.
 func NewPlatform(cfg Config, opts ...PlatformOption) (*Platform, error) {

@@ -1,6 +1,7 @@
 package genio_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := p.RBAC.Bind("acme-ci", "acme-deployer"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Deploy("acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: genio.IsolationSoft,
 		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -89,7 +90,7 @@ func TestFacadeEventSpine(t *testing.T) {
 	if err := p.RBAC.Bind("acme-ci", "acme-deployer"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Deploy("acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: genio.IsolationSoft,
 		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},

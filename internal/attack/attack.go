@@ -9,6 +9,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -296,7 +297,7 @@ func (c *Campaign) attackKernelCVE() Result {
 
 func (c *Campaign) attackAnonymousAPI() Result {
 	r := Result{ThreatID: "T5", Attack: "anonymous workload creation cross-tenant"}
-	_, err := c.Platform.Deploy("anonymous-attacker", orchestrator.WorkloadSpec{
+	_, err := c.Platform.DeployContext(context.Background(), "anonymous-attacker", orchestrator.WorkloadSpec{
 		Name: "implant", Tenant: "victim-tenant", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},
@@ -352,7 +353,7 @@ func (c *Campaign) attackExploitWebApp() Result {
 	if c.Platform.Config.RBACEnabled {
 		c.allowTenant("acme-ci", "acme")
 	}
-	_, err := c.Platform.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	_, err := c.Platform.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "victim-web", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256},
@@ -390,7 +391,7 @@ func (c *Campaign) attackMaliciousImage() Result {
 	if c.Platform.Config.RBACEnabled {
 		c.allowTenant("shady-ci", "shady")
 	}
-	_, err := c.Platform.Deploy("shady-ci", orchestrator.WorkloadSpec{
+	_, err := c.Platform.DeployContext(context.Background(), "shady-ci", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "shady", ImageRef: "freestuff/optimizer:latest",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -442,7 +443,7 @@ func (c *Campaign) attackResourceAbuse() Result {
 	}
 	deployed := 0
 	for i := 0; i < 16; i++ {
-		_, err := c.Platform.Deploy("greedy-ci", orchestrator.WorkloadSpec{
+		_, err := c.Platform.DeployContext(context.Background(), "greedy-ci", orchestrator.WorkloadSpec{
 			Name: fmt.Sprintf("hog-%02d", i), Tenant: "greedy", ImageRef: "acme/analytics:2.0.1",
 			Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 900, MemoryMB: 1800},

@@ -55,7 +55,7 @@ func TestConcurrentRejectionsRecordIncidentsPerWorkload(t *testing.T) {
 	var wg sync.WaitGroup
 	deploy := func(i int) {
 		defer wg.Done()
-		_, errs[i] = p.Deploy("ci", minerSpec(fmt.Sprintf("miner-%d", i)))
+		_, errs[i] = p.DeployContext(context.Background(), "ci", minerSpec(fmt.Sprintf("miner-%d", i)))
 	}
 	wg.Add(n)
 	go deploy(0)
@@ -95,7 +95,7 @@ func TestConcurrentRejectionsRecordIncidentsPerWorkload(t *testing.T) {
 
 func TestCancelledMidScanRecordsNoIncident(t *testing.T) {
 	p := asyncPlatform(t)
-	if _, err := p.Deploy("ci", asyncSpec("warm")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", asyncSpec("warm")); err != nil {
 		t.Fatalf("warm deploy: %v", err)
 	}
 	pushSigned(t, p, container.CryptominerImage()) // re-keys the publisher

@@ -122,15 +122,6 @@ func WithClock(now func() int64) Option {
 	return func(p *Platform) { p.now = now }
 }
 
-// WithPlacementStrategy sets the cluster-wide default placement
-// strategy ("binpack" | "spread") applied to workloads that do not set
-// their own WorkloadSpec.PlacementPolicy — equivalent to setting
-// Config.ClusterSettings.PlacementStrategy, for callers configuring by
-// option rather than by settings struct.
-func WithPlacementStrategy(strategy string) Option {
-	return func(p *Platform) { p.Cluster.Settings.PlacementStrategy = strategy }
-}
-
 // EdgeNode is a provisioned OLT edge hub.
 type EdgeNode struct {
 	Name     string
@@ -599,33 +590,24 @@ func (p *Platform) AttachONUContext(ctx context.Context, nodeName, serial string
 	return onu, nil
 }
 
-// Deploy admits a workload through the pipeline; on success a sandbox
-// policy is attached when M17 is enabled. Context-free compatibility
-// wrapper over DeployContext; for cancellable, observable deployments use
-// DeployAsync (deployasync.go).
-func (p *Platform) Deploy(subject string, spec orchestrator.WorkloadSpec) (*orchestrator.Workload, error) {
-	return p.DeployContext(context.Background(), subject, spec)
-}
-
-// DeployContext admits a workload through the pipeline, honouring ctx:
+// DeployContext admits a workload through the pipeline; on success a
+// sandbox policy is attached when M17 is enabled. It honours ctx:
 // cancellation or deadline expiry aborts the in-flight admission chain
 // without placing the workload, recording an incident, or warming the
 // verdict cache, and returns a *orchestrator.CancelledError. Rejections
 // are typed (see the orchestrator error taxonomy) and counted on the
-// deploy.rejected metric; cancellations count on deploy.cancelled.
+// deploy.rejected metric; cancellations count on deploy.cancelled. For
+// an observable deployment with a lifecycle, use DeployAsync.
 func (p *Platform) DeployContext(ctx context.Context, subject string, spec orchestrator.WorkloadSpec) (*orchestrator.Workload, error) {
-	w, _, err := p.deployObserved(ctx, subject, spec, nil)
-	return w, err
+	return p.deployObserved(ctx, subject, spec, nil)
 }
 
-// deployObserved is the shared deploy body: the synchronous entry points
-// pass a nil observer, the async future wires its lifecycle publisher in.
-// The returned Placement is the commit-time snapshot; lifecycle events
-// must report the node from it, not from the live *Workload, which a
-// concurrent failover may rewrite.
-func (p *Platform) deployObserved(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, observe func(orchestrator.DeployStage)) (*orchestrator.Workload, orchestrator.Placement, error) {
+// deployObserved is the shared deploy body: DeployContext passes a nil
+// observer, a Deployment wires its lifecycle publisher in. The returned
+// *Workload is the commit-time copy, never the live cluster record.
+func (p *Platform) deployObserved(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, observe func(orchestrator.DeployStage)) (*orchestrator.Workload, error) {
 	if p.closed.Load() {
-		return nil, orchestrator.Placement{}, &ClosedError{Op: "deploy"}
+		return nil, &ClosedError{Op: "deploy"}
 	}
 	if p.Config.TenantQuotas {
 		// A default quota per tenant when none was set explicitly. Quotas
@@ -635,15 +617,12 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 		}
 	}
 	var (
-		w      *orchestrator.Workload
-		placed orchestrator.Placement
-		err    error
+		w   *orchestrator.Workload
+		err error
 	)
 	switch {
 	case p.Federation != nil:
-		var at federation.Placement
-		w, at, err = p.Federation.DeployObserved(ctx, subject, spec, observe)
-		placed = orchestrator.Placement{Node: at.Node, VMID: at.VMID}
+		w, _, err = p.Federation.DeployObserved(ctx, subject, spec, observe)
 	case spec.Region != "":
 		// A region constraint on a non-federated platform can never be
 		// satisfied: there are no regions to match.
@@ -651,7 +630,7 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 			Workload: spec.Name, Tenant: spec.Tenant, Region: spec.Region,
 		}
 	default:
-		w, placed, err = p.Cluster.DeployObserved(ctx, subject, spec, observe)
+		w, err = p.Cluster.DeployObserved(ctx, subject, spec, observe)
 	}
 	if err != nil {
 		p.recordAdmissionIncidents(spec, err)
@@ -660,13 +639,13 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 		} else {
 			p.publishMetric("deploy.rejected", 1, spec.Tenant)
 		}
-		return nil, orchestrator.Placement{}, err
+		return nil, err
 	}
 	if p.Config.SandboxEnabled {
 		p.Enforcer.SetPolicy(spec.Name, sandbox.DefaultWorkloadPolicy())
 	}
 	p.publishMetric("deploy.admitted", 1, spec.Tenant)
-	return w, placed, nil
+	return w, nil
 }
 
 // ObserveRuntime feeds a workload's event stream through enforcement (M17)
@@ -750,7 +729,7 @@ func (p *Platform) FlushContext(ctx context.Context) error {
 // idempotent and safe to call concurrently (every call blocks until the
 // drain completes), and may interleave freely with Flush and
 // RecordIncident. After Close the control plane refuses new work with a
-// typed *ClosedError (Deploy, DeployAsync, AddEdgeNode, AttachONU) while
+// typed *ClosedError (DeployContext, DeployAsync, AddEdgeNode, AttachONU) while
 // telemetry degrades gracefully: late incidents are applied
 // synchronously, PublishEvent returns events.ErrClosed.
 func (p *Platform) Close() {
@@ -765,8 +744,8 @@ func (p *Platform) Close() {
 }
 
 // closeSpine refuses new control-plane work, drains the spine, then
-// releases the Watch streams: every caller blocks until the drain
-// completes, the first one closes done.
+// closes Done, which ends every watch stream: every caller blocks until
+// the drain completes, the first one closes done.
 func (p *Platform) closeSpine() {
 	first := p.closed.CompareAndSwap(false, true)
 	p.spine.Close()
@@ -774,6 +753,12 @@ func (p *Platform) closeSpine() {
 		close(p.done)
 	}
 }
+
+// Done returns a channel that is closed once the platform has closed
+// (Close or Crash) and its event spine has drained: by then every event
+// published before the close has reached every subscriber, so a
+// subscriber that stops on Done has seen all it ever will.
+func (p *Platform) Done() <-chan struct{} { return p.done }
 
 // ClosedError reports a control-plane operation on a closed platform.
 // Unwrap exposes events.ErrClosed, so errors.Is(err, events.ErrClosed)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -116,7 +117,7 @@ func TestSecureDeployPipeline(t *testing.T) {
 	addNode(t, p, "olt-01")
 	pushSigned(t, p, container.AnalyticsImage())
 	allowDeploy(t, p, "acme-ci", "acme")
-	w, err := p.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	w, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -134,7 +135,7 @@ func TestMaliciousImageBlockedAtAdmission(t *testing.T) {
 	addNode(t, p, "olt-01")
 	pushSigned(t, p, container.CryptominerImage())
 	allowDeploy(t, p, "shady-ci", "shady")
-	_, err := p.Deploy("shady-ci", orchestrator.WorkloadSpec{
+	_, err := p.DeployContext(context.Background(), "shady-ci", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "shady", ImageRef: "freestuff/optimizer:latest",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -152,7 +153,7 @@ func TestLegacyPlatformAdmitsMaliciousImage(t *testing.T) {
 	p := legacyPlatform(t)
 	addNode(t, p, "olt-01")
 	p.Registry.Push(container.CryptominerImage(), nil) // unsigned is fine here
-	if _, err := p.Deploy("anyone", orchestrator.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "anyone", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "shady", ImageRef: "freestuff/optimizer:latest",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -166,7 +167,7 @@ func TestRuntimePipelineBlocksAndDetects(t *testing.T) {
 	addNode(t, p, "olt-01")
 	pushSigned(t, p, container.AnalyticsImage())
 	allowDeploy(t, p, "acme-ci", "acme")
-	if _, err := p.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "web", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -228,7 +229,7 @@ func TestTenantQuotaDefaultApplied(t *testing.T) {
 	deployed := 0
 	for i := 0; i < 5; i++ {
 		spec.Name = "w" + string(rune('a'+i))
-		if _, err := p.Deploy("greedy-ci", spec); err != nil {
+		if _, err := p.DeployContext(context.Background(), "greedy-ci", spec); err != nil {
 			lastErr = err
 			break
 		}

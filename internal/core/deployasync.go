@@ -11,14 +11,17 @@ package core
 //
 // is published on the spine's deploy.lifecycle topic (keyed by workload,
 // so per-deployment order is preserved) and mirrored to the optional
-// WithOnTransition callback. Exactly one terminal event is ever emitted
-// per deployment, whatever the interleaving of Cancel, deadline expiry,
-// and pipeline completion: the transition guard drops anything after a
-// terminal state.
+// WithOnTransition callback. Transitions only move forward along that
+// graph, so exactly one terminal event is ever emitted per deployment,
+// whatever the interleaving of Cancel, deadline expiry, and pipeline
+// completion, and a federated deploy that overflows to a second member
+// (re-running its scanning and placing stages there) still publishes
+// each state once. Synchronous deploys (DeployContext) publish no
+// lifecycle at all.
 //
-// Watch and WatchBatches are the streaming consumers of the same topic:
-// a selector-filtered channel of lifecycle events (one at a time, or
-// everything queued per receive), closed when the caller's context ends.
+// Watch is the streaming consumer of the same topic: a selector-filtered
+// channel of lifecycle events, closed when the caller's context ends or
+// the platform closes.
 
 import (
 	"context"
@@ -54,6 +57,21 @@ const (
 // Terminal reports whether the state ends the lifecycle.
 func (s DeployState) Terminal() bool {
 	return s == StateRunning || s == StateRejected || s == StateCancelled
+}
+
+// rank is the state's position in the lifecycle; every terminal state
+// shares the last one.
+func (s DeployState) rank() int {
+	switch s {
+	case StatePending:
+		return 0
+	case StateScanning:
+		return 1
+	case StatePlacing:
+		return 2
+	default:
+		return 3
+	}
 }
 
 // LifecycleEvent is the payload of deploy.lifecycle spine events: one
@@ -182,10 +200,9 @@ func (p *Platform) newDeployment(ctx context.Context, spec orchestrator.Workload
 func (d *Deployment) run(ctx context.Context, subject string) {
 	defer d.cancel() // release the derived context whatever the outcome
 	d.emit(LifecycleEvent{Workload: d.spec.Name, Tenant: d.spec.Tenant, State: StatePending})
-	// placed, not w, carries the node for the running event: it is the
-	// commit-time snapshot, safe to read while a concurrent failover
-	// rewrites the live *Workload.
-	w, placed, err := d.p.deployObserved(ctx, subject, d.spec, func(stage orchestrator.DeployStage) {
+	// w is the commit-time copy, so reading its node cannot race a
+	// failover rewriting the live cluster record.
+	w, err := d.p.deployObserved(ctx, subject, d.spec, func(stage orchestrator.DeployStage) {
 		switch stage {
 		case orchestrator.StageScanning:
 			d.transition(StateScanning, "", "")
@@ -196,7 +213,7 @@ func (d *Deployment) run(ctx context.Context, subject string) {
 	d.w, d.err = w, err
 	switch {
 	case err == nil:
-		d.transition(StateRunning, placed.Node, "")
+		d.transition(StateRunning, w.Node, "")
 	case errors.Is(err, orchestrator.ErrCancelled):
 		d.transition(StateCancelled, "", err.Error())
 	default:
@@ -205,12 +222,13 @@ func (d *Deployment) run(ctx context.Context, subject string) {
 	close(d.done)
 }
 
-// transition advances the lifecycle and emits the event. Transitions out
-// of a terminal state are dropped — the exactly-one-terminal-event
-// guarantee.
+// transition advances the lifecycle and emits the event. A transition
+// that does not move forward is dropped: nothing leaves a terminal state
+// (the exactly-one-terminal-event guarantee), and a stage re-entered on
+// a second federation member is not published twice.
 func (d *Deployment) transition(to DeployState, node, detail string) {
 	d.mu.Lock()
-	if d.state.Terminal() {
+	if to.rank() <= d.state.rank() {
 		d.mu.Unlock()
 		return
 	}
@@ -269,43 +287,14 @@ func (s WatchSelector) match(ev LifecycleEvent) bool {
 	return true
 }
 
-// Watch streams deploy.lifecycle events matching sel until ctx ends or
-// the platform closes (Close or Crash), then closes the returned
-// channel; events published before the platform closed are delivered
-// first. It is WatchBatches unrolled one event per receive: same
-// decoupling from the spine, same publish order, same close contract.
+// Watch streams deploy.lifecycle events matching sel, in publish order,
+// until ctx ends or the platform closes (Close or Crash), then closes
+// the returned channel; events published before the platform closed are
+// delivered first. Delivery is decoupled from the spine through an
+// unbounded queue, so a slow consumer never stalls the spine's drainer
+// (or its publishers); events published while nobody receives are
+// retained.
 func (p *Platform) Watch(ctx context.Context, sel WatchSelector) (<-chan LifecycleEvent, error) {
-	batches, err := p.WatchBatches(ctx, sel)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan LifecycleEvent)
-	go func() {
-		defer close(out)
-		for batch := range batches {
-			for _, ev := range batch {
-				select {
-				case out <- ev:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	return out, nil
-}
-
-// WatchBatches is the watch feed: every receive yields all matching
-// events queued since the previous one, in publish order, never empty.
-// Nothing waits for company — a batch is whatever accumulated while the
-// consumer was busy, so an idle consumer sees batches of one — but a
-// busy consumer (the API server's SSE log) pays one hand-off per burst
-// instead of one per event. Delivery is decoupled from the spine
-// through an unbounded queue, so a slow consumer never stalls the
-// spine's drainer (or its publishers); events published while nobody
-// receives are retained. The channel closes when ctx ends or, once the
-// queued events are out, when the platform closes (Close or Crash).
-func (p *Platform) WatchBatches(ctx context.Context, sel WatchSelector) (<-chan []LifecycleEvent, error) {
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "watch"}
 	}
@@ -338,7 +327,7 @@ func (p *Platform) WatchBatches(ctx context.Context, sel WatchSelector) (<-chan 
 		}
 		return nil, err
 	}
-	out := make(chan []LifecycleEvent)
+	out := make(chan LifecycleEvent)
 	go func() {
 		defer close(out)
 		defer sub.Cancel()
@@ -357,9 +346,9 @@ func (p *Platform) WatchBatches(ctx context.Context, sel WatchSelector) (<-chan 
 			batch := queue
 			queue = nil
 			mu.Unlock()
-			if len(batch) > 0 {
+			for _, ev := range batch {
 				select {
-				case out <- batch:
+				case out <- ev:
 				case <-ctx.Done():
 					return
 				}

@@ -94,7 +94,7 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 
 	// Warm the scanner cache with a successful deploy so the cancelled
 	// run's "no new cache entries" assertion is meaningful.
-	if _, err := p.Deploy("ci", asyncSpec("warm")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ci", asyncSpec("warm")); err != nil {
 		t.Fatalf("warm deploy: %v", err)
 	}
 	cacheBefore := p.Cluster.AdmissionCacheSize()
@@ -221,7 +221,7 @@ func TestWatchStreamsLifecycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		specs = append(specs, asyncSpec(fmt.Sprintf("watched-%d", i)))
 	}
-	go p.DeployBatch("ci", specs)
+	go p.DeployBatchContext(context.Background(), "ci", specs)
 	seen := map[string]DeployState{}
 	for i := 0; i < n; i++ {
 		select {
@@ -267,7 +267,7 @@ func TestWatchClosesWhenPlatformCloses(t *testing.T) {
 			for i := 0; i < n; i++ {
 				specs = append(specs, asyncSpec(fmt.Sprintf("final-%d", i)))
 			}
-			if _, errs := p.DeployBatch("ci", specs); errors.Join(errs...) != nil {
+			if _, errs := p.DeployBatchContext(context.Background(), "ci", specs); errors.Join(errs...) != nil {
 				t.Fatal(errors.Join(errs...))
 			}
 			// Nothing has been received yet: the terminal events sit in the
@@ -294,9 +294,8 @@ func TestWatchClosesWhenPlatformCloses(t *testing.T) {
 
 // TestWatchStalledConsumerKeepsOrder: a watcher that is not receiving
 // must not stall Publish (the queue behind the channel is unbounded),
-// and when it does receive — one event at a time or a batch at a time —
-// it sees every matching event in publish order. WatchBatches never
-// yields an empty batch.
+// and when it does receive it sees every matching event in publish
+// order.
 func TestWatchStalledConsumerKeepsOrder(t *testing.T) {
 	p := asyncPlatform(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -304,10 +303,6 @@ func TestWatchStalledConsumerKeepsOrder(t *testing.T) {
 	single, err := p.Watch(ctx, WatchSelector{Tenant: "acme"})
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
-	}
-	batched, err := p.WatchBatches(ctx, WatchSelector{Tenant: "acme"})
-	if err != nil {
-		t.Fatalf("WatchBatches: %v", err)
 	}
 	const n = 5000
 	published := make(chan error, 1)
@@ -341,22 +336,8 @@ func TestWatchStalledConsumerKeepsOrder(t *testing.T) {
 			t.Fatalf("Watch event %d carries seq %d, want %d", k, ev.AtMs, want(k))
 		}
 	}
-	for k := 0; k < matching; {
-		batch := <-batched
-		if len(batch) == 0 {
-			t.Fatalf("WatchBatches yielded an empty batch after %d events", k)
-		}
-		for _, ev := range batch {
-			if ev.AtMs != want(k) {
-				t.Fatalf("WatchBatches event %d carries seq %d, want %d", k, ev.AtMs, want(k))
-			}
-			k++
-		}
-	}
 	cancel()
 	for range single {
-	}
-	for range batched {
 	}
 }
 
@@ -371,7 +352,7 @@ func TestDeployAsyncOnClosedPlatform(t *testing.T) {
 	if !errors.Is(err, events.ErrClosed) {
 		t.Fatalf("ClosedError must match events.ErrClosed, got %v", err)
 	}
-	if _, err := p.Deploy("ci", asyncSpec("after-close-sync")); !errors.Is(err, events.ErrClosed) {
+	if _, err := p.DeployContext(context.Background(), "ci", asyncSpec("after-close-sync")); !errors.Is(err, events.ErrClosed) {
 		t.Fatalf("sync Deploy after close = %v, want ErrClosed", err)
 	}
 	if _, err := p.Watch(context.Background(), WatchSelector{}); !errors.Is(err, events.ErrClosed) {
@@ -438,11 +419,11 @@ func TestPublishEventContext(t *testing.T) {
 }
 
 // TestDeployAsyncRunningEventRacesFailover pins the review fix for the
-// lifecycle/failover data race: the running event must carry the
-// commit-time Placement snapshot, because a concurrent FailNode rewrites
-// the live *Workload in place (*w = *moved) under the cluster lock the
-// moment the commit releases it. Under -race this test fails if the
-// deployment goroutine reads the live struct instead.
+// lifecycle/failover data race: the running event must read the node
+// from the commit-time copy of the workload, because a concurrent
+// FailNode rewrites the live *Workload in place (*w = *moved) under the
+// cluster lock the moment the commit releases it. Under -race this test
+// fails if the deployment goroutine reads the live struct instead.
 func TestDeployAsyncRunningEventRacesFailover(t *testing.T) {
 	p := asyncPlatform(t)
 	addNode(t, p, "olt-02")

@@ -28,12 +28,6 @@ import (
 	"genio/internal/orchestrator"
 )
 
-// DeployBatch admits every spec through the full deployment pipeline —
-// the context-free compatibility wrapper over DeployBatchContext.
-func (p *Platform) DeployBatch(subject string, specs []orchestrator.WorkloadSpec) ([]*orchestrator.Workload, []error) {
-	return p.DeployBatchContext(context.Background(), subject, specs)
-}
-
 // DeployBatchContext admits every spec and returns when all are
 // terminal. Results are positional: workloads[i] and errs[i] report
 // spec[i]; exactly one of the pair is non-nil. At most GOMAXPROCS

@@ -201,7 +201,7 @@ func TestDeployBatchOnClosedPlatform(t *testing.T) {
 	lt := tallyLifecycle(t, p)
 	p.Close()
 	specs := []orchestrator.WorkloadSpec{asyncSpec("late-0"), asyncSpec("late-1"), asyncSpec("late-2")}
-	workloads, errs := p.DeployBatch("ci", specs)
+	workloads, errs := p.DeployBatchContext(context.Background(), "ci", specs)
 	for i := range specs {
 		var closed *ClosedError
 		if workloads[i] != nil || !errors.As(errs[i], &closed) {

@@ -43,8 +43,9 @@ type farEdgeState struct {
 }
 
 // DeployFarEdge schedules a workload onto a specific ONU. The pipeline
-// mirrors Deploy: RBAC, signature-verified pull, the admission chain, then
-// ONU capacity. Isolation is forced to soft (no VMs on an ONU).
+// mirrors DeployContext: RBAC, signature-verified pull, the admission
+// chain, then ONU capacity. Isolation is forced to soft (no VMs on an
+// ONU).
 func (p *Platform) DeployFarEdge(subject, nodeName, serial string, spec orchestrator.WorkloadSpec) (*FarEdgeWorkload, error) {
 	if p.closed.Load() {
 		return nil, &ClosedError{Op: "deploy-far-edge"}

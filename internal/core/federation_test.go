@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -76,7 +78,7 @@ func TestNodeVerbsReachEveryFederationMember(t *testing.T) {
 		t.Fatalf("cordon a non-default member's node: %v", err)
 	}
 	for _, name := range []string{"w-0", "w-1", "w-2"} {
-		if _, err := p.Deploy("ops", fedSpec(name, "east")); err != nil {
+		if _, err := p.DeployContext(context.Background(), "ops", fedSpec(name, "east")); err != nil {
 			t.Fatalf("deploy %s: %v", name, err)
 		}
 	}
@@ -138,7 +140,7 @@ func TestEvacuationRejectionRecordsAdmissionIncidents(t *testing.T) {
 	p := fedPlatform(t)
 	// Only "b" has capacity, so the deploy lands there whatever the ring says.
 	addNodeIn(t, p, "b", "b-0")
-	if _, err := p.Deploy("ops", fedSpec("victim", "")); err != nil {
+	if _, err := p.DeployContext(context.Background(), "ops", fedSpec("victim", "")); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	if b, _ := p.ClusterByName("b"); b.WorkloadCount() != 1 {
@@ -190,5 +192,37 @@ func TestEvacuationRejectionRecordsAdmissionIncidents(t *testing.T) {
 	// Incidents flushed the spine, so the metric has been delivered too.
 	if n := rejected.Load(); n != 1 {
 		t.Fatalf("deploy.rejected counted %d times, want 1", n)
+	}
+}
+
+// TestOverflowLifecycleRunsForward: a deploy whose ring owner is out of
+// capacity runs its scanning and placing stages again on the next
+// member, but its lifecycle still moves forward only — pending,
+// scanning, placing, running, each once.
+func TestOverflowLifecycleRunsForward(t *testing.T) {
+	p := fedPlatform(t)
+	// "a" has a node too small for any spec; "b" fits them all.
+	if _, err := p.AddEdgeNodeIn("a", "a-0", orchestrator.Resources{CPUMilli: 100, MemoryMB: 128}); err != nil {
+		t.Fatal(err)
+	}
+	addNodeIn(t, p, "b", "b-0")
+	want := []DeployState{StatePending, StateScanning, StatePlacing, StateRunning}
+	for i := 0; i < 8; i++ {
+		var states []DeployState
+		d, err := p.DeployAsync(context.Background(), "ops", fedSpec(fmt.Sprintf("w-%d", i), ""),
+			WithOnTransition(func(ev LifecycleEvent) { states = append(states, ev.State) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, err := d.Result(); err != nil || w.Node != "b-0" {
+			t.Fatalf("w-%d: placed %+v, err %v", i, w, err)
+		}
+		if !slices.Equal(states, want) {
+			t.Fatalf("w-%d transitions = %v, want %v", i, states, want)
+		}
+	}
+	a, _ := p.ClusterByName("a")
+	if _, rejected := a.Counters(); rejected == 0 {
+		t.Fatal("fixture: no deploy overflowed from a full ring owner")
 	}
 }

@@ -29,7 +29,7 @@ func drainPlatform(t *testing.T) *Platform {
 func deployN(t *testing.T, p *Platform, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := p.Deploy("ops", orchestrator.WorkloadSpec{
+		if _, err := p.DeployContext(context.Background(), "ops", orchestrator.WorkloadSpec{
 			Name: fmt.Sprintf("wl-%d", i), Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 			Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256},

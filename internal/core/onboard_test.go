@@ -162,7 +162,7 @@ func TestOnboardStorm(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := p.Deploy("acme-ci", orchestrator.WorkloadSpec{
+			if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 				Name: fmt.Sprintf("analytics-%02d", i), Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 				Isolation: orchestrator.IsolationSoft,
 				Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 64},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,7 +45,7 @@ func seedDurable(t *testing.T, p *Platform) {
 			ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 		}
-		if _, err := p.Deploy("acme-ci", spec); err != nil {
+		if _, err := p.DeployContext(context.Background(), "acme-ci", spec); err != nil {
 			t.Fatalf("Deploy %s: %v", spec.Name, err)
 		}
 	}
@@ -95,7 +96,7 @@ func TestCrashRecoveryExactState(t *testing.T) {
 	// name is refused as a duplicate.
 	pushSigned(t, p2, container.AnalyticsImage())
 	allowDeploy(t, p2, "acme-ci", "acme")
-	_, err := p2.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	_, err := p2.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "analytics-0", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -110,7 +111,7 @@ func TestCrashRecoveryExactState(t *testing.T) {
 	for _, vm := range p2.Cluster.VMs() {
 		existing[vm.ID] = true
 	}
-	w, err := p2.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	w, err := p2.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "fresh", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationHard,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -185,7 +186,7 @@ func TestRecoveredVerdictCacheSkipsRescan(t *testing.T) {
 	addNode(t, p, "olt-01")
 	pushSigned(t, p, container.AnalyticsImage())
 	allowDeploy(t, p, "acme-ci", "acme")
-	if _, err := p.Deploy("acme-ci", orchestrator.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
@@ -230,7 +231,7 @@ func TestSnapshotWhileDeploying(t *testing.T) {
 					ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
 					Resources: orchestrator.Resources{CPUMilli: 10, MemoryMB: 16},
 				}
-				if _, err := p.Deploy("acme-ci", spec); err != nil {
+				if _, err := p.DeployContext(context.Background(), "acme-ci", spec); err != nil {
 					t.Errorf("deploy %s: %v", spec.Name, err)
 					return
 				}
@@ -291,7 +292,7 @@ func TestSnapshotCadenceCompactsLog(t *testing.T) {
 			ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 10, MemoryMB: 16},
 		}
-		if _, err := p.Deploy("acme-ci", spec); err != nil {
+		if _, err := p.DeployContext(context.Background(), "acme-ci", spec); err != nil {
 			t.Fatal(err)
 		}
 	}

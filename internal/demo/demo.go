@@ -11,6 +11,7 @@
 package demo
 
 import (
+	"context"
 	"fmt"
 
 	"genio/internal/container"
@@ -82,7 +83,7 @@ func Seed(p *core.Platform, subjects ...string) error {
 // node-lifecycle subcommands have a hot node to cordon or drain.
 func Workloads(p *core.Platform, subject string, n int) error {
 	for i := 0; i < n; i++ {
-		if _, err := p.Deploy(subject, orchestrator.WorkloadSpec{
+		if _, err := p.DeployContext(context.Background(), subject, orchestrator.WorkloadSpec{
 			Name: fmt.Sprintf("app-%02d", i), Tenant: "acme",
 			ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"genio/internal/attack"
@@ -61,6 +62,7 @@ func Ablation() (string, error) {
 				regressions = append(regressions, fmt.Sprintf("%s %s", r.ThreatID, r.Attack))
 			}
 		}
+		sort.Strings(regressions) // outcomes is a map: fix the print order
 		s := attack.Summary(flatten(outcomes))
 		fmt.Fprintf(&b, "- %-26s (%s): missed=%d", abl.name, abl.related, s[attack.OutcomeMissed])
 		if len(regressions) == 0 {
@@ -81,6 +83,7 @@ func campaignOutcomes(cfg core.Config) (map[string]attack.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Close()
 	c, err := attack.NewCampaign(p)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one experiment
 // per paper artifact (Figures 1–3) and one per Lesson (1–8), plus the
 // end-to-end attack campaign. Each experiment returns a printable report;
-// cmd/genio-bench runs them individually or all together, and
-// EXPERIMENTS.md records their output against the paper's claims.
+// cmd/genio-bench runs them individually or all together. It reproduces
+// the paper's experiments and is not the wire-level benchmark, which
+// lives in the separate benchmark/ module.
 package experiments
 
 import (

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,5 +97,29 @@ func TestE2EShape(t *testing.T) {
 	}
 	if last := missedPerPosture[len(missedPerPosture)-1]; last != 0 {
 		t.Fatalf("secure posture missed %d", last)
+	}
+}
+
+// TestAblationDeterministic: the ablation report is a pure function of
+// the code — two runs print the same bytes, and every reopened list is
+// sorted rather than in map order.
+func TestAblationDeterministic(t *testing.T) {
+	first, err := Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Ablation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatalf("two ablation runs differ:\n%s\n---\n%s", first, second)
+	}
+	for _, line := range strings.Split(first, "\n") {
+		if _, list, ok := strings.Cut(line, "reopened: "); ok {
+			if attacks := strings.Split(list, "; "); !slices.IsSorted(attacks) {
+				t.Fatalf("reopened list not sorted: %q", list)
+			}
+		}
 	}
 }

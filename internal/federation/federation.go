@@ -52,14 +52,14 @@ type member struct {
 // tryDeploy routes one deploy into the member unless it has been
 // detached. The bool reports whether the member accepted the attempt
 // (false = detached, caller walks on).
-func (m *member) tryDeploy(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, observe func(orchestrator.DeployStage)) (*orchestrator.Workload, orchestrator.Placement, error, bool) {
+func (m *member) tryDeploy(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, observe func(orchestrator.DeployStage)) (*orchestrator.Workload, error, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.detached {
-		return nil, orchestrator.Placement{}, nil, false
+		return nil, nil, false
 	}
-	w, pl, err := m.cluster.DeployObserved(ctx, subject, spec, observe)
-	return w, pl, err, true
+	w, err := m.cluster.DeployObserved(ctx, subject, spec, observe)
+	return w, err, true
 }
 
 // deferred is a member a ring walk passed over for its load alone.
@@ -121,16 +121,6 @@ func (f *Federation) SetAuditSink(sink orchestrator.AuditSink) {
 func (f *Federation) SetClock(now func() int64) {
 	f.mu.Lock()
 	f.clock = now
-	f.mu.Unlock()
-}
-
-// SetLoadFactorPct overrides the bounded-load factor (percent, > 100).
-func (f *Federation) SetLoadFactorPct(pct int) {
-	if pct <= 100 {
-		pct = DefaultLoadFactorPct
-	}
-	f.mu.Lock()
-	f.loadFactorPct = pct
 	f.mu.Unlock()
 }
 
@@ -283,12 +273,6 @@ func (f *Federation) resolveDigest(ref string) string {
 	return img.Digest()
 }
 
-// Deploy routes a workload through the federation hierarchy. Wrapper
-// over DeployObserved with a background context and no observer.
-func (f *Federation) Deploy(subject string, spec orchestrator.WorkloadSpec) (*orchestrator.Workload, Placement, error) {
-	return f.DeployObserved(context.Background(), subject, spec, nil)
-}
-
 // DeployObserved routes one deploy: region filter (hard residency
 // constraint), then the consistent-hash ring over the eligible clusters
 // keyed by (tenant, image digest) with bounded-load overflow, then the
@@ -353,14 +337,14 @@ func (f *Federation) DeployObserved(ctx context.Context, subject string, spec or
 	)
 	// try routes the deploy into one member; false ends the search.
 	try := func(m *member) bool {
-		w, pl, err, live := m.tryDeploy(ctx, subject, spec, observe)
+		w, err, live := m.tryDeploy(ctx, subject, spec, observe)
 		if !live {
 			return true // detached under us: walk on
 		}
 		switch {
 		case err == nil:
 			placed = w
-			at = Placement{Cluster: m.name, Node: pl.Node, VMID: pl.VMID}
+			at = Placement{Cluster: m.name, Node: w.Node, VMID: w.VMID}
 			return false
 		case errors.Is(err, orchestrator.ErrNoCapacity):
 			lastErr = err
@@ -475,7 +459,7 @@ func (f *Federation) EvacuateCluster(subject, name string) (*EvacuationResult, e
 				Reason: fmt.Sprintf("stop on dead cluster: %v", err), Spec: spec, Err: err})
 			continue
 		}
-		w, pl, err := f.Deploy(subject, spec)
+		w, pl, err := f.DeployObserved(context.Background(), subject, spec, nil)
 		if err != nil {
 			res.Lost = append(res.Lost, LostWorkload{Workload: spec.Name, Reason: err.Error(), Spec: spec, Err: err})
 			f.emit(audit, now, orchestrator.AuditEvent{

@@ -62,7 +62,7 @@ func TestRegionPinningHardConstraint(t *testing.T) {
 	f.PinTenant("gov", "west")
 
 	// A pinned tenant asking for a conflicting region is refused.
-	_, _, err := f.Deploy("ops", testSpec("wl-conflict", "gov", "east"))
+	_, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-conflict", "gov", "east"), nil)
 	var rpe *RegionPinnedError
 	if !errors.As(err, &rpe) {
 		t.Fatalf("cross-pin deploy: got %v, want *RegionPinnedError", err)
@@ -76,7 +76,7 @@ func TestRegionPinningHardConstraint(t *testing.T) {
 
 	// With no explicit region the pin routes the deploy inside west.
 	for i := 0; i < 8; i++ {
-		_, pl, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), "gov", ""))
+		_, pl, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("wl-%d", i), "gov", ""), nil)
 		if err != nil {
 			t.Fatalf("pinned deploy %d: %v", i, err)
 		}
@@ -89,18 +89,18 @@ func TestRegionPinningHardConstraint(t *testing.T) {
 	}
 
 	// Matching the pin explicitly is fine; unpinning lifts the filter.
-	if _, _, err := f.Deploy("ops", testSpec("wl-match", "gov", "west")); err != nil {
+	if _, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-match", "gov", "west"), nil); err != nil {
 		t.Fatalf("pin-matching deploy: %v", err)
 	}
 	f.PinTenant("gov", "")
-	if _, _, err := f.Deploy("ops", testSpec("wl-free", "gov", "east")); err != nil {
+	if _, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-free", "gov", "east"), nil); err != nil {
 		t.Fatalf("deploy after unpin: %v", err)
 	}
 }
 
 func TestUnknownRegionIsCapacityError(t *testing.T) {
 	f, _ := newTestFed(t, map[string]string{"edge-a": "west"})
-	_, _, err := f.Deploy("ops", testSpec("wl-1", "acme", "mars"))
+	_, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-1", "acme", "mars"), nil)
 	var fce *FederationCapacityError
 	if !errors.As(err, &fce) {
 		t.Fatalf("got %v, want *FederationCapacityError", err)
@@ -122,7 +122,7 @@ func TestBoundedLoadSpreadsHotKey(t *testing.T) {
 	})
 	const total = 20
 	for i := 0; i < total; i++ {
-		if _, _, err := f.Deploy("ops", testSpec(fmt.Sprintf("hot-%d", i), "acme", "")); err != nil {
+		if _, _, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("hot-%d", i), "acme", ""), nil); err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
@@ -154,11 +154,11 @@ func TestCapacityOverflow(t *testing.T) {
 		}
 	}
 	// Loosen the load bound so only real capacity triggers overflow.
-	f.SetLoadFactorPct(100000)
+	f.loadFactorPct = 100000
 
 	placed := map[string]int{}
 	for i := 0; i < 4; i++ {
-		_, pl, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), "acme", ""))
+		_, pl, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("wl-%d", i), "acme", ""), nil)
 		if err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
@@ -167,7 +167,7 @@ func TestCapacityOverflow(t *testing.T) {
 	if placed["edge-a"] != 2 || placed["edge-b"] != 2 {
 		t.Fatalf("placements = %v, want 2 per cluster", placed)
 	}
-	_, _, err := f.Deploy("ops", testSpec("wl-overflow", "acme", ""))
+	_, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-overflow", "acme", ""), nil)
 	var fce *FederationCapacityError
 	if !errors.As(err, &fce) {
 		t.Fatalf("exhausted federation: got %v, want *FederationCapacityError", err)
@@ -185,7 +185,7 @@ func TestHardRejectionDoesNotOverflow(t *testing.T) {
 	f, _ := newTestFed(t, map[string]string{"edge-a": "", "edge-b": "", "edge-c": ""})
 
 	// Find the key's home cluster, then retire the probe.
-	_, pl, err := f.Deploy("ops", testSpec("probe", "acme", ""))
+	_, pl, err := f.DeployObserved(context.Background(), "ops", testSpec("probe", "acme", ""), nil)
 	if err != nil {
 		t.Fatalf("probe deploy: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestHardRejectionDoesNotOverflow(t *testing.T) {
 	home.RegisterAdmissionCtx("test-deny", func(_ context.Context, spec orchestrator.WorkloadSpec, _ *container.Image) error {
 		return fmt.Errorf("%w: test-deny rejects %s", orchestrator.ErrDenied, spec.Name)
 	})
-	_, _, err = f.Deploy("ops", testSpec("probe", "acme", ""))
+	_, _, err = f.DeployObserved(context.Background(), "ops", testSpec("probe", "acme", ""), nil)
 	if !errors.Is(err, orchestrator.ErrDenied) {
 		t.Fatalf("denied deploy: got %v, want ErrDenied", err)
 	}
@@ -229,7 +229,7 @@ func TestEvacuateCluster(t *testing.T) {
 		if i%3 == 0 {
 			tenant = "gov"
 		}
-		if _, _, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), tenant, "")); err != nil {
+		if _, _, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("wl-%d", i), tenant, ""), nil); err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
@@ -318,7 +318,7 @@ func TestEvacuateCluster(t *testing.T) {
 func TestEvacuatePinnedWithoutRefuge(t *testing.T) {
 	f, _ := newTestFed(t, map[string]string{"edge-a": "west", "edge-b": "east"})
 	f.PinTenant("gov", "west")
-	if _, pl, err := f.Deploy("ops", testSpec("wl-gov", "gov", "")); err != nil || pl.Cluster != "edge-a" {
+	if _, pl, err := f.DeployObserved(context.Background(), "ops", testSpec("wl-gov", "gov", ""), nil); err != nil || pl.Cluster != "edge-a" {
 		t.Fatalf("pinned deploy: %v (cluster %s)", err, pl.Cluster)
 	}
 	res, err := f.EvacuateCluster("ops", "edge-a")
@@ -351,7 +351,7 @@ func TestDuplicateAndRemoveCluster(t *testing.T) {
 		t.Fatal("cluster still listed after removal")
 	}
 	// The federation routes nothing to a removed cluster.
-	if _, _, err := f.Deploy("ops", testSpec("wl", "acme", "")); !errors.Is(err, orchestrator.ErrNoCapacity) {
+	if _, _, err := f.DeployObserved(context.Background(), "ops", testSpec("wl", "acme", ""), nil); !errors.Is(err, orchestrator.ErrNoCapacity) {
 		t.Fatalf("deploy into empty federation: %v", err)
 	}
 }
@@ -406,7 +406,7 @@ func TestStaleBoundNeverRefuses(t *testing.T) {
 					}
 				}
 			}
-			_, pl, err := f.Deploy("ops", testSpec("late", "acme", ""))
+			_, pl, err := f.DeployObserved(context.Background(), "ops", testSpec("late", "acme", ""), nil)
 			if tc.wantFull {
 				var fce *FederationCapacityError
 				if !errors.As(err, &fce) || fce.Err == nil || !errors.Is(fce.Err, orchestrator.ErrNoCapacity) {
@@ -439,7 +439,7 @@ func TestConcurrentDeployVsRemove(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, pl, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""))
+			_, pl, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""), nil)
 			if err != nil {
 				stormErrs[i] = err
 				return
@@ -514,7 +514,7 @@ func TestEvacuateVsDeploy(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			_, _, err := f.Deploy("ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""))
+			_, _, err := f.DeployObserved(context.Background(), "ops", testSpec(fmt.Sprintf("wl-%d", i), fmt.Sprintf("tenant-%d", i%7), ""), nil)
 			stormErrs[i], success[i] = err, err == nil
 		}(i)
 	}

@@ -6,6 +6,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestMultiTenantIsolationReview(t *testing.T) {
 	}
 	hard := 0
 	for _, s := range specs {
-		if _, err := cluster.Deploy("ops", s); err != nil {
+		if _, err := cluster.DeployContext(context.Background(), "ops", s); err != nil {
 			t.Fatalf("deploy %s: %v", s.Name, err)
 		}
 		if s.Isolation == orchestrator.IsolationHard {
@@ -193,7 +194,7 @@ func TestIncidentPipelineAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := p.Deploy("ci", orchestrator.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "ci", orchestrator.WorkloadSpec{
 		Name: "miner", Tenant: "acme", ImageRef: miner.Ref(),
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},
@@ -201,7 +202,7 @@ func TestIncidentPipelineAttribution(t *testing.T) {
 		t.Fatalf("insider miner err = %v, want ErrDenied", err)
 	}
 
-	if _, err := p.Deploy("ci", orchestrator.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "ci", orchestrator.WorkloadSpec{
 		Name: "web", Tenant: "acme", ImageRef: web.Ref(),
 		Isolation: orchestrator.IsolationSoft,
 		Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},

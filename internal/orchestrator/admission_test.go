@@ -29,7 +29,7 @@ func TestAdmissionVerdictVectorInRegistrationOrder(t *testing.T) {
 			return nil
 		})
 	}
-	_, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
+	_, err := c.DeployContext(context.Background(), "ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("err = %v, want ErrDenied", err)
 	}
@@ -58,7 +58,7 @@ func TestAdmissionCacheSkipsCleanRescan(t *testing.T) {
 	})
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("w%d", i)
-		if _, err := c.Deploy("ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 			t.Fatalf("deploy %s: %v", name, err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestAdmissionCacheSkipsCleanRescan(t *testing.T) {
 		t.Fatalf("cacheable controller ran %d times for one image, want 1", got)
 	}
 	// A different image has a different digest and must be scanned.
-	if _, err := c.Deploy("ops", spec("other", "acme", "acme/iot-gateway:1.4.2", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("other", "acme", "acme/iot-gateway:1.4.2", IsolationSoft)); err != nil {
 		t.Fatalf("deploy other image: %v", err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -84,7 +84,7 @@ func TestAdmissionCacheNeverCachesRejections(t *testing.T) {
 		return errors.New("nope")
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := c.Deploy("ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDenied) {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDenied) {
 			t.Fatalf("attempt %d: err = %v, want ErrDenied", i, err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestAdmissionCacheDisabled(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := c.Deploy("ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestConcurrentDuplicateNameOneWinner(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Deploy("ops", spec("contested", "acme", "acme/analytics:2.0.1", IsolationSoft))
+			_, err := c.DeployContext(context.Background(), "ops", spec("contested", "acme", "acme/analytics:2.0.1", IsolationSoft))
 			switch {
 			case err == nil:
 				wins.Add(1)
@@ -158,7 +158,7 @@ func TestConcurrentQuotaNeverOversubscribed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Deploy("ops", spec(fmt.Sprintf("q%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft))
+			_, err := c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("q%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft))
 			switch {
 			case err == nil:
 				wins.Add(1)
@@ -196,7 +196,7 @@ func TestConcurrentDeploysAcrossNodes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = c.Deploy("ops", spec(fmt.Sprintf("w%03d", i), fmt.Sprintf("t%d", i%3), "acme/analytics:2.0.1", IsolationSoft))
+			_, errs[i] = c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("w%03d", i), fmt.Sprintf("t%d", i%3), "acme/analytics:2.0.1", IsolationSoft))
 		}()
 	}
 	wg.Wait()
@@ -214,7 +214,7 @@ func TestConcurrentDeploysAcrossNodes(t *testing.T) {
 		}
 	}
 	// The cluster is exactly full: one more deploy must fail cleanly.
-	if _, err := c.Deploy("ops", spec("overflow", "t0", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrNoCapacity) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("overflow", "t0", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("overflow err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -238,12 +238,12 @@ func TestAdmissionSingleflightCollapsesConcurrentScans(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() {
-		_, err := c.Deploy("ops", spec("first", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		_, err := c.DeployContext(context.Background(), "ops", spec("first", "acme", "acme/analytics:2.0.1", IsolationSoft))
 		errs <- err
 	}()
 	<-entered // the leader is inside the scanner
 	go func() {
-		_, err := c.Deploy("ops", spec("second", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		_, err := c.DeployContext(context.Background(), "ops", spec("second", "acme", "acme/analytics:2.0.1", IsolationSoft))
 		errs <- err
 	}()
 	// Give the follower time to reach the in-flight wait, then let the
@@ -281,12 +281,12 @@ func TestAdmissionSingleflightSharesRejection(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() {
-		_, err := c.Deploy("ops", spec("first", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		_, err := c.DeployContext(context.Background(), "ops", spec("first", "acme", "acme/analytics:2.0.1", IsolationSoft))
 		errs <- err
 	}()
 	<-entered
 	go func() {
-		_, err := c.Deploy("ops", spec("second", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		_, err := c.DeployContext(context.Background(), "ops", spec("second", "acme", "acme/analytics:2.0.1", IsolationSoft))
 		errs <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -302,7 +302,7 @@ func TestAdmissionSingleflightSharesRejection(t *testing.T) {
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("scanner ran %d times for two concurrent deploys, want 1", got)
 	}
-	if _, err := c.Deploy("ops", spec("retry", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDenied) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("retry", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDenied) {
 		t.Fatalf("retry err = %v, want ErrDenied", err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -342,7 +342,7 @@ func TestAdmissionSingleflightAbandonedLeader(t *testing.T) {
 
 	followerErr := make(chan error, 1)
 	go func() {
-		_, err := c.Deploy("ops", spec("follower", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		_, err := c.DeployContext(context.Background(), "ops", spec("follower", "acme", "acme/analytics:2.0.1", IsolationSoft))
 		followerErr <- err
 	}()
 	// Let the follower reach the in-flight wait, then kill the leader.

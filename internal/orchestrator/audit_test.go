@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -51,10 +52,10 @@ func TestAuditTrailCoversLifecycle(t *testing.T) {
 	c, rec := auditCluster(t)
 	c.AddNode("n1", Resources{CPUMilli: 1000, MemoryMB: 1000})
 	c.AddNode("n2", Resources{CPUMilli: 1000, MemoryMB: 1000})
-	if _, err := c.Deploy("ops", auditSpec("w1")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", auditSpec("w1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("ops", auditSpec("w1")); err == nil { // duplicate
+	if _, err := c.DeployContext(context.Background(), "ops", auditSpec("w1")); err == nil { // duplicate
 		t.Fatal("duplicate admitted")
 	}
 	if err := c.Stop("w1"); err != nil {
@@ -97,7 +98,7 @@ func TestAuditTrailCoversFailover(t *testing.T) {
 	c.AddNode("n1", Resources{CPUMilli: 300, MemoryMB: 300})
 	c.AddNode("n2", Resources{CPUMilli: 100, MemoryMB: 100})
 	for _, n := range []string{"w1", "w2", "w3"} {
-		if _, err := c.Deploy("ops", auditSpec(n)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", auditSpec(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +134,7 @@ func TestAuditSinkNil(t *testing.T) {
 	c, _ := auditCluster(t)
 	c.SetAuditSink(nil)
 	c.AddNode("n1", Resources{CPUMilli: 1000, MemoryMB: 1000})
-	if _, err := c.Deploy("ops", auditSpec("w1")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", auditSpec("w1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Stop("w1"); err != nil {

@@ -186,7 +186,7 @@ func TestDeployContextCancelInCommitWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The observer fires as the pipeline enters placing — cancelling
 	// there lands in the reservation/commit window.
-	_, _, err := c.DeployObserved(ctx, "ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft),
+	_, err := c.DeployObserved(ctx, "ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft),
 		func(stage DeployStage) {
 			if stage == StagePlacing {
 				cancel()
@@ -210,7 +210,7 @@ func TestDeployContextCancelInCommitWindow(t *testing.T) {
 		t.Fatalf("VM leaked: %+v", c.VMs())
 	}
 	// The same cluster still admits normally afterwards.
-	if _, err := c.Deploy("ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatalf("redeploy after cancelled commit: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,7 +12,7 @@ import (
 
 func TestFailoverReschedules(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	w, err := c.Deploy("ops", spec("web", "acme", "acme/analytics:2.0.1", IsolationSoft))
+	w, err := c.DeployContext(context.Background(), "ops", spec("web", "acme", "acme/analytics:2.0.1", IsolationSoft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestFailoverEvictsWhenNoCapacity(t *testing.T) {
 	for i, node := range []string{"a", "b"} {
 		s := WorkloadSpec{Name: node, Tenant: "t", ImageRef: "acme/analytics:2.0.1",
 			Isolation: IsolationSoft, Resources: Resources{CPUMilli: 900, MemoryMB: 900}}
-		if _, err := c.Deploy("ops", s); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", s); err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
@@ -71,7 +72,7 @@ func TestFailoverPreservesTenantVMSeparation(t *testing.T) {
 		spec("r1", "rival", "acme/analytics:2.0.1", IsolationSoft),
 		spec("a2", "acme", "acme/iot-gateway:1.4.2", IsolationHard),
 	} {
-		if _, err := c.Deploy("ops", s); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func TestFailoverZeroHealthyNodes(t *testing.T) {
 	c := NewCluster("lonely", reg, Settings{})
 	c.AddNode("n1", Resources{CPUMilli: 2000, MemoryMB: 2048})
 	for _, name := range []string{"a", "b"} {
-		if _, err := c.Deploy("ops", spec(name, "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(name, "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 			t.Fatalf("deploy %s: %v", name, err)
 		}
 	}
@@ -123,7 +124,7 @@ func TestFailoverZeroHealthyNodes(t *testing.T) {
 	if use := c.TenantUsage("t"); use.CPUMilli != 0 || use.MemoryMB != 0 {
 		t.Fatalf("quota not released: %+v", use)
 	}
-	if _, err := c.Deploy("ops", spec("c", "t", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrNoCapacity) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("c", "t", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("deploy on empty cluster: %v", err)
 	}
 }
@@ -142,7 +143,7 @@ func TestFailoverSourceAndTargetSimultaneous(t *testing.T) {
 		c.AddNode("n3", Resources{CPUMilli: 500, MemoryMB: 512}) // room for one
 		for i := 0; i < 4; i++ {
 			s := spec(fmt.Sprintf("w%d", i), "t", "acme/analytics:2.0.1", IsolationSoft)
-			if _, err := c.Deploy("ops", s); err != nil {
+			if _, err := c.DeployContext(context.Background(), "ops", s); err != nil {
 				t.Fatalf("deploy %d: %v", i, err)
 			}
 		}
@@ -196,7 +197,7 @@ func TestFailoverReadmissionAfterRecovery(t *testing.T) {
 	c := NewCluster("recover", reg, Settings{})
 	c.AddNode("n1", Resources{CPUMilli: 500, MemoryMB: 512})
 	c.SetQuota("t", Resources{CPUMilli: 500, MemoryMB: 512})
-	if _, err := c.Deploy("ops", spec("only", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("only", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.FailNode("n1")
@@ -209,7 +210,7 @@ func TestFailoverReadmissionAfterRecovery(t *testing.T) {
 	// Recovery: the node re-joins (fresh state) and the same workload
 	// name deploys again under the same tight quota.
 	c.AddNode("n1", Resources{CPUMilli: 500, MemoryMB: 512})
-	w, err := c.Deploy("ops", spec("only", "t", "acme/analytics:2.0.1", IsolationSoft))
+	w, err := c.DeployContext(context.Background(), "ops", spec("only", "t", "acme/analytics:2.0.1", IsolationSoft))
 	if err != nil {
 		t.Fatalf("re-admission after recovery: %v", err)
 	}
@@ -233,7 +234,7 @@ func TestNodesAndUtilization(t *testing.T) {
 	if got := c.Nodes(); len(got) != 2 || got[0] != "olt-01" {
 		t.Fatalf("Nodes = %v", got)
 	}
-	if _, err := c.Deploy("ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatal(err)
 	}
 	util := c.Utilization()

@@ -47,7 +47,7 @@ func TestCordonExcludesNodeFromScheduling(t *testing.T) {
 	if err := c.Cordon("olt-01"); err != nil {
 		t.Fatal(err)
 	}
-	w, err := c.Deploy("ops", policySpec("w", "acme", PlacementBinpack))
+	w, err := c.DeployContext(context.Background(), "ops", policySpec("w", "acme", PlacementBinpack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCordonExcludesNodeFromScheduling(t *testing.T) {
 	if err := c.Uncordon("olt-01"); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := c.Deploy("ops", policySpec("w2", "acme", PlacementBinpack))
+	w2, err := c.DeployContext(context.Background(), "ops", policySpec("w2", "acme", PlacementBinpack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCordonExcludesNodeFromScheduling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w3, err := c.Deploy("ops", policySpec("w3", "acme", PlacementBinpack))
+	w3, err := c.DeployContext(context.Background(), "ops", policySpec("w3", "acme", PlacementBinpack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCordonAllNodesYieldsCapacityError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Deploy("ops", policySpec("w", "acme", "")); !errors.Is(err, ErrNoCapacity) {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("w", "acme", "")); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestCordonUnknownNode(t *testing.T) {
 func TestDrainMigratesEverythingAndLeavesNodeCordoned(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 4; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestDrainMigratesEverythingAndLeavesNodeCordoned(t *testing.T) {
 func TestDrainCancelMidMigrationRollsBack(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 4; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestDrainCancelMidMigrationRollsBack(t *testing.T) {
 
 func TestDrainKeepsPreexistingCordonOnCancel(t *testing.T) {
 	c := quadCluster(t, Settings{})
-	if _, err := c.Deploy("ops", policySpec("w", "acme", "")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("w", "acme", "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Cordon("olt-01"); err != nil {
@@ -223,7 +223,7 @@ func TestDrainFailsWhenWorkloadFitsNowhereAndRollsBack(t *testing.T) {
 	// Spread favours the roomy n1 for all three (n2 would run too hot),
 	// so the drain source carries everything.
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestDrainFailsWhenWorkloadFitsNowhereAndRollsBack(t *testing.T) {
 func TestUncordonMidDrainStillEvacuates(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 4; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func TestDrainDeployCommitRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+				if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 					t.Errorf("deploy w%d: %v", i, err)
 				}
 			}(i)
@@ -334,7 +334,7 @@ func TestDrainDeployCommitRace(t *testing.T) {
 func TestOperatorCordonMidDrainSurvivesRollback(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestOperatorCordonMidDrainSurvivesRollback(t *testing.T) {
 // (the empty check beats the cancellation), and must not lift it.
 func TestCompletedDrainCordonSurvivesLaterRollback(t *testing.T) {
 	c := quadCluster(t, Settings{})
-	if _, err := c.Deploy("ops", policySpec("w", "acme", "")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("w", "acme", "")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Drain(context.Background(), "olt-01"); err != nil {
@@ -393,7 +393,7 @@ func TestUncordonMidDrainNoDuplicateAudit(t *testing.T) {
 	c.AddNode("n1", Resources{CPUMilli: 4000, MemoryMB: 8192})
 	c.AddNode("n2", Resources{CPUMilli: 600, MemoryMB: 1024}) // room for one only
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,7 +434,7 @@ func TestUncordonMidDrainNoDuplicateAudit(t *testing.T) {
 func TestCancelledDrainCannotLiftAnotherDrainsCordon(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 2; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +501,7 @@ func TestCancelledDrainCannotLiftAnotherDrainsCordon(t *testing.T) {
 func TestCompletedOverlappingDrainCordonSurvivesCancel(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 2; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +544,7 @@ func TestCompletedOverlappingDrainCordonSurvivesCancel(t *testing.T) {
 func TestNodeFailsAndRejoinsMidDrain(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -580,7 +580,7 @@ func TestNodeFailsAndRejoinsMidDrain(t *testing.T) {
 	}
 	checkAccounting(t, c, "acme")
 	// The namesake is a normal schedulable node again.
-	w, err := c.Deploy("ops", policySpec("fresh", "acme", PlacementSpread))
+	w, err := c.DeployContext(context.Background(), "ops", policySpec("fresh", "acme", PlacementSpread))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestNodeFailsAndRejoinsMidDrain(t *testing.T) {
 func TestOverlappingDrainCompletionReassertsCordon(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -664,7 +664,7 @@ func TestOverlappingDrainCompletionReassertsCordon(t *testing.T) {
 func TestDrainBoundedToInitialSet(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -677,7 +677,7 @@ func TestDrainBoundedToInitialSet(t *testing.T) {
 			}
 			// Fresh traffic immediately re-targets the reopened node
 			// (binpack: it still carries load, so it scores highest).
-			w, derr := c.Deploy("ops", policySpec("newcomer", "acme", ""))
+			w, derr := c.DeployContext(context.Background(), "ops", policySpec("newcomer", "acme", ""))
 			if derr != nil {
 				t.Errorf("mid-drain deploy: %v", derr)
 			} else if w.Node != "olt-01" {
@@ -710,7 +710,7 @@ func TestDrainBoundedToInitialSet(t *testing.T) {
 func TestFailoverDegradesOnBrokenClusterDefault(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -745,7 +745,7 @@ func TestFailNodeDeployCommitRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+				if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 					t.Errorf("round %d: deploy w%d: %v (fleet had capacity)", round, i, err)
 				}
 			}(i)
@@ -774,7 +774,7 @@ func TestDrainCancelAfterLastMigrationCompletes(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -813,7 +813,7 @@ func TestFailAndRejoinDeployCommitRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+				if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
 					t.Errorf("round %d: deploy w%d: %v", round, i, err)
 				}
 			}(i)
@@ -868,7 +868,7 @@ func TestDrainAuditTrail(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	var kinds []string
 	c.SetAuditSink(func(a AuditEvent) { kinds = append(kinds, a.Kind) })
-	if _, err := c.Deploy("ops", policySpec("w", "acme", "")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("w", "acme", "")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Drain(context.Background(), "olt-01"); err != nil {

@@ -515,12 +515,6 @@ const (
 	StagePlacing DeployStage = "placing"
 )
 
-// Deploy schedules a workload on behalf of subject — the context-free
-// compatibility wrapper over DeployContext.
-func (c *Cluster) Deploy(subject string, spec WorkloadSpec) (*Workload, error) {
-	return c.DeployContext(context.Background(), subject, spec)
-}
-
 // DeployContext schedules a workload on behalf of subject. The pipeline
 // is: RBAC check (when enabled) -> image pull (verified per policy) ->
 // admission chain -> name/quota reservation -> scheduling -> commit.
@@ -540,8 +534,7 @@ func (c *Cluster) Deploy(subject string, spec WorkloadSpec) (*Workload, error) {
 // and an admission-cancelled audit record. Cancellation that loses the
 // race with commit is a no-op: the workload is simply placed.
 func (c *Cluster) DeployContext(ctx context.Context, subject string, spec WorkloadSpec) (*Workload, error) {
-	w, _, err := c.DeployObserved(ctx, subject, spec, nil)
-	return w, err
+	return c.DeployObserved(ctx, subject, spec, nil)
 }
 
 // DeployObserved is DeployContext with a stage observer: observe (when
@@ -549,13 +542,13 @@ func (c *Cluster) DeployContext(ctx context.Context, subject string, spec Worklo
 // each DeployStage. The platform's asynchronous deploy futures use it to
 // publish lifecycle transitions; synchronous callers pass nil.
 //
-// On success both the returned *Workload and the Placement are
-// commit-time snapshots: a concurrent failover or drain may rewrite
-// the live cluster record the moment the commit lock is released, so
-// the caller's copies deliberately do not track later moves (query
-// Workload(name) for the current placement).
-func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, Placement, error) {
-	w, placed, err := c.deploy(ctx, subject, spec, observe)
+// On success the returned *Workload is a commit-time copy: a concurrent
+// failover or drain may rewrite the live cluster record the moment the
+// commit lock is released, so the caller's copy deliberately does not
+// track later moves (query Workload(name) for the current placement),
+// and reading it never races them.
+func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, error) {
+	w, err := c.deploy(ctx, subject, spec, observe)
 	if err != nil {
 		if errors.Is(err, ErrCancelled) {
 			c.auditEvent(AuditEvent{Kind: "admission-cancelled", Workload: spec.Name,
@@ -564,31 +557,24 @@ func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec Workl
 			c.auditEvent(AuditEvent{Kind: "admission-verdict", Workload: spec.Name,
 				Tenant: spec.Tenant, Detail: err.Error()})
 		}
-		return nil, Placement{}, err
+		return nil, err
 	}
 	c.auditEvent(AuditEvent{Kind: "admission-verdict", Workload: spec.Name,
-		Tenant: spec.Tenant, Node: placed.Node, Allowed: true})
+		Tenant: spec.Tenant, Node: w.Node, Allowed: true})
 	c.auditEvent(AuditEvent{Kind: "placement", Workload: spec.Name,
-		Tenant: spec.Tenant, Node: placed.Node, Allowed: true, Detail: "vm " + placed.VMID})
-	return w, placed, nil
-}
-
-// Placement is the value snapshot of a committed placement, taken under
-// the commit lock so it can be read after deploy() without touching the
-// live *Workload (which a concurrent failover may rewrite in place).
-type Placement struct {
-	Node, VMID string
+		Tenant: spec.Tenant, Node: w.Node, Allowed: true, Detail: "vm " + w.VMID})
+	return w, nil
 }
 
 // deploy is DeployObserved's body, audit emission excluded. Cancellation
 // is honoured between stages and inside the admission chain; once the
 // commit lock is taken with a live context the placement completes.
-func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, Placement, error) {
+func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, error) {
 	if c.Settings.RBACEnabled && c.RBAC != nil {
 		d := c.RBAC.Check(subject, rbac.Permission{Verb: "create", Resource: "workloads", Namespace: spec.Tenant})
 		if !d.Allowed {
 			c.rejected.Add(1)
-			return nil, Placement{}, &UnauthorizedError{Subject: subject, Verb: "create", Tenant: spec.Tenant}
+			return nil, &UnauthorizedError{Subject: subject, Verb: "create", Tenant: spec.Tenant}
 		}
 	}
 	// Validate the demand and the placement policy before any expensive
@@ -598,14 +584,14 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	// refused there at all.
 	if err := spec.CheckDemand(); err != nil {
 		c.rejected.Add(1)
-		return nil, Placement{}, err
+		return nil, err
 	}
 	if _, err := c.resolveStrategy(spec); err != nil {
 		c.rejected.Add(1)
-		return nil, Placement{}, err
+		return nil, err
 	}
 	if err := ctxErr(ctx, spec.Name, string(StageScanning)); err != nil {
-		return nil, Placement{}, err
+		return nil, err
 	}
 	if observe != nil {
 		observe(StageScanning)
@@ -620,7 +606,7 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	}
 	if err != nil {
 		c.rejected.Add(1)
-		return nil, Placement{}, &ImagePullError{Ref: spec.ImageRef, Err: err}
+		return nil, &ImagePullError{Ref: spec.ImageRef, Err: err}
 	}
 
 	// One digest computation per Deploy serves every consumer — the
@@ -633,10 +619,10 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		if !errors.Is(err, ErrCancelled) {
 			c.rejected.Add(1)
 		}
-		return nil, Placement{}, err
+		return nil, err
 	}
 	if err := ctxErr(ctx, spec.Name, string(StagePlacing)); err != nil {
-		return nil, Placement{}, err
+		return nil, err
 	}
 	if observe != nil {
 		observe(StagePlacing)
@@ -648,19 +634,19 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	if _, dup := c.workloads[spec.Name]; dup {
 		c.mu.Unlock()
 		c.rejected.Add(1)
-		return nil, Placement{}, &DuplicateNameError{Workload: spec.Name}
+		return nil, &DuplicateNameError{Workload: spec.Name}
 	}
 	if _, dup := c.pending[spec.Name]; dup {
 		c.mu.Unlock()
 		c.rejected.Add(1)
-		return nil, Placement{}, &DuplicateNameError{Workload: spec.Name}
+		return nil, &DuplicateNameError{Workload: spec.Name}
 	}
 	if q, ok := c.quotas[spec.Tenant]; ok && (q.CPUMilli > 0 || q.MemoryMB > 0) {
 		used := c.tenantUsed[spec.Tenant]
 		if !used.Add(spec.Resources).Fits(q) {
 			c.mu.Unlock()
 			c.rejected.Add(1)
-			return nil, Placement{}, &QuotaError{Tenant: spec.Tenant,
+			return nil, &QuotaError{Tenant: spec.Tenant,
 				Requested: spec.Resources, Used: used, Quota: q}
 		}
 	}
@@ -678,12 +664,11 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 			delete(c.pending, spec.Name)
 			c.workloads[spec.Name] = w
 			c.mutatePlace(w)
-			placed := Placement{Node: w.Node, VMID: w.VMID}
 			cp := *w
 			c.mu.Unlock()
 			c.admitted.Add(1)
 			c.emitWarmEvents(evs)
-			return &cp, placed, nil
+			return &cp, nil
 		} else {
 			c.mu.Unlock()
 			c.emitWarmEvents(evs)
@@ -766,19 +751,18 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		if !errors.Is(err, ErrCancelled) {
 			c.rejected.Add(1)
 		}
-		return nil, Placement{}, err
+		return nil, err
 	}
 	w.digest = digest
 	c.workloads[spec.Name] = w
 	c.mutatePlace(w)
-	placed := Placement{Node: w.Node, VMID: w.VMID}
 	// Return a commit-time snapshot, not the live struct: the moment the
 	// lock drops, a concurrent failover or drain may rewrite the live
 	// workload in place, and the caller's reads must not race that.
 	cp := *w
 	c.mu.Unlock()
 	c.admitted.Add(1)
-	return &cp, placed, nil
+	return &cp, nil
 }
 
 // releasePlacement undoes a successful schedule that will not be

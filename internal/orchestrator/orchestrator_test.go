@@ -38,7 +38,7 @@ func spec(name, tenant, ref string, iso IsolationMode) WorkloadSpec {
 
 func TestDeployAndStop(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	w, err := c.Deploy("ops", spec("gw", "acme", "acme/iot-gateway:1.4.2", IsolationSoft))
+	w, err := c.DeployContext(context.Background(), "ops", spec("gw", "acme", "acme/iot-gateway:1.4.2", IsolationSoft))
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -64,21 +64,21 @@ func TestDeployAndStop(t *testing.T) {
 
 func TestDuplicateNameRejected(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	if _, err := c.Deploy("ops", spec("gw", "acme", "acme/iot-gateway:1.4.2", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("gw", "acme", "acme/iot-gateway:1.4.2", IsolationSoft)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("ops", spec("gw", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDuplicateName) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("gw", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("err = %v, want ErrDuplicateName", err)
 	}
 }
 
 func TestHardIsolationDedicatedVM(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	w1, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w1, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := c.Deploy("ops", spec("b", "acme", "acme/iot-gateway:1.4.2", IsolationHard))
+	w2, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/iot-gateway:1.4.2", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestHardIsolationDedicatedVM(t *testing.T) {
 
 func TestSoftIsolationSharesTenantVM(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	w1, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationSoft))
+	w1, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationSoft))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := c.Deploy("ops", spec("b", "acme", "acme/iot-gateway:1.4.2", IsolationSoft))
+	w2, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/iot-gateway:1.4.2", IsolationSoft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSoftIsolationSharesTenantVM(t *testing.T) {
 		t.Fatal("same-tenant soft workloads on one node should share a VM")
 	}
 	// A different tenant never shares the VM.
-	w3, err := c.Deploy("ops", spec("c", "rival", "acme/analytics:2.0.1", IsolationSoft))
+	w3, err := c.DeployContext(context.Background(), "ops", spec("c", "rival", "acme/analytics:2.0.1", IsolationSoft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestSchedulingCapacity(t *testing.T) {
 	c.AddNode("n1", Resources{CPUMilli: 1000, MemoryMB: 1024})
 	big := WorkloadSpec{Name: "big", Tenant: "t", ImageRef: "acme/analytics:2.0.1",
 		Isolation: IsolationSoft, Resources: Resources{CPUMilli: 800, MemoryMB: 512}}
-	if _, err := c.Deploy("ops", big); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", big); err != nil {
 		t.Fatal(err)
 	}
 	second := big
 	second.Name = "big2"
-	if _, err := c.Deploy("ops", second); !errors.Is(err, ErrNoCapacity) {
+	if _, err := c.DeployContext(context.Background(), "ops", second); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -144,18 +144,18 @@ func TestTenantQuotaBlocksResourceAbuse(t *testing.T) {
 	// T8: a malicious tenant tries to monopolize resources; quotas stop it.
 	c, _ := testCluster(t, Settings{})
 	c.SetQuota("greedy", Resources{CPUMilli: 1000, MemoryMB: 1024})
-	if _, err := c.Deploy("ops", spec("g1", "greedy", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("g1", "greedy", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("ops", spec("g2", "greedy", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("g2", "greedy", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatal(err)
 	}
 	// Third deployment exceeds the 1000m quota (3 x 500m).
-	if _, err := c.Deploy("ops", spec("g3", "greedy", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("g3", "greedy", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
 	}
 	// Another tenant is unaffected.
-	if _, err := c.Deploy("ops", spec("ok", "polite", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("ok", "polite", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatalf("co-tenant blocked: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestNegativeDemandRejected(t *testing.T) {
 	} {
 		s := spec("neg", "greedy", "acme/analytics:2.0.1", IsolationSoft)
 		s.Resources = demand
-		_, err := c.Deploy("ops", s)
+		_, err := c.DeployContext(context.Background(), "ops", s)
 		var derr *InvalidDemandError
 		if !errors.As(err, &derr) || !errors.Is(err, ErrRejected) || derr.Requested != demand {
 			t.Fatalf("demand %+v: err = %v, want *InvalidDemandError under ErrRejected", demand, err)
@@ -202,12 +202,12 @@ func TestNegativeDemandRejected(t *testing.T) {
 	// The quota the attack tried to inflate still binds.
 	big := spec("big", "greedy", "acme/analytics:2.0.1", IsolationSoft)
 	big.Resources = Resources{CPUMilli: 1500, MemoryMB: 512}
-	if _, err := c.Deploy("ops", big); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := c.DeployContext(context.Background(), "ops", big); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
 	}
 	zero := spec("zero", "greedy", "acme/analytics:2.0.1", IsolationSoft)
 	zero.Resources = Resources{}
-	if _, err := c.Deploy("ops", zero); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", zero); err != nil {
 		t.Fatalf("zero demand rejected: %v", err)
 	}
 }
@@ -220,10 +220,10 @@ func TestAdmissionChainRejects(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := c.Deploy("ops", spec("miner", "shady", "freestuff/optimizer:latest", IsolationSoft)); !errors.Is(err, ErrDenied) {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("miner", "shady", "freestuff/optimizer:latest", IsolationSoft)); !errors.Is(err, ErrDenied) {
 		t.Fatalf("err = %v, want ErrDenied", err)
 	}
-	if _, err := c.Deploy("ops", spec("ok", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("ok", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatalf("benign workload rejected: %v", err)
 	}
 	admitted, rejected := c.Counters()
@@ -255,7 +255,7 @@ func TestAdmissionOrder(t *testing.T) {
 		mark("third")
 		return errors.New("also failing, but registered later")
 	})
-	_, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
+	_, err := c.DeployContext(context.Background(), "ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft))
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("err = %v", err)
 	}
@@ -279,15 +279,15 @@ func TestRBACGateOnDeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RBAC = e
-	if _, err := c.Deploy("acme-ci", spec("ok", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "acme-ci", spec("ok", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatalf("authorized deploy failed: %v", err)
 	}
 	// Cross-tenant deploy denied (lateral movement, T5).
-	if _, err := c.Deploy("acme-ci", spec("bad", "rival", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrUnauthorized) {
+	if _, err := c.DeployContext(context.Background(), "acme-ci", spec("bad", "rival", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("err = %v, want ErrUnauthorized", err)
 	}
 	// Unknown subject denied.
-	if _, err := c.Deploy("stranger", spec("bad2", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrUnauthorized) {
+	if _, err := c.DeployContext(context.Background(), "stranger", spec("bad2", "acme", "acme/analytics:2.0.1", IsolationSoft)); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("err = %v, want ErrUnauthorized", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestSignatureVerificationGate(t *testing.T) {
 	c, reg := testCluster(t, Settings{})
 	c.VerifyImageSignatures = true
 	// Unsigned image in registry.
-	if _, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft)); err == nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft)); err == nil {
 		t.Fatal("unsigned image admitted with verification on")
 	}
 	// Sign and trust.
@@ -308,14 +308,14 @@ func TestSignatureVerificationGate(t *testing.T) {
 	img := container.AnalyticsImage()
 	sig := pub.Sign(img)
 	reg.Push(img, &sig)
-	if _, err := c.Deploy("ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("x", "t", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
 		t.Fatalf("signed image rejected: %v", err)
 	}
 }
 
 func TestUnknownImage(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	if _, err := c.Deploy("ops", spec("x", "t", "ghost:1", IsolationSoft)); err == nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("x", "t", "ghost:1", IsolationSoft)); err == nil {
 		t.Fatal("deploy of unknown image succeeded")
 	}
 }

@@ -47,7 +47,7 @@ func TestBinpackConcentratesSpreadFansOut(t *testing.T) {
 	// must stack one node; spread must touch all four.
 	bp := quadCluster(t, Settings{})
 	for i := 0; i < 4; i++ {
-		if _, err := bp.Deploy("ops", policySpec(fmt.Sprintf("b%d", i), "acme", PlacementBinpack)); err != nil {
+		if _, err := bp.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("b%d", i), "acme", PlacementBinpack)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestBinpackConcentratesSpreadFansOut(t *testing.T) {
 
 	sp := quadCluster(t, Settings{})
 	for i := 0; i < 4; i++ {
-		if _, err := sp.Deploy("ops", policySpec(fmt.Sprintf("s%d", i), "acme", PlacementSpread)); err != nil {
+		if _, err := sp.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("s%d", i), "acme", PlacementSpread)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestBinpackConcentratesSpreadFansOut(t *testing.T) {
 func TestClusterDefaultStrategyFromSettings(t *testing.T) {
 	c := quadCluster(t, Settings{PlacementStrategy: PlacementSpread})
 	for i := 0; i < 4; i++ {
-		w, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", ""))
+		w, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestClusterDefaultStrategyFromSettings(t *testing.T) {
 		t.Fatalf("placements = %v, want one per node", got)
 	}
 	// A per-workload policy overrides the cluster default.
-	w, err := c.Deploy("ops", policySpec("override", "acme", PlacementBinpack))
+	w, err := c.DeployContext(context.Background(), "ops", policySpec("override", "acme", PlacementBinpack))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestClusterDefaultStrategyFromSettings(t *testing.T) {
 
 func TestUnknownPlacementPolicyRejected(t *testing.T) {
 	c := quadCluster(t, Settings{})
-	_, err := c.Deploy("ops", policySpec("x", "acme", "chaotic"))
+	_, err := c.DeployContext(context.Background(), "ops", policySpec("x", "acme", "chaotic"))
 	var perr *PlacementPolicyError
 	if !errors.As(err, &perr) || !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want *PlacementPolicyError under ErrRejected", err)
@@ -101,13 +101,13 @@ func TestUnknownPlacementPolicyRejected(t *testing.T) {
 		t.Fatalf("rejected counter = %d", rejected)
 	}
 	// The reservation was released: the name is reusable.
-	if _, err := c.Deploy("ops", policySpec("x", "acme", PlacementBinpack)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("x", "acme", PlacementBinpack)); err != nil {
 		t.Fatalf("name not released after policy rejection: %v", err)
 	}
 	// A typo'd *cluster default* must be named in the error, not the
 	// workload's empty per-deploy policy.
 	cd := quadCluster(t, Settings{PlacementStrategy: "binpak"})
-	_, err = cd.Deploy("ops", policySpec("y", "acme", ""))
+	_, err = cd.DeployContext(context.Background(), "ops", policySpec("y", "acme", ""))
 	if !errors.As(err, &perr) || perr.Policy != "binpak" {
 		t.Fatalf("err = %v, want PlacementPolicyError naming the cluster default", err)
 	}
@@ -124,7 +124,7 @@ func TestInvalidPolicyRejectedBeforeScanning(t *testing.T) {
 		scans++
 		return nil
 	})
-	_, err := c.Deploy("ops", policySpec("x", "acme", "chaotic"))
+	_, err := c.DeployContext(context.Background(), "ops", policySpec("x", "acme", "chaotic"))
 	var perr *PlacementPolicyError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v", err)
@@ -136,7 +136,7 @@ func TestInvalidPolicyRejectedBeforeScanning(t *testing.T) {
 
 func TestWorkloadCarriesStrategyAndScore(t *testing.T) {
 	c := quadCluster(t, Settings{})
-	w, err := c.Deploy("ops", policySpec("scored", "acme", PlacementSpread))
+	w, err := c.DeployContext(context.Background(), "ops", policySpec("scored", "acme", PlacementSpread))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPlaceVMDeterministicSharedVMSelection(t *testing.T) {
 		n.mu.Unlock()
 		c.mu.Unlock()
 
-		w, err := c.Deploy("ops", policySpec("newcomer", "acme", PlacementBinpack))
+		w, err := c.DeployContext(context.Background(), "ops", policySpec("newcomer", "acme", PlacementBinpack))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestReleasePlacementCommitWindow(t *testing.T) {
 	// Cancel from the placing-stage observer: deploy's last cancellation
 	// point then fires inside the commit window, after scheduling
 	// succeeded — exactly the path releasePlacement exists for.
-	_, _, err := c.DeployObserved(ctx, "ops", policySpec("ghost", "acme", ""), func(stage DeployStage) {
+	_, err := c.DeployObserved(ctx, "ops", policySpec("ghost", "acme", ""), func(stage DeployStage) {
 		if stage == StagePlacing {
 			cancel()
 		}
@@ -216,12 +216,12 @@ func TestReleasePlacementCommitWindow(t *testing.T) {
 // VM itself stay.
 func TestReleasePlacementKeepsOccupiedSharedVM(t *testing.T) {
 	c := quadCluster(t, Settings{})
-	survivor, err := c.Deploy("ops", policySpec("survivor", "acme", ""))
+	survivor, err := c.DeployContext(context.Background(), "ops", policySpec("survivor", "acme", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err = c.DeployObserved(ctx, "ops", policySpec("doomed", "acme", ""), func(stage DeployStage) {
+	_, err = c.DeployObserved(ctx, "ops", policySpec("doomed", "acme", ""), func(stage DeployStage) {
 		if stage == StagePlacing {
 			cancel()
 		}
@@ -256,7 +256,7 @@ func TestFailoverRespectsSpreadPolicy(t *testing.T) {
 		c.AddNode(fmt.Sprintf("olt-%02d", i), Resources{CPUMilli: 4000, MemoryMB: 8192})
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.Deploy("ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", PlacementSpread)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,17 +288,17 @@ func TestHardIsolationPrefersNodesWithoutSharedVMs(t *testing.T) {
 	// Soft workload binpacks onto n1 (its shared VM taints the node's
 	// posture); a dedicated decoy spreads onto n2 so both nodes carry
 	// equal load and only the shared-VM count differs.
-	if _, err := c.Deploy("ops", policySpec("soft-1", "acme", "")); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", policySpec("soft-1", "acme", "")); err != nil {
 		t.Fatal(err)
 	}
 	decoy := policySpec("decoy", "rival", PlacementSpread)
 	decoy.Isolation = IsolationHard
-	if w, err := c.Deploy("ops", decoy); err != nil || w.Node != "n2" {
+	if w, err := c.DeployContext(context.Background(), "ops", decoy); err != nil || w.Node != "n2" {
 		t.Fatalf("decoy placement: %v on %v, want n2", err, w)
 	}
 	hard := policySpec("hardened", "bank", "")
 	hard.Isolation = IsolationHard
-	w, err := c.Deploy("ops", hard)
+	w, err := c.DeployContext(context.Background(), "ops", hard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func nodeUtil(t *testing.T, c *Cluster, name string) NodeUtilization {
 
 func TestWarmClaimReusesParkedVM(t *testing.T) {
 	c, _ := testCluster(t, warmSettings())
-	first, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
+	first, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWarmClaimReusesParkedVM(t *testing.T) {
 		t.Fatalf("node util with parked slot = %+v, want 500m reserved, 0 workloads, 1 warm idle", u)
 	}
 
-	second, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	second, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWarmClaimReusesParkedVM(t *testing.T) {
 
 func TestWarmClaimRequiresMatchingShape(t *testing.T) {
 	c, _ := testCluster(t, warmSettings())
-	if _, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Stop("a"); err != nil {
@@ -82,7 +82,7 @@ func TestWarmClaimRequiresMatchingShape(t *testing.T) {
 	}
 
 	// A soft-isolation deploy must not claim the dedicated slot.
-	soft, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationSoft))
+	soft, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationSoft))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestWarmClaimRequiresMatchingShape(t *testing.T) {
 	// A different resource shape must not claim it either.
 	big := spec("c", "acme", "acme/analytics:2.0.1", IsolationHard)
 	big.Resources = Resources{CPUMilli: 1000, MemoryMB: 1024}
-	w, err := c.Deploy("ops", big)
+	w, err := c.DeployContext(context.Background(), "ops", big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWarmClaimRequiresMatchingShape(t *testing.T) {
 		t.Fatal("deploy with a different resource shape claimed the slot")
 	}
 	// Another tenant must never see the pool at all.
-	rival, err := c.Deploy("ops", spec("d", "rival", "acme/analytics:2.0.1", IsolationHard))
+	rival, err := c.DeployContext(context.Background(), "ops", spec("d", "rival", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestWarmClaimRevalidatesVerdictCache(t *testing.T) {
 		scans++
 		return nil
 	})
-	if _, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Stop("a"); err != nil {
@@ -132,7 +132,7 @@ func TestWarmClaimRevalidatesVerdictCache(t *testing.T) {
 	// Disabling the verdict cache kills the fast path: a warm claim
 	// requires a *cached* clean verdict by contract.
 	c.AdmissionCacheDisabled = true
-	w, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWarmClaimRevalidatesVerdictCache(t *testing.T) {
 	if err := c.Stop("b"); err != nil {
 		t.Fatal(err)
 	}
-	w, err = c.Deploy("ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err = c.DeployContext(context.Background(), "ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestWarmClaimRevalidatesVerdictCache(t *testing.T) {
 
 func TestWarmClaimMissesOnTamperedImage(t *testing.T) {
 	c, reg := testCluster(t, warmSettings())
-	if _, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Stop("a"); err != nil {
@@ -173,7 +173,7 @@ func TestWarmClaimMissesOnTamperedImage(t *testing.T) {
 	evil.Config.Env = append(evil.Config.Env, "LD_PRELOAD=/tmp/inject.so")
 	reg.Push(evil, nil)
 
-	w, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestWarmWatermarkEviction(t *testing.T) {
 	// and it is the only idle slot), releasing its reservation.
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("w%d", i)
-		if _, err := c.Deploy("ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestWarmPressureReclaimUnderCapacityError(t *testing.T) {
 
 	// Fill the node, then park everything: 4 idle slots hold all 2000m.
 	for i := 0; i < 4; i++ {
-		if _, err := c.Deploy("ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestWarmPressureReclaimUnderCapacityError(t *testing.T) {
 	// the pressure reclaim, evict idle slots, and retry successfully.
 	big := spec("big", "acme", "acme/analytics:2.0.1", IsolationHard)
 	big.Resources = Resources{CPUMilli: 1500, MemoryMB: 1024}
-	w, err := c.Deploy("ops", big)
+	w, err := c.DeployContext(context.Background(), "ops", big)
 	if err != nil {
 		t.Fatalf("deploy under warm pressure: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestWarmPressureReclaimUnderCapacityError(t *testing.T) {
 
 func TestWarmCordonFlushAndUncordonVisibility(t *testing.T) {
 	c, _ := testCluster(t, warmSettings())
-	first, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
+	first, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestWarmCordonFlushAndUncordonVisibility(t *testing.T) {
 	}
 
 	// While cordoned, repeat deploys go cold to another node.
-	other, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	other, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestWarmCordonFlushAndUncordonVisibility(t *testing.T) {
 	if err := c.Stop("b"); err != nil {
 		t.Fatal(err)
 	}
-	w, err := c.Deploy("ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err := c.DeployContext(context.Background(), "ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestWarmCordonFlushAndUncordonVisibility(t *testing.T) {
 
 func TestWarmNodeFailDiscardsSlots(t *testing.T) {
 	c, _ := testCluster(t, warmSettings())
-	first, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
+	first, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestWarmNodeFailDiscardsSlots(t *testing.T) {
 		t.Fatalf("idle slots after node failure = %d, want 0", n)
 	}
 	// The dead node's slots are gone for good: a repeat deploy goes cold.
-	w, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +352,10 @@ func TestWarmNodeFailDiscardsSlots(t *testing.T) {
 
 func TestWarmStateImportStartsCold(t *testing.T) {
 	c, reg := testCluster(t, warmSettings())
-	if _, err := c.Deploy("ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deploy("ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+	if _, err := c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Stop("a"); err != nil {
@@ -385,7 +385,7 @@ func TestWarmStateImportStartsCold(t *testing.T) {
 	}
 	// The surviving workload b is intact; the first repeat deploy after
 	// recovery is a miss (cold), then the pool works again.
-	w, err := c2.Deploy("ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err := c2.DeployContext(context.Background(), "ops", spec("c", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestWarmStateImportStartsCold(t *testing.T) {
 	if err := c2.Stop("c"); err != nil {
 		t.Fatal(err)
 	}
-	w, err = c2.Deploy("ops", spec("d", "acme", "acme/analytics:2.0.1", IsolationHard))
+	w, err = c2.DeployContext(context.Background(), "ops", spec("d", "acme", "acme/analytics:2.0.1", IsolationHard))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestWarmClaimRacingEviction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("wl-%d-%d", g, i)
-				_, err := c.Deploy("ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard))
+				_, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard))
 				if err != nil {
 					var cap *CapacityError
 					if errors.As(err, &cap) {
@@ -477,7 +477,7 @@ func TestWarmDrainRacingClaims(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("wl-%d-%d", g, i)
-				_, err := c.Deploy("ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard))
+				_, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationHard))
 				if err != nil {
 					continue // capacity or cordon pressure mid-drain is expected
 				}

@@ -5,6 +5,7 @@ package sim
 // wired, and the harness must catch a cancelled-but-placed violation.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestHarnessDetectsCancelledPlacement(t *testing.T) {
 			Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},
 		}
-		if _, err := w.Platform.Deploy(Subject, spec); err != nil {
+		if _, err := w.Platform.DeployContext(context.Background(), Subject, spec); err != nil {
 			return Outcome{Status: "error", Detail: err.Error()}
 		}
 		w.cancelled[spec.Name] = true

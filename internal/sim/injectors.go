@@ -309,7 +309,7 @@ func EvacuateClusterStep(name string) Step {
 
 func deployOne(w *World, spec orchestrator.WorkloadSpec) Outcome {
 	w.policies[spec.Name] = spec.PlacementPolicy
-	wl, err := w.Platform.Deploy(Subject, spec)
+	wl, err := w.Platform.DeployContext(context.Background(), Subject, spec)
 	status := w.observeDeploy(spec, err)
 	if err != nil {
 		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s): %v", spec.Name, spec.ImageRef, err)}

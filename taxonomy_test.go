@@ -79,7 +79,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "malware scanner rejection",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("miner", "freestuff/optimizer:latest", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("miner", "freestuff/optimizer:latest", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -101,7 +101,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "sast scanner rejection",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("gw", "acme/iot-gateway:1.4.2", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("gw", "acme/iot-gateway:1.4.2", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -118,7 +118,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "sca scanner rejection",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("ml", "acme/ml-inference:0.9.0", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("ml", "acme/ml-inference:0.9.0", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -135,7 +135,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "unsigned image at pull",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("backdoor", "freestuff/log-shipper:3.1", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("backdoor", "freestuff/log-shipper:3.1", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -153,7 +153,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "unknown image at pull",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("ghost", "ghost/unknown:0.0", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("ghost", "ghost/unknown:0.0", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -167,7 +167,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "tenant quota exceeded",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("hog", "acme/analytics:2.0.1", 3500, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("hog", "acme/analytics:2.0.1", 3500, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -186,7 +186,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 			name: "no node capacity",
 			deploy: func(t *testing.T, p *genio.Platform) error {
 				p.Cluster.SetQuota("acme", genio.Resources{}) // unlimited: isolate capacity
-				_, err := p.Deploy("ci", taxonomySpec("big", "acme/analytics:2.0.1", 100000, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("big", "acme/analytics:2.0.1", 100000, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -203,7 +203,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "rbac denial",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("stranger", taxonomySpec("spy", "acme/analytics:2.0.1", 100, 128))
+				_, err := p.DeployContext(context.Background(), "stranger", taxonomySpec("spy", "acme/analytics:2.0.1", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -220,10 +220,10 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "duplicate workload name",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				if _, err := p.Deploy("ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128)); err != nil {
+				if _, err := p.DeployContext(context.Background(), "ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128)); err != nil {
 					t.Fatalf("first deploy: %v", err)
 				}
-				_, err := p.Deploy("ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -240,7 +240,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		{
 			name: "negative resource demand",
 			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.Deploy("ci", taxonomySpec("neg", "acme/analytics:2.0.1", -100000, -100000))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("neg", "acme/analytics:2.0.1", -100000, -100000))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -259,7 +259,7 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 			name: "closed platform",
 			deploy: func(t *testing.T, p *genio.Platform) error {
 				p.Close()
-				_, err := p.Deploy("ci", taxonomySpec("late", "acme/analytics:2.0.1", 100, 128))
+				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("late", "acme/analytics:2.0.1", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
@@ -373,7 +373,7 @@ func TestDeployBatchPartialFailureOrdering(t *testing.T) {
 			taxonomySpec("b3", "acme/analytics:2.0.1", 100, 128),
 			taxonomySpec("b4", "acme/iot-gateway:1.4.2", 100, 128),
 		}
-		workloads, errs := p.DeployBatch("ci", specs)
+		workloads, errs := p.DeployBatchContext(context.Background(), "ci", specs)
 		if len(workloads) != len(specs) || len(errs) != len(specs) {
 			t.Fatalf("run %d: result lengths %d/%d", run, len(workloads), len(errs))
 		}
