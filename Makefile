@@ -79,9 +79,9 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
-# the replay gate, the federation, onboarding and watch storms and the
-# bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that only holds on one
-# core cannot pass.
+# the replay gate, the federation, onboarding, watch and candidate-table
+# storms and the bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that
+# only holds on one core cannot pass.
 cores:
 	for n in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$n"; \
@@ -90,6 +90,7 @@ cores:
 		GOMAXPROCS=$$n $(GO) test -race -count=20 -run 'Evacuate|Remove|Storm' ./internal/federation && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Onboard|NodeProvisioning' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog' ./internal/core ./api/server && \
+		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|ScanTakesNoNodeLock' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
 	done
 	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim

@@ -689,7 +689,7 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request, subject str
 			}
 			probe := scheduler.Request{Workload: "probe", Tenant: "probe",
 				Demand: orchestrator.Resources{CPUMilli: cpu, MemoryMB: mem}}
-			eng := cl.c.Scheduler()
+			var eng scheduler.Engine
 			probe.Strategy = scheduler.StrategyBinpack
 			binpack := eng.Explain(&probe, cands)
 			probe.Strategy = scheduler.StrategySpread

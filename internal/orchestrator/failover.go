@@ -66,8 +66,7 @@ type movedWorkload struct {
 func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []WarmEvent, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.nodes[name]
-	if !ok {
+	if _, ok := c.nodes[name]; !ok {
 		return nil, nil, nil, &NodeNotFoundError{Node: name}
 	}
 	// Collect the victims deterministically.
@@ -81,7 +80,6 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []War
 	delete(c.nodes, name)
 	c.rebuildCandidatesLocked()
 	c.mutate(Mutation{Kind: MutNodeRemove, Node: name})
-	_ = n
 
 	// The node's warm slots die with it: idle slots are discarded (their
 	// reservations lived on the removed node object — nothing to settle)
@@ -176,23 +174,18 @@ type NodeUtilization struct {
 	WarmClaimed int `json:"warmClaimed,omitempty"`
 }
 
-// Utilization returns per-node resource usage sorted by node name.
+// Utilization returns per-node resource usage sorted by node name: one
+// read of each candidate-table row, no node lock taken.
 func (c *Cluster) Utilization() []NodeUtilization {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	warm := c.warm.NodeCounts()
-	out := make([]NodeUtilization, 0, len(c.nodes))
-	for name, n := range c.nodes {
-		n.mu.Lock()
-		u := NodeUtilization{Node: name, Used: n.used, Capacity: n.capacity,
-			Cordoned: n.cordoned, SharedVMs: n.sharedVMs,
-			WarmIdle: warm[name].Idle, WarmClaimed: warm[name].Claimed}
-		for _, count := range n.tenants {
-			u.Workloads += count
-		}
-		n.mu.Unlock()
-		out = append(out, u)
+	out := make([]NodeUtilization, len(c.candidates))
+	for i, n := range c.candidates { // name-sorted by construction
+		out[i] = NodeUtilization{Node: n.name, Used: n.used.load(), Capacity: n.capacity,
+			Cordoned: n.cordoned.Load(), Workloads: int(n.placed.Load()),
+			SharedVMs: int(n.sharedVMs.Load()),
+			WarmIdle:  warm[n.name].Idle, WarmClaimed: warm[n.name].Claimed}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }

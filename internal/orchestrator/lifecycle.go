@@ -62,8 +62,8 @@ func (c *Cluster) setCordon(name string, cordoned bool, detail string) error {
 		return &NodeNotFoundError{Node: name}
 	}
 	n.mu.Lock()
-	changed := n.cordoned != cordoned
-	n.cordoned = cordoned
+	changed := n.cordoned.Load() != cordoned
+	n.cordoned.Store(cordoned)
 	n.cordonOwner = 0
 	n.cordonEpoch++
 	if changed {
@@ -194,8 +194,8 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// rewrite the owner) takes precedence.
 	drainID := c.drainSeq.Add(1)
 	n.mu.Lock()
-	wasCordoned := n.cordoned
-	n.cordoned = true
+	wasCordoned := n.cordoned.Load()
+	n.cordoned.Store(true)
 	if !wasCordoned {
 		n.cordonOwner = drainID
 		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: true})
@@ -239,9 +239,9 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 			return // our object is orphaned; its flags are moot
 		}
 		n.mu.Lock()
-		undo := n.cordoned && n.cordonOwner == drainID
+		undo := n.cordoned.Load() && n.cordonOwner == drainID
 		if undo {
-			n.cordoned = false
+			n.cordoned.Store(false)
 			n.cordonOwner = 0
 			c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: false})
 		}
@@ -325,8 +325,8 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// and cordoned" is the strongest statement standing; only explicit
 	// operator intent overrides it.
 	n.mu.Lock()
-	if n.cordonEpoch == startEpoch && !n.cordoned {
-		n.cordoned = true
+	if n.cordonEpoch == startEpoch && !n.cordoned.Load() {
+		n.cordoned.Store(true)
 		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: true})
 	}
 	n.cordonOwner = 0
@@ -390,7 +390,7 @@ func (c *Cluster) migrateNext(name string, own *node, initial map[string]bool) (
 	*w = *sched
 	c.mutatePlace(w)
 	own.mu.Lock()
-	own.releaseLocked(old.Spec.Name, old.VMID, old.Spec.Resources, old.Spec.Tenant)
+	own.releaseLocked(old.Spec.Name, old.VMID, old.Spec.Resources, c.tenantIDs[old.Spec.Tenant])
 	own.mu.Unlock()
 	// A migrated workload no longer lives in the warm slot it may have
 	// claimed at deploy time — sever the binding so pool bookkeeping

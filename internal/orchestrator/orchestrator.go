@@ -12,17 +12,19 @@
 //
 // Concurrency model: cluster-wide topology (node membership, the workload
 // and quota tables) sits behind a sync.RWMutex so read-side queries never
-// contend with each other; per-node placement state (capacity accounting
-// and VM maps) is sharded behind one mutex per node so placements on
-// different nodes proceed in parallel. The admission chain runs on the
-// deploying goroutine, outside both (see admission.go). Lock order is
-// always cluster lock before node lock, never the reverse.
+// contend with each other; writes to per-node placement state (capacity
+// accounting and VM maps) are sharded behind one mutex per node so
+// placements on different nodes proceed in parallel. The admission chain
+// runs on the deploying goroutine, outside both (see admission.go). Lock
+// order is always cluster lock before node lock, never the reverse.
 //
-// Placement decisions are delegated to the scheduler subpackage: a
-// filter -> score pipeline over the cluster's cached, name-sorted
-// candidate slice (see scheduleAmong). Node lifecycle — cordon, drain —
-// lives in lifecycle.go; failover in failover.go. All three consume the
-// same engine, so placement policy is decided in exactly one place.
+// Placement decisions are delegated to the scheduler subpackage: one
+// fused filter -> score pass over the cluster's candidate table, the
+// name-sorted node rows whose scheduler inputs are atomics maintained
+// where placement state changes and read without node locks (see
+// scheduleExcluding). Node lifecycle — cordon, drain — lives in
+// lifecycle.go; failover in failover.go. All three consume the same
+// engine, so placement policy is decided in exactly one place.
 package orchestrator
 
 import (
@@ -129,60 +131,110 @@ type VM struct {
 	Workloads []string `json:"workloads"`
 }
 
-// node is internal node state. The cluster lock guards membership in the
-// node map; mu guards the placement state (used, vms, lifecycle flags
-// and the scheduler inputs) so placements on different nodes do not
-// serialize.
+// node is internal node state and, at the same time, its row in the
+// cluster's candidate table. The cluster lock guards membership in the
+// node map and the table; mu serializes every write to the placement
+// state (vms, lifecycle flags and the scheduler inputs) so placements
+// on different nodes do not serialize.
+//
+// The scheduler inputs — used, cordoned, sharedVMs, placed and the
+// per-tenant counts — are atomics written under mu where the state
+// changes (commit, release, park, claim, cordon, import) and read by
+// scheduling passes and fleet reads without it. Such a read may see
+// one field before a concurrent commit and the next after it; that
+// costs at most a rescan, because commitOn re-checks feasibility under
+// mu before it places anything.
 type node struct {
 	name     string
 	capacity Resources
 
-	mu   sync.Mutex
-	used Resources
-	vms  map[string]*VM
+	used usage
 	// cordoned marks the node unschedulable (Cordon/Drain); running
-	// workloads stay until drained or stopped. cordonOwner identifies
-	// the still-in-flight Drain that applied the cordon (its drain id;
-	// 0 = operator-owned or none): a drain rollback may lift only the
-	// cordon it owns. Explicit Cordon/Uncordon calls and drain
-	// completion reset the owner to 0, so operator intent expressed
-	// mid-drain — and a second drain's cordon — survive another drain's
-	// rollback. cordonEpoch counts explicit Cordon/Uncordon calls: a
-	// completing drain re-asserts its cordon only if the epoch is
+	// workloads stay until drained or stopped.
+	cordoned  atomic.Bool
+	sharedVMs atomic.Int32 // non-dedicated VMs (security-posture input)
+	placed    atomic.Int32 // workloads on the node
+	// tenants counts workloads per interned tenant id (anti-affinity
+	// input; see Cluster.tenantIDs). Its length changes only under the
+	// cluster write lock (internLocked); every reader and writer of a
+	// count holds the cluster lock at least for read.
+	tenants []atomic.Int32
+
+	mu  sync.Mutex
+	vms map[string]*VM
+	// cordonOwner identifies the still-in-flight Drain that applied the
+	// cordon (its drain id; 0 = operator-owned or none): a drain rollback
+	// may lift only the cordon it owns. Explicit Cordon/Uncordon calls
+	// and drain completion reset the owner to 0, so operator intent
+	// expressed mid-drain — and a second drain's cordon — survive another
+	// drain's rollback. cordonEpoch counts explicit Cordon/Uncordon calls:
+	// a completing drain re-asserts its cordon only if the epoch is
 	// unchanged since it started (no operator spoke), so a concurrent
 	// drain's rollback cannot leave a just-drained node schedulable,
 	// while an operator's explicit mid-drain uncordon still wins.
-	cordoned    bool
 	cordonOwner uint64
 	cordonEpoch uint64
-	// sharedVMs counts non-dedicated VMs (security-posture scheduler
-	// input), maintained by placeVM and releaseLocked.
-	sharedVMs int
-	// tenants counts workloads per tenant on this node (anti-affinity
-	// scheduler input), maintained by commit and release paths.
-	tenants map[string]int
 }
 
-// snapshot captures the node's placement-relevant state for the
-// scheduler. Allocation-free: the Candidate lives on the caller's stack.
-func (n *node) snapshot(tenant string) scheduler.Candidate {
-	n.mu.Lock()
-	c := n.snapshotLocked(tenant)
-	n.mu.Unlock()
-	return c
+// usage is a Resources value whose writers are serialized by a lock and
+// whose readers need none.
+type usage struct{ cpu, mem atomic.Int64 }
+
+func (u *usage) load() Resources {
+	return Resources{CPUMilli: int(u.cpu.Load()), MemoryMB: int(u.mem.Load())}
 }
 
-// snapshotLocked is snapshot's body — the single place the node ->
-// Candidate field mapping lives, shared by the scan pass (snapshot) and
-// the commit-time re-check (commitOn). Callers hold n.mu.
-func (n *node) snapshotLocked(tenant string) scheduler.Candidate {
+func (u *usage) add(r Resources) {
+	u.cpu.Add(int64(r.CPUMilli))
+	u.mem.Add(int64(r.MemoryMB))
+}
+
+func (u *usage) sub(r Resources) {
+	u.cpu.Add(-int64(r.CPUMilli))
+	u.mem.Add(-int64(r.MemoryMB))
+}
+
+// newNode returns an empty node sized for tenants interned tenant ids.
+func newNode(name string, capacity Resources, tenants int) *node {
+	return &node{name: name, capacity: capacity,
+		tenants: make([]atomic.Int32, tenants), vms: make(map[string]*VM)}
+}
+
+// candidate reads the node's row for a scheduling decision on behalf of
+// tenant id tid — the single place the node -> Candidate mapping lives,
+// shared by the scan pass (no lock) and the commit-time re-check (under
+// n.mu).
+func (n *node) candidate(tid int) scheduler.Candidate {
 	return scheduler.Candidate{
 		Node:            n.name,
 		Capacity:        n.capacity,
-		Used:            n.used,
-		Cordoned:        n.cordoned,
-		TenantWorkloads: n.tenants[tenant],
-		SharedVMs:       n.sharedVMs,
+		Used:            n.used.load(),
+		Cordoned:        n.cordoned.Load(),
+		TenantWorkloads: int(n.tenants[tid].Load()),
+		SharedVMs:       int(n.sharedVMs.Load()),
+	}
+}
+
+// countLocked moves tenant id tid's workload count on n by delta (+1 on
+// a placement, -1 on a release). Callers hold n.mu.
+func (n *node) countLocked(tid int, delta int32) {
+	n.tenants[tid].Add(delta)
+	n.placed.Add(delta)
+}
+
+// addVMLocked registers vm on n. Callers hold n.mu.
+func (n *node) addVMLocked(vm *VM) {
+	n.vms[vm.ID] = vm
+	if !vm.Dedicated {
+		n.sharedVMs.Add(1)
+	}
+}
+
+// dropVMLocked removes vm from n. Callers hold n.mu.
+func (n *node) dropVMLocked(vm *VM) {
+	delete(n.vms, vm.ID)
+	if !vm.Dedicated {
+		n.sharedVMs.Add(-1)
 	}
 }
 
@@ -190,13 +242,9 @@ func (n *node) snapshotLocked(tenant string) scheduler.Candidate {
 // returned, the tenant count drops, the VM slot is vacated, and an
 // emptied VM is deleted (shared-VM counter maintained). Callers hold
 // n.mu.
-func (n *node) releaseLocked(workload, vmID string, res Resources, tenant string) {
-	n.used = n.used.Sub(res)
-	if n.tenants[tenant] > 1 {
-		n.tenants[tenant]--
-	} else {
-		delete(n.tenants, tenant)
-	}
+func (n *node) releaseLocked(workload, vmID string, res Resources, tid int) {
+	n.used.sub(res)
+	n.countLocked(tid, -1)
 	vm, ok := n.vms[vmID]
 	if !ok {
 		return
@@ -209,10 +257,7 @@ func (n *node) releaseLocked(workload, vmID string, res Resources, tenant string
 	}
 	vm.Workloads = out
 	if len(vm.Workloads) == 0 {
-		delete(n.vms, vmID)
-		if !vm.Dedicated {
-			n.sharedVMs--
-		}
+		n.dropVMLocked(vm)
 	}
 }
 
@@ -320,23 +365,22 @@ type Cluster struct {
 	mu        sync.RWMutex
 	nodes     map[string]*node
 	workloads map[string]*Workload
-	// candidates is the scheduler's cached view of the fleet: the node
-	// set sorted by name, maintained on membership changes (AddNode
-	// inserts, FailNode rebuilds) instead of per deploy — the scheduling
-	// pass itself is O(nodes) with zero allocations. Guarded by mu like
-	// the node map.
+	// candidates is the candidate table: the node rows sorted by name,
+	// maintained on membership changes (AddNode inserts, FailNode and
+	// ImportState rebuild), with each row's scheduler inputs written
+	// where they change. Every scheduling pass and fleet read scans it
+	// under mu (read) without taking a node lock — O(nodes) atomic
+	// loads, zero allocations. Guarded by mu like the node map.
 	candidates []*node
+	// tenantIDs interns tenant names to dense ids, the index into every
+	// row's tenants counts, so a scan reads a tenant's count by index
+	// instead of hashing its name once per node. Ids are assigned under
+	// mu (write) — in the deploy's reservation step and in ImportState —
+	// before any placement of that tenant, and never reused.
+	tenantIDs  map[string]int
 	pending    map[string]struct{} // names reserved by in-flight deploys
 	quotas     map[string]Resources
 	tenantUsed map[string]Resources
-
-	// sched is the pluggable placement engine consulted by every
-	// placement consumer (deploy, failover, drain). candScratch pools
-	// the Candidate slices a scheduling pass snapshots the fleet into
-	// (concurrent read-lock schedulers each need their own), keeping the
-	// per-deploy pass allocation-free in steady state.
-	sched       *scheduler.Engine
-	candScratch sync.Pool
 
 	admMu     sync.RWMutex
 	admission []namedAdmission
@@ -390,20 +434,38 @@ func NewCluster(name string, reg *container.Registry, settings Settings) *Cluste
 		Registry:   reg,
 		nodes:      make(map[string]*node),
 		workloads:  make(map[string]*Workload),
+		tenantIDs:  make(map[string]int),
 		pending:    make(map[string]struct{}),
 		quotas:     make(map[string]Resources),
 		tenantUsed: make(map[string]Resources),
-		sched:      scheduler.New(),
 		warm:       warmpool.New(),
 		admFlight:  make(map[string]*admFlightCall),
 	}
 }
 
-// Scheduler exposes the cluster's placement engine so callers can plug
-// additional filters and scorers before traffic starts (the engine is
-// not synchronized against concurrent scheduling).
-func (c *Cluster) Scheduler() *scheduler.Engine {
-	return c.sched
+// engine is the placement pipeline every consumer (deploy, failover,
+// drain) runs; it is stateless.
+var engine scheduler.Engine
+
+// internLocked returns tenant's id, assigning the next one — and
+// widening every row's tenant counts to cover it — on first sight.
+// Callers hold c.mu (write).
+func (c *Cluster) internLocked(tenant string) int {
+	if id, ok := c.tenantIDs[tenant]; ok {
+		return id
+	}
+	id := len(c.tenantIDs)
+	c.tenantIDs[tenant] = id
+	for _, n := range c.nodes {
+		if id >= len(n.tenants) {
+			grown := make([]atomic.Int32, max(id+1, 2*len(n.tenants)))
+			for i := range n.tenants {
+				grown[i].Store(n.tenants[i].Load())
+			}
+			n.tenants = grown
+		}
+	}
+	return id
 }
 
 // SetClock installs a millisecond time source used to stamp placements
@@ -451,8 +513,7 @@ func (c *Cluster) auditEvent(a AuditEvent) {
 func (c *Cluster) AddNode(name string, capacity Resources) {
 	c.mu.Lock()
 	_, readd := c.nodes[name]
-	n := &node{name: name, capacity: capacity,
-		vms: make(map[string]*VM), tenants: make(map[string]int)}
+	n := newNode(name, capacity, len(c.tenantIDs))
 	c.nodes[name] = n
 	if readd {
 		c.rebuildCandidatesLocked()
@@ -466,8 +527,8 @@ func (c *Cluster) AddNode(name string, capacity Resources) {
 		Detail: fmt.Sprintf("capacity cpu=%dm mem=%dMB", capacity.CPUMilli, capacity.MemoryMB)})
 }
 
-// rebuildCandidatesLocked refreshes the scheduler's cached, name-sorted
-// candidate slice after a membership change. Callers hold c.mu (write).
+// rebuildCandidatesLocked rebuilds the candidate table from the node map
+// after a membership change. Callers hold c.mu (write).
 func (c *Cluster) rebuildCandidatesLocked() {
 	old := c.candidates
 	c.candidates = c.candidates[:0]
@@ -521,7 +582,7 @@ const (
 //
 // Only the reservation and commit steps take the cluster write lock; the
 // expensive stages (pull, scanners) run without it, and scheduling holds
-// the read lock plus one node lock at a time. Every verdict — and the
+// the read lock and locks only the node it commits on. Every verdict — and the
 // placement, on success — is reported to the audit sink.
 //
 // Rejections are typed (*AdmissionError, *ImagePullError, *QuotaError,
@@ -652,6 +713,7 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	}
 	c.pending[spec.Name] = struct{}{}
 	c.tenantUsed[spec.Tenant] = c.tenantUsed[spec.Tenant].Add(spec.Resources)
+	c.internLocked(spec.Tenant)
 
 	// Warm fast path: with the name and quota reserved, a repeat deploy
 	// whose digest still holds a clean cached verdict claims an idle warm
@@ -711,10 +773,7 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 				w = moved
 			}
 		} else {
-			n.mu.Lock()
-			cordoned := n.cordoned
-			n.mu.Unlock()
-			if cordoned {
+			if n.cordoned.Load() {
 				// A cordon (typically a drain) landed between placement and
 				// commit. The workload is not yet in the workload table, so
 				// a concurrent drain may already have reported the node
@@ -775,16 +834,16 @@ func (c *Cluster) releasePlacement(w *Workload) {
 		return // node died; its state object is already orphaned
 	}
 	n.mu.Lock()
-	n.releaseLocked(w.Spec.Name, w.VMID, w.Spec.Resources, w.Spec.Tenant)
+	n.releaseLocked(w.Spec.Name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
 	n.mu.Unlock()
 }
 
 // schedule places the workload via the scheduler engine, holding the
-// cluster read lock and one node lock at a time. It returns the node
-// object the placement landed on so the commit window can verify
-// identity, not just name: a node failed and re-added under the same
-// name between placement and commit is a different object, and the
-// reservation died with the old one.
+// cluster read lock and, to commit, the chosen node's lock. It returns
+// the node object the placement landed on so the commit window can
+// verify identity, not just name: a node failed and re-added under the
+// same name between placement and commit is a different object, and
+// the reservation died with the old one.
 func (c *Cluster) schedule(spec WorkloadSpec, img *container.Image) (*Workload, *node, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -806,15 +865,15 @@ func (c *Cluster) scheduleAmong(spec WorkloadSpec, img *container.Image) (*Workl
 // cordon flag says at that instant (an operator Uncordon mid-drain must
 // not make the drain migrate a workload onto the node being drained).
 //
-// Placement is the scheduler's two-phase pipeline over the cached,
-// name-sorted candidate slice: one O(nodes) pass snapshots each node
-// (brief per-node lock) into a pooled scratch slice, Engine.Select
-// picks the winner, and the winner is locked and the placement
-// committed after a feasibility re-check. Concurrent deploys under the
-// read lock can race a winner to capacity; losing the re-check rescans
-// (every loss implies another deploy committed, so the loop makes
-// progress), falling back to first-feasible-commit after a few
-// contested rounds so termination never depends on score stability.
+// Placement is one fused filter -> score pass over the candidate table:
+// each row is read without its node lock and evaluated in place, the
+// best is locked, and the placement committed after a feasibility
+// re-check against the row under that lock. Concurrent deploys under
+// the read lock can race a winner to capacity (or a scan can read a row
+// mid-update); losing the re-check rescans (every loss implies another
+// deploy committed, so the loop makes progress), falling back to
+// first-feasible-commit after a few contested rounds so termination
+// never depends on score stability.
 func (c *Cluster) scheduleExcluding(spec WorkloadSpec, img *container.Image, exclude string) (*Workload, *node, error) {
 	strat, err := c.resolveStrategy(spec)
 	if err != nil {
@@ -828,29 +887,30 @@ func (c *Cluster) scheduleExcluding(spec WorkloadSpec, img *container.Image, exc
 		Strategy:      strat,
 		Exclude:       exclude,
 	}
+	tid := c.tenantIDs[spec.Tenant]
 	const scoredAttempts = 4
 	for attempt := 0; attempt < scoredAttempts; attempt++ {
-		scratch := c.scratchCandidates()
+		scan := engine.NewScan(&req)
 		for i, n := range c.candidates {
-			(*scratch)[i] = n.snapshot(spec.Tenant)
+			cand := n.candidate(tid)
+			scan.Offer(i, &cand)
 		}
-		d, ok := c.sched.Select(&req, *scratch)
-		c.candScratch.Put(scratch)
+		d, ok := scan.Best()
 		if !ok {
 			return nil, nil, &CapacityError{Workload: spec.Name, Requested: spec.Resources, Nodes: len(c.candidates)}
 		}
-		if w := c.commitOn(c.candidates[d.Index], spec, img, &req, string(strat), d.Score); w != nil {
+		if w := c.commitOn(c.candidates[d.Index], tid, spec, img, &req, string(strat), d.Score); w != nil {
 			return w, c.candidates[d.Index], nil
 		}
 	}
 	// Contested fallback: walk the candidates in name order and commit on
 	// the first that is feasible at lock time.
 	for _, n := range c.candidates {
-		cand := n.snapshot(spec.Tenant)
-		if c.sched.Feasible(&req, &cand) != "" {
+		cand := n.candidate(tid)
+		if engine.Feasible(&req, &cand) != "" {
 			continue
 		}
-		if w := c.commitOn(n, spec, img, &req, string(strat), c.sched.Score(&req, &cand)); w != nil {
+		if w := c.commitOn(n, tid, spec, img, &req, string(strat), engine.Score(&req, &cand)); w != nil {
 			return w, n, nil
 		}
 	}
@@ -875,33 +935,21 @@ func (c *Cluster) resolveStrategy(spec WorkloadSpec) (scheduler.Strategy, error)
 	return strat, nil
 }
 
-// scratchCandidates returns a pooled Candidate slice sized to the
-// current fleet (callers hold c.mu). Concurrent read-lock schedulers
-// each take their own; Put it back after Select.
-func (c *Cluster) scratchCandidates() *[]scheduler.Candidate {
-	if p, ok := c.candScratch.Get().(*[]scheduler.Candidate); ok && cap(*p) >= len(c.candidates) {
-		*p = (*p)[:len(c.candidates)]
-		return p
-	}
-	s := make([]scheduler.Candidate, len(c.candidates))
-	return &s
-}
-
-// commitOn locks n, re-checks feasibility against its live state, and
-// commits the placement: VM assignment, capacity and tenant accounting.
-// Returns nil when a concurrent placement (or cordon) beat the request
-// there — the caller rescans.
-func (c *Cluster) commitOn(n *node, spec WorkloadSpec, img *container.Image, req *scheduler.Request, strategy string, score float64) *Workload {
+// commitOn locks n, re-checks feasibility against its row, and commits
+// the placement: VM assignment, capacity and tenant accounting (tid is
+// the spec's interned tenant). Returns nil when a concurrent placement
+// (or cordon) beat the request there — the caller rescans.
+func (c *Cluster) commitOn(n *node, tid int, spec WorkloadSpec, img *container.Image, req *scheduler.Request, strategy string, score float64) *Workload {
 	n.mu.Lock()
-	live := n.snapshotLocked(spec.Tenant)
-	if c.sched.Feasible(req, &live) != "" {
+	live := n.candidate(tid)
+	if engine.Feasible(req, &live) != "" {
 		n.mu.Unlock()
 		return nil
 	}
 	vm := c.placeVM(n, spec)
 	vm.Workloads = append(vm.Workloads, spec.Name)
-	n.used = n.used.Add(spec.Resources)
-	n.tenants[spec.Tenant]++
+	n.used.add(spec.Resources)
+	n.countLocked(tid, 1)
 	n.mu.Unlock()
 	return &Workload{Spec: spec, Image: img, Node: n.name, VMID: vm.ID,
 		PlacedAtMs: c.nowMs(), Strategy: strategy, Score: score}
@@ -930,10 +978,7 @@ func (c *Cluster) placeVM(n *node, spec WorkloadSpec) *VM {
 		Tenant:    spec.Tenant,
 		Dedicated: spec.Isolation == IsolationHard,
 	}
-	n.vms[vm.ID] = vm
-	if !vm.Dedicated {
-		n.sharedVMs++
-	}
+	n.addVMLocked(vm)
 	return vm
 }
 
@@ -967,7 +1012,7 @@ func (c *Cluster) stop(name string) (*Workload, []WarmEvent, error) {
 	if !c.parkOnStopLocked(w, &evs) {
 		if n, ok := c.nodes[w.Node]; ok {
 			n.mu.Lock()
-			n.releaseLocked(name, w.VMID, w.Spec.Resources, w.Spec.Tenant)
+			n.releaseLocked(name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
 			n.mu.Unlock()
 		}
 	}

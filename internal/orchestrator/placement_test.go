@@ -158,10 +158,9 @@ func TestPlaceVMDeterministicSharedVMSelection(t *testing.T) {
 		n := c.nodes["olt-01"]
 		n.mu.Lock()
 		for _, id := range []string{"vm-900", "vm-100"} {
-			n.vms[id] = &VM{ID: id, Node: "olt-01", Tenant: "acme", Workloads: []string{"pre-" + id}}
-			n.sharedVMs++
+			n.addVMLocked(&VM{ID: id, Node: "olt-01", Tenant: "acme", Workloads: []string{"pre-" + id}})
 		}
-		n.tenants["acme"] = 2
+		n.countLocked(c.internLocked("acme"), 2)
 		n.mu.Unlock()
 		c.mu.Unlock()
 

@@ -1,8 +1,9 @@
-// Package scheduler is GENIO's placement engine: a two-phase
-// filter -> score pipeline over candidate nodes with pluggable policies.
+// Package scheduler is GENIO's placement engine: a filter -> score
+// pipeline over candidate nodes, fused into one step per candidate.
 //
-// Filtering removes infeasible candidates (no capacity, cordoned);
-// scoring ranks the survivors under the request's strategy:
+// Filtering removes infeasible candidates (the request's excluded node,
+// no capacity, cordoned); scoring ranks the survivors under the
+// request's strategy:
 //
 //	binpack  pack workloads onto the most-utilized feasible node, keeping
 //	         the fleet dense and whole nodes free for large demands (the
@@ -17,18 +18,19 @@
 // workloads away from nodes running shared (soft-isolation) VMs,
 // whatever the strategy.
 //
-// The engine is deliberately allocation-free on the decision path:
-// Feasible, Score, and Select never allocate, so a scheduling pass over
-// the cluster's cached candidate slice is O(nodes) with zero
-// allocations — the property BenchmarkSchedule1kNodes pins. Explain is
-// the allocating, human-facing variant that reports the per-candidate
-// breakdown (audit trails, `genioctl nodes -top`).
+// The policy set is fixed, so the pipeline is straight-line code rather
+// than a list of function values: a Scan vetoes and scores each offered
+// candidate in one step without an indirect call, divides only for
+// utilization on most candidates, and never allocates — a pass over a
+// fleet is O(nodes) with zero garbage, the property TestSelectZeroAllocs
+// pins. Explain is the allocating, human-facing variant that reports the
+// per-candidate breakdown (`genioctl nodes -top`).
 //
-// The engine knows nothing about clusters, VMs, or images: callers
-// snapshot their node state into Candidate values and apply the
-// decision themselves. That keeps the package pure (trivially testable,
-// no locks) and lets every placement consumer — deploy, failover,
-// drain — share one policy surface.
+// The engine knows nothing about clusters, VMs, or images: callers read
+// their node state into Candidate values and apply the decision
+// themselves. That keeps the package pure (trivially testable, no locks)
+// and lets every placement consumer — deploy, failover, drain — share
+// one policy surface.
 package scheduler
 
 import "fmt"
@@ -98,8 +100,8 @@ type Request struct {
 	Exclude string
 }
 
-// Candidate is one node's placement-relevant snapshot. Callers build it
-// under whatever lock guards their node state; the engine only reads.
+// Candidate is one node's placement-relevant state. Callers fill it
+// from whatever holds their node state; the engine only reads.
 type Candidate struct {
 	Node     string
 	Capacity Resources
@@ -114,85 +116,99 @@ type Candidate struct {
 	SharedVMs int
 }
 
-// FilterFunc vetoes a candidate: "" passes, anything else is the
-// human-readable reason the candidate is infeasible. Filters must not
-// allocate on the pass path (return constant strings).
-type FilterFunc func(req *Request, c *Candidate) string
+// Scorer weights. A score is the weighted sum of the terms in the order
+// strategy, tenant anti-affinity, security posture, divided by the
+// weights' total, each product and sum rounded on its own (no fused
+// multiply-add), so a recorded Workload.Score is the same bit for bit on
+// every platform.
+const (
+	strategyWeight     = 1
+	antiAffinityWeight = 0.2
+	postureWeight      = 0.2
+	totalWeight        = strategyWeight + antiAffinityWeight + postureWeight
+)
 
-// ScoreFunc rates a feasible candidate in [0, 1] (higher is better).
-// Scorers must not allocate.
-type ScoreFunc func(req *Request, c *Candidate) float64
+// Engine is the filter -> score pipeline: filters exclude, capacity and
+// cordon (first veto wins); scorers strategy (weight 1),
+// tenant-anti-affinity (0.2) and security-posture (0.2). It holds no
+// state, so one engine — or the zero value — serves any number of
+// concurrent schedulers.
+type Engine struct{}
 
-// Filter is one named feasibility policy.
-type Filter struct {
-	Name string
-	Fn   FilterFunc
-}
-
-// Scorer is one named, weighted ranking policy.
-type Scorer struct {
-	Name   string
-	Weight float64
-	Fn     ScoreFunc
-}
-
-// Engine is the filter -> score pipeline. Build one with New (stock
-// policies) and extend it with AddFilter/AddScorer; the zero value is
-// valid but admits everything everywhere with score 0.
-//
-// Engines are immutable after construction as far as the decision path
-// is concerned: Feasible/Score/Select only read, so one engine may
-// serve concurrent schedulers. Add* calls are not synchronized —
-// finish plugging before scheduling.
-type Engine struct {
-	filters []Filter
-	scorers []Scorer
-}
-
-// New returns an engine with the stock policy pipeline: capacity and
-// cordon filters; strategy, tenant-anti-affinity, and security-posture
-// scorers.
-func New() *Engine {
-	e := &Engine{}
-	e.AddFilter(Filter{Name: "exclude", Fn: ExcludeFilter})
-	e.AddFilter(Filter{Name: "capacity", Fn: CapacityFilter})
-	e.AddFilter(Filter{Name: "cordon", Fn: CordonFilter})
-	e.AddScorer(Scorer{Name: "strategy", Weight: 1, Fn: StrategyScore})
-	e.AddScorer(Scorer{Name: "tenant-anti-affinity", Weight: 0.2, Fn: AntiAffinityScore})
-	e.AddScorer(Scorer{Name: "security-posture", Weight: 0.2, Fn: SecurityPostureScore})
-	return e
-}
-
-// AddFilter appends a feasibility policy.
-func (e *Engine) AddFilter(f Filter) { e.filters = append(e.filters, f) }
-
-// AddScorer appends a ranking policy.
-func (e *Engine) AddScorer(s Scorer) { e.scorers = append(e.scorers, s) }
+// New returns an engine.
+func New() *Engine { return &Engine{} }
 
 // Feasible runs the filter phase: "" means the candidate may host the
 // request, anything else is the first filter's rejection reason.
-func (e *Engine) Feasible(req *Request, c *Candidate) string {
-	for i := range e.filters {
-		if reason := e.filters[i].Fn(req, c); reason != "" {
-			return reason
-		}
+func (*Engine) Feasible(req *Request, c *Candidate) string { return veto(req, c) }
+
+// veto is Feasible's body.
+func veto(req *Request, c *Candidate) string {
+	switch {
+	case req.Exclude != "" && req.Exclude == c.Node:
+		// A drain must never migrate a workload onto its own source, even
+		// if the source's cordon was lifted mid-drain.
+		return "node excluded by request"
+	case !req.Demand.Fits(c.Capacity.Sub(c.Used)):
+		return "insufficient capacity"
+	case c.Cordoned:
+		// The node-lifecycle taint: cordon marks a node unschedulable
+		// ahead of maintenance or drain.
+		return "node cordoned"
 	}
 	return ""
 }
 
 // Score runs the scoring phase over a feasible candidate: the
 // weight-normalized sum of every scorer, in [0, 1].
-func (e *Engine) Score(req *Request, c *Candidate) float64 {
-	var sum, weights float64
-	for i := range e.scorers {
-		s := &e.scorers[i]
-		sum += s.Weight * s.Fn(req, c)
-		weights += s.Weight
+func (*Engine) Score(req *Request, c *Candidate) float64 {
+	return weightedSum(req, req.Strategy == StrategySpread, c) / totalWeight
+}
+
+// weightedSum is Score before the division by totalWeight.
+func weightedSum(req *Request, spread bool, c *Candidate) float64 {
+	// Strategy: binpack rewards high post-placement utilization, spread
+	// rewards low.
+	u := min(utilization(req, c), 1)
+	if spread {
+		u = 1 - u
 	}
-	if weights == 0 {
-		return 0
+	sum := float64(strategyWeight * u)
+	// Tenant anti-affinity prefers nodes not already hosting the tenant —
+	// but only under spread, where the point is that one node loss takes
+	// out as little of a tenant as possible. Under binpack it is neutral:
+	// density deliberately stacks a tenant.
+	affinity := 1.0
+	if spread {
+		affinity = inverse(c.TenantWorkloads)
 	}
-	return sum / weights
+	sum += float64(antiAffinityWeight * affinity)
+	// Security posture steers hard-isolation workloads away from nodes
+	// running shared VMs: a dedicated-VM workload on a node with no soft
+	// tenancy has no co-resident VM to be attacked from (the PEACH-style
+	// isolation review's preference). Soft workloads are indifferent.
+	posture := 1.0
+	if req.HardIsolation {
+		posture = inverse(c.SharedVMs)
+	}
+	return sum + float64(postureWeight*posture)
+}
+
+// inverses holds 1/(1+k) for the small counts the affinity and posture
+// scorers see, so a scan divides only for utilization.
+var inverses = func() (t [64]float64) {
+	for k := range t {
+		t[k] = 1 / (1 + float64(k))
+	}
+	return t
+}()
+
+// inverse returns 1/(1+k).
+func inverse(k int) float64 {
+	if uint(k) < uint(len(inverses)) {
+		return inverses[k]
+	}
+	return 1 / (1 + float64(k))
 }
 
 // Decision is Select's verdict: the winning candidate's index in the
@@ -203,23 +219,54 @@ type Decision struct {
 	Score float64
 }
 
-// Select runs the full pipeline over the candidates and returns the
-// best feasible one. Ties break toward the earlier candidate, so a
+// Scan is Select one candidate at a time — the single argmax behind
+// Select and behind a cluster's pass over its candidate table. Offer
+// every candidate in order, then read Best. A Scan never allocates.
+type Scan struct {
+	req    *Request
+	spread bool
+	best   Decision
+	// bestSum is the winner's weighted sum. Dividing by the positive
+	// totalWeight never reorders two sums, so a candidate whose sum is no
+	// larger cannot beat the winner's score and skips the division.
+	bestSum float64
+}
+
+// NewScan starts a scan for req.
+func (*Engine) NewScan(req *Request) Scan {
+	return Scan{req: req, spread: req.Strategy == StrategySpread, best: Decision{Index: -1}}
+}
+
+// Offer evaluates candidate i. Ties keep the earlier candidate, so a
+// name-ordered sequence decides ties by name.
+func (s *Scan) Offer(i int, c *Candidate) {
+	if veto(s.req, c) != "" {
+		return
+	}
+	sum := weightedSum(s.req, s.spread, c)
+	if s.best.Index >= 0 && sum <= s.bestSum {
+		return
+	}
+	if score := sum / totalWeight; s.best.Index < 0 || score > s.best.Score {
+		s.best = Decision{Index: i, Node: c.Node, Score: score}
+		s.bestSum = sum
+	}
+}
+
+// Best returns the winner so far; false when no candidate was feasible.
+func (s *Scan) Best() (Decision, bool) { return s.best, s.best.Index >= 0 }
+
+// Select runs the pipeline over the candidates and returns the best
+// feasible one. Ties break toward the earlier candidate, so a
 // name-sorted slice decides ties deterministically by name. The
 // boolean is false when no candidate is feasible. Select never
 // allocates.
 func (e *Engine) Select(req *Request, cands []Candidate) (Decision, bool) {
-	best := Decision{Index: -1}
+	s := e.NewScan(req)
 	for i := range cands {
-		c := &cands[i]
-		if e.Feasible(req, c) != "" {
-			continue
-		}
-		if s := e.Score(req, c); best.Index < 0 || s > best.Score {
-			best = Decision{Index: i, Node: c.Node, Score: s}
-		}
+		s.Offer(i, &cands[i])
 	}
-	return best, best.Index >= 0
+	return s.Best()
 }
 
 // NodeScore is one candidate's outcome in an Explain breakdown.
@@ -233,8 +280,7 @@ type NodeScore struct {
 }
 
 // Explain runs the pipeline and reports every candidate's outcome —
-// the allocating introspection surface behind failover audit scores
-// and `genioctl nodes -top`.
+// the allocating introspection surface behind `genioctl nodes -top`.
 func (e *Engine) Explain(req *Request, cands []Candidate) []NodeScore {
 	out := make([]NodeScore, 0, len(cands))
 	for i := range cands {
@@ -246,36 +292,6 @@ func (e *Engine) Explain(req *Request, cands []Candidate) []NodeScore {
 		out = append(out, NodeScore{Node: c.Node, Feasible: true, Score: e.Score(req, c)})
 	}
 	return out
-}
-
-// --- Stock policies ---------------------------------------------------------
-
-// ExcludeFilter vetoes the request's hard-excluded node (Request.
-// Exclude) — a drain must never migrate a workload onto its own source,
-// even if the source's cordon was lifted mid-drain.
-func ExcludeFilter(req *Request, c *Candidate) string {
-	if req.Exclude != "" && req.Exclude == c.Node {
-		return "node excluded by request"
-	}
-	return ""
-}
-
-// CapacityFilter vetoes candidates whose free capacity cannot host the
-// demand.
-func CapacityFilter(req *Request, c *Candidate) string {
-	if !req.Demand.Fits(c.Capacity.Sub(c.Used)) {
-		return "insufficient capacity"
-	}
-	return ""
-}
-
-// CordonFilter vetoes cordoned candidates — the node-lifecycle taint:
-// cordon marks a node unschedulable ahead of maintenance or drain.
-func CordonFilter(req *Request, c *Candidate) string {
-	if c.Cordoned {
-		return "node cordoned"
-	}
-	return ""
 }
 
 // utilization is the candidate's post-placement utilization fraction:
@@ -290,43 +306,5 @@ func utilization(req *Request, c *Candidate) float64 {
 	if c.Capacity.MemoryMB > 0 {
 		mem = float64(after.MemoryMB) / float64(c.Capacity.MemoryMB)
 	}
-	if cpu > mem {
-		return cpu
-	}
-	return mem
-}
-
-// StrategyScore is the directional scorer: binpack rewards high
-// post-placement utilization, spread rewards low.
-func StrategyScore(req *Request, c *Candidate) float64 {
-	u := utilization(req, c)
-	if u > 1 {
-		u = 1
-	}
-	if req.Strategy == StrategySpread {
-		return 1 - u
-	}
-	return u
-}
-
-// AntiAffinityScore prefers nodes not already hosting the requesting
-// tenant — but only under spread, where the point is that one node
-// loss should take out as little of a tenant as possible. Under
-// binpack it is neutral: density deliberately stacks a tenant.
-func AntiAffinityScore(req *Request, c *Candidate) float64 {
-	if req.Strategy != StrategySpread {
-		return 1
-	}
-	return 1 / (1 + float64(c.TenantWorkloads))
-}
-
-// SecurityPostureScore steers hard-isolation workloads away from nodes
-// running shared VMs: a dedicated-VM workload on a node with no soft
-// tenancy has no co-resident VM to be attacked from (the PEACH-style
-// isolation review's preference). Soft workloads are indifferent.
-func SecurityPostureScore(req *Request, c *Candidate) float64 {
-	if !req.HardIsolation {
-		return 1
-	}
-	return 1 / (1 + float64(c.SharedVMs))
+	return max(cpu, mem)
 }

@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -168,22 +170,6 @@ func TestExplainReportsEveryCandidate(t *testing.T) {
 	}
 }
 
-func TestPluggablePolicies(t *testing.T) {
-	e := New()
-	e.AddFilter(Filter{Name: "no-onyx", Fn: func(_ *Request, c *Candidate) string {
-		if c.Node == "onyx" {
-			return "banned"
-		}
-		return ""
-	}})
-	cands := []Candidate{cand("onyx", 1000, 900), cand("opal", 1000, 100)}
-	r := req(StrategyBinpack)
-	d, ok := e.Select(&r, cands)
-	if !ok || d.Node != "opal" {
-		t.Fatalf("custom filter ignored: %+v", d)
-	}
-}
-
 // TestSelectZeroAllocs pins the engine's central perf property: a full
 // filter -> score pass over a large fleet allocates nothing, so the
 // deploy hot path scales O(nodes) with zero garbage. The satellite
@@ -212,4 +198,94 @@ func TestSelectZeroAllocs(t *testing.T) {
 // test setup cost stays trivial).
 func nodeName(i int) string {
 	return "node-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
+}
+
+// referenceScore is the scoring pipeline written out term by term as
+// the engine's documentation states it: every scorer's weighted term
+// rounded on its own, summed in order, divided by the weights' total.
+func referenceScore(r *Request, c *Candidate) float64 {
+	after := c.Used.Add(r.Demand)
+	var cpu, mem float64
+	if c.Capacity.CPUMilli > 0 {
+		cpu = float64(after.CPUMilli) / float64(c.Capacity.CPUMilli)
+	}
+	if c.Capacity.MemoryMB > 0 {
+		mem = float64(after.MemoryMB) / float64(c.Capacity.MemoryMB)
+	}
+	u := mem
+	if cpu > mem {
+		u = cpu
+	}
+	if u > 1 {
+		u = 1
+	}
+	strategy, affinity, posture := u, 1.0, 1.0
+	if r.Strategy == StrategySpread {
+		strategy = 1 - u
+		affinity = 1 / (1 + float64(c.TenantWorkloads))
+	}
+	if r.HardIsolation {
+		posture = 1 / (1 + float64(c.SharedVMs))
+	}
+	weights := []float64{1, 0.2, 0.2}
+	terms := []float64{strategy, affinity, posture}
+	var sum, total float64
+	for i := range terms {
+		sum += float64(weights[i] * terms[i])
+		total += weights[i]
+	}
+	return sum / total
+}
+
+// TestScanMatchesReference holds the fused pass to the plain pipeline on
+// seeded random fleets full of ties: Score equals the reference bit for
+// bit (tenant and VM counts past the inverse table included), and Select
+// picks the first candidate with the highest reference score — the skip
+// of the division for candidates whose sum cannot win never changes the
+// winner.
+func TestScanMatchesReference(t *testing.T) {
+	e := New()
+	// Two sums one ulp apart (0.49999999999999994 and 0.5) that divide to
+	// the same score: the earlier candidate must keep the win.
+	a, b := cand("a", 1000, 700), cand("b", 1000, 800)
+	a.TenantWorkloads = 1
+	r := req(StrategySpread)
+	if weightedSum(&r, true, &a) >= weightedSum(&r, true, &b) || e.Score(&r, &a) != e.Score(&r, &b) {
+		t.Fatal("fixture is no longer a one-ulp tie")
+	}
+	if d, _ := e.Select(&r, []Candidate{a, b}); d.Node != "a" {
+		t.Fatalf("one-ulp tie picked %s, want the earlier a", d.Node)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 2000; round++ {
+		cands := make([]Candidate, 1+rng.Intn(40))
+		for i := range cands {
+			capacity := 1000 * (1 + rng.Intn(4))
+			cands[i] = cand(nodeName(i), capacity, 100*rng.Intn(capacity/100+1))
+			cands[i].Used.MemoryMB = 100 * rng.Intn(capacity/100+1)
+			cands[i].Cordoned = rng.Intn(10) == 0
+			cands[i].TenantWorkloads = rng.Intn(3) + 70*rng.Intn(2)
+			cands[i].SharedVMs = rng.Intn(3) + 70*rng.Intn(2)
+		}
+		r := req([]Strategy{StrategyBinpack, StrategySpread}[rng.Intn(2)])
+		r.HardIsolation = rng.Intn(2) == 0
+		want := Decision{Index: -1}
+		for i := range cands {
+			c := &cands[i]
+			if e.Feasible(&r, c) != "" {
+				continue
+			}
+			ref := referenceScore(&r, c)
+			if got := e.Score(&r, c); math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("round %d: Score(%+v) = %v, reference %v", round, *c, got, ref)
+			}
+			if want.Index < 0 || ref > want.Score {
+				want = Decision{Index: i, Node: c.Node, Score: ref}
+			}
+		}
+		got, ok := e.Select(&r, cands)
+		if ok != (want.Index >= 0) || got != want {
+			t.Fatalf("round %d: Select = %+v, %v; want %+v", round, got, ok, want)
+		}
+	}
 }

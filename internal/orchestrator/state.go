@@ -153,9 +153,7 @@ func (c *Cluster) ExportState() ClusterState {
 	c.mu.RLock()
 	st := ClusterState{VMSeq: c.vmSeq.Load()}
 	for _, n := range c.candidates { // name-sorted by construction
-		n.mu.Lock()
-		st.Nodes = append(st.Nodes, NodeState{Name: n.name, Capacity: n.capacity, Cordoned: n.cordoned})
-		n.mu.Unlock()
+		st.Nodes = append(st.Nodes, NodeState{Name: n.name, Capacity: n.capacity, Cordoned: n.cordoned.Load()})
 	}
 	st.Workloads = make([]Workload, 0, len(c.workloads))
 	for _, w := range c.workloads {
@@ -195,8 +193,9 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	c.warm.Reset()
 	c.nodes = make(map[string]*node, len(st.Nodes))
 	for _, ns := range st.Nodes {
-		c.nodes[ns.Name] = &node{name: ns.Name, capacity: ns.Capacity, cordoned: ns.Cordoned,
-			vms: make(map[string]*VM), tenants: make(map[string]int)}
+		n := newNode(ns.Name, ns.Capacity, len(c.tenantIDs))
+		n.cordoned.Store(ns.Cordoned)
+		c.nodes[ns.Name] = n
 	}
 	c.workloads = make(map[string]*Workload, len(st.Workloads))
 	c.tenantUsed = make(map[string]Resources)
@@ -212,16 +211,13 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 		}
 		c.workloads[w.Spec.Name] = &w
 		c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Add(w.Spec.Resources)
-		n.used = n.used.Add(w.Spec.Resources)
-		n.tenants[w.Spec.Tenant]++
+		n.used.add(w.Spec.Resources)
+		n.countLocked(c.internLocked(w.Spec.Tenant), 1)
 		vm := n.vms[w.VMID]
 		if vm == nil {
 			vm = &VM{ID: w.VMID, Node: w.Node, Tenant: w.Spec.Tenant,
 				Dedicated: w.Spec.Isolation == IsolationHard}
-			n.vms[w.VMID] = vm
-			if !vm.Dedicated {
-				n.sharedVMs++
-			}
+			n.addVMLocked(vm)
 		}
 		vm.Workloads = append(vm.Workloads, w.Spec.Name)
 		if seq, ok := parseVMSeq(w.VMID); ok && seq > maxVM {

@@ -33,7 +33,7 @@ package orchestrator
 //
 // Ownership: removing a slot from the pool is the linearization point.
 // Whoever removes it (claim, evict, flush) owns — and must settle — the
-// node-side capacity reservation. n.used is adjusted under n.mu only.
+// node-side capacity reservation. n.used is written under n.mu only.
 //
 // Every transition is published through the WarmEventSink (outside all
 // locks) as slot.hit / slot.miss / slot.evict / slot.flush.
@@ -244,8 +244,8 @@ func (c *Cluster) claimWarmLocked(spec WorkloadSpec, img *container.Image, diges
 			continue
 		}
 		n.mu.Lock()
-		if n.cordoned {
-			n.used = n.used.Sub(s.Res)
+		if n.cordoned.Load() {
+			n.used.sub(s.Res)
 			n.mu.Unlock()
 			c.warm.RecordEvict(1)
 			evs = append(evs, warmEvictEvent(s, "revalidation"))
@@ -253,11 +253,8 @@ func (c *Cluster) claimWarmLocked(spec WorkloadSpec, img *container.Image, diges
 		}
 		vm := &VM{ID: s.VMID, Node: s.Node, Tenant: s.Tenant,
 			Dedicated: s.Dedicated, Workloads: []string{spec.Name}}
-		n.vms[vm.ID] = vm
-		if !vm.Dedicated {
-			n.sharedVMs++
-		}
-		n.tenants[spec.Tenant]++
+		n.addVMLocked(vm)
+		n.countLocked(c.tenantIDs[spec.Tenant], 1)
 		n.mu.Unlock()
 		c.warm.BindClaim(spec.Name, s)
 		w := &Workload{Spec: spec, Image: img, Node: s.Node, VMID: s.VMID,
@@ -308,19 +305,12 @@ func (c *Cluster) parkOnStopLocked(w *Workload, evs *[]WarmEvent) bool {
 	name := w.Spec.Name
 	n.mu.Lock()
 	vm := n.vms[w.VMID]
-	if n.cordoned || vm == nil || len(vm.Workloads) != 1 || vm.Workloads[0] != name {
+	if n.cordoned.Load() || vm == nil || len(vm.Workloads) != 1 || vm.Workloads[0] != name {
 		n.mu.Unlock()
 		return false
 	}
-	if n.tenants[w.Spec.Tenant] > 1 {
-		n.tenants[w.Spec.Tenant]--
-	} else {
-		delete(n.tenants, w.Spec.Tenant)
-	}
-	delete(n.vms, w.VMID)
-	if !vm.Dedicated {
-		n.sharedVMs--
-	}
+	n.countLocked(c.tenantIDs[w.Spec.Tenant], -1)
+	n.dropVMLocked(vm)
 	n.mu.Unlock()
 	// Pool insertion happens outside n.mu (pool methods are never nested
 	// inside node locks); c.mu (write) makes park-then-evict atomic
@@ -330,7 +320,7 @@ func (c *Cluster) parkOnStopLocked(w *Workload, evs *[]WarmEvent) bool {
 		Dedicated: vm.Dedicated, IdleSinceMs: c.nowMs()})
 	high, low := c.warmWatermarks()
 	n.mu.Lock()
-	over := exceedsPct(n.used, n.capacity, high)
+	over := exceedsPct(n.used.load(), n.capacity, high)
 	n.mu.Unlock()
 	for over {
 		s := c.warm.EvictLRU(n.name)
@@ -338,8 +328,8 @@ func (c *Cluster) parkOnStopLocked(w *Workload, evs *[]WarmEvent) bool {
 			break // nothing left to evict; the usage is all real workloads
 		}
 		n.mu.Lock()
-		n.used = n.used.Sub(s.Res)
-		over = exceedsPct(n.used, n.capacity, low)
+		n.used.sub(s.Res)
+		over = exceedsPct(n.used.load(), n.capacity, low)
 		n.mu.Unlock()
 		*evs = append(*evs, warmEvictEvent(s, "watermark"))
 	}
@@ -358,7 +348,7 @@ func (c *Cluster) flushWarmNode(n *node, reason string) []WarmEvent {
 	}
 	n.mu.Lock()
 	for _, s := range slots {
-		n.used = n.used.Sub(s.Res)
+		n.used.sub(s.Res)
 	}
 	n.mu.Unlock()
 	return []WarmEvent{{Kind: WarmFlush, Node: n.name, Count: len(slots), Reason: reason}}
@@ -377,7 +367,7 @@ func (c *Cluster) reclaimWarmLocked() []WarmEvent {
 		}
 		if n, alive := c.nodes[s.Node]; alive {
 			n.mu.Lock()
-			n.used = n.used.Sub(s.Res)
+			n.used.sub(s.Res)
 			n.mu.Unlock()
 		}
 		evs = append(evs, warmEvictEvent(s, "pressure"))
@@ -394,7 +384,7 @@ func (c *Cluster) FlushWarmSlots(reason string) {
 	for _, s := range c.warm.FlushAll() {
 		if n, alive := c.nodes[s.Node]; alive {
 			n.mu.Lock()
-			n.used = n.used.Sub(s.Res)
+			n.used.sub(s.Res)
 			n.mu.Unlock()
 		}
 		perNode[s.Node]++
