@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzVerify -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzDecodeWireError -fuzztime=15s ./api/
+	$(GO) test -fuzz=FuzzWALRecover -fuzztime=15s ./internal/persist/
 
 # loc prints the number each simplicity round is judged on: tracked
 # non-test Go outside the benchmark module, comments and blank lines
@@ -79,8 +80,8 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
-# the replay gate, the federation, onboarding, watch and candidate-table
-# storms and the bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that
+# the replay gate, the federation, onboarding, scan-once, watch and
+# candidate-table storms and the bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that
 # only holds on one core cannot pass.
 cores:
 	for n in 1 2 4; do \
@@ -89,6 +90,7 @@ cores:
 		GOMAXPROCS=$$n $(MAKE) sim && \
 		GOMAXPROCS=$$n $(GO) test -race -count=20 -run 'Evacuate|Remove|Storm' ./internal/federation && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Onboard|NodeProvisioning' ./internal/core && \
+		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'ScanOnce|FederatedVerdict' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog' ./internal/core ./api/server && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|ScanTakesNoNodeLock' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \

@@ -210,7 +210,7 @@ type Platform struct {
 	// Federation state (see federation.go). Federation is nil unless
 	// WithFederation was given; fedClusters lists every member cluster
 	// (the default cluster first) for fan-out operations that must hit
-	// all of them (scanner registration, quota defaults).
+	// all of them (quota defaults, node verbs).
 	Federation  *federation.Federation
 	fedMembers  []FederationMember
 	fedClusters []*orchestrator.Cluster
@@ -280,9 +280,7 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		}
 	}
 	if cfg.AdmissionScanning {
-		for _, c := range p.allClusters() {
-			registerScanners(c)
-		}
+		registerScanners(p.Cluster)
 	}
 	if p.store != nil {
 		// Recover BEFORE installing the mutation sink, so the import is
@@ -295,13 +293,13 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 	return p, nil
 }
 
-// registerScanners wires the M13/M14/M16 gates into one cluster's
-// admission chain — federated platforms get a scanner instance per member,
-// and since the verdict cache is per-cluster each site warms its own.
+// registerScanners wires the M13/M14/M16 gates into the platform's one
+// admission chain — federation members share it, so a platform holds one
+// scanner set and one verdict cache however many members it has.
 // Every gate's verdict depends only on the image content, so all
-// register cacheable: a clean image scanned once deploys across the whole
-// fleet without re-scanning, while rejections always re-run (and
-// re-report). Every gate is context-aware — a cancelled deployment's
+// register cacheable: a clean image scanned once deploys across every
+// member and node without re-scanning, while rejections always re-run
+// (and re-report). Every gate is context-aware — a cancelled deployment's
 // scanners abandon their scan between files — and pure: it returns its
 // verdict and records nothing; recordAdmissionIncidents turns the final
 // verdict into incidents.

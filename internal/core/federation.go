@@ -3,11 +3,16 @@
 // named clusters (regions / sites) routed through internal/federation's
 // region-filter → consistent-hash-ring → per-cluster-scheduler
 // hierarchy. The default cluster becomes the first federation member
-// and keeps every platform-level attachment (durable store, far-edge
-// admission, warm events); the other members are peer clusters sharing the
-// platform's registry, RBAC engine, audit spine, and admission
-// scanners. Federation membership and tenant pins are boot
-// configuration, not durable state — only the first member persists.
+// and keeps the platform-level attachments (durable store, far-edge
+// admission); the other members are its peers (orchestrator's NewPeer),
+// sharing the platform's registry, RBAC engine, audit and warm-event
+// spine — and one admission chain: a verdict is a function of the image,
+// so the scanners, the clean-verdict cache and the in-flight scan table
+// are platform-wide and a digest is scanned once whichever member the
+// ring picks, while scheduling and quotas stay per member. Every fresh
+// verdict is logged through the default member's store sink, but only
+// that member's placements persist. Federation membership and tenant
+// pins are boot configuration, not durable state.
 package core
 
 import (
@@ -37,8 +42,9 @@ func WithFederation(members ...FederationMember) Option {
 }
 
 // initFederation builds the federation from p.fedMembers. Called from
-// New after options and clock wiring, before scanner registration (the
-// scanners must land on every member).
+// New after options and clock wiring; the members after the first are
+// peers of the default cluster, so the scanners New registers on it gate
+// them all.
 func (p *Platform) initFederation() error {
 	fed := federation.New(p.Registry)
 	fed.SetAuditSink(p.publishAudit)
@@ -54,14 +60,7 @@ func (p *Platform) initFederation() error {
 			p.Cluster.Name = m.Name
 			c = p.Cluster
 		} else {
-			c = orchestrator.NewCluster(m.Name, p.Registry, p.Cluster.Settings)
-			c.VerifyImageSignatures = p.Config.VerifyImageSignatures
-			c.RBAC = p.RBAC
-			c.SetAuditSink(p.publishAudit)
-			c.SetWarmEventSink(p.publishWarmEvent)
-			if p.now != nil {
-				c.SetClock(p.now)
-			}
+			c = p.Cluster.NewPeer(m.Name)
 		}
 		if err := fed.AddCluster(m.Name, m.Region, c); err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 // the ring passes a deploy to the next position. 125% is the classic
 // consistent-hashing-with-bounded-loads setting — tight enough that a
 // hot (tenant, image) key cannot swamp its home cluster, loose enough
-// that routing stays sticky for warm slots and verdict caches.
+// that routing stays sticky for warm slots.
 const DefaultLoadFactorPct = 125
 
 // Placement records where a federated deploy landed.

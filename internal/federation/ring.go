@@ -6,7 +6,7 @@
 // existing per-cluster filter/score scheduler, which stays untouched.
 //
 // The ring gives every (tenant, image) pair a stable home cluster — so
-// warm slots and verdict caches concentrate where repeat deploys land —
+// warm slots concentrate where repeat deploys land —
 // while the bounded-load rule keeps any single cluster from absorbing a
 // hot key: a cluster already past its load bound passes the deploy to
 // the next ring position. Membership changes move only the minimal key

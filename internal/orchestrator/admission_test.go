@@ -112,6 +112,74 @@ func TestAdmissionCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestPeerSharesAdmissionChain: a peer admits through its origin's chain
+// — a controller registered on either gates both, a digest scanned on one
+// is cached for the other, and the verdict is logged once, through the
+// origin's mutation sink — while placement state and the verdict-cache
+// switch stay per cluster.
+func TestPeerSharesAdmissionChain(t *testing.T) {
+	home, _ := testCluster(t, Settings{})
+	peer := home.NewPeer("peer")
+	peer.AddNode("peer-01", Resources{CPUMilli: 4000, MemoryMB: 8192})
+	var homeVerdicts, peerVerdicts atomic.Int64
+	home.SetMutationSink(func(m Mutation) {
+		if m.Kind == MutVerdict {
+			homeVerdicts.Add(1)
+		}
+	})
+	peer.SetMutationSink(func(m Mutation) {
+		if m.Kind == MutVerdict {
+			peerVerdicts.Add(1)
+		}
+	})
+	var runs atomic.Int64
+	peer.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {
+		runs.Add(1)
+		return nil
+	})
+	home.RegisterAdmissionCtx("no-miners", func(_ context.Context, s WorkloadSpec, _ *container.Image) error {
+		if s.ImageRef == "freestuff/optimizer:latest" {
+			return errors.New("miner")
+		}
+		return nil
+	})
+
+	for _, c := range []*Cluster{peer, home, peer} {
+		name := fmt.Sprintf("w-%s-%d", c.Name, c.WorkloadCount())
+		if _, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+			t.Fatalf("deploy %s: %v", name, err)
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("counter ran %d times for one digest across two clusters, want 1", got)
+	}
+	if got, want := homeVerdicts.Load(), int64(1); got != want || peerVerdicts.Load() != 0 {
+		t.Fatalf("verdicts logged: home %d, peer %d; want %d on home only", got, peerVerdicts.Load(), want)
+	}
+	if home.AdmissionCacheSize() != 1 || peer.AdmissionCacheSize() != 1 {
+		t.Fatalf("cache sizes home %d, peer %d; want the one shared entry", home.AdmissionCacheSize(), peer.AdmissionCacheSize())
+	}
+	if _, err := peer.DeployContext(context.Background(), "ops", spec("m", "acme", "freestuff/optimizer:latest", IsolationSoft)); !errors.Is(err, ErrDenied) {
+		t.Fatalf("peer deploy of a miner = %v, want the home-registered controller's ErrDenied", err)
+	}
+	if home.WorkloadCount() != 1 || peer.WorkloadCount() != 2 {
+		t.Fatalf("workloads home %d, peer %d; want 1 and 2", home.WorkloadCount(), peer.WorkloadCount())
+	}
+
+	peer.AdmissionCacheDisabled = true
+	if _, err := peer.DeployContext(context.Background(), "ops", spec("cold", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := home.DeployContext(context.Background(), "ops", spec("warm", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		t.Fatal(err)
+	}
+	// Runs so far: analytics once, the miner once; then one cold run on
+	// the peer while the home still reads the cache.
+	if got := runs.Load(); got != 3 {
+		t.Fatalf("counter ran %d times, want 3", got)
+	}
+}
+
 // TestConcurrentDuplicateNameOneWinner races N deploys of the same
 // workload name; exactly one may win.
 func TestConcurrentDuplicateNameOneWinner(t *testing.T) {
@@ -307,6 +375,60 @@ func TestAdmissionSingleflightSharesRejection(t *testing.T) {
 	}
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("scanner ran %d times after retry, want 2 (rejections are never cached)", got)
+	}
+}
+
+// TestAdmissionLateArrivalAdoptsUncommittedVerdict closes the window
+// between a leader's scan and its commit: the verdict is committed only
+// after the leader's whole chain has run, and a deploy of the same digest
+// arriving in between — here while a later controller holds the leader —
+// adopts the published verdict instead of scanning again. If the
+// leader's run is then cancelled it commits nothing, and the adopter
+// commits the verdict itself.
+func TestAdmissionLateArrivalAdoptsUncommittedVerdict(t *testing.T) {
+	c, _ := testCluster(t, Settings{})
+	var runs, logged atomic.Int64
+	c.SetMutationSink(func(m Mutation) {
+		if m.Kind == MutVerdict {
+			logged.Add(1)
+		}
+	})
+	c.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {
+		runs.Add(1)
+		return nil
+	})
+	held := make(chan struct{})
+	c.RegisterAdmissionCtx("hold-first", func(ctx context.Context, s WorkloadSpec, _ *container.Image) error {
+		if s.Name != "first" {
+			return nil
+		}
+		close(held)
+		<-ctx.Done()
+		return ctx.Err()
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := c.DeployContext(ctx, "ops", spec("first", "acme", "acme/analytics:2.0.1", IsolationSoft))
+		firstErr <- err
+	}()
+	<-held // the counter ran clean for "first"; nothing is committed yet
+	if _, err := c.DeployContext(context.Background(), "ops", spec("second", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+		t.Fatalf("second deploy: %v", err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("counter ran %d times, want 1: the late arrival re-scanned", got)
+	}
+	cancel()
+	if err := <-firstErr; !errors.Is(err, ErrCancelled) {
+		t.Fatalf("first deploy err = %v, want ErrCancelled", err)
+	}
+	if got := c.AdmissionCacheSize(); got != 1 || logged.Load() != 1 {
+		t.Fatalf("cache %d entries, %d verdicts logged; want the adopter's one of each", got, logged.Load())
+	}
+	if _, err := c.DeployContext(context.Background(), "ops", spec("third", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil || runs.Load() != 1 {
+		t.Fatalf("third deploy: err %v, counter ran %d times; want a cache hit", err, runs.Load())
 	}
 }
 

@@ -219,10 +219,7 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// traffic lands on the node, the newcomers are the operator's
 	// choice, not ours to chase — and the bound guarantees termination
 	// under sustained deploys.
-	initial := make(map[string]bool)
-	for _, wl := range c.workloadsOn(name) {
-		initial[wl] = true
-	}
+	initial := &drainCursor{names: c.workloadsOn(name)}
 	res := &DrainResult{Node: name}
 	// isCurrent verifies the node object we are draining is still the
 	// one the name maps to: a node that failed (and possibly rejoined
@@ -269,7 +266,10 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 		// even if ctx just died: the evacuation is done, and reporting
 		// it cancelled would roll back the cordon on a node the operator
 		// must keep fenced.
-		if !c.hasInitialOn(name, initial) {
+		c.mu.RLock()
+		empty := c.nextVictimLocked(name, initial) == nil
+		c.mu.RUnlock()
+		if empty {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -344,8 +344,42 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	return res, nil
 }
 
-// migrateNext moves the lowest-named workload of the drain's initial
-// set off the node in one atomic step under the cluster write lock:
+// drainCursor walks a drain's initial workload set, name-sorted, so
+// finding the next victim costs the names it skips rather than a pass
+// over every workload in the cluster. Names before next have been
+// migrated or were off the node when the cursor passed them; swept
+// records that the cursor has already gone back once to pick up an
+// initial workload that returned to the node behind it (stopped and
+// redeployed there after an uncordon).
+type drainCursor struct {
+	names []string
+	next  int
+	swept bool
+}
+
+// nextVictimLocked returns the drain's next victim — the first initial
+// workload at or after the cursor still on the node, then, once, the
+// first from the start — or nil when the initial set is clear. The
+// cursor stays on the returned name, so asking again before it moves
+// returns it again. Callers hold c.mu (read or write).
+func (c *Cluster) nextVictimLocked(node string, cur *drainCursor) *Workload {
+	for {
+		for ; cur.next < len(cur.names); cur.next++ {
+			if w, ok := c.workloads[cur.names[cur.next]]; ok && w.Node == node {
+				return w
+			}
+		}
+		if cur.swept {
+			return nil
+		}
+		cur.swept, cur.next = true, 0
+	}
+}
+
+// migrateNext moves the drain's next victim (see nextVictimLocked) — the
+// lowest-named initial workload still on the node, returners behind the
+// cursor last — off the node in one atomic step under the cluster write
+// lock:
 // schedule on the rest of the fleet (the node is cordoned, so the
 // scheduler excludes it), rewrite the live workload, release the
 // source placement. gone reports that the name no longer maps to own —
@@ -353,21 +387,13 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 // there is nothing of ours left to migrate. Returns (nil, false, nil)
 // when the initial set is clear, a *DrainError when the next workload
 // fits nowhere.
-func (c *Cluster) migrateNext(name string, own *node, initial map[string]bool) (moved *movedWorkload, warmEvs []WarmEvent, gone bool, derr *DrainError) {
+func (c *Cluster) migrateNext(name string, own *node, initial *drainCursor) (moved *movedWorkload, warmEvs []WarmEvent, gone bool, derr *DrainError) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.nodes[name] != own {
 		return nil, nil, true, nil
 	}
-	var w *Workload
-	for _, cand := range c.workloads {
-		if cand.Node != name || !initial[cand.Spec.Name] {
-			continue
-		}
-		if w == nil || cand.Spec.Name < w.Spec.Name {
-			w = cand
-		}
-	}
+	w := c.nextVictimLocked(name, initial)
 	if w == nil {
 		return nil, nil, false, nil
 	}
@@ -415,17 +441,4 @@ func (c *Cluster) workloadsOn(name string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// hasInitialOn reports whether any of the drain's initial workload set
-// still runs on the node.
-func (c *Cluster) hasInitialOn(name string, initial map[string]bool) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, w := range c.workloads {
-		if w.Node == name && initial[w.Spec.Name] {
-			return true
-		}
-	}
-	return false
 }

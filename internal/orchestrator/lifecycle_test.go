@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -699,6 +700,58 @@ func TestDrainBoundedToInitialSet(t *testing.T) {
 	nc, ok := c.Workload("newcomer")
 	if !ok || nc.Node != "olt-01" {
 		t.Fatalf("newcomer = %+v; the drain must not chase post-cordon arrivals", nc)
+	}
+	checkAccounting(t, c, "acme")
+}
+
+// TestDrainVictimOrder pins the drain's victim order while the node's
+// workload set changes under it: the lowest-named initial workload still
+// on the node goes first, one stopped mid-drain is skipped, and one
+// stopped and redeployed onto the node after an uncordon — behind the
+// cursor — is picked up by the final pass instead of left behind.
+func TestDrainVictimOrder(t *testing.T) {
+	c := quadCluster(t, Settings{})
+	for i := 0; i < 5; i++ {
+		if _, err := c.DeployContext(context.Background(), "ops", policySpec(fmt.Sprintf("w%d", i), "acme", "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.workloadsOn("olt-01"); len(got) != 5 {
+		t.Fatalf("fixture: olt-01 holds %v, want all five (binpack)", got)
+	}
+	res, err := c.DrainObserved(context.Background(), "olt-01", func(ev DrainEvent) {
+		if ev.Phase != DrainMigrated || ev.Workload != "w1" {
+			return
+		}
+		// w2 is still on the node, ahead of the cursor: stop it.
+		if err := c.Stop("w2"); err != nil {
+			t.Errorf("stop w2: %v", err)
+		}
+		// w0 already moved, behind the cursor: bring it back to the node.
+		if err := c.Stop("w0"); err != nil {
+			t.Errorf("stop w0: %v", err)
+		}
+		if err := c.Uncordon("olt-01"); err != nil {
+			t.Errorf("uncordon: %v", err)
+		}
+		w, err := c.DeployContext(context.Background(), "ops", policySpec("w0", "acme", ""))
+		if err != nil {
+			t.Errorf("redeploy w0: %v", err)
+		} else if w.Node != "olt-01" {
+			t.Errorf("fixture: w0 redeployed onto %s, want the reopened olt-01", w.Node)
+		}
+	})
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if want := []string{"w0", "w1", "w3", "w4", "w0"}; !slices.Equal(res.Migrated, want) {
+		t.Fatalf("migrated %v, want %v", res.Migrated, want)
+	}
+	if len(res.Remaining) != 0 {
+		t.Fatalf("remaining %v, want none", res.Remaining)
+	}
+	if _, ok := c.Workload("w2"); ok {
+		t.Fatal("stopped w2 came back")
 	}
 	checkAccounting(t, c, "acme")
 }

@@ -382,15 +382,10 @@ type Cluster struct {
 	quotas     map[string]Resources
 	tenantUsed map[string]Resources
 
-	admMu     sync.RWMutex
-	admission []namedAdmission
-	admCache  sync.Map // "controller\x00imageDigest" -> struct{} (clean verdicts only)
-	// admFlight collapses concurrent identical cacheable scans: the
-	// first deploy of a digest leads the scan, simultaneous deploys of
-	// the same digest wait on its verdict instead of re-running the
-	// scanner (see runSharedScan).
-	admFlightMu sync.Mutex
-	admFlight   map[string]*admFlightCall
+	// adm is the admission chain with its verdict cache and in-flight
+	// scan table (admission.go) — this cluster's own, or one shared with
+	// the cluster it was made a peer of.
+	adm *admissionChain
 
 	// clock, when set, timestamps placements and failovers. Injected by
 	// simulations (a deterministic virtual clock) and left nil in
@@ -418,17 +413,10 @@ type Cluster struct {
 	rejected atomic.Int64
 }
 
-type namedAdmission struct {
-	name string
-	fn   AdmissionCheck
-	// cacheable marks controllers whose verdict depends only on the image
-	// content, letting clean verdicts be cached by digest.
-	cacheable bool
-}
-
-// NewCluster creates a cluster backed by the given registry.
+// NewCluster creates a cluster backed by the given registry, with a
+// fresh admission chain of its own.
 func NewCluster(name string, reg *container.Registry, settings Settings) *Cluster {
-	return &Cluster{
+	c := &Cluster{
 		Name:       name,
 		Settings:   settings,
 		Registry:   reg,
@@ -439,8 +427,29 @@ func NewCluster(name string, reg *container.Registry, settings Settings) *Cluste
 		quotas:     make(map[string]Resources),
 		tenantUsed: make(map[string]Resources),
 		warm:       warmpool.New(),
-		admFlight:  make(map[string]*admFlightCall),
 	}
+	c.adm = &admissionChain{home: c, flight: make(map[string]*admFlightCall)}
+	return c
+}
+
+// NewPeer creates an empty cluster that admits through c's admission
+// chain — the same controllers, verdict cache and in-flight scans, so an
+// image is scanned once for both — and carries over c's registry,
+// settings, signature and verdict-cache policy, RBAC engine, clock and
+// audit and warm-event sinks. Nodes, workloads, quotas and the warm pool
+// are its own. The mutation sink is not carried over: the peer's
+// placements are not logged, while the verdicts its deploys commit are,
+// through c's sink.
+func (c *Cluster) NewPeer(name string) *Cluster {
+	p := NewCluster(name, c.Registry, c.Settings)
+	p.adm = c.adm
+	p.RBAC = c.RBAC
+	p.VerifyImageSignatures = c.VerifyImageSignatures
+	p.AdmissionCacheDisabled = c.AdmissionCacheDisabled
+	p.clock.Store(c.clock.Load())
+	p.audit.Store(c.audit.Load())
+	p.warmEvents.Store(c.warmEvents.Load())
+	return p
 }
 
 // engine is the placement pipeline every consumer (deploy, failover,

@@ -236,7 +236,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	c.vmSeq.Store(maxVM)
 	c.rebuildCandidatesLocked()
 	for _, k := range st.Verdicts {
-		c.admCache.Store(k, struct{}{})
+		c.adm.cache.Store(k, struct{}{})
 	}
 }
 
@@ -251,10 +251,11 @@ func (c *Cluster) HasNode(name string) bool {
 	return ok
 }
 
-// VerdictKeys returns the clean admission-verdict cache keys, sorted.
+// VerdictKeys returns the clean admission-verdict cache keys, sorted —
+// the keys of the chain's one cache, shared with every peer.
 func (c *Cluster) VerdictKeys() []string {
 	var keys []string
-	c.admCache.Range(func(k, _ any) bool {
+	c.adm.cache.Range(func(k, _ any) bool {
 		if s, ok := k.(string); ok {
 			keys = append(keys, s)
 		}

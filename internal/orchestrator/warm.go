@@ -166,15 +166,15 @@ func (c *Cluster) deployDigest(img *container.Image) string {
 	if c.AdmissionCacheDisabled {
 		return ""
 	}
-	c.admMu.RLock()
+	c.adm.mu.RLock()
 	cacheable := false
-	for _, a := range c.admission {
+	for _, a := range c.adm.checks {
 		if a.cacheable {
 			cacheable = true
 			break
 		}
 	}
-	c.admMu.RUnlock()
+	c.adm.mu.RUnlock()
 	if !cacheable {
 		return ""
 	}
@@ -191,13 +191,13 @@ func (c *Cluster) verdictsStillClean(digest string) bool {
 	if c.AdmissionCacheDisabled {
 		return false
 	}
-	c.admMu.RLock()
-	defer c.admMu.RUnlock()
-	for _, a := range c.admission {
+	c.adm.mu.RLock()
+	defer c.adm.mu.RUnlock()
+	for _, a := range c.adm.checks {
 		if !a.cacheable {
 			continue
 		}
-		if _, ok := c.admCache.Load(a.name + "\x00" + digest); !ok {
+		if _, ok := c.adm.cache.Load(a.name + "\x00" + digest); !ok {
 			return false
 		}
 	}
