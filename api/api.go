@@ -17,7 +17,6 @@ import (
 	"genio/internal/events"
 	"genio/internal/federation"
 	"genio/internal/orchestrator"
-	"genio/internal/orchestrator/warmpool"
 )
 
 // Resources is a CPU/memory demand or capacity on the wire.
@@ -254,11 +253,6 @@ type NodeStatus struct {
 	Cordoned  bool      `json:"cordoned,omitempty"`
 	Workloads int       `json:"workloads"`
 	SharedVMs int       `json:"sharedVMs,omitempty"`
-	// WarmIdle/WarmClaimed are the node's warm-slot counts: parked idle
-	// VMs (reservations inside Used) and running workloads placed through
-	// the warm fast path.
-	WarmIdle    int `json:"warmIdle,omitempty"`
-	WarmClaimed int `json:"warmClaimed,omitempty"`
 	// Binpack/Spread are the per-strategy scores for the probe demand
 	// (query params probeCpu/probeMem). Nil when no probe was requested
 	// or the node cannot fit the demand.
@@ -269,65 +263,13 @@ type NodeStatus struct {
 // FromUtilization converts a library utilization row to its wire form.
 func FromUtilization(u orchestrator.NodeUtilization) NodeStatus {
 	return NodeStatus{
-		Node:        u.Node,
-		Used:        Resources{CPUMilli: u.Used.CPUMilli, MemoryMB: u.Used.MemoryMB},
-		Capacity:    Resources{CPUMilli: u.Capacity.CPUMilli, MemoryMB: u.Capacity.MemoryMB},
-		Cordoned:    u.Cordoned,
-		Workloads:   u.Workloads,
-		SharedVMs:   u.SharedVMs,
-		WarmIdle:    u.WarmIdle,
-		WarmClaimed: u.WarmClaimed,
+		Node:      u.Node,
+		Used:      Resources{CPUMilli: u.Used.CPUMilli, MemoryMB: u.Used.MemoryMB},
+		Capacity:  Resources{CPUMilli: u.Capacity.CPUMilli, MemoryMB: u.Capacity.MemoryMB},
+		Cordoned:  u.Cordoned,
+		Workloads: u.Workloads,
+		SharedVMs: u.SharedVMs,
 	}
-}
-
-// SlotPool is one (tenant, image digest) warm pool in the GET /v2/slots
-// response.
-type SlotPool struct {
-	Tenant  string `json:"tenant"`
-	Digest  string `json:"digest"`
-	Idle    int    `json:"idle"`
-	Claimed int    `json:"claimed"`
-}
-
-// SlotCounters are the warm pool's lifecycle totals on the wire.
-type SlotCounters struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Evicted uint64 `json:"evicted"`
-	Flushed uint64 `json:"flushed"`
-}
-
-// SlotsReport is the GET /v2/slots response: the per-(tenant, digest)
-// warm pool table plus the lifecycle counters. On a federated server
-// the flat fields aggregate across every member and Clusters carries
-// the per-member breakdown; single-cluster servers leave Clusters
-// empty.
-type SlotsReport struct {
-	Pools    []SlotPool     `json:"pools,omitempty"`
-	Counters SlotCounters   `json:"counters"`
-	Clusters []ClusterSlots `json:"clusters,omitempty"`
-}
-
-// ClusterSlots is one federation member's warm-slot report inside a
-// federated SlotsReport.
-type ClusterSlots struct {
-	Cluster  string       `json:"cluster"`
-	Pools    []SlotPool   `json:"pools,omitempty"`
-	Counters SlotCounters `json:"counters"`
-}
-
-// FromWarmPools converts the library warm-pool table and counters to
-// the wire report.
-func FromWarmPools(rows []warmpool.PoolRow, c warmpool.Counters) SlotsReport {
-	rep := SlotsReport{Counters: SlotCounters{
-		Hits: c.Hits, Misses: c.Misses, Evicted: c.Evicted, Flushed: c.Flushed,
-	}}
-	for _, r := range rows {
-		rep.Pools = append(rep.Pools, SlotPool{
-			Tenant: r.Tenant, Digest: r.Digest, Idle: r.Idle, Claimed: r.Claimed,
-		})
-	}
-	return rep
 }
 
 // Migration is one live-migration step inside a drain: which workload

@@ -54,10 +54,6 @@ type Interface interface {
 
 	Incidents(ctx context.Context) (api.IncidentCounts, error)
 	Ledger(ctx context.Context) (api.Ledger, error)
-	// Slots returns the warm-slot pool table and lifecycle counters.
-	// cluster narrows a federated fleet to one member; "" aggregates
-	// every member with a per-cluster breakdown.
-	Slots(ctx context.Context, cluster string) (api.SlotsReport, error)
 
 	// Clusters lists the placement domains: federation members, or a
 	// synthesized single entry on a plain platform.

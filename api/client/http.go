@@ -591,16 +591,6 @@ func (c *HTTP) Ledger(ctx context.Context) (api.Ledger, error) {
 	return out, nil
 }
 
-func (c *HTTP) Slots(ctx context.Context, cluster string) (api.SlotsReport, error) {
-	query := url.Values{}
-	if cluster != "" {
-		query.Set("cluster", cluster)
-	}
-	var out api.SlotsReport
-	err := c.do(ctx, http.MethodGet, "/v2/slots", query, nil, &out)
-	return out, err
-}
-
 func (c *HTTP) Clusters(ctx context.Context) ([]api.ClusterInfo, error) {
 	var out []api.ClusterInfo
 	if err := c.do(ctx, http.MethodGet, "/v2/clusters", nil, nil, &out); err != nil {

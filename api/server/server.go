@@ -162,7 +162,6 @@ var routes = []route{
 	{pattern: "POST /v2/nodes/{name}/onus", handler: (*Server).handleAttachONU},
 	{pattern: "GET /v2/incidents", handler: (*Server).handleIncidents},
 	{pattern: "GET /v2/ledger", handler: (*Server).handleLedger},
-	{pattern: "GET /v2/slots", handler: (*Server).handleSlots},
 	{pattern: "GET /v2/clusters", handler: (*Server).handleClusters},
 	{pattern: "POST /v2/clusters/{name}/evacuate", handler: (*Server).handleEvacuate},
 }
@@ -855,39 +854,6 @@ func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request, subject st
 		return
 	}
 	writeJSON(w, http.StatusOK, api.FromStats(s.p.Metrics()))
-}
-
-// handleSlots serves the warm-slot pool table; it is fleet state, so it
-// shares the nodes read permission. On a federated server the flat
-// fields aggregate every member (or the one ?cluster= selects) and the
-// Clusters list carries the per-member breakdown.
-func (s *Server) handleSlots(w http.ResponseWriter, r *http.Request, subject string) {
-	if err := s.authorize(subject, "get", "nodes", ""); err != nil {
-		writeError(w, err)
-		return
-	}
-	clusters, err := s.clusterSelection(r.URL.Query().Get("cluster"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if s.p.Federation == nil {
-		writeJSON(w, http.StatusOK, api.FromWarmPools(s.p.Cluster.WarmPools(), s.p.Cluster.WarmCounters()))
-		return
-	}
-	var rep api.SlotsReport
-	for _, cl := range clusters {
-		sub := api.FromWarmPools(cl.c.WarmPools(), cl.c.WarmCounters())
-		rep.Pools = append(rep.Pools, sub.Pools...)
-		rep.Counters.Hits += sub.Counters.Hits
-		rep.Counters.Misses += sub.Counters.Misses
-		rep.Counters.Evicted += sub.Counters.Evicted
-		rep.Counters.Flushed += sub.Counters.Flushed
-		rep.Clusters = append(rep.Clusters, api.ClusterSlots{
-			Cluster: cl.label, Pools: sub.Pools, Counters: sub.Counters,
-		})
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleClusters lists the placement domains — federation members, or

@@ -14,10 +14,8 @@ package genio_test
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"genio"
 	"genio/internal/attack"
@@ -27,7 +25,6 @@ import (
 	"genio/internal/fim"
 	"genio/internal/host"
 	"genio/internal/macsec"
-	"genio/internal/orchestrator"
 	"genio/internal/pki"
 	"genio/internal/pon"
 	"genio/internal/rbac"
@@ -390,144 +387,6 @@ func BenchmarkDeployParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// --- Warm-slot runtime pool ---------------------------------------------------
-
-// benchWarmSpec is benchSpec pinned to hard isolation: a dedicated VM is
-// its workload's sole occupant, so every stop parks it as a warm slot.
-func benchWarmSpec(name string) genio.WorkloadSpec {
-	s := benchSpec(name)
-	s.Isolation = genio.IsolationHard
-	return s
-}
-
-// warmDeployCycle runs one stop→redeploy round: stop workload i (parking
-// its dedicated VM) and deploy workload i+1 with the identical spec.
-func warmDeployCycle(p *core.Platform, i int) (*orchestrator.Workload, error) {
-	if err := p.Cluster.Stop(fmt.Sprintf("warm-%d", i)); err != nil {
-		return nil, err
-	}
-	return p.DeployContext(context.Background(), "ci", benchWarmSpec(fmt.Sprintf("warm-%d", i+1)))
-}
-
-// BenchmarkWarmDeploy is the tentpole fast path: each op stops a
-// workload (parking its VM warm) and redeploys the same (tenant, image,
-// shape), which claims the parked slot in O(1) — no scan chain, no
-// scheduler filter/score, no VM spin-up. Gated in CI against the cold
-// path staying slower (TestWarmDeploySpeedup).
-func BenchmarkWarmDeploy(b *testing.B) {
-	p := benchDeployPlatform(b)
-	p.Cluster.Settings.WarmPoolEnabled = true
-	if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := warmDeployCycle(p, i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if w.Strategy != "warm" {
-			b.Fatalf("cycle %d missed the warm pool (strategy %q)", i, w.Strategy)
-		}
-	}
-}
-
-// timedDeployCycle runs warmDeployCycle round i on p and returns its
-// latency, failing t unless the round claims a warm slot exactly when warm.
-func timedDeployCycle(t *testing.T, p *core.Platform, i int, warm bool) time.Duration {
-	t.Helper()
-	start := time.Now()
-	w, err := warmDeployCycle(p, i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := time.Since(start)
-	if (w.Strategy == "warm") != warm {
-		t.Fatalf("round %d placed with strategy %q, warm pool enabled %v", i, w.Strategy, warm)
-	}
-	return d
-}
-
-func p50(samples []time.Duration) time.Duration {
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[len(samples)/2]
-}
-
-// TestWarmDeploySpeedup is the acceptance bar for the warm-slot pool:
-// with the pool on, every stop→redeploy round claims the parked slot (no
-// scheduler pass, no VM spin-up, cached verdicts), and its p50 must beat
-// the same cycle with the pool off and the verdict cache disabled (full
-// admission rescan, scheduling, VM spin-up). The two platforms take turns
-// round by round, so a noisy neighbour slows both alike. With the
-// scanners' regexps prefiltered the cold path is cheap and the gain on
-// the bench image is ≈ 1.3x (1.1x under -race; 2-vCPU Xeon), so the claim
-// has to be faster, not a multiple faster.
-func TestWarmDeploySpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	const rounds = 301
-
-	warm := benchDeployPlatform(t)
-	warm.Cluster.Settings.WarmPoolEnabled = true
-	cold := benchDeployPlatform(t)
-	cold.Cluster.AdmissionCacheDisabled = true
-	for _, p := range []*core.Platform{warm, cold} {
-		if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warmSamples := make([]time.Duration, rounds)
-	coldSamples := make([]time.Duration, rounds)
-	for i := range rounds {
-		if i%2 == 0 {
-			warmSamples[i] = timedDeployCycle(t, warm, i, true)
-			coldSamples[i] = timedDeployCycle(t, cold, i, false)
-		} else {
-			coldSamples[i] = timedDeployCycle(t, cold, i, false)
-			warmSamples[i] = timedDeployCycle(t, warm, i, true)
-		}
-	}
-	warmP50, coldP50 := p50(warmSamples), p50(coldSamples)
-	t.Logf("repeat-deploy p50: cold=%v warm=%v (%.1fx)", coldP50, warmP50,
-		float64(coldP50)/float64(max(warmP50, 1)))
-	if warmP50 >= coldP50 {
-		t.Fatalf("warm path p50 %v is no faster than cold %v", warmP50, coldP50)
-	}
-}
-
-// TestWarmDeployAllocs pins the allocation budget of the warm
-// repeat-deploy cycle. The deploy path computes Image.Digest exactly
-// once per call and threads it through admission and the warm claim; a
-// regression that re-hashes per consumer (or re-schedules a claimed
-// deploy) shows up here as a step change in allocs/op.
-func TestWarmDeployAllocs(t *testing.T) {
-	p := benchDeployPlatform(t)
-	p.Cluster.Settings.WarmPoolEnabled = true
-	if _, err := p.DeployContext(context.Background(), "ci", benchWarmSpec("warm-0")); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		w, err := warmDeployCycle(p, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.Strategy != "warm" {
-			t.Fatalf("cycle %d missed the warm pool", i)
-		}
-		i++
-	})
-	// Measured ~64 allocs/op for stop+deploy through the claim path; the
-	// bound leaves headroom for incidental churn while catching a
-	// per-consumer re-hash (one extra Digest costs ~15 allocations) or a
-	// claimed deploy falling back to the scheduler scan.
-	if allocs > 110 {
-		t.Fatalf("warm stop+redeploy cycle allocates %.0f/op, want <= 110", allocs)
-	}
 }
 
 // --- Runtime and incident spine ---------------------------------------------

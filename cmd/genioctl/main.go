@@ -13,7 +13,6 @@
 //	genioctl watch -deploys 4 -tenant acme
 //	genioctl nodes -top
 //	genioctl nodes -cluster edge-b
-//	genioctl slots
 //	genioctl clusters
 //	genioctl clusters -evacuate edge-b
 //	genioctl deploy -image acme/analytics:2.0.1 -name web -region west
@@ -79,25 +78,27 @@ func main() {
 	}
 }
 
+// subcommands are the v2 verbs, dispatched by leading word.
+var subcommands = []struct {
+	name string
+	run  func(args []string, out io.Writer) error
+}{
+	{"deploy", runDeploy},
+	{"watch", runWatch},
+	{"nodes", runNodes},
+	{"clusters", runClusters},
+	{"cordon", runCordon},
+	{"drain", runDrain},
+}
+
 // run dispatches: the v2 subcommands by leading word, anything else to
 // the classic demo driver.
 func run(args []string, out io.Writer) error {
 	if len(args) > 0 {
-		switch args[0] {
-		case "deploy":
-			return runDeploy(args[1:], out)
-		case "watch":
-			return runWatch(args[1:], out)
-		case "cordon":
-			return runCordon(args[1:], out)
-		case "drain":
-			return runDrain(args[1:], out)
-		case "nodes":
-			return runNodes(args[1:], out)
-		case "slots":
-			return runSlots(args[1:], out)
-		case "clusters":
-			return runClusters(args[1:], out)
+		for _, sc := range subcommands {
+			if sc.name == args[0] {
+				return sc.run(args[1:], out)
+			}
 		}
 	}
 	return runDemo(args, out)
@@ -599,9 +600,9 @@ func runNodes(args []string, out io.Writer) error {
 
 // printFleet renders the fleet table from the client; with scores it
 // asks the control plane to explain a 500m/512MB probe under both
-// strategies, and adds the per-node warm-slot columns. Rows from a
-// federated fleet carry cluster labels and are grouped under per-cluster
-// headings; single-cluster output is unchanged.
+// strategies. Rows from a federated fleet carry cluster labels and are
+// grouped under per-cluster headings; single-cluster output is
+// unchanged.
 func printFleet(out io.Writer, cli client.Interface, scores bool, cluster string) error {
 	var probe *api.Resources
 	if scores {
@@ -613,7 +614,7 @@ func printFleet(out io.Writer, cli client.Interface, scores bool, cluster string
 	}
 	header := fmt.Sprintf("%-8s %-12s %-14s %-4s %-9s", "NODE", "CPU(m)", "MEM(MB)", "WLS", "STATE")
 	if scores {
-		header += fmt.Sprintf(" %-5s %-5s %-8s %-8s", "WARM", "CLMD", "BINPACK", "SPREAD")
+		header += fmt.Sprintf(" %-8s %-8s", "BINPACK", "SPREAD")
 	}
 	fmt.Fprintln(out, header)
 	lastCluster := ""
@@ -630,66 +631,11 @@ func printFleet(out io.Writer, cli client.Interface, scores bool, cluster string
 			n.Node, n.Used.CPUMilli, n.Capacity.CPUMilli,
 			n.Used.MemoryMB, n.Capacity.MemoryMB, n.Workloads, state)
 		if scores {
-			line += fmt.Sprintf(" %-5d %-5d %-8s %-8s", n.WarmIdle, n.WarmClaimed,
-				renderScore(n.Binpack), renderScore(n.Spread))
+			line += fmt.Sprintf(" %-8s %-8s", renderScore(n.Binpack), renderScore(n.Spread))
 		}
 		fmt.Fprintln(out, line)
 	}
 	return nil
-}
-
-// runSlots prints the warm-slot pool table: one row per (tenant, image
-// digest) pool plus the lifecycle counters. On a federated
-// control plane -cluster narrows to one member; the default shows every
-// member's pools grouped, then the fleet-wide counters.
-func runSlots(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("genioctl slots", flag.ContinueOnError)
-	fs.SetOutput(out)
-	conn := addConnFlags(fs)
-	cluster := fs.String("cluster", "", "federation cluster to show (default: all, grouped)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cli, err := conn.newClient(3)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	rep, err := cli.Slots(context.Background(), *cluster)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%-10s %-16s %-5s %-7s\n", "TENANT", "DIGEST", "IDLE", "CLAIMED")
-	if len(rep.Pools) == 0 {
-		fmt.Fprintln(out, "(no warm pools)")
-	}
-	if len(rep.Clusters) > 0 {
-		// Federated report: group pools under their member cluster.
-		for _, cs := range rep.Clusters {
-			fmt.Fprintf(out, "[cluster %s]\n", cs.Cluster)
-			if len(cs.Pools) == 0 {
-				fmt.Fprintln(out, "(no warm pools)")
-			}
-			printSlotPools(out, cs.Pools)
-		}
-	} else {
-		printSlotPools(out, rep.Pools)
-	}
-	c := rep.Counters
-	fmt.Fprintf(out, "\nhits=%d misses=%d evicted=%d flushed=%d\n",
-		c.Hits, c.Misses, c.Evicted, c.Flushed)
-	return nil
-}
-
-// printSlotPools renders one pool table body.
-func printSlotPools(out io.Writer, pools []api.SlotPool) {
-	for _, p := range pools {
-		digest := p.Digest
-		if len(digest) > 16 {
-			digest = digest[:16]
-		}
-		fmt.Fprintf(out, "%-10s %-16s %-5d %-7d\n", p.Tenant, digest, p.Idle, p.Claimed)
-	}
 }
 
 // runClusters lists the placement domains — federation members, or the
@@ -755,6 +701,15 @@ func runDemo(args []string, out io.Writer) error {
 	campaign := fs.Bool("campaign", false, "additionally run the T1-T8 attack campaign")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The flag parse stops at the first non-flag word: a leftover one is a
+	// mistyped or removed subcommand, never a reason to boot the demo.
+	if fs.NArg() > 0 {
+		names := make([]string, len(subcommands))
+		for i, sc := range subcommands {
+			names[i] = sc.name
+		}
+		return fmt.Errorf("unknown subcommand %q (subcommands: %s)", fs.Arg(0), strings.Join(names, ", "))
 	}
 
 	cfg, err := parsePosture(*posture)

@@ -266,6 +266,23 @@ func TestUnknownPosture(t *testing.T) {
 	}
 }
 
+// TestUnknownSubcommand: a word that names no subcommand is an error
+// listing the valid ones — before the demo platform boots, so nothing
+// else is printed.
+func TestUnknownSubcommand(t *testing.T) {
+	for _, args := range [][]string{{"slots"}, {"drian"}, {"-posture", "legacy", "drian"}} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") ||
+			!strings.Contains(err.Error(), "deploy, watch, nodes, clusters, cordon, drain") {
+			t.Errorf("run(%q) = %v, want an unknown-subcommand error naming the subcommands", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("run(%q) printed demo output:\n%s", args, buf.String())
+		}
+	}
+}
+
 func TestDeploySubcommandPlaced(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"deploy", "-image", "acme/analytics:2.0.1", "-name", "web", "-wait"}, &buf); err != nil {
@@ -414,7 +431,6 @@ func TestFleetReadsIdenticalDaemonlessAndRemote(t *testing.T) {
 		workloads int // what the daemon-less subcommand seeds
 	}{
 		{[]string{"nodes", "-top"}, 3},
-		{[]string{"slots"}, 3},
 		{[]string{"clusters"}, 0},
 	} {
 		t.Run(tc.args[0], func(t *testing.T) {

@@ -266,7 +266,6 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 	p.alertSink = falcoengine.SpineSink(p.spine)
 	cluster.RBAC = p.RBAC
 	cluster.SetAuditSink(p.publishAudit)
-	cluster.SetWarmEventSink(p.publishWarmEvent)
 	for _, opt := range opts {
 		opt(p)
 	}
@@ -731,10 +730,6 @@ func (p *Platform) FlushContext(ctx context.Context) error {
 // telemetry degrades gracefully: late incidents are applied
 // synchronously, PublishEvent returns events.ErrClosed.
 func (p *Platform) Close() {
-	// Drain the warm pool first, while the spine still accepts the flush
-	// events: parked VMs do not outlive the platform, and the released
-	// reservations keep the final snapshot's accounting honest.
-	p.Cluster.FlushWarmSlots("close")
 	p.closeSpine()
 	// Graceful shutdown: final compacted snapshot, then release the store.
 	// (Crash is the flush-only variant.)

@@ -111,13 +111,17 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Disable the cache for the cancelled run so every scanner actually
-	// runs (and could, if buggy, commit a fresh verdict).
-	p.Cluster.AdmissionCacheDisabled = true
+	// The cancelled run deploys an image with a fresh digest, so every
+	// scanner actually runs (and could, if buggy, commit a verdict).
+	fresh := container.AnalyticsImage()
+	fresh.Tag = "2.0.2"
+	pushSigned(t, p, fresh)
+	victim := asyncSpec("victim")
+	victim.ImageRef = fresh.Ref()
 	reached := armGate(p, "victim")
 	before := runtime.NumGoroutine()
 
-	d, err := p.DeployAsync(context.Background(), "ci", asyncSpec("victim"))
+	d, err := p.DeployAsync(context.Background(), "ci", victim)
 	if err != nil {
 		t.Fatalf("DeployAsync: %v", err)
 	}
@@ -141,7 +145,6 @@ func TestDeployAsyncCancelMidScan(t *testing.T) {
 	if _, placed := p.Cluster.Workload("victim"); placed {
 		t.Fatal("cancelled deployment was placed")
 	}
-	p.Cluster.AdmissionCacheDisabled = false
 	if got := p.Cluster.AdmissionCacheSize(); got != cacheBefore {
 		t.Fatalf("verdict cache grew from %d to %d during a cancelled deploy", cacheBefore, got)
 	}

@@ -166,22 +166,6 @@ func (p *Platform) publishMetric(name string, value float64, label string) {
 	})
 }
 
-// publishWarmEvent mirrors one warm-slot lifecycle transition onto the
-// spine: a slot.<kind> metric for every transition, plus an audit
-// record for the state-changing ones (hits, evictions, flushes — a miss
-// changes nothing and stays metric-only). Installed as the cluster's
-// warm event sink; invoked outside cluster locks.
-func (p *Platform) publishWarmEvent(ev orchestrator.WarmEvent) {
-	label := ev.Node
-	if label == "" {
-		label = ev.Tenant
-	}
-	p.publishMetric("slot."+ev.Kind, float64(ev.Count), label)
-	if ev.Kind != orchestrator.WarmMiss {
-		p.publishAudit(orchestrator.WarmAudit(ev))
-	}
-}
-
 // publishAudit forwards one control-plane audit record onto the spine;
 // installed as the cluster's audit sink. Audit events after Close are
 // dropped (the control-plane decision itself is already reflected in

@@ -5,11 +5,11 @@
 // hierarchy. The default cluster becomes the first federation member
 // and keeps the platform-level attachments (durable store, far-edge
 // admission); the other members are its peers (orchestrator's NewPeer),
-// sharing the platform's registry, RBAC engine, audit and warm-event
-// spine — and one admission chain: a verdict is a function of the image,
-// so the scanners, the clean-verdict cache and the in-flight scan table
-// are platform-wide and a digest is scanned once whichever member the
-// ring picks, while scheduling and quotas stay per member. Every fresh
+// sharing the platform's registry, RBAC engine, audit spine — and one
+// admission chain: a verdict is a function of the image, so the
+// scanners, the clean-verdict cache and the in-flight scan table are
+// platform-wide and a digest is scanned once whichever member the ring
+// picks, while scheduling and quotas stay per member. Every fresh
 // verdict is logged through the default member's store sink, but only
 // that member's placements persist. Federation membership and tenant
 // pins are boot configuration, not durable state.

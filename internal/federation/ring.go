@@ -5,11 +5,10 @@
 // by (tenant, image digest) with bounded-load overflow, and finally the
 // existing per-cluster filter/score scheduler, which stays untouched.
 //
-// The ring gives every (tenant, image) pair a stable home cluster — so
-// warm slots concentrate where repeat deploys land —
-// while the bounded-load rule keeps any single cluster from absorbing a
-// hot key: a cluster already past its load bound passes the deploy to
-// the next ring position. Membership changes move only the minimal key
+// The ring gives every (tenant, image) pair a stable home cluster, so
+// repeat deploys of a pair land together, while the bounded-load rule
+// keeps any single cluster from absorbing a hot key: a cluster already
+// past its load bound passes the deploy to the next ring position. Membership changes move only the minimal key
 // range (the classic consistent-hashing property), which the ring tests
 // pin numerically.
 package federation

@@ -111,31 +111,34 @@ func (c *Cluster) AdmissionCacheSize() int {
 	return n
 }
 
+// deployDigest computes the image digest for one deploy call, the key of
+// its verdict-cache lookups, or returns "" when chain has no cacheable
+// controller. Image.Digest is deliberately not memoized across calls: a
+// later deploy of a tampered image object must re-hash, produce a
+// different digest and so miss the verdict cache.
+func deployDigest(chain []namedAdmission, img *container.Image) string {
+	for _, a := range chain {
+		if a.cacheable {
+			return img.Digest()
+		}
+	}
+	return ""
+}
+
 // Admit runs the admission chain for spec and img without reserving or
 // scheduling anything: far-edge workloads, placed on ONUs rather than
 // cluster nodes, pass the same controllers and verdict cache as a deploy.
 func (c *Cluster) Admit(ctx context.Context, spec WorkloadSpec, img *container.Image) error {
-	return c.runAdmission(ctx, spec, img, c.deployDigest(img))
+	return c.runAdmission(ctx, spec, img)
 }
 
 // runAdmission runs the registered admission chain in registration order
 // and aggregates the verdict. A done context aborts the run with a
 // *CancelledError and commits nothing to the verdict cache.
-//
-// digest is the deploy call's single Image.Digest computation (see
-// Cluster.deployDigest) — shared with the warm-slot claim so one deploy
-// never hashes the image twice. It keys the clean-verdict cache; empty
-// (or with the cache administratively disabled) every cacheable
-// controller runs cold.
-func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *container.Image, digest string) error {
+func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *container.Image) error {
 	adm := c.adm
 	chain := adm.snapshot()
-
-	// The warm pool may have computed a digest the verdict cache is not
-	// allowed to use (benchmarks measuring the cold scanner path).
-	if c.AdmissionCacheDisabled {
-		digest = ""
-	}
+	digest := deployDigest(chain, img)
 
 	verdicts := make([]ScannerVerdict, len(chain))
 	var clean []string // cache keys of this run's fresh clean verdicts

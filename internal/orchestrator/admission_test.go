@@ -93,30 +93,57 @@ func TestAdmissionCacheNeverCachesRejections(t *testing.T) {
 	}
 }
 
-// TestAdmissionCacheDisabled checks the benchmark knob forces cold scans.
-func TestAdmissionCacheDisabled(t *testing.T) {
-	c, _ := testCluster(t, Settings{})
-	c.AdmissionCacheDisabled = true
+// TestVerdictCacheMissesOnTamperedImage republishes a vetted ref with
+// injected content: the digest is recomputed on every deploy, never
+// memoized on the Image, so the tampered manifest misses every cached
+// clean verdict and each cacheable controller judges it afresh.
+func TestVerdictCacheMissesOnTamperedImage(t *testing.T) {
+	c, reg := testCluster(t, Settings{})
 	var runs atomic.Int64
 	c.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {
 		runs.Add(1)
 		return nil
 	})
-	for i := 0; i < 2; i++ {
-		if _, err := c.DeployContext(context.Background(), "ops", spec(fmt.Sprintf("w%d", i), "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
-			t.Fatal(err)
+	c.RegisterAdmissionCachedCtx("no-preload", func(_ context.Context, _ WorkloadSpec, img *container.Image) error {
+		for _, e := range img.Config.Env {
+			if strings.HasPrefix(e, "LD_PRELOAD=") {
+				return errors.New("injected " + e)
+			}
+		}
+		return nil
+	})
+	if _, err := c.DeployContext(context.Background(), "ops", spec("a", "acme", "acme/analytics:2.0.1", IsolationHard)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tamper with the very object the registry serves, then re-push it:
+	// a digest cached on the Image would still name the clean content.
+	img, err := reg.Pull("acme/analytics:2.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Config.Env = append(img.Config.Env, "LD_PRELOAD=/tmp/inject.so")
+	reg.Push(img, nil)
+
+	_, err = c.DeployContext(context.Background(), "ops", spec("b", "acme", "acme/analytics:2.0.1", IsolationHard))
+	var adm *AdmissionError
+	if !errors.As(err, &adm) || !strings.Contains(err.Error(), "by no-preload") {
+		t.Fatalf("tampered deploy = %v, want a no-preload rejection", err)
+	}
+	for _, v := range adm.Verdicts {
+		if v.Cached {
+			t.Fatalf("verdict %+v came from the cache entry of the clean digest", v)
 		}
 	}
 	if got := runs.Load(); got != 2 {
-		t.Fatalf("controller ran %d times with cache disabled, want 2", got)
+		t.Fatalf("counter ran %d times, want 2 (the tampered image is scanned again)", got)
 	}
 }
 
 // TestPeerSharesAdmissionChain: a peer admits through its origin's chain
 // — a controller registered on either gates both, a digest scanned on one
 // is cached for the other, and the verdict is logged once, through the
-// origin's mutation sink — while placement state and the verdict-cache
-// switch stay per cluster.
+// origin's mutation sink — while placement state stays per cluster.
 func TestPeerSharesAdmissionChain(t *testing.T) {
 	home, _ := testCluster(t, Settings{})
 	peer := home.NewPeer("peer")
@@ -164,19 +191,6 @@ func TestPeerSharesAdmissionChain(t *testing.T) {
 	}
 	if home.WorkloadCount() != 1 || peer.WorkloadCount() != 2 {
 		t.Fatalf("workloads home %d, peer %d; want 1 and 2", home.WorkloadCount(), peer.WorkloadCount())
-	}
-
-	peer.AdmissionCacheDisabled = true
-	if _, err := peer.DeployContext(context.Background(), "ops", spec("cold", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := home.DeployContext(context.Background(), "ops", spec("warm", "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
-		t.Fatal(err)
-	}
-	// Runs so far: analytics once, the miner once; then one cold run on
-	// the peer while the home still reads the cache.
-	if got := runs.Load(); got != 3 {
-		t.Fatalf("counter ran %d times, want 3", got)
 	}
 }
 

@@ -32,13 +32,12 @@ type FailoverResult struct {
 // and every per-workload outcome — including the scheduler's placement
 // score for the new node — are reported to the audit sink.
 func (c *Cluster) FailNode(name string) (*FailoverResult, error) {
-	res, moved, warmEvs, err := c.failNode(name)
+	res, moved, err := c.failNode(name)
 	if err != nil {
 		return nil, err
 	}
 	c.auditEvent(AuditEvent{Kind: "node-fail", Node: name, Allowed: true,
 		Detail: fmt.Sprintf("%d rescheduled, %d evicted", len(res.Rescheduled), len(res.Evicted))})
-	c.emitWarmEvents(warmEvs)
 	for _, w := range moved {
 		c.auditEvent(AuditEvent{Kind: "failover", Workload: w.Workload,
 			Tenant: w.Tenant, Node: w.Node, Allowed: true, AtMs: res.AtMs,
@@ -63,11 +62,11 @@ type movedWorkload struct {
 // failNode is FailNode's body, audit emission excluded; it additionally
 // returns snapshots of the rescheduled workloads (with their new
 // placements) so the wrapper can report tenants and target nodes.
-func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []WarmEvent, error) {
+func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.nodes[name]; !ok {
-		return nil, nil, nil, &NodeNotFoundError{Node: name}
+		return nil, nil, &NodeNotFoundError{Node: name}
 	}
 	// Collect the victims deterministically.
 	var victims []*Workload
@@ -80,16 +79,6 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []War
 	delete(c.nodes, name)
 	c.rebuildCandidatesLocked()
 	c.mutate(Mutation{Kind: MutNodeRemove, Node: name})
-
-	// The node's warm slots die with it: idle slots are discarded (their
-	// reservations lived on the removed node object — nothing to settle)
-	// and the victims' claimed-slot bindings are severed before the
-	// reschedule loop rewrites their placements.
-	var warmEvs []WarmEvent
-	if idle, claims := c.warm.FlushNode(name, true); len(idle)+len(claims) > 0 {
-		warmEvs = append(warmEvs, WarmEvent{Kind: WarmFlush, Node: name,
-			Count: len(idle) + len(claims), Reason: "node-fail"})
-	}
 
 	res := &FailoverResult{Node: name, AtMs: c.nowMs()}
 	var rescheduled []movedWorkload
@@ -116,14 +105,6 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []War
 				moved.Spec.PlacementPolicy = w.Spec.PlacementPolicy
 			}
 		}
-		if err != nil && c.warmEnabled() && isCapacityErr(err) {
-			// Idle warm reservations on the survivors are reclaimable:
-			// evict them and retry once before evicting a live workload.
-			if evs := c.reclaimWarmLocked(); len(evs) > 0 {
-				warmEvs = append(warmEvs, evs...)
-				moved, err = c.scheduleAmong(w.Spec, w.Image)
-			}
-		}
 		if err != nil {
 			delete(c.workloads, w.Spec.Name)
 			c.mutate(Mutation{Kind: MutStop, Name: w.Spec.Name})
@@ -139,7 +120,7 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, []War
 			Strategy: w.Strategy, Score: w.Score,
 		})
 	}
-	return res, rescheduled, warmEvs, nil
+	return res, rescheduled, nil
 }
 
 // Nodes returns the live node names sorted.
@@ -167,11 +148,6 @@ type NodeUtilization struct {
 	// non-dedicated VMs.
 	Workloads int `json:"workloads"`
 	SharedVMs int `json:"sharedVMs,omitempty"`
-	// WarmIdle counts idle warm slots parked on the node (their
-	// reservations are inside Used); WarmClaimed counts running workloads
-	// that arrived through the warm-slot fast path.
-	WarmIdle    int `json:"warmIdle,omitempty"`
-	WarmClaimed int `json:"warmClaimed,omitempty"`
 }
 
 // Utilization returns per-node resource usage sorted by node name: one
@@ -179,13 +155,11 @@ type NodeUtilization struct {
 func (c *Cluster) Utilization() []NodeUtilization {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	warm := c.warm.NodeCounts()
 	out := make([]NodeUtilization, len(c.candidates))
 	for i, n := range c.candidates { // name-sorted by construction
 		out[i] = NodeUtilization{Node: n.name, Used: n.used.load(), Capacity: n.capacity,
 			Cordoned: n.cordoned.Load(), Workloads: int(n.placed.Load()),
-			SharedVMs: int(n.sharedVMs.Load()),
-			WarmIdle:  warm[n.name].Idle, WarmClaimed: warm[n.name].Claimed}
+			SharedVMs: int(n.sharedVMs.Load())}
 	}
 	return out
 }

@@ -70,17 +70,6 @@ func (c *Cluster) setCordon(name string, cordoned bool, detail string) error {
 		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: cordoned})
 	}
 	n.mu.Unlock()
-	// A cordoned node holds no warm capacity: flush its idle slots and
-	// release their reservations, with the flag already set so no new
-	// park can land (parks re-check it). The cluster read lock excludes
-	// the park-then-evict window of a concurrent Stop, which runs under
-	// the write lock.
-	var warmEvs []WarmEvent
-	if cordoned {
-		c.mu.RLock()
-		warmEvs = c.flushWarmNode(n, "cordon")
-		c.mu.RUnlock()
-	}
 	if changed {
 		kind := "node-cordon"
 		if !cordoned {
@@ -88,7 +77,6 @@ func (c *Cluster) setCordon(name string, cordoned bool, detail string) error {
 		}
 		c.auditEvent(AuditEvent{Kind: kind, Node: name, Allowed: true, Detail: detail})
 	}
-	c.emitWarmEvents(warmEvs)
 	return nil
 }
 
@@ -202,18 +190,10 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	}
 	startEpoch := n.cordonEpoch
 	n.mu.Unlock()
-	// Flush the node's warm slots before any migration accounting: the
-	// cordon is set, so the idle reservations are unreachable until an
-	// explicit uncordon, and the drain's capacity story must not count
-	// them. (Idempotent when the node was already cordoned and flushed.)
-	c.mu.RLock()
-	warmEvs := c.flushWarmNode(n, "drain")
-	c.mu.RUnlock()
 	if !wasCordoned {
 		c.auditEvent(AuditEvent{Kind: "node-cordon", Node: name, Allowed: true, Detail: "drain"})
 		emit(DrainEvent{Phase: DrainCordoned})
 	}
-	c.emitWarmEvents(warmEvs)
 	// The drain evacuates the workload set present at cordon time and
 	// nothing more: if the operator uncordons mid-drain and fresh
 	// traffic lands on the node, the newcomers are the operator's
@@ -284,8 +264,7 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 			return res, cerr
 		}
 
-		moved, migEvs, gone, derr := c.migrateNext(name, n, initial)
-		c.emitWarmEvents(migEvs)
+		moved, gone, derr := c.migrateNext(name, n, initial)
 		if gone {
 			return vanished()
 		}
@@ -387,30 +366,22 @@ func (c *Cluster) nextVictimLocked(node string, cur *drainCursor) *Workload {
 // there is nothing of ours left to migrate. Returns (nil, false, nil)
 // when the initial set is clear, a *DrainError when the next workload
 // fits nowhere.
-func (c *Cluster) migrateNext(name string, own *node, initial *drainCursor) (moved *movedWorkload, warmEvs []WarmEvent, gone bool, derr *DrainError) {
+func (c *Cluster) migrateNext(name string, own *node, initial *drainCursor) (moved *movedWorkload, gone bool, derr *DrainError) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.nodes[name] != own {
-		return nil, nil, true, nil
+		return nil, true, nil
 	}
 	w := c.nextVictimLocked(name, initial)
 	if w == nil {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	// The source node is excluded by name, not just by its cordon flag:
 	// a concurrent Uncordon must not let the drain migrate a workload
 	// back onto the node it is evacuating.
 	sched, _, err := c.scheduleExcluding(w.Spec, w.Image, name)
-	if err != nil && c.warmEnabled() && isCapacityErr(err) {
-		// Warm reservations on the rest of the fleet are reclaimable
-		// capacity: evict every idle slot (LRU order) and retry once
-		// before declaring the drain stuck.
-		if warmEvs = c.reclaimWarmLocked(); len(warmEvs) > 0 {
-			sched, _, err = c.scheduleExcluding(w.Spec, w.Image, name)
-		}
-	}
 	if err != nil {
-		return nil, warmEvs, false, &DrainError{Node: name, Workload: w.Spec.Name, Err: err}
+		return nil, false, &DrainError{Node: name, Workload: w.Spec.Name, Err: err}
 	}
 	old := *w
 	*w = *sched
@@ -418,14 +389,10 @@ func (c *Cluster) migrateNext(name string, own *node, initial *drainCursor) (mov
 	own.mu.Lock()
 	own.releaseLocked(old.Spec.Name, old.VMID, old.Spec.Resources, c.tenantIDs[old.Spec.Tenant])
 	own.mu.Unlock()
-	// A migrated workload no longer lives in the warm slot it may have
-	// claimed at deploy time — sever the binding so pool bookkeeping
-	// follows the workload's real placement.
-	c.warm.DropClaimed(old.Spec.Name)
 	// Tenant quota usage is unchanged: the same spec keeps running, it
 	// just lives on another node now.
 	return &movedWorkload{Workload: w.Spec.Name, Tenant: w.Spec.Tenant,
-		Node: w.Node, Strategy: w.Strategy, Score: w.Score}, warmEvs, false, nil
+		Node: w.Node, Strategy: w.Strategy, Score: w.Score}, false, nil
 }
 
 // workloadsOn lists the workloads currently on a node, sorted (the

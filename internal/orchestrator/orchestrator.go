@@ -38,7 +38,6 @@ import (
 
 	"genio/internal/container"
 	"genio/internal/orchestrator/scheduler"
-	"genio/internal/orchestrator/warmpool"
 	"genio/internal/rbac"
 )
 
@@ -112,13 +111,6 @@ type Workload struct {
 	// are refreshed whenever the workload moves (failover, drain).
 	Strategy string  `json:"strategy,omitempty"`
 	Score    float64 `json:"score,omitempty"`
-	// digest is the image digest the deploy call computed and admitted
-	// this workload under — what the VM actually runs. Parking reuses it
-	// instead of re-hashing (tamper detection lives at claim time, where
-	// the INCOMING image is re-hashed against the slot). Empty on
-	// workloads recovered from persisted state; park falls back to
-	// hashing then.
-	digest string
 }
 
 // VM is a virtual machine on a node.
@@ -139,11 +131,11 @@ type VM struct {
 //
 // The scheduler inputs — used, cordoned, sharedVMs, placed and the
 // per-tenant counts — are atomics written under mu where the state
-// changes (commit, release, park, claim, cordon, import) and read by
-// scheduling passes and fleet reads without it. Such a read may see
-// one field before a concurrent commit and the next after it; that
-// costs at most a rescan, because commitOn re-checks feasibility under
-// mu before it places anything.
+// changes (commit, release, cordon, import) and read by scheduling
+// passes and fleet reads without it. Such a read may see one field
+// before a concurrent commit and the next after it; that costs at most
+// a rescan, because commitOn re-checks feasibility under mu before it
+// places anything.
 type node struct {
 	name     string
 	capacity Resources
@@ -276,20 +268,6 @@ type Settings struct {
 	// ("binpack" | "spread"; "" = binpack) for workloads that do not set
 	// their own WorkloadSpec.PlacementPolicy.
 	PlacementStrategy string `json:"placementStrategy,omitempty"`
-	// WarmPoolEnabled turns on the warm-slot runtime pool (warm.go,
-	// internal/orchestrator/warmpool): stopping a workload parks its
-	// VM as an idle slot with its capacity still reserved, and a repeat
-	// deploy of the same (tenant, image digest) claims the slot in O(1)
-	// after claim-time revalidation. Off by default — parked slots hold
-	// node capacity, trading headroom for repeat-deploy latency.
-	WarmPoolEnabled bool `json:"warmPoolEnabled,omitempty"`
-	// WarmPoolHighWatermarkPct / WarmPoolLowWatermarkPct bound the warm
-	// pool's pressure evictor: when parking pushes a node's utilization
-	// (max of CPU and memory, percent of capacity) above the high
-	// watermark, idle slots are evicted LRU-first until it is back under
-	// the low one. Zero values take the defaults (85 / 60).
-	WarmPoolHighWatermarkPct int `json:"warmPoolHighWatermarkPct,omitempty"`
-	WarmPoolLowWatermarkPct  int `json:"warmPoolLowWatermarkPct,omitempty"`
 }
 
 // InsecureDefaults returns the configuration middleware ships with before
@@ -357,10 +335,6 @@ type Cluster struct {
 	// VerifyImageSignatures requires signed images from trusted
 	// publishers at pull time.
 	VerifyImageSignatures bool
-	// AdmissionCacheDisabled turns off the per-image-digest verdict cache
-	// for controllers registered via RegisterAdmissionCached (used by
-	// benchmarks to measure the cold scanner path).
-	AdmissionCacheDisabled bool
 
 	mu        sync.RWMutex
 	nodes     map[string]*node
@@ -395,12 +369,6 @@ type Cluster struct {
 	// audit, when set, receives a record per control-plane decision.
 	audit atomic.Pointer[AuditSink]
 
-	// warm is the warm-slot runtime pool (warm.go); always allocated,
-	// active only when Settings.WarmPoolEnabled. warmEvents, when set,
-	// receives slot lifecycle events (outside locks, like audit).
-	warm       *warmpool.Pool
-	warmEvents atomic.Pointer[WarmEventSink]
-
 	// mutations, when set, receives a typed record per durable state
 	// change, emitted inside the lock that applied it (see state.go).
 	mutations atomic.Pointer[MutationSink]
@@ -426,7 +394,6 @@ func NewCluster(name string, reg *container.Registry, settings Settings) *Cluste
 		pending:    make(map[string]struct{}),
 		quotas:     make(map[string]Resources),
 		tenantUsed: make(map[string]Resources),
-		warm:       warmpool.New(),
 	}
 	c.adm = &admissionChain{home: c, flight: make(map[string]*admFlightCall)}
 	return c
@@ -435,20 +402,17 @@ func NewCluster(name string, reg *container.Registry, settings Settings) *Cluste
 // NewPeer creates an empty cluster that admits through c's admission
 // chain — the same controllers, verdict cache and in-flight scans, so an
 // image is scanned once for both — and carries over c's registry,
-// settings, signature and verdict-cache policy, RBAC engine, clock and
-// audit and warm-event sinks. Nodes, workloads, quotas and the warm pool
-// are its own. The mutation sink is not carried over: the peer's
-// placements are not logged, while the verdicts its deploys commit are,
-// through c's sink.
+// settings, signature policy, RBAC engine, clock and audit sink. Nodes,
+// workloads and quotas are its own. The mutation sink is not carried
+// over: the peer's placements are not logged, while the verdicts its
+// deploys commit are, through c's sink.
 func (c *Cluster) NewPeer(name string) *Cluster {
 	p := NewCluster(name, c.Registry, c.Settings)
 	p.adm = c.adm
 	p.RBAC = c.RBAC
 	p.VerifyImageSignatures = c.VerifyImageSignatures
-	p.AdmissionCacheDisabled = c.AdmissionCacheDisabled
 	p.clock.Store(c.clock.Load())
 	p.audit.Store(c.audit.Load())
-	p.warmEvents.Store(c.warmEvents.Load())
 	return p
 }
 
@@ -679,13 +643,7 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		return nil, &ImagePullError{Ref: spec.ImageRef, Err: err}
 	}
 
-	// One digest computation per Deploy serves every consumer — the
-	// admission verdict-cache keys and the warm-slot claim — instead of
-	// each re-hashing the image. Deliberately recomputed per call, never
-	// memoized on the Image: a tampered image object must re-hash to a
-	// different digest and miss both caches (see deployDigest).
-	digest := c.deployDigest(img)
-	if err := c.runAdmission(ctx, spec, img, digest); err != nil {
+	if err := c.runAdmission(ctx, spec, img); err != nil {
 		if !errors.Is(err, ErrCancelled) {
 			c.rejected.Add(1)
 		}
@@ -723,47 +681,9 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	c.pending[spec.Name] = struct{}{}
 	c.tenantUsed[spec.Tenant] = c.tenantUsed[spec.Tenant].Add(spec.Resources)
 	c.internLocked(spec.Tenant)
-
-	// Warm fast path: with the name and quota reserved, a repeat deploy
-	// whose digest still holds a clean cached verdict claims an idle warm
-	// slot in O(1) — no scheduler pass, no VM mint — and commits inside
-	// this same critical section. A live context is required: a deploy
-	// cancelled this late must roll back, not claim. Misses fall through
-	// to the unchanged cold path.
-	if c.warmEnabled() && digest != "" && ctx.Err() == nil {
-		if w, evs := c.claimWarmLocked(spec, img, digest); w != nil {
-			delete(c.pending, spec.Name)
-			c.workloads[spec.Name] = w
-			c.mutatePlace(w)
-			cp := *w
-			c.mu.Unlock()
-			c.admitted.Add(1)
-			c.emitWarmEvents(evs)
-			return &cp, nil
-		} else {
-			c.mu.Unlock()
-			c.emitWarmEvents(evs)
-		}
-	} else {
-		c.mu.Unlock()
-	}
+	c.mu.Unlock()
 
 	w, placedOn, err := c.schedule(spec, img)
-	if err != nil && c.warmEnabled() {
-		// Capacity pressure: parked warm capacity must never turn a
-		// placeable workload away. Reclaim every idle slot and retry the
-		// scheduling pass once.
-		var capErr *CapacityError
-		if errors.As(err, &capErr) {
-			c.mu.RLock()
-			evs := c.reclaimWarmLocked()
-			c.mu.RUnlock()
-			if len(evs) > 0 {
-				c.emitWarmEvents(evs)
-				w, placedOn, err = c.schedule(spec, img)
-			}
-		}
-	}
 
 	c.mu.Lock()
 	delete(c.pending, spec.Name)
@@ -821,7 +741,6 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		}
 		return nil, err
 	}
-	w.digest = digest
 	c.workloads[spec.Name] = w
 	c.mutatePlace(w)
 	// Return a commit-time snapshot, not the live struct: the moment the
@@ -991,45 +910,34 @@ func (c *Cluster) placeVM(n *node, spec WorkloadSpec) *VM {
 	return vm
 }
 
-// Stop removes a workload, releasing capacity and quota. With the warm
-// pool enabled, a workload that was its VM's only occupant parks the VM
-// as an idle warm slot instead of tearing it down (see warm.go).
+// Stop removes a workload, releasing capacity and quota.
 func (c *Cluster) Stop(name string) error {
-	w, evs, err := c.stop(name)
+	w, err := c.stop(name)
 	if err != nil {
 		return err
 	}
 	c.auditEvent(AuditEvent{Kind: "workload-stop", Workload: name,
 		Tenant: w.Spec.Tenant, Node: w.Node, Allowed: true})
-	c.emitWarmEvents(evs)
 	return nil
 }
 
-// stop is Stop's body, audit and warm-event emission excluded (both
-// must happen outside c.mu; the warm events are returned for that).
-func (c *Cluster) stop(name string) (*Workload, []WarmEvent, error) {
+// stop is Stop's body, audit emission excluded.
+func (c *Cluster) stop(name string) (*Workload, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w, ok := c.workloads[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	delete(c.workloads, name)
 	c.mutate(Mutation{Kind: MutStop, Name: name})
 	c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Sub(w.Spec.Resources)
-	var evs []WarmEvent
-	if !c.parkOnStopLocked(w, &evs) {
-		if n, ok := c.nodes[w.Node]; ok {
-			n.mu.Lock()
-			n.releaseLocked(name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
-			n.mu.Unlock()
-		}
+	if n, ok := c.nodes[w.Node]; ok {
+		n.mu.Lock()
+		n.releaseLocked(name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
+		n.mu.Unlock()
 	}
-	// Whether the slot parked or the VM tore down, the workload's own
-	// claimed-slot binding (if this deploy came through the warm path)
-	// is retired.
-	c.warm.DropClaimed(name)
-	return w, evs, nil
+	return w, nil
 }
 
 // Workload returns a running workload by name. The returned struct is

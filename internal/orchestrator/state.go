@@ -187,10 +187,6 @@ func (c *Cluster) ExportState() ClusterState {
 func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *container.Image) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Warm slots are deliberately not part of ClusterState: a parked VM
-	// does not survive a control-plane restart, so recovery starts cold
-	// and the pool repopulates from live stop traffic.
-	c.warm.Reset()
 	c.nodes = make(map[string]*node, len(st.Nodes))
 	for _, ns := range st.Nodes {
 		n := newNode(ns.Name, ns.Capacity, len(c.tenantIDs))

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -150,7 +151,7 @@ func TestCandidateTableStorm(t *testing.T) {
 				if i%5 == 0 {
 					spec.Isolation = IsolationHard
 				}
-				if _, err := c.DeployContext(ctx, "ops", spec); err != nil && !isCapacityErr(err) {
+				if _, err := c.DeployContext(ctx, "ops", spec); err != nil && !errors.Is(err, ErrNoCapacity) {
 					t.Error(err)
 					return
 				}

@@ -322,56 +322,36 @@ func DrainStormCampaign(seed int64) Scenario {
 	return Scenario{Name: "drain-storm", Seed: seed, Config: core.SecureConfig(), Steps: steps}
 }
 
-// DeployStormCampaign is the warm-pool storm: repeat-deploy churn on a
-// platform running with the warm-slot runtime pool enabled (tight
-// watermarks, so parking triggers pressure evictions), interleaved with
-// stops (which park slots), node crashes, drains, and cordon flips
-// (which flush them), and a kill-restart leg (after which the pool must
-// be cold — warm slots are deliberately not persisted). The
-// warm-slots-never-leak invariant recomputes the full slot accounting
-// after every step: every slot idle on exactly one live uncordoned
-// node, claimed by exactly one live workload, or gone; and
-// no-drain-leaks-capacity folds the idle reservations into its per-node
-// usage recompute.
+// DeployStormCampaign is the stop→redeploy storm: hard-isolated
+// workloads — each in a dedicated VM of its own — are stopped and
+// deployed again, interleaved with node crashes, drains, cordon flips
+// and a kill-restart leg. Every stop must hand its VM's capacity back
+// exactly (no-drain-leaks-capacity recomputes each node's usage from
+// its live workloads after every step), and every redeploy goes through
+// the one placement path: admission on the cached verdict, then the
+// scheduler.
 func DeployStormCampaign(seed int64) Scenario {
 	r := rand.New(rand.NewSource(seed))
-	cfg := core.SecureConfig()
-	cfg.ClusterSettings.WarmPoolEnabled = true
-	cfg.ClusterSettings.WarmPoolHighWatermarkPct = 70
-	cfg.ClusterSettings.WarmPoolLowWatermarkPct = 40
 	steps := []Step{
 		SetQuota("acme", orchestrator.Resources{CPUMilli: 24000, MemoryMB: 49152}),
 		JoinNode(nodeCapacity),
 		JoinNode(nodeCapacity),
 		JoinNode(nodeCapacity),
 	}
-	// Seed the pool. Hard isolation matters here: a dedicated VM is its
-	// workload's sole occupant, so every stop parks it warm — soft
-	// workloads share VMs under binpack and rarely park. Six deploys
-	// binpack one node to 75%, just over the 70% high watermark: the
-	// first park is immediately watermark-evicted (deterministic
-	// slot.evict coverage), dropping the node to 62.5%, under the
-	// watermark — so the next three parks are guaranteed to stick.
+	// Six deploys, four stops, two redeploys: whatever the seed, the
+	// storm opens with a stop→redeploy round on a binpacked node.
 	for i := 0; i < 6; i++ {
 		steps = append(steps, Deploy("acme", CleanImageRef, orchestrator.IsolationHard, smallDemand))
 	}
 	for i := 0; i < 4; i++ {
 		steps = append(steps, StopNewestWorkload())
 	}
-	// Deterministic repeat-deploy pair: the slots just parked are
-	// reclaimed here whatever the seed, so every run exercises the warm
-	// claim fast path at least twice.
 	steps = append(steps,
 		Deploy("acme", CleanImageRef, orchestrator.IsolationHard, smallDemand),
 		Deploy("acme", CleanImageRef, orchestrator.IsolationHard, smallDemand),
+		DrainRandomNode(-1),
 	)
-	// Deterministic flush: utilization is still well under the high
-	// watermark here, so the third parked slot is guaranteed idle —
-	// draining its node must discard it (slot.flush) before the drain's
-	// migration accounting balances.
-	steps = append(steps, DrainWarmestNode(-1))
-	// The storm: repeat deploys of the pooled image (warm claims), more
-	// stop/deploy churn (parks racing claims), shared-VM soft traffic
+	// The storm: more stop/deploy churn, shared-VM soft traffic
 	// alongside, and the full lifecycle pressure set.
 	for wave := 0; wave < 16; wave++ {
 		switch r.Intn(9) {
@@ -391,11 +371,8 @@ func DeployStormCampaign(seed int64) Scenario {
 			steps = append(steps, AdvanceClock(100))
 		}
 	}
-	// The cold-restart leg: parked slots must not survive recovery. The
-	// deploy/stop-newest pair guarantees a slot is idle at the kill; the
-	// first deploy after the restart must therefore be a miss (the pool
-	// restarts cold), and the final pair proves warm claims work again
-	// post-recovery.
+	// The restart leg: a stop just before the kill, then stop→redeploy
+	// rounds on the recovered platform.
 	steps = append(steps,
 		Deploy("acme", CleanImageRef, orchestrator.IsolationHard, smallDemand),
 		StopNewestWorkload(),
@@ -405,7 +382,7 @@ func DeployStormCampaign(seed int64) Scenario {
 		Deploy("acme", CleanImageRef, orchestrator.IsolationHard, smallDemand),
 		AdvanceClock(200),
 	)
-	return Scenario{Name: "deploy-storm", Seed: seed, Config: cfg,
+	return Scenario{Name: "deploy-storm", Seed: seed, Config: core.SecureConfig(),
 		Persist: true, Steps: steps}
 }
 

@@ -122,32 +122,6 @@ func DrainRandomNode(cancelAfter int) Step {
 	}}
 }
 
-// DrainWarmestNode drains the live node holding the most idle warm
-// slots (ties broken by name, so the choice is deterministic). This is
-// how a campaign guarantees the drain→warm-flush path runs: the drain
-// must discard the node's parked slots before its migration accounting,
-// and warm-slots-never-leak checks none survive on the cordoned node.
-func DrainWarmestNode(cancelAfter int) Step {
-	return Step{Name: "node-drain-warmest", Run: func(w *World) Outcome {
-		idle := map[string]int{}
-		for _, s := range w.Platform.Cluster.WarmIdleSlots() {
-			idle[s.Node]++
-		}
-		live := w.LiveNodes()
-		if len(live) == 0 {
-			return okf("no live nodes to drain")
-		}
-		sort.Strings(live)
-		name, best := live[0], -1
-		for _, n := range live {
-			if idle[n] > best {
-				name, best = n, idle[n]
-			}
-		}
-		return drainNode(w, name, cancelAfter)
-	}}
-}
-
 func drainNode(w *World, name string, cancelAfter int) Outcome {
 	w.Clock.Advance(1)
 	_, wasCordoned := w.Cordoned[name]
@@ -309,16 +283,10 @@ func EvacuateClusterStep(name string) Step {
 
 func deployOne(w *World, spec orchestrator.WorkloadSpec) Outcome {
 	w.policies[spec.Name] = spec.PlacementPolicy
-	wl, err := w.Platform.DeployContext(context.Background(), Subject, spec)
+	_, err := w.Platform.DeployContext(context.Background(), Subject, spec)
 	status := w.observeDeploy(spec, err)
 	if err != nil {
 		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s): %v", spec.Name, spec.ImageRef, err)}
-	}
-	if wl.Strategy == "warm" {
-		// A warm-slot claim skipped scheduling entirely; surface it so
-		// campaign reports (and their byte-identical determinism check)
-		// pin exactly which deploys took the fast path.
-		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s) placed warm", spec.Name, spec.ImageRef)}
 	}
 	return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s) placed", spec.Name, spec.ImageRef)}
 }
@@ -611,10 +579,8 @@ func StopWorkload() Step {
 
 // StopNewestWorkload stops the most recently deployed workload
 // (deterministic: workload names are zero-padded, so the lexicographic
-// maximum is the newest). A hard-isolation workload is its VM's sole
-// occupant, so stopping it parks the VM as a warm slot — pairing this
-// with a follow-up Deploy of the same spec exercises the warm claim
-// fast path regardless of the seed.
+// maximum is the newest), so a campaign can script a stop→redeploy
+// round regardless of the seed.
 func StopNewestWorkload() Step {
 	return Step{Name: "workload-stop-newest", Run: func(w *World) Outcome {
 		names := w.DeployedWorkloads()

@@ -33,7 +33,6 @@ func DefaultInvariants() []Invariant {
 		LifecycleLedgerBalanced(),
 		PlacementPolicyRespected(),
 		NoDrainLeaksCapacity(),
-		WarmSlotsNeverLeak(),
 		NoCrossRegionLeak(),
 		RecoveryExact(),
 	}
@@ -261,14 +260,7 @@ func PlacementPolicyRespected() Invariant {
 				if want == "" {
 					want = defaultStrategy
 				}
-				if wl.Strategy == "warm" {
-					// The warm fast path bypasses strategy scoring by design
-					// (the slot's placement was scored when the VM was first
-					// created). The claim-to-workload binding itself is audited
-					// by warm-slots-never-leak; it cannot be demanded here
-					// because a kill-restart recovers "warm" placements while
-					// the pool deliberately restarts cold.
-				} else if wl.Strategy != want {
+				if wl.Strategy != want {
 					out = append(out, fmt.Sprintf(
 						"%sworkload %s placed under strategy %q, policy requested %q",
 						clusterTag(w, c), wl.Spec.Name, wl.Strategy, want))
@@ -318,12 +310,6 @@ func drainLeakViolations(w *World, cluster *orchestrator.Cluster) []string {
 		wantCount[wl.Node]++
 		wantTenant[wl.Spec.Tenant] = wantTenant[wl.Spec.Tenant].Add(wl.Spec.Resources)
 		byName[wl.Spec.Name] = wl
-	}
-	// Idle warm slots hold node reservations without a workload (that
-	// is the warm pool's contract); they count toward node usage but
-	// never toward tenant quota or workload counts.
-	for _, s := range cluster.WarmIdleSlots() {
-		wantUsed[s.Node] = wantUsed[s.Node].Add(s.Res)
 	}
 	for _, u := range cluster.Utilization() {
 		if u.Used != wantUsed[u.Node] {
@@ -391,84 +377,6 @@ func drainLeakViolations(w *World, cluster *orchestrator.Cluster) []string {
 			out = append(out, fmt.Sprintf(
 				"%snode %s counts %d shared VMs; VM table holds %d", tag, u.Node, u.SharedVMs, sharedByNode[u.Node]))
 		}
-	}
-	return out
-}
-
-// WarmSlotsNeverLeak: full warm-pool accounting recompute after every
-// step. Every idle slot is parked on exactly one live, uncordoned node
-// and its VM id is absent from the live VM table (a parked VM is not
-// schedulable state); every claimed binding names exactly one live
-// workload whose placement (node and VM id) matches the slot it
-// claimed; and no two slots — idle or claimed — share a VM id, so a
-// slot can never be double-booked. Nodes the script crashed or drained
-// hold no idle slots at all.
-func WarmSlotsNeverLeak() Invariant {
-	return Invariant{Name: "warm-slots-never-leak", Check: func(w *World) []string {
-		var out []string
-		for _, cluster := range w.Clusters() {
-			out = append(out, warmSlotViolations(w, cluster)...)
-		}
-		sort.Strings(out)
-		return out
-	}}
-}
-
-// warmSlotViolations audits one cluster's warm pool (the body of
-// WarmSlotsNeverLeak, run per federation member — pools are strictly
-// per cluster, so each audit is self-contained).
-func warmSlotViolations(w *World, cluster *orchestrator.Cluster) []string {
-	var out []string
-	tag := clusterTag(w, cluster)
-	clusterLive := map[string]bool{}
-	cordoned := map[string]bool{}
-	for _, u := range cluster.Utilization() {
-		clusterLive[u.Node] = true
-		cordoned[u.Node] = u.Cordoned
-	}
-	liveVMs := map[string]string{} // vm id -> node
-	for _, vm := range cluster.VMs() {
-		liveVMs[vm.ID] = vm.Node
-	}
-	byName := map[string]*orchestrator.Workload{}
-	for _, wl := range cluster.Workloads() {
-		byName[wl.Spec.Name] = wl
-	}
-	seenVM := map[string]string{} // vm id -> "idle"/workload name
-	for _, s := range cluster.WarmIdleSlots() {
-		switch {
-		case !clusterLive[s.Node]:
-			out = append(out, fmt.Sprintf("%sidle warm slot %s parked on dead node %s", tag, s.VMID, s.Node))
-		case cordoned[s.Node]:
-			out = append(out, fmt.Sprintf("%sidle warm slot %s parked on cordoned node %s", tag, s.VMID, s.Node))
-		}
-		if node, live := liveVMs[s.VMID]; live {
-			out = append(out, fmt.Sprintf(
-				"%sidle warm slot %s also exists as a live VM on %s", tag, s.VMID, node))
-		}
-		if prev, dup := seenVM[s.VMID]; dup {
-			out = append(out, fmt.Sprintf("%svm %s booked twice in the warm pool (%s and idle)", tag, s.VMID, prev))
-		}
-		seenVM[s.VMID] = "idle"
-	}
-	claims := cluster.WarmClaims()
-	for _, cl := range claims {
-		wl, ok := byName[cl.Workload]
-		if !ok {
-			out = append(out, fmt.Sprintf(
-				"%swarm claim for %s names a workload not in the cluster", tag, cl.Workload))
-			continue
-		}
-		if wl.Node != cl.Slot.Node || wl.VMID != cl.Slot.VMID {
-			out = append(out, fmt.Sprintf(
-				"%swarm claim for %s records vm %s on %s; workload runs in vm %s on %s",
-				tag, cl.Workload, cl.Slot.VMID, cl.Slot.Node, wl.VMID, wl.Node))
-		}
-		if prev, dup := seenVM[cl.Slot.VMID]; dup {
-			out = append(out, fmt.Sprintf(
-				"%svm %s booked twice in the warm pool (%s and %s)", tag, cl.Slot.VMID, prev, cl.Workload))
-		}
-		seenVM[cl.Slot.VMID] = cl.Workload
 	}
 	return out
 }

@@ -6,11 +6,7 @@ package sim
 // goroutine-order-dependent sequences (raw incident logs), and key
 // material — the things that would break byte-identical replay.
 
-import (
-	"encoding/json"
-
-	"genio/internal/orchestrator/warmpool"
-)
+import "encoding/json"
 
 // Report is the full record of one scenario run.
 type Report struct {
@@ -46,11 +42,6 @@ type FinalState struct {
 	// Events tallies spine publishes per topic. Deterministic under the
 	// Block backpressure policy every stock campaign runs with.
 	Events map[string]uint64 `json:"eventsByTopic,omitempty"`
-	// WarmSlots carries the run's cumulative warm-pool counters
-	// (hits/misses/evictions/flushes summed across KillRestart rebuilds,
-	// since the pool itself restarts cold). Nil when the scenario never
-	// touched the warm pool, so non-warm campaign reports are unchanged.
-	WarmSlots *warmpool.Counters `json:"warmSlots,omitempty"`
 }
 
 // JSON renders the report with stable formatting (and, via encoding/json,

@@ -13,7 +13,6 @@ import (
 	"genio/internal/container"
 	"genio/internal/core"
 	"genio/internal/orchestrator"
-	"genio/internal/orchestrator/warmpool"
 )
 
 // Scenario is a named, fully scripted fault campaign: a platform posture
@@ -167,35 +166,9 @@ type World struct {
 	// drains it.
 	recoveryDiffs []string
 
-	// warmPrev is the last warm-pool counter sample from the current
-	// platform incarnation; warmTotal accumulates the deltas across
-	// KillRestart rebuilds (the pool itself deliberately restarts cold,
-	// so per-incarnation counters reset — the report wants the run's
-	// cumulative totals).
-	warmPrev  warmpool.Counters
-	warmTotal warmpool.Counters
-
 	nodeSeq int
 	wlSeq   int
 	onuSeq  int
-}
-
-// sampleWarm folds the platform's warm-pool counters into the world's
-// cumulative totals. Counters are monotonic within one platform
-// incarnation; any decrease means a KillRestart rebuilt the platform
-// (pool restarts cold), so the new sample counts from zero.
-func (w *World) sampleWarm() {
-	cur := w.Platform.Cluster.WarmCounters()
-	prev := w.warmPrev
-	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Evicted < prev.Evicted || cur.Flushed < prev.Flushed {
-		prev = warmpool.Counters{}
-	}
-	w.warmTotal.Hits += cur.Hits - prev.Hits
-	w.warmTotal.Misses += cur.Misses - prev.Misses
-	w.warmTotal.Evicted += cur.Evicted - prev.Evicted
-	w.warmTotal.Flushed += cur.Flushed - prev.Flushed
-	w.warmPrev = cur
 }
 
 // stateFingerprint renders the durable control-plane state — cluster

@@ -27,7 +27,6 @@ import (
 	"genio/internal/core"
 	"genio/internal/events"
 	"genio/internal/orchestrator"
-	"genio/internal/orchestrator/warmpool"
 	"genio/internal/persist"
 	"genio/internal/pki"
 	"genio/internal/rbac"
@@ -154,7 +153,6 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 
 	for i, step := range sc.Steps {
 		out := step.Run(w)
-		w.sampleWarm()
 		sr := StepReport{
 			Index:  i,
 			Name:   step.Name,
@@ -207,7 +205,6 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 			eventCounts[string(topic)] = ts.Published
 		}
 	}
-	w.sampleWarm()
 	rep.Final = FinalState{
 		VirtualMs: clock.NowMs(),
 		LiveNodes: liveNodes,
@@ -216,12 +213,6 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 		Rejected:  rejected,
 		Incidents: w.Platform.IncidentCounts(),
 		Events:    eventCounts,
-	}
-	if w.warmTotal != (warmpool.Counters{}) {
-		// Cumulative across KillRestart rebuilds (per-incarnation pool
-		// counters reset with the platform; the report wants run totals).
-		warm := w.warmTotal
-		rep.Final.WarmSlots = &warm
 	}
 	return rep, nil
 }

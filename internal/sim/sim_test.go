@@ -118,49 +118,37 @@ func TestAdmissionFloodVerdicts(t *testing.T) {
 	}
 }
 
-// TestDeployStormExercisesWarmPool checks the warm-pool storm reaches
-// every interesting regime on every seed: warm claims (the O(1) repeat
-// deploy fast path), cold misses, watermark evictions, drain flushes —
-// and the cold-restart contract: the first repeat deploy after a
-// kill-restart must NOT claim a warm slot, because warm slots are
-// deliberately not persisted.
-func TestDeployStormExercisesWarmPool(t *testing.T) {
+// TestDeployStormStopsAndRedeploys checks the stop→redeploy storm does
+// what its name says on every seed, read from the step statuses: at
+// least four workloads stopped, at least four admitted deploys that each
+// follow an unmatched stop (a redeploy), and a redeploy on the platform
+// a kill-restart recovered.
+func TestDeployStormStopsAndRedeploys(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rep, js := runJSON(t, "deploy-storm", seed)
 		if !rep.Passed {
 			t.Fatalf("seed %d violated invariants:\n%s", seed, js)
 		}
-		warm := rep.Final.WarmSlots
-		if warm == nil {
-			t.Fatalf("seed %d: no warm-pool activity recorded:\n%s", seed, js)
-		}
-		if warm.Hits < 2 || warm.Misses == 0 || warm.Evicted < 1 || warm.Flushed < 1 {
-			t.Fatalf("seed %d: storm missed a warm regime: %+v\n%s", seed, *warm, js)
-		}
-		placedWarm := 0
-		restartAt := -1
-		for i, s := range rep.Steps {
-			if strings.HasSuffix(s.Detail, "placed warm") {
-				placedWarm++
-			}
-			if s.Name == "kill-restart" {
-				restartAt = i
+		stops, redeploys, unmatched := 0, 0, 0
+		restarted, redeployedAfterRestart := false, false
+		for _, s := range rep.Steps {
+			switch {
+			case strings.HasPrefix(s.Name, "workload-stop") && s.Status == "ok" && strings.HasSuffix(s.Detail, " stopped"):
+				stops++
+				unmatched++
+			case s.Name == "deploy" && s.Status == "admitted" && unmatched > 0:
+				redeploys++
+				unmatched--
+				redeployedAfterRestart = redeployedAfterRestart || restarted
+			case s.Name == "kill-restart" && s.Status == "recovered":
+				restarted = true
 			}
 		}
-		if placedWarm != int(warm.Hits) {
-			t.Fatalf("seed %d: %d warm placements reported but %d hits counted:\n%s",
-				seed, placedWarm, warm.Hits, js)
+		if stops < 4 || redeploys < 4 {
+			t.Fatalf("seed %d: %d stops and %d redeploys, want at least 4 of each:\n%s", seed, stops, redeploys, js)
 		}
-		if restartAt < 0 {
-			t.Fatalf("seed %d: no kill-restart step:\n%s", seed, js)
-		}
-		for _, s := range rep.Steps[restartAt+1:] {
-			if s.Name == "deploy" {
-				if strings.HasSuffix(s.Detail, "placed warm") {
-					t.Fatalf("seed %d: first deploy after kill-restart claimed a warm slot — slots leaked through recovery:\n%s", seed, js)
-				}
-				break
-			}
+		if !redeployedAfterRestart {
+			t.Fatalf("seed %d: no redeploy after the kill-restart:\n%s", seed, js)
 		}
 	}
 }

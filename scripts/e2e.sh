@@ -76,6 +76,13 @@ out="$(ctl nodes -top)"
 echo "$out"
 echo "$out" | grep -q "BINPACK" || fail "nodes -top printed no scores"
 
+echo "=== unknown subcommand (slots was removed)"
+if out="$(ctl slots 2>&1)"; then
+    fail "genioctl slots exited zero: $out"
+fi
+echo "$out"
+echo "$out" | grep -q "unknown subcommand" || fail "genioctl slots did not name the error: $out"
+
 echo "=== graceful shutdown"
 kill -TERM "$daemon_pid"
 for _ in $(seq 1 100); do
