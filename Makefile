@@ -94,7 +94,7 @@ cores:
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Onboard|NodeProvisioning' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'ScanOnce|FederatedVerdict' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog' ./internal/core ./api/server && \
-		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|ScanTakesNoNodeLock' ./internal/orchestrator && \
+		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|AccountingBalanced|CommitRace' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
 	done
 	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim

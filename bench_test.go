@@ -373,7 +373,7 @@ func benchSpec(name string) genio.WorkloadSpec {
 
 // BenchmarkDeployParallel is the multi-tenant hot path as shipped: deploys
 // from concurrent goroutines with the per-digest verdict cache, against
-// the sharded cluster state.
+// the one-lock cluster state.
 func BenchmarkDeployParallel(b *testing.B) {
 	p := benchDeployPlatform(b)
 	var seq atomic.Int64

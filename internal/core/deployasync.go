@@ -42,7 +42,7 @@ const (
 	StatePending DeployState = "pending"
 	// StateScanning: image pull and the admission chain are running.
 	StateScanning DeployState = "scanning"
-	// StatePlacing: admission passed; reservation and scheduling run.
+	// StatePlacing: admission passed; quota check and scheduling run.
 	StatePlacing DeployState = "placing"
 	// StateRunning: the workload is placed (terminal success).
 	StateRunning DeployState = "running"
@@ -157,7 +157,7 @@ func (d *Deployment) Result() (*orchestrator.Workload, error) {
 func (d *Deployment) Cancel() { d.cancel() }
 
 // DeployAsync starts a deployment and returns its future. The pipeline —
-// RBAC, verified pull, admission chain, reservation, scheduling — runs
+// RBAC, verified pull, admission chain, quota check, scheduling — runs
 // on its own goroutine under a context derived from ctx: cancelling ctx
 // (or Deployment.Cancel, or a deadline) aborts it between stages and
 // inside scans without placing the workload.

@@ -7,7 +7,7 @@ package core
 // from an atomic counter and drive the same Deployment.run pipeline
 // DeployAsync uses, inline. Each spec still runs the full Deploy
 // pipeline independently — RBAC, verified pull, the scanner chain,
-// quota reservation, scheduling — so one rejection never blocks its
+// quota check, scheduling — so one rejection never blocks its
 // siblings, and every deployment's lifecycle streams on the
 // deploy.lifecycle topic exactly as a future's does.
 //

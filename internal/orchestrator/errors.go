@@ -277,7 +277,7 @@ func (e *DrainError) Unwrap() error { return e.Err }
 
 // CancelledError reports a deployment aborted by its context: cancelled
 // explicitly or past its deadline. Stage names where in the pipeline the
-// abort landed (admission | reservation | placement | drain). Unwrap
+// abort landed (scanning | admission | placing | drain). Unwrap
 // exposes the context error, so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) both work.
 type CancelledError struct {

@@ -178,14 +178,14 @@ func TestDeployContextCancelledMidAdmission(t *testing.T) {
 }
 
 // TestDeployContextCancelInCommitWindow drives the final cancellation
-// point: admission passes, the context dies before commit, and both the
-// reservation and the node-side placement are rolled back.
+// point: admission passes, the context dies before scheduling, and
+// neither a quota charge nor a node-side placement is left behind.
 func TestDeployContextCancelInCommitWindow(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
 	c.AddNode("n1", Resources{CPUMilli: 4000, MemoryMB: 8192})
 	ctx, cancel := context.WithCancel(context.Background())
 	// The observer fires as the pipeline enters placing — cancelling
-	// there lands in the reservation/commit window.
+	// there lands on the check under the cluster lock.
 	_, err := c.DeployObserved(ctx, "ops", spec("w", "t", "acme/analytics:2.0.1", IsolationSoft),
 		func(stage DeployStage) {
 			if stage == StagePlacing {

@@ -83,10 +83,9 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, error
 	res := &FailoverResult{Node: name, AtMs: c.nowMs()}
 	var rescheduled []movedWorkload
 	for _, w := range victims {
-		// Release old accounting; scheduling re-adds on success. The
-		// cluster write lock is already held, so place via scheduleAmong.
+		// Release old accounting; scheduling re-adds on success.
 		c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Sub(w.Spec.Resources)
-		moved, err := c.scheduleAmong(w.Spec, w.Image)
+		moved, err := c.placeLocked(w.Spec, w.Image, "")
 		var perr *PlacementPolicyError
 		if errors.As(err, &perr) {
 			// The workload's policy no longer resolves — a cluster
@@ -97,7 +96,7 @@ func (c *Cluster) failNode(name string) (*FailoverResult, []movedWorkload, error
 			// fleet over a config typo.
 			degraded := w.Spec
 			degraded.PlacementPolicy = PlacementBinpack
-			moved, err = c.scheduleAmong(degraded, w.Image)
+			moved, err = c.placeLocked(degraded, w.Image, "")
 			if err == nil {
 				// The placement degraded; the workload's requested policy
 				// did not — once the config is fixed, later moves resolve
@@ -151,15 +150,14 @@ type NodeUtilization struct {
 }
 
 // Utilization returns per-node resource usage sorted by node name: one
-// read of each candidate-table row, no node lock taken.
+// read of each candidate-table row under the cluster read lock.
 func (c *Cluster) Utilization() []NodeUtilization {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]NodeUtilization, len(c.candidates))
 	for i, n := range c.candidates { // name-sorted by construction
-		out[i] = NodeUtilization{Node: n.name, Used: n.used.load(), Capacity: n.capacity,
-			Cordoned: n.cordoned.Load(), Workloads: int(n.placed.Load()),
-			SharedVMs: int(n.sharedVMs.Load())}
+		out[i] = NodeUtilization{Node: n.name, Used: n.used, Capacity: n.capacity,
+			Cordoned: n.cordoned, Workloads: n.placed, SharedVMs: n.sharedVMs}
 	}
 	return out
 }

@@ -55,21 +55,20 @@ func (c *Cluster) Uncordon(name string) error {
 // Every explicit call — transition or idempotent no-op — claims the
 // cordon state for the operator: a drain rollback never undoes it.
 func (c *Cluster) setCordon(name string, cordoned bool, detail string) error {
-	c.mu.RLock()
+	c.mu.Lock()
 	n, ok := c.nodes[name]
-	c.mu.RUnlock()
 	if !ok {
+		c.mu.Unlock()
 		return &NodeNotFoundError{Node: name}
 	}
-	n.mu.Lock()
-	changed := n.cordoned.Load() != cordoned
-	n.cordoned.Store(cordoned)
+	changed := n.cordoned != cordoned
+	n.cordoned = cordoned
 	n.cordonOwner = 0
 	n.cordonEpoch++
 	if changed {
 		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: cordoned})
 	}
-	n.mu.Unlock()
+	c.mu.Unlock()
 	if changed {
 		kind := "node-cordon"
 		if !cordoned {
@@ -159,12 +158,6 @@ func (c *Cluster) Drain(ctx context.Context, name string) (*DrainResult, error) 
 // for every DrainEvent. The platform wires the spine's node.drain
 // publisher in here.
 func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(DrainEvent)) (*DrainResult, error) {
-	c.mu.RLock()
-	n, ok := c.nodes[name]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, &NodeNotFoundError{Node: name}
-	}
 	emit := func(ev DrainEvent) {
 		ev.Node = name
 		if ev.AtMs == 0 {
@@ -180,16 +173,21 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// own it — an explicit operator Cordon/Uncordon at any point, a
 	// completed drain, or another drain's own cordon (all of which
 	// rewrite the owner) takes precedence.
+	c.mu.Lock()
+	n, ok := c.nodes[name]
+	if !ok {
+		c.mu.Unlock()
+		return nil, &NodeNotFoundError{Node: name}
+	}
 	drainID := c.drainSeq.Add(1)
-	n.mu.Lock()
-	wasCordoned := n.cordoned.Load()
-	n.cordoned.Store(true)
+	wasCordoned := n.cordoned
+	n.cordoned = true
 	if !wasCordoned {
 		n.cordonOwner = drainID
 		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: true})
 	}
 	startEpoch := n.cordonEpoch
-	n.mu.Unlock()
+	c.mu.Unlock()
 	if !wasCordoned {
 		c.auditEvent(AuditEvent{Kind: "node-cordon", Node: name, Allowed: true, Detail: "drain"})
 		emit(DrainEvent{Phase: DrainCordoned})
@@ -201,28 +199,19 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// under sustained deploys.
 	initial := &drainCursor{names: c.workloadsOn(name)}
 	res := &DrainResult{Node: name}
-	// isCurrent verifies the node object we are draining is still the
-	// one the name maps to: a node that failed (and possibly rejoined
-	// under the same name — a different object) mid-drain is not ours
-	// to cordon, scan, or roll back.
-	isCurrent := func() bool {
-		c.mu.RLock()
-		cur := c.nodes[name]
-		c.mu.RUnlock()
-		return cur == n
-	}
+	// Rollback and completion first check that the node object we are
+	// draining is still the one the name maps to: a node that failed
+	// (and possibly rejoined under the same name — a different object)
+	// mid-drain is not ours to cordon or roll back.
 	rollback := func(why string) {
-		if !isCurrent() {
-			return // our object is orphaned; its flags are moot
-		}
-		n.mu.Lock()
-		undo := n.cordoned.Load() && n.cordonOwner == drainID
+		c.mu.Lock()
+		undo := c.nodes[name] == n && n.cordoned && n.cordonOwner == drainID
 		if undo {
-			n.cordoned.Store(false)
+			n.cordoned = false
 			n.cordonOwner = 0
 			c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: false})
 		}
-		n.mu.Unlock()
+		c.mu.Unlock()
 		if undo {
 			c.auditEvent(AuditEvent{Kind: "node-uncordon", Node: name, Allowed: true,
 				Detail: "drain rollback: " + why})
@@ -292,9 +281,7 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// The node must still be ours to report drained-and-cordoned — if it
 	// failed (and possibly rejoined) while the last workloads left, the
 	// failover already owns the story.
-	if !isCurrent() {
-		return vanished()
-	}
+	//
 	// Completion makes the cordon permanent (sticky until an explicit
 	// Uncordon): the owner resets so NO drain's rollback may lift it
 	// afterwards, and — unless the operator explicitly touched the
@@ -303,13 +290,19 @@ func (c *Cluster) DrainObserved(ctx context.Context, name string, observe func(D
 	// lifted the cordon we were riding mid-flight. "This node is empty
 	// and cordoned" is the strongest statement standing; only explicit
 	// operator intent overrides it.
-	n.mu.Lock()
-	if n.cordonEpoch == startEpoch && !n.cordoned.Load() {
-		n.cordoned.Store(true)
-		c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: true})
+	c.mu.Lock()
+	current := c.nodes[name] == n
+	if current {
+		if n.cordonEpoch == startEpoch && !n.cordoned {
+			n.cordoned = true
+			c.mutate(Mutation{Kind: MutNodeCordon, Node: name, Cordoned: true})
+		}
+		n.cordonOwner = 0
 	}
-	n.cordonOwner = 0
-	n.mu.Unlock()
+	c.mu.Unlock()
+	if !current {
+		return vanished()
+	}
 	// Completion evacuated the initial set; anything else on the node
 	// arrived after the cordon (an operator uncordon or a concurrent
 	// drain's rollback reopened it mid-flight) and is reported, not
@@ -379,16 +372,14 @@ func (c *Cluster) migrateNext(name string, own *node, initial *drainCursor) (mov
 	// The source node is excluded by name, not just by its cordon flag:
 	// a concurrent Uncordon must not let the drain migrate a workload
 	// back onto the node it is evacuating.
-	sched, _, err := c.scheduleExcluding(w.Spec, w.Image, name)
+	sched, err := c.placeLocked(w.Spec, w.Image, name)
 	if err != nil {
 		return nil, false, &DrainError{Node: name, Workload: w.Spec.Name, Err: err}
 	}
 	old := *w
 	*w = *sched
 	c.mutatePlace(w)
-	own.mu.Lock()
 	own.releaseLocked(old.Spec.Name, old.VMID, old.Spec.Resources, c.tenantIDs[old.Spec.Tenant])
-	own.mu.Unlock()
 	// Tenant quota usage is unchanged: the same spec keeps running, it
 	// just lives on another node now.
 	return &movedWorkload{Workload: w.Spec.Name, Tenant: w.Spec.Tenant,

@@ -10,21 +10,21 @@
 // the M11 benchmark profiles flag. Tenant resource quotas counter the T8
 // resource-abuse vector.
 //
-// Concurrency model: cluster-wide topology (node membership, the workload
-// and quota tables) sits behind a sync.RWMutex so read-side queries never
-// contend with each other; writes to per-node placement state (capacity
-// accounting and VM maps) are sharded behind one mutex per node so
-// placements on different nodes proceed in parallel. The admission chain
-// runs on the deploying goroutine, outside both (see admission.go). Lock
-// order is always cluster lock before node lock, never the reverse.
+// Concurrency model: all cluster state — node membership and every
+// node's placement state, the workload and quota tables — sits behind one
+// sync.RWMutex. Read-side queries share it; every write, from a deploy's
+// name and quota check through scheduling to commit, is one critical
+// section under the write lock, so no reader ever sees a quota charged
+// for a workload that sits on no node. The admission chain runs on the
+// deploying goroutine, outside the lock (see admission.go).
 //
 // Placement decisions are delegated to the scheduler subpackage: one
 // fused filter -> score pass over the cluster's candidate table, the
-// name-sorted node rows whose scheduler inputs are atomics maintained
-// where placement state changes and read without node locks (see
-// scheduleExcluding). Node lifecycle — cordon, drain — lives in
-// lifecycle.go; failover in failover.go. All three consume the same
-// engine, so placement policy is decided in exactly one place.
+// name-sorted node rows whose scheduler inputs are plain fields kept
+// where placement state changes (see placeLocked). Node lifecycle —
+// cordon, drain — lives in lifecycle.go; failover in failover.go. All
+// three consume the same engine, so placement policy is decided in
+// exactly one place.
 package orchestrator
 
 import (
@@ -124,35 +124,24 @@ type VM struct {
 }
 
 // node is internal node state and, at the same time, its row in the
-// cluster's candidate table. The cluster lock guards membership in the
-// node map and the table; mu serializes every write to the placement
-// state (vms, lifecycle flags and the scheduler inputs) so placements
-// on different nodes do not serialize.
-//
-// The scheduler inputs — used, cordoned, sharedVMs, placed and the
-// per-tenant counts — are atomics written under mu where the state
-// changes (commit, release, cordon, import) and read by scheduling
-// passes and fleet reads without it. Such a read may see one field
-// before a concurrent commit and the next after it; that costs at most
-// a rescan, because commitOn re-checks feasibility under mu before it
-// places anything.
+// cluster's candidate table. Every field is guarded by the cluster lock:
+// written under c.mu (write) where the state changes (commit, release,
+// cordon, import) and read by scheduling passes and fleet reads under
+// c.mu at least for read.
 type node struct {
 	name     string
 	capacity Resources
 
-	used usage
+	used Resources
 	// cordoned marks the node unschedulable (Cordon/Drain); running
 	// workloads stay until drained or stopped.
-	cordoned  atomic.Bool
-	sharedVMs atomic.Int32 // non-dedicated VMs (security-posture input)
-	placed    atomic.Int32 // workloads on the node
+	cordoned  bool
+	sharedVMs int // non-dedicated VMs (security-posture input)
+	placed    int // workloads on the node
 	// tenants counts workloads per interned tenant id (anti-affinity
-	// input; see Cluster.tenantIDs). Its length changes only under the
-	// cluster write lock (internLocked); every reader and writer of a
-	// count holds the cluster lock at least for read.
-	tenants []atomic.Int32
+	// input; see Cluster.tenantIDs).
+	tenants []int
 
-	mu  sync.Mutex
 	vms map[string]*VM
 	// cordonOwner identifies the still-in-flight Drain that applied the
 	// cordon (its drain id; 0 = operator-owned or none): a drain rollback
@@ -168,74 +157,54 @@ type node struct {
 	cordonEpoch uint64
 }
 
-// usage is a Resources value whose writers are serialized by a lock and
-// whose readers need none.
-type usage struct{ cpu, mem atomic.Int64 }
-
-func (u *usage) load() Resources {
-	return Resources{CPUMilli: int(u.cpu.Load()), MemoryMB: int(u.mem.Load())}
-}
-
-func (u *usage) add(r Resources) {
-	u.cpu.Add(int64(r.CPUMilli))
-	u.mem.Add(int64(r.MemoryMB))
-}
-
-func (u *usage) sub(r Resources) {
-	u.cpu.Add(-int64(r.CPUMilli))
-	u.mem.Add(-int64(r.MemoryMB))
-}
-
 // newNode returns an empty node sized for tenants interned tenant ids.
 func newNode(name string, capacity Resources, tenants int) *node {
 	return &node{name: name, capacity: capacity,
-		tenants: make([]atomic.Int32, tenants), vms: make(map[string]*VM)}
+		tenants: make([]int, tenants), vms: make(map[string]*VM)}
 }
 
 // candidate reads the node's row for a scheduling decision on behalf of
-// tenant id tid — the single place the node -> Candidate mapping lives,
-// shared by the scan pass (no lock) and the commit-time re-check (under
-// n.mu).
+// tenant id tid — the single place the node -> Candidate mapping lives.
 func (n *node) candidate(tid int) scheduler.Candidate {
 	return scheduler.Candidate{
 		Node:            n.name,
 		Capacity:        n.capacity,
-		Used:            n.used.load(),
-		Cordoned:        n.cordoned.Load(),
-		TenantWorkloads: int(n.tenants[tid].Load()),
-		SharedVMs:       int(n.sharedVMs.Load()),
+		Used:            n.used,
+		Cordoned:        n.cordoned,
+		TenantWorkloads: n.tenants[tid],
+		SharedVMs:       n.sharedVMs,
 	}
 }
 
 // countLocked moves tenant id tid's workload count on n by delta (+1 on
-// a placement, -1 on a release). Callers hold n.mu.
-func (n *node) countLocked(tid int, delta int32) {
-	n.tenants[tid].Add(delta)
-	n.placed.Add(delta)
+// a placement, -1 on a release). Callers hold c.mu (write).
+func (n *node) countLocked(tid, delta int) {
+	n.tenants[tid] += delta
+	n.placed += delta
 }
 
-// addVMLocked registers vm on n. Callers hold n.mu.
+// addVMLocked registers vm on n. Callers hold c.mu (write).
 func (n *node) addVMLocked(vm *VM) {
 	n.vms[vm.ID] = vm
 	if !vm.Dedicated {
-		n.sharedVMs.Add(1)
+		n.sharedVMs++
 	}
 }
 
-// dropVMLocked removes vm from n. Callers hold n.mu.
+// dropVMLocked removes vm from n. Callers hold c.mu (write).
 func (n *node) dropVMLocked(vm *VM) {
 	delete(n.vms, vm.ID)
 	if !vm.Dedicated {
-		n.sharedVMs.Add(-1)
+		n.sharedVMs--
 	}
 }
 
 // releaseLocked undoes one workload's placement on n: capacity is
 // returned, the tenant count drops, the VM slot is vacated, and an
 // emptied VM is deleted (shared-VM counter maintained). Callers hold
-// n.mu.
+// c.mu (write).
 func (n *node) releaseLocked(workload, vmID string, res Resources, tid int) {
-	n.used.sub(res)
+	n.used = n.used.Sub(res)
 	n.countLocked(tid, -1)
 	vm, ok := n.vms[vmID]
 	if !ok {
@@ -343,16 +312,14 @@ type Cluster struct {
 	// maintained on membership changes (AddNode inserts, FailNode and
 	// ImportState rebuild), with each row's scheduler inputs written
 	// where they change. Every scheduling pass and fleet read scans it
-	// under mu (read) without taking a node lock — O(nodes) atomic
-	// loads, zero allocations. Guarded by mu like the node map.
+	// under mu — O(nodes) field reads, zero allocations.
 	candidates []*node
 	// tenantIDs interns tenant names to dense ids, the index into every
 	// row's tenants counts, so a scan reads a tenant's count by index
 	// instead of hashing its name once per node. Ids are assigned under
-	// mu (write) — in the deploy's reservation step and in ImportState —
+	// mu (write) — in the deploy's critical section and in ImportState —
 	// before any placement of that tenant, and never reused.
 	tenantIDs  map[string]int
-	pending    map[string]struct{} // names reserved by in-flight deploys
 	quotas     map[string]Resources
 	tenantUsed map[string]Resources
 
@@ -391,7 +358,6 @@ func NewCluster(name string, reg *container.Registry, settings Settings) *Cluste
 		nodes:      make(map[string]*node),
 		workloads:  make(map[string]*Workload),
 		tenantIDs:  make(map[string]int),
-		pending:    make(map[string]struct{}),
 		quotas:     make(map[string]Resources),
 		tenantUsed: make(map[string]Resources),
 	}
@@ -431,10 +397,8 @@ func (c *Cluster) internLocked(tenant string) int {
 	c.tenantIDs[tenant] = id
 	for _, n := range c.nodes {
 		if id >= len(n.tenants) {
-			grown := make([]atomic.Int32, max(id+1, 2*len(n.tenants)))
-			for i := range n.tenants {
-				grown[i].Store(n.tenants[i].Load())
-			}
+			grown := make([]int, max(id+1, 2*len(n.tenants)))
+			copy(grown, n.tenants)
 			n.tenants = grown
 		}
 	}
@@ -469,8 +433,8 @@ func (c *Cluster) SetAuditSink(fn AuditSink) {
 }
 
 // auditEvent stamps and forwards one audit record; a no-op without a
-// sink. Never call while holding c.mu or a node lock: a sink may block
-// on telemetry backpressure or call back into read-side queries.
+// sink. Never call while holding c.mu: a sink may block on telemetry
+// backpressure or call back into read-side queries.
 func (c *Cluster) auditEvent(a AuditEvent) {
 	if fn := c.audit.Load(); fn != nil {
 		if a.AtMs == 0 {
@@ -545,17 +509,18 @@ type DeployStage string
 const (
 	// StageScanning covers image pull plus the admission chain.
 	StageScanning DeployStage = "scanning"
-	// StagePlacing covers name/quota reservation, scheduling, and commit.
+	// StagePlacing covers the name and quota checks, scheduling, and
+	// commit.
 	StagePlacing DeployStage = "placing"
 )
 
 // DeployContext schedules a workload on behalf of subject. The pipeline
 // is: RBAC check (when enabled) -> image pull (verified per policy) ->
-// admission chain -> name/quota reservation -> scheduling -> commit.
+// admission chain -> name/quota check -> scheduling -> commit.
 //
-// Only the reservation and commit steps take the cluster write lock; the
-// expensive stages (pull, scanners) run without it, and scheduling holds
-// the read lock and locks only the node it commits on. Every verdict — and the
+// The expensive stages (pull, scanners) run without the cluster lock;
+// the name and quota checks, scheduling and commit run in one critical
+// section under the cluster write lock. Every verdict — and the
 // placement, on success — is reported to the audit sink.
 //
 // Rejections are typed (*AdmissionError, *ImagePullError, *QuotaError,
@@ -565,8 +530,9 @@ const (
 // Cancelling ctx (or passing one past its deadline) aborts the pipeline
 // between stages and inside the admission chain without placing the
 // workload; the result is a *CancelledError
-// and an admission-cancelled audit record. Cancellation that loses the
-// race with commit is a no-op: the workload is simply placed.
+// and an admission-cancelled audit record. The last cancellation point
+// is inside the critical section, before scheduling; cancellation after
+// it is a no-op: the workload is simply placed.
 func (c *Cluster) DeployContext(ctx context.Context, subject string, spec WorkloadSpec) (*Workload, error) {
 	return c.DeployObserved(ctx, subject, spec, nil)
 }
@@ -578,7 +544,7 @@ func (c *Cluster) DeployContext(ctx context.Context, subject string, spec Worklo
 //
 // On success the returned *Workload is a commit-time copy: a concurrent
 // failover or drain may rewrite the live cluster record the moment the
-// commit lock is released, so the caller's copy deliberately does not
+// cluster lock is released, so the caller's copy deliberately does not
 // track later moves (query Workload(name) for the current placement),
 // and reading it never races them.
 func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, error) {
@@ -588,6 +554,7 @@ func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec Workl
 			c.auditEvent(AuditEvent{Kind: "admission-cancelled", Workload: spec.Name,
 				Tenant: spec.Tenant, Detail: err.Error()})
 		} else {
+			c.rejected.Add(1)
 			c.auditEvent(AuditEvent{Kind: "admission-verdict", Workload: spec.Name,
 				Tenant: spec.Tenant, Detail: err.Error()})
 		}
@@ -600,14 +567,14 @@ func (c *Cluster) DeployObserved(ctx context.Context, subject string, spec Workl
 	return w, nil
 }
 
-// deploy is DeployObserved's body, audit emission excluded. Cancellation
-// is honoured between stages and inside the admission chain; once the
-// commit lock is taken with a live context the placement completes.
+// deploy is DeployObserved's body, audit emission and the rejection
+// count excluded. Cancellation is honoured between stages, inside the
+// admission chain and once more under the cluster lock before
+// scheduling; past that point the placement completes.
 func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec, observe func(DeployStage)) (*Workload, error) {
 	if c.Settings.RBACEnabled && c.RBAC != nil {
 		d := c.RBAC.Check(subject, rbac.Permission{Verb: "create", Resource: "workloads", Namespace: spec.Tenant})
 		if !d.Allowed {
-			c.rejected.Add(1)
 			return nil, &UnauthorizedError{Subject: subject, Verb: "create", Tenant: spec.Tenant}
 		}
 	}
@@ -617,11 +584,9 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 	// refused at scheduling time — and a negative demand would not be
 	// refused there at all.
 	if err := spec.CheckDemand(); err != nil {
-		c.rejected.Add(1)
 		return nil, err
 	}
 	if _, err := c.resolveStrategy(spec); err != nil {
-		c.rejected.Add(1)
 		return nil, err
 	}
 	if err := ctxErr(ctx, spec.Name, string(StageScanning)); err != nil {
@@ -639,14 +604,10 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		img, err = c.Registry.Pull(spec.ImageRef)
 	}
 	if err != nil {
-		c.rejected.Add(1)
 		return nil, &ImagePullError{Ref: spec.ImageRef, Err: err}
 	}
 
 	if err := c.runAdmission(ctx, spec, img); err != nil {
-		if !errors.Is(err, ErrCancelled) {
-			c.rejected.Add(1)
-		}
 		return nil, err
 	}
 	if err := ctxErr(ctx, spec.Name, string(StagePlacing)); err != nil {
@@ -656,156 +617,52 @@ func (c *Cluster) deploy(ctx context.Context, subject string, spec WorkloadSpec,
 		observe(StagePlacing)
 	}
 
-	// Reserve the name and charge the tenant quota up front so concurrent
-	// deploys cannot collide on either; both are released on failure.
+	// Name, quota, scheduling decision and commit in one critical
+	// section: concurrent deploys cannot collide on a name or a quota,
+	// and the quota charge, the node-side placement and the workload
+	// record become visible together.
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, dup := c.workloads[spec.Name]; dup {
-		c.mu.Unlock()
-		c.rejected.Add(1)
 		return nil, &DuplicateNameError{Workload: spec.Name}
 	}
-	if _, dup := c.pending[spec.Name]; dup {
-		c.mu.Unlock()
-		c.rejected.Add(1)
-		return nil, &DuplicateNameError{Workload: spec.Name}
+	used := c.tenantUsed[spec.Tenant]
+	if q, ok := c.quotas[spec.Tenant]; ok && (q.CPUMilli > 0 || q.MemoryMB > 0) && !used.Add(spec.Resources).Fits(q) {
+		return nil, &QuotaError{Tenant: spec.Tenant, Requested: spec.Resources, Used: used, Quota: q}
 	}
-	if q, ok := c.quotas[spec.Tenant]; ok && (q.CPUMilli > 0 || q.MemoryMB > 0) {
-		used := c.tenantUsed[spec.Tenant]
-		if !used.Add(spec.Resources).Fits(q) {
-			c.mu.Unlock()
-			c.rejected.Add(1)
-			return nil, &QuotaError{Tenant: spec.Tenant,
-				Requested: spec.Resources, Used: used, Quota: q}
-		}
-	}
-	c.pending[spec.Name] = struct{}{}
-	c.tenantUsed[spec.Tenant] = c.tenantUsed[spec.Tenant].Add(spec.Resources)
-	c.internLocked(spec.Tenant)
-	c.mu.Unlock()
-
-	w, placedOn, err := c.schedule(spec, img)
-
-	c.mu.Lock()
-	delete(c.pending, spec.Name)
-	if err == nil {
-		if n, alive := c.nodes[w.Node]; !alive || n != placedOn {
-			// The chosen node failed between placement and commit — or
-			// failed AND was re-added under the same name, leaving a fresh
-			// object the reservation never touched (identity, not name,
-			// decides). Either way the node-side reservation is orphaned
-			// with the old object; reschedule on the current fleet rather
-			// than spuriously rejecting a deploy it can still host
-			// (mirroring the cordon branch below; a genuine capacity
-			// shortage surfaces from scheduleAmong itself).
-			var moved *Workload
-			if moved, err = c.scheduleAmong(spec, img); err == nil {
-				w = moved
-			}
-		} else {
-			if n.cordoned.Load() {
-				// A cordon (typically a drain) landed between placement and
-				// commit. The workload is not yet in the workload table, so
-				// a concurrent drain may already have reported the node
-				// empty — committing here would strand the workload on a
-				// node the operator believes evacuated. Move the placement:
-				// release the node-side reservation and reschedule. (A
-				// drain CAN still cordon another node while we hold the
-				// write lock — it flips the flag under the node lock alone
-				// — but commitOn re-checks the flag under that same lock,
-				// and a drain that cordons the target after our commit
-				// must take c.mu before scanning, so it sees the workload
-				// we are about to insert and migrates it normally.)
-				c.releasePlacement(w)
-				var moved *Workload
-				if moved, err = c.scheduleAmong(spec, img); err == nil {
-					w = moved
-				}
-			}
-		}
-	}
-	if err == nil {
-		// Last cancellation point: a context done before commit aborts the
-		// deployment, releasing both the reservation and the node-side
-		// placement schedule just made; after this window closes the
-		// workload is placed and cancellation is a no-op.
-		if cerr := ctxErr(ctx, spec.Name, string(StagePlacing)); cerr != nil {
-			c.releasePlacement(w)
-			err = cerr
-		}
-	}
-	if err != nil {
-		c.tenantUsed[spec.Tenant] = c.tenantUsed[spec.Tenant].Sub(spec.Resources)
-		c.mu.Unlock()
-		if !errors.Is(err, ErrCancelled) {
-			c.rejected.Add(1)
-		}
+	// Last cancellation point: nothing is charged or placed yet, so
+	// there is nothing to roll back; past it the workload is placed.
+	if err := ctxErr(ctx, spec.Name, string(StagePlacing)); err != nil {
 		return nil, err
 	}
+	w, err := c.placeLocked(spec, img, "")
+	if err != nil {
+		return nil, err
+	}
+	c.tenantUsed[spec.Tenant] = used.Add(spec.Resources)
 	c.workloads[spec.Name] = w
 	c.mutatePlace(w)
+	c.admitted.Add(1)
 	// Return a commit-time snapshot, not the live struct: the moment the
 	// lock drops, a concurrent failover or drain may rewrite the live
 	// workload in place, and the caller's reads must not race that.
 	cp := *w
-	c.mu.Unlock()
-	c.admitted.Add(1)
 	return &cp, nil
 }
 
-// releasePlacement undoes a successful schedule that will not be
-// committed (cancellation in the commit window): node capacity is
-// returned, the VM slot vacated, and an emptied shared VM deleted.
-// Callers hold c.mu.
-func (c *Cluster) releasePlacement(w *Workload) {
-	n, ok := c.nodes[w.Node]
-	if !ok {
-		return // node died; its state object is already orphaned
-	}
-	n.mu.Lock()
-	n.releaseLocked(w.Spec.Name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
-	n.mu.Unlock()
-}
-
-// schedule places the workload via the scheduler engine, holding the
-// cluster read lock and, to commit, the chosen node's lock. It returns
-// the node object the placement landed on so the commit window can
-// verify identity, not just name: a node failed and re-added under the
-// same name between placement and commit is a different object, and
-// the reservation died with the old one.
-func (c *Cluster) schedule(spec WorkloadSpec, img *container.Image) (*Workload, *node, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.scheduleExcluding(spec, img, "")
-}
-
-// scheduleAmong schedules with no exclusion, for callers that hold the
-// cluster write lock across placement and commit (failover, drain, the
-// commit-window reschedule) and therefore cannot race a membership
-// change — the placed node object is necessarily current.
-func (c *Cluster) scheduleAmong(spec WorkloadSpec, img *container.Image) (*Workload, error) {
-	w, _, err := c.scheduleExcluding(spec, img, "")
-	return w, err
-}
-
-// scheduleExcluding is the scheduling pass; callers hold c.mu (read or
-// write). A non-empty exclude names a node hard-vetoed for this request
+// placeLocked is the scheduling pass and its commit; callers hold c.mu
+// (write). A non-empty exclude names a node hard-vetoed for this request
 // — drain migrations must never target their own source, whatever the
 // cordon flag says at that instant (an operator Uncordon mid-drain must
 // not make the drain migrate a workload onto the node being drained).
 //
-// Placement is one fused filter -> score pass over the candidate table:
-// each row is read without its node lock and evaluated in place, the
-// best is locked, and the placement committed after a feasibility
-// re-check against the row under that lock. Concurrent deploys under
-// the read lock can race a winner to capacity (or a scan can read a row
-// mid-update); losing the re-check rescans (every loss implies another
-// deploy committed, so the loop makes progress), falling back to
-// first-feasible-commit after a few contested rounds so termination
-// never depends on score stability.
-func (c *Cluster) scheduleExcluding(spec WorkloadSpec, img *container.Image, exclude string) (*Workload, *node, error) {
+// Placement is one fused filter -> score pass over the candidate table,
+// each row evaluated in place; the best row takes the placement: VM
+// assignment, capacity and tenant accounting.
+func (c *Cluster) placeLocked(spec WorkloadSpec, img *container.Image, exclude string) (*Workload, error) {
 	strat, err := c.resolveStrategy(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	req := scheduler.Request{
 		Workload:      spec.Name,
@@ -815,34 +672,23 @@ func (c *Cluster) scheduleExcluding(spec WorkloadSpec, img *container.Image, exc
 		Strategy:      strat,
 		Exclude:       exclude,
 	}
-	tid := c.tenantIDs[spec.Tenant]
-	const scoredAttempts = 4
-	for attempt := 0; attempt < scoredAttempts; attempt++ {
-		scan := engine.NewScan(&req)
-		for i, n := range c.candidates {
-			cand := n.candidate(tid)
-			scan.Offer(i, &cand)
-		}
-		d, ok := scan.Best()
-		if !ok {
-			return nil, nil, &CapacityError{Workload: spec.Name, Requested: spec.Resources, Nodes: len(c.candidates)}
-		}
-		if w := c.commitOn(c.candidates[d.Index], tid, spec, img, &req, string(strat), d.Score); w != nil {
-			return w, c.candidates[d.Index], nil
-		}
-	}
-	// Contested fallback: walk the candidates in name order and commit on
-	// the first that is feasible at lock time.
-	for _, n := range c.candidates {
+	tid := c.internLocked(spec.Tenant)
+	scan := engine.NewScan(&req)
+	for i, n := range c.candidates {
 		cand := n.candidate(tid)
-		if engine.Feasible(&req, &cand) != "" {
-			continue
-		}
-		if w := c.commitOn(n, tid, spec, img, &req, string(strat), engine.Score(&req, &cand)); w != nil {
-			return w, n, nil
-		}
+		scan.Offer(i, &cand)
 	}
-	return nil, nil, &CapacityError{Workload: spec.Name, Requested: spec.Resources, Nodes: len(c.candidates)}
+	d, ok := scan.Best()
+	if !ok {
+		return nil, &CapacityError{Workload: spec.Name, Requested: spec.Resources, Nodes: len(c.candidates)}
+	}
+	n := c.candidates[d.Index]
+	vm := c.placeVM(n, spec)
+	vm.Workloads = append(vm.Workloads, spec.Name)
+	n.used = n.used.Add(spec.Resources)
+	n.countLocked(tid, 1)
+	return &Workload{Spec: spec, Image: img, Node: n.name, VMID: vm.ID,
+		PlacedAtMs: c.nowMs(), Strategy: string(strat), Score: d.Score}, nil
 }
 
 // resolveStrategy resolves a spec's effective placement strategy,
@@ -863,28 +709,8 @@ func (c *Cluster) resolveStrategy(spec WorkloadSpec) (scheduler.Strategy, error)
 	return strat, nil
 }
 
-// commitOn locks n, re-checks feasibility against its row, and commits
-// the placement: VM assignment, capacity and tenant accounting (tid is
-// the spec's interned tenant). Returns nil when a concurrent placement
-// (or cordon) beat the request there — the caller rescans.
-func (c *Cluster) commitOn(n *node, tid int, spec WorkloadSpec, img *container.Image, req *scheduler.Request, strategy string, score float64) *Workload {
-	n.mu.Lock()
-	live := n.candidate(tid)
-	if engine.Feasible(req, &live) != "" {
-		n.mu.Unlock()
-		return nil
-	}
-	vm := c.placeVM(n, spec)
-	vm.Workloads = append(vm.Workloads, spec.Name)
-	n.used.add(spec.Resources)
-	n.countLocked(tid, 1)
-	n.mu.Unlock()
-	return &Workload{Spec: spec, Image: img, Node: n.name, VMID: vm.ID,
-		PlacedAtMs: c.nowMs(), Strategy: strategy, Score: score}
-}
-
 // placeVM finds or creates the VM for a workload per its isolation mode
-// (callers hold n.mu). When a tenant has several shared VMs on the node
+// (callers hold c.mu, write). When a tenant has several shared VMs on the node
 // the lowest VM ID wins — map iteration order must never pick the slot,
 // or replayed runs diverge.
 func (c *Cluster) placeVM(n *node, spec WorkloadSpec) *VM {
@@ -933,9 +759,7 @@ func (c *Cluster) stop(name string) (*Workload, error) {
 	c.mutate(Mutation{Kind: MutStop, Name: name})
 	c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Sub(w.Spec.Resources)
 	if n, ok := c.nodes[w.Node]; ok {
-		n.mu.Lock()
 		n.releaseLocked(name, w.VMID, w.Spec.Resources, c.tenantIDs[w.Spec.Tenant])
-		n.mu.Unlock()
 	}
 	return w, nil
 }
@@ -981,26 +805,24 @@ func (c *Cluster) WorkloadCount() int {
 }
 
 // VMs returns all VMs sorted by ID — deep snapshots (placements mutate
-// the live VM slot lists under node locks).
+// the live VM slot lists once the lock drops).
 func (c *Cluster) VMs() []*VM {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []*VM
 	for _, n := range c.nodes {
-		n.mu.Lock()
 		for _, vm := range n.vms {
 			cp := *vm
 			cp.Workloads = append([]string(nil), vm.Workloads...)
 			out = append(out, &cp)
 		}
-		n.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// TenantUsage returns a tenant's current resource consumption, including
-// reservations held by in-flight deploys.
+// TenantUsage returns a tenant's current resource consumption: the sum
+// of its placed workloads' demands.
 func (c *Cluster) TenantUsage(tenant string) Resources {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -1020,7 +842,6 @@ func (c *Cluster) SharedVMTenants() map[string][]string {
 	defer c.mu.RUnlock()
 	out := make(map[string][]string)
 	for _, n := range c.nodes {
-		n.mu.Lock()
 		for _, vm := range n.vms {
 			seen := map[string]bool{}
 			var tenants []string
@@ -1033,7 +854,6 @@ func (c *Cluster) SharedVMTenants() map[string][]string {
 			sort.Strings(tenants)
 			out[vm.ID] = tenants
 		}
-		n.mu.Unlock()
 	}
 	return out
 }

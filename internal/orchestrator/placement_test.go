@@ -2,7 +2,7 @@ package orchestrator
 
 // Placement-engine integration: the cluster side of the scheduler
 // pipeline — strategy selection, policy plumbing, the cached candidate
-// slice, deterministic shared-VM reuse, and commit-window release.
+// slice, deterministic shared-VM reuse, and the last cancellation point.
 
 import (
 	"context"
@@ -156,12 +156,10 @@ func TestPlaceVMDeterministicSharedVMSelection(t *testing.T) {
 		// Manufacture two shared VMs for one tenant on olt-01.
 		c.mu.Lock()
 		n := c.nodes["olt-01"]
-		n.mu.Lock()
 		for _, id := range []string{"vm-900", "vm-100"} {
 			n.addVMLocked(&VM{ID: id, Node: "olt-01", Tenant: "acme", Workloads: []string{"pre-" + id}})
 		}
 		n.countLocked(c.internLocked("acme"), 2)
-		n.mu.Unlock()
 		c.mu.Unlock()
 
 		w, err := c.DeployContext(context.Background(), "ops", policySpec("newcomer", "acme", PlacementBinpack))
@@ -174,15 +172,14 @@ func TestPlaceVMDeterministicSharedVMSelection(t *testing.T) {
 	}
 }
 
-// TestReleasePlacementCommitWindow covers the cancellation-in-commit-
-// window path end to end: the node's capacity must return, the VM slot
-// vacate, and an emptied shared VM disappear.
+// TestReleasePlacementCommitWindow covers the last cancellation point end
+// to end: a deploy cancelled there leaves no capacity, VM slot, shared
+// VM or quota charge behind.
 func TestReleasePlacementCommitWindow(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from the placing-stage observer: deploy's last cancellation
-	// point then fires inside the commit window, after scheduling
-	// succeeded — exactly the path releasePlacement exists for.
+	// point then fires under the cluster lock, just before scheduling.
 	_, err := c.DeployObserved(ctx, "ops", policySpec("ghost", "acme", ""), func(stage DeployStage) {
 		if stage == StagePlacing {
 			cancel()
@@ -210,9 +207,9 @@ func TestReleasePlacementCommitWindow(t *testing.T) {
 	}
 }
 
-// TestReleasePlacementKeepsOccupiedSharedVM: releasing one workload out
-// of a shared VM vacates only its slot; the co-tenant workload and the
-// VM itself stay.
+// TestReleasePlacementKeepsOccupiedSharedVM: a deploy cancelled at the
+// last cancellation point leaves a co-tenant's shared VM exactly as it
+// was — one slot, the survivor's.
 func TestReleasePlacementKeepsOccupiedSharedVM(t *testing.T) {
 	c := quadCluster(t, Settings{})
 	survivor, err := c.DeployContext(context.Background(), "ops", policySpec("survivor", "acme", ""))

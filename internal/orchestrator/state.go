@@ -83,7 +83,7 @@ type Mutation struct {
 }
 
 // MutationSink receives one record per durable control-plane state
-// change. Unlike AuditSink, the sink runs INSIDE cluster/node locks —
+// change. Unlike AuditSink, the sink runs INSIDE the cluster lock —
 // implementations must buffer and return immediately, never block, and
 // never call back into the Cluster.
 type MutationSink func(Mutation)
@@ -153,7 +153,7 @@ func (c *Cluster) ExportState() ClusterState {
 	c.mu.RLock()
 	st := ClusterState{VMSeq: c.vmSeq.Load()}
 	for _, n := range c.candidates { // name-sorted by construction
-		st.Nodes = append(st.Nodes, NodeState{Name: n.name, Capacity: n.capacity, Cordoned: n.cordoned.Load()})
+		st.Nodes = append(st.Nodes, NodeState{Name: n.name, Capacity: n.capacity, Cordoned: n.cordoned})
 	}
 	st.Workloads = make([]Workload, 0, len(c.workloads))
 	for _, w := range c.workloads {
@@ -190,7 +190,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	c.nodes = make(map[string]*node, len(st.Nodes))
 	for _, ns := range st.Nodes {
 		n := newNode(ns.Name, ns.Capacity, len(c.tenantIDs))
-		n.cordoned.Store(ns.Cordoned)
+		n.cordoned = ns.Cordoned
 		c.nodes[ns.Name] = n
 	}
 	c.workloads = make(map[string]*Workload, len(st.Workloads))
@@ -207,7 +207,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 		}
 		c.workloads[w.Spec.Name] = &w
 		c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Add(w.Spec.Resources)
-		n.used.add(w.Spec.Resources)
+		n.used = n.used.Add(w.Spec.Resources)
 		n.countLocked(c.internLocked(w.Spec.Tenant), 1)
 		vm := n.vms[w.VMID]
 		if vm == nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"genio/internal/container"
 )
@@ -22,50 +21,6 @@ func fleetCluster(tb testing.TB, n int) *Cluster {
 		c.AddNode(fmt.Sprintf("node-%03d", i), Resources{CPUMilli: 16000, MemoryMB: 32768})
 	}
 	return c
-}
-
-// TestScanTakesNoNodeLock pins the candidate table's read side: with
-// every node lock but the winner's held, a deploy still scans the whole
-// fleet and commits, and a fleet read still answers.
-func TestScanTakesNoNodeLock(t *testing.T) {
-	c := fleetCluster(t, 8)
-	ctx := context.Background()
-	// Binpack prefers the fullest node: the seed's node wins the next
-	// placement.
-	if _, err := c.DeployContext(ctx, "ops", WorkloadSpec{Name: "seed", Tenant: "acme",
-		ImageRef: "acme/analytics:2.0.1", Resources: Resources{CPUMilli: 4000, MemoryMB: 4096}}); err != nil {
-		t.Fatal(err)
-	}
-	winner := c.Workloads()[0].Node
-	var held []*node
-	for _, n := range c.candidates {
-		if n.name != winner {
-			n.mu.Lock()
-			held = append(held, n)
-		}
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.DeployContext(ctx, "ops", policySpec("next", "acme", PlacementBinpack))
-		if err == nil && len(c.Utilization()) != 8 {
-			err = fmt.Errorf("utilization lost rows")
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("deploy blocked on a node lock it does not need")
-	}
-	for _, n := range held {
-		n.mu.Unlock()
-	}
-	if w, _ := c.Workload("next"); w.Node != winner {
-		t.Fatalf("next placed on %s, want the binpack winner %s", w.Node, winner)
-	}
 }
 
 // TestTenantCountsSurviveInterning spreads tenants first seen at
@@ -116,14 +71,14 @@ func checkTable(t *testing.T, c *Cluster) {
 	defer c.mu.RUnlock()
 	for _, n := range c.candidates {
 		r := want[n.name]
-		if got := n.used.load(); got != r.used {
+		if got := n.used; got != r.used {
 			t.Fatalf("%s used = %+v, want %+v", n.name, got, r.used)
 		}
-		if got := int(n.placed.Load()); got != r.placed {
+		if got := n.placed; got != r.placed {
 			t.Fatalf("%s placed = %d, want %d", n.name, got, r.placed)
 		}
 		for tenant, id := range c.tenantIDs {
-			if got := int(n.tenants[id].Load()); got != r.tenants[tenant] {
+			if got := n.tenants[id]; got != r.tenants[tenant] {
 				t.Fatalf("%s tenant %s count = %d, want %d", n.name, tenant, got, r.tenants[tenant])
 			}
 		}
@@ -179,6 +134,60 @@ func TestCandidateTableStorm(t *testing.T) {
 	}()
 	wg.Wait()
 	checkTable(t, c)
+}
+
+// TestAccountingBalancedAtEveryRead holds the quota ledger to the node
+// rows at every read: four goroutines deploy and stop spread workloads
+// while the test goroutine, under one read lock, compares the tenants'
+// summed usage with the nodes' summed usage. A quota charged for a
+// workload that sits on no node yet shows up as a difference.
+func TestAccountingBalancedAtEveryRead(t *testing.T) {
+	c := fleetCluster(t, 4)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				spec := policySpec(fmt.Sprintf("g%d-%03d", g, i), fmt.Sprintf("tenant-%d", (g+i)%3), PlacementSpread)
+				spec.Resources = Resources{CPUMilli: 50, MemoryMB: 64}
+				if _, err := c.DeployContext(ctx, "ops", spec); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 1 {
+					if err := c.Stop(fmt.Sprintf("g%d-%03d", g, i-1)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			t.Logf("%d balanced reads", reads)
+			return
+		default:
+		}
+		var tenants, nodes Resources
+		c.mu.RLock()
+		for _, r := range c.tenantUsed {
+			tenants = tenants.Add(r)
+		}
+		for _, n := range c.candidates {
+			nodes = nodes.Add(n.used)
+		}
+		c.mu.RUnlock()
+		if tenants != nodes {
+			<-done
+			t.Fatalf("read %d: tenants use %+v, nodes hold %+v", reads, tenants, nodes)
+		}
+	}
 }
 
 // BenchmarkDeploySpread256 is one spread deploy and its stop on a

@@ -336,8 +336,8 @@ func drainLeakViolations(w *World, cluster *orchestrator.Cluster) []string {
 	}
 	sort.Strings(tenants)
 	for _, t := range tenants {
-		// Usage may exceed the workload sum only by in-flight pending
-		// reservations; between sequential sim steps there are none.
+		// A deploy charges the quota in the critical section that places
+		// the workload, so usage equals the placed workloads' sum.
 		if got := cluster.TenantUsage(t); got != wantTenant[t] {
 			out = append(out, fmt.Sprintf(
 				"%stenant %s accounts cpu=%dm mem=%dMB; placed workloads sum to cpu=%dm mem=%dMB",

@@ -75,6 +75,10 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 		// is lists sentinels that must match; notIs must not.
 		is    []error
 		notIs []error
+		// counters is the cluster's Counters() after deploy: admitted,
+		// rejected. Every rejection counts once; a cancellation and a
+		// call refused before the cluster count zero.
+		counters [2]int
 	}{
 		{
 			name: "malware scanner rejection",
@@ -95,8 +99,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("verdict vector has %d entries, want the full chain", len(adm.Verdicts))
 				}
 			},
-			is:    []error{genio.ErrDenied, genio.ErrRejected},
-			notIs: []error{genio.ErrCancelled, genio.ErrQuotaExceeded},
+			is:       []error{genio.ErrDenied, genio.ErrRejected},
+			notIs:    []error{genio.ErrCancelled, genio.ErrQuotaExceeded},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "sast scanner rejection",
@@ -113,7 +118,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("rejections = %+v, want sast-gate", rej)
 				}
 			},
-			is: []error{genio.ErrDenied, genio.ErrRejected},
+			is:       []error{genio.ErrDenied, genio.ErrRejected},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "sca scanner rejection",
@@ -130,7 +136,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("rejections = %+v, want sca-gate", rej)
 				}
 			},
-			is: []error{genio.ErrDenied, genio.ErrRejected},
+			is:       []error{genio.ErrDenied, genio.ErrRejected},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "unsigned image at pull",
@@ -147,8 +154,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("ref = %q", pull.Ref)
 				}
 			},
-			is:    []error{container.ErrUnsigned, genio.ErrRejected},
-			notIs: []error{genio.ErrDenied},
+			is:       []error{container.ErrUnsigned, genio.ErrRejected},
+			notIs:    []error{genio.ErrDenied},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "unknown image at pull",
@@ -162,7 +170,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("want *ImagePullError, got %T: %v", err, err)
 				}
 			},
-			is: []error{container.ErrNotFound, genio.ErrRejected},
+			is:       []error{container.ErrNotFound, genio.ErrRejected},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "tenant quota exceeded",
@@ -179,8 +188,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("quota arithmetic = %+v", quota)
 				}
 			},
-			is:    []error{genio.ErrQuotaExceeded, genio.ErrRejected},
-			notIs: []error{genio.ErrNoCapacity},
+			is:       []error{genio.ErrQuotaExceeded, genio.ErrRejected},
+			notIs:    []error{genio.ErrNoCapacity},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "no node capacity",
@@ -198,7 +208,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("capacity detail = %+v", capa)
 				}
 			},
-			is: []error{genio.ErrNoCapacity, genio.ErrRejected},
+			is:       []error{genio.ErrNoCapacity, genio.ErrRejected},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "rbac denial",
@@ -215,7 +226,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("unauthorized detail = %+v", unauth)
 				}
 			},
-			is: []error{genio.ErrUnauthorized, genio.ErrRejected},
+			is:       []error{genio.ErrUnauthorized, genio.ErrRejected},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "duplicate workload name",
@@ -235,7 +247,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("workload = %q", dup.Workload)
 				}
 			},
-			is: []error{genio.ErrDuplicateName, genio.ErrRejected},
+			is:       []error{genio.ErrDuplicateName, genio.ErrRejected},
+			counters: [2]int{1, 1},
 		},
 		{
 			name: "negative resource demand",
@@ -252,8 +265,30 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("demand detail = %+v", demand)
 				}
 			},
-			is:    []error{genio.ErrRejected},
-			notIs: []error{genio.ErrQuotaExceeded, genio.ErrNoCapacity},
+			is:       []error{genio.ErrRejected},
+			notIs:    []error{genio.ErrQuotaExceeded, genio.ErrNoCapacity},
+			counters: [2]int{0, 1},
+		},
+		{
+			name: "unknown placement policy",
+			deploy: func(t *testing.T, p *genio.Platform) error {
+				spec := taxonomySpec("typo", "acme/analytics:2.0.1", 100, 128)
+				spec.PlacementPolicy = "round-robin"
+				_, err := p.DeployContext(context.Background(), "ci", spec)
+				return err
+			},
+			as: func(t *testing.T, err error) {
+				var policy *genio.PlacementPolicyError
+				if !errors.As(err, &policy) {
+					t.Fatalf("want *PlacementPolicyError, got %T: %v", err, err)
+				}
+				if policy.Workload != "typo" || policy.Policy != "round-robin" {
+					t.Fatalf("policy detail = %+v", policy)
+				}
+			},
+			is:       []error{genio.ErrRejected},
+			notIs:    []error{genio.ErrNoCapacity},
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "closed platform",
@@ -268,8 +303,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("want *ClosedError, got %T: %v", err, err)
 				}
 			},
-			is:    []error{genio.ErrClosed},
-			notIs: []error{genio.ErrRejected},
+			is:       []error{genio.ErrClosed},
+			notIs:    []error{genio.ErrRejected},
+			counters: [2]int{0, 0},
 		},
 		{
 			name: "cancelled before start",
@@ -285,8 +321,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("want *CancelledError, got %T: %v", err, err)
 				}
 			},
-			is:    []error{genio.ErrCancelled, context.Canceled},
-			notIs: []error{genio.ErrRejected, genio.ErrDenied},
+			is:       []error{genio.ErrCancelled, context.Canceled},
+			notIs:    []error{genio.ErrRejected, genio.ErrDenied},
+			counters: [2]int{0, 0},
 		},
 	}
 
@@ -298,6 +335,9 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 				t.Fatal("deploy succeeded; want typed rejection")
 			}
 			tc.as(t, err)
+			if admitted, rejected := p.Cluster.Counters(); [2]int{admitted, rejected} != tc.counters {
+				t.Errorf("Counters() = %d admitted, %d rejected; want %v", admitted, rejected, tc.counters)
+			}
 			for _, sentinel := range tc.is {
 				if !errors.Is(err, sentinel) {
 					t.Errorf("errors.Is(%v, %v) = false, want true", err, sentinel)
