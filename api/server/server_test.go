@@ -1395,7 +1395,11 @@ func (d *deadStore) Append(r persist.Record) error {
 // to degraded with the persist error, so operators and readiness
 // probes see that state is no longer durable.
 func TestHealthzReportsDegradedStore(t *testing.T) {
-	ds := &deadStore{Store: persist.Memory()}
+	wal, err := persist.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &deadStore{Store: wal}
 	p, err := core.New(core.SecureConfig(), core.WithStore(ds))
 	if err != nil {
 		t.Fatalf("platform: %v", err)
@@ -1820,5 +1824,32 @@ func TestDeployBatchRacesServerClose(t *testing.T) {
 
 	if _, err := p.AddEdgeNode("olt-99", orchestrator.Resources{CPUMilli: 1000, MemoryMB: 1024}); err != nil {
 		t.Fatalf("platform unusable after racing close: %v", err)
+	}
+}
+
+// TestIncidentReadsNeverWaitOnSubscribers: GET /v2/incidents answers
+// while an incident-topic subscriber is stalled.
+func TestIncidentReadsNeverWaitOnSubscribers(t *testing.T) {
+	p := testPlatform(t)
+	_, _, c := testServer(t, p)
+	release := make(chan struct{})
+	// Registered last, so it runs first: the stalled handler is released
+	// before the server and the platform close.
+	t.Cleanup(func() { close(release) })
+	if _, err := p.Subscribe("stalled", []events.Topic{events.TopicIncident}, func([]events.Event) {
+		<-release
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.RecordIncident(core.Incident{Source: "probe", Detail: "x"})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	counts, err := c.Incidents(ctx)
+	if err != nil {
+		t.Fatalf("incidents read blocked on a stalled subscriber: %v", err)
+	}
+	if counts["probe"] != 1 {
+		t.Fatalf("incident counts = %v, want probe=1", counts)
 	}
 }

@@ -411,8 +411,8 @@ func BenchmarkObserveRuntimeParallel(b *testing.B) {
 }
 
 // BenchmarkIncidentStormParallel is the platform-level incident storm:
-// concurrent producers with distinct workload keys exercise the spine
-// end to end (publish -> queue -> incident view).
+// concurrent producers with distinct workload keys exercise the ledger
+// append and the spine end to end (record -> publish -> queue).
 func BenchmarkIncidentStormParallel(b *testing.B) {
 	p, err := core.New(core.SecureConfig())
 	if err != nil {

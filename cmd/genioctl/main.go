@@ -798,6 +798,7 @@ func runDemo(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintln(out, "\nevent spine (published/delivered/dropped per topic):")
+	p.Flush()
 	stats := p.Metrics()
 	for _, topic := range stats.Topics() {
 		ts := stats[topic]

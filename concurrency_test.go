@@ -222,8 +222,8 @@ func TestDeployBatch(t *testing.T) {
 	}
 }
 
-// TestIncidentBusSurvivesClose checks incidents recorded after Close are
-// applied synchronously rather than lost.
+// TestIncidentBusSurvivesClose checks incidents recorded after Close
+// still join the ledger rather than being lost.
 func TestIncidentBusSurvivesClose(t *testing.T) {
 	p, err := genio.NewPlatform(genio.SecureConfig())
 	if err != nil {

@@ -13,9 +13,9 @@
 // cached per image digest), DeployContext and DeployBatchContext may be
 // called from many goroutines, and every telemetry stream — incidents, falco
 // alerts, control-plane audit records, metrics, deployment lifecycle —
-// flows through one ordered event spine. Call Flush before reading
-// incidents recorded by other goroutines, Subscribe to consume any
-// stream live, and Close when discarding a platform.
+// flows through one ordered event spine. Incidents reads the ledger
+// directly; Subscribe to consume any stream live, Flush before asserting
+// on what a subscriber saw, and Close when discarding a platform.
 //
 // Control-plane API v2. Deploys take a context (DeployContext,
 // DeployBatchContext), and every other blocking entry point has a
@@ -189,13 +189,6 @@ func NewPlatform(cfg Config, opts ...PlatformOption) (*Platform, error) {
 // Deployment is an asynchronous deployment future returned by
 // Platform.DeployAsync: Done/Result/Cancel plus the live State.
 type Deployment = core.Deployment
-
-// DeployOption configures one DeployAsync call (WithOnTransition).
-type DeployOption = core.DeployOption
-
-// WithOnTransition registers a per-deployment lifecycle callback (see
-// core.WithOnTransition).
-func WithOnTransition(fn func(LifecycleEvent)) DeployOption { return core.WithOnTransition(fn) }
 
 // DeployState is one state of the asynchronous deployment lifecycle.
 type DeployState = core.DeployState

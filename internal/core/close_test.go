@@ -22,7 +22,7 @@ func TestCloseIdempotentSequential(t *testing.T) {
 	if got := len(p.Incidents()); got != 1 {
 		t.Fatalf("incidents after double close = %d, want 1", got)
 	}
-	// The platform stays usable: late incidents apply synchronously.
+	// The platform stays usable: late incidents still join the ledger.
 	p.RecordIncident(Incident{Source: "test", Detail: "after close"})
 	if got := len(p.Incidents()); got != 2 {
 		t.Fatalf("incidents after late record = %d, want 2", got)

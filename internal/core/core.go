@@ -95,20 +95,9 @@ func LegacyConfig() Config {
 }
 
 // Incident is one security-relevant occurrence recorded by the platform.
-type Incident struct {
-	Source   string `json:"source"` // admission | sandbox | falco | pon | boot | fim
-	Workload string `json:"workload,omitempty"`
-	Detail   string `json:"detail"`
-	Blocked  bool   `json:"blocked"` // true if the action was prevented
-	// AtMs is the platform-clock time of the incident (zero unless a
-	// clock is installed with WithClock).
-	AtMs int64 `json:"atMs,omitempty"`
-	// Seq is the platform-assigned record sequence number (1-based).
-	// Concurrent recorders take their Seq before they enqueue, so two
-	// can reach the spine out of Seq order; Seq preserves the global
-	// record order, and Incidents() returns the log sorted by it.
-	Seq uint64 `json:"seq,omitempty"`
-}
+// It is the durable log's record type, so the ledger, its WAL records
+// and its snapshots share one shape.
+type Incident = persist.Incident
 
 // Option configures a Platform beyond its mitigation Config.
 type Option func(*Platform)
@@ -149,7 +138,7 @@ var (
 // state sits behind a read/write lock, every telemetry stream flows
 // through one event spine (see events.go and internal/events), and
 // deployments fan admission scanning out inside the cluster. Call Flush
-// before reading incidents recorded by other goroutines, and Close when
+// before asserting on what spine subscribers saw, and Close when
 // discarding the platform.
 type Platform struct {
 	Config   Config
@@ -171,12 +160,17 @@ type Platform struct {
 	nodeMu sync.RWMutex
 	nodes  map[string]*EdgeNode
 
-	// spine is the unified pub/sub backbone; incview materialises its
-	// incident topic into the log behind Incidents()/IncidentCounts();
-	// alertSink publishes falco detections onto the falco.alert topic.
-	spine     *events.Spine
-	incview   *incidentView
-	alertSink falcoengine.Sink
+	// spine is the unified pub/sub backbone every telemetry stream
+	// leaves through.
+	spine *events.Spine
+
+	// incMu guards the incident ledger. recordIncident assigns the Seq,
+	// appends the WAL record and appends to the log in one critical
+	// section, so the log is always exactly Seq 1..n in record order.
+	incMu     sync.RWMutex
+	incSeq    uint64
+	incidents []Incident
+	incCounts map[string]int
 
 	// now, when non-nil, stamps incidents (set once at construction via
 	// WithClock; read-only afterwards, so concurrent recorders need no
@@ -185,22 +179,19 @@ type Platform struct {
 
 	// closed flips on the first Close. New deployments are refused with a
 	// *ClosedError afterwards; telemetry keeps the spine's post-close
-	// contract (late incidents apply synchronously). done closes once the
+	// contract (late incidents still join the ledger). done closes once the
 	// spine has drained, ending every Watch stream.
 	closed atomic.Bool
 	done   chan struct{}
 
 	// Durable state (see persist.go). store is nil unless WithStore was
 	// given; snapMu serializes snapshots (and lets close wait out an
-	// in-flight one); persistMu keeps the incident log append and its
-	// snapshot mirror (incMirror) in lockstep.
+	// in-flight one).
 	store      persist.Store
 	snapEvery  int
 	mutCount   atomic.Int64 // records since the last snapshot trigger
 	snapSize   atomic.Int64 // last snapshot's size (adaptive cadence)
 	snapMu     sync.Mutex
-	persistMu  sync.Mutex
-	incMirror  []persist.Incident
 	storeClose sync.Once
 	// storeErr holds the first persist failure (sticky, type error);
 	// storeFail guards the one-time operator signal when it happens.
@@ -237,18 +228,18 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 	cluster.VerifyImageSignatures = cfg.VerifyImageSignatures
 
 	p := &Platform{
-		Config:   cfg,
-		CA:       ca,
-		Signer:   signer,
-		Registry: reg,
-		Cluster:  cluster,
-		Enforcer: sandbox.NewEnforcer(),
-		Detector: falcoengine.NewEngine(falcoengine.DefaultRules()),
-		RBAC:     rbac.NewEngine(),
-		nodes:    make(map[string]*EdgeNode),
-		spine:    events.NewSpine(),
-		incview:  newIncidentView(),
-		done:     make(chan struct{}),
+		Config:    cfg,
+		CA:        ca,
+		Signer:    signer,
+		Registry:  reg,
+		Cluster:   cluster,
+		Enforcer:  sandbox.NewEnforcer(),
+		Detector:  falcoengine.NewEngine(falcoengine.DefaultRules()),
+		RBAC:      rbac.NewEngine(),
+		nodes:     make(map[string]*EdgeNode),
+		spine:     events.NewSpine(),
+		incCounts: make(map[string]int),
+		done:      make(chan struct{}),
 	}
 	p.bootChain = []secureboot.Component{
 		signer.SignComponent(secureboot.StageShim, "shim", []byte("shim-15.8")),
@@ -258,12 +249,6 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		signer.SignComponent(secureboot.StageConfig, "cmdline", []byte("mitigations=auto")),
 	}
 	p.goldenPCRs = secureboot.GoldenPCRs(p.bootChain)
-	// The incident log is itself a spine subscriber; the spine is fresh,
-	// so registration cannot fail.
-	if _, err := p.spine.Subscribe("core-incident-log", []events.Topic{events.TopicIncident}, p.incview.batch); err != nil {
-		return nil, fmt.Errorf("incident view: %w", err)
-	}
-	p.alertSink = falcoengine.SpineSink(p.spine)
 	cluster.RBAC = p.RBAC
 	cluster.SetAuditSink(p.publishAudit)
 	for _, opt := range opts {
@@ -287,7 +272,7 @@ func New(cfg Config, opts ...Option) (*Platform, error) {
 		if err := p.recoverFromStore(); err != nil {
 			return nil, fmt.Errorf("recover store: %w", err)
 		}
-		cluster.SetMutationSink(p.persistMutation)
+		cluster.SetMutationSink(p.appendMutation)
 	}
 	return p, nil
 }
@@ -648,10 +633,10 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 // ObserveRuntime feeds a workload's event stream through enforcement (M17)
 // and detection (M18) per the configuration, recording incidents. It
 // returns how many events actually executed (enforcement truncates).
-func (p *Platform) ObserveRuntime(events []trace.Event) int {
-	executed := events
+func (p *Platform) ObserveRuntime(evs []trace.Event) int {
+	executed := evs
 	if p.Config.SandboxEnabled {
-		verdicts := p.Enforcer.Process(events)
+		verdicts := p.Enforcer.Process(evs)
 		executed = executed[:len(verdicts)]
 		for _, v := range verdicts {
 			if v.Action == sandbox.ActionBlock {
@@ -661,10 +646,17 @@ func (p *Platform) ObserveRuntime(events []trace.Event) int {
 		}
 	}
 	if p.Config.RuntimeMonitoring {
-		// Alerts flow to the spine's falco.alert topic (raw detections
-		// for subscribers) and into the incident log (the paper's
-		// notification surface), exactly as before the spine existed.
-		for _, a := range p.Detector.ConsumeAllTo(executed, p.alertSink) {
+		// Alerts leave on the spine's falco.alert topic (raw detections
+		// for subscribers, keyed by workload), then each becomes one
+		// incident (the paper's notification surface). Publishes after
+		// Close are dropped; the incidents still join the ledger.
+		alerts := p.Detector.ConsumeAll(executed)
+		for _, a := range alerts {
+			_ = p.spine.Publish(events.Event{
+				Topic: events.TopicFalcoAlert, Key: a.Event.Workload, AtMs: a.AtMs, Payload: a,
+			})
+		}
+		for _, a := range alerts {
 			p.recordIncident(Incident{Source: "falco", Workload: a.Event.Workload,
 				Detail: a.Output, Blocked: false})
 		}
@@ -683,34 +675,48 @@ func (p *Platform) ObserveRuntime(events []trace.Event) int {
 	return len(executed)
 }
 
-// RecordIncident appends to the platform incident log through the event
-// spine. The platform's own pipeline uses it internally; external
-// detectors integrating with a deployment may feed their findings in the
-// same way.
+// RecordIncident appends to the platform incident log and publishes it
+// on the spine's incident topic. The platform's own pipeline uses it
+// internally; external detectors integrating with a deployment may feed
+// their findings in the same way.
 func (p *Platform) RecordIncident(i Incident) {
 	p.recordIncident(i)
 }
 
+// recordIncident assigns the Seq, appends the WAL record and appends to
+// the ledger under incMu, then publishes outside it, so a stalled
+// subscriber never holds up a ledger read. After Close the publish
+// fails and is dropped: the incident is in the ledger either way.
 func (p *Platform) recordIncident(i Incident) {
 	if p.now != nil && i.AtMs == 0 {
 		i.AtMs = p.now()
 	}
-	i.Seq = p.incview.seq.Add(1)
-	p.persistIncident(i)
-	err := p.spine.Publish(events.Event{
+	var err error
+	p.incMu.Lock()
+	p.incSeq++
+	i.Seq = p.incSeq
+	if p.store != nil {
+		rec := i
+		err = p.store.Append(persist.Record{Kind: persist.KindIncident, Incident: &rec})
+	}
+	p.incidents = append(p.incidents, i)
+	p.incCounts[i.Source]++
+	p.incMu.Unlock()
+	if p.store != nil {
+		if err != nil {
+			p.noteStoreFailure(err)
+		} else {
+			p.noteMutation()
+		}
+	}
+	_ = p.spine.Publish(events.Event{
 		Topic: events.TopicIncident, Key: incidentKey(i), AtMs: i.AtMs, Payload: i,
 	})
-	if err != nil {
-		// Publishing after Close degrades to a synchronous append so
-		// late incidents are never lost — the old bus's contract.
-		p.incview.append(i)
-	}
 }
 
-// Flush blocks until every event published before the call — incidents
-// included — is delivered to every subscriber, so Incidents and
-// IncidentCounts reflect it. Reads from the recording goroutine get this
-// ordering automatically; cross-goroutine readers synchronize here.
+// Flush blocks until every event published before the call is delivered
+// to every subscriber. The incident ledger needs no Flush: a recorded
+// incident is readable through Incidents as soon as the record returns.
 func (p *Platform) Flush() {
 	p.spine.Flush()
 }
@@ -727,8 +733,8 @@ func (p *Platform) FlushContext(ctx context.Context) error {
 // drain completes), and may interleave freely with Flush and
 // RecordIncident. After Close the control plane refuses new work with a
 // typed *ClosedError (DeployContext, DeployAsync, AddEdgeNode, AttachONU) while
-// telemetry degrades gracefully: late incidents are applied
-// synchronously, PublishEvent returns events.ErrClosed.
+// telemetry degrades gracefully: late incidents still join the ledger
+// (unpublished), PublishEvent returns events.ErrClosed.
 func (p *Platform) Close() {
 	p.closeSpine()
 	// Graceful shutdown: final compacted snapshot, then release the store.
@@ -768,14 +774,20 @@ func (e *ClosedError) Error() string { return "core: platform closed: " + e.Op }
 // Unwrap exposes the spine's closed sentinel.
 func (e *ClosedError) Unwrap() error { return events.ErrClosed }
 
-// Incidents returns a copy of all recorded incidents.
+// Incidents returns a copy of the incident ledger in Seq order.
 func (p *Platform) Incidents() []Incident {
-	p.spine.Flush()
-	return p.incview.snapshot()
+	p.incMu.RLock()
+	defer p.incMu.RUnlock()
+	return append([]Incident(nil), p.incidents...)
 }
 
 // IncidentCounts tallies incidents by source.
 func (p *Platform) IncidentCounts() map[string]int {
-	p.spine.Flush()
-	return p.incview.countsBySource()
+	p.incMu.RLock()
+	defer p.incMu.RUnlock()
+	out := make(map[string]int, len(p.incCounts))
+	for k, c := range p.incCounts {
+		out[k] = c
+	}
+	return out
 }

@@ -10,14 +10,14 @@ package core
 //	                    \-> cancelled
 //
 // is published on the spine's deploy.lifecycle topic (keyed by workload,
-// so per-deployment order is preserved) and mirrored to the optional
-// WithOnTransition callback. Transitions only move forward along that
-// graph, so exactly one terminal event is ever emitted per deployment,
-// whatever the interleaving of Cancel, deadline expiry, and pipeline
-// completion, and a federated deploy that overflows to a second member
-// (re-running its scanning and placing stages there) still publishes
-// each state once. Synchronous deploys (DeployContext) publish no
-// lifecycle at all.
+// so per-deployment order is preserved), the lifecycle's one observer
+// surface: read it through Watch or Subscribe. Transitions only move
+// forward along that graph, so exactly one terminal event is ever
+// emitted per deployment, whatever the interleaving of Cancel, deadline
+// expiry, and pipeline completion, and a federated deploy that overflows
+// to a second member (re-running its scanning and placing stages there)
+// still publishes each state once. Synchronous deploys (DeployContext)
+// publish no lifecycle at all.
 //
 // Watch is the streaming consumer of the same topic: a selector-filtered
 // channel of lifecycle events, closed when the caller's context ends or
@@ -90,25 +90,6 @@ type LifecycleEvent struct {
 	AtMs int64 `json:"atMs,omitempty"`
 }
 
-// DeployOption configures one DeployAsync call.
-type DeployOption func(*deployOptions)
-
-type deployOptions struct {
-	onTransition func(LifecycleEvent)
-}
-
-// WithOnTransition registers a callback invoked synchronously on the
-// deployment's own goroutine for every lifecycle transition (after the
-// event is published on the spine). The callback must be fast, must not
-// call back into Flush/Close, and must not wait on the deployment's own
-// Done/Result: the terminal transition's callback runs before Done
-// closes (Done is documented to close after the terminal event has been
-// published), so blocking on either from the callback deadlocks the
-// deployment permanently.
-func WithOnTransition(fn func(LifecycleEvent)) DeployOption {
-	return func(o *deployOptions) { o.onTransition = fn }
-}
-
 // Deployment is an asynchronous deployment future returned by
 // DeployAsync. Safe for concurrent use.
 type Deployment struct {
@@ -116,8 +97,6 @@ type Deployment struct {
 	spec   orchestrator.WorkloadSpec
 	cancel context.CancelFunc
 	done   chan struct{}
-
-	onTransition func(LifecycleEvent)
 
 	mu    sync.Mutex
 	state DeployState
@@ -162,12 +141,8 @@ func (d *Deployment) Cancel() { d.cancel() }
 // (or Deployment.Cancel, or a deadline) aborts it between stages and
 // inside scans without placing the workload.
 // The only synchronous failure is a closed platform (*ClosedError).
-func (p *Platform) DeployAsync(ctx context.Context, subject string, spec orchestrator.WorkloadSpec, opts ...DeployOption) (*Deployment, error) {
-	var o deployOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	d, dctx, err := p.newDeployment(ctx, spec, o.onTransition)
+func (p *Platform) DeployAsync(ctx context.Context, subject string, spec orchestrator.WorkloadSpec) (*Deployment, error) {
+	d, dctx, err := p.newDeployment(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +154,7 @@ func (p *Platform) DeployAsync(ctx context.Context, subject string, spec orchest
 // worker loop: a pending future plus the per-deployment context its
 // pipeline runs under (released by run). A closed platform is the only
 // failure.
-func (p *Platform) newDeployment(ctx context.Context, spec orchestrator.WorkloadSpec, onTransition func(LifecycleEvent)) (*Deployment, context.Context, error) {
+func (p *Platform) newDeployment(ctx context.Context, spec orchestrator.WorkloadSpec) (*Deployment, context.Context, error) {
 	if p.closed.Load() {
 		return nil, nil, &ClosedError{Op: "deploy"}
 	}
@@ -187,14 +162,12 @@ func (p *Platform) newDeployment(ctx context.Context, spec orchestrator.Workload
 	return &Deployment{
 		p: p, spec: spec, cancel: cancel,
 		done: make(chan struct{}), state: StatePending,
-		onTransition: onTransition,
 	}, dctx, nil
 }
 
 // run drives the pipeline to a terminal state. Every lifecycle event —
 // pending included — is emitted on this goroutine, which is what makes
-// the exactly-one-terminal-event guarantee cheap, keeps the callback
-// contract (one goroutine, every transition), and means DeployAsync
+// the exactly-one-terminal-event guarantee cheap and means DeployAsync
 // itself never blocks on spine backpressure. Pending is the first emit,
 // so per-deployment order on the lifecycle topic always starts there.
 func (d *Deployment) run(ctx context.Context, subject string) {
@@ -241,25 +214,23 @@ func (d *Deployment) transition(to DeployState, node, detail string) {
 	})
 }
 
-// emit stamps and publishes one lifecycle event, then mirrors it to the
-// per-deployment callback. Lifecycle telemetry is observer-dependent:
-// with no deploy.lifecycle subscriber registered, the publish is elided
-// entirely so the un-watched deploy hot path pays nothing for the topic
-// (a subscriber registered mid-deployment starts seeing events from its
-// next transition). Publishing after platform Close degrades to a drop:
-// the lifecycle of a closed platform is not observable.
+// emit stamps and publishes one lifecycle event. Lifecycle telemetry is
+// observer-dependent: with no deploy.lifecycle subscriber registered, the
+// publish is elided entirely so the un-watched deploy hot path pays
+// nothing for the topic (a subscriber registered mid-deployment starts
+// seeing events from its next transition). Publishing after platform
+// Close degrades to a drop: the lifecycle of a closed platform is not
+// observable.
 func (d *Deployment) emit(ev LifecycleEvent) {
-	if d.p.now != nil && ev.AtMs == 0 {
+	if !d.p.spine.HasSubscribers(events.TopicDeployLifecycle) {
+		return
+	}
+	if d.p.now != nil {
 		ev.AtMs = d.p.now()
 	}
-	if d.p.spine.HasSubscribers(events.TopicDeployLifecycle) {
-		_ = d.p.spine.Publish(events.Event{
-			Topic: events.TopicDeployLifecycle, Key: ev.Workload, AtMs: ev.AtMs, Payload: ev,
-		})
-	}
-	if d.onTransition != nil {
-		d.onTransition(ev)
-	}
+	_ = d.p.spine.Publish(events.Event{
+		Topic: events.TopicDeployLifecycle, Key: ev.Workload, AtMs: ev.AtMs, Payload: ev,
+	})
 }
 
 // WatchSelector filters a lifecycle watch. The zero value matches every

@@ -49,7 +49,7 @@ func (p *Platform) DeployBatchContext(ctx context.Context, subject string, specs
 			if i >= len(specs) {
 				return
 			}
-			d, dctx, err := p.newDeployment(ctx, specs[i], nil)
+			d, dctx, err := p.newDeployment(ctx, specs[i])
 			if err != nil {
 				errs[i] = err
 				continue

@@ -1,99 +1,23 @@
 package core
 
 // Event-spine wiring: the platform owns one events.Spine carrying every
-// telemetry stream — incidents, falco alerts, control-plane audit
-// records, metrics — and the incident log the public API exposes is a
-// materialised view over the spine's incident topic. The spine's
-// Flush/Close lifecycle gives the log its drain semantics (Flush is
-// read-your-writes, every Close blocks until drained), and external
+// telemetry stream — incidents, falco alerts, deploy lifecycle,
+// control-plane audit records, metrics — and each stream reaches its
+// observers only through it. The incident log the public API exposes is
+// platform state, not a spine view: recordIncident appends to it before
+// publishing, so reads never wait on a subscriber. The spine's
+// Flush/Close lifecycle gives subscribers their drain semantics (Flush
+// is read-your-writes, every Close blocks until drained), and external
 // consumers (SIEM exporters, dashboards, simulators) get the same
 // subscription surface the platform itself uses.
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"genio/internal/events"
 	"genio/internal/orchestrator"
 )
-
-// incidentView materialises TopicIncident into the ordered, counted log
-// behind Incidents() and IncidentCounts(). It is a regular spine
-// subscriber; Flush before read gives the same visibility contract the
-// old bus had. Appends arrive from the spine's delivery goroutine (and,
-// after Close, synchronously from late recorders), so state sits behind
-// a lock.
-type incidentView struct {
-	// seq hands out Incident.Seq numbers at record time. Padded onto its
-	// own cache line: every producer bumps it, the spine drainer takes
-	// mu — sharing a line would serialize the two hot sides.
-	seq atomic.Uint64
-	_   [56]byte
-
-	mu        sync.RWMutex
-	incidents []Incident
-	counts    map[string]int
-	// sorted tracks whether incidents is currently in Seq order, so
-	// repeated reads of a quiet log skip re-sorting.
-	sorted bool
-}
-
-func newIncidentView() *incidentView {
-	return &incidentView{counts: make(map[string]int)}
-}
-
-// batch is the view's spine subscription handler. Concurrent recorders
-// can enqueue out of Seq order, so arrival order is not record order;
-// snapshot restores it from Seq.
-func (v *incidentView) batch(evs []events.Event) {
-	v.mu.Lock()
-	for _, e := range evs {
-		if inc, ok := e.Payload.(Incident); ok {
-			v.incidents = append(v.incidents, inc)
-			v.counts[inc.Source]++
-		}
-	}
-	v.sorted = false
-	v.mu.Unlock()
-}
-
-// append applies one incident synchronously — the post-Close path, so
-// late incidents are never lost.
-func (v *incidentView) append(i Incident) {
-	v.mu.Lock()
-	v.incidents = append(v.incidents, i)
-	v.counts[i.Source]++
-	v.sorted = false
-	v.mu.Unlock()
-}
-
-// snapshot returns the log in record (Seq) order.
-func (v *incidentView) snapshot() []Incident {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.sorted {
-		sort.Slice(v.incidents, func(a, b int) bool {
-			return v.incidents[a].Seq < v.incidents[b].Seq
-		})
-		v.sorted = true
-	}
-	out := make([]Incident, len(v.incidents))
-	copy(out, v.incidents)
-	return out
-}
-
-func (v *incidentView) countsBySource() map[string]int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int, len(v.counts))
-	for k, c := range v.counts {
-		out[k] = c
-	}
-	return out
-}
 
 // incidentKey labels incidents by workload when one is named, falling
 // back to the source stream for unattributed incidents (boot, pon).

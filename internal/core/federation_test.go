@@ -189,7 +189,7 @@ func TestEvacuationRejectionRecordsAdmissionIncidents(t *testing.T) {
 	if len(details) != 2 || !strings.HasPrefix(details[0], "deny-1: ") || !strings.HasPrefix(details[1], "deny-2: ") {
 		t.Fatalf("admission incidents = %q, want one per failing scanner", details)
 	}
-	// Incidents flushed the spine, so the metric has been delivered too.
+	p.Flush()
 	if n := rejected.Load(); n != 1 {
 		t.Fatalf("deploy.rejected counted %d times, want 1", n)
 	}
@@ -208,16 +208,16 @@ func TestOverflowLifecycleRunsForward(t *testing.T) {
 	addNodeIn(t, p, "b", "b-0")
 	want := []DeployState{StatePending, StateScanning, StatePlacing, StateRunning}
 	for i := 0; i < 8; i++ {
-		var states []DeployState
-		d, err := p.DeployAsync(context.Background(), "ops", fedSpec(fmt.Sprintf("w-%d", i), ""),
-			WithOnTransition(func(ev LifecycleEvent) { states = append(states, ev.State) }))
+		name := fmt.Sprintf("w-%d", i)
+		collect := watchStates(t, p, name)
+		d, err := p.DeployAsync(context.Background(), "ops", fedSpec(name, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w, err := d.Result(); err != nil || w.Node != "b-0" {
 			t.Fatalf("w-%d: placed %+v, err %v", i, w, err)
 		}
-		if !slices.Equal(states, want) {
+		if states := collect(); !slices.Equal(states, want) {
 			t.Fatalf("w-%d transitions = %v, want %v", i, states, want)
 		}
 	}

@@ -84,25 +84,23 @@ func (p *Platform) recoverFromStore() error {
 			p.Enforcer.SetPolicy(w.Spec.Name, sandbox.DefaultWorkloadPolicy())
 		}
 	}
-	seq := st.IncidentSeq
-	for _, pi := range st.Incidents {
-		p.incview.append(Incident{Source: pi.Source, Workload: pi.Workload,
-			Detail: pi.Detail, Blocked: pi.Blocked, AtMs: pi.AtMs, Seq: pi.Seq})
-		if pi.Seq > seq {
-			seq = pi.Seq
+	p.incSeq = st.IncidentSeq
+	p.incidents = append(p.incidents, st.Incidents...)
+	for _, i := range st.Incidents {
+		p.incCounts[i.Source]++
+		if i.Seq > p.incSeq {
+			p.incSeq = i.Seq
 		}
 	}
-	p.incMirror = append(p.incMirror, st.Incidents...)
-	p.incview.seq.Store(seq)
 	return nil
 }
 
-// persistMutation is the cluster's MutationSink: it converts and
+// appendMutation is the cluster's MutationSink: it converts and
 // appends the record (buffered — no I/O on the caller's lock) and
 // advances the snapshot cadence. An append failure leaves the live
 // state authoritative but is never swallowed silently — the platform
 // flips to a visible non-durable posture (see noteStoreFailure).
-func (p *Platform) persistMutation(m orchestrator.Mutation) {
+func (p *Platform) appendMutation(m orchestrator.Mutation) {
 	if err := p.store.Append(recordFromMutation(m)); err != nil {
 		p.noteStoreFailure(err)
 		return
@@ -125,7 +123,7 @@ func (p *Platform) noteStoreFailure(err error) {
 		p.storeErr.Store(err)
 		log.Printf("genio: persist store failed, control plane now NON-DURABLE: %v", err)
 		// Off the caller's cluster lock; recordIncident publishes to the
-		// spine and re-enters persistIncident (whose append fails too,
+		// spine and appends to the store too (which fails as well,
 		// harmlessly — the Once already ran).
 		go p.recordIncident(Incident{Source: "persist", Blocked: true,
 			Detail: fmt.Sprintf("store failed, state no longer durable: %v", err)})
@@ -155,29 +153,6 @@ func recordFromMutation(m orchestrator.Mutation) persist.Record {
 		r.Quota = &q
 	}
 	return r
-}
-
-// persistIncident appends one incident record and mirrors it for
-// snapshots. The append and the mirror share p.persistMu, so a
-// snapshot (which reads LastLSN before copying the mirror) can never
-// observe the log ahead of the mirror.
-func (p *Platform) persistIncident(i Incident) {
-	if p.store == nil {
-		return
-	}
-	pi := persist.Incident{Source: i.Source, Workload: i.Workload,
-		Detail: i.Detail, Blocked: i.Blocked, AtMs: i.AtMs, Seq: i.Seq}
-	p.persistMu.Lock()
-	err := p.store.Append(persist.Record{Kind: persist.KindIncident, Incident: &pi})
-	if err == nil {
-		p.incMirror = append(p.incMirror, pi)
-	}
-	p.persistMu.Unlock()
-	if err != nil {
-		p.noteStoreFailure(err)
-		return
-	}
-	p.noteMutation()
 }
 
 // noteMutation advances the compaction cadence and, past the
@@ -230,10 +205,10 @@ func (p *Platform) SnapshotNow() error {
 func (p *Platform) snapshotNow() error {
 	lsn0 := p.store.LastLSN()
 	st := &persist.State{LSN: lsn0, Cluster: p.Cluster.ExportState()}
-	p.persistMu.Lock()
-	st.Incidents = append([]persist.Incident(nil), p.incMirror...)
-	p.persistMu.Unlock()
-	st.IncidentSeq = p.incview.seq.Load()
+	p.incMu.RLock()
+	st.Incidents = append([]Incident(nil), p.incidents...)
+	st.IncidentSeq = p.incSeq
+	p.incMu.RUnlock()
 	p.snapSize.Store(int64(len(st.Cluster.Workloads) + len(st.Incidents)))
 	return p.store.Snapshot(st)
 }

@@ -334,7 +334,11 @@ var errFailDisk = errors.New("simulated disk failure")
 // raised, instead of silently accepting non-durable deploys until a
 // restart loses them.
 func TestStoreFailureSurfacedNotSilent(t *testing.T) {
-	fs := &failingStore{Store: persist.Memory()}
+	wal, err := persist.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &failingStore{Store: wal}
 	p, err := New(SecureConfig(), WithStore(fs))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,7 @@ package core
 
 // Flush/Close ordering guarantees expressed through the event spine:
 // publish-after-close errors at the spine surface while RecordIncident
-// degrades to a synchronous append (nothing lost), subscribers observe
+// still appends to the ledger (nothing lost), subscribers observe
 // exactly the flushed state, and discarded platforms leave no goroutines
 // behind.
 
@@ -32,7 +32,7 @@ func TestPublishEventAfterCloseErrors(t *testing.T) {
 		t.Fatalf("subscribe after close: err = %v, want events.ErrClosed", err)
 	}
 	// The incident path must keep the old bus contract: late incidents
-	// are applied synchronously, never lost, never an error.
+	// join the ledger, never lost, never an error.
 	p.RecordIncident(Incident{Source: "late", Detail: "after close"})
 	if got := p.IncidentCounts()["late"]; got != 1 {
 		t.Fatalf("late incident count = %d, want 1", got)
@@ -70,9 +70,8 @@ func TestSubscriberSeesExactlyFlushedIncidents(t *testing.T) {
 }
 
 // TestIncidentsKeepRecordOrder: a single goroutine's incidents come back
-// in the order it recorded them, even across different workload keys
-// (different spine shards) — the Seq field restores the global order the
-// single-writer bus used to give for free.
+// in the order it recorded them, even across different workload keys:
+// the ledger appends in Seq order.
 func TestIncidentsKeepRecordOrder(t *testing.T) {
 	p, err := New(LegacyConfig())
 	if err != nil {
@@ -125,7 +124,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestPublishEventIncidentRoutesThroughLog: incident-topic publishes on
-// the public API join the materialised log with proper Seq order, and
+// the public API join the incident ledger with proper Seq order, and
 // foreign payloads on the incident topic are rejected instead of
 // silently diverging the log from the subscribers' view.
 func TestPublishEventIncidentRoutesThroughLog(t *testing.T) {
@@ -177,6 +176,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if got := p.IncidentCounts()["burst"]; got != n {
 		t.Fatalf("incidents = %d, want %d (the log lost incidents)", got, n)
 	}
+	p.Flush()
 	if st := p.Metrics()[events.TopicIncident]; st.Published != 30+n || st.Delivered != 30+n || st.Dropped != 0 {
 		t.Fatalf("incident topic stats after the burst = %+v, want %d/%d/0", st, 30+n, 30+n)
 	}

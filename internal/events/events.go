@@ -83,8 +83,7 @@ type Metric struct {
 // once the queue fills, every publisher.
 //
 // Handlers MUST NOT call back into the spine's synchronization points —
-// Flush, Close, or (on the platform) Incidents()/IncidentCounts()/
-// Metrics-after-Flush, which flush internally. The handler runs on the
+// Flush or Close (on the platform too). The handler runs on the
 // drainer, so a Flush from inside it waits on a token the drainer itself
 // must ack: a guaranteed self-deadlock that wedges every publisher. For
 // the same reason a handler that publishes deadlocks when the queue is

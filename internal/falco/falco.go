@@ -13,7 +13,6 @@ package falco
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -83,7 +82,6 @@ type Engine struct {
 	mu      sync.Mutex
 	rules   []Rule
 	history map[string][]trace.Event // per-workload context window
-	alerts  []Alert
 	// historyLimit bounds per-workload context retention.
 	historyLimit int
 	// now, when set, timestamps alerts (AtMs). Simulations inject a
@@ -143,7 +141,6 @@ func (e *Engine) consumeLocked(ev trace.Event) []Alert {
 					r.Name, ev.Workload, ev.Process, ev.Type, ev.Target),
 			}
 			raised = append(raised, a)
-			e.alerts = append(e.alerts, a)
 		}
 	}
 	hist = append(hist, ev)
@@ -165,34 +162,6 @@ func (e *Engine) ConsumeAll(events []trace.Event) []Alert {
 		out = append(out, e.consumeLocked(ev)...)
 	}
 	return out
-}
-
-// ConsumeAllTo feeds a trace and forwards every raised alert to the sink
-// (which may rate-limit or fan out). It returns the alerts raised.
-func (e *Engine) ConsumeAllTo(events []trace.Event, s Sink) []Alert {
-	alerts := e.ConsumeAll(events)
-	for _, a := range alerts {
-		s.Emit(a)
-	}
-	return alerts
-}
-
-// Alerts returns a copy of all alerts raised so far, critical first.
-func (e *Engine) Alerts() []Alert {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Alert, len(e.alerts))
-	copy(out, e.alerts)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
-}
-
-// Reset clears history and alerts (between experiment runs).
-func (e *Engine) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.history = make(map[string][]trace.Event)
-	e.alerts = nil
 }
 
 // DefaultRules returns the stock detection set covering the behaviours the

@@ -240,14 +240,6 @@ func (f *Federation) PinTenant(tenant, region string) {
 	f.mu.Unlock()
 }
 
-// PinnedRegion reports a tenant's pin.
-func (f *Federation) PinnedRegion(tenant string) (string, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	r, ok := f.pins[tenant]
-	return r, ok
-}
-
 // Pins returns a copy of the tenant→region pin table.
 func (f *Federation) Pins() map[string]string {
 	f.mu.RLock()

@@ -2,14 +2,10 @@
 // small Store interface over an ordered log of control-plane mutations
 // plus periodic compacted snapshots.
 //
-// Two backends ship:
-//
-//   - Memory: today's default behavior — the log lives and dies with
-//     the process. It implements the full Store contract (including
-//     Snapshot/Load), so tests exercise replay without touching disk.
-//   - WAL (wal.go): an append-only JSON-line log on disk, group-committed
-//     in batches so the deploy hot path never waits on a per-record
-//     fsync, compacted by atomic snapshot files.
+// The backend that ships is WAL (wal.go): an append-only JSON-line log
+// on disk, group-committed in batches so the deploy hot path never waits
+// on a per-record fsync, compacted by atomic snapshot files. Without a
+// store the platform keeps no durable state at all.
 //
 // Records are keyed by the spine's existing audit-event vocabulary
 // (node-join, node-cordon, place, workload-stop, quota,
@@ -27,7 +23,6 @@ package persist
 import (
 	"errors"
 	"sort"
-	"sync"
 
 	"genio/internal/orchestrator"
 )
@@ -49,16 +44,20 @@ const (
 	KindIncident   = "incident"
 )
 
-// Incident mirrors core.Incident for the durable log. persist sits
-// below core in the import graph (core owns the Store), so the record
-// type is defined here and core converts at the boundary.
+// Incident is one security-relevant occurrence recorded by the platform.
+// persist sits below core in the import graph (core owns the Store), so
+// the type is defined here and core.Incident is an alias of it.
 type Incident struct {
-	Source   string `json:"source"`
+	Source   string `json:"source"` // admission | sandbox | falco | pon | boot | persist
 	Workload string `json:"workload,omitempty"`
 	Detail   string `json:"detail"`
-	Blocked  bool   `json:"blocked"`
-	AtMs     int64  `json:"atMs,omitempty"`
-	Seq      uint64 `json:"seq,omitempty"`
+	Blocked  bool   `json:"blocked"` // true if the action was prevented
+	// AtMs is the platform-clock time of the incident (zero unless the
+	// platform has a clock).
+	AtMs int64 `json:"atMs,omitempty"`
+	// Seq is the platform-assigned record sequence number (1-based):
+	// the ledger holds exactly Seq 1..n, in order.
+	Seq uint64 `json:"seq,omitempty"`
 }
 
 // Record is one durable log entry. LSN is assigned by Append,
@@ -94,8 +93,7 @@ type State struct {
 	// Incidents is the full incident ledger, ordered by Seq.
 	Incidents []Incident `json:"incidents,omitempty"`
 	// IncidentSeq is the sequence floor for new incidents after
-	// recovery (>= the max Seq in Incidents; may exceed it when the
-	// newest incidents were still in flight at snapshot time).
+	// recovery (>= the max Seq in Incidents).
 	IncidentSeq uint64 `json:"incidentSeq,omitempty"`
 }
 
@@ -233,87 +231,4 @@ func apply(base *State, recs []Record) *State {
 		}
 	}
 	return st
-}
-
-// memory is the in-process backend: the Store contract without
-// durability. The default when no store is configured at all is "no
-// persistence"; Memory exists so the replay machinery (snapshot +
-// tail) is testable without a filesystem and so callers can switch
-// backends without special-casing nil.
-type memory struct {
-	mu     sync.Mutex
-	lsn    uint64
-	recs   []Record
-	snap   *State
-	closed bool
-}
-
-// Memory returns the in-process Store.
-func Memory() Store {
-	return &memory{}
-}
-
-func (m *memory) Append(rec Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.lsn++
-	rec.LSN = m.lsn
-	m.recs = append(m.recs, rec)
-	return nil
-}
-
-func (m *memory) Flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (m *memory) LastLSN() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lsn
-}
-
-func (m *memory) Snapshot(st *State) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.snap = st
-	// Compact: drop records the snapshot covers.
-	keep := m.recs[:0]
-	for _, r := range m.recs {
-		if r.LSN > st.LSN {
-			keep = append(keep, r)
-		}
-	}
-	m.recs = keep
-	return nil
-}
-
-func (m *memory) Load() (*State, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.snap == nil && len(m.recs) == 0 {
-		return nil, nil
-	}
-	base := m.snap
-	if base == nil {
-		base = &State{}
-	}
-	return apply(base, m.recs), nil
-}
-
-func (m *memory) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	return nil
 }

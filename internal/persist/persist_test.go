@@ -80,7 +80,11 @@ func checkSeeded(t *testing.T, st *State) {
 // place records even when the workload that advanced it was stopped
 // before the crash — otherwise a restarted cluster re-mints a spent id.
 func TestVMSeqSurvivesStoppedWorkload(t *testing.T) {
-	s := Memory()
+	s, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	recs := []Record{
 		joinRecord("olt-01", 4000),
 		{Kind: KindPlace, VMSeq: 1, Workload: &orchestrator.Workload{
@@ -106,8 +110,11 @@ func TestVMSeqSurvivesStoppedWorkload(t *testing.T) {
 	}
 }
 
-func TestMemoryReplay(t *testing.T) {
-	s := Memory()
+func TestStoreReplay(t *testing.T) {
+	s, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st, err := s.Load(); err != nil || st != nil {
 		t.Fatalf("empty load = %v, %v; want nil, nil", st, err)
 	}

@@ -149,7 +149,6 @@ type OLT struct {
 	mode      SecurityMode
 	ca        *pki.CA
 	identity  *pki.Identity
-	rand      io.Reader
 	onus      map[string]*ONU // serial -> activated ONU
 	ports     map[PortID]*ONU
 	keyring   *KeyRing // OLT-side per-port payload keys
@@ -163,18 +162,10 @@ type OLT struct {
 	authFail  int
 }
 
-// OLTOption configures an OLT.
-type OLTOption func(*OLT)
-
-// WithRandom overrides the OLT randomness source.
-func WithRandom(r io.Reader) OLTOption {
-	return func(o *OLT) { o.rand = r }
-}
-
 // NewOLT creates an OLT operating in the given security mode. For
 // ModeAuthenticated both ca and identity (an OLT-role identity issued by
 // ca) are required.
-func NewOLT(name string, mode SecurityMode, ca *pki.CA, identity *pki.Identity, opts ...OLTOption) (*OLT, error) {
+func NewOLT(name string, mode SecurityMode, ca *pki.CA, identity *pki.Identity) (*OLT, error) {
 	if mode == ModeAuthenticated && (ca == nil || identity == nil) {
 		return nil, errors.New("pon: authenticated mode requires CA and identity")
 	}
@@ -183,15 +174,11 @@ func NewOLT(name string, mode SecurityMode, ca *pki.CA, identity *pki.Identity, 
 		mode:     mode,
 		ca:       ca,
 		identity: identity,
-		rand:     rand.Reader,
 		onus:     make(map[string]*ONU),
 		ports:    make(map[PortID]*ONU),
 		keyring:  NewKeyRing(),
 		nextPort: 1,
 		seq:      make(map[PortID]uint64),
-	}
-	for _, opt := range opts {
-		opt(o)
 	}
 	return o, nil
 }
@@ -232,7 +219,7 @@ func (o *OLT) Activate(onu *ONU) error {
 	case ModePlaintext:
 		// No keys, no auth: any serial joins.
 	case ModeEncrypted:
-		if _, err := io.ReadFull(o.rand, key[:]); err != nil {
+		if _, err := io.ReadFull(rand.Reader, key[:]); err != nil {
 			return fmt.Errorf("activation key: %w", err)
 		}
 	case ModeAuthenticated:
@@ -273,11 +260,11 @@ func (o *OLT) Activate(onu *ONU) error {
 // session secret into a PON payload key.
 func (o *OLT) mutualAuth(onu *ONU) ([32]byte, error) {
 	var key [32]byte
-	client, err := pki.NewHandshaker(onu.identity, o.ca, pki.RoleOLT, true, o.rand)
+	client, err := pki.NewHandshaker(onu.identity, o.ca, pki.RoleOLT, true, rand.Reader)
 	if err != nil {
 		return key, err
 	}
-	server, err := pki.NewHandshaker(o.identity, o.ca, pki.RoleONU, false, o.rand)
+	server, err := pki.NewHandshaker(o.identity, o.ca, pki.RoleONU, false, rand.Reader)
 	if err != nil {
 		return key, err
 	}

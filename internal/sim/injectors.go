@@ -33,14 +33,6 @@ func JoinNode(capacity orchestrator.Resources) Step {
 	}}
 }
 
-// CrashNode fails a named node: workloads are rescheduled onto survivors
-// or evicted, per the orchestrator's failover path.
-func CrashNode(name string) Step {
-	return Step{Name: "node-crash", Run: func(w *World) Outcome {
-		return crash(w, name)
-	}}
-}
-
 // CrashRandomNode fails a random live node (no-op outcome when none are
 // left — a valid state during failover storms).
 func CrashRandomNode() Step {
@@ -402,19 +394,28 @@ func CancelStorm(n int, tenant string, res orchestrator.Resources, refs ...strin
 func (w *World) cancelOne(spec orchestrator.WorkloadSpec) string {
 	w.markCancelTarget(spec.Name)
 	defer w.clearCancelTarget(spec.Name)
-	scanning := make(chan struct{})
-	d, err := w.Platform.DeployAsync(context.Background(), Subject, spec,
-		core.WithOnTransition(func(ev core.LifecycleEvent) {
-			if ev.State == core.StateScanning {
-				close(scanning)
-			}
-		}))
+	// The watch opens before the deploy, so it sees the pending and
+	// scanning transitions.
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	lifecycle, err := w.Platform.Watch(ctx, core.WatchSelector{Workload: spec.Name})
 	if err != nil {
 		return "error"
 	}
-	select {
-	case <-scanning:
-	case <-d.Done(): // refused before scanning (RBAC, closed platform)
+	d, err := w.Platform.DeployAsync(context.Background(), Subject, spec)
+	if err != nil {
+		return "error"
+	}
+wait:
+	for {
+		select {
+		case ev, ok := <-lifecycle:
+			if !ok || ev.State == core.StateScanning {
+				break wait
+			}
+		case <-d.Done(): // refused before scanning (RBAC, closed platform)
+			break wait
+		}
 	}
 	d.Cancel()
 	<-d.Done()
@@ -635,7 +636,9 @@ func KillRestart() Step {
 		// incidents entered the log at recovery (never spine-delivered, so
 		// the new subscription starts that far behind by construction) and
 		// the spine's per-topic ledger restarted at zero, so the script's
-		// offered-events floor restarts with it.
+		// offered-events floor restarts with it. The Flush lets the
+		// witness catch up first, so nothing it still owes is counted twice.
+		w.Platform.Flush()
 		w.seenIncidents.Store(int64(len(w.Platform.Incidents())))
 		w.offeredEvents = make(map[string]uint64)
 		return Outcome{Status: "recovered", Detail: fmt.Sprintf(

@@ -138,8 +138,8 @@ func NoCapacityOversubscription() Invariant {
 // IncidentCountsMonotone: the incident log only grows — no fault path may
 // lose or rewrite recorded security history — and the simulator's own
 // spine subscription (wired by Engine.Run) must have seen exactly the
-// events the materialised log holds: after a Flush, no subscriber lags
-// the platform's own view.
+// incidents the platform's ledger holds: after a Flush, no subscriber
+// lags the platform's own view.
 func IncidentCountsMonotone() Invariant {
 	return Invariant{Name: "incident-counts-monotone", Check: func(w *World) []string {
 		var out []string

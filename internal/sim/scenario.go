@@ -121,7 +121,7 @@ type World struct {
 	// seenIncidents counts incident events delivered to the simulator's
 	// own spine subscription — the invariants observe the platform the
 	// way an external SIEM would, instead of polling snapshots, and the
-	// count must track the materialised log exactly.
+	// count must track the platform's incident ledger exactly.
 	seenIncidents atomic.Int64
 	// offeredEvents tallies, per topic, the publishes the script itself
 	// offered through PublishEvent (steps run sequentially, so a plain

@@ -84,15 +84,14 @@ var (
 // TPM is a software TPM instance. The zero value is not usable; create
 // instances with New. TPM is safe for concurrent use.
 type TPM struct {
-	mu      sync.Mutex
-	pcrs    [PCRCount]Digest
-	log     []Event
-	ak      ed25519.PrivateKey // attestation key, never leaves the TPM
-	akPub   ed25519.PublicKey
-	srk     [32]byte // storage root key for sealing
-	nv      map[string][]byte
-	rand    io.Reader
-	sealCnt int
+	mu    sync.Mutex
+	pcrs  [PCRCount]Digest
+	log   []Event
+	ak    ed25519.PrivateKey // attestation key, never leaves the TPM
+	akPub ed25519.PublicKey
+	srk   [32]byte // storage root key for sealing
+	nv    map[string][]byte
+	rand  io.Reader
 }
 
 // New creates a TPM with freshly generated attestation and storage keys.
@@ -274,7 +273,6 @@ func (t *TPM) Seal(secret []byte, pcrSelection []int) (*SealedBlob, error) {
 	if _, err := io.ReadFull(t.rand, nonce); err != nil {
 		return nil, fmt.Errorf("seal nonce: %w", err)
 	}
-	t.sealCnt++
 	ct := gcm.Seal(nil, nonce, secret, policy[:])
 	sel := append([]int(nil), pcrSelection...)
 	sort.Ints(sel)
@@ -338,12 +336,4 @@ func (t *TPM) NVRead(index string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), v...), true
-}
-
-// SealCount reports how many seal operations have been performed; used by
-// experiments to account for TPM interaction overheads.
-func (t *TPM) SealCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sealCnt
 }
