@@ -1,9 +1,9 @@
 package client
 
-// Conformance tests: every Interface method is exercised in every shape
-// the one implementation (HTTP) is deployed in, and must behave
-// identically, including the typed errors errors.Is/As-matched after a
-// wire decode. All three are HTTP; they differ in who the caller is:
+// Conformance tests: every client method is exercised in every shape
+// the client (HTTP) is deployed in, and must behave identically,
+// including the typed errors errors.Is/As-matched after a wire decode.
+// They differ in who the caller is:
 //
 //   - "local": anonymous loopback, the daemon-less genioctl shape — a
 //     subject header against an AllowAnonymous api/server this process
@@ -42,13 +42,13 @@ import (
 // assertions and admission gates).
 type mode struct {
 	name  string
-	build func(t *testing.T) (Interface, *core.Platform)
+	build func(t *testing.T) (*HTTP, *core.Platform)
 }
 
 func modes(t *testing.T) []mode {
 	t.Helper()
 	return []mode{
-		{"local", func(t *testing.T) (Interface, *core.Platform) {
+		{"local", func(t *testing.T) (*HTTP, *core.Platform) {
 			p, err := demo.Platform(core.SecureConfig(), "ops")
 			if err != nil {
 				t.Fatal(err)
@@ -62,7 +62,7 @@ func modes(t *testing.T) []mode {
 			t.Cleanup(func() { cli.Close(); stop(); p.Close() })
 			return cli, p
 		}},
-		{"http", func(t *testing.T) (Interface, *core.Platform) {
+		{"http", func(t *testing.T) (*HTTP, *core.Platform) {
 			p, err := demo.Platform(core.SecureConfig(), "ops")
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +81,7 @@ func modes(t *testing.T) []mode {
 			t.Cleanup(func() { cli.Close() })
 			return cli, p
 		}},
-		{"session-on-anonymous-server", func(t *testing.T) (Interface, *core.Platform) {
+		{"session-on-anonymous-server", func(t *testing.T) (*HTTP, *core.Platform) {
 			// Only "ops" is bound: demoted to the anonymous subject, every
 			// call below would be an RBAC refusal.
 			p, err := demo.Platform(core.SecureConfig(), "ops")

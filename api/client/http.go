@@ -51,8 +51,6 @@ type HTTP struct {
 	streamErr func(error)
 }
 
-var _ Interface = (*HTTP)(nil)
-
 // HTTPOption configures the HTTP client.
 type HTTPOption func(*HTTP)
 
@@ -293,6 +291,8 @@ func decodeBody(body io.Reader, out any) error {
 	return err
 }
 
+// Deploy runs one deployment synchronously on ctx: cancelling ctx
+// cancels (and rolls back) the in-flight deployment.
 func (c *HTTP) Deploy(ctx context.Context, spec api.WorkloadSpec) (*api.Workload, error) {
 	var wl api.Workload
 	if err := c.do(ctx, http.MethodPost, "/v2/deployments", nil, api.DeployRequest{Spec: spec}, &wl); err != nil {
@@ -301,18 +301,23 @@ func (c *HTTP) Deploy(ctx context.Context, spec api.WorkloadSpec) (*api.Workload
 	return &wl, nil
 }
 
-func (c *HTTP) DeployAsync(ctx context.Context, spec api.WorkloadSpec) (Deployment, error) {
+// DeployAsync launches a deployment future and returns a handle to
+// poll, await, or cancel it.
+func (c *HTTP) DeployAsync(ctx context.Context, spec api.WorkloadSpec) (*Deployment, error) {
 	var ref api.DeploymentRef
 	if err := c.do(ctx, http.MethodPost, "/v2/deployments/async", nil, api.DeployRequest{Spec: spec}, &ref); err != nil {
 		return nil, err
 	}
-	return &httpDeployment{c: c, ref: ref}, nil
+	return &Deployment{c: c, ref: ref}, nil
 }
 
-// DeployBatch ships every spec in ONE signed request to
-// /v2/deploy/batch — amortizing auth, connection, and codec cost
-// across the whole storm — and decodes the positional results back to
-// the typed taxonomy.
+// DeployBatch admits every spec through the full pipeline and waits for
+// all of them. The whole batch ships in ONE signed request to
+// /v2/deploy/batch — amortizing auth, connection, and codec cost across
+// the storm. Results are positional (Results[i] answers specs[i]), each
+// carrying either the placed workload or the typed error — one
+// rejection never fails its siblings; the returned error reports
+// transport/auth failure only.
 func (c *HTTP) DeployBatch(ctx context.Context, specs []api.WorkloadSpec) ([]BatchResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -334,32 +339,37 @@ func (c *HTTP) DeployBatch(ctx context.Context, specs []api.WorkloadSpec) ([]Bat
 // Deployment rebuilds a handle for a known deployment ID (learned
 // out-of-band, e.g. from another process's DeployAsync). The server
 // still decides whether this client's subject may use it.
-func (c *HTTP) Deployment(id string) Deployment {
-	return &httpDeployment{c: c, ref: api.DeploymentRef{
+func (c *HTTP) Deployment(id string) *Deployment {
+	return &Deployment{c: c, ref: api.DeploymentRef{
 		ID:    id,
 		Poll:  "/v2/deployments/" + id,
 		Await: "/v2/deployments/" + id + "/await",
 	}}
 }
 
-// httpDeployment is the remote future handle.
-type httpDeployment struct {
+// Deployment is a client-side handle on an asynchronous deployment
+// future.
+type Deployment struct {
 	c   *HTTP
 	ref api.DeploymentRef
 }
 
-func (d *httpDeployment) ID() string { return d.ref.ID }
+// ID identifies the deployment on its server ("" until assigned).
+func (d *Deployment) ID() string { return d.ref.ID }
 
-func (d *httpDeployment) Status(ctx context.Context) (api.DeploymentStatus, error) {
+// Status snapshots the deployment's current state.
+func (d *Deployment) Status(ctx context.Context) (api.DeploymentStatus, error) {
 	var st api.DeploymentStatus
 	err := d.c.do(ctx, http.MethodGet, d.ref.Poll, nil, nil, &st)
 	return st, err
 }
 
-// Await long-polls the await endpoint. Transport failures retry with
-// backoff — the deployment keeps running server-side, so reconnecting
-// and re-awaiting is always safe.
-func (d *httpDeployment) Await(ctx context.Context) (*api.Workload, error) {
+// Await blocks until the deployment is terminal (or ctx dies) and
+// returns the placement or the typed terminal error. It long-polls the
+// await endpoint; transport failures retry with backoff — the
+// deployment keeps running server-side, so reconnecting and re-awaiting
+// is always safe.
+func (d *Deployment) Await(ctx context.Context) (*api.Workload, error) {
 	backoff := d.c.backoffMin
 	for {
 		var st api.DeploymentStatus
@@ -384,7 +394,9 @@ func (d *httpDeployment) Await(ctx context.Context) (*api.Workload, error) {
 	}
 }
 
-func (d *httpDeployment) Cancel(ctx context.Context) error {
+// Cancel withdraws the deployment; the platform stops it at the next
+// cancellation point and rolls back anything provisional.
+func (d *Deployment) Cancel(ctx context.Context) error {
 	return d.c.do(ctx, http.MethodDelete, d.ref.Poll, nil, nil, nil)
 }
 
@@ -525,10 +537,17 @@ func (c *HTTP) pumpStream(ctx context.Context, resp *http.Response, out chan<- a
 	return delivered
 }
 
+// AddNode provisions an edge node into the named federation cluster
+// ("" = the default cluster — the only valid value outside federation
+// mode).
 func (c *HTTP) AddNode(ctx context.Context, cluster, name string, capacity api.Resources) error {
 	return c.do(ctx, http.MethodPost, "/v2/nodes", nil, api.AddNodeRequest{Name: name, Cluster: cluster, Capacity: capacity}, nil)
 }
 
+// Nodes returns the fleet table; a non-nil probe adds the scheduler's
+// binpack/spread scores for that demand. cluster narrows a federated
+// fleet to one member ("" = every member, each row labeled with its
+// cluster; on a plain platform rows are unlabeled).
 func (c *HTTP) Nodes(ctx context.Context, probe *api.Resources, cluster string) ([]api.NodeStatus, error) {
 	query := url.Values{}
 	if probe != nil {
@@ -553,6 +572,8 @@ func (c *HTTP) Uncordon(ctx context.Context, node string) error {
 	return c.do(ctx, http.MethodPost, "/v2/nodes/"+url.PathEscape(node)+"/uncordon", nil, nil, nil)
 }
 
+// Drain live-migrates the node's workloads; cancelling ctx stops the
+// drain at the next migration boundary and rolls the cordon back.
 func (c *HTTP) Drain(ctx context.Context, node string) (*api.DrainResult, error) {
 	var res api.DrainResult
 	if err := c.do(ctx, http.MethodPost, "/v2/nodes/"+url.PathEscape(node)+"/drain", nil, nil, &res); err != nil {
@@ -563,6 +584,7 @@ func (c *HTTP) Drain(ctx context.Context, node string) (*api.DrainResult, error)
 	return &res, api.Decode(res.Error)
 }
 
+// FailNode simulates node loss: remove the node and reschedule.
 func (c *HTTP) FailNode(ctx context.Context, node string) (*api.FailoverResult, error) {
 	var res api.FailoverResult
 	if err := c.do(ctx, http.MethodPost, "/v2/nodes/"+url.PathEscape(node)+"/fail", nil, nil, &res); err != nil {
@@ -591,6 +613,8 @@ func (c *HTTP) Ledger(ctx context.Context) (api.Ledger, error) {
 	return out, nil
 }
 
+// Clusters lists the placement domains: federation members, or a
+// synthesized single entry on a plain platform.
 func (c *HTTP) Clusters(ctx context.Context) ([]api.ClusterInfo, error) {
 	var out []api.ClusterInfo
 	if err := c.do(ctx, http.MethodGet, "/v2/clusters", nil, nil, &out); err != nil {
@@ -599,6 +623,8 @@ func (c *HTTP) Clusters(ctx context.Context) ([]api.ClusterInfo, error) {
 	return out, nil
 }
 
+// Evacuate re-places a failed federation member's workloads across the
+// survivors and removes it from the federation.
 func (c *HTTP) Evacuate(ctx context.Context, cluster string) (*api.EvacuationResult, error) {
 	var out api.EvacuationResult
 	if err := c.do(ctx, http.MethodPost, "/v2/clusters/"+url.PathEscape(cluster)+"/evacuate", nil, nil, &out); err != nil {

@@ -855,7 +855,7 @@ func TestDeploymentEndpointsEnforceOwnership(t *testing.T) {
 
 // remoteHandle rebuilds a Deployment handle for an existing server-side
 // ID on another client — the "stranger who learned the ID" scenario.
-func remoteHandle(t *testing.T, c *client.HTTP, id string) client.Deployment {
+func remoteHandle(t *testing.T, c *client.HTTP, id string) *client.Deployment {
 	t.Helper()
 	return c.Deployment(id)
 }
@@ -876,7 +876,7 @@ func TestTerminalDeploymentEviction(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 	ctx := context.Background()
 
-	var handles []client.Deployment
+	var handles []*client.Deployment
 	for i := 0; i < 3; i++ {
 		d, err := c.DeployAsync(ctx, spec(fmt.Sprintf("evict-%d", i), "acme/analytics:2.0.1", 100, 128))
 		if err != nil {

@@ -13,8 +13,10 @@
 //	genio-sim -campaign event-storm -events      # + spine firehose on stderr
 //	genio-sim -campaign cancel-storm -seed 7     # API-v2 cancellation races
 //
-// cancel-storm drives asynchronous deployments (DeployAsync futures)
-// with seeded cancellations deterministically landing mid-scan; its
+// Every campaign's deployments cross the wire: the platform is served
+// by api/server on a loopback listener and driven through client.HTTP.
+// cancel-storm drives asynchronous deployment futures over it, with
+// seeded cancellations deterministically landing mid-scan; its
 // invariants prove no cancelled deployment is ever placed and that every
 // future emits exactly one terminal deploy.lifecycle event.
 //

@@ -143,15 +143,21 @@ func addConnFlags(fs *flag.FlagSet) *connFlags {
 // platform behind api/server on a loopback listener and talks to that —
 // the same client.HTTP and the same wire path either way.
 // fixtureWorkloads seeds that many demo workloads in daemon-less mode
-// only — a remote daemon owns its own state.
-func (c *connFlags) newClient(fixtureWorkloads int) (client.Interface, error) {
+// only — a remote daemon owns its own state. The returned close
+// releases the client and, daemon-less, the server and platform behind
+// it.
+func (c *connFlags) newClient(fixtureWorkloads int) (*client.HTTP, func() error, error) {
 	// A watch stream the server permanently refuses (revoked cert, RBAC
 	// change) closes its channel; say why instead of exiting silently.
 	opts := []client.HTTPOption{client.WithStreamErrorHandler(func(err error) {
 		fmt.Fprintf(os.Stderr, "genioctl: watch stream ended: %v\n", err)
 	})}
 	if *c.server == "" {
-		return c.newLoopback(fixtureWorkloads, opts)
+		l, err := c.newLoopback(fixtureWorkloads, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return l.HTTP, l.Close, nil
 	}
 	base := *c.server
 	// Accept a bare host:port — geniod serves plain HTTP (auth is an
@@ -162,13 +168,14 @@ func (c *connFlags) newClient(fixtureWorkloads int) (client.Interface, error) {
 	if *c.identity != "" {
 		id, err := api.LoadIdentity(*c.identity)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		opts = append(opts, client.WithIdentity(id))
 	} else {
 		opts = append(opts, client.WithSubject(*c.subject))
 	}
-	return client.NewHTTP(base, opts...), nil
+	cli := client.NewHTTP(base, opts...)
+	return cli, cli.Close, nil
 }
 
 // loopback is the daemon-less client: client.HTTP against an api/server
@@ -184,7 +191,7 @@ type loopback struct {
 // loopback-only and lives for one command, so the server trusts the
 // subject header (AllowAnonymous) and the platform's RBAC still decides
 // what that subject may do.
-func (c *connFlags) newLoopback(fixtureWorkloads int, opts []client.HTTPOption) (client.Interface, error) {
+func (c *connFlags) newLoopback(fixtureWorkloads int, opts []client.HTTPOption) (*loopback, error) {
 	cfg, err := parsePosture(*c.posture)
 	if err != nil {
 		return nil, err
@@ -218,7 +225,7 @@ func (l *loopback) Close() error {
 }
 
 // runDeploy drives one asynchronous deployment end to end through the
-// client interface.
+// client.
 func runDeploy(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("genioctl deploy", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -236,11 +243,11 @@ func runDeploy(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cli, err := conn.newClient(0)
+	cli, closeCli, err := conn.newClient(0)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 
 	// Ctrl-C cancels the deployment context: the control plane stops the
 	// in-flight deployment at the next cancellation point and rolls back
@@ -324,7 +331,7 @@ func runDeploy(args []string, out io.Writer) error {
 // client.DeployBatch — against a remote server, one signed request for
 // the whole batch. Results render positionally with the same typed
 // taxonomy as single deploys; one rejection never blocks its siblings.
-func runDeployBatch(ctx context.Context, cli client.Interface, path string, out io.Writer) error {
+func runDeployBatch(ctx context.Context, cli *client.HTTP, path string, out io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -434,11 +441,11 @@ func runWatch(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cli, err := conn.newClient(0)
+	cli, closeCli, err := conn.newClient(0)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -486,7 +493,7 @@ func runWatch(args []string, out io.Writer) error {
 	}()
 
 	fmt.Fprintf(out, "watching deploy.lifecycle (%d scripted deploys)...\n", len(specs))
-	handles := make([]client.Deployment, 0, len(specs))
+	handles := make([]*client.Deployment, 0, len(specs))
 	for _, spec := range specs {
 		d, err := cli.DeployAsync(context.Background(), spec)
 		if err != nil {
@@ -515,11 +522,11 @@ func runCordon(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cli, err := conn.newClient(3)
+	cli, closeCli, err := conn.newClient(3)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 	ctx := context.Background()
 	verb := "cordoned"
 	if *undo {
@@ -548,11 +555,11 @@ func runDrain(args []string, out io.Writer) error {
 	}
 	// Default binpack stacks the fixture workloads, so the drained node
 	// is the hot one.
-	cli, err := conn.newClient(4)
+	cli, closeCli, err := conn.newClient(4)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
@@ -590,11 +597,11 @@ func runNodes(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cli, err := conn.newClient(3)
+	cli, closeCli, err := conn.newClient(3)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 	return printFleet(out, cli, *top, *cluster)
 }
 
@@ -603,7 +610,7 @@ func runNodes(args []string, out io.Writer) error {
 // strategies. Rows from a federated fleet carry cluster labels and are
 // grouped under per-cluster headings; single-cluster output is
 // unchanged.
-func printFleet(out io.Writer, cli client.Interface, scores bool, cluster string) error {
+func printFleet(out io.Writer, cli *client.HTTP, scores bool, cluster string) error {
 	var probe *api.Resources
 	if scores {
 		probe = &api.Resources{CPUMilli: 500, MemoryMB: 512}
@@ -649,11 +656,11 @@ func runClusters(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cli, err := conn.newClient(0)
+	cli, closeCli, err := conn.newClient(0)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer closeCli()
 	ctx := context.Background()
 	if *evacuate != "" {
 		res, err := cli.Evacuate(ctx, *evacuate)

@@ -459,11 +459,11 @@ func TestFleetReadsIdenticalDaemonlessAndRemote(t *testing.T) {
 // loopback listener is gone, the server's watch feeder has exited — and
 // a second Close is harmless.
 func TestLoopbackClientClose(t *testing.T) {
-	cli, err := addConnFlags(flag.NewFlagSet("test", flag.ContinueOnError)).newClient(0)
+	l, err := addConnFlags(flag.NewFlagSet("test", flag.ContinueOnError)).newLoopback(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := cli.(*loopback)
+	cli := l.HTTP
 	ctx := context.Background()
 
 	// A watch starts the server's event log (and its feeder goroutine).
@@ -480,7 +480,7 @@ func TestLoopbackClientClose(t *testing.T) {
 	wcancel()
 
 	for i := 0; i < 2; i++ {
-		if err := cli.Close(); err != nil {
+		if err := l.Close(); err != nil {
 			t.Fatalf("close %d: %v", i, err)
 		}
 	}

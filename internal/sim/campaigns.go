@@ -386,14 +386,12 @@ func DeployStormCampaign(seed int64) Scenario {
 		Persist: true, Steps: steps}
 }
 
-// WireDeployStormCampaign is the networked-control-plane storm: the
-// platform is hosted behind the geniod HTTP handler on a loopback
-// listener and every deployment — floods, async cancel waves, the lot —
-// crosses the full wire stack (Ed25519-signed request, encode, HTTP,
-// typed-error decode) while node churn and metric bursts run in-process
+// WireDeployStormCampaign is the client-surface storm: every deploy
+// shape the wire offers — a sync deploy, floods, one-request batches,
+// async futures with cancel waves — plus an event-ledger read through
+// GET /v2/ledger, while node churn and metric bursts run in process
 // underneath. The lifecycle-ledger-balanced, no-silent-event-drops, and
-// cancelled-never-placed invariants must hold across the wire exactly
-// as they do in-process.
+// cancelled-never-placed invariants must hold across all of them.
 func WireDeployStormCampaign(seed int64) Scenario {
 	r := rand.New(rand.NewSource(seed))
 	steps := []Step{
@@ -401,13 +399,13 @@ func WireDeployStormCampaign(seed int64) Scenario {
 		JoinNode(nodeCapacity),
 		JoinNode(nodeCapacity),
 		JoinNode(nodeCapacity),
-		WireDeploy("acme", CleanImageRef, orchestrator.IsolationSoft, smallDemand),
+		Deploy("acme", CleanImageRef, orchestrator.IsolationSoft, smallDemand),
 	}
 	for wave := 0; wave < 4; wave++ {
 		steps = append(steps,
-			WireDeployFlood(6+r.Intn(6), "acme", smallDemand, allImageRefs...),
-			WireDeployBatch(4+r.Intn(5), "acme", smallDemand, allImageRefs...),
-			WireCancelStorm(3+r.Intn(3), "acme", smallDemand,
+			AdmissionFlood(6+r.Intn(6), "acme", smallDemand, allImageRefs...),
+			DeployBatch(4+r.Intn(5), "acme", smallDemand, allImageRefs...),
+			CancelStorm(3+r.Intn(3), "acme", smallDemand,
 				CleanImageRef, SASTFlaggedImageRef),
 		)
 		switch r.Intn(3) {
@@ -419,8 +417,8 @@ func WireDeployStormCampaign(seed int64) Scenario {
 			steps = append(steps, AdvanceClock(150))
 		}
 	}
-	steps = append(steps, WireLedgerProbe(), AdvanceClock(200))
-	return Scenario{Name: "wire-deploy-storm", Seed: seed, Config: core.SecureConfig(), Wire: true, Steps: steps}
+	steps = append(steps, LedgerProbe(), AdvanceClock(200))
+	return Scenario{Name: "wire-deploy-storm", Seed: seed, Config: core.SecureConfig(), Steps: steps}
 }
 
 // KillRestartCampaign is the durability campaign: ordinary mixed traffic

@@ -9,6 +9,9 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"genio/internal/core"
+	"genio/internal/orchestrator"
 )
 
 // TestRegionOutageExercisesFederation: across seeds the campaign must
@@ -85,5 +88,39 @@ func TestFederatedPersistRefused(t *testing.T) {
 	sc.Persist = true
 	if _, err := NewEngine(nil).Run(sc); err == nil {
 		t.Fatal("federated persistent scenario accepted")
+	}
+}
+
+// TestStopReachesNonDefaultMember: the stop injectors see every
+// member's workloads and stop a workload on the member that holds it,
+// not only on the default one.
+func TestStopReachesNonDefaultMember(t *testing.T) {
+	demand := orchestrator.Resources{CPUMilli: 500, MemoryMB: 512}
+	sc := Scenario{
+		Name: "fed-stop", Seed: 1, Config: core.SecureConfig(),
+		Federation: []FedMember{
+			{Name: "edge-a", Region: "region-a"},
+			{Name: "edge-b", Region: "region-b"},
+		},
+		Steps: []Step{
+			SetQuota("acme", orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384}),
+			JoinFedNode("edge-b", orchestrator.Resources{CPUMilli: 4000, MemoryMB: 8192}),
+			DeployRegion("acme", CleanImageRef, orchestrator.IsolationSoft, demand, "region-b"),
+			StopNewestWorkload(),
+		},
+	}
+	rep, err := NewEngine(nil).Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, _ := rep.JSON()
+	if !rep.Passed || rep.Steps[2].Status != "admitted" {
+		t.Fatalf("setup failed:\n%s", js)
+	}
+	if stop := rep.Steps[3]; stop.Status != "ok" || stop.Detail != "workload wl-001 stopped" {
+		t.Fatalf("stop on edge-b: got %s %q:\n%s", stop.Status, stop.Detail, js)
+	}
+	if rep.Final.Workloads != 0 {
+		t.Fatalf("%d workloads left after the stop:\n%s", rep.Final.Workloads, js)
 	}
 }

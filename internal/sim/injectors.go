@@ -5,13 +5,24 @@ package sim
 // campaign is just a sequence of these; anything a step observes goes
 // into the report verbatim, and the invariant checkers run after every
 // step regardless of outcome.
+//
+// Deployment traffic — Deploy, DeployPolicy, DeployRegion,
+// AdmissionFlood, DeployBatch, CancelStorm — and LedgerProbe cross the
+// wire: they drive the world's authenticated client against the
+// api/server that fronts the platform, so every verdict round-trips
+// encode→HTTP→typed-error decode. Faults stay in process: crashes,
+// drains (whose scripted cancel point needs the in-process observer),
+// registry tampering, scanner slowdown, incident and metric storms and
+// quotas are harness fault injection, and several have no wire route.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
+	"genio/api"
 	"genio/internal/container"
 	"genio/internal/core"
 	"genio/internal/events"
@@ -273,9 +284,11 @@ func EvacuateClusterStep(name string) Step {
 	}}
 }
 
+// deployOne submits one workload synchronously over the wire and
+// records its decoded verdict for the invariants.
 func deployOne(w *World, spec orchestrator.WorkloadSpec) Outcome {
 	w.policies[spec.Name] = spec.PlacementPolicy
-	_, err := w.Platform.DeployContext(context.Background(), Subject, spec)
+	_, err := w.wire.Deploy(context.Background(), api.FromWorkloadSpec(spec))
 	status := w.observeDeploy(spec, err)
 	if err != nil {
 		return Outcome{Status: status, Detail: fmt.Sprintf("%s (%s): %v", spec.Name, spec.ImageRef, err)}
@@ -330,24 +343,49 @@ func AdmissionFlood(n int, tenant string, res orchestrator.Resources, refs ...st
 			})
 			counts[out.Status]++
 		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		detail := fmt.Sprintf("%d deploys:", n)
-		for _, k := range keys {
-			detail += fmt.Sprintf(" %s=%d", k, counts[k])
-		}
-		return okf("%s", detail)
+		return tally(fmt.Sprintf("%d deploys:", n), counts)
 	}}
 }
 
-// CancelStorm fires n asynchronous deployments (DeployAsync futures) for
-// tenant, cancelling a seeded subset mid-scan: armed deployments are
-// held open by the sim-cancel-gate admission controller until their
-// context dies, so the cancellation deterministically races — and always
-// beats — placement. The rest run to their natural terminal state. The
+// DeployBatch draws n specs from refs and ships them as ONE signed
+// POST /v2/deploy/batch request — the amortized storm shape. Results
+// decode positionally, so each element feeds the verdict-determinism
+// and lifecycle bookkeeping exactly like a single deploy; one rejected
+// element must never perturb its batch siblings.
+func DeployBatch(n int, tenant string, res orchestrator.Resources, refs ...string) Step {
+	if len(refs) == 0 {
+		refs = []string{CleanImageRef}
+	}
+	return Step{Name: "deploy-batch", Run: func(w *World) Outcome {
+		specs := make([]orchestrator.WorkloadSpec, n)
+		wireSpecs := make([]api.WorkloadSpec, n)
+		for i := range specs {
+			specs[i] = orchestrator.WorkloadSpec{
+				Name: w.NextWorkloadName(), Tenant: tenant,
+				ImageRef:  refs[w.Rand.Intn(len(refs))],
+				Isolation: orchestrator.IsolationSoft, Resources: res,
+			}
+			w.policies[specs[i].Name] = specs[i].PlacementPolicy
+			wireSpecs[i] = api.FromWorkloadSpec(specs[i])
+		}
+		results, err := w.wire.DeployBatch(context.Background(), wireSpecs)
+		if err != nil {
+			return Outcome{Status: "error", Detail: fmt.Sprintf("batch transport: %v", err)}
+		}
+		counts := map[string]int{}
+		for i, r := range results {
+			counts[w.observeDeploy(specs[i], r.Err)]++
+		}
+		return tally(fmt.Sprintf("%d deploys in one batch:", n), counts)
+	}}
+}
+
+// CancelStorm fires n asynchronous deployments (POST
+// /v2/deployments/async futures) for tenant, cancelling a seeded subset
+// mid-scan through DELETE: armed deployments are held open by the
+// sim-cancel-gate admission controller until their context dies, so the
+// cancellation deterministically races — and always beats — placement.
+// The rest run to their natural terminal state. The
 // cancelled-never-placed and lifecycle-ledger invariants audit the
 // aftermath after every step.
 func CancelStorm(n int, tenant string, res orchestrator.Resources, refs ...string) Step {
@@ -366,72 +404,79 @@ func CancelStorm(n int, tenant string, res orchestrator.Resources, refs ...strin
 			// A seeded coin decides who gets cancelled; the draw happens
 			// before the deploy so the schedule is replayable.
 			doCancel := w.Rand.Intn(2) == 0
-			var status string
 			if doCancel {
-				status = w.cancelOne(spec)
 				cancelledNow++
-			} else {
-				status = w.asyncOne(spec)
 			}
-			counts[status]++
+			counts[w.asyncOne(spec, doCancel)]++
 			w.Clock.Advance(5)
 		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		detail := fmt.Sprintf("%d async deploys (%d cancel attempts):", n, cancelledNow)
-		for _, k := range keys {
-			detail += fmt.Sprintf(" %s=%d", k, counts[k])
-		}
-		return okf("%s", detail)
+		return tally(fmt.Sprintf("%d async deploys (%d cancel attempts):", n, cancelledNow), counts)
 	}}
 }
 
-// cancelOne runs one armed deployment: wait for the scanning state (the
-// gate is now holding it open), cancel, and wait for the terminal event.
-func (w *World) cancelOne(spec orchestrator.WorkloadSpec) string {
-	w.markCancelTarget(spec.Name)
-	defer w.clearCancelTarget(spec.Name)
-	// The watch opens before the deploy, so it sees the pending and
-	// scanning transitions.
-	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
-	lifecycle, err := w.Platform.Watch(ctx, core.WatchSelector{Workload: spec.Name})
+// asyncOne runs one deployment future to its terminal state. An armed
+// one (cancel) is polled until the gate holds it in scanning — or it
+// turns terminal first, refused before the gate — then cancelled, so
+// the cancel deterministically lands mid-scan.
+func (w *World) asyncOne(spec orchestrator.WorkloadSpec, cancel bool) string {
+	if cancel {
+		w.markCancelTarget(spec.Name)
+		defer w.clearCancelTarget(spec.Name)
+	}
+	ctx := context.Background()
+	d, err := w.wire.DeployAsync(ctx, api.FromWorkloadSpec(spec))
 	if err != nil {
 		return "error"
 	}
-	d, err := w.Platform.DeployAsync(context.Background(), Subject, spec)
-	if err != nil {
-		return "error"
-	}
-wait:
-	for {
-		select {
-		case ev, ok := <-lifecycle:
-			if !ok || ev.State == core.StateScanning {
-				break wait
-			}
-		case <-d.Done(): // refused before scanning (RBAC, closed platform)
-			break wait
+	for cancel {
+		st, err := d.Status(ctx)
+		if err != nil {
+			return "error"
 		}
+		if st.State == string(core.StateScanning) || core.DeployState(st.State).Terminal() {
+			if err := d.Cancel(ctx); err != nil {
+				return "error"
+			}
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
-	d.Cancel()
-	<-d.Done()
-	_, derr := d.Result()
+	_, derr := d.Await(ctx)
 	return w.observeAsync(spec, derr)
 }
 
-// asyncOne runs one un-armed deployment through the future surface to
-// its natural terminal state.
-func (w *World) asyncOne(spec orchestrator.WorkloadSpec) string {
-	d, err := w.Platform.DeployAsync(context.Background(), Subject, spec)
-	if err != nil {
-		return "error"
+// tally renders per-status counts after a header, in sorted status
+// order so the detail replays byte for byte.
+func tally(header string, counts map[string]int) Outcome {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
 	}
-	_, derr := d.Result()
-	return w.observeAsync(spec, derr)
+	sort.Strings(keys)
+	detail := header
+	for _, k := range keys {
+		detail += fmt.Sprintf(" %s=%d", k, counts[k])
+	}
+	return okf("%s", detail)
+}
+
+// LedgerProbe reads the event ledger through GET /v2/ledger and reports
+// the deploy.lifecycle publish count — deterministic because the spine
+// never drops, so it joins the replay contract and pins down that
+// wire-driven deployments fed the spine.
+func LedgerProbe() Step {
+	return Step{Name: "ledger-probe", Run: func(w *World) Outcome {
+		w.Platform.Flush()
+		ledger, err := w.wire.Ledger(context.Background())
+		if err != nil {
+			return Outcome{Status: "error", Detail: fmt.Sprintf("ledger: %v", err)}
+		}
+		lifecycle := ledger["deploy.lifecycle"]
+		if lifecycle.Published == 0 {
+			return Outcome{Status: "error", Detail: "no deploy.lifecycle events crossed the spine"}
+		}
+		return okf("deploy.lifecycle published=%d dropped=%d", lifecycle.Published, lifecycle.Dropped)
+	}}
 }
 
 // TamperSignature re-pushes an image with a forged signature, modelling a
@@ -566,15 +611,7 @@ func SetQuota(tenant string, q orchestrator.Resources) Step {
 // StopWorkload stops a random running workload (tenant scale-down).
 func StopWorkload() Step {
 	return Step{Name: "workload-stop", Run: func(w *World) Outcome {
-		names := w.DeployedWorkloads()
-		if len(names) == 0 {
-			return okf("no workloads to stop")
-		}
-		name := names[w.Rand.Intn(len(names))]
-		if err := w.Platform.Cluster.Stop(name); err != nil {
-			return Outcome{Status: "error", Detail: fmt.Sprintf("stop %s: %v", name, err)}
-		}
-		return okf("workload %s stopped", name)
+		return stopWorkload(w, func(names []string) string { return names[w.Rand.Intn(len(names))] })
 	}}
 }
 
@@ -584,17 +621,29 @@ func StopWorkload() Step {
 // round regardless of the seed.
 func StopNewestWorkload() Step {
 	return Step{Name: "workload-stop-newest", Run: func(w *World) Outcome {
-		names := w.DeployedWorkloads()
-		if len(names) == 0 {
-			return okf("no workloads to stop")
-		}
-		sort.Strings(names)
-		name := names[len(names)-1]
-		if err := w.Platform.Cluster.Stop(name); err != nil {
-			return Outcome{Status: "error", Detail: fmt.Sprintf("stop %s: %v", name, err)}
-		}
-		return okf("workload %s stopped", name)
+		return stopWorkload(w, func(names []string) string { return names[len(names)-1] })
 	}}
+}
+
+// stopWorkload stops the running workload pick chooses from the sorted
+// names, on whichever federation member holds it.
+func stopWorkload(w *World, pick func(names []string) string) Outcome {
+	names := w.DeployedWorkloads()
+	if len(names) == 0 {
+		return okf("no workloads to stop")
+	}
+	name := pick(names)
+	c := w.Platform.Cluster
+	for _, m := range w.Clusters() {
+		if _, ok := m.Workload(name); ok {
+			c = m
+			break
+		}
+	}
+	if err := c.Stop(name); err != nil {
+		return Outcome{Status: "error", Detail: fmt.Sprintf("stop %s: %v", name, err)}
+	}
+	return okf("workload %s stopped", name)
 }
 
 // AdvanceClock moves virtual time forward (quiet period).

@@ -24,18 +24,12 @@ type Scenario struct {
 	Seed   int64
 	Config core.Config
 	Steps  []Step
-	// Wire hosts the platform behind an HTTP control plane (genio/api/server
-	// on a loopback listener) and hands the world an authenticated HTTP
-	// client: Wire* steps then drive deployments through the full wire
-	// stack — encode, HTTP, decode — instead of in-process calls. The
-	// report contract is unchanged: the wire must not perturb outcomes.
-	Wire bool
 	// Persist backs the platform with a WAL store in a temp data
 	// directory, enabling the KillRestart step: the platform is crashed
 	// (flush-only close, no shutdown snapshot) and rebuilt from the
 	// directory mid-run. The directory is harness plumbing — never in the
 	// report — so the byte-identical replay contract is unchanged.
-	// Mutually exclusive with Wire.
+	// Mutually exclusive with Federation.
 	Persist bool
 	// Federation, when non-empty, boots the platform in federation mode
 	// over the named member clusters (the first adopts the default
@@ -151,9 +145,11 @@ type World struct {
 	lifeMu       sync.Mutex
 	terminalSeen map[string]int
 
-	// wire is the authenticated HTTP client of a Scenario.Wire run (nil
-	// otherwise); Wire* steps drive the platform through it.
-	wire client.Interface
+	// wire is the authenticated HTTP client bound to the current
+	// platform's loopback api/server; every deploy-shaped step drives the
+	// platform through it. stopWire closes it and stops that server.
+	wire     *client.HTTP
+	stopWire func()
 
 	// persistDir is the WAL data directory of a Scenario.Persist run;
 	// rebuild crashes aside the current platform and constructs a fresh
@@ -310,14 +306,16 @@ func (w *World) clusterOf(node string) *orchestrator.Cluster {
 	return w.Platform.Cluster
 }
 
-// DeployedWorkloads returns the names of currently running workloads,
-// sorted.
+// DeployedWorkloads returns the names of currently running workloads
+// on every member, sorted.
 func (w *World) DeployedWorkloads() []string {
-	ws := w.Platform.Cluster.Workloads()
-	out := make([]string, 0, len(ws))
-	for _, wl := range ws {
-		out = append(out, wl.Spec.Name)
+	var out []string
+	for _, c := range w.Clusters() {
+		for _, wl := range c.Workloads() {
+			out = append(out, wl.Spec.Name)
+		}
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -5,6 +5,12 @@
 // slowdowns, incident storms) on a virtual clock, and evaluates
 // dependability invariants after every step.
 //
+// The platform is exercised as it is deployed: every platform the
+// engine builds is served by api/server on a loopback listener, and
+// every simulated deployment — sync, batch or future, cancelled or not —
+// crosses the wire through the same client.HTTP genioctl uses. Faults
+// (crashes, drains, tampering, storms) are injected in process.
+//
 // Determinism is the contract: all randomness flows from one seeded
 // *rand.Rand, all time from one virtual Clock, and every run of
 // (scenario, seed) produces a byte-identical JSON report. That makes a
@@ -96,11 +102,9 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 		cancelled:     make(map[string]bool),
 		asyncDone:     make(map[string]bool),
 		terminalSeen:  make(map[string]int),
+		stopWire:      func() {},
 	}
 	if sc.Persist {
-		if sc.Wire {
-			return nil, fmt.Errorf("sim: persistent scenarios cannot be wired (the HTTP harness binds to one platform instance)")
-		}
 		if len(sc.Federation) > 0 {
 			return nil, fmt.Errorf("sim: federated scenarios cannot be persistent (membership is boot config — a rebuild would resurrect evacuated members)")
 		}
@@ -118,27 +122,12 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 	if err := build(); err != nil {
 		return nil, err
 	}
-	defer func() { w.Platform.Close() }()
+	defer func() {
+		w.stopWire()
+		w.Platform.Close()
+	}()
 	if sc.Persist {
 		w.rebuild = build
-	}
-	if sc.Wire {
-		// Host the same platform behind the HTTP control plane and hand
-		// the world an authenticated client: Wire* steps then cross the
-		// full encode→HTTP→decode stack on every deployment. The listener
-		// and identity are harness plumbing — nothing about them reaches
-		// the report, so the replay contract is untouched.
-		url, stop, err := server.New(w.Platform, server.Options{CA: w.Platform.CA}).ServeLoopback()
-		if err != nil {
-			return nil, fmt.Errorf("sim: wire listener: %w", err)
-		}
-		defer stop()
-		id, err := w.Platform.CA.Issue(Subject, pki.RoleService)
-		if err != nil {
-			return nil, fmt.Errorf("sim: wire identity: %w", err)
-		}
-		w.wire = client.NewHTTP(url, client.WithIdentity(id))
-		defer w.wire.Close()
 	}
 
 	rep := &Report{
@@ -219,13 +208,16 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 
 // buildPlatform constructs the platform (persistent scenarios attach a
 // WAL store over the world's data directory, recovering whatever it
-// holds), installs the engine's witnesses and the cancel gate, and seeds
-// the world fixture. It runs once per ordinary scenario and once more
-// per KillRestart in persistent ones — everything platform-bound
-// (subscriptions, admission hooks, the registry fixture) must be rebuilt
-// here, and everything process-independent (the clock, the seeded Rand,
-// the world's book-keeping) must NOT be touched.
+// holds), installs the engine's witnesses and the cancel gate, seeds
+// the world fixture and serves the platform to the world's client. It
+// runs once per ordinary scenario and once more per KillRestart in
+// persistent ones — everything platform-bound (subscriptions, admission
+// hooks, the registry fixture, the server and the client's identity)
+// must be rebuilt here, and everything process-independent (the clock,
+// the seeded Rand, the world's book-keeping) must NOT be touched.
 func (e *Engine) buildPlatform(sc Scenario, clock *Clock, w *World) error {
+	w.stopWire() // the previous incarnation's server and client, if any
+	w.stopWire = func() {}
 	opts := []core.Option{core.WithClock(clock.Source())}
 	if len(sc.Federation) > 0 {
 		members := make([]core.FederationMember, len(sc.Federation))
@@ -305,6 +297,22 @@ func (e *Engine) buildPlatform(sc Scenario, clock *Clock, w *World) error {
 	if err := seedWorld(w); err != nil {
 		return fmt.Errorf("sim: seed world: %w", err)
 	}
+	// Serve the platform through the handler geniod runs, on a loopback
+	// listener, to an identity this incarnation's CA issues: deploy
+	// steps cross encode→HTTP→decode, and after a KillRestart they reach
+	// the recovered platform. The listener and identity are harness
+	// plumbing — nothing about them reaches the report.
+	url, stop, err := server.New(p, server.Options{CA: p.CA}).ServeLoopback()
+	if err != nil {
+		return fmt.Errorf("sim: wire listener: %w", err)
+	}
+	id, err := p.CA.Issue(Subject, pki.RoleService)
+	if err != nil {
+		stop()
+		return fmt.Errorf("sim: wire identity: %w", err)
+	}
+	cli := client.NewHTTP(url, client.WithIdentity(id))
+	w.wire, w.stopWire = cli, func() { cli.Close(); stop() }
 	return nil
 }
 
