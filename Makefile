@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzVerify -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzDecodeWireError -fuzztime=15s ./api/
+	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzWALRecover -fuzztime=15s ./internal/persist/
 	$(GO) test -fuzz=FuzzSASTPrefilter -fuzztime=15s ./internal/sast/
 	$(GO) test -fuzz=FuzzMalwarePrefilter -fuzztime=15s ./internal/malware/

@@ -8,6 +8,11 @@
 // surface, and it must be able to evolve (or stay frozen) independently
 // of internal struct layout. Converters translate between the two
 // worlds at the edge.
+//
+// The wire stays encoding/json-compatible JSON. The bodies a deploy
+// moves are encoded and decoded without reflection (AppendWire,
+// UnmarshalWire), but byte for byte and value for value as
+// encoding/json would, so any JSON client can speak to the server.
 package api
 
 import (

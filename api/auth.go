@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,16 +258,51 @@ var (
 	bodyBufPool  = sync.Pool{New: func() any { b := make([]byte, 16*1024); return &b }}
 )
 
-// hashBody returns the hex SHA-256 of the request body without
-// consuming it. A re-readable body (GetBody — the client side) is
-// streamed through a pooled hash state with a pooled copy buffer; a
-// one-shot body (the server side) must be read fully anyway so the
-// handler still gets one, and is restored afterwards. An absent body
-// hashes as the empty string.
+// errBodyTooLarge refuses a body over maxSignedBody.
+var errBodyTooLarge = fmt.Errorf("api: body exceeds %d-byte limit", maxSignedBody)
+
+// ReadBody appends the request's body to dst: the one read a server
+// makes of a body, whatever credential the request carries. A body
+// over maxSignedBody bytes is refused, unread beyond the limit.
+func ReadBody(dst []byte, r *http.Request) ([]byte, error) {
+	if r.Body == nil || r.Body == http.NoBody {
+		return dst, nil
+	}
+	if r.ContentLength > maxSignedBody {
+		return dst, errBodyTooLarge
+	}
+	if r.ContentLength > 0 {
+		// One spare byte, so the read that reports EOF needs no growth.
+		dst = slices.Grow(dst, int(r.ContentLength)+1)
+	}
+	limit := len(dst) + maxSignedBody + 1
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := r.Body.Read(dst[len(dst):min(cap(dst), limit)])
+		dst = dst[:len(dst)+n]
+		if len(dst) == limit {
+			return dst, errBodyTooLarge
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, fmt.Errorf("api: read body: %w", err)
+		}
+	}
+}
+
+// hashBody returns the hex SHA-256 of an outgoing request's body
+// without consuming it. A re-readable body (GetBody, as
+// http.NewRequest sets for in-memory readers) is streamed through a
+// pooled hash state with a pooled copy buffer; a one-shot body is read
+// once and put back. An absent body hashes as the empty string. A
+// server never calls this: it hashes the body it read (VerifyBody).
 func hashBody(req *http.Request) (string, error) {
 	if req.Body == nil || req.Body == http.NoBody {
-		sum := sha256.Sum256(nil)
-		return hexSum(sum[:]), nil
+		return sumBody(nil), nil
 	}
 	if req.GetBody != nil {
 		fresh, err := req.GetBody()
@@ -285,7 +321,7 @@ func hashBody(req *http.Request) (string, error) {
 			n, rerr := fresh.Read(buf)
 			if n > 0 {
 				if total += int64(n); total > maxSignedBody {
-					return "", fmt.Errorf("api: body exceeds %d-byte signing limit", maxSignedBody)
+					return "", errBodyTooLarge
 				}
 				h.Write(buf[:n])
 			}
@@ -300,18 +336,27 @@ func hashBody(req *http.Request) (string, error) {
 		h.Sum(sum[:0])
 		return hexSum(sum[:]), nil
 	}
-	// One-shot body: we consume the only copy, so keep the bytes and
-	// hand the handler an equivalent reader.
-	data, err := io.ReadAll(io.LimitReader(req.Body, maxSignedBody+1))
+	data, err := ReadBody(nil, req)
+	putBack(req, data)
 	if err != nil {
-		return "", fmt.Errorf("api: read body: %w", err)
+		return "", err
 	}
-	if len(data) > maxSignedBody {
-		return "", fmt.Errorf("api: body exceeds %d-byte signing limit", maxSignedBody)
+	return sumBody(data), nil
+}
+
+// putBack hands a request whose one-shot body was read a reader over
+// the bytes read, so its caller still has the body after signing or
+// verifying it.
+func putBack(req *http.Request, data []byte) {
+	if len(data) > 0 {
+		req.Body = io.NopCloser(bytes.NewReader(data))
 	}
-	req.Body = io.NopCloser(bytes.NewReader(data))
-	sum := sha256.Sum256(data)
-	return hexSum(sum[:]), nil
+}
+
+// sumBody is the hex SHA-256 of body bytes already in hand.
+func sumBody(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hexSum(sum[:])
 }
 
 // SignRequest authenticates an outgoing request with the identity: it
@@ -514,24 +559,44 @@ func (v *Verifier) IssueSession(subject string) (*SessionGrant, error) {
 // request — the handshake's proof. Either way the signature covers the
 // request (method, path, query, date, nonce, body hash), the date must
 // be within the clock-skew window, and the nonce must not have been
-// seen before — the replay defenses are shared, not per-path.
+// seen before — the replay defenses are shared, not per-path. The body
+// is read (VerifyBody) and put back, so the caller can still read it.
 func (v *Verifier) Verify(r *http.Request) (string, error) {
-	var (
-		subject, nonce string
-		err            error
-	)
+	subject, body, err := v.VerifyBody(r, nil)
+	putBack(r, body)
+	return subject, err
+}
+
+// VerifyBody is Verify for a server that keeps the body it verifies.
+// Once the header checks that can refuse without the body have passed,
+// it appends the body to buf (ReadBody) and hashes those bytes in
+// place. body is buf extended by what was read, on failure too, so the
+// handler decodes the body where it lies and a pooled buf can go back
+// to its pool.
+func (v *Verifier) VerifyBody(r *http.Request, buf []byte) (subject string, body []byte, err error) {
+	var nonce string
 	if r.Header.Get(HeaderSession) != "" {
-		subject, nonce, err = v.verifySessionMAC(r)
+		subject, nonce, body, err = v.verifySessionMAC(r, buf)
 	} else {
-		subject, nonce, err = v.verifySignature(r)
+		subject, nonce, body, err = v.verifySignature(r, buf)
+	}
+	if err == nil {
+		err = v.checkNonce(nonce)
 	}
 	if err != nil {
-		return "", err
+		return "", body, err
 	}
-	if err := v.checkNonce(nonce); err != nil {
-		return "", err
+	return subject, body, nil
+}
+
+// readSigned reads the body a signature covers (ReadBody) and returns
+// it with its hash; a body the verifier cannot read is unauthenticated.
+func readSigned(r *http.Request, buf []byte) (body []byte, digest string, err error) {
+	body, err = ReadBody(buf, r)
+	if err != nil {
+		return body, "", fmt.Errorf("%w: %v", ErrUnauthenticated, err)
 	}
-	return subject, nil
+	return body, sumBody(body), nil
 }
 
 // verifySessionMAC checks the symmetric steady-state path: the session
@@ -539,39 +604,39 @@ func (v *Verifier) Verify(r *http.Request) (string, error) {
 // the same canonical string verifySignature covers, keyed by the
 // session secret. Date and nonce checks are byte-for-byte the same
 // code as the Ed25519 path.
-func (v *Verifier) verifySessionMAC(r *http.Request) (subject, nonce string, err error) {
+func (v *Verifier) verifySessionMAC(r *http.Request, buf []byte) (subject, nonce string, body []byte, err error) {
 	token := r.Header.Get(HeaderSession)
 	macB64 := r.Header.Get(HeaderSignature)
 	if macB64 == "" {
-		return "", "", fmt.Errorf("%w: missing signature", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: missing signature", ErrUnauthenticated)
 	}
 	v.sessMu.RLock()
 	rec, ok := v.sessions[token]
 	v.sessMu.RUnlock()
 	if !ok || v.now().After(rec.exp) {
-		return "", "", ErrSessionExpired // the record itself leaves on a later issue
+		return "", "", buf, ErrSessionExpired // the record itself leaves on a later issue
 	}
 	date := r.Header.Get(HeaderDate)
 	if err := v.checkDate(date); err != nil {
-		return "", "", err
+		return "", "", buf, err
 	}
 	nonce = r.Header.Get(HeaderNonce)
 	if nonce == "" {
-		return "", "", fmt.Errorf("%w: missing nonce", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: missing nonce", ErrUnauthenticated)
 	}
 	got, err := base64.StdEncoding.DecodeString(macB64)
 	if err != nil {
-		return "", "", fmt.Errorf("%w: bad signature encoding", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: bad signature encoding", ErrUnauthenticated)
 	}
-	bodyHash, err := hashBody(r)
+	body, digest, err := readSigned(r, buf)
 	if err != nil {
-		return "", "", fmt.Errorf("%w: %v", ErrUnauthenticated, err)
+		return "", "", body, err
 	}
-	want := rec.macs.mac(r.Method, r.URL.Path, canonicalQuery(r.URL), date, nonce, bodyHash)
+	want := rec.macs.mac(r.Method, r.URL.Path, canonicalQuery(r.URL), date, nonce, digest)
 	if !hmac.Equal(got, want) {
-		return "", "", fmt.Errorf("%w: signature mismatch", ErrUnauthenticated)
+		return "", "", body, fmt.Errorf("%w: signature mismatch", ErrUnauthenticated)
 	}
-	return rec.subject, nonce, nil
+	return rec.subject, nonce, body, nil
 }
 
 // checkDate parses the date header and enforces the skew window —
@@ -587,44 +652,44 @@ func (v *Verifier) checkDate(date string) error {
 	return nil
 }
 
-func (v *Verifier) verifySignature(r *http.Request) (subject, nonce string, err error) {
+func (v *Verifier) verifySignature(r *http.Request, buf []byte) (subject, nonce string, body []byte, err error) {
 	certB64 := r.Header.Get(HeaderCertificate)
 	sigB64 := r.Header.Get(HeaderSignature)
 	if certB64 == "" || sigB64 == "" {
-		return "", "", fmt.Errorf("%w: missing certificate or signature", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: missing certificate or signature", ErrUnauthenticated)
 	}
 	certJSON, err := base64.StdEncoding.DecodeString(certB64)
 	if err != nil {
-		return "", "", fmt.Errorf("%w: bad certificate encoding", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: bad certificate encoding", ErrUnauthenticated)
 	}
 	var cert pki.Certificate
 	if err := json.Unmarshal(certJSON, &cert); err != nil {
-		return "", "", fmt.Errorf("%w: bad certificate", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: bad certificate", ErrUnauthenticated)
 	}
 	if err := v.ca.Verify(&cert, pki.RoleService); err != nil {
-		return "", "", fmt.Errorf("%w: %v", ErrUnauthenticated, err)
+		return "", "", buf, fmt.Errorf("%w: %v", ErrUnauthenticated, err)
 	}
 	date := r.Header.Get(HeaderDate)
 	if err := v.checkDate(date); err != nil {
-		return "", "", err
+		return "", "", buf, err
 	}
 	nonce = r.Header.Get(HeaderNonce)
 	if nonce == "" {
-		return "", "", fmt.Errorf("%w: missing nonce", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: missing nonce", ErrUnauthenticated)
 	}
 	sig, err := base64.StdEncoding.DecodeString(sigB64)
 	if err != nil {
-		return "", "", fmt.Errorf("%w: bad signature encoding", ErrUnauthenticated)
+		return "", "", buf, fmt.Errorf("%w: bad signature encoding", ErrUnauthenticated)
 	}
-	bodyHash, err := hashBody(r)
+	body, digest, err := readSigned(r, buf)
 	if err != nil {
-		return "", "", fmt.Errorf("%w: %v", ErrUnauthenticated, err)
+		return "", "", body, err
 	}
-	payload := signingPayload(r.Method, r.URL.Path, canonicalQuery(r.URL), date, nonce, bodyHash)
+	payload := signingPayload(r.Method, r.URL.Path, canonicalQuery(r.URL), date, nonce, digest)
 	if !ed25519.Verify(ed25519.PublicKey(cert.PublicKey), payload, sig) {
-		return "", "", fmt.Errorf("%w: signature mismatch", ErrUnauthenticated)
+		return "", "", body, fmt.Errorf("%w: signature mismatch", ErrUnauthenticated)
 	}
-	return cert.Subject, nonce, nil
+	return cert.Subject, nonce, body, nil
 }
 
 // checkNonce records the nonce and rejects one already seen. Entries

@@ -162,6 +162,61 @@ func TestConformanceDeploy(t *testing.T) {
 	}
 }
 
+// TestDeployRoundTripAllocs pins what one sync deploy allocates end to
+// end, in the session mode a remote genioctl uses: client encode and
+// MAC, the loopback transport both ways, server verify and decode, the
+// platform's deploy, server encode and client decode. Every allocation
+// in the process counts. Most of them are net/http's; the ceiling
+// catches a body codec, buffer pool or extra copy that starts
+// allocating per request again.
+func TestDeployRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const ceiling = 160
+	p, err := demo.Platform(core.SecureConfig(), "ops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cluster.SetQuota("acme", orchestrator.Resources{})
+	url, stop, err := server.New(p, server.Options{}).ServeLoopback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := p.CA.Issue("ops", pki.RoleService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewHTTP(url, WithIdentity(id))
+	t.Cleanup(func() { cli.Close(); stop(); p.Close() })
+
+	// Names are minted up front so the measured loop allocates only
+	// what a deploy does. 121 deploys fit the demo fleet's capacity.
+	const warm, runs = 20, 100
+	specs := make([]api.WorkloadSpec, warm+runs+1)
+	for i := range specs {
+		specs[i] = spec(fmt.Sprintf("rt-%d", i), "acme/analytics:2.0.1")
+	}
+	ctx := context.Background()
+	n := 0
+	deploy := func() {
+		if _, err := cli.Deploy(ctx, specs[n]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	// Warm up: the session handshake, the connection, the verdict cache
+	// and every pool.
+	for n < warm {
+		deploy()
+	}
+	if allocs := testing.AllocsPerRun(runs, deploy); allocs > ceiling {
+		t.Fatalf("one sync deploy round trip allocated %.0f objects, want <= %d", allocs, ceiling)
+	} else {
+		t.Logf("one sync deploy round trip: %.0f allocations", allocs)
+	}
+}
+
 func TestConformanceAsyncAndWatch(t *testing.T) {
 	for _, m := range modes(t) {
 		t.Run(m.name, func(t *testing.T) {

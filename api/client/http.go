@@ -125,16 +125,24 @@ func NewHTTP(base string, opts ...HTTPOption) *HTTP {
 	return c
 }
 
-// reqBufPool recycles request-body encode buffers; maxPooledReqBuf
-// keeps a one-off giant batch from pinning its buffer forever.
-var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles request-body encode and response-body decode
+// buffers; maxPooledBuf keeps a one-off giant batch from pinning its
+// buffer forever.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-const maxPooledReqBuf = 1 << 20
+const maxPooledBuf = 1 << 20
 
-// newRequest builds and authenticates one request. The returned
-// release func recycles the body's encode buffer and must be called
-// after the request has been fully sent (i.e. once client.Do returns);
-// it is never nil.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+}
+
+// newRequest builds and authenticates one request, its body encoded
+// with the wire codec (api.AppendWire). The returned release func
+// recycles the body's encode buffer and must be called after the
+// request has been fully sent (i.e. once client.Do returns); it is
+// never nil.
 func (c *HTTP) newRequest(ctx context.Context, method, path string, query url.Values, body any) (*http.Request, func(), error) {
 	u := c.base + path
 	if len(query) > 0 {
@@ -143,18 +151,16 @@ func (c *HTTP) newRequest(ctx context.Context, method, path string, query url.Va
 	release := func() {}
 	var rd io.Reader
 	if body != nil {
-		buf := reqBufPool.Get().(*bytes.Buffer)
+		buf := bufPool.Get().(*bytes.Buffer)
 		buf.Reset()
-		if err := json.NewEncoder(buf).Encode(body); err != nil {
-			reqBufPool.Put(buf)
+		data, err := api.AppendWire(buf.AvailableBuffer(), body)
+		if err != nil {
+			putBuf(buf)
 			return nil, nil, fmt.Errorf("client: marshal request: %w", err)
 		}
+		buf.Write(data)
 		rd = bytes.NewReader(buf.Bytes())
-		release = func() {
-			if buf.Cap() <= maxPooledReqBuf {
-				reqBufPool.Put(buf)
-			}
-		}
+		release = func() { putBuf(buf) }
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
@@ -274,28 +280,24 @@ func (c *HTTP) do(ctx context.Context, method, path string, query url.Values, bo
 	}
 }
 
-// decodeBody reads a response body through a pooled buffer and
-// unmarshals it — a json.Decoder per response would allocate its own
-// internal read buffer every call.
+// decodeBody reads a response body through a pooled buffer and decodes
+// it with the wire codec (api.UnmarshalWire) — a json.Decoder per
+// response would allocate its own internal read buffer every call.
 func decodeBody(body io.Reader, out any) error {
-	buf := reqBufPool.Get().(*bytes.Buffer)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(body); err != nil {
-		reqBufPool.Put(buf)
 		return err
 	}
-	err := json.Unmarshal(buf.Bytes(), out)
-	if buf.Cap() <= maxPooledReqBuf {
-		reqBufPool.Put(buf)
-	}
-	return err
+	return api.UnmarshalWire(buf.Bytes(), out)
 }
 
 // Deploy runs one deployment synchronously on ctx: cancelling ctx
 // cancels (and rolls back) the in-flight deployment.
 func (c *HTTP) Deploy(ctx context.Context, spec api.WorkloadSpec) (*api.Workload, error) {
 	var wl api.Workload
-	if err := c.do(ctx, http.MethodPost, "/v2/deployments", nil, api.DeployRequest{Spec: spec}, &wl); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/deployments", nil, &api.DeployRequest{Spec: spec}, &wl); err != nil {
 		return nil, err
 	}
 	return &wl, nil
@@ -305,7 +307,7 @@ func (c *HTTP) Deploy(ctx context.Context, spec api.WorkloadSpec) (*api.Workload
 // poll, await, or cancel it.
 func (c *HTTP) DeployAsync(ctx context.Context, spec api.WorkloadSpec) (*Deployment, error) {
 	var ref api.DeploymentRef
-	if err := c.do(ctx, http.MethodPost, "/v2/deployments/async", nil, api.DeployRequest{Spec: spec}, &ref); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/deployments/async", nil, &api.DeployRequest{Spec: spec}, &ref); err != nil {
 		return nil, err
 	}
 	return &Deployment{c: c, ref: ref}, nil
@@ -323,7 +325,7 @@ func (c *HTTP) DeployBatch(ctx context.Context, specs []api.WorkloadSpec) ([]Bat
 		return nil, nil
 	}
 	var resp api.DeployBatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/deploy/batch", nil, api.DeployBatchRequest{Specs: specs}, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v2/deploy/batch", nil, &api.DeployBatchRequest{Specs: specs}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(specs) {
@@ -512,16 +514,17 @@ func (c *HTTP) pumpStream(ctx context.Context, resp *http.Response, out chan<- a
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if id, ok := strings.CutPrefix(line, "id: "); ok {
-			pendingID, _ = strconv.ParseUint(id, 10, 64)
+		line := sc.Bytes()
+		if id, ok := bytes.CutPrefix(line, []byte("id: ")); ok {
+			pendingID, _ = strconv.ParseUint(string(id), 10, 64)
 			continue
 		}
-		if !strings.HasPrefix(line, "data: ") {
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
 			continue
 		}
 		var ev api.LifecycleEvent
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+		if err := api.UnmarshalWire(data, &ev); err != nil {
 			continue
 		}
 		select {

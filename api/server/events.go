@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"strconv"
 	"sync"
@@ -31,28 +29,27 @@ type loggedEvent struct {
 	frame []byte
 }
 
-// framePool recycles the encoder scratch frames are built in; the
-// retained frame itself is a single exact-size allocation per event
-// (it lives as long as the replay ring, so it cannot be pooled).
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// framePool recycles the scratch frames are built in; the retained
+// frame itself is a single exact-size allocation per event (it lives as
+// long as the replay ring, so it cannot be pooled).
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// renderFrame encodes one event into its SSE frame bytes.
+// renderFrame encodes one event into its SSE frame bytes with the wire
+// codec.
 func renderFrame(id uint64, ev api.LifecycleEvent) []byte {
-	scratch := framePool.Get().(*bytes.Buffer)
-	defer framePool.Put(scratch)
-	scratch.Reset()
-	scratch.WriteString("id: ")
-	scratch.Write(strconv.AppendUint(scratch.AvailableBuffer(), id, 10))
-	scratch.WriteString("\ndata: ")
-	if err := json.NewEncoder(scratch).Encode(ev); err != nil {
-		// LifecycleEvent is a flat struct of strings and ints; encoding
-		// cannot fail. Keep the frame well-formed regardless.
-		scratch.Reset()
-		return nil
-	}
-	// json.Encoder already appended one \n; one more ends the SSE frame.
-	scratch.WriteByte('\n')
-	return append(make([]byte, 0, scratch.Len()), scratch.Bytes()...)
+	bp := framePool.Get().(*[]byte)
+	scratch := append((*bp)[:0], "id: "...)
+	scratch = strconv.AppendUint(scratch, id, 10)
+	scratch = append(scratch, "\ndata: "...)
+	// LifecycleEvent is a flat struct of strings and ints; encoding
+	// cannot fail.
+	scratch, _ = api.AppendWire(scratch, &ev)
+	// The encoding already ends in one \n; one more ends the SSE frame.
+	scratch = append(scratch, '\n')
+	frame := append(make([]byte, 0, len(scratch)), scratch...)
+	*bp = scratch[:0]
+	framePool.Put(bp)
+	return frame
 }
 
 // eventLog is the server's single source of watch events: one

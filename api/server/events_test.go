@@ -165,17 +165,23 @@ func TestEventLogBoundedRetention(t *testing.T) {
 
 // TestRenderFrameMatchesSSEWire pins the frame layout handleWatch used
 // to assemble per-connection: "id: N\ndata: <json>\n\n". Encode-once
-// must not change a single byte on the wire.
+// must not change a single byte on the wire, and neither may the wire
+// codec, escapes included.
 func TestRenderFrameMatchesSSEWire(t *testing.T) {
-	ev := api.LifecycleEvent{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"}
-	frame := renderFrame(42, ev)
-	data, err := json.Marshal(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("id: 42\ndata: %s\n\n", data)
-	if string(frame) != want {
-		t.Fatalf("frame = %q, want %q", frame, want)
+	for _, ev := range []api.LifecycleEvent{
+		{Workload: "edge-dns", Tenant: "acme", State: "placed", Node: "olt-01"},
+		{Workload: "a<b>&c", Tenant: "t\"q\\", From: "scanning", State: "rejected", Node: "olt-\u2028",
+			Detail: "sast: line1\nline2\t\x01\xff caf\u00e9", AtMs: 1700000000123},
+	} {
+		frame := renderFrame(42, ev)
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("id: 42\ndata: %s\n\n", data)
+		if string(frame) != want {
+			t.Fatalf("frame = %q, want %q", frame, want)
+		}
 	}
 }
 

@@ -6,14 +6,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -133,11 +130,14 @@ const (
 )
 
 // route is one row of the v2 surface. The handler receives the
-// authenticated subject ("" on a credNone route).
+// authenticated subject ("" on a credNone route); a route that takes a
+// request body has a withBody handler instead, which also receives the
+// body authenticate read.
 type route struct {
-	pattern string
-	accepts credential
-	handler func(s *Server, w http.ResponseWriter, r *http.Request, subject string)
+	pattern  string
+	accepts  credential
+	handler  func(s *Server, w http.ResponseWriter, r *http.Request, subject string)
+	withBody func(s *Server, w http.ResponseWriter, r *http.Request, subject string, body []byte)
 }
 
 // routes is the whole v2 surface: New registers exactly these, and the
@@ -146,20 +146,20 @@ type route struct {
 var routes = []route{
 	{pattern: "GET /v2/healthz", accepts: credNone, handler: (*Server).handleHealthz},
 	{pattern: "POST /v2/session", accepts: credCertificate, handler: (*Server).handleSession},
-	{pattern: "POST /v2/deployments", handler: (*Server).handleDeploy},
-	{pattern: "POST /v2/deploy/batch", handler: (*Server).handleDeployBatch},
-	{pattern: "POST /v2/deployments/async", handler: (*Server).handleDeployAsync},
+	{pattern: "POST /v2/deployments", withBody: (*Server).handleDeploy},
+	{pattern: "POST /v2/deploy/batch", withBody: (*Server).handleDeployBatch},
+	{pattern: "POST /v2/deployments/async", withBody: (*Server).handleDeployAsync},
 	{pattern: "GET /v2/deployments/{id}", handler: (*Server).handleDeploymentStatus},
 	{pattern: "GET /v2/deployments/{id}/await", handler: (*Server).handleDeploymentAwait},
 	{pattern: "DELETE /v2/deployments/{id}", handler: (*Server).handleDeploymentCancel},
 	{pattern: "GET /v2/watch", handler: (*Server).handleWatch},
 	{pattern: "GET /v2/nodes", handler: (*Server).handleNodes},
-	{pattern: "POST /v2/nodes", handler: (*Server).handleAddNode},
+	{pattern: "POST /v2/nodes", withBody: (*Server).handleAddNode},
 	{pattern: "POST /v2/nodes/{name}/cordon", handler: (*Server).handleCordon},
 	{pattern: "POST /v2/nodes/{name}/uncordon", handler: (*Server).handleUncordon},
 	{pattern: "POST /v2/nodes/{name}/drain", handler: (*Server).handleDrain},
 	{pattern: "POST /v2/nodes/{name}/fail", handler: (*Server).handleFail},
-	{pattern: "POST /v2/nodes/{name}/onus", handler: (*Server).handleAttachONU},
+	{pattern: "POST /v2/nodes/{name}/onus", withBody: (*Server).handleAttachONU},
 	{pattern: "GET /v2/incidents", handler: (*Server).handleIncidents},
 	{pattern: "GET /v2/ledger", handler: (*Server).handleLedger},
 	{pattern: "GET /v2/clusters", handler: (*Server).handleClusters},
@@ -167,20 +167,31 @@ var routes = []route{
 }
 
 // serve wraps a route's handler in authentication: the handler runs
-// only once authenticate has named a subject.
+// only once authenticate has named a subject. The body authenticate
+// read lives in a pooled buffer for the length of the request.
 func (s *Server) serve(rt route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		subject, err := s.authenticate(r, rt.accepts)
-		if err != nil {
-			code := api.CodeUnauthenticated
-			if errors.Is(err, api.ErrSessionExpired) {
-				// Recoverable: the client re-keys over Ed25519 and retries.
-				code = api.CodeSessionExpired
-			}
-			writeWireError(w, &api.WireError{Code: code, Message: err.Error()})
+		if rt.accepts == credNone {
+			rt.handler(s, w, r, "")
 			return
 		}
-		rt.handler(s, w, r, subject)
+		bp := bufPool.Get().(*[]byte)
+		subject, body, err := s.authenticate(r, rt, (*bp)[:0])
+		var we *api.WireError
+		switch {
+		case errors.As(err, &we):
+			writeWireError(w, we)
+		case errors.Is(err, api.ErrSessionExpired):
+			// Recoverable: the client re-keys over Ed25519 and retries.
+			writeWireError(w, &api.WireError{Code: api.CodeSessionExpired, Message: err.Error()})
+		case err != nil:
+			writeWireError(w, &api.WireError{Code: api.CodeUnauthenticated, Message: err.Error()})
+		case rt.withBody != nil:
+			rt.withBody(s, w, r, subject, body)
+		default:
+			rt.handler(s, w, r, subject)
+		}
+		putBuf(bp, body)
 	}
 }
 
@@ -191,26 +202,34 @@ func (s *Server) serve(rt route) http.HandlerFunc {
 // a credential on the handshake route only; everything else is a
 // session MAC — or, when the server allows anonymous callers and the
 // request presents nothing at all, the subject header.
-func (s *Server) authenticate(r *http.Request, accepts credential) (string, error) {
-	if accepts == credNone {
-		return "", nil
-	}
+//
+// It reads the body into buf once, bounded by api.ReadBody: a verified
+// request's after the header checks that can refuse without it (the
+// signature covers it), an anonymous one's only on a route that takes
+// a body. body is buf extended by what was read, on every path.
+func (s *Server) authenticate(r *http.Request, rt route, buf []byte) (subject string, body []byte, err error) {
 	h := r.Header
 	session := h.Get(api.HeaderSession) != ""
 	switch {
-	case accepts == credCertificate && session:
+	case rt.accepts == credCertificate && session:
 		// Re-keying always goes back through the asymmetric proof, so a
 		// stolen session secret's usefulness ends at its TTL.
-		return "", fmt.Errorf("%w: the session handshake must be certificate-signed, not session-authenticated", api.ErrUnauthenticated)
-	case accepts == credCertificate || session:
-		return s.verifier.Verify(r)
+		return "", buf, fmt.Errorf("%w: the session handshake must be certificate-signed, not session-authenticated", api.ErrUnauthenticated)
+	case rt.accepts == credCertificate || session:
+		return s.verifier.VerifyBody(r, buf)
 	case h.Get(api.HeaderCertificate) != "" || h.Get(api.HeaderSignature) != "" || !s.opts.AllowAnonymous:
-		return "", fmt.Errorf("%w: this route takes a session MAC; certificate signatures are accepted on POST /v2/session only", api.ErrUnauthenticated)
+		return "", buf, fmt.Errorf("%w: this route takes a session MAC; certificate signatures are accepted on POST /v2/session only", api.ErrUnauthenticated)
 	}
-	if subject := h.Get(api.HeaderSubject); subject != "" {
-		return subject, nil
+	body = buf
+	if rt.withBody != nil {
+		if body, err = api.ReadBody(buf, r); err != nil {
+			return "", body, &api.WireError{Code: api.CodeBadRequest, Message: "bad request body: " + err.Error()}
+		}
 	}
-	return "anonymous", nil
+	if subject = h.Get(api.HeaderSubject); subject == "" {
+		subject = "anonymous"
+	}
+	return subject, body, nil
 }
 
 // authorize runs the RBAC check non-deploy operations need (deploys
@@ -227,47 +246,33 @@ func (s *Server) authorize(subject, verb, resource, namespace string) error {
 	return nil
 }
 
-// codecBuf is one pooled encode/decode scratch: a buffer plus a JSON
-// encoder bound to it, so the wire hot path reuses both the byte
-// storage and the encoder's internal state instead of allocating per
-// response.
-type codecBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
+// bufPool recycles the buffers request bodies are read into and
+// responses are encoded into; maxPooledBuf keeps a one-off giant body
+// or response (a huge nodes table) from pinning its buffer forever.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// maxPooledCodecBuf keeps a one-off giant response (a huge nodes table)
-// from pinning its buffer in the pool forever.
-const maxPooledCodecBuf = 1 << 20
+const maxPooledBuf = 1 << 20
 
-var codecPool = sync.Pool{New: func() any {
-	cb := &codecBuf{}
-	cb.enc = json.NewEncoder(&cb.buf)
-	return cb
-}}
-
-func getCodecBuf() *codecBuf {
-	cb := codecPool.Get().(*codecBuf)
-	cb.buf.Reset()
-	return cb
-}
-
-func putCodecBuf(cb *codecBuf) {
-	if cb.buf.Cap() <= maxPooledCodecBuf {
-		codecPool.Put(cb)
+func putBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		bufPool.Put(bp)
 	}
 }
 
+// writeJSON encodes v with the wire codec (api.AppendWire), which
+// writes json.Encoder's bytes for every value.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	cb := getCodecBuf()
-	defer putCodecBuf(cb)
-	if err := cb.enc.Encode(v); err != nil {
+	bp := bufPool.Get().(*[]byte)
+	out, err := api.AppendWire((*bp)[:0], v)
+	defer putBuf(bp, out)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(cb.buf.Bytes())
+	_, _ = w.Write(out)
 }
 
 func writeWireError(w http.ResponseWriter, we *api.WireError) {
@@ -278,19 +283,14 @@ func writeError(w http.ResponseWriter, err error) {
 	writeWireError(w, api.Encode(err))
 }
 
-func readBody[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
-	var v T
-	cb := getCodecBuf()
-	defer putCodecBuf(cb)
-	if _, err := io.Copy(&cb.buf, r.Body); err != nil {
+// decoded reports whether a request body decoded; a body that did not
+// is answered with bad-request.
+func decoded(w http.ResponseWriter, err error) bool {
+	if err != nil {
 		writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: "bad request body: " + err.Error()})
-		return v, false
+		return false
 	}
-	if err := json.Unmarshal(cb.buf.Bytes(), &v); err != nil {
-		writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: "bad request body: " + err.Error()})
-		return v, false
-	}
-	return v, true
+	return true
 }
 
 // handleHealthz reports liveness — always 200, so probes don't
@@ -308,9 +308,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ string)
 // handleDeploy runs a synchronous deploy on the request context: a
 // client that disconnects mid-pipeline cancels the deployment, and the
 // platform rolls it back (cancelled-never-placed).
-func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request, subject string) {
-	req, ok := readBody[api.DeployRequest](w, r)
-	if !ok {
+func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request, subject string, body []byte) {
+	var req api.DeployRequest
+	if !decoded(w, api.UnmarshalWire(body, &req)) {
 		return
 	}
 	spec, err := req.Spec.ToOrchestrator()
@@ -349,9 +349,9 @@ const maxBatchSpecs = 1024
 // the HTTP status only reports transport/decode outcome. Runs on the
 // request context: a client disconnect cancels every in-flight element
 // (already-placed ones stay placed), same as the single-deploy path.
-func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request, subject string) {
-	req, ok := readBody[api.DeployBatchRequest](w, r)
-	if !ok {
+func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request, subject string, body []byte) {
+	var req api.DeployBatchRequest
+	if !decoded(w, api.UnmarshalWire(body, &req)) {
 		return
 	}
 	if len(req.Specs) == 0 {
@@ -385,16 +385,16 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request, subje
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, api.DeployBatchResponse{Results: results})
+	writeJSON(w, http.StatusOK, &api.DeployBatchResponse{Results: results})
 }
 
 // handleDeployAsync launches a deployment future and returns its ID
 // plus poll/await endpoints. The future runs on a server-side context,
 // not the request's: it outlives this POST by design and is cancelled
 // via DELETE or server shutdown.
-func (s *Server) handleDeployAsync(w http.ResponseWriter, r *http.Request, subject string) {
-	req, ok := readBody[api.DeployRequest](w, r)
-	if !ok {
+func (s *Server) handleDeployAsync(w http.ResponseWriter, r *http.Request, subject string, body []byte) {
+	var req api.DeployRequest
+	if !decoded(w, api.UnmarshalWire(body, &req)) {
 		return
 	}
 	spec, err := req.Spec.ToOrchestrator()
@@ -597,7 +597,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request, subject str
 	for pending, ok := replay, true; ok; pending, ok = sub.next(r.Context()) {
 		wrote := false
 		for _, le := range pending {
-			if le.frame == nil || !sel.Matches(le.ev) {
+			if !sel.Matches(le.ev) {
 				continue
 			}
 			if _, err := w.Write(le.frame); err != nil {
@@ -726,13 +726,13 @@ func probeDemand(q url.Values, key string) (int, error) {
 	return v, nil
 }
 
-func (s *Server) handleAddNode(w http.ResponseWriter, r *http.Request, subject string) {
+func (s *Server) handleAddNode(w http.ResponseWriter, r *http.Request, subject string, body []byte) {
 	if err := s.authorize(subject, "create", "nodes", ""); err != nil {
 		writeError(w, err)
 		return
 	}
-	req, ok := readBody[api.AddNodeRequest](w, r)
-	if !ok {
+	var req api.AddNodeRequest
+	if !decoded(w, api.UnmarshalWire(body, &req)) {
 		return
 	}
 	if req.Name == "" {
@@ -820,13 +820,13 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, subject stri
 	writeJSON(w, http.StatusOK, api.FromFailoverResult(res))
 }
 
-func (s *Server) handleAttachONU(w http.ResponseWriter, r *http.Request, subject string) {
+func (s *Server) handleAttachONU(w http.ResponseWriter, r *http.Request, subject string, body []byte) {
 	if err := s.authorize(subject, "create", "onus", ""); err != nil {
 		writeError(w, err)
 		return
 	}
-	req, ok := readBody[api.AttachONURequest](w, r)
-	if !ok {
+	var req api.AttachONURequest
+	if !decoded(w, api.UnmarshalWire(body, &req)) {
 		return
 	}
 	if _, err := s.p.AttachONUContext(r.Context(), r.PathValue("name"), req.Serial); err != nil {

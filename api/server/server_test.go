@@ -406,6 +406,43 @@ func TestAnonymousModeUsesSubjectHeader(t *testing.T) {
 	}
 }
 
+// TestAnonymousBodyIsBounded: an anonymous request's body is read under
+// the bound a signed one's is. A valid deploy padded with 5 MiB of
+// whitespace is a bad request, whether it declares its length or not,
+// and places nothing; a little padding is still a valid deploy.
+func TestAnonymousBodyIsBounded(t *testing.T) {
+	p := testPlatform(t)
+	h := New(p, Options{AllowAnonymous: true}).Handler()
+	body, err := json.Marshal(api.DeployRequest{Spec: spec("padded", "acme/analytics:2.0.1", 100, 128)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := bytes.Repeat([]byte(" "), 5<<20)
+	post := func(body io.Reader, length int64) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, "/v2/deployments", body)
+		req.ContentLength = length
+		req.Header.Set(api.HeaderSubject, "operator")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var we api.WireError
+		_ = json.Unmarshal(rec.Body.Bytes(), &we)
+		return rec.Code, we.Code
+	}
+	padded := append(append([]byte(nil), body...), pad...)
+	for _, length := range []int64{int64(len(padded)), -1} {
+		if status, code := post(bytes.NewReader(padded), length); status != http.StatusBadRequest || code != api.CodeBadRequest {
+			t.Fatalf("Content-Length %d: 5 MiB-padded deploy got %d %q, want 400 %q", length, status, code, api.CodeBadRequest)
+		}
+	}
+	if wls := p.Cluster.Workloads(); len(wls) != 0 {
+		t.Fatalf("an over-limit body placed %v", wls)
+	}
+	small := append(append([]byte(nil), body...), " \n\t"...)
+	if status, code := post(bytes.NewReader(small), int64(len(small))); status != http.StatusCreated {
+		t.Fatalf("lightly padded deploy got %d %q, want 201", status, code)
+	}
+}
+
 // TestPresentedCredentialNeverDemotedToAnonymous: on a server that
 // allows anonymous callers, a request that presents a credential of
 // either kind is verified. A handshaken identity acts as its
@@ -507,10 +544,20 @@ func TestCertificateSignatureOnlyOnHandshakeRoute(t *testing.T) {
 	spied := make([]route, len(routes))
 	for i, rt := range routes {
 		spied[i] = rt
-		spied[i].handler = func(s *Server, w http.ResponseWriter, r *http.Request, subject string) {
+		enter := func() {
 			mu.Lock()
 			count[rt.pattern]++
 			mu.Unlock()
+		}
+		if rt.withBody != nil {
+			spied[i].withBody = func(s *Server, w http.ResponseWriter, r *http.Request, subject string, body []byte) {
+				enter()
+				rt.withBody(s, w, r, subject, body)
+			}
+			continue
+		}
+		spied[i].handler = func(s *Server, w http.ResponseWriter, r *http.Request, subject string) {
+			enter()
 			rt.handler(s, w, r, subject)
 		}
 	}
