@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeWireError -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzWALRecover -fuzztime=15s ./internal/persist/
+	$(GO) test -fuzz=FuzzWALCodec -fuzztime=15s ./internal/persist/
 	$(GO) test -fuzz=FuzzSASTPrefilter -fuzztime=15s ./internal/sast/
 	$(GO) test -fuzz=FuzzMalwarePrefilter -fuzztime=15s ./internal/malware/
 
@@ -84,9 +85,10 @@ loc:
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
 # the replay gate, the federation, onboarding, scan-once, watch,
-# incident-ledger and candidate-table storms, the simulator's wire
-# campaigns under -race and the bench smoke at GOMAXPROCS 1, 2 and 4,
-# so a gate that only holds on one core cannot pass.
+# incident-ledger and candidate-table storms, the WAL committer and
+# snapshot races, the simulator's wire campaigns under -race and the
+# bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that only holds on
+# one core cannot pass.
 cores:
 	for n in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$n"; \
@@ -97,6 +99,7 @@ cores:
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'ScanOnce|FederatedVerdict' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog|Incident' ./internal/core ./api/server && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|AccountingBalanced|CommitRace' ./internal/orchestrator && \
+		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'WALConcurrentAppendSnapshot|WALGroupCommit|SnapshotWhileDeploying|CrashRecoveryExactState' ./internal/persist ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=2 -run 'CrossTheWire|Deterministic' ./internal/sim && \
 		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
 	done

@@ -14,20 +14,24 @@ package api
 //     escapes, omitempty, float formatting and the trailing newline.
 //   - UnmarshalWire gives the value, and the success or failure,
 //     json.Unmarshal gives on every input. Its fast path takes only the
-//     shape AppendWire emits: exact keys, each once, no escapes, no
-//     null, no unknown fields, numbers that fit their fields, decoding
-//     into a zero value. Anything else goes to json.Unmarshal.
+//     shape AppendWire emits: exact keys, each once, no null, no
+//     unknown fields, numbers that fit their fields, strings whose
+//     escapes the kernel decodes, decoding into a zero value. Anything
+//     else goes to json.Unmarshal.
 //
-// FuzzWireCodec holds both rules against encoding/json. WireError
-// elements of a batch response keep encoding/json in both directions.
+// This file holds only the deploy bodies' field lists. The schema-free
+// kernel under them — string and float formatting, the decoder cursor,
+// the object and array walkers — is internal/jsoncodec, which the WAL
+// codec (internal/persist) shares. FuzzWireCodec holds both rules
+// against encoding/json. WireError elements of a batch response keep
+// encoding/json in both directions.
 
 import (
 	"encoding/json"
 	"math"
 	"strconv"
-	"strings"
-	"sync"
-	"unicode/utf8"
+
+	"genio/internal/jsoncodec"
 )
 
 // AppendWire appends v's JSON encoding and a newline to dst — the
@@ -64,11 +68,11 @@ func AppendWire(dst []byte, v any) ([]byte, error) {
 			out = appendEvent(out, v)
 		}
 	default:
-		return appendJSON(dst, v)
+		return jsoncodec.AppendJSON(dst, v)
 	}
 	if !ok {
 		// A non-finite score: encoding/json reports the error.
-		return appendJSON(dst, v)
+		return jsoncodec.AppendJSON(dst, v)
 	}
 	if len(out) == len(dst) { // a nil pointer
 		out = append(out, "null"...)
@@ -81,15 +85,15 @@ func UnmarshalWire(data []byte, v any) error {
 	ok := false
 	switch v := v.(type) {
 	case *Workload:
-		ok = v != nil && zeroWorkload(v) && decodeTop(data, v, workloadField)
+		ok = v != nil && zeroWorkload(v) && jsoncodec.Decode(data, v, workloadField)
 	case *DeployRequest:
-		ok = v != nil && *v == DeployRequest{} && decodeTop(data, v, deployRequestField)
+		ok = v != nil && *v == DeployRequest{} && jsoncodec.Decode(data, v, deployRequestField)
 	case *DeployBatchRequest:
-		ok = v != nil && v.Specs == nil && decodeTop(data, v, batchRequestField)
+		ok = v != nil && v.Specs == nil && jsoncodec.Decode(data, v, batchRequestField)
 	case *DeployBatchResponse:
-		ok = v != nil && v.Results == nil && decodeTop(data, v, batchResponseField)
+		ok = v != nil && v.Results == nil && jsoncodec.Decode(data, v, batchResponseField)
 	case *LifecycleEvent:
-		ok = v != nil && *v == LifecycleEvent{} && decodeTop(data, v, eventField)
+		ok = v != nil && *v == LifecycleEvent{} && jsoncodec.Decode(data, v, eventField)
 	}
 	if ok {
 		return nil
@@ -105,102 +109,12 @@ func zeroWorkload(w *Workload) bool {
 	return math.Float64bits(w.Score) == 0 && c == Workload{}
 }
 
-// jsonEncoder is a pooled json.Encoder appending to a caller's slice.
-type jsonEncoder struct {
-	dst []byte
-	enc *json.Encoder
-}
-
-func (e *jsonEncoder) Write(p []byte) (int, error) {
-	e.dst = append(e.dst, p...)
-	return len(p), nil
-}
-
-var encoderPool = sync.Pool{New: func() any {
-	e := &jsonEncoder{}
-	e.enc = json.NewEncoder(e)
-	return e
-}}
-
-// appendJSON is AppendWire through encoding/json.
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	e := encoderPool.Get().(*jsonEncoder)
-	e.dst = dst
-	err := e.enc.Encode(v)
-	out := e.dst
-	e.dst = nil
-	encoderPool.Put(e)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// appendString appends s as a JSON string, escaped as encoding/json
-// escapes it with HTML escaping on.
-func appendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendField appends a key — with its quotes, colon and any leading
-// comma or brace — and a string value.
-func appendField(dst []byte, key, value string) []byte {
-	dst = append(dst, key...)
-	return appendString(dst, value)
-}
-
 func appendSpec(dst []byte, s *WorkloadSpec) []byte {
-	dst = appendField(dst, `{"name":`, s.Name)
-	dst = appendField(dst, `,"tenant":`, s.Tenant)
-	dst = appendField(dst, `,"imageRef":`, s.ImageRef)
+	dst = jsoncodec.AppendField(dst, `{"name":`, s.Name)
+	dst = jsoncodec.AppendField(dst, `,"tenant":`, s.Tenant)
+	dst = jsoncodec.AppendField(dst, `,"imageRef":`, s.ImageRef)
 	if s.Isolation != "" {
-		dst = appendField(dst, `,"isolation":`, s.Isolation)
+		dst = jsoncodec.AppendField(dst, `,"isolation":`, s.Isolation)
 	}
 	dst = append(dst, `,"resources":{"cpuMilli":`...)
 	dst = strconv.AppendInt(dst, int64(s.Resources.CPUMilli), 10)
@@ -208,10 +122,10 @@ func appendSpec(dst []byte, s *WorkloadSpec) []byte {
 	dst = strconv.AppendInt(dst, int64(s.Resources.MemoryMB), 10)
 	dst = append(dst, '}')
 	if s.PlacementPolicy != "" {
-		dst = appendField(dst, `,"placementPolicy":`, s.PlacementPolicy)
+		dst = jsoncodec.AppendField(dst, `,"placementPolicy":`, s.PlacementPolicy)
 	}
 	if s.Region != "" {
-		dst = appendField(dst, `,"region":`, s.Region)
+		dst = jsoncodec.AppendField(dst, `,"region":`, s.Region)
 	}
 	return append(dst, '}')
 }
@@ -234,40 +148,22 @@ func appendSpecs(dst []byte, specs []WorkloadSpec) []byte {
 // encoding/json refuses to encode.
 func appendWorkload(dst []byte, w *Workload) ([]byte, bool) {
 	dst = appendSpec(append(dst, `{"spec":`...), &w.Spec)
-	dst = appendField(dst, `,"node":`, w.Node)
-	dst = appendField(dst, `,"vmId":`, w.VMID)
+	dst = jsoncodec.AppendField(dst, `,"node":`, w.Node)
+	dst = jsoncodec.AppendField(dst, `,"vmId":`, w.VMID)
 	if w.PlacedAtMs != 0 {
 		dst = append(dst, `,"placedAtMs":`...)
 		dst = strconv.AppendInt(dst, w.PlacedAtMs, 10)
 	}
 	if w.Strategy != "" {
-		dst = appendField(dst, `,"strategy":`, w.Strategy)
+		dst = jsoncodec.AppendField(dst, `,"strategy":`, w.Strategy)
 	}
 	if w.Score != 0 {
-		if math.IsInf(w.Score, 0) || math.IsNaN(w.Score) {
+		if !jsoncodec.Finite(w.Score) {
 			return dst, false
 		}
-		dst = appendFloat(append(dst, `,"score":`...), w.Score)
+		dst = jsoncodec.AppendFloat(append(dst, `,"score":`...), w.Score)
 	}
 	return append(dst, '}'), true
-}
-
-// appendFloat formats a finite float64 as encoding/json does: like
-// ES6, 'f' form unless the magnitude calls for an exponent, and the
-// exponent without a leading zero.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 func appendResults(dst []byte, results []DeployBatchResult) ([]byte, bool) {
@@ -292,7 +188,7 @@ func appendResults(dst []byte, results []DeployBatchResult) ([]byte, bool) {
 				dst = append(dst, ',')
 			}
 			var err error
-			if dst, err = appendJSON(append(dst, `"error":`...), r.Error); err != nil {
+			if dst, err = jsoncodec.AppendJSON(append(dst, `"error":`...), r.Error); err != nil {
 				return dst, false
 			}
 			dst = dst[:len(dst)-1] // the encoder's newline
@@ -303,19 +199,19 @@ func appendResults(dst []byte, results []DeployBatchResult) ([]byte, bool) {
 }
 
 func appendEvent(dst []byte, e *LifecycleEvent) []byte {
-	dst = appendField(dst, `{"workload":`, e.Workload)
+	dst = jsoncodec.AppendField(dst, `{"workload":`, e.Workload)
 	if e.Tenant != "" {
-		dst = appendField(dst, `,"tenant":`, e.Tenant)
+		dst = jsoncodec.AppendField(dst, `,"tenant":`, e.Tenant)
 	}
 	if e.From != "" {
-		dst = appendField(dst, `,"from":`, e.From)
+		dst = jsoncodec.AppendField(dst, `,"from":`, e.From)
 	}
-	dst = appendField(dst, `,"state":`, e.State)
+	dst = jsoncodec.AppendField(dst, `,"state":`, e.State)
 	if e.Node != "" {
-		dst = appendField(dst, `,"node":`, e.Node)
+		dst = jsoncodec.AppendField(dst, `,"node":`, e.Node)
 	}
 	if e.Detail != "" {
-		dst = appendField(dst, `,"detail":`, e.Detail)
+		dst = jsoncodec.AppendField(dst, `,"detail":`, e.Detail)
 	}
 	if e.AtMs != 0 {
 		dst = append(dst, `,"atMs":`...)
@@ -324,303 +220,93 @@ func appendEvent(dst []byte, e *LifecycleEvent) []byte {
 	return append(dst, '}')
 }
 
-// decoder is UnmarshalWire's fast path: a cursor over one document.
-// Every step returns false on anything outside the shape AppendWire
-// emits, and the caller then hands the whole document to
-// json.Unmarshal.
-type decoder struct {
-	data []byte
-	i    int
-}
-
-// decodeTop decodes one whole document, an object whose members field
-// decodes, into *v, which is zero. If the fast path does not take all
-// of it, *v is zeroed again for json.Unmarshal.
-func decodeTop[T any](data []byte, v *T, field func(*decoder, *T, []byte) bool) bool {
-	d := decoder{data: data}
-	if object(&d, v, field) {
-		if d.space(); d.i == len(d.data) {
-			return true
-		}
-	}
-	var zero T
-	*v = zero
-	return false
-}
-
-// object decodes an object into v, each member's value by field, which
-// is false on a key it does not know. A repeated key leaves the fast
-// path, since json.Unmarshal merges repeats.
-func object[T any](d *decoder, v *T, field func(*decoder, *T, []byte) bool) bool {
-	if !d.byte('{') {
-		return false
-	}
-	var keys [8][]byte // more members than any codec type has fields leave the fast path
-	for n := 0; ; n++ {
-		if d.byte('}') {
-			return true
-		}
-		if n == len(keys) || n > 0 && !d.byte(',') {
-			return false
-		}
-		key, ok := d.rawString()
-		if !ok || !d.byte(':') {
-			return false
-		}
-		for _, k := range keys[:n] {
-			if string(k) == string(key) {
-				return false
-			}
-		}
-		if keys[n] = key; !field(d, v, key) {
-			return false
-		}
-	}
-}
-
-// array decodes an array of objects into a fresh non-nil slice, as
-// json.Unmarshal does into a nil one.
-func array[T any](d *decoder, dst *[]T, field func(*decoder, *T, []byte) bool) bool {
-	if !d.byte('[') {
-		return false
-	}
-	out := []T{}
-	for n := 0; ; n++ {
-		if d.byte(']') {
-			*dst = out
-			return true
-		}
-		if n > 0 && !d.byte(',') {
-			return false
-		}
-		var zero T
-		out = append(out, zero)
-		if !object(d, &out[len(out)-1], field) {
-			return false
-		}
-	}
-}
-
-func (d *decoder) space() {
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// byte consumes c, after any whitespace.
-func (d *decoder) byte(c byte) bool {
-	d.space()
-	if d.i < len(d.data) && d.data[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// rawString returns the bytes of a string with no escapes, no control
-// characters and valid UTF-8 — the strings json.Unmarshal copies
-// verbatim.
-func (d *decoder) rawString() ([]byte, bool) {
-	if !d.byte('"') {
-		return nil, false
-	}
-	start, ascii := d.i, true
-	for ; d.i < len(d.data); d.i++ {
-		switch c := d.data[d.i]; {
-		case c == '"':
-			d.i++
-			s := d.data[start : d.i-1]
-			return s, ascii || utf8.Valid(s)
-		case c < 0x20 || c == '\\':
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return nil, false
-}
-
-func (d *decoder) string(dst *string) bool {
-	s, ok := d.rawString()
-	if ok {
-		*dst = string(s)
-	}
-	return ok
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (d *decoder) digits() int {
-	start := d.i
-	for d.i < len(d.data) && d.data[d.i] >= '0' && d.data[d.i] <= '9' {
-		d.i++
-	}
-	return d.i - start
-}
-
-// skip consumes the next byte if it is one of set.
-func (d *decoder) skip(set string) {
-	if d.i < len(d.data) && strings.IndexByte(set, d.data[d.i]) >= 0 {
-		d.i++
-	}
-}
-
-// number returns the JSON number literal at the cursor and whether it
-// is an integer: no fraction, no exponent.
-func (d *decoder) number() (lit []byte, integer, ok bool) {
-	d.space()
-	start := d.i
-	d.skip("-")
-	first := d.i
-	if n := d.digits(); n == 0 || n > 1 && d.data[first] == '0' {
-		return nil, false, false
-	}
-	integer = true
-	if d.i < len(d.data) && d.data[d.i] == '.' {
-		d.i++
-		integer = false
-		if d.digits() == 0 {
-			return nil, false, false
-		}
-	}
-	if d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E') {
-		d.i++
-		d.skip("+-")
-		integer = false
-		if d.digits() == 0 {
-			return nil, false, false
-		}
-	}
-	return d.data[start:d.i], integer, true
-}
-
-// integer decodes an integer literal as json.Unmarshal does into an
-// integer field of the given size; a fraction, an exponent or an
-// out-of-range value leaves the fast path.
-func (d *decoder) integer(bitSize int) (int64, bool) {
-	lit, integer, ok := d.number()
-	if !ok || !integer {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(string(lit), 10, bitSize)
-	return n, err == nil
-}
-
-func (d *decoder) int(dst *int) bool {
-	n, ok := d.integer(strconv.IntSize)
-	*dst = int(n)
-	return ok
-}
-
-func (d *decoder) int64(dst *int64) bool {
-	n, ok := d.integer(64)
-	*dst = n
-	return ok
-}
-
-// float64 decodes a number literal with strconv.ParseFloat, as
-// json.Unmarshal does; an out-of-range literal leaves the fast path.
-func (d *decoder) float64(dst *float64) bool {
-	lit, _, ok := d.number()
-	if !ok {
-		return false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	*dst = f
-	return err == nil
-}
-
-func resourcesField(d *decoder, r *Resources, key []byte) bool {
+func resourcesField(d *jsoncodec.Decoder, r *Resources, key []byte) bool {
 	switch string(key) {
 	case "cpuMilli":
-		return d.int(&r.CPUMilli)
+		return d.Int(&r.CPUMilli)
 	case "memoryMB":
-		return d.int(&r.MemoryMB)
+		return d.Int(&r.MemoryMB)
 	}
 	return false
 }
 
-func specField(d *decoder, s *WorkloadSpec, key []byte) bool {
+func specField(d *jsoncodec.Decoder, s *WorkloadSpec, key []byte) bool {
 	switch string(key) {
 	case "name":
-		return d.string(&s.Name)
+		return d.String(&s.Name)
 	case "tenant":
-		return d.string(&s.Tenant)
+		return d.String(&s.Tenant)
 	case "imageRef":
-		return d.string(&s.ImageRef)
+		return d.String(&s.ImageRef)
 	case "isolation":
-		return d.string(&s.Isolation)
+		return d.String(&s.Isolation)
 	case "resources":
-		return object(d, &s.Resources, resourcesField)
+		return jsoncodec.Object(d, &s.Resources, resourcesField)
 	case "placementPolicy":
-		return d.string(&s.PlacementPolicy)
+		return d.String(&s.PlacementPolicy)
 	case "region":
-		return d.string(&s.Region)
+		return d.String(&s.Region)
 	}
 	return false
 }
 
-func workloadField(d *decoder, w *Workload, key []byte) bool {
+func workloadField(d *jsoncodec.Decoder, w *Workload, key []byte) bool {
 	switch string(key) {
 	case "spec":
-		return object(d, &w.Spec, specField)
+		return jsoncodec.Object(d, &w.Spec, specField)
 	case "node":
-		return d.string(&w.Node)
+		return d.String(&w.Node)
 	case "vmId":
-		return d.string(&w.VMID)
+		return d.String(&w.VMID)
 	case "placedAtMs":
-		return d.int64(&w.PlacedAtMs)
+		return d.Int64(&w.PlacedAtMs)
 	case "strategy":
-		return d.string(&w.Strategy)
+		return d.String(&w.Strategy)
 	case "score":
-		return d.float64(&w.Score)
+		return d.Float64(&w.Score)
 	}
 	return false
 }
 
-func deployRequestField(d *decoder, r *DeployRequest, key []byte) bool {
-	return string(key) == "spec" && object(d, &r.Spec, specField)
+func deployRequestField(d *jsoncodec.Decoder, r *DeployRequest, key []byte) bool {
+	return string(key) == "spec" && jsoncodec.Object(d, &r.Spec, specField)
 }
 
-func batchRequestField(d *decoder, r *DeployBatchRequest, key []byte) bool {
-	return string(key) == "specs" && array(d, &r.Specs, specField)
+func batchRequestField(d *jsoncodec.Decoder, r *DeployBatchRequest, key []byte) bool {
+	return string(key) == "specs" && jsoncodec.Array(d, &r.Specs, specField)
 }
 
-func batchResponseField(d *decoder, r *DeployBatchResponse, key []byte) bool {
-	return string(key) == "results" && array(d, &r.Results, resultField)
+func batchResponseField(d *jsoncodec.Decoder, r *DeployBatchResponse, key []byte) bool {
+	return string(key) == "results" && jsoncodec.Array(d, &r.Results, resultField)
 }
 
-func resultField(d *decoder, r *DeployBatchResult, key []byte) bool {
+func resultField(d *jsoncodec.Decoder, r *DeployBatchResult, key []byte) bool {
 	switch string(key) {
 	case "workload":
 		r.Workload = new(Workload)
-		return object(d, r.Workload, workloadField)
+		return jsoncodec.Object(d, r.Workload, workloadField)
 	case "error":
-		return d.wireError(&r.Error)
+		return wireError(d, &r.Error)
 	}
 	return false
 }
 
-func eventField(d *decoder, e *LifecycleEvent, key []byte) bool {
+func eventField(d *jsoncodec.Decoder, e *LifecycleEvent, key []byte) bool {
 	switch string(key) {
 	case "workload":
-		return d.string(&e.Workload)
+		return d.String(&e.Workload)
 	case "tenant":
-		return d.string(&e.Tenant)
+		return d.String(&e.Tenant)
 	case "from":
-		return d.string(&e.From)
+		return d.String(&e.From)
 	case "state":
-		return d.string(&e.State)
+		return d.String(&e.State)
 	case "node":
-		return d.string(&e.Node)
+		return d.String(&e.Node)
 	case "detail":
-		return d.string(&e.Detail)
+		return d.String(&e.Detail)
 	case "atMs":
-		return d.int64(&e.AtMs)
+		return d.Int64(&e.AtMs)
 	}
 	return false
 }
@@ -632,36 +318,17 @@ func eventField(d *decoder, e *LifecycleEvent, key []byte) bool {
 const maxRawDepth = 64
 
 // wireError decodes a WireError element with encoding/json: the
-// element's extent is found here, and json.Unmarshal validates it.
-func (d *decoder) wireError(dst **WireError) bool {
-	d.space()
-	start, depth := d.i, 0
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		d.i++
-		switch c {
-		case '"':
-			for d.i < len(d.data) && d.data[d.i] != '"' {
-				if d.data[d.i] == '\\' {
-					d.i++
-				}
-				d.i++
-			}
-			d.i++
-		case '{', '[':
-			if depth++; depth > maxRawDepth {
-				return false
-			}
-		case '}', ']':
-			if depth--; depth <= 0 {
-				we := new(WireError)
-				if depth < 0 || d.data[start] != '{' || json.Unmarshal(d.data[start:d.i], we) != nil {
-					return false
-				}
-				*dst = we
-				return true
-			}
-		}
+// element's extent is found by the cursor, and json.Unmarshal
+// validates it.
+func wireError(d *jsoncodec.Decoder, dst **WireError) bool {
+	raw, ok := d.RawObject(maxRawDepth)
+	if !ok {
+		return false
 	}
-	return false
+	we := new(WireError)
+	if json.Unmarshal(raw, we) != nil {
+		return false
+	}
+	*dst = we
+	return true
 }

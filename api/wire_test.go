@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"genio/internal/jsoncodec"
 )
 
 // wireSamples builds one value of every codec type from a few fuzzed
@@ -128,16 +130,16 @@ func TestUnmarshalWireFastPathTakesCanonicalBodies(t *testing.T) {
 		v    any
 		fast func(data []byte) bool
 	}{
-		{&wl, func(b []byte) bool { return decodeTop(b, new(Workload), workloadField) }},
-		{&DeployRequest{Spec: spec}, func(b []byte) bool { return decodeTop(b, new(DeployRequest), deployRequestField) }},
+		{&wl, func(b []byte) bool { return jsoncodec.Decode(b, new(Workload), workloadField) }},
+		{&DeployRequest{Spec: spec}, func(b []byte) bool { return jsoncodec.Decode(b, new(DeployRequest), deployRequestField) }},
 		{&DeployBatchRequest{Specs: []WorkloadSpec{spec, spec}}, func(b []byte) bool {
-			return decodeTop(b, new(DeployBatchRequest), batchRequestField)
+			return jsoncodec.Decode(b, new(DeployBatchRequest), batchRequestField)
 		}},
 		{&DeployBatchResponse{Results: []DeployBatchResult{{Workload: &wl}, {Error: we}}}, func(b []byte) bool {
-			return decodeTop(b, new(DeployBatchResponse), batchResponseField)
+			return jsoncodec.Decode(b, new(DeployBatchResponse), batchResponseField)
 		}},
 		{&LifecycleEvent{Workload: "web-1", Tenant: "acme", From: "scanning", State: "placed", Node: "olt-01", AtMs: 9},
-			func(b []byte) bool { return decodeTop(b, new(LifecycleEvent), eventField) }},
+			func(b []byte) bool { return jsoncodec.Decode(b, new(LifecycleEvent), eventField) }},
 	} {
 		data, err := AppendWire(nil, tc.v)
 		if err != nil {

@@ -69,7 +69,7 @@ func (p *Platform) recoverFromStore() error {
 	if st == nil {
 		return nil
 	}
-	p.Cluster.ImportState(st.Cluster, func(ref string) *container.Image {
+	imported := p.Cluster.ImportState(st.Cluster, func(ref string) *container.Image {
 		// Best effort: the registry is freshly built at New, so images
 		// resolve only once re-pushed. A nil Image is tolerated by every
 		// read and reschedule path.
@@ -80,8 +80,8 @@ func (p *Platform) recoverFromStore() error {
 		return img
 	})
 	if p.Config.SandboxEnabled {
-		for _, w := range p.Cluster.Workloads() {
-			p.Enforcer.SetPolicy(w.Spec.Name, sandbox.DefaultWorkloadPolicy())
+		for _, name := range imported {
+			p.Enforcer.SetPolicy(name, sandbox.DefaultWorkloadPolicy())
 		}
 	}
 	p.incSeq = st.IncidentSeq

@@ -26,6 +26,7 @@ package orchestrator
 //     import, so a snapshot can never disagree with its own bookkeeping.
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,9 +169,7 @@ func (c *Cluster) ExportState() ClusterState {
 		}
 	}
 	c.mu.RUnlock()
-	sort.Slice(st.Workloads, func(i, j int) bool {
-		return st.Workloads[i].Spec.Name < st.Workloads[j].Spec.Name
-	})
+	slices.SortFunc(st.Workloads, func(a, b Workload) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
 	st.Verdicts = c.VerdictKeys()
 	return st
 }
@@ -183,8 +182,9 @@ func (c *Cluster) ExportState() ClusterState {
 // ref (best effort: a nil result leaves Workload.Image unset, which
 // every read and reschedule path tolerates). Call before traffic
 // starts; a workload whose node is absent from st is dropped rather
-// than invented a host.
-func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *container.Image) {
+// than invented a host. It returns the names of the workloads it
+// imported, in st's order: exactly those, the dropped ones excluded.
+func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *container.Image) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nodes = make(map[string]*node, len(st.Nodes))
@@ -195,6 +195,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	}
 	c.workloads = make(map[string]*Workload, len(st.Workloads))
 	c.tenantUsed = make(map[string]Resources)
+	imported := make([]string, 0, len(st.Workloads))
 	maxVM := st.VMSeq
 	for i := range st.Workloads {
 		w := st.Workloads[i]
@@ -206,6 +207,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 			w.Image = resolve(w.Spec.ImageRef)
 		}
 		c.workloads[w.Spec.Name] = &w
+		imported = append(imported, w.Spec.Name)
 		c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Add(w.Spec.Resources)
 		n.used = n.used.Add(w.Spec.Resources)
 		n.countLocked(c.internLocked(w.Spec.Tenant), 1)
@@ -234,6 +236,7 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	for _, k := range st.Verdicts {
 		c.adm.cache.Store(k, struct{}{})
 	}
+	return imported
 }
 
 // HasNode reports whether a node of that name is a cluster member. The

@@ -21,8 +21,10 @@
 package persist
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 
 	"genio/internal/orchestrator"
 )
@@ -205,15 +207,15 @@ func apply(base *State, recs []Record) *State {
 	for _, ns := range nodes {
 		st.Cluster.Nodes = append(st.Cluster.Nodes, ns)
 	}
-	sort.Slice(st.Cluster.Nodes, func(i, j int) bool {
-		return st.Cluster.Nodes[i].Name < st.Cluster.Nodes[j].Name
+	slices.SortFunc(st.Cluster.Nodes, func(a, b orchestrator.NodeState) int {
+		return strings.Compare(a.Name, b.Name)
 	})
 	st.Cluster.Workloads = make([]orchestrator.Workload, 0, len(wls))
 	for _, w := range wls {
 		st.Cluster.Workloads = append(st.Cluster.Workloads, w)
 	}
-	sort.Slice(st.Cluster.Workloads, func(i, j int) bool {
-		return st.Cluster.Workloads[i].Spec.Name < st.Cluster.Workloads[j].Spec.Name
+	slices.SortFunc(st.Cluster.Workloads, func(a, b orchestrator.Workload) int {
+		return strings.Compare(a.Spec.Name, b.Spec.Name)
 	})
 	if len(quotas) > 0 {
 		st.Cluster.Quotas = quotas
@@ -222,8 +224,8 @@ func apply(base *State, recs []Record) *State {
 	for k := range verdicts {
 		st.Cluster.Verdicts = append(st.Cluster.Verdicts, k)
 	}
-	sort.Strings(st.Cluster.Verdicts)
-	sort.Slice(incidents, func(i, j int) bool { return incidents[i].Seq < incidents[j].Seq })
+	slices.Sort(st.Cluster.Verdicts)
+	slices.SortFunc(incidents, func(a, b Incident) int { return cmp.Compare(a.Seq, b.Seq) })
 	st.Incidents = incidents
 	for _, i := range incidents {
 		if i.Seq > st.IncidentSeq {

@@ -25,11 +25,8 @@ package persist
 // silently drop every record written after the crash.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,10 +51,17 @@ type WAL struct {
 	// beyond the last snapshot (pending is always a suffix of tail).
 	pending []Record
 	tail    []Record
-	// base is the last snapshot state (from disk at Open, refreshed by
-	// Snapshot); snapLSN its covered position.
+	// base is the snapshot decoded at Open, kept for Load only until
+	// the store is first written (Append or Snapshot): a Load after that
+	// reads the snapshot file again, so a running store keeps no second
+	// copy of the whole state. snapLSN is the last snapshot's covered
+	// position.
 	base    *State
 	snapLSN uint64
+	// snapBytes is the last snapshot's size: the next one encodes into a
+	// buffer that large, not one grown by doubling from empty. Only
+	// OpenWAL and Snapshot touch it, and callers serialize snapshots.
+	snapBytes int
 	// inflight marks the committer writing outside the lock; paused
 	// parks it while Snapshot rotates the files.
 	inflight bool
@@ -77,17 +81,15 @@ func OpenWAL(dir string) (*WAL, error) {
 	w := &WAL{dir: dir, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 
-	if buf, err := os.ReadFile(filepath.Join(dir, snapFile)); err == nil {
-		st := &State{}
-		if err := json.Unmarshal(buf, st); err != nil {
-			return nil, fmt.Errorf("persist: corrupt snapshot: %w", err)
-		}
+	st, size, err := readSnapshot(dir)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
 		w.base = st
+		w.snapBytes = size
 		w.snapLSN = st.LSN
 		w.nextLSN = st.LSN
-		w.committed = st.LSN
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("persist: read snapshot: %w", err)
 	}
 
 	walPath := filepath.Join(dir, walFile)
@@ -95,6 +97,7 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.tail = recs[:0]
 	for _, r := range recs {
 		if r.LSN <= w.snapLSN {
 			continue // pre-rotation leftovers the snapshot already covers
@@ -130,54 +133,62 @@ func OpenWAL(dir string) (*WAL, error) {
 	return w, nil
 }
 
-// readLog parses the JSON-line log, stopping at the first unparsable
-// or unterminated line — a torn tail write from a crash loses only
-// that record. It also returns the byte offset just past the last good
-// line, so the caller can truncate the torn bytes away before
-// appending. Lines are read unbounded (a record embeds a full workload
-// snapshot, so no fixed cap can be assumed on both the write and the
-// recovery path).
-func readLog(path string) ([]Record, int64, error) {
-	f, err := os.Open(path)
+// readSnapshot decodes the snapshot file and returns it with its size,
+// or nil when there is none. A snapshot that does not decode is an
+// error: silently dropping a whole snapshot's worth of state is worse
+// than refusing to open.
+func readSnapshot(dir string) (*State, int, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, snapFile))
 	if os.IsNotExist(err) {
 		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("persist: open wal: %w", err)
+		return nil, 0, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	defer f.Close()
-	var (
-		recs    []Record
-		durable int64 // offset just past the last fully-parsed line
-		off     int64
-	)
-	rd := bufio.NewReader(f)
+	st := &State{}
+	if err := decodeState(buf, st); err != nil {
+		return nil, 0, fmt.Errorf("persist: corrupt snapshot: %w", err)
+	}
+	return st, len(buf), nil
+}
+
+// readLog parses the JSON-line log, stopping at the first unparsable
+// or unterminated line — a torn tail write from a crash loses only
+// that record. It also returns the byte offset just past the last good
+// line, so the caller can truncate the torn bytes away before
+// appending. The file is read once and its lines decoded in place;
+// lines are unbounded (a record embeds a full workload snapshot, so no
+// fixed cap can be assumed on both the write and the recovery path).
+func readLog(path string) ([]Record, int64, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("persist: read wal: %w", err)
+	}
+	recs := make([]Record, 0, bytes.Count(data, []byte{'\n'}))
+	durable := 0 // offset just past the last fully-parsed line
 	for {
-		line, err := rd.ReadBytes('\n')
-		off += int64(len(line))
-		if err == io.EOF {
+		n := bytes.IndexByte(data[durable:], '\n')
+		if n < 0 {
 			// A final line without its newline: the batch write (which
 			// ends every record with '\n' before the fsync) was torn
 			// mid-record. Discard it even if the bytes so far happen to
 			// parse — appending after them would fuse two records.
-			return recs, durable, nil
+			return recs, int64(durable), nil
 		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("persist: read wal: %w", err)
+		line := bytes.TrimSpace(data[durable : durable+n])
+		if len(line) > 0 {
+			var r Record
+			if err := decodeRecord(line, &r); err != nil {
+				// Torn or corrupt line: everything after it is
+				// unreachable on replay, so the durable prefix ends here.
+				return recs, int64(durable), nil
+			}
+			recs = append(recs, r)
 		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			durable = off
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(trimmed, &r); err != nil {
-			// Torn or corrupt line: everything after it is unreachable
-			// on replay, so the durable prefix ends here.
-			return recs, durable, nil
-		}
-		recs = append(recs, r)
-		durable = off
+		durable += n + 1
 	}
 }
 
@@ -192,6 +203,7 @@ func (w *WAL) Append(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
+	w.base = nil
 	w.nextLSN++
 	rec.LSN = w.nextLSN
 	w.pending = append(w.pending, rec)
@@ -201,8 +213,10 @@ func (w *WAL) Append(rec Record) error {
 }
 
 // commitLoop is the group committer: each iteration takes everything
-// buffered since the last write and retires it with one write+fsync.
+// buffered since the last write and retires it with one write+fsync,
+// encoding every batch into the same buffer.
 func (w *WAL) commitLoop() {
+	var buf []byte
 	w.mu.Lock()
 	for {
 		for (len(w.pending) == 0 || w.paused) && !w.closed {
@@ -220,7 +234,8 @@ func (w *WAL) commitLoop() {
 		w.inflight = true
 		w.mu.Unlock()
 
-		err := writeBatch(f, batch)
+		var err error
+		buf, err = writeBatch(f, batch, buf[:0])
 
 		w.mu.Lock()
 		w.inflight = false
@@ -236,22 +251,31 @@ func (w *WAL) commitLoop() {
 	close(w.done)
 }
 
-// writeBatch marshals the batch into one buffer, writes it, and fsyncs.
-func writeBatch(f *os.File, batch []Record) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf) // Encode appends the newline
-	for _, r := range batch {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("persist: encode record: %w", err)
-		}
+// writeBatch encodes the batch onto buf, writes it, and fsyncs. It
+// returns the buffer for the next batch.
+func writeBatch(f *os.File, batch []Record, buf []byte) ([]byte, error) {
+	buf, err := appendRecords(buf, batch)
+	if err != nil {
+		return buf, err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("persist: write wal: %w", err)
+	if _, err := f.Write(buf); err != nil {
+		return buf, fmt.Errorf("persist: write wal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("persist: sync wal: %w", err)
+		return buf, fmt.Errorf("persist: sync wal: %w", err)
 	}
-	return nil
+	return buf, nil
+}
+
+// appendRecords appends the WAL lines of recs to dst.
+func appendRecords(dst []byte, recs []Record) ([]byte, error) {
+	for i := range recs {
+		var err error
+		if dst, err = appendRecord(dst, &recs[i]); err != nil {
+			return dst, fmt.Errorf("persist: encode record: %w", err)
+		}
+	}
+	return dst, nil
 }
 
 // Flush blocks until every record appended before the call is durable
@@ -286,10 +310,11 @@ func (w *WAL) LastLSN() uint64 {
 // state-sized write. Callers serialize snapshots (the platform's
 // snapMu); concurrent Snapshot calls are not supported.
 func (w *WAL) Snapshot(st *State) error {
-	buf, err := json.Marshal(st)
+	buf, err := appendState(make([]byte, 0, w.snapBytes), st)
 	if err != nil {
 		return fmt.Errorf("persist: encode snapshot: %w", err)
 	}
+	w.snapBytes = len(buf)
 	if err := writeFileAtomic(filepath.Join(w.dir, snapFile), buf); err != nil {
 		return err
 	}
@@ -324,14 +349,11 @@ func (w *WAL) Snapshot(st *State) error {
 			keep = append(keep, r)
 		}
 	}
-	var logBuf bytes.Buffer
-	enc := json.NewEncoder(&logBuf)
-	for _, r := range keep {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("persist: encode record: %w", err)
-		}
+	logBuf, err := appendRecords(nil, keep)
+	if err != nil {
+		return err
 	}
-	if err := writeFileAtomic(filepath.Join(w.dir, walFile), logBuf.Bytes()); err != nil {
+	if err := writeFileAtomic(filepath.Join(w.dir, walFile), logBuf); err != nil {
 		return err
 	}
 	old := w.f
@@ -345,7 +367,7 @@ func (w *WAL) Snapshot(st *State) error {
 	w.tail = keep
 	w.pending = nil
 	w.committed = w.nextLSN
-	w.base = st
+	w.base = nil
 	w.snapLSN = st.LSN
 	return nil
 }
@@ -393,14 +415,22 @@ func syncDir(dir string) error {
 }
 
 // Load returns the recovered state: the last snapshot with the log
-// tail replayed on top, or nil when the store holds nothing yet.
+// tail replayed on top, or nil when the store holds nothing yet. Until
+// the store is first written it replays onto the snapshot OpenWAL
+// decoded; after that it reads the file again.
 func (w *WAL) Load() (*State, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.base == nil && len(w.tail) == 0 {
+	base := w.base
+	if base == nil {
+		var err error
+		if base, _, err = readSnapshot(w.dir); err != nil {
+			return nil, err
+		}
+	}
+	if base == nil && len(w.tail) == 0 {
 		return nil, nil
 	}
-	base := w.base
 	if base == nil {
 		base = &State{}
 	}
