@@ -84,8 +84,8 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
 
 # cores mirrors the cores job of .github/workflows/ci.yml: the tests,
-# the replay gate, the federation, onboarding, scan-once, watch,
-# incident-ledger and candidate-table storms, the WAL committer and
+# the replay gate, the federation, onboarding, scan-once, verdict-cache,
+# watch, incident-ledger and candidate-table storms, the WAL committer and
 # snapshot races, the simulator's wire campaigns under -race and the
 # bench smoke at GOMAXPROCS 1, 2 and 4, so a gate that only holds on
 # one core cannot pass.
@@ -97,6 +97,7 @@ cores:
 		GOMAXPROCS=$$n $(GO) test -race -count=20 -run 'Evacuate|Remove|Storm' ./internal/federation && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Onboard|NodeProvisioning' ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'ScanOnce|FederatedVerdict' ./internal/core && \
+		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'Admission|Verdict|PeerShares' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -race -count=10 -run 'Watch|EventLog|Incident' ./internal/core ./api/server && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|AccountingBalanced|CommitRace' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'WALConcurrentAppendSnapshot|WALGroupCommit|SnapshotWhileDeploying|CrashRecoveryExactState' ./internal/persist ./internal/core && \

@@ -173,7 +173,7 @@ func TestDeployRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	const ceiling = 160
+	const ceiling = 149
 	p, err := demo.Platform(core.SecureConfig(), "ops")
 	if err != nil {
 		t.Fatal(err)

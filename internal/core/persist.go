@@ -143,7 +143,7 @@ func (p *Platform) StoreErr() error {
 // recordFromMutation maps an orchestrator mutation onto its log record.
 func recordFromMutation(m orchestrator.Mutation) persist.Record {
 	r := persist.Record{Kind: m.Kind, Node: m.Node, Cordoned: m.Cordoned,
-		Name: m.Name, Tenant: m.Tenant, Key: m.Key, Workload: m.Workload, VMSeq: m.VMSeq}
+		Name: m.Name, Tenant: m.Tenant, Verdict: m.Verdict, Workload: m.Workload, VMSeq: m.VMSeq}
 	switch m.Kind {
 	case orchestrator.MutNodeJoin:
 		capacity := m.Capacity

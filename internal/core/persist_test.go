@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,12 +201,35 @@ func TestRecoveredVerdictCacheSkipsRescan(t *testing.T) {
 	if cached == 0 {
 		t.Fatal("no verdicts cached after a clean deploy")
 	}
+	keys := p.Cluster.VerdictKeys()
 	p.Crash()
+
+	// The cold admission committed every scanner's verdict in one record.
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verdictRecs []persist.Record
+	for _, line := range bytes.Split(bytes.TrimSpace(log), []byte{'\n'}) {
+		var r persist.Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind == persist.KindVerdict {
+			verdictRecs = append(verdictRecs, r)
+		}
+	}
+	if len(verdictRecs) != 1 || verdictRecs[0].Verdict == nil || len(verdictRecs[0].Verdict.Controllers) != cached || verdictRecs[0].Key != "" {
+		t.Fatalf("verdict records %+v, want one carrying all %d verdicts", verdictRecs, cached)
+	}
 
 	p2 := walPlatform(t, dir)
 	defer p2.Close()
 	if got := p2.Cluster.AdmissionCacheSize(); got != cached {
 		t.Fatalf("recovered verdict cache = %d entries, want %d", got, cached)
+	}
+	if got := p2.Cluster.VerdictKeys(); !slices.Equal(got, keys) {
+		t.Fatalf("recovered verdict keys %q, want %q", got, keys)
 	}
 }
 

@@ -92,13 +92,14 @@ func ringOwners(img *container.Image) map[string]string {
 	return out
 }
 
-// verdictLog counts the MutVerdict records the default member's
-// mutation sink receives.
+// verdictLog counts the clean verdicts — (controller, digest) pairs —
+// the MutVerdict records the default member's mutation sink receives
+// carry.
 func verdictLog(p *Platform) *atomic.Int64 {
 	n := new(atomic.Int64)
 	p.Cluster.SetMutationSink(func(m orchestrator.Mutation) {
 		if m.Kind == orchestrator.MutVerdict {
-			n.Add(1)
+			n.Add(int64(len(m.Verdict.Controllers)))
 		}
 	})
 	return n

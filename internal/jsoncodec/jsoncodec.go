@@ -256,6 +256,12 @@ func (d *Decoder) Strings(dst *[]string) bool {
 // json.Unmarshal does into a nil one. Keys decode like any string; a
 // repeated one leaves the fast path.
 func Map[V any](d *Decoder, dst *map[string]V, field Field[V]) bool {
+	return MapOf(d, dst, func(d *Decoder, v *V) bool { return Object(d, v, field) })
+}
+
+// MapOf is Map with each member's value decoded by value, for maps
+// whose values are not objects.
+func MapOf[V any](d *Decoder, dst *map[string]V, value func(*Decoder, *V) bool) bool {
 	if !d.Byte('{') {
 		return false
 	}
@@ -276,7 +282,7 @@ func Map[V any](d *Decoder, dst *map[string]V, field Field[V]) bool {
 			return false
 		}
 		var v V
-		if !Object(d, &v, field) {
+		if !value(d, &v) {
 			return false
 		}
 		out[key] = v

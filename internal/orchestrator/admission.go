@@ -16,6 +16,16 @@ package orchestrator
 // Rejections are never cached — a failing image is re-scanned (and
 // re-reported) on every attempt.
 //
+// The cache holds one entry per digest: the set of controllers whose
+// clean verdict on it is cached. A deploy looks its digest up once and
+// skips every controller in the set; a controller it misses looks again,
+// so a verdict a sibling deploy committed meanwhile is still reported as
+// cached. The set is copy-on-write: a run that clears more controllers
+// merges them into a fresh copy when it commits, and logs one MutVerdict
+// naming the digest and exactly the controllers its commit added, so a
+// cold admission writes one record and every clean verdict is logged
+// once, however many deploys share it.
+//
 // Cancellation: the deployment context is checked before each controller
 // and handed to it. Once it is done no further controller starts, the
 // running one is expected to return promptly (the platform scanners poll
@@ -31,6 +41,7 @@ package orchestrator
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"genio/internal/container"
@@ -45,13 +56,58 @@ type admissionChain struct {
 
 	mu     sync.RWMutex
 	checks []namedAdmission
-	cache  sync.Map // "controller\x00imageDigest" -> struct{} (clean verdicts only)
+	cache  sync.Map // imageDigest -> *verdictSet (clean verdicts only)
 	// flight collapses concurrent identical cacheable scans: the first
 	// deploy of a digest leads the scan, simultaneous deploys of the same
 	// digest wait on its verdict instead of re-running the scanner (see
-	// runShared).
+	// runShared). It is keyed per controller, "controller\x00digest",
+	// and touched on the miss path only.
 	flightMu sync.Mutex
 	flight   map[string]*admFlightCall
+}
+
+// verdictSet is the sorted names of the controllers whose clean verdict
+// on one digest is cached. A stored set is never written: commit swaps
+// in a merged copy.
+type verdictSet struct{ names []string }
+
+// has reports whether name is in the set; a nil set holds nothing.
+func (s *verdictSet) has(name string) bool {
+	return s != nil && slices.Contains(s.names, name)
+}
+
+// cleared returns digest's cached verdict set, nil when it has none.
+func (a *admissionChain) cleared(digest string) *verdictSet {
+	if v, ok := a.cache.Load(digest); ok {
+		return v.(*verdictSet)
+	}
+	return nil
+}
+
+// commit merges names into digest's cached set and returns the names
+// that were not in it yet, sorted. Concurrent commits of one digest
+// retry on CompareAndSwap, so each name is added, and returned, by
+// exactly one of them.
+func (a *admissionChain) commit(digest string, names []string) []string {
+	for {
+		old := a.cleared(digest)
+		var have []string
+		if old != nil {
+			have = old.names
+		}
+		merged, added := MergeVerdicts(have, names)
+		if len(added) == 0 {
+			return nil
+		}
+		next := &verdictSet{names: merged}
+		if old == nil {
+			if _, loaded := a.cache.LoadOrStore(digest, next); !loaded {
+				return added
+			}
+		} else if a.cache.CompareAndSwap(digest, old, next) {
+			return added
+		}
+	}
 }
 
 type namedAdmission struct {
@@ -101,18 +157,18 @@ func (c *Cluster) RegisterAdmissionCachedCtx(name string, fn AdmissionCheck) {
 	c.adm.register(namedAdmission{name: name, fn: fn, cacheable: true})
 }
 
-// AdmissionCacheSize reports how many clean-verdict cache entries are
-// held — in the chain's one cache, so every cluster sharing it reports
-// the same number. The leak-regression tests use it to prove cancelled
-// deployments commit nothing.
+// AdmissionCacheSize reports how many clean verdicts are cached — one
+// per (controller, digest) pair, summed over the chain's one cache, so
+// every cluster sharing it reports the same number. The leak-regression
+// tests use it to prove cancelled deployments commit nothing.
 func (c *Cluster) AdmissionCacheSize() int {
 	n := 0
-	c.adm.cache.Range(func(any, any) bool { n++; return true })
+	c.adm.cache.Range(func(_, v any) bool { n += len(v.(*verdictSet).names); return true })
 	return n
 }
 
 // deployDigest computes the image digest for one deploy call, the key of
-// its verdict-cache lookups, or returns "" when chain has no cacheable
+// its verdict-cache lookup, or returns "" when chain has no cacheable
 // controller. Image.Digest is deliberately not memoized across calls: a
 // later deploy of a tampered image object must re-hash, produce a
 // different digest and so miss the verdict cache.
@@ -141,30 +197,35 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 	digest := deployDigest(chain, img)
 
 	verdicts := make([]ScannerVerdict, len(chain))
-	var clean []string // cache keys of this run's fresh clean verdicts
-	var led []string   // keys of the in-flight scans this run led
+	var cached *verdictSet // digest's verdict set as last looked up
+	var clean []string     // controllers with a fresh clean verdict this run
+	var led []string       // flight keys of the scans this run led
 	// A led scan's verdict stays adoptable until this run has committed
 	// it or discarded it, so no deploy arriving in between scans again.
 	defer func() { adm.land(led) }()
 	rejected := false
 	for i, a := range chain {
 		verdicts[i] = ScannerVerdict{Scanner: a.name, Passed: true}
-		key := ""
-		if a.cacheable && digest != "" {
-			key = a.name + "\x00" + digest
-			if _, ok := adm.cache.Load(key); ok {
-				verdicts[i].Cached = true
-				continue
-			}
+		shared := a.cacheable && digest != ""
+		if shared && !cached.has(a.name) {
+			// Look up on a miss only: the first lookup, or a sibling
+			// deploy committed this verdict since the last one, so it
+			// still reads as cached.
+			cached = adm.cleared(digest)
+		}
+		if shared && cached.has(a.name) {
+			verdicts[i].Cached = true
+			continue
 		}
 		if ctx.Err() != nil {
 			break // no further controller starts; reported below
 		}
 		var err error
-		if key != "" {
+		if shared {
 			// Cacheable scan: collapse concurrent identical runs.
+			key := a.name + "\x00" + digest
 			var leader bool
-			if leader, err = adm.runShared(ctx, key, a, spec, img); leader {
+			if leader, err = adm.runShared(ctx, key, digest, a, spec, img); leader {
 				led = append(led, key)
 			}
 		} else {
@@ -175,8 +236,8 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 			verdicts[i].Passed = false
 			verdicts[i].Detail = err.Error()
 			rejected = true
-		case key != "":
-			clean = append(clean, key)
+		case shared:
+			clean = append(clean, a.name)
 		}
 	}
 
@@ -186,13 +247,13 @@ func (c *Cluster) runAdmission(ctx context.Context, spec WorkloadSpec, img *cont
 	if err := ctxErr(ctx, spec.Name, "admission"); err != nil {
 		return err
 	}
-	for _, key := range clean {
-		// LoadOrStore: a sibling deploy sharing this scan's verdict may
-		// have committed first; only the first commit records the
-		// mutation, through the chain's home cluster, keeping the durable
-		// log complete and free of duplicates.
-		if _, loaded := adm.cache.LoadOrStore(key, struct{}{}); !loaded {
-			adm.home.mutate(Mutation{Kind: MutVerdict, Key: key})
+	// A sibling deploy sharing this run's scans may have committed some
+	// of them first: only the controllers this commit adds are logged,
+	// in one record through the chain's home cluster, keeping the
+	// durable log complete and free of duplicates.
+	if len(clean) > 0 {
+		if added := adm.commit(digest, clean); len(added) > 0 {
+			adm.home.mutate(Mutation{Kind: MutVerdict, Verdict: &VerdictCommit{Digest: digest, Controllers: added}})
 		}
 	}
 	if rejected {
@@ -229,7 +290,7 @@ type admFlightCall struct {
 // follower retakes leadership so the scan still completes. leader
 // reports that this call led a scan whose verdict it published: the
 // caller must land the key once its run has committed or discarded it.
-func (adm *admissionChain) runShared(ctx context.Context, key string, a namedAdmission, spec WorkloadSpec, img *container.Image) (leader bool, err error) {
+func (adm *admissionChain) runShared(ctx context.Context, key, digest string, a namedAdmission, spec WorkloadSpec, img *container.Image) (leader bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -250,7 +311,7 @@ func (adm *admissionChain) runShared(ctx context.Context, key string, a namedAdm
 		// A leader may have committed the verdict while we waited. It
 		// commits before it lands, so with no call in flight the cache is
 		// current under the lock.
-		if _, ok := adm.cache.Load(key); ok {
+		if adm.cleared(digest).has(a.name) {
 			adm.flightMu.Unlock()
 			return false, nil
 		}

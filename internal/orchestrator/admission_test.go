@@ -151,12 +151,12 @@ func TestPeerSharesAdmissionChain(t *testing.T) {
 	var homeVerdicts, peerVerdicts atomic.Int64
 	home.SetMutationSink(func(m Mutation) {
 		if m.Kind == MutVerdict {
-			homeVerdicts.Add(1)
+			homeVerdicts.Add(int64(len(m.Verdict.Controllers)))
 		}
 	})
 	peer.SetMutationSink(func(m Mutation) {
 		if m.Kind == MutVerdict {
-			peerVerdicts.Add(1)
+			peerVerdicts.Add(int64(len(m.Verdict.Controllers)))
 		}
 	})
 	var runs atomic.Int64
@@ -191,6 +191,120 @@ func TestPeerSharesAdmissionChain(t *testing.T) {
 	}
 	if home.WorkloadCount() != 1 || peer.WorkloadCount() != 2 {
 		t.Fatalf("workloads home %d, peer %d; want 1 and 2", home.WorkloadCount(), peer.WorkloadCount())
+	}
+}
+
+// TestColdAdmissionLogsOneVerdictRecord: a cold admission through three
+// cacheable controllers commits one cache entry for the digest and logs
+// one MutVerdict naming the digest and all three, sorted; the policy
+// check is not cached and a warm admission logs nothing.
+func TestColdAdmissionLogsOneVerdictRecord(t *testing.T) {
+	c, reg := testCluster(t, Settings{})
+	var mu sync.Mutex
+	var logged []Mutation
+	c.SetMutationSink(func(m Mutation) {
+		if m.Kind == MutVerdict {
+			mu.Lock()
+			logged = append(logged, m)
+			mu.Unlock()
+		}
+	})
+	for _, name := range []string{"sast", "malware", "sca"} {
+		c.RegisterAdmissionCachedCtx(name, func(context.Context, WorkloadSpec, *container.Image) error { return nil })
+	}
+	c.RegisterAdmissionCtx("policy", func(context.Context, WorkloadSpec, *container.Image) error { return nil })
+	for _, name := range []string{"cold", "warm"} {
+		if _, err := c.DeployContext(context.Background(), "ops", spec(name, "acme", "acme/analytics:2.0.1", IsolationSoft)); err != nil {
+			t.Fatalf("deploy %s: %v", name, err)
+		}
+	}
+	img, err := reg.Pull("acme/analytics:2.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := img.Digest()
+	if len(logged) != 1 || logged[0].Verdict.Digest != digest || strings.Join(logged[0].Verdict.Controllers, ",") != "malware,sast,sca" {
+		t.Fatalf("verdict records %+v, want one for %s naming malware, sast, sca", logged, digest)
+	}
+	if got := c.AdmissionCacheSize(); got != 3 {
+		t.Fatalf("cache holds %d verdicts, want 3", got)
+	}
+	want := []string{"malware\x00" + digest, "sast\x00" + digest, "sca\x00" + digest}
+	if got := c.VerdictKeys(); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("VerdictKeys = %q, want %q", got, want)
+	}
+}
+
+// TestConcurrentVerdictCommitsMerge: commits of one digest racing from
+// many goroutines, each clearing a different controller, all land in the
+// digest's one entry, and every controller is reported added exactly once.
+func TestConcurrentVerdictCommitsMerge(t *testing.T) {
+	c, _ := testCluster(t, Settings{})
+	const n = 16
+	var wg sync.WaitGroup
+	var added atomic.Int64
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			names := []string{fmt.Sprintf("c%02d", i), fmt.Sprintf("c%02d", (i+1)%n)}
+			added.Add(int64(len(c.adm.commit("sha256:d", names))))
+		}(i)
+	}
+	wg.Wait()
+	if added.Load() != n || c.AdmissionCacheSize() != n || len(c.VerdictKeys()) != n {
+		t.Fatalf("added %d, cache %d, keys %d; want %d of each", added.Load(), c.AdmissionCacheSize(), len(c.VerdictKeys()), n)
+	}
+}
+
+// TestAdmissionSiblingCommitMidRunReadsCached: a verdict a sibling deploy commits
+// while this run is still in an earlier scanner is skipped and reported
+// as cached, as if the run had reached it on a warm cache.
+func TestAdmissionSiblingCommitMidRunReadsCached(t *testing.T) {
+	c, reg := testCluster(t, Settings{})
+	img, err := reg.Pull("acme/analytics:2.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := img.Digest()
+	var lateRuns atomic.Int64
+	c.RegisterAdmissionCachedCtx("early", func(context.Context, WorkloadSpec, *container.Image) error {
+		c.adm.commit(digest, []string{"late"}) // the sibling's commit
+		return nil
+	})
+	c.RegisterAdmissionCachedCtx("late", func(context.Context, WorkloadSpec, *container.Image) error {
+		lateRuns.Add(1)
+		return nil
+	})
+	c.RegisterAdmissionCtx("deny", func(context.Context, WorkloadSpec, *container.Image) error {
+		return errors.New("denied")
+	})
+	var adm *AdmissionError
+	if err := c.Admit(context.Background(), spec("x", "acme", "acme/analytics:2.0.1", IsolationSoft), img); !errors.As(err, &adm) {
+		t.Fatalf("Admit = %v, want an *AdmissionError", err)
+	}
+	if lateRuns.Load() != 0 {
+		t.Fatal("late scanned an image a sibling had already cleared")
+	}
+	if v := adm.Verdicts[1]; v.Scanner != "late" || !v.Passed || !v.Cached {
+		t.Fatalf("late verdict = %+v, want passed and cached", v)
+	}
+	if v := adm.Verdicts[0]; v.Cached {
+		t.Fatalf("early verdict = %+v, want freshly scanned", v)
+	}
+}
+
+// TestImportStateRoundTripsClearedVerdicts:a state's per-digest
+// verdicts import into the cache and export unchanged.
+func TestImportStateRoundTripsClearedVerdicts(t *testing.T) {
+	c, _ := testCluster(t, Settings{})
+	c.ImportState(ClusterState{Cleared: map[string][]string{"sha256:a": {"malware", "sast"}, "sha256:b": {"sca"}}}, nil)
+	want := []string{"malware\x00sha256:a", "sast\x00sha256:a", "sca\x00sha256:b"}
+	if got := c.VerdictKeys(); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("VerdictKeys = %q, want %q", got, want)
+	}
+	if got := c.ExportState().Cleared; len(got) != 2 || strings.Join(got["sha256:a"], ",") != "malware,sast" {
+		t.Fatalf("exported verdicts %v", got)
 	}
 }
 
@@ -404,7 +518,7 @@ func TestAdmissionLateArrivalAdoptsUncommittedVerdict(t *testing.T) {
 	var runs, logged atomic.Int64
 	c.SetMutationSink(func(m Mutation) {
 		if m.Kind == MutVerdict {
-			logged.Add(1)
+			logged.Add(int64(len(m.Verdict.Controllers)))
 		}
 	})
 	c.RegisterAdmissionCachedCtx("counter", func(context.Context, WorkloadSpec, *container.Image) error {

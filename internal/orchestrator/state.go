@@ -20,10 +20,11 @@ package orchestrator
 //   - Export/Import: ClusterState is the compact, replayable snapshot of
 //     everything a restarted control plane needs — node membership and
 //     cordon flags, the workload table, tenant quotas, and the clean
-//     admission-verdict keys. All derived accounting (per-node usage, VM
-//     assignments, shared-VM and tenant counters, tenant quota usage,
-//     the VM id sequence) is reconstructed from the workload table on
-//     import, so a snapshot can never disagree with its own bookkeeping.
+//     admission verdicts, one entry per image digest. All derived
+//     accounting (per-node usage, VM assignments, shared-VM and tenant
+//     counters, tenant quota usage, the VM id sequence) is reconstructed
+//     from the workload table on import, so a snapshot can never
+//     disagree with its own bookkeeping.
 
 import (
 	"slices"
@@ -51,7 +52,7 @@ const (
 	MutStop = "workload-stop"
 	// MutQuota: a tenant quota was set, absolute value (Tenant, Quota).
 	MutQuota = "quota"
-	// MutVerdict: a clean admission verdict was cached (Key).
+	// MutVerdict: clean admission verdicts were cached (Verdict).
 	MutVerdict = "admission-verdict"
 )
 
@@ -79,8 +80,15 @@ type Mutation struct {
 	// Tenant/Quota describe MutQuota.
 	Tenant string    `json:"tenant,omitempty"`
 	Quota  Resources `json:"quota,omitempty"`
-	// Key is the admission verdict-cache key for MutVerdict.
-	Key string `json:"key,omitempty"`
+	// Verdict is the commit MutVerdict records.
+	Verdict *VerdictCommit `json:"verdict,omitempty"`
+}
+
+// VerdictCommit is one commit of clean admission verdicts: the image
+// digest and the controllers the commit newly cleared for it, sorted.
+type VerdictCommit struct {
+	Digest      string   `json:"digest"`
+	Controllers []string `json:"controllers"`
 }
 
 // MutationSink receives one record per durable control-plane state
@@ -136,9 +144,14 @@ type ClusterState struct {
 	Nodes     []NodeState          `json:"nodes,omitempty"`
 	Workloads []Workload           `json:"workloads,omitempty"`
 	Quotas    map[string]Resources `json:"quotas,omitempty"`
-	// Verdicts are the clean admission-verdict cache keys
-	// ("controller\x00imageDigest").
+	// Verdicts is the flat list of clean-verdict keys
+	// ("controller\x00imageDigest") older snapshots hold. Only the
+	// persist package reads it, folding it into Cleared at recovery; the
+	// cluster neither imports nor exports it.
 	Verdicts []string `json:"verdicts,omitempty"`
+	// Cleared maps an image digest to the sorted controllers whose clean
+	// verdict on it is cached.
+	Cleared map[string][]string `json:"cleared,omitempty"`
 	// VMSeq is the VM id sequence floor; import additionally derives the
 	// maximum from the workload VM ids, so recovered placements never
 	// collide with freshly minted VMs.
@@ -170,7 +183,14 @@ func (c *Cluster) ExportState() ClusterState {
 	}
 	c.mu.RUnlock()
 	slices.SortFunc(st.Workloads, func(a, b Workload) int { return strings.Compare(a.Spec.Name, b.Spec.Name) })
-	st.Verdicts = c.VerdictKeys()
+	// The cached sets are never written, so the snapshot shares them.
+	c.adm.cache.Range(func(k, v any) bool {
+		if st.Cleared == nil {
+			st.Cleared = make(map[string][]string)
+		}
+		st.Cleared[k.(string)] = v.(*verdictSet).names
+		return true
+	})
 	return st
 }
 
@@ -233,8 +253,10 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 	}
 	c.vmSeq.Store(maxVM)
 	c.rebuildCandidatesLocked()
-	for _, k := range st.Verdicts {
-		c.adm.cache.Store(k, struct{}{})
+	for digest, names := range st.Cleared {
+		if digest != "" {
+			c.adm.commit(digest, names)
+		}
 	}
 	return imported
 }
@@ -250,18 +272,41 @@ func (c *Cluster) HasNode(name string) bool {
 	return ok
 }
 
-// VerdictKeys returns the clean admission-verdict cache keys, sorted —
-// the keys of the chain's one cache, shared with every peer.
+// VerdictKeys returns the cached clean verdicts as sorted
+// "controller\x00digest" keys — one per pair in the chain's one cache,
+// shared with every peer.
 func (c *Cluster) VerdictKeys() []string {
 	var keys []string
-	c.adm.cache.Range(func(k, _ any) bool {
-		if s, ok := k.(string); ok {
-			keys = append(keys, s)
+	c.adm.cache.Range(func(k, v any) bool {
+		for _, name := range v.(*verdictSet).names {
+			keys = append(keys, name+"\x00"+k.(string))
 		}
 		return true
 	})
 	sort.Strings(keys)
 	return keys
+}
+
+// MergeVerdicts returns the sorted union of set, a sorted and
+// duplicate-free verdict set, and names, plus the names it added,
+// sorted. set is never written: when nothing is added merged is set
+// itself, otherwise a fresh slice.
+func MergeVerdicts(set, names []string) (merged, added []string) {
+	for _, n := range names {
+		if !slices.Contains(set, n) && !slices.Contains(added, n) {
+			if added == nil {
+				added = make([]string, 0, len(names))
+			}
+			added = append(added, n)
+		}
+	}
+	if len(added) == 0 {
+		return set, nil
+	}
+	slices.Sort(added)
+	merged = append(append(make([]string, 0, len(set)+len(added)), set...), added...)
+	slices.Sort(merged)
+	return merged, added
 }
 
 // parseVMSeq extracts the sequence number from a "vm-NNN" id.

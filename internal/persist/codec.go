@@ -66,6 +66,10 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	if rec.Key != "" {
 		out = jsoncodec.AppendField(out, `,"key":`, rec.Key)
 	}
+	if v := rec.Verdict; v != nil {
+		out = jsoncodec.AppendField(out, `,"verdict":{"digest":`, v.Digest)
+		out = append(appendStrings(append(out, `,"controllers":`...), v.Controllers), '}')
+	}
 	if rec.Incident != nil {
 		out = appendIncident(append(out, `,"incident":`...), rec.Incident)
 	}
@@ -159,19 +163,42 @@ func appendCluster(dst []byte, c *orchestrator.ClusterState) ([]byte, bool) {
 		dst = append(dst, '}')
 	}
 	if len(c.Verdicts) > 0 {
-		dst = append(member(dst, start, `"verdicts":`), '[')
-		for i, k := range c.Verdicts {
+		dst = appendStrings(member(dst, start, `"verdicts":`), c.Verdicts)
+	}
+	if len(c.Cleared) > 0 {
+		digests := make([]string, 0, len(c.Cleared))
+		for d := range c.Cleared {
+			digests = append(digests, d)
+		}
+		slices.Sort(digests)
+		dst = append(member(dst, start, `"cleared":`), '{')
+		for i, d := range digests {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = jsoncodec.AppendString(dst, k)
+			dst = appendStrings(append(jsoncodec.AppendString(dst, d), ':'), c.Cleared[d])
 		}
-		dst = append(dst, ']')
+		dst = append(dst, '}')
 	}
 	if c.VMSeq != 0 {
 		dst = strconv.AppendInt(member(dst, start, `"vmSeq":`), c.VMSeq, 10)
 	}
 	return append(dst, '}'), true
+}
+
+// appendStrings appends ss as encoding/json does: null when nil.
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsoncodec.AppendString(dst, s)
+	}
+	return append(dst, ']')
 }
 
 func appendResources(dst []byte, r *orchestrator.Resources) []byte {
@@ -273,6 +300,9 @@ func recordField(d *jsoncodec.Decoder, r *Record, key []byte) bool {
 		return jsoncodec.Object(d, r.Quota, resourcesField)
 	case "key":
 		return d.String(&r.Key)
+	case "verdict":
+		r.Verdict = new(orchestrator.VerdictCommit)
+		return jsoncodec.Object(d, r.Verdict, verdictField)
 	case "incident":
 		r.Incident = new(Incident)
 		return jsoncodec.Object(d, r.Incident, incidentField)
@@ -304,6 +334,8 @@ func clusterField(d *jsoncodec.Decoder, c *orchestrator.ClusterState, key []byte
 		return jsoncodec.Map(d, &c.Quotas, resourcesField)
 	case "verdicts":
 		return d.Strings(&c.Verdicts)
+	case "cleared":
+		return jsoncodec.MapOf(d, &c.Cleared, (*jsoncodec.Decoder).Strings)
 	case "vmSeq":
 		return d.Int64(&c.VMSeq)
 	}
@@ -366,6 +398,16 @@ func workloadField(d *jsoncodec.Decoder, w *orchestrator.Workload, key []byte) b
 		return d.String(&w.Strategy)
 	case "score":
 		return d.Float64(&w.Score)
+	}
+	return false
+}
+
+func verdictField(d *jsoncodec.Decoder, v *orchestrator.VerdictCommit, key []byte) bool {
+	switch string(key) {
+	case "digest":
+		return d.String(&v.Digest)
+	case "controllers":
+		return d.Strings(&v.Controllers)
 	}
 	return false
 }

@@ -31,6 +31,9 @@ func codecSamples(s1, s2 string, n int64, score float64) ([]*Record, *State) {
 		{LSN: 3, Kind: KindStop, Name: s1},
 		{LSN: 4, Kind: KindQuota, Tenant: s2, Quota: &res},
 		{LSN: 5, Kind: KindVerdict, Key: s1 + "\x00" + s2},
+		{LSN: 5, Kind: KindVerdict, Verdict: &orchestrator.VerdictCommit{Digest: s2, Controllers: []string{s1, s2 + s1}}},
+		{LSN: 5, Kind: KindVerdict, Verdict: &orchestrator.VerdictCommit{Digest: s1, Controllers: []string{}}},
+		{LSN: 5, Kind: KindVerdict, Verdict: &orchestrator.VerdictCommit{}},
 		{LSN: 6, Kind: KindIncident, Incident: &in},
 		{Kind: s1},
 	}
@@ -40,6 +43,7 @@ func codecSamples(s1, s2 string, n int64, score float64) ([]*Record, *State) {
 			Workloads: []orchestrator.Workload{wl, {}},
 			Quotas:    map[string]orchestrator.Resources{s1: res, s2 + "z": {}},
 			Verdicts:  []string{s1 + "\x00" + s2, s2},
+			Cleared:   map[string][]string{s1: {s2, s1}, s2 + "\x00": nil, s1 + "z": {}},
 			VMSeq:     n,
 		}}
 	return recs, st
@@ -121,6 +125,13 @@ func FuzzWALCodec(f *testing.F) {
 	f.Add("x", "y", int64(7), 2.5, []byte(`{"lsn":3,"kind":"place","workload":{"spec":{"na`))
 	f.Add("x", "y", int64(7), 2.5, []byte(`{"lsn":1,"cluster":{"quotas":{"a":{"cpuMilli":1},"a":{"memoryMB":2}},"verdicts":["k\u0000v",null]},"incidents":[]}`))
 	f.Add("x", "y", int64(7), 2.5, []byte(`{"lsn":-0,"cluster":{"nodes":[{"name":"n","cordoned":false}],"vmSeq":1.0}}`))
+	// Per-digest verdicts: a digest with escapes, an empty controller
+	// list, a duplicated digest, legacy and new records side by side.
+	f.Add("sha256:\"<&>\u2028", "sast", int64(1), 0.0, []byte(`{"lsn":9,"kind":"admission-verdict","verdict":{"digest":"sha256:\"\u003c\u0026\u003e\u2028","controllers":["malware","sast"]}}`))
+	f.Add("x", "", int64(2), 0.0, []byte(`{"lsn":9,"kind":"admission-verdict","verdict":{"digest":"sha256:a","controllers":[]}}`))
+	f.Add("x", "y", int64(3), 0.0, []byte(`{"lsn":1,"cluster":{"cleared":{"sha256:a":["sast"],"sha256:a":["sca"],"sha256:b":null,"sha256:c":[]}}}`))
+	f.Add("x", "y", int64(4), 0.0, []byte(`{"lsn":1,"cluster":{"verdicts":["malware\u0000sha256:a"],"cleared":{"sha256:a":["sast","malware"]}}}`))
+	f.Add("x", "y", int64(5), 0.0, []byte("{\"lsn\":5,\"kind\":\"admission-verdict\",\"key\":\"malware\\u0000sha256:a\"}\n{\"lsn\":6,\"kind\":\"admission-verdict\",\"verdict\":{\"digest\":\"sha256:a\",\"controllers\":[\"sast\"]}}\n"))
 
 	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, score float64, data []byte) {
 		recs, st := codecSamples(s1, s2, n, score)

@@ -18,6 +18,16 @@
 // snapshots be taken concurrently with traffic: the snapshot's LSN is
 // read before the state export, and any mutation that slips into the
 // export afterwards is simply replayed again on recovery.
+//
+// Admission verdicts are kept per image digest at every layer: one
+// admission-verdict record carries a digest and the controllers an
+// admission run newly cleared for it (Verdict), and a
+// snapshot maps each digest to its controllers (ClusterState.Cleared).
+// Data directories written before that hold one record per
+// (controller, digest) pair (Key, "controller\x00digest") and a flat
+// key list in the snapshot (ClusterState.Verdicts). Both are still
+// decoded and replayed into the per-digest form, and never written; a
+// legacy key without the separator names no entry and is skipped.
 package persist
 
 import (
@@ -80,8 +90,11 @@ type Record struct {
 	// Quota (KindQuota).
 	Tenant string                  `json:"tenant,omitempty"`
 	Quota  *orchestrator.Resources `json:"quota,omitempty"`
-	// Clean admission-verdict cache key (KindVerdict).
-	Key string `json:"key,omitempty"`
+	// Clean admission verdicts (KindVerdict): one commit's digest and
+	// controllers. Key is the one "controller\x00digest" pair older logs
+	// carry instead; it is replayed, never written by the platform.
+	Key     string                      `json:"key,omitempty"`
+	Verdict *orchestrator.VerdictCommit `json:"verdict,omitempty"`
 	// Incident payload (KindIncident).
 	Incident *Incident `json:"incident,omitempty"`
 }
@@ -123,6 +136,17 @@ type Store interface {
 	Close() error
 }
 
+// splitVerdictKey splits a legacy verdict key, "controller\x00digest",
+// at its last NUL. It is false on a key with no NUL or an empty digest,
+// which names no cache entry.
+func splitVerdictKey(key string) (controller, digest string, ok bool) {
+	i := strings.LastIndexByte(key, 0)
+	if i < 0 || i == len(key)-1 {
+		return "", "", false
+	}
+	return key[:i], key[i+1:], true
+}
+
 // apply replays records (an LSN-ordered suffix of the log) onto base,
 // returning the recovered state. Records at or below base.LSN are
 // skipped; everything else applies last-wins, so overlap between the
@@ -140,9 +164,23 @@ func apply(base *State, recs []Record) *State {
 	for t, q := range base.Cluster.Quotas {
 		quotas[t] = q
 	}
-	verdicts := make(map[string]struct{}, len(base.Cluster.Verdicts))
+	// verdicts maps a digest to its sorted, duplicate-free controllers.
+	verdicts := make(map[string][]string, len(base.Cluster.Cleared))
+	cleared := func(digest string, names ...string) {
+		if digest == "" {
+			return
+		}
+		if merged, added := orchestrator.MergeVerdicts(verdicts[digest], names); added != nil {
+			verdicts[digest] = merged
+		}
+	}
+	for digest, names := range base.Cluster.Cleared {
+		cleared(digest, names...)
+	}
 	for _, k := range base.Cluster.Verdicts {
-		verdicts[k] = struct{}{}
+		if name, digest, ok := splitVerdictKey(k); ok {
+			cleared(digest, name)
+		}
 	}
 	incidents := append([]Incident(nil), base.Incidents...)
 	seenSeq := make(map[uint64]struct{}, len(incidents))
@@ -187,7 +225,12 @@ func apply(base *State, recs []Record) *State {
 				quotas[r.Tenant] = *r.Quota
 			}
 		case KindVerdict:
-			verdicts[r.Key] = struct{}{}
+			if r.Verdict != nil {
+				cleared(r.Verdict.Digest, r.Verdict.Controllers...)
+			}
+			if name, digest, ok := splitVerdictKey(r.Key); ok {
+				cleared(digest, name)
+			}
 		case KindIncident:
 			if r.Incident == nil {
 				break
@@ -220,11 +263,9 @@ func apply(base *State, recs []Record) *State {
 	if len(quotas) > 0 {
 		st.Cluster.Quotas = quotas
 	}
-	st.Cluster.Verdicts = make([]string, 0, len(verdicts))
-	for k := range verdicts {
-		st.Cluster.Verdicts = append(st.Cluster.Verdicts, k)
+	if len(verdicts) > 0 {
+		st.Cluster.Cleared = verdicts
 	}
-	slices.Sort(st.Cluster.Verdicts)
 	slices.SortFunc(incidents, func(a, b Incident) int { return cmp.Compare(a.Seq, b.Seq) })
 	st.Incidents = incidents
 	for _, i := range incidents {

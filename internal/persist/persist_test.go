@@ -65,8 +65,8 @@ func checkSeeded(t *testing.T, st *State) {
 	if q := st.Cluster.Quotas["acme"]; q.CPUMilli != 2000 {
 		t.Fatalf("quota = %+v", st.Cluster.Quotas)
 	}
-	if len(st.Cluster.Verdicts) != 1 {
-		t.Fatalf("verdicts = %v", st.Cluster.Verdicts)
+	if want := map[string][]string{"sha256:abc": {"malware"}}; !reflect.DeepEqual(st.Cluster.Cleared, want) || st.Cluster.Verdicts != nil {
+		t.Fatalf("verdicts = %v, flat %v; want %v", st.Cluster.Cleared, st.Cluster.Verdicts, want)
 	}
 	if len(st.Incidents) != 1 || st.Incidents[0].Source != "falco" {
 		t.Fatalf("incidents = %+v", st.Incidents)
