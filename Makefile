@@ -15,7 +15,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
+	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # bench-harness vets and tests the wire benchmark in benchmark/, a
 # separate module that `./...` does not reach but that compiles against
@@ -102,7 +102,7 @@ cores:
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'CandidateTable|AccountingBalanced|CommitRace' ./internal/orchestrator && \
 		GOMAXPROCS=$$n $(GO) test -race -count=5 -run 'WALConcurrentAppendSnapshot|WALGroupCommit|SnapshotWhileDeploying|CrashRecoveryExactState' ./internal/persist ./internal/core && \
 		GOMAXPROCS=$$n $(GO) test -race -count=2 -run 'CrossTheWire|Deterministic' ./internal/sim && \
-		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' . || exit 1; \
+		GOMAXPROCS=$$n $(GO) test -bench=. -benchtime=1x -run='^$$' ./... || exit 1; \
 	done
 	$(GO) test -count=3 -cpu 1,2,4 -run TestCampaignsDeterministic ./internal/sim
 

@@ -53,9 +53,10 @@ type WorkloadSpec struct {
 	Region string `json:"region,omitempty"`
 }
 
-// ToOrchestrator converts the wire spec to the library spec. Unknown
-// isolation names are an error here (before the request reaches the
-// pipeline) so a typo'd client fails with a clear message.
+// ToOrchestrator converts the wire spec to the library spec. An unknown
+// isolation (a bad-request *WireError) or a negative demand (the typed
+// *orchestrator.InvalidDemandError) is refused before the pipeline;
+// Encode answers both as bad-request.
 func (s WorkloadSpec) ToOrchestrator() (orchestrator.WorkloadSpec, error) {
 	spec := orchestrator.WorkloadSpec{
 		Name:     s.Name,
@@ -74,7 +75,8 @@ func (s WorkloadSpec) ToOrchestrator() (orchestrator.WorkloadSpec, error) {
 	case IsolationHard:
 		spec.Isolation = orchestrator.IsolationHard
 	default:
-		return orchestrator.WorkloadSpec{}, fmt.Errorf("api: unknown isolation %q (want %s|%s)", s.Isolation, IsolationSoft, IsolationHard)
+		return orchestrator.WorkloadSpec{}, &WireError{Code: CodeBadRequest,
+			Message: fmt.Sprintf("api: unknown isolation %q (want %s|%s)", s.Isolation, IsolationSoft, IsolationHard)}
 	}
 	if err := spec.CheckDemand(); err != nil {
 		return orchestrator.WorkloadSpec{}, err

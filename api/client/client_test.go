@@ -28,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"genio"
 	"genio/api"
 	"genio/api/server"
 	"genio/internal/container"
@@ -130,24 +129,24 @@ func TestConformanceDeploy(t *testing.T) {
 
 			// Admission rejection: typed verdict vector after decode.
 			_, err = cli.Deploy(ctx, spec("flagged", "acme/iot-gateway:1.4.2"))
-			var adm *genio.AdmissionError
+			var adm *orchestrator.AdmissionError
 			if !errors.As(err, &adm) {
 				t.Fatalf("want AdmissionError, got %T: %v", err, err)
 			}
-			if !errors.Is(err, genio.ErrRejected) || len(adm.Rejections()) == 0 {
+			if !errors.Is(err, orchestrator.ErrRejected) || len(adm.Rejections()) == 0 {
 				t.Fatalf("verdicts lost: %+v", adm)
 			}
 
 			// Unsigned image: pull error chaining to the container sentinel.
 			_, err = cli.Deploy(ctx, spec("shady", "freestuff/log-shipper:3.1"))
-			var pull *genio.ImagePullError
+			var pull *orchestrator.ImagePullError
 			if !errors.As(err, &pull) || !errors.Is(err, container.ErrUnsigned) {
 				t.Fatalf("want ImagePullError/ErrUnsigned, got %T: %v", err, err)
 			}
 
 			// Duplicate name.
 			_, err = cli.Deploy(ctx, spec("web", "acme/analytics:2.0.1"))
-			if !errors.Is(err, genio.ErrDuplicateName) {
+			if !errors.Is(err, orchestrator.ErrDuplicateName) {
 				t.Fatalf("want ErrDuplicateName, got %v", err)
 			}
 
@@ -266,7 +265,7 @@ func TestConformanceAsyncAndWatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d2.Await(ctx); !errors.Is(err, genio.ErrRejected) {
+			if _, err := d2.Await(ctx); !errors.Is(err, orchestrator.ErrRejected) {
 				t.Fatalf("want ErrRejected, got %v", err)
 			}
 			st2, err := d2.Status(ctx)
@@ -308,7 +307,7 @@ func TestConformanceCancelNeverPlaced(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = d.Await(ctx)
-			var cancelled *genio.CancelledError
+			var cancelled *orchestrator.CancelledError
 			if !errors.As(err, &cancelled) {
 				t.Fatalf("want CancelledError, got %T: %v", err, err)
 			}
@@ -362,7 +361,7 @@ func TestConformanceNodeLifecycle(t *testing.T) {
 			if err := cli.Uncordon(ctx, "olt-02"); err != nil {
 				t.Fatal(err)
 			}
-			var nf *genio.NodeNotFoundError
+			var nf *orchestrator.NodeNotFoundError
 			if err := cli.Cordon(ctx, "no-such-node"); !errors.As(err, &nf) {
 				t.Fatalf("want NodeNotFoundError, got %v", err)
 			}
@@ -551,8 +550,8 @@ func TestConformanceDeployBatch(t *testing.T) {
 					t.Fatalf("workload %s not in cluster", specs[i].Name)
 				}
 			}
-			var adm *genio.AdmissionError
-			if !errors.As(results[1].Err, &adm) || !errors.Is(results[1].Err, genio.ErrRejected) {
+			var adm *orchestrator.AdmissionError
+			if !errors.As(results[1].Err, &adm) || !errors.Is(results[1].Err, orchestrator.ErrRejected) {
 				t.Fatalf("results[1].Err = %v, want AdmissionError", results[1].Err)
 			}
 			if results[2].Err == nil || results[2].Workload != nil {

@@ -315,7 +315,7 @@ func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request, subject st
 	}
 	spec, err := req.Spec.ToOrchestrator()
 	if err != nil {
-		writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: err.Error()})
+		writeError(w, err)
 		return
 	}
 	wl, err := s.p.DeployContext(r.Context(), subject, spec)
@@ -369,7 +369,7 @@ func (s *Server) handleDeployBatch(w http.ResponseWriter, r *http.Request, subje
 	for i, ws := range req.Specs {
 		spec, err := ws.ToOrchestrator()
 		if err != nil {
-			results[i].Error = &api.WireError{Code: api.CodeBadRequest, Message: err.Error()}
+			results[i].Error = api.Encode(err)
 			continue
 		}
 		specs = append(specs, spec)
@@ -399,7 +399,7 @@ func (s *Server) handleDeployAsync(w http.ResponseWriter, r *http.Request, subje
 	}
 	spec, err := req.Spec.ToOrchestrator()
 	if err != nil {
-		writeWireError(w, &api.WireError{Code: api.CodeBadRequest, Message: err.Error()})
+		writeError(w, err)
 		return
 	}
 	s.mu.Lock()

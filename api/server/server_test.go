@@ -1541,8 +1541,9 @@ func TestDeployBatchOverHTTP(t *testing.T) {
 
 // TestNegativeDemandIs400OnEveryDeployRoute (T8): a negative resource
 // demand never reaches the pipeline from the wire — sync and async
-// deploys answer 400 bad-request, a batch reports it positionally while
-// its neighbours place, and node accounting is untouched.
+// deploys answer 400 bad-request carrying the typed rejection, a batch
+// reports it positionally while its neighbours place, and node
+// accounting is untouched.
 func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
 	p := testPlatform(t)
 	_, _, c := testServer(t, p)
@@ -1551,9 +1552,12 @@ func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
 
 	badRequest := func(route string, err error) {
 		t.Helper()
-		var we *api.WireError
-		if !errors.As(err, &we) || we.Code != api.CodeBadRequest || we.Status() != http.StatusBadRequest {
-			t.Fatalf("%s: err = %v, want 400 %s", route, err, api.CodeBadRequest)
+		var demand *orchestrator.InvalidDemandError
+		if !errors.As(err, &demand) || demand.Workload != "neg" {
+			t.Fatalf("%s: err = %T %v, want *InvalidDemandError for neg", route, err, err)
+		}
+		if we := api.Encode(err); we.Code != api.CodeBadRequest || we.Status() != http.StatusBadRequest {
+			t.Fatalf("%s: wire form %+v, want 400 %s", route, we, api.CodeBadRequest)
 		}
 	}
 	_, err := c.Deploy(ctx, neg)

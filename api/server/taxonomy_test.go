@@ -1,35 +1,56 @@
-package genio_test
+package server_test
 
-// Table-driven coverage of the control-plane error taxonomy: every
-// rejection path of the deploy pipeline must return an errors.As-able
-// typed error that errors.Is-matches both its specific sentinel and the
-// ErrRejected umbrella (cancellation matches ErrCancelled instead), plus
-// the DeployBatch partial-failure ordering determinism check.
+// Table-driven coverage of the control-plane error taxonomy over the
+// wire: every rejection path of the deploy pipeline, deployed through
+// client.HTTP against a loopback api/server, must reach the client as an
+// errors.As-able typed error that errors.Is-matches both its specific
+// sentinel and the ErrRejected umbrella (cancellation matches
+// ErrCancelled instead), plus the DeployBatch partial-failure ordering
+// determinism check. This is what lets a remote genioctl branch on
+// errors.Is/As exactly like in-process callers.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 
-	"genio"
 	"genio/api"
+	"genio/api/client"
+	"genio/api/server"
 	"genio/internal/container"
+	"genio/internal/core"
+	"genio/internal/events"
+	"genio/internal/orchestrator"
 	"genio/internal/rbac"
 )
 
-// taxonomyPlatform builds a secure platform with every fixture image
+// taxonomyWorld is a platform served on a loopback listener that trusts
+// the subject header, so each case can deploy as whom it needs.
+type taxonomyWorld struct {
+	p   *core.Platform
+	url string
+}
+
+// client returns a wire client acting as subject, closed with the test.
+func (w *taxonomyWorld) client(t *testing.T, subject string) *client.HTTP {
+	cli := client.NewHTTP(w.url, client.WithSubject(subject))
+	t.Cleanup(func() { cli.Close() })
+	return cli
+}
+
+// newTaxonomyWorld builds a secure platform with every fixture image
 // signed by the trusted publisher (so each scanner's rejection path is
-// reachable), one unsigned hostile image, and scoped deploy rights.
-func taxonomyPlatform(t *testing.T) *genio.Platform {
+// reachable), one unsigned hostile image, and scoped deploy rights, and
+// serves it on a loopback listener.
+func newTaxonomyWorld(t *testing.T) *taxonomyWorld {
 	t.Helper()
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := core.New(core.SecureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if _, err := p.AddEdgeNode("olt-01", genio.Resources{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
+	if _, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 4000, MemoryMB: 8192}); err != nil {
 		t.Fatal(err)
 	}
 	pub, err := container.NewPublisher("acme")
@@ -53,23 +74,35 @@ func taxonomyPlatform(t *testing.T) *genio.Platform {
 	if err := p.RBAC.Bind("ci", "acme-deployer"); err != nil {
 		t.Fatal(err)
 	}
-	p.Cluster.SetQuota("acme", genio.Resources{CPUMilli: 3000, MemoryMB: 6144})
-	return p
+	p.Cluster.SetQuota("acme", orchestrator.Resources{CPUMilli: 3000, MemoryMB: 6144})
+	url, stop, err := server.New(p, server.Options{AllowAnonymous: true}).ServeLoopback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	return &taxonomyWorld{p: p, url: url}
 }
 
-func taxonomySpec(name, ref string, cpu, mem int) genio.WorkloadSpec {
-	return genio.WorkloadSpec{
+func taxonomySpec(name, ref string, cpu, mem int) api.WorkloadSpec {
+	return api.WorkloadSpec{
 		Name: name, Tenant: "acme", ImageRef: ref,
-		Isolation: genio.IsolationSoft,
-		Resources: genio.Resources{CPUMilli: cpu, MemoryMB: mem},
+		Isolation: api.IsolationSoft,
+		Resources: api.Resources{CPUMilli: cpu, MemoryMB: mem},
 	}
+}
+
+// deploy runs spec through the wire as subject ci.
+func (w *taxonomyWorld) deploy(t *testing.T, spec api.WorkloadSpec) error {
+	_, err := w.client(t, "ci").Deploy(context.Background(), spec)
+	return err
 }
 
 func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 	tests := []struct {
 		name string
-		// deploy returns the error under test against a fresh platform.
-		deploy func(t *testing.T, p *genio.Platform) error
+		// deploy returns the error under test, as the client decoded
+		// it, against a fresh platform.
+		deploy func(t *testing.T, w *taxonomyWorld) error
 		// as asserts the concrete type (errors.As) and may inspect it.
 		as func(t *testing.T, err error)
 		// is lists sentinels that must match; notIs must not.
@@ -82,12 +115,11 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 	}{
 		{
 			name: "malware scanner rejection",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("miner", "freestuff/optimizer:latest", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("miner", "freestuff/optimizer:latest", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var adm *genio.AdmissionError
+				var adm *orchestrator.AdmissionError
 				if !errors.As(err, &adm) {
 					t.Fatalf("want *AdmissionError, got %T: %v", err, err)
 				}
@@ -99,18 +131,17 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("verdict vector has %d entries, want the full chain", len(adm.Verdicts))
 				}
 			},
-			is:       []error{genio.ErrDenied, genio.ErrRejected},
-			notIs:    []error{genio.ErrCancelled, genio.ErrQuotaExceeded},
+			is:       []error{orchestrator.ErrDenied, orchestrator.ErrRejected},
+			notIs:    []error{orchestrator.ErrCancelled, orchestrator.ErrQuotaExceeded},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "sast scanner rejection",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("gw", "acme/iot-gateway:1.4.2", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("gw", "acme/iot-gateway:1.4.2", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var adm *genio.AdmissionError
+				var adm *orchestrator.AdmissionError
 				if !errors.As(err, &adm) {
 					t.Fatalf("want *AdmissionError, got %T: %v", err, err)
 				}
@@ -118,17 +149,16 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("rejections = %+v, want sast-gate", rej)
 				}
 			},
-			is:       []error{genio.ErrDenied, genio.ErrRejected},
+			is:       []error{orchestrator.ErrDenied, orchestrator.ErrRejected},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "sca scanner rejection",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("ml", "acme/ml-inference:0.9.0", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("ml", "acme/ml-inference:0.9.0", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var adm *genio.AdmissionError
+				var adm *orchestrator.AdmissionError
 				if !errors.As(err, &adm) {
 					t.Fatalf("want *AdmissionError, got %T: %v", err, err)
 				}
@@ -136,17 +166,16 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("rejections = %+v, want sca-gate", rej)
 				}
 			},
-			is:       []error{genio.ErrDenied, genio.ErrRejected},
+			is:       []error{orchestrator.ErrDenied, orchestrator.ErrRejected},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "unsigned image at pull",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("backdoor", "freestuff/log-shipper:3.1", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("backdoor", "freestuff/log-shipper:3.1", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var pull *genio.ImagePullError
+				var pull *orchestrator.ImagePullError
 				if !errors.As(err, &pull) {
 					t.Fatalf("want *ImagePullError, got %T: %v", err, err)
 				}
@@ -154,33 +183,31 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("ref = %q", pull.Ref)
 				}
 			},
-			is:       []error{container.ErrUnsigned, genio.ErrRejected},
-			notIs:    []error{genio.ErrDenied},
+			is:       []error{container.ErrUnsigned, orchestrator.ErrRejected},
+			notIs:    []error{orchestrator.ErrDenied},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "unknown image at pull",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("ghost", "ghost/unknown:0.0", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("ghost", "ghost/unknown:0.0", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var pull *genio.ImagePullError
+				var pull *orchestrator.ImagePullError
 				if !errors.As(err, &pull) {
 					t.Fatalf("want *ImagePullError, got %T: %v", err, err)
 				}
 			},
-			is:       []error{container.ErrNotFound, genio.ErrRejected},
+			is:       []error{container.ErrNotFound, orchestrator.ErrRejected},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "tenant quota exceeded",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("hog", "acme/analytics:2.0.1", 3500, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("hog", "acme/analytics:2.0.1", 3500, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var quota *genio.QuotaError
+				var quota *orchestrator.QuotaError
 				if !errors.As(err, &quota) {
 					t.Fatalf("want *QuotaError, got %T: %v", err, err)
 				}
@@ -188,19 +215,18 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("quota arithmetic = %+v", quota)
 				}
 			},
-			is:       []error{genio.ErrQuotaExceeded, genio.ErrRejected},
-			notIs:    []error{genio.ErrNoCapacity},
+			is:       []error{orchestrator.ErrQuotaExceeded, orchestrator.ErrRejected},
+			notIs:    []error{orchestrator.ErrNoCapacity},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "no node capacity",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				p.Cluster.SetQuota("acme", genio.Resources{}) // unlimited: isolate capacity
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("big", "acme/analytics:2.0.1", 100000, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				w.p.Cluster.SetQuota("acme", orchestrator.Resources{}) // unlimited: isolate capacity
+				return w.deploy(t, taxonomySpec("big", "acme/analytics:2.0.1", 100000, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var capa *genio.CapacityError
+				var capa *orchestrator.CapacityError
 				if !errors.As(err, &capa) {
 					t.Fatalf("want *CapacityError, got %T: %v", err, err)
 				}
@@ -208,17 +234,17 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("capacity detail = %+v", capa)
 				}
 			},
-			is:       []error{genio.ErrNoCapacity, genio.ErrRejected},
+			is:       []error{orchestrator.ErrNoCapacity, orchestrator.ErrRejected},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "rbac denial",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "stranger", taxonomySpec("spy", "acme/analytics:2.0.1", 100, 128))
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				_, err := w.client(t, "stranger").Deploy(context.Background(), taxonomySpec("spy", "acme/analytics:2.0.1", 100, 128))
 				return err
 			},
 			as: func(t *testing.T, err error) {
-				var unauth *genio.UnauthorizedError
+				var unauth *orchestrator.UnauthorizedError
 				if !errors.As(err, &unauth) {
 					t.Fatalf("want *UnauthorizedError, got %T: %v", err, err)
 				}
@@ -226,20 +252,19 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("unauthorized detail = %+v", unauth)
 				}
 			},
-			is:       []error{genio.ErrUnauthorized, genio.ErrRejected},
+			is:       []error{orchestrator.ErrUnauthorized, orchestrator.ErrRejected},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "duplicate workload name",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				if _, err := p.DeployContext(context.Background(), "ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128)); err != nil {
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				if err := w.deploy(t, taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128)); err != nil {
 					t.Fatalf("first deploy: %v", err)
 				}
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128))
-				return err
+				return w.deploy(t, taxonomySpec("dup", "acme/analytics:2.0.1", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var dup *genio.DuplicateNameError
+				var dup *orchestrator.DuplicateNameError
 				if !errors.As(err, &dup) {
 					t.Fatalf("want *DuplicateNameError, got %T: %v", err, err)
 				}
@@ -247,17 +272,16 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("workload = %q", dup.Workload)
 				}
 			},
-			is:       []error{genio.ErrDuplicateName, genio.ErrRejected},
+			is:       []error{orchestrator.ErrDuplicateName, orchestrator.ErrRejected},
 			counters: [2]int{1, 1},
 		},
 		{
 			name: "negative resource demand",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("neg", "acme/analytics:2.0.1", -100000, -100000))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				return w.deploy(t, taxonomySpec("neg", "acme/analytics:2.0.1", -100000, -100000))
 			},
 			as: func(t *testing.T, err error) {
-				var demand *genio.InvalidDemandError
+				var demand *orchestrator.InvalidDemandError
 				if !errors.As(err, &demand) {
 					t.Fatalf("want *InvalidDemandError, got %T: %v", err, err)
 				}
@@ -265,20 +289,20 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("demand detail = %+v", demand)
 				}
 			},
-			is:       []error{genio.ErrRejected},
-			notIs:    []error{genio.ErrQuotaExceeded, genio.ErrNoCapacity},
-			counters: [2]int{0, 1},
+			is:    []error{orchestrator.ErrRejected},
+			notIs: []error{orchestrator.ErrQuotaExceeded, orchestrator.ErrNoCapacity},
+			// The server refuses the spec before it reaches the platform.
+			counters: [2]int{0, 0},
 		},
 		{
 			name: "unknown placement policy",
-			deploy: func(t *testing.T, p *genio.Platform) error {
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
 				spec := taxonomySpec("typo", "acme/analytics:2.0.1", 100, 128)
 				spec.PlacementPolicy = "round-robin"
-				_, err := p.DeployContext(context.Background(), "ci", spec)
-				return err
+				return w.deploy(t, spec)
 			},
 			as: func(t *testing.T, err error) {
-				var policy *genio.PlacementPolicyError
+				var policy *orchestrator.PlacementPolicyError
 				if !errors.As(err, &policy) {
 					t.Fatalf("want *PlacementPolicyError, got %T: %v", err, err)
 				}
@@ -286,56 +310,73 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 					t.Fatalf("policy detail = %+v", policy)
 				}
 			},
-			is:       []error{genio.ErrRejected},
-			notIs:    []error{genio.ErrNoCapacity},
+			is:       []error{orchestrator.ErrRejected},
+			notIs:    []error{orchestrator.ErrNoCapacity},
 			counters: [2]int{0, 1},
 		},
 		{
 			name: "closed platform",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				p.Close()
-				_, err := p.DeployContext(context.Background(), "ci", taxonomySpec("late", "acme/analytics:2.0.1", 100, 128))
-				return err
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				w.p.Close()
+				return w.deploy(t, taxonomySpec("late", "acme/analytics:2.0.1", 100, 128))
 			},
 			as: func(t *testing.T, err error) {
-				var closed *genio.ClosedError
+				var closed *core.ClosedError
 				if !errors.As(err, &closed) {
 					t.Fatalf("want *ClosedError, got %T: %v", err, err)
 				}
 			},
-			is:       []error{genio.ErrClosed},
-			notIs:    []error{genio.ErrRejected},
+			is:       []error{events.ErrClosed},
+			notIs:    []error{orchestrator.ErrRejected},
 			counters: [2]int{0, 0},
 		},
 		{
 			name: "cancelled before start",
-			deploy: func(t *testing.T, p *genio.Platform) error {
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				_, err := p.DeployContext(ctx, "ci", taxonomySpec("never", "acme/analytics:2.0.1", 100, 128))
+			// A sync deploy whose context dies ends at the client's own
+			// transport; the typed cancellation reaches a client through a
+			// future. A gate holds the deploy in admission until the
+			// client's cancel lands, so nothing is placed or counted.
+			deploy: func(t *testing.T, w *taxonomyWorld) error {
+				entered := make(chan struct{})
+				w.p.Cluster.RegisterAdmissionCtx("test-gate",
+					func(ctx context.Context, _ orchestrator.WorkloadSpec, _ *container.Image) error {
+						close(entered)
+						<-ctx.Done()
+						return ctx.Err()
+					})
+				ctx := context.Background()
+				d, err := w.client(t, "ci").DeployAsync(ctx, taxonomySpec("never", "acme/analytics:2.0.1", 100, 128))
+				if err != nil {
+					t.Fatalf("submit: %v", err)
+				}
+				<-entered
+				if err := d.Cancel(ctx); err != nil {
+					t.Fatalf("cancel: %v", err)
+				}
+				_, err = d.Await(ctx)
 				return err
 			},
 			as: func(t *testing.T, err error) {
-				var cancelled *genio.CancelledError
+				var cancelled *orchestrator.CancelledError
 				if !errors.As(err, &cancelled) {
 					t.Fatalf("want *CancelledError, got %T: %v", err, err)
 				}
 			},
-			is:       []error{genio.ErrCancelled, context.Canceled},
-			notIs:    []error{genio.ErrRejected, genio.ErrDenied},
+			is:       []error{orchestrator.ErrCancelled, context.Canceled},
+			notIs:    []error{orchestrator.ErrRejected, orchestrator.ErrDenied},
 			counters: [2]int{0, 0},
 		},
 	}
 
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			p := taxonomyPlatform(t)
-			err := tc.deploy(t, p)
+			w := newTaxonomyWorld(t)
+			err := tc.deploy(t, w)
 			if err == nil {
 				t.Fatal("deploy succeeded; want typed rejection")
 			}
 			tc.as(t, err)
-			if admitted, rejected := p.Cluster.Counters(); [2]int{admitted, rejected} != tc.counters {
+			if admitted, rejected := w.p.Cluster.Counters(); [2]int{admitted, rejected} != tc.counters {
 				t.Errorf("Counters() = %d admitted, %d rejected; want %v", admitted, rejected, tc.counters)
 			}
 			for _, sentinel := range tc.is {
@@ -349,38 +390,6 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 				}
 			}
 
-			// The same taxonomy must survive the control-plane wire: encode
-			// to the JSON wire error, round-trip the bytes, decode — and
-			// re-run every assertion against the reconstruction. This is
-			// what lets a remote genioctl branch on errors.Is/As exactly
-			// like in-process callers.
-			we := api.Encode(err)
-			if we == nil {
-				t.Fatal("Encode returned nil for a non-nil error")
-			}
-			data, jerr := json.Marshal(we)
-			if jerr != nil {
-				t.Fatalf("marshal wire error: %v", jerr)
-			}
-			var back api.WireError
-			if jerr := json.Unmarshal(data, &back); jerr != nil {
-				t.Fatalf("unmarshal wire error: %v", jerr)
-			}
-			decoded := api.Decode(&back)
-			if decoded == nil {
-				t.Fatal("Decode returned nil")
-			}
-			tc.as(t, decoded)
-			for _, sentinel := range tc.is {
-				if !errors.Is(decoded, sentinel) {
-					t.Errorf("decoded: errors.Is(%v, %v) = false, want true", decoded, sentinel)
-				}
-			}
-			for _, sentinel := range tc.notIs {
-				if errors.Is(decoded, sentinel) {
-					t.Errorf("decoded: errors.Is(%v, %v) = true, want false", decoded, sentinel)
-				}
-			}
 		})
 	}
 }
@@ -393,11 +402,11 @@ func TestDeployBatchPartialFailureOrdering(t *testing.T) {
 		switch {
 		case err == nil:
 			return "placed"
-		case errors.Is(err, genio.ErrDenied):
+		case errors.Is(err, orchestrator.ErrDenied):
 			return "denied"
 		case errors.Is(err, container.ErrUnsigned):
 			return "unsigned"
-		case errors.Is(err, genio.ErrQuotaExceeded):
+		case errors.Is(err, orchestrator.ErrQuotaExceeded):
 			return "quota"
 		default:
 			return fmt.Sprintf("other(%v)", err)
@@ -405,23 +414,26 @@ func TestDeployBatchPartialFailureOrdering(t *testing.T) {
 	}
 	want := []string{"placed", "denied", "unsigned", "placed", "denied"}
 	for run := 0; run < 3; run++ {
-		p := taxonomyPlatform(t)
-		specs := []genio.WorkloadSpec{
+		w := newTaxonomyWorld(t)
+		specs := []api.WorkloadSpec{
 			taxonomySpec("b0", "acme/analytics:2.0.1", 100, 128),
 			taxonomySpec("b1", "freestuff/optimizer:latest", 100, 128),
 			taxonomySpec("b2", "freestuff/log-shipper:3.1", 100, 128),
 			taxonomySpec("b3", "acme/analytics:2.0.1", 100, 128),
 			taxonomySpec("b4", "acme/iot-gateway:1.4.2", 100, 128),
 		}
-		workloads, errs := p.DeployBatchContext(context.Background(), "ci", specs)
-		if len(workloads) != len(specs) || len(errs) != len(specs) {
-			t.Fatalf("run %d: result lengths %d/%d", run, len(workloads), len(errs))
+		results, err := w.client(t, "ci").DeployBatch(context.Background(), specs)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
-		for i := range specs {
-			if got := classify(errs[i]); got != want[i] {
+		if len(results) != len(specs) {
+			t.Fatalf("run %d: %d results for %d specs", run, len(results), len(specs))
+		}
+		for i, res := range results {
+			if got := classify(res.Err); got != want[i] {
 				t.Fatalf("run %d spec %d: classified %q, want %q", run, i, got, want[i])
 			}
-			if (workloads[i] != nil) == (errs[i] != nil) {
+			if (res.Workload != nil) == (res.Err != nil) {
 				t.Fatalf("run %d spec %d: exactly one of workload/err must be set", run, i)
 			}
 		}

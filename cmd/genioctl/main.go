@@ -61,12 +61,15 @@ import (
 	"strings"
 	"time"
 
-	"genio"
 	"genio/api"
 	"genio/api/client"
 	"genio/api/server"
+	"genio/internal/attack"
 	"genio/internal/container"
+	"genio/internal/core"
 	"genio/internal/demo"
+	"genio/internal/federation"
+	"genio/internal/orchestrator"
 	"genio/internal/rbac"
 	"genio/internal/trace"
 )
@@ -105,14 +108,14 @@ func run(args []string, out io.Writer) error {
 }
 
 // parsePosture maps the -posture flag value to a Config.
-func parsePosture(name string) (genio.Config, error) {
+func parsePosture(name string) (core.Config, error) {
 	switch name {
 	case "secure":
-		return genio.SecureConfig(), nil
+		return core.SecureConfig(), nil
 	case "legacy":
-		return genio.LegacyConfig(), nil
+		return core.LegacyConfig(), nil
 	default:
-		return genio.Config{}, fmt.Errorf("unknown posture %q", name)
+		return core.Config{}, fmt.Errorf("unknown posture %q", name)
 	}
 }
 
@@ -183,7 +186,7 @@ func (c *connFlags) newClient(fixtureWorkloads int) (*client.HTTP, func() error,
 type loopback struct {
 	*client.HTTP
 	stop func()
-	p    *genio.Platform
+	p    *core.Platform
 }
 
 // newLoopback brings up the demo platform in the chosen -posture and
@@ -301,7 +304,7 @@ func runDeploy(args []string, out io.Writer) error {
 		// -timeout or Ctrl-C beat the submit: the control plane handed out
 		// no deployment, so report the typed cancellation, not the
 		// transport's view of the dead context.
-		printDeployError(out, &genio.CancelledError{Workload: *name, Stage: "submit", Err: ctx.Err()})
+		printDeployError(out, &orchestrator.CancelledError{Workload: *name, Stage: "submit", Err: ctx.Err()})
 		return nil
 	}
 	wl, err := d.Await(ctx)
@@ -372,13 +375,13 @@ func runDeployBatch(ctx context.Context, cli *client.HTTP, path string, out io.W
 // printDeployError renders the typed taxonomy instead of one string:
 // wire errors decode back to the library's types (genio/api).
 func printDeployError(out io.Writer, err error) {
-	var adm *genio.AdmissionError
-	var pull *genio.ImagePullError
-	var quota *genio.QuotaError
-	var capa *genio.CapacityError
-	var cancelled *genio.CancelledError
-	var pinned *genio.RegionPinnedError
-	var fedCap *genio.FederationCapacityError
+	var adm *orchestrator.AdmissionError
+	var pull *orchestrator.ImagePullError
+	var quota *orchestrator.QuotaError
+	var capa *orchestrator.CapacityError
+	var cancelled *orchestrator.CancelledError
+	var pinned *federation.RegionPinnedError
+	var fedCap *federation.FederationCapacityError
 	switch {
 	// Federation cases first: a FederationCapacityError may wrap the last
 	// member cluster's CapacityError, which would match the generic
@@ -724,14 +727,15 @@ func runDemo(args []string, out io.Writer) error {
 		return err
 	}
 
-	p, err := genio.NewPlatform(cfg)
+	p, err := core.New(cfg)
 	if err != nil {
 		return fmt.Errorf("platform: %w", err)
 	}
+	defer p.Close()
 	fmt.Fprintf(out, "GENIO platform up in %q posture\n\n", *posture)
 
 	for _, node := range []string{"olt-01", "olt-02"} {
-		n, err := p.AddEdgeNode(node, genio.Resources{CPUMilli: 16000, MemoryMB: 32768})
+		n, err := p.AddEdgeNode(node, orchestrator.Resources{CPUMilli: 16000, MemoryMB: 32768})
 		if err != nil {
 			return fmt.Errorf("edge node %s: %w", node, err)
 		}
@@ -764,19 +768,19 @@ func runDemo(args []string, out io.Writer) error {
 		return err
 	}
 
-	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
-		Isolation: genio.IsolationSoft,
-		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 	}); err != nil {
 		return fmt.Errorf("deploy analytics: %w", err)
 	}
 	fmt.Fprintln(out, "\nworkload acme/analytics deployed")
 
-	if _, err := p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
-		Isolation: genio.IsolationSoft,
-		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 	}); err != nil {
 		fmt.Fprintf(out, "hostile image rejected: %v\n", err)
 	} else {
@@ -817,7 +821,7 @@ func runDemo(args []string, out io.Writer) error {
 
 	if *campaign {
 		fmt.Fprintln(out, "\nrunning T1-T8 attack campaign...")
-		c, err := genio.NewCampaign(p)
+		c, err := attack.NewCampaign(p)
 		if err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
@@ -825,9 +829,9 @@ func runDemo(args []string, out io.Writer) error {
 		for _, r := range results {
 			fmt.Fprintf(out, "  %-3s %-42s %-9s %s\n", r.ThreatID, r.Attack, r.Outcome, r.Detail)
 		}
-		s := genio.SummarizeAttacks(results)
+		s := attack.Summary(results)
 		fmt.Fprintf(out, "summary: blocked=%d detected=%d missed=%d\n",
-			s[genio.AttackBlocked], s[genio.AttackDetected], s[genio.AttackMissed])
+			s[attack.OutcomeBlocked], s[attack.OutcomeDetected], s[attack.OutcomeMissed])
 	}
 	return nil
 }

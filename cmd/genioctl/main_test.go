@@ -259,6 +259,31 @@ func TestCampaignFlag(t *testing.T) {
 	}
 }
 
+// TestDemoClosesPlatform: the demo driver closes the platform it builds,
+// so each run leaves no spine goroutine behind. The count is polled
+// against a deadline because a closed spine's goroutine exits on its own
+// schedule.
+func TestDemoClosesPlatform(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for _, args := range [][]string{
+		{"-posture", "secure", "-campaign"},
+		{"-posture", "legacy"},
+		{"-posture", "secure"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("run(%q): %v", args, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestUnknownPosture(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-posture", "chaotic"}, &buf); err == nil {

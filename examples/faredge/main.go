@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"genio"
 	"genio/internal/container"
+	"genio/internal/core"
+	"genio/internal/orchestrator"
 	"genio/internal/pon"
 	"genio/internal/rbac"
 )
@@ -23,11 +24,12 @@ func main() {
 
 func run() error {
 	ctx := context.Background()
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := core.New(core.SecureConfig())
 	if err != nil {
 		return err
 	}
-	if _, err := p.AddEdgeNode("olt-01", genio.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
+	defer p.Close()
+	if _, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
 		return err
 	}
 	var onus []*pon.ONU
@@ -59,9 +61,9 @@ func run() error {
 	}
 
 	// Ultra-low-latency camera analytics on the customer-premises ONU.
-	w, err := p.DeployFarEdge(ctx, "acme-ci", "olt-01", "onu-0001", genio.WorkloadSpec{
+	w, err := p.DeployFarEdge(ctx, "acme-ci", "olt-01", "onu-0001", orchestrator.WorkloadSpec{
 		Name: "cam-analytics", Tenant: "acme", ImageRef: img.Ref(),
-		Resources: genio.Resources{CPUMilli: 400, MemoryMB: 384},
+		Resources: orchestrator.Resources{CPUMilli: 400, MemoryMB: 384},
 	})
 	if err != nil {
 		return fmt.Errorf("far-edge deploy: %w", err)
@@ -70,9 +72,9 @@ func run() error {
 		w.Spec.Name, w.Node, w.Serial)
 
 	// Admission scanning still applies at the far edge.
-	if _, err := p.DeployFarEdge(ctx, "acme-ci", "olt-01", "onu-0001", genio.WorkloadSpec{
+	if _, err := p.DeployFarEdge(ctx, "acme-ci", "olt-01", "onu-0001", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "acme", ImageRef: miner.Ref(),
-		Resources: genio.Resources{CPUMilli: 100, MemoryMB: 128},
+		Resources: orchestrator.Resources{CPUMilli: 100, MemoryMB: 128},
 	}); err != nil {
 		fmt.Printf("malicious far-edge deploy rejected: %v\n", err)
 	}

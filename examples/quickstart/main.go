@@ -11,8 +11,9 @@ import (
 	"log"
 	"time"
 
-	"genio"
 	"genio/internal/container"
+	"genio/internal/core"
+	"genio/internal/orchestrator"
 	"genio/internal/rbac"
 )
 
@@ -24,14 +25,15 @@ func main() {
 
 func run() error {
 	// 1. Platform in the paper's security-by-design posture.
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := core.New(core.SecureConfig())
 	if err != nil {
 		return fmt.Errorf("platform: %w", err)
 	}
+	defer p.Close()
 
 	// 2. An OLT in a central office becomes an edge hub: hardened OS,
 	//    verified boot, attestation, sealed storage, FIM baseline.
-	node, err := p.AddEdgeNode("olt-01", genio.Resources{CPUMilli: 8000, MemoryMB: 16384})
+	node, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384})
 	if err != nil {
 		return fmt.Errorf("edge node: %w", err)
 	}
@@ -68,7 +70,7 @@ func run() error {
 	//    topic.
 	watchCtx, stopWatch := context.WithCancel(context.Background())
 	defer stopWatch()
-	lifecycle, err := p.Watch(watchCtx, genio.WatchSelector{Tenant: "acme"})
+	lifecycle, err := p.Watch(watchCtx, core.WatchSelector{Tenant: "acme"})
 	if err != nil {
 		return fmt.Errorf("watch: %w", err)
 	}
@@ -88,10 +90,10 @@ func run() error {
 	//    without ever placing the workload.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	d, err := p.DeployAsync(ctx, "acme-ci", genio.WorkloadSpec{
+	d, err := p.DeployAsync(ctx, "acme-ci", orchestrator.WorkloadSpec{
 		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
-		Isolation: genio.IsolationSoft,
-		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 	})
 	if err != nil {
 		return fmt.Errorf("deploy: %w", err)
@@ -106,16 +108,16 @@ func run() error {
 	// 8. Rejections are typed: a hostile image reports the scanner that
 	//    caught it, not an opaque string.
 	p.Registry.Push(container.CryptominerImage(), nil) // adversary upload, unsigned
-	_, err = p.DeployContext(context.Background(), "acme-ci", genio.WorkloadSpec{
+	_, err = p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
 		Name: "optimizer", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
-		Isolation: genio.IsolationSoft,
-		Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 	})
-	var pull *genio.ImagePullError
+	var pull *orchestrator.ImagePullError
 	switch {
 	case errors.As(err, &pull):
 		fmt.Printf("hostile image rejected at pull: %v\n", pull.Err)
-	case errors.Is(err, genio.ErrRejected):
+	case errors.Is(err, orchestrator.ErrRejected):
 		fmt.Printf("hostile image rejected: %v\n", err)
 	case err == nil:
 		return fmt.Errorf("hostile image was admitted")

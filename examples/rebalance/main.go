@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"genio"
 	"genio/internal/container"
+	"genio/internal/core"
+	"genio/internal/events"
+	"genio/internal/orchestrator"
 	"genio/internal/rbac"
 )
 
@@ -23,7 +25,7 @@ func main() {
 }
 
 func run() error {
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := core.New(core.SecureConfig())
 	if err != nil {
 		return fmt.Errorf("platform: %w", err)
 	}
@@ -32,7 +34,7 @@ func run() error {
 	// A 4-node fleet of equal OLTs.
 	for i := 1; i <= 4; i++ {
 		name := fmt.Sprintf("olt-%02d", i)
-		if _, err := p.AddEdgeNode(name, genio.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
+		if _, err := p.AddEdgeNode(name, orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
 			return fmt.Errorf("edge node %s: %w", name, err)
 		}
 	}
@@ -52,13 +54,13 @@ func run() error {
 	if err := p.RBAC.Bind("acme-ci", "acme-deployer"); err != nil {
 		return err
 	}
-	p.Cluster.SetQuota("acme", genio.Resources{CPUMilli: 16000, MemoryMB: 32768})
+	p.Cluster.SetQuota("acme", orchestrator.Resources{CPUMilli: 16000, MemoryMB: 32768})
 
-	spec := func(name, policy string) genio.WorkloadSpec {
-		return genio.WorkloadSpec{
+	spec := func(name, policy string) orchestrator.WorkloadSpec {
+		return orchestrator.WorkloadSpec{
 			Name: name, Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
-			Isolation: genio.IsolationSoft, PlacementPolicy: policy,
-			Resources: genio.Resources{CPUMilli: 500, MemoryMB: 512},
+			Isolation: orchestrator.IsolationSoft, PlacementPolicy: policy,
+			Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
 		}
 	}
 
@@ -76,10 +78,10 @@ func run() error {
 	// Phase 2 — cordon + drain the hot node. Every migration publishes
 	// on the node.drain topic; subscribe the way a dashboard would.
 	hot := hottestNode(p)
-	sub, err := p.Subscribe("rebalance-drain", []genio.Topic{genio.TopicNodeDrain},
-		func(batch []genio.Event) {
+	sub, err := p.Subscribe("rebalance-drain", []events.Topic{events.TopicNodeDrain},
+		func(batch []events.Event) {
 			for _, ev := range batch {
-				if de, ok := ev.Payload.(genio.DrainEvent); ok && de.Phase == genio.DrainMigrated {
+				if de, ok := ev.Payload.(orchestrator.DrainEvent); ok && de.Phase == orchestrator.DrainMigrated {
 					fmt.Printf("  drain: %-8s %s -> %s (score %.3f)\n", de.Workload, de.Node, de.Target, de.Score)
 				}
 			}
@@ -105,7 +107,7 @@ func run() error {
 	fmt.Println("\nphase 3: deploy 4 workloads under spread, via the watch API")
 	watchCtx, stopWatch := context.WithCancel(context.Background())
 	defer stopWatch()
-	lifecycle, err := p.Watch(watchCtx, genio.WatchSelector{Tenant: "acme", TerminalOnly: true})
+	lifecycle, err := p.Watch(watchCtx, core.WatchSelector{Tenant: "acme", TerminalOnly: true})
 	if err != nil {
 		return fmt.Errorf("watch: %w", err)
 	}
@@ -123,9 +125,9 @@ func run() error {
 	}()
 	// Lifecycle events flow from the async deploy surface; pipeline the
 	// whole wave, then await the futures.
-	futures := make([]*genio.Deployment, 0, spreadWave)
+	futures := make([]*core.Deployment, 0, spreadWave)
 	for i := 0; i < spreadWave; i++ {
-		d, err := p.DeployAsync(context.Background(), "acme-ci", spec(fmt.Sprintf("ha-%d", i), genio.PlacementSpread))
+		d, err := p.DeployAsync(context.Background(), "acme-ci", spec(fmt.Sprintf("ha-%d", i), orchestrator.PlacementSpread))
 		if err != nil {
 			return fmt.Errorf("deploy ha-%d: %w", i, err)
 		}
@@ -142,7 +144,7 @@ func run() error {
 }
 
 // hottestNode returns the node carrying the most workloads.
-func hottestNode(p *genio.Platform) string {
+func hottestNode(p *core.Platform) string {
 	var hot string
 	max := -1
 	for _, u := range p.Cluster.Utilization() {
@@ -154,7 +156,7 @@ func hottestNode(p *genio.Platform) string {
 }
 
 // printUtilization renders the fleet table.
-func printUtilization(p *genio.Platform) {
+func printUtilization(p *core.Platform) {
 	fmt.Println("  fleet:")
 	for _, u := range p.Cluster.Utilization() {
 		state := "ready"

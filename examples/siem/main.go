@@ -13,8 +13,10 @@ import (
 	"log"
 	"sync"
 
-	"genio"
 	"genio/internal/container"
+	"genio/internal/core"
+	"genio/internal/events"
+	"genio/internal/orchestrator"
 	"genio/internal/rbac"
 )
 
@@ -35,12 +37,12 @@ func main() {
 }
 
 func run() error {
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := core.New(core.SecureConfig())
 	if err != nil {
 		return err
 	}
 	defer p.Close()
-	if _, err := p.AddEdgeNode("olt-01", genio.Resources{CPUMilli: 16000, MemoryMB: 32768}); err != nil {
+	if _, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 16000, MemoryMB: 32768}); err != nil {
 		return err
 	}
 
@@ -69,12 +71,12 @@ func run() error {
 	// delivery goroutine.
 	var mu sync.Mutex
 	var exported []record
-	sub, err := p.Subscribe("siem-incidents", []genio.Topic{genio.TopicIncident},
-		func(batch []genio.Event) {
+	sub, err := p.Subscribe("siem-incidents", []events.Topic{events.TopicIncident},
+		func(batch []events.Event) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, e := range batch {
-				if inc, ok := e.Payload.(genio.Incident); ok {
+				if inc, ok := e.Payload.(core.Incident); ok {
 					exported = append(exported, record{Kind: "incident",
 						Workload: inc.Workload, Source: inc.Source, Detail: inc.Detail})
 				}
@@ -89,20 +91,20 @@ func run() error {
 	// only — a SIEM cares what happened, not what is in flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	lifecycle, err := p.Watch(ctx, genio.WatchSelector{TerminalOnly: true})
+	lifecycle, err := p.Watch(ctx, core.WatchSelector{TerminalOnly: true})
 	if err != nil {
 		return err
 	}
 
 	// Drive a mixed batch: one clean app, one SAST-flagged build, one
 	// signed cryptominer — three terminal events, each typed.
-	specs := []genio.WorkloadSpec{
+	specs := []orchestrator.WorkloadSpec{
 		{Name: "web", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
-			Isolation: genio.IsolationSoft, Resources: genio.Resources{CPUMilli: 200, MemoryMB: 256}},
+			Isolation: orchestrator.IsolationSoft, Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256}},
 		{Name: "gateway", Tenant: "acme", ImageRef: "acme/iot-gateway:1.4.2",
-			Isolation: genio.IsolationSoft, Resources: genio.Resources{CPUMilli: 200, MemoryMB: 256}},
+			Isolation: orchestrator.IsolationSoft, Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256}},
 		{Name: "miner", Tenant: "acme", ImageRef: "freestuff/optimizer:latest",
-			Isolation: genio.IsolationSoft, Resources: genio.Resources{CPUMilli: 200, MemoryMB: 256}},
+			Isolation: orchestrator.IsolationSoft, Resources: orchestrator.Resources{CPUMilli: 200, MemoryMB: 256}},
 	}
 	go p.DeployBatchContext(context.Background(), "ci", specs)
 

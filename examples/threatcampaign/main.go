@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"genio"
+	"genio/internal/attack"
+	"genio/internal/core"
 )
 
 func main() {
@@ -20,35 +21,37 @@ func main() {
 func run() error {
 	postures := []struct {
 		name string
-		cfg  genio.Config
+		cfg  core.Config
 	}{
-		{"legacy (no mitigations)", genio.LegacyConfig()},
+		{"legacy (no mitigations)", core.LegacyConfig()},
 		{"detection-only (Falco)", detectionOnly()},
-		{"secure-by-design (M1-M18)", genio.SecureConfig()},
+		{"secure-by-design (M1-M18)", core.SecureConfig()},
 	}
 	for _, posture := range postures {
 		fmt.Printf("=== %s ===\n", posture.name)
-		p, err := genio.NewPlatform(posture.cfg)
+		p, err := core.New(posture.cfg)
 		if err != nil {
 			return fmt.Errorf("platform: %w", err)
 		}
-		c, err := genio.NewCampaign(p)
+		c, err := attack.NewCampaign(p)
 		if err != nil {
+			p.Close()
 			return fmt.Errorf("campaign: %w", err)
 		}
 		results := c.Run()
+		p.Close()
 		for _, r := range results {
 			fmt.Printf("  %-3s %-42s %-9s %s\n", r.ThreatID, r.Attack, r.Outcome, r.Detail)
 		}
-		s := genio.SummarizeAttacks(results)
+		s := attack.Summary(results)
 		fmt.Printf("  => blocked=%d detected=%d missed=%d\n\n",
-			s[genio.AttackBlocked], s[genio.AttackDetected], s[genio.AttackMissed])
+			s[attack.OutcomeBlocked], s[attack.OutcomeDetected], s[attack.OutcomeMissed])
 	}
 	return nil
 }
 
-func detectionOnly() genio.Config {
-	cfg := genio.LegacyConfig()
+func detectionOnly() core.Config {
+	cfg := core.LegacyConfig()
 	cfg.RuntimeMonitoring = true
 	return cfg
 }

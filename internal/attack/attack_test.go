@@ -122,3 +122,39 @@ func TestSummaryTotals(t *testing.T) {
 		t.Fatalf("summary total %d != results %d", total, len(results))
 	}
 }
+
+func BenchmarkFullCampaignSecure(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := core.New(core.SecureConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := NewCampaign(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results := c.Run()
+		if Summary(results)[OutcomeMissed] != 0 {
+			b.Fatal("secure platform missed an attack")
+		}
+		p.Close()
+	}
+}
+
+func TestFacadeCampaign(t *testing.T) {
+	p, err := core.New(core.SecureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c, err := NewCampaign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := c.Run()
+	summary := Summary(results)
+	if summary[OutcomeMissed] != 0 {
+		t.Fatalf("secure platform missed attacks: %+v", results)
+	}
+}

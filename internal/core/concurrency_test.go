@@ -1,4 +1,4 @@
-package genio_test
+package core
 
 // Concurrency stress tests for the admission and runtime pipelines: many
 // goroutines deploy across nodes and tenants while others stream runtime
@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"genio"
 	"genio/internal/container"
 	"genio/internal/orchestrator"
 	"genio/internal/rbac"
@@ -22,15 +21,15 @@ import (
 
 // stressPlatform builds a secure multi-node platform with a trusted
 // publisher, a signed clean image, and per-tenant deploy rights.
-func stressPlatform(t *testing.T, nodes int, tenants []string) *genio.Platform {
+func stressPlatform(t *testing.T, nodes int, tenants []string) *Platform {
 	t.Helper()
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := New(SecureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
 	for i := 0; i < nodes; i++ {
-		if _, err := p.AddEdgeNode(fmt.Sprintf("olt-%02d", i), genio.Resources{CPUMilli: 1 << 20, MemoryMB: 1 << 20}); err != nil {
+		if _, err := p.AddEdgeNode(fmt.Sprintf("olt-%02d", i), orchestrator.Resources{CPUMilli: 1 << 20, MemoryMB: 1 << 20}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +45,7 @@ func stressPlatform(t *testing.T, nodes int, tenants []string) *genio.Platform {
 	var perms []rbac.Permission
 	for _, tenant := range tenants {
 		perms = append(perms, rbac.Permission{Verb: "create", Resource: "workloads", Namespace: tenant})
-		p.Cluster.SetQuota(tenant, genio.Resources{}) // unlimited: the test floods on purpose
+		p.Cluster.SetQuota(tenant, orchestrator.Resources{}) // unlimited: the test floods on purpose
 	}
 	p.RBAC.SetRole(rbac.Role{Name: "stress-deployer", Permissions: perms})
 	if err := p.RBAC.Bind("ci", "stress-deployer"); err != nil {
@@ -72,10 +71,10 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 	// One victim workload per observer, deployed up front so each has a
 	// sandbox policy attached.
 	for g := 0; g < observers; g++ {
-		if _, err := p.DeployContext(context.Background(), "ci", genio.WorkloadSpec{
+		if _, err := p.DeployContext(context.Background(), "ci", orchestrator.WorkloadSpec{
 			Name: fmt.Sprintf("victim-%d", g), Tenant: tenants[g%len(tenants)],
-			ImageRef: "acme/analytics:2.0.1", Isolation: genio.IsolationSoft,
-			Resources: genio.Resources{CPUMilli: 10, MemoryMB: 10},
+			ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
+			Resources: orchestrator.Resources{CPUMilli: 10, MemoryMB: 10},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -90,10 +89,10 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perDeployer; i++ {
-				_, err := p.DeployContext(context.Background(), "ci", genio.WorkloadSpec{
+				_, err := p.DeployContext(context.Background(), "ci", orchestrator.WorkloadSpec{
 					Name: fmt.Sprintf("w-%d-%d", g, i), Tenant: tenants[g%len(tenants)],
-					ImageRef: "acme/analytics:2.0.1", Isolation: genio.IsolationSoft,
-					Resources: genio.Resources{CPUMilli: 10, MemoryMB: 10},
+					ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
+					Resources: orchestrator.Resources{CPUMilli: 10, MemoryMB: 10},
 				})
 				if err != nil {
 					errCh <- fmt.Errorf("deploy %d-%d: %w", g, i, err)
@@ -176,12 +175,12 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 // blocks its siblings.
 func TestDeployBatch(t *testing.T) {
 	p := stressPlatform(t, 2, []string{"acme"})
-	specs := make([]genio.WorkloadSpec, 0, 8)
+	specs := make([]orchestrator.WorkloadSpec, 0, 8)
 	for i := 0; i < 8; i++ {
-		specs = append(specs, genio.WorkloadSpec{
+		specs = append(specs, orchestrator.WorkloadSpec{
 			Name: fmt.Sprintf("batch-%d", i), Tenant: "acme",
-			ImageRef: "acme/analytics:2.0.1", Isolation: genio.IsolationSoft,
-			Resources: genio.Resources{CPUMilli: 10, MemoryMB: 10},
+			ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
+			Resources: orchestrator.Resources{CPUMilli: 10, MemoryMB: 10},
 		})
 	}
 	specs[3].ImageRef = "ghost/unknown:0.0" // unpullable
@@ -225,14 +224,14 @@ func TestDeployBatch(t *testing.T) {
 // TestIncidentBusSurvivesClose checks incidents recorded after Close
 // still join the ledger rather than being lost.
 func TestIncidentBusSurvivesClose(t *testing.T) {
-	p, err := genio.NewPlatform(genio.SecureConfig())
+	p, err := New(SecureConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RecordIncident(genio.Incident{Source: "test", Detail: "before close"})
+	p.RecordIncident(Incident{Source: "test", Detail: "before close"})
 	p.Close()
 	p.Close() // idempotent
-	p.RecordIncident(genio.Incident{Source: "test", Detail: "after close"})
+	p.RecordIncident(Incident{Source: "test", Detail: "after close"})
 	if got := p.IncidentCounts()["test"]; got != 2 {
 		t.Fatalf("recorded %d test incidents, want 2", got)
 	}

@@ -298,3 +298,42 @@ func TestFigure2Rendering(t *testing.T) {
 		t.Fatal("legacy platform shows everything enabled")
 	}
 }
+
+// TestFacadeEndToEnd drives the platform exactly as the quickstart
+// example does: secure platform, edge node, ONU, signed deploy.
+func TestFacadeEndToEnd(t *testing.T) {
+	p, err := New(SecureConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	if _, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
+		t.Fatalf("AddEdgeNode: %v", err)
+	}
+	if _, err := p.AttachONU("olt-01", "onu-0001"); err != nil {
+		t.Fatalf("AttachONU: %v", err)
+	}
+
+	pub, err := container.NewPublisher("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Registry.TrustPublisher("acme", pub.PublicKey())
+	img := container.AnalyticsImage()
+	sig := pub.Sign(img)
+	p.Registry.Push(img, &sig)
+
+	p.RBAC.SetRole(rbac.Role{Name: "acme-deployer", Permissions: []rbac.Permission{
+		{Verb: "create", Resource: "workloads", Namespace: "acme"},
+	}})
+	if err := p.RBAC.Bind("acme-ci", "acme-deployer"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
+		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
+	}); err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+}

@@ -7,13 +7,18 @@ package core
 // behind.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"genio/internal/container"
 	"genio/internal/events"
+	"genio/internal/orchestrator"
+	"genio/internal/rbac"
 )
 
 func TestPublishEventAfterCloseErrors(t *testing.T) {
@@ -179,5 +184,74 @@ func TestMetricsAccounting(t *testing.T) {
 	p.Flush()
 	if st := p.Metrics()[events.TopicIncident]; st.Published != 30+n || st.Delivered != 30+n || st.Dropped != 0 {
 		t.Fatalf("incident topic stats after the burst = %+v, want %d/%d/0", st, 30+n, 30+n)
+	}
+}
+
+// TestFacadeEventSpine drives the Subscribe/Metrics surface the way an
+// external SIEM exporter would: subscribe to two topics, generate
+// traffic, flush, and check both the delivered stream and the ledger.
+func TestFacadeEventSpine(t *testing.T) {
+	p, err := New(SecureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.AddEdgeNode("olt-01", orchestrator.Resources{CPUMilli: 8000, MemoryMB: 16384}); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	byTopic := map[events.Topic]int{}
+	sub, err := p.Subscribe("siem", []events.Topic{events.TopicIncident, events.TopicAudit},
+		func(batch []events.Event) {
+			mu.Lock()
+			for _, e := range batch {
+				byTopic[e.Topic]++
+			}
+			mu.Unlock()
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	pub, err := container.NewPublisher("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Registry.TrustPublisher("acme", pub.PublicKey())
+	img := container.AnalyticsImage()
+	sig := pub.Sign(img)
+	p.Registry.Push(img, &sig)
+	p.RBAC.SetRole(rbac.Role{Name: "acme-deployer", Permissions: []rbac.Permission{
+		{Verb: "create", Resource: "workloads", Namespace: "acme"},
+	}})
+	if err := p.RBAC.Bind("acme-ci", "acme-deployer"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DeployContext(context.Background(), "acme-ci", orchestrator.WorkloadSpec{
+		Name: "analytics", Tenant: "acme", ImageRef: "acme/analytics:2.0.1",
+		Isolation: orchestrator.IsolationSoft,
+		Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.RecordIncident(Incident{Source: "external-ids", Detail: "facade test"})
+	p.Flush()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if byTopic[events.TopicIncident] == 0 {
+		t.Fatal("subscriber saw no incident events")
+	}
+	if byTopic[events.TopicAudit] == 0 {
+		t.Fatal("subscriber saw no audit events (deploy should emit verdict + placement)")
+	}
+	stats := p.Metrics()
+	for _, topic := range []events.Topic{events.TopicIncident, events.TopicAudit, events.TopicMetric} {
+		ts := stats[topic]
+		if ts.Published == 0 || ts.Published != ts.Delivered {
+			t.Fatalf("topic %s ledger = %+v, want published==delivered>0", topic, ts)
+		}
 	}
 }

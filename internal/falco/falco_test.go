@@ -161,3 +161,15 @@ func TestPriorityString(t *testing.T) {
 		t.Fatal("Priority.String mismatch")
 	}
 }
+
+// BenchmarkFalcoPipeline: per-operation cost behind Lesson 8 (runtime).
+func BenchmarkFalcoPipeline(b *testing.B) {
+	e := NewEngine(DefaultRules())
+	events := trace.BenignWebTrace("bench", "acme", 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ConsumeAll(events)
+	}
+	b.ReportMetric(float64(len(events)), "events/op")
+}

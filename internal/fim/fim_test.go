@@ -242,3 +242,26 @@ func TestScanCounter(t *testing.T) {
 		t.Fatalf("Scans = %d, want 3", m.Scans())
 	}
 }
+
+// BenchmarkFIMScan: per-operation cost behind Lesson 3 (FIM).
+func BenchmarkFIMScan(b *testing.B) {
+	h := host.NewONLOLT("olt-bench")
+	t, err := tpm.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMonitor(h, t, Config{MutablePrefixes: []string{"/var/log/"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Init(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Scan(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

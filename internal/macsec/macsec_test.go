@@ -244,3 +244,44 @@ func TestBitFlipDetectedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func benchChannel(b *testing.B) (*SecY, *SecY) {
+	b.Helper()
+	a, z := NewSecY("a"), NewSecY("z")
+	var key [32]byte
+	key[0] = 1
+	if _, err := NewChannel(a, z, key, 1<<30); err != nil {
+		b.Fatal(err)
+	}
+	return a, z
+}
+
+// BenchmarkMACsecProtect: per-operation cost behind Lesson 2 (encryption).
+func BenchmarkMACsecProtect(b *testing.B) {
+	a, _ := benchChannel(b)
+	payload := make([]byte, 1024)
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Protect(0, Frame{Payload: payload}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMACsecProtectValidate: per-operation cost behind Lesson 2 (encryption).
+func BenchmarkMACsecProtectValidate(b *testing.B) {
+	a, z := benchChannel(b)
+	payload := make([]byte, 1024)
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pf, err := a.Protect(0, Frame{Payload: payload})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := z.Validate(pf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

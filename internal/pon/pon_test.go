@@ -3,6 +3,7 @@ package pon
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -354,5 +355,53 @@ func TestCrossPortIsolationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPONEncryptedFrame: per-operation cost behind Lesson 2 (encryption).
+func BenchmarkPONEncryptedFrame(b *testing.B) {
+	kr := NewKeyRing()
+	var key [32]byte
+	key[0] = 7
+	kr.SetKey(1, key)
+	payload := make([]byte, 1024)
+	b.SetBytes(1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := kr.EncryptFrame(1, uint64(i+1), payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := kr.DecryptFrame(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOnboardingHandshake: per-operation cost behind Lesson 2 (encryption).
+func BenchmarkOnboardingHandshake(b *testing.B) {
+	ca, err := pki.NewCA("bench-root")
+	if err != nil {
+		b.Fatal(err)
+	}
+	oltID, err := ca.Issue("olt", pki.RoleOLT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	olt, err := NewOLT("olt", ModeAuthenticated, ca, oltID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serial := fmt.Sprintf("onu-%d", i)
+		id, err := ca.Issue(serial, pki.RoleONU)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := olt.Activate(NewONU(serial, id)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

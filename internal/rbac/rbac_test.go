@@ -261,3 +261,13 @@ func TestMonotonicityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSDNAllowlist: per-operation cost behind Lesson 5 (SDN allowlist).
+func BenchmarkSDNAllowlist(b *testing.B) {
+	a := DefaultSDNAllowlist()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Allow("device.register")
+		a.Allow("shell.exec")
+	}
+}

@@ -170,3 +170,16 @@ func TestIsolationReviewPartialScores(t *testing.T) {
 		t.Fatalf("tenant-separation score = %d, want 1", sep)
 	}
 }
+
+// BenchmarkSandboxEnforce: per-operation cost behind Lesson 8 (runtime).
+func BenchmarkSandboxEnforce(b *testing.B) {
+	e := NewEnforcer()
+	e.SetPolicy("bench", DefaultWorkloadPolicy())
+	events := trace.BenignWebTrace("bench", "acme", 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Process(events)
+	}
+	b.ReportMetric(float64(len(events)), "events/op")
+}

@@ -153,3 +153,24 @@ func TestIterativeHardeningConverges(t *testing.T) {
 		t.Fatalf("hardening converged in %d iterations, want 1..4", iterations)
 	}
 }
+
+// BenchmarkSCAPEvaluate: per-operation cost behind Lesson 1 (hardening).
+func BenchmarkSCAPEvaluate(b *testing.B) {
+	h := host.NewONLOLT("olt-bench")
+	profile := SCAPBaselineProfile()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EvaluateHost(profile, h)
+	}
+}
+
+// BenchmarkKernelHardeningCheck: per-operation cost behind Lesson 1 (hardening).
+func BenchmarkKernelHardeningCheck(b *testing.B) {
+	h := host.NewONLOLT("olt-bench")
+	host.HardenONLOLT(h)
+	profile := KernelHardeningProfile()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EvaluateHost(profile, h)
+	}
+}

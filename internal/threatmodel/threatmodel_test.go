@@ -170,3 +170,24 @@ func TestStringers(t *testing.T) {
 		t.Fatal("Category.String mismatch")
 	}
 }
+
+// BenchmarkThreatModelMatrix: per-operation cost behind Figure 3.
+func BenchmarkThreatModelMatrix(b *testing.B) {
+	m := GENIOModel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(m.Matrix()) != 8 {
+			b.Fatal("bad matrix")
+		}
+	}
+}
+
+func TestFacadeThreatModel(t *testing.T) {
+	m := GENIOModel()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if len(m.Threats) != 8 || len(m.Mitigations) != 18 {
+		t.Fatalf("model shape = %d/%d", len(m.Threats), len(m.Mitigations))
+	}
+}

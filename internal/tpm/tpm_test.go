@@ -340,3 +340,37 @@ func TestSealRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkTPMExtend: per-operation cost of the M5/M6 substrate.
+func BenchmarkTPMExtend(b *testing.B) {
+	t, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := []byte("component-image")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := t.Extend(PCRApp, "bench", data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTPMSealUnseal: per-operation cost of the M5/M6 substrate.
+func BenchmarkTPMSealUnseal(b *testing.B) {
+	t, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	secret := make([]byte, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		blob, err := t.Seal(secret, []int{PCRKernel})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := t.Unseal(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -230,3 +230,23 @@ func TestRollbackAllowedWhenDisabled(t *testing.T) {
 func updates_OSImage(version, data string) OSImage {
 	return OSImage{Version: version, Data: []byte(data)}
 }
+
+// BenchmarkUpdateVerify: per-operation cost behind Lesson 4 (updates).
+func BenchmarkUpdateVerify(b *testing.B) {
+	repo, err := NewRepository("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := host.New("node", "onl")
+	client := NewClient(repo.PublicKey(), h)
+	pkg := repo.Publish("agent", "1.0", make([]byte, 4096))
+	md := repo.Metadata()
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.Install(md, pkg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -321,3 +321,25 @@ func TestFeedKindString(t *testing.T) {
 		t.Fatal("FeedKind.String mismatch")
 	}
 }
+
+// BenchmarkVulnScan: per-operation cost behind Lesson 4 (scanning).
+func BenchmarkVulnScan(b *testing.B) {
+	h := host.NewONLOLT("olt-bench")
+	s := NewScanner(DefaultDatabase())
+	s.AddSearchPath("/opt/")
+	s.AddSearchPath("/lib/onl")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Scan(h)
+	}
+}
+
+// BenchmarkFeedTracking: per-operation cost behind Lesson 6 (feeds).
+func BenchmarkFeedTracking(b *testing.B) {
+	tr := NewTracker(DefaultFeeds(), 5)
+	db := DefaultDatabase()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.TrackAll(db)
+	}
+}
