@@ -73,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzWALRecover -fuzztime=15s ./internal/persist/
 	$(GO) test -fuzz=FuzzWALCodec -fuzztime=15s ./internal/persist/
+	$(GO) test -fuzz=FuzzReplayMatchesReference -fuzztime=15s ./internal/persist/
+	$(GO) test -fuzz=FuzzDecoderMatchesEncodingJSON -fuzztime=15s ./internal/jsoncodec/
 	$(GO) test -fuzz=FuzzSASTPrefilter -fuzztime=15s ./internal/sast/
 	$(GO) test -fuzz=FuzzMalwarePrefilter -fuzztime=15s ./internal/malware/
 

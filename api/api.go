@@ -53,10 +53,12 @@ type WorkloadSpec struct {
 	Region string `json:"region,omitempty"`
 }
 
-// ToOrchestrator converts the wire spec to the library spec. An unknown
-// isolation (a bad-request *WireError) or a negative demand (the typed
-// *orchestrator.InvalidDemandError) is refused before the pipeline;
-// Encode answers both as bad-request.
+// ToOrchestrator converts the wire spec to the library spec. Only an
+// unknown isolation, which has no library form, is refused here (a
+// bad-request *WireError). Every other field is carried verbatim: a
+// negative demand is the pipeline's to refuse, so it is counted and
+// audited the same over the wire as in process, and its typed
+// *orchestrator.InvalidDemandError also encodes as bad-request.
 func (s WorkloadSpec) ToOrchestrator() (orchestrator.WorkloadSpec, error) {
 	spec := orchestrator.WorkloadSpec{
 		Name:     s.Name,
@@ -77,9 +79,6 @@ func (s WorkloadSpec) ToOrchestrator() (orchestrator.WorkloadSpec, error) {
 	default:
 		return orchestrator.WorkloadSpec{}, &WireError{Code: CodeBadRequest,
 			Message: fmt.Sprintf("api: unknown isolation %q (want %s|%s)", s.Isolation, IsolationSoft, IsolationHard)}
-	}
-	if err := spec.CheckDemand(); err != nil {
-		return orchestrator.WorkloadSpec{}, err
 	}
 	return spec, nil
 }

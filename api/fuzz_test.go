@@ -17,8 +17,9 @@ import (
 
 // FuzzWorkloadSpecToOrchestrator: the deploy body is untrusted input.
 // Whatever JSON decodes into a WorkloadSpec either refuses conversion or
-// yields a library spec the pipeline's accounting can trust: no negative
-// demand, a known isolation mode, every other field carried verbatim.
+// yields a library spec with a known isolation mode and every other
+// field, the demand included, carried verbatim: refusing a negative
+// demand is the pipeline's job (Cluster.deploy), not the codec's.
 func FuzzWorkloadSpecToOrchestrator(f *testing.F) {
 	for _, seed := range []string{
 		`{"name":"web","tenant":"acme","imageRef":"acme/analytics:2.0.1","isolation":"soft","resources":{"cpuMilli":500,"memoryMB":512}}`,
@@ -40,8 +41,8 @@ func FuzzWorkloadSpecToOrchestrator(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if spec.Resources.CPUMilli < 0 || spec.Resources.MemoryMB < 0 {
-			t.Fatalf("negative demand converted: %+v", spec.Resources)
+		if spec.Resources.CPUMilli != ws.Resources.CPUMilli || spec.Resources.MemoryMB != ws.Resources.MemoryMB {
+			t.Fatalf("demand changed: wire %+v -> lib %+v", ws.Resources, spec.Resources)
 		}
 		if spec.Isolation != orchestrator.IsolationSoft && spec.Isolation != orchestrator.IsolationHard {
 			t.Fatalf("unknown isolation mode %v from %q", spec.Isolation, ws.Isolation)

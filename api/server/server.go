@@ -402,6 +402,14 @@ func (s *Server) handleDeployAsync(w http.ResponseWriter, r *http.Request, subje
 		writeError(w, err)
 		return
 	}
+	if spec.CheckDemand() != nil {
+		// Answered now, as on the sync route, not by a future: the
+		// pipeline refuses a negative demand before any stage runs, and
+		// counts and audits the rejection.
+		_, err := s.p.DeployContext(r.Context(), subject, spec)
+		writeError(w, err)
+		return
+	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()

@@ -1540,30 +1540,22 @@ func TestDeployBatchOverHTTP(t *testing.T) {
 }
 
 // TestNegativeDemandIs400OnEveryDeployRoute (T8): a negative resource
-// demand never reaches the pipeline from the wire — sync and async
-// deploys answer 400 bad-request carrying the typed rejection, a batch
-// reports it positionally while its neighbours place, and node
-// accounting is untouched.
+// demand over the wire is refused by the platform, as in process — sync
+// and async deploys answer 400 bad-request carrying the typed
+// rejection, a batch reports it positionally while its neighbours
+// place, each refusal is counted and audited once, and node accounting
+// is untouched. A federated platform answers the same.
 func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
 	p := testPlatform(t)
+	audits := rejectionAudits(t, p, "neg")
 	_, _, c := testServer(t, p)
 	ctx := context.Background()
 	neg := spec("neg", "acme/analytics:2.0.1", -100000, -100000)
 
-	badRequest := func(route string, err error) {
-		t.Helper()
-		var demand *orchestrator.InvalidDemandError
-		if !errors.As(err, &demand) || demand.Workload != "neg" {
-			t.Fatalf("%s: err = %T %v, want *InvalidDemandError for neg", route, err, err)
-		}
-		if we := api.Encode(err); we.Code != api.CodeBadRequest || we.Status() != http.StatusBadRequest {
-			t.Fatalf("%s: wire form %+v, want 400 %s", route, we, api.CodeBadRequest)
-		}
-	}
 	_, err := c.Deploy(ctx, neg)
-	badRequest("POST /v2/deployments", err)
+	badDemand(t, "POST /v2/deployments", err)
 	_, err = c.DeployAsync(ctx, neg)
-	badRequest("POST /v2/deployments/async", err)
+	badDemand(t, "POST /v2/deployments/async", err)
 	results, err := c.DeployBatch(ctx, []api.WorkloadSpec{
 		spec("batch-ok", "acme/analytics:2.0.1", 100, 128),
 		neg,
@@ -1574,7 +1566,7 @@ func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
 	if results[0].Err != nil {
 		t.Fatalf("results[0].Err = %v, want placed", results[0].Err)
 	}
-	badRequest("POST /v2/deploy/batch [1]", results[1].Err)
+	badDemand(t, "POST /v2/deploy/batch [1]", results[1].Err)
 
 	var used orchestrator.Resources
 	for _, u := range p.Cluster.Utilization() {
@@ -1584,6 +1576,77 @@ func TestNegativeDemandIs400OnEveryDeployRoute(t *testing.T) {
 	if want := (orchestrator.Resources{CPUMilli: 100, MemoryMB: 128}); used != want {
 		t.Fatalf("fleet Used = %+v, want %+v (only batch-ok placed)", used, want)
 	}
+	if admitted, rejected := p.Cluster.Counters(); admitted != 1 || rejected != 3 {
+		t.Fatalf("counters = [%d,%d], want [1,3]: one rejection per route", admitted, rejected)
+	}
+	p.Flush()
+	if n := audits.Load(); n != 3 {
+		t.Fatalf("%d rejection audits for neg, want 3", n)
+	}
+
+	fed, err := core.New(core.SecureConfig(), core.WithFederation(
+		core.FederationMember{Name: "a", Region: "west"},
+		core.FederationMember{Name: "b", Region: "east"}))
+	if err != nil {
+		t.Fatalf("federated platform: %v", err)
+	}
+	t.Cleanup(fed.Close)
+	fed.RBAC.SetRole(rbac.Role{Name: "operator", Permissions: []rbac.Permission{
+		{Verb: "*", Resource: "*", Namespace: "*"},
+	}})
+	if err := fed.RBAC.Bind("operator", "operator"); err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	fedAudits := rejectionAudits(t, fed, "neg")
+	_, _, fc := testServer(t, fed)
+	_, err = fc.Deploy(ctx, neg)
+	badDemand(t, "federated POST /v2/deployments", err)
+	_, err = fc.DeployAsync(ctx, neg)
+	badDemand(t, "federated POST /v2/deployments/async", err)
+	rejected := 0
+	for _, name := range []string{"a", "b"} {
+		m, err := fed.ClusterByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, r := m.Counters()
+		rejected += r
+	}
+	fed.Flush()
+	if rejected != 2 || fedAudits.Load() != 2 {
+		t.Fatalf("federation: %d rejections, %d audits; want 2 of each", rejected, fedAudits.Load())
+	}
+}
+
+// badDemand asserts err is the typed negative-demand rejection of the
+// workload "neg", encoded as a 400 bad-request.
+func badDemand(t *testing.T, route string, err error) {
+	t.Helper()
+	var demand *orchestrator.InvalidDemandError
+	if !errors.As(err, &demand) || demand.Workload != "neg" {
+		t.Fatalf("%s: err = %T %v, want *InvalidDemandError for neg", route, err, err)
+	}
+	if we := api.Encode(err); we.Code != api.CodeBadRequest || we.Status() != http.StatusBadRequest {
+		t.Fatalf("%s: wire form %+v, want 400 %s", route, we, api.CodeBadRequest)
+	}
+}
+
+// rejectionAudits counts the refused admission-verdict audit events p
+// publishes for workload; read it after p.Flush.
+func rejectionAudits(t *testing.T, p *core.Platform, workload string) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	if _, err := p.Subscribe("rejection-audits", []events.Topic{events.TopicAudit}, func(b []events.Event) {
+		for _, e := range b {
+			if a, ok := e.Payload.(orchestrator.AuditEvent); ok &&
+				a.Kind == "admission-verdict" && a.Workload == workload && !a.Allowed {
+				n.Add(1)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return &n
 }
 
 // TestDeployBatchRejectsDegenerateRequests pins the request-shape

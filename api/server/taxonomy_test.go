@@ -291,8 +291,8 @@ func TestErrorTaxonomyCoversEveryRejectionPath(t *testing.T) {
 			},
 			is:    []error{orchestrator.ErrRejected},
 			notIs: []error{orchestrator.ErrQuotaExceeded, orchestrator.ErrNoCapacity},
-			// The server refuses the spec before it reaches the platform.
-			counters: [2]int{0, 0},
+			// The platform refuses it, as in process: counted once.
+			counters: [2]int{0, 1},
 		},
 		{
 			name: "unknown placement policy",

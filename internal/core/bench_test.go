@@ -9,11 +9,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"genio/internal/container"
 	"genio/internal/orchestrator"
+	"genio/internal/persist"
 	"genio/internal/rbac"
 	"genio/internal/trace"
 )
@@ -31,9 +34,9 @@ func BenchmarkAdmissionPipeline(b *testing.B) {
 
 // benchDeployPlatform builds a secure platform ready to admit the signed
 // analytics image for tenant acme without quota limits.
-func benchDeployPlatform(b testing.TB) *Platform {
+func benchDeployPlatform(b testing.TB, opts ...Option) *Platform {
 	b.Helper()
-	p, err := New(SecureConfig())
+	p, err := New(SecureConfig(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,4 +172,105 @@ func BenchmarkSecureBootAndAttest(b *testing.B) {
 		}
 		p.Close()
 	}
+}
+
+// BenchmarkRecover times a restart: OpenWAL plus New on a data dir shaped
+// like the wire benchmark's hot_sync_bulk_recover after its deploys —
+// 8 nodes, 1700 sync placements then 64 batches of 64 (5796 in all),
+// killed with a snapshot of the first half and the second half still in
+// the log, whose batch names sort before the snapshot's sync names. Each
+// op recovers a fresh copy of the dir and checks every placement is back.
+func BenchmarkRecover(b *testing.B) {
+	src := benchRecoverDir(b)
+	var files [][]byte
+	for _, name := range []string{"snapshot.json", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "data")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		for j, name := range []string{"snapshot.json", "wal.log"} {
+			if err := os.WriteFile(filepath.Join(dir, name), files[j], 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		wal, err := persist.OpenWAL(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := New(SecureConfig(), WithStore(wal))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := p.Cluster.WorkloadCount(); n != benchRecoverPlacements {
+			b.Fatalf("recovered %d workloads, want %d", n, benchRecoverPlacements)
+		}
+		p.Crash()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(files[0]))/1024, "snapshot-KB")
+	b.ReportMetric(float64(len(files[1]))/1024, "wal-KB")
+}
+
+// benchRecoverPlacements is the placement count benchRecoverDir leaves.
+const benchRecoverPlacements = 1700 + 64*64
+
+// benchRecoverDir deploys BenchmarkRecover's placements onto a durable
+// platform with automatic snapshots off, snapshots once half of them are
+// in, and crashes, returning the data dir.
+func benchRecoverDir(b *testing.B) string {
+	b.Helper()
+	dir := filepath.Join(b.TempDir(), "data")
+	wal, err := persist.OpenWAL(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := benchDeployPlatform(b, WithStore(wal), WithSnapshotEvery(1<<30))
+	for i := 1; i < 8; i++ {
+		if _, err := p.AddEdgeNode(fmt.Sprintf("olt-bench-%d", i), orchestrator.Resources{CPUMilli: 1 << 30, MemoryMB: 1 << 30}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for i := 0; i < 1700; i++ {
+		prefix, n := "w", i-100
+		if i < 100 {
+			prefix, n = "u", i
+		}
+		if _, err := p.DeployContext(ctx, "ci", benchSpec(fmt.Sprintf("%s-%05d", prefix, n))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snapped := false
+	for batch := 0; batch < 64; batch++ {
+		if !snapped && p.Cluster.WorkloadCount() >= benchRecoverPlacements/2 {
+			if err := p.SnapshotNow(); err != nil {
+				b.Fatal(err)
+			}
+			snapped = true
+		}
+		specs := make([]orchestrator.WorkloadSpec, 64)
+		for i := range specs {
+			specs[i] = benchSpec(fmt.Sprintf("b-%04d-%02d", batch, i))
+		}
+		_, errs := p.DeployBatchContext(ctx, "ci", specs)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	p.Crash()
+	return dir
 }

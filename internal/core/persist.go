@@ -21,7 +21,10 @@ package core
 // Recovery runs inside New, before the mutation sink is installed (so
 // replay is never re-logged): the cluster imports the recovered state,
 // sandbox policies are re-attached to recovered workloads, and the
-// incident ledger is seeded with its sequence floor. Deliberately NOT
+// incident ledger is seeded with its sequence floor. Images are not
+// persisted, and the registry New builds is empty, so a recovered
+// workload carries no image until its ref is pushed again; every read
+// and reschedule path tolerates that. Deliberately NOT
 // persisted: the CA and issued identities (a restarted daemon mints a
 // fresh root; clients re-enroll), the EdgeNode infrastructure objects
 // (TPM, firmware, volumes — re-provisioning re-attests them; AddEdgeNode
@@ -33,7 +36,6 @@ import (
 	"fmt"
 	"log"
 
-	"genio/internal/container"
 	"genio/internal/orchestrator"
 	"genio/internal/persist"
 	"genio/internal/sandbox"
@@ -69,16 +71,7 @@ func (p *Platform) recoverFromStore() error {
 	if st == nil {
 		return nil
 	}
-	imported := p.Cluster.ImportState(st.Cluster, func(ref string) *container.Image {
-		// Best effort: the registry is freshly built at New, so images
-		// resolve only once re-pushed. A nil Image is tolerated by every
-		// read and reschedule path.
-		img, err := p.Registry.Pull(ref)
-		if err != nil {
-			return nil
-		}
-		return img
-	})
+	imported := p.Cluster.ImportState(st.Cluster)
 	if p.Config.SandboxEnabled {
 		for _, name := range imported {
 			p.Enforcer.SetPolicy(name, sandbox.DefaultWorkloadPolicy())

@@ -298,7 +298,7 @@ func TestAdmissionSiblingCommitMidRunReadsCached(t *testing.T) {
 // verdicts import into the cache and export unchanged.
 func TestImportStateRoundTripsClearedVerdicts(t *testing.T) {
 	c, _ := testCluster(t, Settings{})
-	c.ImportState(ClusterState{Cleared: map[string][]string{"sha256:a": {"malware", "sast"}, "sha256:b": {"sca"}}}, nil)
+	c.ImportState(ClusterState{Cleared: map[string][]string{"sha256:a": {"malware", "sast"}, "sha256:b": {"sca"}}})
 	want := []string{"malware\x00sha256:a", "sast\x00sha256:a", "sca\x00sha256:b"}
 	if got := c.VerdictKeys(); strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("VerdictKeys = %q, want %q", got, want)

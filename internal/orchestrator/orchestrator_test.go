@@ -351,7 +351,7 @@ func TestCandidatesStaySorted(t *testing.T) {
 		name := fmt.Sprintf("olt-%03d", rng.Intn(96))
 		switch r := rng.Intn(20); {
 		case r == 0:
-			c.ImportState(c.ExportState(), nil)
+			c.ImportState(c.ExportState())
 		case r < 6:
 			_, _ = c.FailNode(name) // unknown names are a no-op here
 		default:

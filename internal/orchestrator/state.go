@@ -31,8 +31,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"genio/internal/container"
 )
 
 // Mutation kinds, keyed to the audit-event vocabulary.
@@ -198,13 +196,13 @@ func (c *Cluster) ExportState() ClusterState {
 // rebuilding every piece of derived accounting — per-node usage, VM
 // assignments (one VM per distinct VM id, shared-VM and tenant
 // counters), tenant quota usage, and the VM id sequence — from the
-// workload table. resolve, when non-nil, re-attaches image objects by
-// ref (best effort: a nil result leaves Workload.Image unset, which
-// every read and reschedule path tolerates). Call before traffic
-// starts; a workload whose node is absent from st is dropped rather
-// than invented a host. It returns the names of the workloads it
-// imported, in st's order: exactly those, the dropped ones excluded.
-func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *container.Image) []string {
+// workload table. Workloads keep the Image st gives them, which is nil
+// in every snapshot and log record; every read and reschedule path
+// tolerates that. Call before traffic starts; a workload whose node is
+// absent from st is dropped rather than invented a host. It returns the
+// names of the workloads it imported, in st's order: exactly those, the
+// dropped ones excluded.
+func (c *Cluster) ImportState(st ClusterState) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nodes = make(map[string]*node, len(st.Nodes))
@@ -222,9 +220,6 @@ func (c *Cluster) ImportState(st ClusterState, resolve func(ref string) *contain
 		n, ok := c.nodes[w.Node]
 		if !ok {
 			continue
-		}
-		if w.Image == nil && resolve != nil {
-			w.Image = resolve(w.Spec.ImageRef)
 		}
 		c.workloads[w.Spec.Name] = &w
 		imported = append(imported, w.Spec.Name)

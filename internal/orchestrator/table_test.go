@@ -44,7 +44,7 @@ func TestTenantCountsSurviveInterning(t *testing.T) {
 		}
 	}
 	checkTable(t, c)
-	c.ImportState(c.ExportState(), nil)
+	c.ImportState(c.ExportState())
 	checkTable(t, c)
 }
 

@@ -150,16 +150,25 @@ func splitVerdictKey(key string) (controller, digest string, ok bool) {
 // apply replays records (an LSN-ordered suffix of the log) onto base,
 // returning the recovered state. Records at or below base.LSN are
 // skipped; everything else applies last-wins, so overlap between the
-// snapshot and the tail is harmless.
+// snapshot and the tail is harmless. base is never written.
+//
+// The result is in the order snapshots are written in: nodes and
+// workloads by name, incidents by Seq. Nodes and workloads replay in
+// place over one copy of base's rows (see table), so a snapshot that
+// is already in name order, with a tail that only adds names after
+// it, comes back without a sort.
 func apply(base *State, recs []Record) *State {
-	nodes := make(map[string]orchestrator.NodeState, len(base.Cluster.Nodes))
-	for _, ns := range base.Cluster.Nodes {
-		nodes[ns.Name] = ns
+	var joins, places int
+	for i := range recs {
+		switch recs[i].Kind {
+		case KindNodeJoin:
+			joins++
+		case KindPlace:
+			places++
+		}
 	}
-	wls := make(map[string]orchestrator.Workload, len(base.Cluster.Workloads))
-	for _, w := range base.Cluster.Workloads {
-		wls[w.Spec.Name] = w
-	}
+	nodes := newTable(base.Cluster.Nodes, joins, func(ns *orchestrator.NodeState) string { return ns.Name })
+	wls := newTable(base.Cluster.Workloads, places, func(w *orchestrator.Workload) string { return w.Spec.Name })
 	quotas := make(map[string]orchestrator.Resources, len(base.Cluster.Quotas))
 	for t, q := range base.Cluster.Quotas {
 		quotas[t] = q
@@ -190,7 +199,8 @@ func apply(base *State, recs []Record) *State {
 
 	st := &State{LSN: base.LSN, IncidentSeq: base.IncidentSeq}
 	st.Cluster.VMSeq = base.Cluster.VMSeq
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		if r.LSN <= base.LSN {
 			continue
 		}
@@ -203,23 +213,22 @@ func apply(base *State, recs []Record) *State {
 			if r.Capacity != nil {
 				ns.Capacity = *r.Capacity
 			}
-			nodes[r.Node] = ns
+			nodes.put(&ns)
 		case KindNodeRemove:
-			delete(nodes, r.Node)
+			nodes.del(r.Node)
 		case KindNodeCordon:
-			if ns, ok := nodes[r.Node]; ok {
+			if ns := nodes.get(r.Node); ns != nil {
 				ns.Cordoned = r.Cordoned
-				nodes[r.Node] = ns
 			}
 		case KindPlace:
 			if r.Workload != nil {
-				wls[r.Workload.Spec.Name] = *r.Workload
+				wls.put(r.Workload)
 			}
 			if r.VMSeq > st.Cluster.VMSeq {
 				st.Cluster.VMSeq = r.VMSeq
 			}
 		case KindStop:
-			delete(wls, r.Name)
+			wls.del(r.Name)
 		case KindQuota:
 			if r.Quota != nil {
 				quotas[r.Tenant] = *r.Quota
@@ -246,20 +255,8 @@ func apply(base *State, recs []Record) *State {
 		}
 	}
 
-	st.Cluster.Nodes = make([]orchestrator.NodeState, 0, len(nodes))
-	for _, ns := range nodes {
-		st.Cluster.Nodes = append(st.Cluster.Nodes, ns)
-	}
-	slices.SortFunc(st.Cluster.Nodes, func(a, b orchestrator.NodeState) int {
-		return strings.Compare(a.Name, b.Name)
-	})
-	st.Cluster.Workloads = make([]orchestrator.Workload, 0, len(wls))
-	for _, w := range wls {
-		st.Cluster.Workloads = append(st.Cluster.Workloads, w)
-	}
-	slices.SortFunc(st.Cluster.Workloads, func(a, b orchestrator.Workload) int {
-		return strings.Compare(a.Spec.Name, b.Spec.Name)
-	})
+	st.Cluster.Nodes = nodes.sorted()
+	st.Cluster.Workloads = wls.sorted()
 	if len(quotas) > 0 {
 		st.Cluster.Quotas = quotas
 	}
@@ -274,4 +271,95 @@ func apply(base *State, recs []Record) *State {
 		}
 	}
 	return st
+}
+
+// table is a name-keyed set of rows that a replay edits in place: put
+// overwrites the named row's slot or appends a new one, and del
+// tombstones the slot, which a later put of the name revives. Each row
+// is copied once on the way in and at most once on the way out.
+type table[T any] struct {
+	rows  []T
+	dead  []bool // dead[i]: rows[i] is tombstoned
+	ndead int
+	slot  map[string]int
+	name  func(*T) string
+}
+
+// newTable copies base into a table with room for extra more rows.
+// A name base repeats keeps its last row, as a replay of base would.
+func newTable[T any](base []T, extra int, name func(*T) string) *table[T] {
+	n := len(base) + extra
+	t := &table[T]{rows: make([]T, 0, n), dead: make([]bool, 0, n),
+		slot: make(map[string]int, n), name: name}
+	for i := range base {
+		t.put(&base[i])
+	}
+	return t
+}
+
+// get returns the live row of that name, or nil.
+func (t *table[T]) get(name string) *T {
+	if i, ok := t.slot[name]; ok && !t.dead[i] {
+		return &t.rows[i]
+	}
+	return nil
+}
+
+func (t *table[T]) put(v *T) {
+	name := t.name(v)
+	if i, ok := t.slot[name]; ok {
+		t.rows[i] = *v
+		if t.dead[i] {
+			t.dead[i] = false
+			t.ndead--
+		}
+		return
+	}
+	t.slot[name] = len(t.rows)
+	t.rows = append(t.rows, *v)
+	t.dead = append(t.dead, false)
+}
+
+func (t *table[T]) del(name string) {
+	if i, ok := t.slot[name]; ok && !t.dead[i] {
+		t.dead[i] = true
+		t.ndead++
+	}
+}
+
+// sorted returns the live rows in name order, never nil. Rows whose
+// slots are already in name order with no tombstones are returned as
+// they are; otherwise an index permutation is sorted, not the rows,
+// and each live row is copied once into place.
+func (t *table[T]) sorted() []T {
+	inOrder, prev := true, -1
+	for i := range t.rows {
+		if t.dead[i] {
+			continue
+		}
+		if prev >= 0 && t.name(&t.rows[prev]) >= t.name(&t.rows[i]) {
+			inOrder = false
+			break
+		}
+		prev = i
+	}
+	if inOrder && t.ndead == 0 {
+		return t.rows
+	}
+	perm := make([]int, 0, len(t.rows)-t.ndead)
+	for i := range t.rows {
+		if !t.dead[i] {
+			perm = append(perm, i)
+		}
+	}
+	if !inOrder {
+		slices.SortFunc(perm, func(a, b int) int {
+			return strings.Compare(t.name(&t.rows[a]), t.name(&t.rows[b]))
+		})
+	}
+	out := make([]T, len(perm))
+	for i, p := range perm {
+		out[i] = t.rows[p]
+	}
+	return out
 }

@@ -52,7 +52,7 @@ func recoveredVerdictKeys(t *testing.T, dir string) ([]string, *State) {
 		t.Fatal(err)
 	}
 	c := orchestrator.NewCluster("recovered", container.NewRegistry(), orchestrator.Settings{})
-	c.ImportState(st.Cluster, nil)
+	c.ImportState(st.Cluster)
 	return c.VerdictKeys(), st
 }
 

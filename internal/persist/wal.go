@@ -72,8 +72,8 @@ type WAL struct {
 }
 
 // OpenWAL opens (creating if needed) the data directory and recovers
-// its snapshot and log into memory. The returned store is ready for
-// Load and for appends.
+// its snapshot and log into memory, decoding the two files
+// concurrently. The returned store is ready for Load and for appends.
 func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: data dir: %w", err)
@@ -81,9 +81,26 @@ func OpenWAL(dir string) (*WAL, error) {
 	w := &WAL{dir: dir, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
 
+	// The two files decode side by side. A snapshot error wins over a
+	// log error.
+	walPath := filepath.Join(dir, walFile)
+	var (
+		recs    []Record
+		durable int64
+		logErr  error
+	)
+	logRead := make(chan struct{})
+	go func() {
+		recs, durable, logErr = readLog(walPath)
+		close(logRead)
+	}()
 	st, size, err := readSnapshot(dir)
+	<-logRead
 	if err != nil {
 		return nil, err
+	}
+	if logErr != nil {
+		return nil, logErr
 	}
 	if st != nil {
 		w.base = st
@@ -92,11 +109,6 @@ func OpenWAL(dir string) (*WAL, error) {
 		w.nextLSN = st.LSN
 	}
 
-	walPath := filepath.Join(dir, walFile)
-	recs, durable, err := readLog(walPath)
-	if err != nil {
-		return nil, err
-	}
 	w.tail = recs[:0]
 	for _, r := range recs {
 		if r.LSN <= w.snapLSN {
