@@ -63,7 +63,6 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParseXGEMFrame -fuzztime=15s ./internal/pon/
 	$(GO) test -fuzz=FuzzONUDeliver -fuzztime=15s ./internal/pon/
 	$(GO) test -fuzz=FuzzParseCondition -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/

@@ -211,11 +211,6 @@ type WatchSelector struct {
 	TerminalOnly bool
 }
 
-// ToCore converts the wire selector to the library selector.
-func (s WatchSelector) ToCore() core.WatchSelector {
-	return core.WatchSelector{Tenant: s.Tenant, Workload: s.Workload, TerminalOnly: s.TerminalOnly}
-}
-
 // Matches reports whether the wire event passes the selector — the
 // wire-side mirror of the library's selector semantics, used where
 // events are filtered after conversion (e.g. SSE replay).

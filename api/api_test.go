@@ -81,13 +81,6 @@ func TestLifecycleEventConversion(t *testing.T) {
 	}
 }
 
-func TestWatchSelectorToCore(t *testing.T) {
-	sel := WatchSelector{Tenant: "acme", Workload: "web", TerminalOnly: true}.ToCore()
-	if sel.Tenant != "acme" || sel.Workload != "web" || !sel.TerminalOnly {
-		t.Fatalf("selector lost fields: %+v", sel)
-	}
-}
-
 func TestFromUtilization(t *testing.T) {
 	ns := FromUtilization(orchestrator.NodeUtilization{
 		Node:     "olt-01",

@@ -13,7 +13,6 @@ package compliance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"genio/internal/core"
@@ -51,18 +50,6 @@ func (r *Report) Satisfied() int {
 		}
 	}
 	return n
-}
-
-// Gaps returns unmet requirements sorted by ID.
-func (r *Report) Gaps() []Requirement {
-	var out []Requirement
-	for _, s := range r.Statuses {
-		if !s.Satisfied {
-			out = append(out, s.Requirement)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Render formats the report.

@@ -220,18 +220,6 @@ func (i *Image) Flatten() map[string]File {
 	return out
 }
 
-// FilesByExtension returns flattened files whose path ends with ext, sorted.
-func (i *Image) FilesByExtension(ext string) []File {
-	var out []File
-	for _, f := range i.Flatten() {
-		if strings.HasSuffix(f.Path, ext) {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Path < out[b].Path })
-	return out
-}
-
 // --- Registry ---------------------------------------------------------------
 
 // Signature is a publisher's signature over an image digest.

@@ -141,17 +141,6 @@ func TestFlattenLaterLayersWin(t *testing.T) {
 	}
 }
 
-func TestFilesByExtension(t *testing.T) {
-	img := IoTGatewayImage()
-	py := img.FilesByExtension(".py")
-	if len(py) != 2 {
-		t.Fatalf("py files = %d, want 2", len(py))
-	}
-	if py[0].Path > py[1].Path {
-		t.Fatal("files not sorted")
-	}
-}
-
 func TestConfigHelpers(t *testing.T) {
 	miner := CryptominerImage()
 	if !miner.Config.RunsAsRoot() {

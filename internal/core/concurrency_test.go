@@ -132,7 +132,6 @@ func TestConcurrentDeployObserveAndRead(t *testing.T) {
 				}
 				p.Incidents()
 				p.IncidentCounts()
-				p.Nodes()
 				p.Cluster.Workloads()
 				p.Cluster.VMs()
 				p.Cluster.Utilization()

@@ -523,17 +523,6 @@ func (p *Platform) Node(name string) (*EdgeNode, error) {
 	return n, nil
 }
 
-// Nodes returns all edge nodes.
-func (p *Platform) Nodes() []*EdgeNode {
-	p.nodeMu.RLock()
-	defer p.nodeMu.RUnlock()
-	out := make([]*EdgeNode, 0, len(p.nodes))
-	for _, n := range p.nodes {
-		out = append(out, n)
-	}
-	return out
-}
-
 // AttachONU issues a far-edge device identity (when the PON mode requires
 // it) and activates the ONU on the named OLT. Context-free compatibility
 // wrapper over AttachONUContext.

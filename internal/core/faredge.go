@@ -124,36 +124,3 @@ func (p *Platform) DeployFarEdge(ctx context.Context, subject, nodeName, serial 
 	}
 	return w, nil
 }
-
-// FarEdgeWorkloads lists deployments on one ONU.
-func (p *Platform) FarEdgeWorkloads(nodeName, serial string) []*FarEdgeWorkload {
-	p.feMu.Lock()
-	defer p.feMu.Unlock()
-	st, ok := p.farEdge[nodeName+"/"+serial]
-	if !ok {
-		return nil
-	}
-	out := make([]*FarEdgeWorkload, 0, len(st.workloads))
-	for _, w := range st.workloads {
-		out = append(out, w)
-	}
-	return out
-}
-
-// StopFarEdge removes a far-edge workload, releasing ONU capacity.
-func (p *Platform) StopFarEdge(nodeName, serial, name string) error {
-	p.feMu.Lock()
-	defer p.feMu.Unlock()
-	st, ok := p.farEdge[nodeName+"/"+serial]
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNoONU, nodeName, serial)
-	}
-	w, ok := st.workloads[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", orchestrator.ErrNotFound, name)
-	}
-	delete(st.workloads, name)
-	st.used.CPUMilli -= w.Spec.Resources.CPUMilli
-	st.used.MemoryMB -= w.Spec.Resources.MemoryMB
-	return nil
-}

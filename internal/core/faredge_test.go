@@ -31,6 +31,16 @@ func farEdgePlatform(t *testing.T) *Platform {
 	return p
 }
 
+// farEdgeCount reads how many workloads run on one ONU.
+func farEdgeCount(p *Platform, node, serial string) int {
+	p.feMu.Lock()
+	defer p.feMu.Unlock()
+	if st, ok := p.farEdge[node+"/"+serial]; ok {
+		return len(st.workloads)
+	}
+	return 0
+}
+
 func TestDeployFarEdge(t *testing.T) {
 	p := farEdgePlatform(t)
 	w, err := p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", "onu-0001", farEdgeSpec("cam-analytics"))
@@ -43,8 +53,8 @@ func TestDeployFarEdge(t *testing.T) {
 	if w.Spec.Isolation != orchestrator.IsolationSoft {
 		t.Fatal("far-edge must force soft isolation")
 	}
-	if got := len(p.FarEdgeWorkloads("olt-01", "onu-0001")); got != 1 {
-		t.Fatalf("FarEdgeWorkloads = %d", got)
+	if got := farEdgeCount(p, "olt-01", "onu-0001"); got != 1 {
+		t.Fatalf("ONU runs %d workloads, want 1", got)
 	}
 }
 
@@ -71,13 +81,6 @@ func TestFarEdgeCapacityEnforced(t *testing.T) {
 	if !errors.Is(err, ErrFarEdgeCapacity) {
 		t.Fatalf("err = %v, want ErrFarEdgeCapacity", err)
 	}
-	// Stopping one frees capacity.
-	if err := p.StopFarEdge("olt-01", "onu-0001", "wa"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", "onu-0001", farEdgeSpec("retry")); err != nil {
-		t.Fatalf("deploy after stop: %v", err)
-	}
 }
 
 // TestFarEdgeNegativeDemandRejected: a negative demand must not mint ONU
@@ -91,7 +94,7 @@ func TestFarEdgeNegativeDemandRejected(t *testing.T) {
 	if !errors.As(err, &derr) || !errors.Is(err, orchestrator.ErrRejected) {
 		t.Fatalf("err = %v, want *InvalidDemandError under ErrRejected", err)
 	}
-	if got := len(p.FarEdgeWorkloads("olt-01", "onu-0001")); got != 0 {
+	if got := farEdgeCount(p, "olt-01", "onu-0001"); got != 0 {
 		t.Fatalf("ONU runs %d workloads after the rejection", got)
 	}
 	big := farEdgeSpec("big")
@@ -150,7 +153,8 @@ func TestFarEdgeRunsDefaultClusterChain(t *testing.T) {
 
 // TestFarEdgeSameNameOnTwoONUsConcurrently checks names are scoped to the
 // ONU: admission reserves nothing cluster-wide, so two ONUs can take the
-// same workload name at the same moment.
+// same workload name at the same moment. Each round's workloads are
+// small enough that twenty of them fit on one ONU.
 func TestFarEdgeSameNameOnTwoONUsConcurrently(t *testing.T) {
 	p := farEdgePlatform(t)
 	if _, err := p.AttachONU("olt-01", "onu-0002"); err != nil {
@@ -165,16 +169,15 @@ func TestFarEdgeSameNameOnTwoONUsConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[i] = p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", serial, farEdgeSpec(name))
+				spec := farEdgeSpec(name)
+				spec.Resources = orchestrator.Resources{CPUMilli: 50, MemoryMB: 50}
+				_, errs[i] = p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", serial, spec)
 			}()
 		}
 		wg.Wait()
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("round %d: deploy on %s: %v", round, serials[i], err)
-			}
-			if err := p.StopFarEdge("olt-01", serials[i], name); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -207,7 +210,7 @@ func TestFarEdgeCancelledMidScan(t *testing.T) {
 	if got := p.Cluster.AdmissionCacheSize(); got != cacheBefore {
 		t.Fatalf("verdict cache went from %d to %d during a cancelled far-edge deploy", cacheBefore, got)
 	}
-	if got := len(p.FarEdgeWorkloads("olt-01", "onu-0001")); got != 0 {
+	if got := farEdgeCount(p, "olt-01", "onu-0001"); got != 0 {
 		t.Fatalf("ONU runs %d workloads after a cancelled deploy", got)
 	}
 }
@@ -226,19 +229,6 @@ func TestFarEdgeDuplicateName(t *testing.T) {
 	}
 	if _, err := p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", "onu-0001", farEdgeSpec("dup")); !errors.Is(err, orchestrator.ErrDuplicateName) {
 		t.Fatalf("err = %v, want ErrDuplicateName", err)
-	}
-}
-
-func TestStopFarEdgeErrors(t *testing.T) {
-	p := farEdgePlatform(t)
-	if err := p.StopFarEdge("olt-01", "onu-0001", "ghost"); !errors.Is(err, ErrNoONU) {
-		t.Fatalf("err = %v, want ErrNoONU (no deployments yet)", err)
-	}
-	if _, err := p.DeployFarEdge(context.Background(), "acme-ci", "olt-01", "onu-0001", farEdgeSpec("w")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.StopFarEdge("olt-01", "onu-0001", "ghost"); !errors.Is(err, orchestrator.ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package dast implements dynamic application security testing (M15): a
 // REST API fuzzer in the role of CATS that drives real HTTP servers from an
 // OpenAPI-like endpoint description with malformed, unexpected, and
-// malicious inputs, and an nmap-style network checker verifying TLS
-// enforcement and port exposure.
+// malicious inputs.
 //
 // Unlike the static scanners, the fuzzer exercises live code: in tests and
 // experiments the targets are real net/http servers.
@@ -211,33 +210,4 @@ func (f *Fuzzer) call(baseURL string, ep Endpoint, values map[string]string, wit
 		return resp.StatusCode, "", err
 	}
 	return resp.StatusCode, string(body), nil
-}
-
-// --- Network checks (nmap role) ---------------------------------------------
-
-// PortFinding is one network-exposure issue.
-type PortFinding struct {
-	Port   int    `json:"port"`
-	Issue  string `json:"issue"`
-	Detail string `json:"detail"`
-}
-
-// CheckPorts compares open ports against an expected allowlist and a TLS
-// requirement map, in the role the paper assigns to nmap: verify TLS
-// enforcement and flag unnecessary open ports.
-func CheckPorts(open []int, expected map[int]bool, tlsOn map[int]bool) []PortFinding {
-	var out []PortFinding
-	for _, p := range open {
-		if !expected[p] {
-			out = append(out, PortFinding{Port: p, Issue: "unexpected-open-port",
-				Detail: fmt.Sprintf("port %d not in the service allowlist", p)})
-			continue
-		}
-		if !tlsOn[p] {
-			out = append(out, PortFinding{Port: p, Issue: "tls-not-enforced",
-				Detail: fmt.Sprintf("port %d serves plaintext", p)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
-	return out
 }

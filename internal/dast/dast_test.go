@@ -93,29 +93,6 @@ func TestFindingsSorted(t *testing.T) {
 	}
 }
 
-func TestCheckPorts(t *testing.T) {
-	open := []int{22, 8443, 8080, 9229}
-	expected := map[int]bool{22: true, 8443: true, 8080: true}
-	tlsOn := map[int]bool{22: true, 8443: true} // 8080 plaintext
-	findings := CheckPorts(open, expected, tlsOn)
-	if len(findings) != 2 {
-		t.Fatalf("findings = %+v", findings)
-	}
-	if findings[0].Port != 8080 || findings[0].Issue != "tls-not-enforced" {
-		t.Fatalf("first = %+v", findings[0])
-	}
-	if findings[1].Port != 9229 || findings[1].Issue != "unexpected-open-port" {
-		t.Fatalf("second = %+v", findings[1])
-	}
-}
-
-func TestCheckPortsAllClean(t *testing.T) {
-	findings := CheckPorts([]int{443}, map[int]bool{443: true}, map[int]bool{443: true})
-	if len(findings) != 0 {
-		t.Fatalf("findings = %+v", findings)
-	}
-}
-
 func TestFindingKindString(t *testing.T) {
 	if FindingServerError.String() != "server-error" || FindingKind(9).String() != "finding(9)" {
 		t.Fatal("FindingKind.String mismatch")

@@ -40,9 +40,6 @@ type Subscription struct {
 	spine   *Spine
 }
 
-// Name returns the subscriber name given at Subscribe time.
-func (s *Subscription) Name() string { return s.name }
-
 // Cancel detaches the subscription; events published afterwards are no
 // longer delivered to it. Idempotent.
 func (s *Subscription) Cancel() {

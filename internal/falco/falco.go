@@ -118,14 +118,8 @@ func (e *Engine) SetExceptions(ruleName string, exceptions []string) error {
 	return fmt.Errorf("falco: unknown rule %q", ruleName)
 }
 
-// Consume feeds one event through every rule, returning alerts raised.
-func (e *Engine) Consume(ev trace.Event) []Alert {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.consumeLocked(ev)
-}
-
-// consumeLocked is Consume's body; callers hold e.mu.
+// consumeLocked feeds one event through every rule, returning the
+// alerts raised; callers hold e.mu.
 func (e *Engine) consumeLocked(ev trace.Event) []Alert {
 	hist := e.history[ev.Workload]
 	var atMs int64

@@ -45,7 +45,7 @@ func TestDetectionDoesNotBlock(t *testing.T) {
 	events := trace.ContainerEscapeTrace("miner", "shady")
 	var consumed int
 	for _, ev := range events {
-		e.Consume(ev)
+		e.ConsumeAll([]trace.Event{ev})
 		consumed++
 	}
 	if consumed != len(events) {

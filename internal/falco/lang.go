@@ -45,15 +45,6 @@ func ParseCondition(src string) (Condition, error) {
 	}, nil
 }
 
-// MustParseCondition is ParseCondition for statically known rules.
-func MustParseCondition(src string) Condition {
-	c, err := ParseCondition(src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ParseRule builds a complete Rule from textual fields.
 func ParseRule(name string, priority Priority, condition string, exceptions ...string) (Rule, error) {
 	cond, err := ParseCondition(condition)
@@ -346,35 +337,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TextRules returns the stock detection set expressed in the condition
-// language — semantically equivalent to DefaultRules, demonstrating that
-// deployed rule files can be loaded as text (the Falco operational model).
-func TextRules() ([]Rule, error) {
-	specs := []struct {
-		name     string
-		priority Priority
-		cond     string
-	}{
-		{"shell-in-container", PriorityCritical,
-			`evt.type = exec and not evt.first_exec and (evt.target endswith /bash or evt.target endswith /sh or evt.target endswith /zsh)`},
-		{"sensitive-file-read", PriorityCritical,
-			`evt.type = file-open and (evt.target startswith /etc/shadow or evt.target startswith /var/run/secrets/ or evt.target startswith /host/)`},
-		{"unexpected-egress", PriorityWarning,
-			`evt.type = connect and not evt.target contains .internal`},
-		{"privileged-syscall", PriorityCritical,
-			`evt.type = syscall and evt.target in (mount, ptrace, init_module)`},
-		{"write-outside-app", PriorityNotice,
-			`evt.type = file-write and not (evt.target startswith /app/ or evt.target startswith /out/ or evt.target startswith /tmp/)`},
-	}
-	rules := make([]Rule, 0, len(specs))
-	for _, s := range specs {
-		r, err := ParseRule(s.name, s.priority, s.cond)
-		if err != nil {
-			return nil, err
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
 }

@@ -136,8 +136,7 @@ func (f *Federation) AddCluster(name, region string, c *orchestrator.Cluster) er
 		return &DuplicateClusterError{Cluster: name}
 	}
 	f.members[name] = &member{name: name, region: region, cluster: c}
-	ring := f.rebuildRingLocked()
-	_ = ring
+	f.rebuildRingLocked()
 	audit, now := f.audit, f.clock
 	f.mu.Unlock()
 	f.emit(audit, now, orchestrator.AuditEvent{
@@ -147,40 +146,14 @@ func (f *Federation) AddCluster(name, region string, c *orchestrator.Cluster) er
 	return nil
 }
 
-// RemoveCluster detaches a cluster administratively and returns it.
-// Its workloads are NOT re-placed — that is EvacuateCluster's job; use
-// RemoveCluster for planned decommissions where the site drains itself.
-// In-flight deploys racing the removal either complete before the
-// detach (and stay on the returned cluster) or re-route through the
-// ring; none are lost.
-func (f *Federation) RemoveCluster(name string) (*orchestrator.Cluster, error) {
-	f.mu.Lock()
-	m, ok := f.members[name]
-	if !ok {
-		f.mu.Unlock()
-		return nil, &ClusterNotFoundError{Cluster: name}
-	}
-	delete(f.members, name)
-	f.rebuildRingLocked()
-	audit, now := f.audit, f.clock
-	f.mu.Unlock()
-	m.detach()
-	f.emit(audit, now, orchestrator.AuditEvent{
-		Kind: "cluster-remove", Node: name, Allowed: true,
-		Detail: fmt.Sprintf("region=%s workloads=%d", m.region, m.cluster.WorkloadCount()),
-	})
-	return m.cluster, nil
-}
-
 // rebuildRingLocked republishes the ring from the member set. Callers
 // hold f.mu.
-func (f *Federation) rebuildRingLocked() *Ring {
+func (f *Federation) rebuildRingLocked() {
 	ring := NewRing(DefaultReplicas)
 	for name := range f.members {
 		ring.Add(name)
 	}
 	f.ring = ring
-	return ring
 }
 
 // Clusters returns member snapshots sorted by name.

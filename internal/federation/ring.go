@@ -49,8 +49,8 @@ type point struct {
 	member int32
 }
 
-// Ring is a consistent-hash ring with virtual nodes. Add/Remove rebuild
-// the point set (allocation there is fine — membership changes are rare
+// Ring is a consistent-hash ring with virtual nodes. Add rebuilds the
+// point set (allocation there is fine — membership changes are rare
 // control-plane events); Owner and Walk are read-only and safe for
 // concurrent use with each other, so the federation publishes a fresh
 // ring per membership change and readers never lock.
@@ -87,18 +87,6 @@ func (r *Ring) Add(member string) {
 	r.rebuild()
 }
 
-// Remove deletes a member (no-op when absent). Only keys the member
-// owned move — each to the next surviving point on the ring.
-func (r *Ring) Remove(member string) {
-	for i, m := range r.members {
-		if m == member {
-			r.members = append(r.members[:i], r.members[i+1:]...)
-			r.rebuild()
-			return
-		}
-	}
-}
-
 // rebuild recomputes the sorted point set from the member list. Point
 // positions depend only on (member, replica), so members keep their
 // virtual nodes across unrelated membership changes — the property that
@@ -118,16 +106,6 @@ func (r *Ring) rebuild() {
 		return r.points[i].member < r.points[j].member
 	})
 }
-
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.members) }
 
 // search returns the index of the first point at or after h, wrapping
 // to 0 past the end. Hand-rolled binary search keeps the hot path free

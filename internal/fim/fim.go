@@ -93,7 +93,6 @@ type Monitor struct {
 	watch    []string // path prefixes to baseline
 	mutable  []string // path prefixes considered legitimately mutable
 	baseline *Baseline
-	scans    int
 }
 
 // Config configures a Monitor.
@@ -183,13 +182,6 @@ func (m *Monitor) Init() error {
 	return nil
 }
 
-// Baseline returns the current baseline (nil before Init).
-func (m *Monitor) Baseline() *Baseline { return m.baseline }
-
-// SetBaseline installs an externally stored baseline (e.g. loaded from
-// disk); its signature is checked at scan time.
-func (m *Monitor) SetBaseline(b *Baseline) { m.baseline = b }
-
 // isMutable reports whether path falls under a mutable-path rule.
 func (m *Monitor) isMutable(path string) bool {
 	for _, p := range m.mutable {
@@ -218,7 +210,6 @@ func (m *Monitor) Scan() ([]Alert, error) {
 	if !ed25519.Verify(pub, baselineMessage(m.baseline.Entries), m.baseline.Signature) {
 		return nil, ErrBaselineTampered
 	}
-	m.scans++
 
 	base := make(map[string]entry, len(m.baseline.Entries))
 	for _, e := range m.baseline.Entries {
@@ -264,6 +255,3 @@ func Raised(alerts []Alert) []Alert {
 	}
 	return out
 }
-
-// Scans reports how many scans completed (for experiments).
-func (m *Monitor) Scans() int { return m.scans }

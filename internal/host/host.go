@@ -154,32 +154,6 @@ func (h *Host) Service(name string) (Service, bool) {
 	return s, ok
 }
 
-// Services returns all services sorted by name.
-func (h *Host) Services() []Service {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]Service, 0, len(h.services))
-	for _, s := range h.services {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// OpenPorts returns listen ports of enabled network services, sorted.
-func (h *Host) OpenPorts() []int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	var ports []int
-	for _, s := range h.services {
-		if s.Enabled && s.ListenPort > 0 {
-			ports = append(ports, s.ListenPort)
-		}
-	}
-	sort.Ints(ports)
-	return ports
-}
-
 // SetAccount adds or replaces an account.
 func (h *Host) SetAccount(a Account) {
 	h.mu.Lock()
@@ -215,17 +189,6 @@ func (h *Host) ReadFile(path string) (File, error) {
 		return File{}, fmt.Errorf("%w: file %s", ErrNotFound, path)
 	}
 	return f, nil
-}
-
-// RemoveFile deletes a file.
-func (h *Host) RemoveFile(path string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.files[path]; !ok {
-		return fmt.Errorf("%w: file %s", ErrNotFound, path)
-	}
-	delete(h.files, path)
-	return nil
 }
 
 // Files returns paths matching prefix (all files for ""), sorted.
@@ -282,28 +245,4 @@ func (h *Host) BootParam(key string) string {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.bootParams[key]
-}
-
-// Snapshot summarizes host state for reports.
-type Snapshot struct {
-	Name     string `json:"name"`
-	Distro   string `json:"distro"`
-	Packages int    `json:"packages"`
-	Services int    `json:"services"`
-	Accounts int    `json:"accounts"`
-	Files    int    `json:"files"`
-}
-
-// Snapshot returns entity counts.
-func (h *Host) Snapshot() Snapshot {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return Snapshot{
-		Name:     h.Name,
-		Distro:   h.Distro,
-		Packages: len(h.packages),
-		Services: len(h.services),
-		Accounts: len(h.accounts),
-		Files:    len(h.files),
-	}
 }

@@ -1,7 +1,8 @@
 // Package integration holds cross-module scenarios exercising chains of
 // subsystems that no single package test covers: full node reboot cycles
-// with tamper detection, fleet update rollouts, multi-tenant isolation
-// reviews, and the complete incident pipeline.
+// with tamper detection, fleet update rollouts, multi-tenant VM placement,
+// the complete incident pipeline, and a check that every exported
+// function has a caller outside the tests.
 package integration
 
 import (
@@ -16,7 +17,6 @@ import (
 	"genio/internal/pki"
 	"genio/internal/pon"
 	"genio/internal/rbac"
-	"genio/internal/sandbox"
 	"genio/internal/secureboot"
 	"genio/internal/storage"
 	"genio/internal/tpm"
@@ -124,7 +124,7 @@ func TestFleetUpdateRollout(t *testing.T) {
 }
 
 // TestMultiTenantIsolationReview builds a mixed cluster and checks the
-// PEACH-style review reflects the posture and the VM placement.
+// VM placement never puts two tenants in one VM.
 func TestMultiTenantIsolationReview(t *testing.T) {
 	reg := container.NewRegistry()
 	reg.Push(container.AnalyticsImage(), nil)
@@ -141,13 +141,9 @@ func TestMultiTenantIsolationReview(t *testing.T) {
 		{Name: "b2", Tenant: "rival", ImageRef: "acme/analytics:2.0.1", Isolation: orchestrator.IsolationSoft,
 			Resources: orchestrator.Resources{CPUMilli: 500, MemoryMB: 512}},
 	}
-	hard := 0
 	for _, s := range specs {
 		if _, err := cluster.DeployContext(context.Background(), "ops", s); err != nil {
 			t.Fatalf("deploy %s: %v", s.Name, err)
-		}
-		if s.Isolation == orchestrator.IsolationHard {
-			hard++
 		}
 	}
 	// No VM hosts two tenants.
@@ -155,11 +151,6 @@ func TestMultiTenantIsolationReview(t *testing.T) {
 		if len(tenants) > 1 {
 			t.Fatalf("vm %s mixes tenants %v", vm, tenants)
 		}
-	}
-	share := float64(hard) / float64(len(specs))
-	rev := sandbox.ReviewIsolation(cluster, share)
-	if rev.Total() < rev.Max()-1 {
-		t.Fatalf("hardened mixed cluster scored %d/%d: %+v", rev.Total(), rev.Max(), rev.Factors)
 	}
 }
 

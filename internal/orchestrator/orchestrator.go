@@ -834,9 +834,8 @@ func (c *Cluster) Counters() (admitted, rejected int) {
 	return int(c.admitted.Load()), int(c.rejected.Load())
 }
 
-// SharedVMTenants returns, per VM, the set of workload-owning tenants —
-// used by the PEACH-style isolation review: a non-dedicated VM hosting
-// multiple tenants is an isolation risk.
+// SharedVMTenants returns, per VM, the set of workload-owning tenants: a
+// non-dedicated VM hosting multiple tenants is an isolation risk.
 func (c *Cluster) SharedVMTenants() map[string][]string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -185,8 +185,8 @@ func weightedSum(req *Request, spread bool, c *Candidate) float64 {
 	sum += float64(antiAffinityWeight * affinity)
 	// Security posture steers hard-isolation workloads away from nodes
 	// running shared VMs: a dedicated-VM workload on a node with no soft
-	// tenancy has no co-resident VM to be attacked from (the PEACH-style
-	// isolation review's preference). Soft workloads are indifferent.
+	// tenancy has no co-resident VM to be attacked from. Soft workloads
+	// are indifferent.
 	posture := 1.0
 	if req.HardIsolation {
 		posture = inverse(c.SharedVMs)

@@ -4,7 +4,6 @@ import (
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/hkdf"
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -43,7 +42,6 @@ type Handshaker struct {
 	ephPriv   *ecdh.PrivateKey
 	isClient  bool
 	completed bool
-	peerCert  *Certificate
 	keys      SessionKeys
 }
 
@@ -104,7 +102,6 @@ func (h *Handshaker) Accept(offer *HandshakeMessage) (*HandshakeMessage, error) 
 	if err := h.deriveKeys(offer.EphemeralPub); err != nil {
 		return nil, err
 	}
-	h.peerCert = offer.Cert
 	h.completed = true
 	return reply, nil
 }
@@ -119,7 +116,6 @@ func (h *Handshaker) Finish(reply *HandshakeMessage) error {
 	if err := h.deriveKeys(reply.EphemeralPub); err != nil {
 		return err
 	}
-	h.peerCert = reply.Cert
 	h.completed = true
 	return nil
 }
@@ -166,21 +162,6 @@ func (h *Handshaker) SessionKeys() (SessionKeys, error) {
 		return SessionKeys{}, ErrHandshakeIncomplete
 	}
 	return h.keys, nil
-}
-
-// PeerCertificate returns the authenticated peer certificate.
-func (h *Handshaker) PeerCertificate() (*Certificate, error) {
-	if !h.completed {
-		return nil, ErrHandshakeIncomplete
-	}
-	return h.peerCert, nil
-}
-
-// KeysMatch reports whether two endpoints derived the same session keys,
-// in constant time.
-func KeysMatch(a, b SessionKeys) bool {
-	return hmac.Equal(a.ClientToServer[:], b.ClientToServer[:]) &&
-		hmac.Equal(a.ServerToClient[:], b.ServerToClient[:])
 }
 
 func transcript(initiatorEph, responderEph []byte) []byte {

@@ -13,7 +13,6 @@ package pki
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -74,12 +73,6 @@ func (c *Certificate) tbs() []byte {
 		panic(fmt.Sprintf("pki: marshal tbs: %v", err))
 	}
 	return b
-}
-
-// Fingerprint returns the SHA-256 fingerprint of the certificate public key.
-func (c *Certificate) Fingerprint() string {
-	sum := sha256.Sum256(c.PublicKey)
-	return hex.EncodeToString(sum[:8])
 }
 
 // Identity is a private key together with its certificate.
@@ -208,14 +201,6 @@ func (ca *CA) Revoke(serial string) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
 	ca.revoked[serial] = ca.now()
-}
-
-// IsRevoked reports whether a serial is on the revocation list.
-func (ca *CA) IsRevoked(serial string) bool {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	_, ok := ca.revoked[serial]
-	return ok
 }
 
 // Issued reports how many certificates this CA has issued.

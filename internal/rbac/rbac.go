@@ -3,8 +3,7 @@
 // permissions, bindings attaching roles to subjects, and policy evaluation.
 //
 // Beyond enforcement it provides the audit tooling the paper's Lesson 5
-// calls for: detection of insecure defaults (wildcard grants, anonymous
-// access), a least-privilege audit comparing granted permissions against
+// calls for: a least-privilege audit comparing granted permissions against
 // observed usage, and an allowlist mode for network-management APIs where
 // the production capability set is small and closed (the "easy" half of
 // Lesson 5, versus feature-rich orchestrator RBAC, the hard half).
@@ -53,12 +52,6 @@ type Role struct {
 	Permissions []Permission `json:"permissions"`
 }
 
-// Binding attaches a role to a subject (user or service account).
-type Binding struct {
-	Subject string `json:"subject"`
-	Role    string `json:"role"`
-}
-
 // Decision is the outcome of an access check.
 type Decision struct {
 	Allowed bool   `json:"allowed"`
@@ -95,14 +88,6 @@ func (e *Engine) SetRole(r Role) {
 	e.roles[r.Name] = r
 }
 
-// Role returns a role by name.
-func (e *Engine) Role(name string) (Role, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.roles[name]
-	return r, ok
-}
-
 // Bind attaches a role to a subject.
 func (e *Engine) Bind(subject, role string) error {
 	e.mu.Lock()
@@ -117,23 +102,6 @@ func (e *Engine) Bind(subject, role string) error {
 	}
 	e.bindings[subject] = append(e.bindings[subject], role)
 	return nil
-}
-
-// Unbind removes a role from a subject.
-func (e *Engine) Unbind(subject, role string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := e.bindings[subject][:0]
-	for _, r := range e.bindings[subject] {
-		if r != role {
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		delete(e.bindings, subject)
-	} else {
-		e.bindings[subject] = out
-	}
 }
 
 // Check evaluates whether subject may perform req, recording usage on
@@ -164,18 +132,6 @@ func (e *Engine) Check(subject string, req Permission) Decision {
 	return Decision{Allowed: false}
 }
 
-// Subjects returns all bound subjects sorted.
-func (e *Engine) Subjects() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.bindings))
-	for s := range e.bindings {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // grantedPermissions returns the deduplicated grant list for a subject.
 func (e *Engine) grantedPermissions(subject string) []Permission {
 	var out []Permission
@@ -191,45 +147,6 @@ func (e *Engine) grantedPermissions(subject string) []Permission {
 				out = append(out, p)
 			}
 		}
-	}
-	return out
-}
-
-// AuditFinding is one issue raised by the policy auditor.
-type AuditFinding struct {
-	Subject string `json:"subject,omitempty"`
-	Role    string `json:"role,omitempty"`
-	Issue   string `json:"issue"`
-	Detail  string `json:"detail"`
-}
-
-// AuditInsecureDefaults flags wildcard grants and anonymous access — the
-// misconfigurations T5 warns about and M11's checker tools look for.
-func (e *Engine) AuditInsecureDefaults() []AuditFinding {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []AuditFinding
-	names := make([]string, 0, len(e.roles))
-	for n := range e.roles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		for _, p := range e.roles[n].Permissions {
-			if p.IsWildcard() {
-				out = append(out, AuditFinding{
-					Role:   n,
-					Issue:  "wildcard-grant",
-					Detail: fmt.Sprintf("role %q grants %s", n, p),
-				})
-			}
-		}
-	}
-	if e.AllowAnonymous {
-		out = append(out, AuditFinding{
-			Issue:  "anonymous-access",
-			Detail: fmt.Sprintf("unauthenticated requests map to role %q", e.AnonymousRole),
-		})
 	}
 	return out
 }
@@ -266,14 +183,6 @@ func (e *Engine) AuditLeastPrivilege() []UnusedGrant {
 		}
 	}
 	return out
-}
-
-// PermissionCount returns the total concrete permissions granted to a
-// subject (wildcards count as one each), the Lesson-5 reduction metric.
-func (e *Engine) PermissionCount(subject string) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.grantedPermissions(subject))
 }
 
 // --- Allowlist mode for network-management APIs ----------------------------

@@ -1,8 +1,7 @@
 // Package sandbox implements LSM-style runtime enforcement for GENIO
 // workloads (M17, the KubeArmor role): per-workload policies that allow or
 // block process executions, file accesses, network egress, capabilities,
-// and syscalls, applied inline to the event stream — plus a PEACH-style
-// isolation review scoring tenant separation across the cluster.
+// and syscalls, applied inline to the event stream.
 package sandbox
 
 import (
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"genio/internal/orchestrator"
 	"genio/internal/trace"
 )
 
@@ -195,91 +193,4 @@ var baselineRules = []PolicyRule{
 // host-filesystem access, and shells; audit writes outside the app tree.
 func DefaultWorkloadPolicy() Policy {
 	return Policy{Name: "genio-baseline", Rules: baselineRules, DefaultAction: ActionAllow}
-}
-
-// --- PEACH-style isolation review -------------------------------------------
-
-// IsolationFactor is one scored dimension of the PEACH framework
-// (privilege hardening, encryption, authentication, connectivity,
-// hygiene) plus tenant-separation structure.
-type IsolationFactor struct {
-	Name   string `json:"name"`
-	Score  int    `json:"score"` // 0 (weak) .. 2 (strong)
-	Detail string `json:"detail"`
-}
-
-// IsolationReview is the result of reviewing a cluster's multi-tenancy.
-type IsolationReview struct {
-	Factors []IsolationFactor `json:"factors"`
-}
-
-// Total sums factor scores.
-func (r IsolationReview) Total() int {
-	sum := 0
-	for _, f := range r.Factors {
-		sum += f.Score
-	}
-	return sum
-}
-
-// Max returns the maximum possible score.
-func (r IsolationReview) Max() int { return len(r.Factors) * 2 }
-
-// ReviewIsolation scores a cluster against PEACH-style criteria using the
-// observable configuration: privileged containers, TLS, RBAC strength,
-// tenant co-residency, and network policy hygiene.
-func ReviewIsolation(c *orchestrator.Cluster, hardIsolationShare float64) IsolationReview {
-	var rev IsolationReview
-	s := c.Settings
-
-	priv := 2
-	detail := "privileged containers disallowed"
-	if s.AllowPrivileged {
-		priv, detail = 0, "privileged containers allowed"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "privilege-hardening", Score: priv, Detail: detail})
-
-	enc := 0
-	detail = "no TLS, no at-rest encryption"
-	if s.TLSOnAPIServer && s.EtcdEncryption {
-		enc, detail = 2, "TLS + etcd encryption"
-	} else if s.TLSOnAPIServer || s.EtcdEncryption {
-		enc, detail = 1, "partial encryption"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "encryption", Score: enc, Detail: detail})
-
-	auth := 0
-	detail = "anonymous access permitted"
-	if !s.AnonymousAuth && s.RBACEnabled {
-		auth, detail = 2, "RBAC enforced, no anonymous access"
-	} else if !s.AnonymousAuth {
-		auth, detail = 1, "authenticated but coarse authorization"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "authentication", Score: auth, Detail: detail})
-
-	conn := 0
-	detail = "flat network between tenants"
-	if s.NetworkPoliciesOn {
-		conn, detail = 2, "default-deny network policies"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "connectivity", Score: conn, Detail: detail})
-
-	sep := 0
-	detail = "tenants co-resident in shared VMs"
-	switch {
-	case hardIsolationShare >= 0.99:
-		sep, detail = 2, "every tenant in dedicated VMs"
-	case hardIsolationShare >= 0.5:
-		sep, detail = 1, "sensitive tenants in dedicated VMs"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "tenant-separation", Score: sep, Detail: detail})
-
-	hyg := 0
-	detail = "no audit trail"
-	if s.AuditLoggingEnabled {
-		hyg, detail = 2, "audit logging on"
-	}
-	rev.Factors = append(rev.Factors, IsolationFactor{Name: "hygiene", Score: hyg, Detail: detail})
-
-	return rev
 }

@@ -3,8 +3,6 @@ package sandbox
 import (
 	"testing"
 
-	"genio/internal/container"
-	"genio/internal/orchestrator"
 	"genio/internal/trace"
 )
 
@@ -126,48 +124,6 @@ func TestTypeFilterInRules(t *testing.T) {
 func TestActionString(t *testing.T) {
 	if ActionBlock.String() != "block" || Action(9).String() != "action(9)" {
 		t.Fatal("Action.String mismatch")
-	}
-}
-
-func TestIsolationReviewScoresPostures(t *testing.T) {
-	reg := container.NewRegistry()
-	insecure := orchestrator.NewCluster("c1", reg, orchestrator.InsecureDefaults())
-	hardened := orchestrator.NewCluster("c2", reg, orchestrator.HardenedSettings())
-
-	low := ReviewIsolation(insecure, 0)
-	high := ReviewIsolation(hardened, 1.0)
-	if low.Total() >= high.Total() {
-		t.Fatalf("insecure %d/%d >= hardened %d/%d",
-			low.Total(), low.Max(), high.Total(), high.Max())
-	}
-	if high.Total() != high.Max() {
-		t.Fatalf("fully hardened cluster scored %d/%d: %+v", high.Total(), high.Max(), high.Factors)
-	}
-	if low.Max() != high.Max() {
-		t.Fatal("reviews have different factor counts")
-	}
-}
-
-func TestIsolationReviewPartialScores(t *testing.T) {
-	reg := container.NewRegistry()
-	s := orchestrator.HardenedSettings()
-	s.EtcdEncryption = false // partial encryption
-	c := orchestrator.NewCluster("c", reg, s)
-	rev := ReviewIsolation(c, 0.6)
-	var enc, sep int
-	for _, f := range rev.Factors {
-		switch f.Name {
-		case "encryption":
-			enc = f.Score
-		case "tenant-separation":
-			sep = f.Score
-		}
-	}
-	if enc != 1 {
-		t.Fatalf("encryption score = %d, want 1", enc)
-	}
-	if sep != 1 {
-		t.Fatalf("tenant-separation score = %d, want 1", sep)
 	}
 }
 

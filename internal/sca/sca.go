@@ -32,15 +32,6 @@ type Report struct {
 	DependenciesScanned int `json:"dependenciesScanned"`
 }
 
-// CountBySeverity tallies findings.
-func (r *Report) CountBySeverity() map[vuln.Severity]int {
-	out := make(map[vuln.Severity]int)
-	for _, f := range r.Findings {
-		out[f.CVE.Severity()]++
-	}
-	return out
-}
-
 // ReachableOnly filters the report to findings in dependencies the
 // application actually exercises — the Lesson-7 noise reduction.
 func (r *Report) ReachableOnly() *Report {

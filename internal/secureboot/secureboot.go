@@ -114,21 +114,6 @@ func (s *Signer) SignComponent(stage Stage, name string, image []byte) Component
 	}
 }
 
-// SignBinary signs an arbitrary platform binary (daemons, custom tools)
-// with the platform key, implementing the M9 requirement that GENIO's own
-// artifacts are signature-validated before installation.
-func (s *Signer) SignBinary(name string, data []byte) []byte {
-	return ed25519.Sign(s.platformPriv, componentDigest(StageConfig, name, data))
-}
-
-// VerifyBinary validates a platform binary signature against pub.
-func VerifyBinary(pub ed25519.PublicKey, name string, data, sig []byte) error {
-	if !ed25519.Verify(pub, componentDigest(StageConfig, name, data), sig) {
-		return fmt.Errorf("%w: binary %q", ErrVerification, name)
-	}
-	return nil
-}
-
 func componentDigest(stage Stage, name string, image []byte) []byte {
 	h := sha256.New()
 	h.Write([]byte("genio-secureboot-v1"))
@@ -180,12 +165,6 @@ var ErrRevoked = errors.New("secureboot: component revoked (dbx)")
 // human-readable reason.
 func (f *Firmware) RevokeImage(image []byte, reason string) {
 	f.dbx[sha256.Sum256(image)] = reason
-}
-
-// RevokedReason reports whether an image is in the dbx.
-func (f *Firmware) RevokedReason(image []byte) (string, bool) {
-	r, ok := f.dbx[sha256.Sum256(image)]
-	return r, ok
 }
 
 // Boot executes a boot chain. Components must be presented in stage order:

@@ -669,6 +669,9 @@ func KillRestart() Step {
 		if err != nil {
 			return Outcome{Status: "error", Detail: fmt.Sprintf("fingerprint: %v", err)}
 		}
+		admitted, rejected := w.deployCounters()
+		w.retiredAdmitted += admitted
+		w.retiredRejected += rejected
 		w.Platform.Crash()
 		if err := w.rebuild(); err != nil {
 			return Outcome{Status: "error", Detail: fmt.Sprintf("restart: %v", err)}

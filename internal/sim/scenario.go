@@ -161,6 +161,10 @@ type World struct {
 	// observed across a crash/recovery; the recovery-exact invariant
 	// drains it.
 	recoveryDiffs []string
+	// retiredAdmitted and retiredRejected sum the cluster counters of the
+	// incarnations KillRestart crashed; the report adds them to the final
+	// incarnation's.
+	retiredAdmitted, retiredRejected int
 
 	nodeSeq int
 	wlSeq   int
@@ -292,6 +296,17 @@ func (w *World) Clusters() []*orchestrator.Cluster {
 		}
 	}
 	return out
+}
+
+// deployCounters sums the admitted and rejected deploys of every member
+// cluster of the current platform incarnation.
+func (w *World) deployCounters() (admitted, rejected int) {
+	for _, c := range w.Clusters() {
+		a, r := c.Counters()
+		admitted += a
+		rejected += r
+	}
+	return admitted, rejected
 }
 
 // clusterOf returns the cluster currently hosting the named node,

@@ -173,21 +173,23 @@ func (e *Engine) Run(sc Scenario) (*Report, error) {
 	// to the pre-federation numbers when only the default cluster exists
 	// (clusters come back sorted by name, so the node list stays
 	// deterministic).
-	var admitted, rejected, workloads int
+	// The admitted/rejected counters are process state, deliberately not
+	// persisted: in a persistent scenario the ones KillRestart retired
+	// are added to the final incarnation's.
+	admitted, rejected := w.deployCounters()
+	admitted += w.retiredAdmitted
+	rejected += w.retiredRejected
+	var workloads int
 	liveNodes := []string{}
 	for _, c := range w.Clusters() {
-		a, r := c.Counters()
-		admitted += a
-		rejected += r
 		liveNodes = append(liveNodes, c.Nodes()...)
 		workloads += len(c.Workloads())
 	}
 	// Per-topic published tallies: deterministic because the spine never
 	// drops an event, so they join the replay contract. In a
-	// persistent scenario these (and the admitted/rejected counters) cover
-	// the final platform incarnation only — spine counters are process
-	// state, deliberately not persisted — which stays deterministic
-	// because the crash point is itself scripted.
+	// persistent scenario these cover the final platform incarnation
+	// only — spine counters are process state too — which stays
+	// deterministic because the crash point is itself scripted.
 	eventCounts := make(map[string]uint64)
 	for topic, ts := range w.Platform.Metrics() {
 		if ts.Published > 0 {

@@ -155,6 +155,36 @@ func TestDeployStormStopsAndRedeploys(t *testing.T) {
 
 // TestIncidentStormDetections checks runtime monitoring fired during the
 // storm campaign.
+// TestKillRestartCountsEveryIncarnation checks the report's admitted and
+// rejected totals span every platform incarnation: each equals what the
+// deploy steps saw, before and after each kill-restart, although a
+// recovered platform's counters start again at zero.
+func TestKillRestartCountsEveryIncarnation(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rep, _ := runJSON(t, "kill-restart", seed)
+		var admitted, rejected int
+		for _, s := range rep.Steps {
+			if s.Name != "deploy" {
+				continue
+			}
+			switch s.Status {
+			case "admitted":
+				admitted++
+			case "cancelled", "error":
+			default:
+				rejected++
+			}
+		}
+		if admitted == 0 || rejected == 0 {
+			t.Fatalf("seed %d: steps admitted %d and rejected %d deploys, want both", seed, admitted, rejected)
+		}
+		if rep.Final.Admitted != admitted || rep.Final.Rejected != rejected {
+			t.Fatalf("seed %d: report admitted=%d rejected=%d, steps admitted=%d rejected=%d",
+				seed, rep.Final.Admitted, rep.Final.Rejected, admitted, rejected)
+		}
+	}
+}
+
 func TestIncidentStormDetections(t *testing.T) {
 	rep, js := runJSON(t, "incident-storm", 7)
 	if rep.Final.Incidents["falco"] == 0 && rep.Final.Incidents["sandbox"] == 0 {

@@ -222,28 +222,6 @@ func (v *Volume) UnlockTPM(slotName string, t *tpm.TPM) error {
 	return nil
 }
 
-// RemoveSlot deletes a keyslot.
-func (v *Volume) RemoveSlot(name string) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.slots[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoSlot, name)
-	}
-	delete(v.slots, name)
-	return nil
-}
-
-// Slots lists keyslot names.
-func (v *Volume) Slots() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]string, 0, len(v.slots))
-	for n := range v.slots {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Write stores content encrypted under the master key.
 func (v *Volume) Write(path string, content []byte) error {
 	v.mu.Lock()

@@ -92,16 +92,6 @@ type Model struct {
 	Mitigations []Mitigation `json:"mitigations"`
 }
 
-// ThreatByID returns a threat.
-func (m *Model) ThreatByID(id string) (Threat, bool) {
-	for _, t := range m.Threats {
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return Threat{}, false
-}
-
 // MitigationByID returns a mitigation.
 func (m *Model) MitigationByID(id string) (Mitigation, bool) {
 	for _, mit := range m.Mitigations {

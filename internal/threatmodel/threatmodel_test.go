@@ -61,10 +61,13 @@ func TestLayerAssignments(t *testing.T) {
 		"T5": LayerMiddleware, "T6": LayerMiddleware,
 		"T7": LayerApplication, "T8": LayerApplication,
 	}
+	got := map[string]Layer{}
+	for _, th := range m.Threats {
+		got[th.ID] = th.Layer
+	}
 	for tid, want := range layers {
-		th, ok := m.ThreatByID(tid)
-		if !ok || th.Layer != want {
-			t.Errorf("%s layer = %v, want %v", tid, th.Layer, want)
+		if layer, ok := got[tid]; !ok || layer != want {
+			t.Errorf("%s layer = %v, want %v", tid, layer, want)
 		}
 	}
 }

@@ -150,15 +150,6 @@ func (t *TPM) PCR(pcr int) (Digest, error) {
 	return t.pcrs[pcr], nil
 }
 
-// EventLog returns a copy of the measurement log.
-func (t *TPM) EventLog() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.log))
-	copy(out, t.log)
-	return out
-}
-
 // ReplayLog recomputes the PCR values implied by events. Verifiers use it to
 // check that a presented event log is consistent with a quote.
 func ReplayLog(events []Event) map[int]Digest {

@@ -110,7 +110,7 @@ func TestReplayLogMatchesPCRs(t *testing.T) {
 			t.Fatalf("Extend: %v", err)
 		}
 	}
-	replayed := ReplayLog(tp.EventLog())
+	replayed := ReplayLog(tp.log)
 	for _, pcr := range []int{PCRFirmware, PCRBootloader, PCRKernel, PCRConfig} {
 		want, _ := tp.PCR(pcr)
 		if replayed[pcr] != want {
@@ -310,7 +310,7 @@ func TestExtendChainProperty(t *testing.T) {
 			}
 			prev = got
 		}
-		replay := ReplayLog(tp.EventLog())
+		replay := ReplayLog(tp.log)
 		if len(chunks) == 0 {
 			return len(replay) == 0
 		}

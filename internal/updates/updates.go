@@ -11,7 +11,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -27,7 +26,6 @@ import (
 var (
 	ErrBadSignature  = errors.New("updates: signature verification failed")
 	ErrBadDigest     = errors.New("updates: artifact digest mismatch")
-	ErrUnknownKey    = errors.New("updates: signing key not trusted")
 	ErrNoTrustAnchor = errors.New("updates: no trust anchor provisioned")
 	ErrNotFound      = errors.New("updates: artifact not found")
 	ErrInsecureApply = errors.New("updates: image apply requires verified minimal environment")
@@ -97,17 +95,6 @@ func (r *Repository) Publish(name, version string, data []byte) PackageArtifact 
 	a.Signature = ed25519.Sign(r.priv, packageMessage(a))
 	r.packages[pkgKey(name, version)] = a
 	return a
-}
-
-// Fetch retrieves a published package.
-func (r *Repository) Fetch(name, version string) (PackageArtifact, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.packages[pkgKey(name, version)]
-	if !ok {
-		return PackageArtifact{}, fmt.Errorf("%w: %s %s", ErrNotFound, name, version)
-	}
-	return a, nil
 }
 
 // Metadata produces the signed repository index.
@@ -330,12 +317,4 @@ func (o *ONIE) Apply(img OSImage, sig DetachedSignature) error {
 	}
 	o.CurrentVersion = img.Version
 	return nil
-}
-
-// MarshalReport renders a summary for logs.
-func (o *ONIE) MarshalReport() ([]byte, error) {
-	return json.Marshal(map[string]any{
-		"currentVersion":     o.CurrentVersion,
-		"minimalEnvVerified": o.MinimalEnvVerified,
-	})
 }

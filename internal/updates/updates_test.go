@@ -84,17 +84,6 @@ func TestMetadataTamperRejected(t *testing.T) {
 	}
 }
 
-func TestFetch(t *testing.T) {
-	repo, _, _ := setup(t)
-	repo.Publish("p", "1", []byte("d"))
-	if _, err := repo.Fetch("p", "1"); err != nil {
-		t.Fatalf("Fetch: %v", err)
-	}
-	if _, err := repo.Fetch("p", "2"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
-	}
-}
-
 func onieSetup(t *testing.T) (*ONIE, *ImageSigner) {
 	t.Helper()
 	tp, err := tpm.New()
@@ -117,9 +106,6 @@ func TestONIEApplySignedImage(t *testing.T) {
 	}
 	if onie.CurrentVersion != "onl-4.19.300" {
 		t.Fatalf("CurrentVersion = %s", onie.CurrentVersion)
-	}
-	if _, err := onie.MarshalReport(); err != nil {
-		t.Fatalf("MarshalReport: %v", err)
 	}
 }
 

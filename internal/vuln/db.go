@@ -170,13 +170,6 @@ func (d *Database) Get(id string) (CVE, bool) {
 	return c, ok
 }
 
-// Len reports the number of records.
-func (d *Database) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.byID)
-}
-
 // Match returns the CVEs affecting the given package version, sorted by
 // descending CVSS.
 func (d *Database) Match(pkg, version string) []CVE {
@@ -202,18 +195,5 @@ func (d *Database) All() []CVE {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Prioritize orders findings for patching: exploitable first, then by CVSS.
-// This is the triage the paper describes for M8 report handling.
-func Prioritize(cves []CVE) []CVE {
-	out := append([]CVE(nil), cves...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Exploitable != out[j].Exploitable {
-			return out[i].Exploitable
-		}
-		return out[i].CVSS > out[j].CVSS
-	})
 	return out
 }

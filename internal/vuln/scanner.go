@@ -62,15 +62,6 @@ type ScanReport struct {
 	Skipped int `json:"skipped"`
 }
 
-// CountBySeverity tallies findings by severity bucket.
-func (r *ScanReport) CountBySeverity() map[Severity]int {
-	out := make(map[Severity]int)
-	for _, f := range r.Findings {
-		out[f.CVE.Severity()]++
-	}
-	return out
-}
-
 // Scan enumerates host packages under the configured search paths and
 // matches them against the database.
 func (s *Scanner) Scan(h *host.Host) *ScanReport {

@@ -101,8 +101,8 @@ func TestDatabaseMatchSorted(t *testing.T) {
 	if len(got) != 2 || got[0].ID != "B" || got[1].ID != "A" {
 		t.Fatalf("Match = %+v", got)
 	}
-	if db.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", db.Len())
+	if n := len(db.All()); n != 4 {
+		t.Fatalf("database holds %d records, want 4", n)
 	}
 	if _, ok := db.Get("A"); !ok {
 		t.Fatal("Get(A) failed")
@@ -111,22 +111,6 @@ func TestDatabaseMatchSorted(t *testing.T) {
 	db.Add(CVE{ID: "A", Package: "p", CVSS: 6.0})
 	if got := db.Match("p", "2.0"); len(got) != 2 {
 		t.Fatalf("after replace, Match = %d findings, want 2", len(got))
-	}
-}
-
-func TestPrioritizeExploitableFirst(t *testing.T) {
-	list := []CVE{
-		{ID: "A", CVSS: 9.9},
-		{ID: "B", CVSS: 5.0, Exploitable: true},
-		{ID: "C", CVSS: 8.0, Exploitable: true},
-	}
-	got := Prioritize(list)
-	if got[0].ID != "C" || got[1].ID != "B" || got[2].ID != "A" {
-		t.Fatalf("Prioritize = %v, %v, %v", got[0].ID, got[1].ID, got[2].ID)
-	}
-	// Input untouched.
-	if list[0].ID != "A" {
-		t.Fatal("Prioritize mutated its input")
 	}
 }
 
@@ -187,9 +171,15 @@ func TestScanReportSeverityCounts(t *testing.T) {
 	h := host.NewONLOLT("olt-01")
 	s := NewScanner(DefaultDatabase())
 	s.AddSearchPath("/opt/")
-	counts := s.Scan(h).CountBySeverity()
-	if counts[SeverityCritical] == 0 {
-		t.Fatalf("counts = %v, want at least one critical (docker escape)", counts)
+	rep := s.Scan(h)
+	critical := 0
+	for _, f := range rep.Findings {
+		if f.CVE.Severity() == SeverityCritical {
+			critical++
+		}
+	}
+	if critical == 0 {
+		t.Fatalf("findings = %+v, want at least one critical (docker escape)", rep.Findings)
 	}
 }
 
@@ -268,8 +258,8 @@ func TestTrackerWithoutNVDMissesStaleComponents(t *testing.T) {
 func TestTrackAllOrdering(t *testing.T) {
 	tr := NewTracker(DefaultFeeds(), 5)
 	exposures := tr.TrackAll(DefaultDatabase())
-	if len(exposures) != DefaultDatabase().Len() {
-		t.Fatalf("TrackAll = %d, want %d", len(exposures), DefaultDatabase().Len())
+	if len(exposures) != len(DefaultDatabase().All()) {
+		t.Fatalf("TrackAll = %d, want %d", len(exposures), len(DefaultDatabase().All()))
 	}
 	// Visible exposures sorted by descending window after any never-visible.
 	seenVisible := false
