@@ -64,8 +64,6 @@ cover:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzONUDeliver -fuzztime=15s ./internal/pon/
-	$(GO) test -fuzz=FuzzParseCondition -fuzztime=15s ./internal/falco/
-	$(GO) test -fuzz=FuzzParseRule -fuzztime=15s ./internal/falco/
 	$(GO) test -fuzz=FuzzWorkloadSpecToOrchestrator -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzVerify -fuzztime=15s ./api/
 	$(GO) test -fuzz=FuzzDecodeWireError -fuzztime=15s ./api/

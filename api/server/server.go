@@ -54,8 +54,9 @@ const terminalRetention = 512
 // asyncDeployment is one registry entry: the server-side future plus
 // the subject that created it, which gates status/await/cancel.
 type asyncDeployment struct {
-	d     *core.Deployment
-	owner string
+	d       *core.Deployment
+	owner   string
+	retired bool // listed in Server.terminal; guarded by Server.mu
 }
 
 // Server serves the control-plane v2 surface for one platform.
@@ -71,7 +72,7 @@ type Server struct {
 	// clients can poll after completion.
 	mu          sync.Mutex
 	deployments map[string]*asyncDeployment
-	terminal    []string // eviction order: ids in completion order
+	terminal    []string // eviction order: ids in settle order (see retire)
 	retention   int      // terminalRetention; tests lower it
 
 	// events is the SSE replay log, started lazily on the first watch so
@@ -454,13 +455,20 @@ func newDeploymentID() string {
 
 // retire records a deployment as terminal and evicts the oldest
 // terminal entries beyond the retention cap, keeping the registry
-// bounded on long-running daemons.
+// bounded on long-running daemons. The first call for an id counts,
+// later ones are no-ops. Each deployment's watcher goroutine calls it,
+// but goroutines wake in scheduling order, not settle order, so every
+// reply that reports a terminal state retires the deployment before it
+// is written: a client that saw d0 settle before d1 never finds d0
+// outliving d1.
 func (s *Server) retire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.deployments[id]; !ok {
+	e, ok := s.deployments[id]
+	if !ok || e.retired {
 		return
 	}
+	e.retired = true
 	s.terminal = append(s.terminal, id)
 	for len(s.terminal) > s.retention {
 		delete(s.deployments, s.terminal[0])
@@ -489,8 +497,9 @@ func (s *Server) deployment(w http.ResponseWriter, r *http.Request, subject, ver
 	return e.d, id, true
 }
 
-// status snapshots a deployment future into its wire form.
-func deploymentStatus(id string, d *core.Deployment) api.DeploymentStatus {
+// status snapshots a deployment future into its wire form, retiring a
+// terminal one first (see retire).
+func (s *Server) status(id string, d *core.Deployment) api.DeploymentStatus {
 	st := api.DeploymentStatus{
 		ID:       id,
 		Workload: d.Spec().Name,
@@ -498,6 +507,7 @@ func deploymentStatus(id string, d *core.Deployment) api.DeploymentStatus {
 		State:    string(d.State()),
 	}
 	if core.DeployState(st.State).Terminal() {
+		s.retire(id)
 		wl, err := d.Result()
 		st.Placed = api.FromWorkload(wl)
 		st.Error = api.Encode(err)
@@ -510,7 +520,7 @@ func (s *Server) handleDeploymentStatus(w http.ResponseWriter, r *http.Request, 
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, deploymentStatus(id, d))
+	writeJSON(w, http.StatusOK, s.status(id, d))
 }
 
 // handleDeploymentAwait long-polls the future: it responds when the
@@ -522,7 +532,7 @@ func (s *Server) handleDeploymentAwait(w http.ResponseWriter, r *http.Request, s
 	}
 	select {
 	case <-d.Done():
-		writeJSON(w, http.StatusOK, deploymentStatus(id, d))
+		writeJSON(w, http.StatusOK, s.status(id, d))
 	case <-r.Context().Done():
 		// Client gave up; the deployment itself keeps running.
 	}
@@ -537,7 +547,7 @@ func (s *Server) handleDeploymentCancel(w http.ResponseWriter, r *http.Request, 
 		return
 	}
 	d.Cancel()
-	writeJSON(w, http.StatusAccepted, deploymentStatus(id, d))
+	writeJSON(w, http.StatusAccepted, s.status(id, d))
 }
 
 // eventLog lazily starts the SSE replay log; the first watch request

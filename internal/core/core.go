@@ -561,8 +561,9 @@ func (p *Platform) AttachONUContext(ctx context.Context, nodeName, serial string
 	return onu, nil
 }
 
-// DeployContext admits a workload through the pipeline; on success a
-// sandbox policy is attached when M17 is enabled. It honours ctx:
+// DeployContext admits a workload through the pipeline. The sandbox
+// needs no per-workload step: its baseline confines every workload's
+// runtime events when M17 is enabled. It honours ctx:
 // cancellation or deadline expiry aborts the in-flight admission chain
 // without placing the workload, recording an incident, or warming the
 // verdict cache, and returns a *orchestrator.CancelledError. Rejections
@@ -612,9 +613,6 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 		}
 		return nil, err
 	}
-	if p.Config.SandboxEnabled {
-		p.Enforcer.SetPolicy(spec.Name, sandbox.DefaultWorkloadPolicy())
-	}
 	p.publishMetric("deploy.admitted", 1, spec.Tenant)
 	return w, nil
 }
@@ -622,6 +620,8 @@ func (p *Platform) deployObserved(ctx context.Context, subject string, spec orch
 // ObserveRuntime feeds a workload's event stream through enforcement (M17)
 // and detection (M18) per the configuration, recording incidents. It
 // returns how many events actually executed (enforcement truncates).
+// Enforcement applies the sandbox baseline to every event, whether or
+// not its workload was ever placed.
 func (p *Platform) ObserveRuntime(evs []trace.Event) int {
 	executed := evs
 	if p.Config.SandboxEnabled {

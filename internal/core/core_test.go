@@ -185,6 +185,27 @@ func TestRuntimePipelineBlocksAndDetects(t *testing.T) {
 	}
 }
 
+// TestSandboxEnforcesNeverPlacedWorkload pins the fail-closed rule: the
+// sandbox baseline confines a workload's runtime events even when no
+// deploy ever placed it.
+func TestSandboxEnforcesNeverPlacedWorkload(t *testing.T) {
+	p := securePlatform(t)
+	events := trace.ContainerEscapeTrace("never-placed", "shady")
+	if executed := p.ObserveRuntime(events); executed >= len(events) {
+		t.Fatal("sandbox let a never-placed workload's escape run")
+	}
+	var blocked []Incident
+	for _, i := range p.Incidents() {
+		if i.Source == "sandbox" {
+			blocked = append(blocked, i)
+		}
+	}
+	if len(blocked) != 1 || !blocked[0].Blocked || blocked[0].Workload != "never-placed" ||
+		blocked[0].Detail != "blocked capability CAP_SYS_ADMIN" {
+		t.Fatalf("sandbox incidents = %+v, want one blocked CAP_SYS_ADMIN", blocked)
+	}
+}
+
 func TestLegacyRuntimeMissesAttack(t *testing.T) {
 	p := legacyPlatform(t)
 	events := trace.ReverseShellTrace("web", "acme")

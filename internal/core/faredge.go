@@ -15,7 +15,6 @@ import (
 	"genio/internal/container"
 	"genio/internal/orchestrator"
 	"genio/internal/rbac"
-	"genio/internal/sandbox"
 )
 
 // FarEdgeCapacity is the compute available on one ONU — deliberately small
@@ -119,8 +118,5 @@ func (p *Platform) DeployFarEdge(ctx context.Context, subject, nodeName, serial 
 	st.used = next
 	w := &FarEdgeWorkload{Spec: spec, Image: img, Node: nodeName, Serial: serial}
 	st.workloads[spec.Name] = w
-	if p.Config.SandboxEnabled {
-		p.Enforcer.SetPolicy(spec.Name, sandbox.DefaultWorkloadPolicy())
-	}
 	return w, nil
 }

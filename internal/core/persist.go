@@ -19,9 +19,8 @@ package core
 // tail, which is safe because every record kind replays last-wins.
 //
 // Recovery runs inside New, before the mutation sink is installed (so
-// replay is never re-logged): the cluster imports the recovered state,
-// sandbox policies are re-attached to recovered workloads, and the
-// incident ledger is seeded with its sequence floor. Images are not
+// replay is never re-logged): the cluster imports the recovered state
+// and the incident ledger is seeded with its sequence floor. Images are not
 // persisted, and the registry New builds is empty, so a recovered
 // workload carries no image until its ref is pushed again; every read
 // and reschedule path tolerates that. Deliberately NOT
@@ -38,7 +37,6 @@ import (
 
 	"genio/internal/orchestrator"
 	"genio/internal/persist"
-	"genio/internal/sandbox"
 )
 
 // defaultSnapshotEvery is the compaction cadence: one snapshot per this
@@ -71,12 +69,7 @@ func (p *Platform) recoverFromStore() error {
 	if st == nil {
 		return nil
 	}
-	imported := p.Cluster.ImportState(st.Cluster)
-	if p.Config.SandboxEnabled {
-		for _, name := range imported {
-			p.Enforcer.SetPolicy(name, sandbox.DefaultWorkloadPolicy())
-		}
-	}
+	p.Cluster.ImportState(st.Cluster)
 	p.incSeq = st.IncidentSeq
 	p.incidents = append(p.incidents, st.Incidents...)
 	for _, i := range st.Incidents {

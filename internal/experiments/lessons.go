@@ -610,16 +610,13 @@ func Lesson8() (string, error) {
 	// Sandbox enforcement outcomes.
 	enf := sandbox.NewEnforcer()
 	blockedAttacks := 0
-	for _, name := range sortedKeys(attacks) {
-		events := attacks[name]
-		enf.SetPolicy(events[0].Workload, sandbox.DefaultWorkloadPolicy())
+	for _, events := range attacks {
 		if len(sandbox.Blocked(enf.Process(events))) > 0 {
 			blockedAttacks++
 		}
 	}
 	benignBlocked := 0
 	for _, tr := range benign {
-		enf.SetPolicy(tr[0].Workload, sandbox.DefaultWorkloadPolicy())
 		benignBlocked += len(sandbox.Blocked(enf.Process(tr)))
 	}
 	fmt.Fprintf(&b, "KubeArmor (enforcement, M17): attacks blocked=%d/%d, benign events blocked=%d\n",
@@ -636,7 +633,6 @@ func Lesson8() (string, error) {
 	e.ConsumeAll(load)
 	falcoRate := float64(len(load)) / time.Since(start).Seconds()
 	enf2 := sandbox.NewEnforcer()
-	enf2.SetPolicy("perf", sandbox.DefaultWorkloadPolicy())
 	start = time.Now()
 	enf2.Process(load)
 	sandboxRate := float64(len(load)) / time.Since(start).Seconds()

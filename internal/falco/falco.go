@@ -4,11 +4,11 @@
 // detection, not enforcement, exactly as the paper distinguishes it from
 // sandboxing.
 //
-// Rules carry condition functions with optional stateful context (e.g.
-// "shell spawned by a non-shell parent", "egress to a non-allowlisted
-// address"), and an exceptions list used for tuning. The Lesson-8
-// experiment measures false-positive rates before and after tuning on
-// identical traffic.
+// The rules are Go condition functions with optional stateful context
+// (e.g. "shell spawned by a non-shell parent", "egress to a
+// non-allowlisted address"): DefaultRules is the one stock set, and
+// SetExceptions is its tuning knob. The Lesson-8 experiment measures
+// false-positive rates before and after tuning on identical traffic.
 package falco
 
 import (

@@ -33,7 +33,6 @@ var surfaceSeams = map[string]string{
 	"genio/internal/core.Platform.RecordIncident":         "feeds the incident ledger the live path writes",
 	"genio/internal/core.Platform.FlushContext":           "waits for spine delivery before a test reads it",
 	"genio/internal/core.Platform.SnapshotNow":            "forces the snapshot the WAL compactor takes",
-	"genio/internal/falco.ParseRule":                      "the rule language FuzzParseRule and FuzzParseCondition hold; no rule file is loaded yet",
 	"genio/internal/federation.Federation.Region":         "reads the region a live AddCluster recorded",
 	"genio/internal/macsec.SecY.Stats":                    "reads the live SecY's frame counters",
 	"genio/internal/orchestrator.Cluster.SharedVMTenants": "reads which tenants share a VM on the live placement",

@@ -199,10 +199,10 @@ func (c *Cluster) ExportState() ClusterState {
 // workload table. Workloads keep the Image st gives them, which is nil
 // in every snapshot and log record; every read and reschedule path
 // tolerates that. Call before traffic starts; a workload whose node is
-// absent from st is dropped rather than invented a host. It returns the
-// names of the workloads it imported, in st's order: exactly those, the
-// dropped ones excluded.
-func (c *Cluster) ImportState(st ClusterState) []string {
+// absent from st is dropped rather than invented a host. The cluster
+// takes ownership of st.Workloads: its workload table points into that
+// slice, so the caller must not use it after the call.
+func (c *Cluster) ImportState(st ClusterState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nodes = make(map[string]*node, len(st.Nodes))
@@ -213,16 +213,14 @@ func (c *Cluster) ImportState(st ClusterState) []string {
 	}
 	c.workloads = make(map[string]*Workload, len(st.Workloads))
 	c.tenantUsed = make(map[string]Resources)
-	imported := make([]string, 0, len(st.Workloads))
 	maxVM := st.VMSeq
 	for i := range st.Workloads {
-		w := st.Workloads[i]
+		w := &st.Workloads[i]
 		n, ok := c.nodes[w.Node]
 		if !ok {
 			continue
 		}
-		c.workloads[w.Spec.Name] = &w
-		imported = append(imported, w.Spec.Name)
+		c.workloads[w.Spec.Name] = w
 		c.tenantUsed[w.Spec.Tenant] = c.tenantUsed[w.Spec.Tenant].Add(w.Spec.Resources)
 		n.used = n.used.Add(w.Spec.Resources)
 		n.countLocked(c.internLocked(w.Spec.Tenant), 1)
@@ -253,7 +251,6 @@ func (c *Cluster) ImportState(st ClusterState) []string {
 			c.adm.commit(digest, names)
 		}
 	}
-	return imported
 }
 
 // HasNode reports whether a node of that name is a cluster member. The

@@ -118,9 +118,11 @@ type State struct {
 // commit (Flush is the explicit durability barrier). Snapshot persists
 // a compacted state and lets the backend drop records the snapshot
 // covers; Load returns the recovered state (snapshot plus replayed
-// tail), or nil when the store holds nothing. Close flushes and
-// releases resources without taking an implicit snapshot — the
-// platform decides whether a shutdown is graceful (snapshot) or a
+// tail), or nil when the store holds nothing. Each Load builds a fresh
+// state that the caller owns and may hand on: the platform gives its
+// workload rows to Cluster.ImportState, which keeps them. Close
+// flushes and releases resources without taking an implicit snapshot —
+// the platform decides whether a shutdown is graceful (snapshot) or a
 // simulated crash (flush only).
 type Store interface {
 	Append(rec Record) error

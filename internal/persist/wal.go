@@ -429,7 +429,9 @@ func syncDir(dir string) error {
 // Load returns the recovered state: the last snapshot with the log
 // tail replayed on top, or nil when the store holds nothing yet. Until
 // the store is first written it replays onto the snapshot OpenWAL
-// decoded; after that it reads the file again.
+// decoded; after that it reads the file again. Either way the result
+// shares no rows with the store: it belongs to the caller, and the
+// cluster that imports it keeps its workload rows.
 func (w *WAL) Load() (*State, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,7 +1,10 @@
 // Package sandbox implements LSM-style runtime enforcement for GENIO
-// workloads (M17, the KubeArmor role): per-workload policies that allow or
-// block process executions, file accesses, network egress, capabilities,
-// and syscalls, applied inline to the event stream.
+// workloads (M17, the KubeArmor role): a policy that allows or blocks
+// process executions, file accesses, network egress, capabilities, and
+// syscalls, applied inline to the event stream. One baseline
+// (DefaultWorkloadPolicy) confines every workload, placed or not, so an
+// event is never waved through for lack of a table entry; a named
+// override replaces it for one workload.
 package sandbox
 
 import (
@@ -82,29 +85,31 @@ type Verdict struct {
 	Action Action      `json:"action"`
 }
 
-// Enforcer applies per-workload policies to event streams. Safe for
-// concurrent use.
+// Enforcer applies the baseline, or a workload's override, to event
+// streams. Safe for concurrent use.
 type Enforcer struct {
-	mu       sync.RWMutex
-	policies map[string]Policy // workload -> policy
-	blocked  map[string]int
-	audited  map[string]int
+	mu        sync.RWMutex
+	overrides map[string]Policy // workload -> policy replacing the baseline
+	blocked   map[string]int
+	audited   map[string]int
 }
 
-// NewEnforcer creates an enforcer with no policies (allow-all).
+// NewEnforcer creates an enforcer that confines every workload with
+// DefaultWorkloadPolicy, including workloads it has never heard of.
 func NewEnforcer() *Enforcer {
 	return &Enforcer{
-		policies: make(map[string]Policy),
-		blocked:  make(map[string]int),
-		audited:  make(map[string]int),
+		overrides: make(map[string]Policy),
+		blocked:   make(map[string]int),
+		audited:   make(map[string]int),
 	}
 }
 
-// SetPolicy attaches a policy to a workload.
+// SetPolicy overrides the baseline for one workload; the zero Policy
+// allows everything. Nothing needs it to confine a workload.
 func (e *Enforcer) SetPolicy(workload string, p Policy) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.policies[workload] = p
+	e.overrides[workload] = p
 }
 
 // Process runs a full trace through enforcement. Blocked events terminate
@@ -117,10 +122,11 @@ func (e *Enforcer) Process(events []trace.Event) []Verdict {
 	var blocked, audited map[string]int
 	e.mu.RLock()
 	for _, ev := range events {
-		a := ActionAllow
-		if p, ok := e.policies[ev.Workload]; ok {
-			a = p.Decide(ev)
+		p, ok := e.overrides[ev.Workload]
+		if !ok {
+			p = baseline
 		}
+		a := p.Decide(ev)
 		switch a {
 		case ActionBlock:
 			if blocked == nil {
@@ -170,10 +176,10 @@ func Blocked(vs []Verdict) []Verdict {
 	return out
 }
 
-// baselineRules backs every DefaultWorkloadPolicy: the baseline is
-// attached on every deploy, and no caller mutates rules in place
-// (derived profiles copy with append), so one shared immutable slice
-// replaces a dozen allocations per deploy.
+// baseline is the policy of every workload without an override. Its
+// rules are shared by every DefaultWorkloadPolicy and never written.
+var baseline = DefaultWorkloadPolicy()
+
 var baselineRules = []PolicyRule{
 	{Types: []trace.EventType{trace.EventCapability}, TargetPrefix: "CAP_SYS_ADMIN", Action: ActionBlock},
 	{Types: []trace.EventType{trace.EventCapability}, TargetPrefix: "CAP_SYS_PTRACE", Action: ActionBlock},
@@ -188,9 +194,9 @@ var baselineRules = []PolicyRule{
 	{Types: []trace.EventType{trace.EventFileWrite}, TargetPrefix: "", Action: ActionAudit},
 }
 
-// DefaultWorkloadPolicy returns the baseline policy GENIO attaches to soft-
-// isolated workloads: block dangerous capabilities, privileged syscalls,
-// host-filesystem access, and shells; audit writes outside the app tree.
+// DefaultWorkloadPolicy returns the baseline every Enforcer applies: block
+// dangerous capabilities, privileged syscalls, host-filesystem access,
+// and shells; audit writes outside the app tree.
 func DefaultWorkloadPolicy() Policy {
 	return Policy{Name: "genio-baseline", Rules: baselineRules, DefaultAction: ActionAllow}
 }

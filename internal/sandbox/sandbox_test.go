@@ -6,14 +6,8 @@ import (
 	"genio/internal/trace"
 )
 
-func enforcerWithBaseline(workload string) *Enforcer {
-	e := NewEnforcer()
-	e.SetPolicy(workload, DefaultWorkloadPolicy())
-	return e
-}
-
 func TestBenignTrafficUnblocked(t *testing.T) {
-	e := enforcerWithBaseline("web")
+	e := NewEnforcer()
 	vs := e.Process(trace.BenignWebTrace("web", "acme", 10))
 	if len(Blocked(vs)) != 0 {
 		t.Fatalf("benign traffic blocked: %+v", Blocked(vs))
@@ -25,7 +19,7 @@ func TestBenignTrafficUnblocked(t *testing.T) {
 }
 
 func TestContainerEscapeBlockedAtCapability(t *testing.T) {
-	e := enforcerWithBaseline("miner")
+	e := NewEnforcer()
 	events := trace.ContainerEscapeTrace("miner", "shady")
 	vs := e.Process(events)
 	b := Blocked(vs)
@@ -42,7 +36,7 @@ func TestContainerEscapeBlockedAtCapability(t *testing.T) {
 }
 
 func TestReverseShellBlockedAtExec(t *testing.T) {
-	e := enforcerWithBaseline("web")
+	e := NewEnforcer()
 	vs := e.Process(trace.ReverseShellTrace("web", "acme"))
 	b := Blocked(vs)
 	if len(b) != 1 || b[0].Event.Target != "/bin/bash" {
@@ -50,20 +44,41 @@ func TestReverseShellBlockedAtExec(t *testing.T) {
 	}
 }
 
-func TestUnpoliciedWorkloadAllowsEverything(t *testing.T) {
-	// Without a policy (the pre-M17 posture) the escape succeeds.
+// TestBaselineConfinesWorkloadWithoutPolicy: no SetPolicy call is
+// needed to confine a workload; the enforcer applies the baseline to
+// names it has never been told about.
+func TestBaselineConfinesWorkloadWithoutPolicy(t *testing.T) {
 	e := NewEnforcer()
-	vs := e.Process(trace.ContainerEscapeTrace("miner", "shady"))
-	if len(Blocked(vs)) != 0 {
-		t.Fatal("no-policy enforcer blocked something")
+	b := Blocked(e.Process(trace.ContainerEscapeTrace("never-placed", "shady")))
+	if len(b) != 1 || b[0].Event.Target != "CAP_SYS_ADMIN" {
+		t.Fatalf("blocked = %+v", b)
 	}
-	if len(vs) != len(trace.ContainerEscapeTrace("miner", "shady")) {
-		t.Fatal("trace truncated without enforcement")
+	if blocked, _ := e.Counts("never-placed"); blocked != 1 {
+		t.Fatalf("blocked count = %d", blocked)
+	}
+}
+
+// TestPolicyOverrideReplacesBaseline: an override replaces the baseline
+// for its workload only; the zero Policy lets the escape run to
+// completion (the pre-M17 posture).
+func TestPolicyOverrideReplacesBaseline(t *testing.T) {
+	e := NewEnforcer()
+	e.SetPolicy("miner", Policy{})
+	events := trace.ContainerEscapeTrace("miner", "shady")
+	vs := e.Process(events)
+	if len(Blocked(vs)) != 0 {
+		t.Fatalf("overridden workload blocked: %+v", Blocked(vs))
+	}
+	if len(vs) != len(events) {
+		t.Fatal("trace truncated under an allow-all override")
+	}
+	if len(Blocked(e.Process(trace.ContainerEscapeTrace("web", "acme")))) != 1 {
+		t.Fatal("an override for miner lifted the baseline from web")
 	}
 }
 
 func TestAuditModeRecordsWithoutBlocking(t *testing.T) {
-	e := enforcerWithBaseline("batch")
+	e := NewEnforcer()
 	// Batch workload writes outside /var/log and /out -> audit.
 	events := trace.NewBuilder("batch", "acme").
 		Add(trace.EventFileWrite, "job", "/tmp/scratch").
@@ -130,7 +145,6 @@ func TestActionString(t *testing.T) {
 // BenchmarkSandboxEnforce: per-operation cost behind Lesson 8 (runtime).
 func BenchmarkSandboxEnforce(b *testing.B) {
 	e := NewEnforcer()
-	e.SetPolicy("bench", DefaultWorkloadPolicy())
 	events := trace.BenignWebTrace("bench", "acme", 100)
 	b.ReportAllocs()
 	b.ResetTimer()
